@@ -18,26 +18,31 @@ print(f"encoder pair with {enc.n_params} parameters "
 
 rng = np.random.default_rng(1)
 x = rng.standard_normal(5)
-e_in = enc.encode_input(w, x)
-e_lab = enc.encode_label(w, 2)
-print(f"|input embedding| = {np.linalg.norm(e_in.vector):.12f}")
-print(f"|label embedding| = {np.linalg.norm(e_lab.vector):.12f}")
+e_in = enc.encode_input_batch(w, [x])[0]
+e_lab = enc.encode_label_batch(w, [2])[0]
+print(f"|input embedding| = {np.linalg.norm(e_in):.12f}")
+print(f"|label embedding| = {np.linalg.norm(e_lab):.12f}")
 
-s = enc.pair_similarity(w, x, 2)
+
+def similarity(params):
+    return enc.similarity_matrix(params, [x], [2])[0, 0]
+
+
+s = similarity(w)
 print(f"similarity(x, class 2) = {s:.6f}  (equals the embeddings' dot product)")
 
-# analytic gradient vs central finite differences
-g = enc.pair_similarity_grad(w, x, 2)
+# analytic gradient (unit pair coefficient) vs central finite differences
+g = enc.weighted_pair_grad(w, [x], [2], np.ones((1, 1)))
 eps = 1e-6
 fd = np.zeros_like(w)
 for i in range(len(w)):
     wp, wm = w.copy(), w.copy()
     wp[i] += eps
     wm[i] -= eps
-    fd[i] = (enc.pair_similarity(wp, x, 2) - enc.pair_similarity(wm, x, 2)) / (2 * eps)
+    fd[i] = (similarity(wp) - similarity(wm)) / (2 * eps)
 print(f"max |analytic - finite difference| = {np.abs(g - fd).max():.2e} "
       f"over {len(w)} coordinates")
 
 sims = enc.similarity_matrix(w, [x], list(range(4)))[0]
-pred = enc.predict(w, x, set(range(4)))
+pred = enc.predict_batch(w, [x], set(range(4)))[0]
 print(f"similarities to all labels: {np.round(sims, 3)} -> predict {pred}")

@@ -11,10 +11,11 @@ from cclearn import (
     EncoderConfig,
     EncoderPair,
     GdroConfig,
+    GdroEstimatorState,
     Sample,
-    class_loss_hk,
     dro_objective,
     dro_weights,
+    gdro_update_estimators,
 )
 
 rng = np.random.default_rng(5)
@@ -30,8 +31,12 @@ for k, center in centers.items():
         pool.append(Sample(x=center + 0.4 * rng.standard_normal(6), class_id=k, sample_id=sid))
         sid += 1
 
+# one full-batch update at gamma=1 sets each class estimate u_c to the exact h_k
 cfg = GdroConfig(lam=0.5, gamma=1.0, margin=0.4, tau=0.3, batch_classes=4, batch_per_class=6)
-h = np.array([class_loss_hk(enc, w, k, pool, cfg) for k in range(4)])
+classes = list(centers)
+members = {k: [s for s in pool if s.class_id == k] for k in classes}
+state = gdro_update_estimators(GdroEstimatorState(), enc, w, classes, members, pool, cfg)
+h = np.array([state.u_c[k] for k in classes])
 print("per-class hinge losses h_k:", np.round(h, 3))
 print("(classes 0 and 3 overlap, so their margins are violated more)\n")
 

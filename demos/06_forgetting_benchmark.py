@@ -16,7 +16,7 @@ from cclearn.benchmark import (
     benchmark_stream,
 )
 from cclearn.report import line_chart_svg, write_svg
-from cclearn.runner import joint_upper_bound, run
+from cclearn.runner import run
 
 SEED = 1
 stream = benchmark_stream(SEED)
@@ -29,7 +29,7 @@ runs = {
     f"gcl (mem {CAPACITY_LOW})": run(stream, benchmark_config("gcl", CAPACITY_LOW, SEED)),
     f"gdro (mem {CAPACITY_LOW})": run(stream, benchmark_config("gdro", CAPACITY_LOW, SEED)),
 }
-joint = joint_upper_bound(stream, benchmark_config("joint-upper-bound", 0, SEED))
+joint = run(stream, benchmark_config("joint-upper-bound", 0, SEED)).accuracy.aggregate[0]
 
 T = stream.num_tasks
 for name, result in runs.items():

@@ -25,35 +25,20 @@ from .data import (
 from .errors import DatasetFormatError, DivergenceError, NonFiniteGradientError
 from .gcl import (
     GclEstimatorState,
-    g_I,
-    g_T,
     gcl_gradient_estimate,
     gcl_loss_full,
     gcl_update_estimators,
-    load_gcl_state,
-    save_gcl_state,
 )
 from .gdro import (
     GdroConfig,
     GdroEstimatorState,
-    class_loss_hk,
     dro_objective,
     dro_weights,
     gdro_gradient_estimate,
     gdro_update_estimators,
-    hinge_g1,
-    hinge_g2,
-    load_gdro_state,
-    save_gdro_state,
 )
-from .model import Embedding, EncoderConfig, EncoderPair
-from .optim import (
-    OptimizerState,
-    init_optimizer,
-    load_optimizer_state,
-    save_optimizer_state,
-    step,
-)
+from .model import EncoderConfig, EncoderPair
+from .optim import OptimizerState, init_optimizer, step
 from .runner import (
     AccuracyMatrix,
     RunConfig,
@@ -61,8 +46,6 @@ from .runner import (
     ce_gradient,
     ce_loss,
     evaluate,
-    finetune_ce_baseline,
-    joint_upper_bound,
     merge_tasks,
     run,
 )
@@ -71,17 +54,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyMatrix", "Dataset", "DatasetFormatError", "DivergenceError",
-    "Embedding", "EncoderConfig", "EncoderPair", "GclEstimatorState",
-    "GdroConfig", "GdroEstimatorState", "MemoryBuffer",
-    "NonFiniteGradientError", "OptimizerState", "RunConfig", "RunResult",
-    "Sample", "Task", "TaskStream", "ce_gradient", "ce_loss", "class_loss_hk",
-    "dro_objective", "dro_weights", "evaluate", "export_csv",
-    "finetune_ce_baseline", "g_I", "g_T", "gcl_gradient_estimate",
-    "gcl_loss_full", "gcl_update_estimators", "gdro_gradient_estimate",
-    "gdro_update_estimators", "gen_domain_shift", "gen_synthetic",
-    "hinge_g1", "hinge_g2", "init_optimizer", "joint_upper_bound", "load",
-    "load_gcl_state", "load_gdro_state", "load_optimizer_state",
-    "merge_tasks", "run", "sample_class_batch", "save", "save_gcl_state",
-    "save_gdro_state", "save_optimizer_state", "split_cil", "split_dil",
-    "step",
+    "EncoderConfig", "EncoderPair", "GclEstimatorState", "GdroConfig",
+    "GdroEstimatorState", "MemoryBuffer", "NonFiniteGradientError",
+    "OptimizerState", "RunConfig", "RunResult", "Sample", "Task", "TaskStream",
+    "ce_gradient", "ce_loss", "dro_objective", "dro_weights", "evaluate",
+    "export_csv", "gcl_gradient_estimate", "gcl_loss_full",
+    "gcl_update_estimators", "gdro_gradient_estimate", "gdro_update_estimators",
+    "gen_domain_shift", "gen_synthetic", "init_optimizer", "load",
+    "merge_tasks", "run", "sample_class_batch", "save", "split_cil",
+    "split_dil", "step",
 ]

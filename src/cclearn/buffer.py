@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Sample
+from .data import Sample
 
 
 @dataclass
@@ -75,24 +75,6 @@ class MemoryBuffer:
             out.extend(self.slots[k])
         out.extend(current_task_data)
         return out
-
-    def to_dataset(self, num_classes: int, input_dim: int) -> Dataset:
-        """Snapshot buffer contents in the dataset file schema (checkpointing)."""
-        return Dataset(
-            samples=self.union_view([]), num_classes=num_classes, input_dim=input_dim
-        )
-
-    @classmethod
-    def from_dataset(cls, ds: Dataset, capacity: int, rng_seed: int) -> "MemoryBuffer":
-        """Rebuild a buffer from a snapshot. The RNG restarts from rng_seed."""
-        buf = cls(capacity, rng_seed)
-        if len(ds.samples) > capacity:
-            raise ValueError(
-                f"snapshot holds {len(ds.samples)} samples, over capacity {capacity}"
-            )
-        for s in ds.samples:
-            buf.slots.setdefault(s.class_id, []).append(s)
-        return buf
 
 
 def sample_class_batch(pool, class_id, batch_size, seed) -> list[Sample]:

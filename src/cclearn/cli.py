@@ -1,7 +1,7 @@
 """Command-line entry point: generate datasets, run experiments, compare runs.
 
-Exit codes: 0 success, 2 invalid arguments or config schema violation,
-3 dataset read failure, 4 training divergence.
+Exit codes: 0 success, 2 invalid arguments, config schema violation or
+out-of-range config value, 3 dataset read failure, 4 training divergence.
 
 Experiment configs are JSON documents with three sections (unknown keys are
 rejected everywhere):

@@ -21,12 +21,15 @@ File format (``.clds``, little-endian binary):
     tasks   i32[n]             if flags bit2
     domains u32[n]             if flags bit0
 
-``save`` always writes sample and task ids so that replay-buffer checkpoints
-keep their global sample identities.  A CSV export exists for inspection only.
+``save`` always writes sample and task ids, so a loaded dataset keeps the
+sample identities it was saved with.  ``load`` checks the payload size the
+header implies against the file size before reading any payload.  A CSV
+export exists for inspection only.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -321,6 +324,17 @@ def load(path) -> Dataset:
         if version != _VERSION:
             raise DatasetFormatError(
                 f"unsupported dataset version {version} (supported: {_VERSION})"
+            )
+        # per-sample bytes: inputs, class id, then the id columns the flags declare
+        row_bytes = 4 * dim + 4
+        row_bytes += 8 if flags & _FLAG_SAMPLE_IDS else 0
+        row_bytes += 4 if flags & _FLAG_TASK_IDS else 0
+        row_bytes += 4 if flags & _FLAG_DOMAINS else 0
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n * row_bytes > payload:
+            raise DatasetFormatError(
+                f"truncated dataset file: header implies {n * row_bytes} payload bytes, "
+                f"file holds {payload}"
             )
         X = np.frombuffer(_read_exact(fh, 4 * n * dim, "inputs"), dtype="<f4").reshape(n, dim)
         y = np.frombuffer(_read_exact(fh, 4 * n, "class ids"), dtype="<u4")

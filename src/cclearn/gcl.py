@@ -38,9 +38,6 @@ from .model import EncoderPair
 # positive floor keeps 1/u finite if an estimate underflows
 U_FLOOR = 1e-300
 
-_STATE_HEADER = "cclearn-gcl-state"
-_STATE_VERSION = 1
-
 
 @dataclass
 class GclEstimatorState:
@@ -70,28 +67,34 @@ def _check_tau(tau):
     return float(tau)
 
 
-def _stable_expsum(scores):
-    """sum(exp(scores)) via max-shift, returned in linear scale."""
-    m = float(np.max(scores))
-    return float(np.exp(m) * np.sum(np.exp(scores - m)))
+def moving_average(store: dict, keys, values, gamma, floor=None) -> None:
+    """In-place ``store[k] <- (1 - gamma) * store[k] + gamma * v`` per (k, v) pair.
+
+    A key's first update writes ``v`` itself, whatever gamma is.  With
+    ``floor``, each result is raised to at least ``floor``.  gcl and gdro keep
+    all their per-sample and per-class averages through this one function;
+    only gdro's scalar v, which needs the shifted form, is updated elsewhere.
+    """
+    for key, value in zip(keys, values):
+        value = float(value)
+        old = store.get(key)
+        new = value if old is None else (1 - gamma) * old + gamma * value
+        store[key] = new if floor is None else max(floor, new)
 
 
-def g_I(enc: EncoderPair, params, anchor, candidates, tau) -> float:
-    """Input-anchored normalizer: sum over candidate labels of exp(sim/tau)."""
-    tau = _check_tau(tau)
-    if not candidates:
-        raise ValueError("candidate list must be non-empty")
-    sims = enc.similarity_matrix(params, [anchor.x], [s.class_id for s in candidates])[0]
-    return _stable_expsum(sims / tau)
-
-
-def g_T(enc: EncoderPair, params, anchor, candidates, tau) -> float:
-    """Label-anchored normalizer: sum over candidate inputs of exp(sim/tau)."""
-    tau = _check_tau(tau)
-    if not candidates:
-        raise ValueError("candidate list must be non-empty")
-    sims = enc.similarity_matrix(params, [s.x for s in candidates], [anchor.class_id])[:, 0]
-    return _stable_expsum(sims / tau)
+def sample_estimates(state, samples) -> tuple[list[float], list[float]]:
+    """The (u_I, u_T) estimates of every sample; refuses missing or non-positive ones."""
+    u_I, u_T = [], []
+    for s in samples:
+        ui = state.u_I.get(s.sample_id)
+        ut = state.u_T.get(s.sample_id)
+        if ui is None or ut is None:
+            raise ValueError(f"estimator not initialized for sample {s.sample_id}")
+        if ui <= 0 or ut <= 0:
+            raise ValueError(f"non-positive estimator value for sample {s.sample_id}")
+        u_I.append(ui)
+        u_T.append(ut)
+    return u_I, u_T
 
 
 def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:
@@ -127,14 +130,9 @@ def gcl_update_estimators(
         raise ValueError("pool_size must be >= batch size")
     gI_hat, gT_hat, _, _ = _batch_normalizer_estimates(enc, params, batch, tau, pool_size)
     new = state.copy()
-    g = state.gamma
-    for i, s in enumerate(batch):
-        sid = s.sample_id
-        old_i = new.u_I.get(sid)
-        old_t = new.u_T.get(sid)
-        gi, gt = float(gI_hat[i]), float(gT_hat[i])
-        new.u_I[sid] = max(U_FLOOR, gi if old_i is None else (1 - g) * old_i + g * gi)
-        new.u_T[sid] = max(U_FLOOR, gt if old_t is None else (1 - g) * old_t + g * gt)
+    ids = [s.sample_id for s in batch]
+    moving_average(new.u_I, ids, gI_hat, state.gamma, U_FLOOR)
+    moving_average(new.u_T, ids, gT_hat, state.gamma, U_FLOOR)
     return new
 
 
@@ -154,17 +152,9 @@ def gcl_gradient_estimate(
     if not batch:
         raise ValueError("batch must be non-empty")
     n = len(batch)
-    inv_u_I = np.empty(n)
-    inv_u_T = np.empty(n)
-    for i, s in enumerate(batch):
-        ui = state.u_I.get(s.sample_id)
-        ut = state.u_T.get(s.sample_id)
-        if ui is None or ut is None:
-            raise ValueError(f"estimator not initialized for sample {s.sample_id}")
-        if ui <= 0 or ut <= 0:
-            raise ValueError(f"non-positive estimator value for sample {s.sample_id}")
-        inv_u_I[i] = 1.0 / ui
-        inv_u_T[i] = 1.0 / ut
+    u_I, u_T = sample_estimates(state, batch)
+    inv_u_I = 1.0 / np.array(u_I)
+    inv_u_T = 1.0 / np.array(u_T)
     xs = [s.x for s in batch]
     cls = [s.class_id for s in batch]
     S = enc.similarity_matrix(params, xs, cls)
@@ -173,36 +163,3 @@ def gcl_gradient_estimate(
     C = scale * E * (inv_u_I[:, None] + inv_u_T[None, :]) / (2.0 * n)
     C[np.diag_indices(n)] -= 1.0 / n
     return enc.weighted_pair_grad(params, xs, cls, C)
-
-
-# ------------------------------------------------------------- serialization
-
-
-def save_gcl_state(state: GclEstimatorState, path) -> None:
-    """Text record: one (sample_id, u_I, u_T) triple per line, exact round-trip."""
-    keys = sorted(state.u_I)
-    if keys != sorted(state.u_T):
-        raise ValueError("u_I and u_T track different sample ids; refusing to serialize")
-    with open(path, "w") as fh:
-        fh.write(f"{_STATE_HEADER} {_STATE_VERSION}\n")
-        fh.write(f"gamma {state.gamma!r}\n")
-        for k in keys:
-            fh.write(f"{k} {state.u_I[k]!r} {state.u_T[k]!r}\n")
-
-
-def load_gcl_state(path) -> GclEstimatorState:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != _STATE_HEADER:
-            raise ValueError(f"not a {_STATE_HEADER} file")
-        if int(header[1]) != _STATE_VERSION:
-            raise ValueError(f"unsupported state version {header[1]}")
-        tag, gamma = fh.readline().split()
-        if tag != "gamma":
-            raise ValueError("malformed state file: missing gamma line")
-        state = GclEstimatorState(gamma=float(gamma))
-        for line in fh:
-            sid, ui, ut = line.split()
-            state.u_I[int(sid)] = float(ui)
-            state.u_T[int(sid)] = float(ut)
-    return state

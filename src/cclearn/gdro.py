@@ -42,11 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gcl import U_FLOOR
+from .gcl import U_FLOOR, moving_average, sample_estimates
 from .model import EncoderPair
-
-_STATE_HEADER = "cclearn-gdro-state"
-_STATE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -145,27 +142,6 @@ def _hinge_stats(enc, params, anchors, pool, margin, tau):
     }
 
 
-def hinge_g1(enc: EncoderPair, params, anchor, pool, margin, tau) -> float:
-    """Input-anchored hinge normalizer, linear scale. Equals 1 iff no violations."""
-    st = _hinge_stats(enc, params, [anchor], pool, margin, tau)
-    return float(np.exp(st["log_g1"][0]))
-
-
-def hinge_g2(enc: EncoderPair, params, anchor, pool, margin, tau) -> float:
-    """Label-anchored hinge normalizer, linear scale."""
-    st = _hinge_stats(enc, params, [anchor], pool, margin, tau)
-    return float(np.exp(st["log_g2"][0]))
-
-
-def class_loss_hk(enc: EncoderPair, params, class_id, pool, config: GdroConfig) -> float:
-    """Per-class loss h_k over all pool members of the class; always >= 0."""
-    members = [s for s in pool if s.class_id == class_id]
-    if not members:
-        raise ValueError(f"class {class_id} not present in pool")
-    st = _hinge_stats(enc, params, members, pool, config.margin, config.tau)
-    return float(config.tau * np.mean(st["log_g1"] + st["log_g2"]) / 2.0)
-
-
 # ------------------------------------------------------------ robust weighting
 
 
@@ -224,27 +200,16 @@ def gdro_update_estimators(
 
     new = state.copy()
     g = config.gamma
+    ids = [s.sample_id for s in anchors]
+    moving_average(new.u_I, ids, g1, g, U_FLOOR)
+    moving_average(new.u_T, ids, g2, g, U_FLOOR)
+    h_hat = []
     pos = 0
     for k in class_batch:
-        batch_k = per_class_batches[k]
-        n_k = len(batch_k)
-        rows = slice(pos, pos + n_k)
-        pos += n_k
-        for i, s in zip(range(rows.start, rows.stop), batch_k):
-            old_i = new.u_I.get(s.sample_id)
-            old_t = new.u_T.get(s.sample_id)
-            gi, gt = float(g1[i]), float(g2[i])
-            new.u_I[s.sample_id] = max(
-                U_FLOOR, gi if old_i is None else (1 - g) * old_i + g * gi
-            )
-            new.u_T[s.sample_id] = max(
-                U_FLOOR, gt if old_t is None else (1 - g) * old_t + g * gt
-            )
-        h_hat = float(
-            config.tau * np.mean(st["log_g1"][rows] + st["log_g2"][rows]) / 2.0
-        )
-        old_c = new.u_c.get(k)
-        new.u_c[k] = h_hat if old_c is None else (1 - g) * old_c + g * h_hat
+        rows = slice(pos, pos + len(per_class_batches[k]))
+        pos = rows.stop
+        h_hat.append(config.tau * np.mean(st["log_g1"][rows] + st["log_g2"][rows]) / 2.0)
+    moving_average(new.u_c, class_batch, h_hat, g)
 
     # v <- (1-gamma) v + gamma * mean_k exp(u_c[k]/lam), in shifted form
     uc = np.array([new.u_c[k] for k in sorted(new.u_c)])
@@ -281,11 +246,7 @@ def gdro_gradient_estimate(
         raise ValueError("scalar estimator v is not initialized or non-positive")
     st = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
 
-    n = len(anchors)
-    log_u_I = np.empty(n)
-    log_u_T = np.empty(n)
-    class_weight = np.empty(n)
-    pos = 0
+    class_weight = []
     for k in class_batch:
         if k not in state.u_c:
             raise ValueError(f"class estimator not initialized for class {k}")
@@ -294,17 +255,11 @@ def gdro_gradient_estimate(
         w_k = math.exp(state.u_c[k] / config.lam - state.v_shift) / (
             state.v_mantissa * len(class_batch) * 2.0 * len(batch_k)
         )
-        for s in batch_k:
-            ui = state.u_I.get(s.sample_id)
-            ut = state.u_T.get(s.sample_id)
-            if ui is None or ut is None:
-                raise ValueError(f"estimator not initialized for sample {s.sample_id}")
-            if ui <= 0 or ut <= 0:
-                raise ValueError(f"non-positive estimator value for sample {s.sample_id}")
-            log_u_I[pos] = math.log(ui)
-            log_u_T[pos] = math.log(ut)
-            class_weight[pos] = w_k
-            pos += 1
+        class_weight.extend([w_k] * len(batch_k))
+    class_weight = np.array(class_weight)
+    u_I, u_T = sample_estimates(state, anchors)
+    log_u_I = np.array([math.log(u) for u in u_I])
+    log_u_T = np.array([math.log(u) for u in u_T])
 
     neg = st["neg"]
     inv_neg = 1.0 / st["n_neg"]
@@ -316,7 +271,7 @@ def gdro_gradient_estimate(
         neg, 2.0 * st["H2"] * np.exp(st["A2"] - log_u_T[:, None]), 0.0
     ) * (class_weight * inv_neg)[:, None]
 
-    N = len(pool)
+    n, N = len(anchors), len(pool)
     C = np.zeros((n + N, n + N))
     C[:n, n:] = coef1  # anchor input vs pool label
     C[n:, :n] = coef2.T  # pool input vs anchor label
@@ -325,53 +280,3 @@ def gdro_gradient_estimate(
     xs = [s.x for s in anchors] + [s.x for s in pool]
     cls = [s.class_id for s in anchors] + [s.class_id for s in pool]
     return enc.weighted_pair_grad(params, xs, cls, C)
-
-
-# ------------------------------------------------------------- serialization
-
-
-def save_gdro_state(state: GdroEstimatorState, path) -> None:
-    keys = sorted(state.u_I)
-    if keys != sorted(state.u_T):
-        raise ValueError("u_I and u_T track different sample ids; refusing to serialize")
-    with open(path, "w") as fh:
-        fh.write(f"{_STATE_HEADER} {_STATE_VERSION}\n")
-        fh.write(
-            f"v {state.v_mantissa!r} {state.v_shift!r} {int(state.v_initialized)}\n"
-        )
-        fh.write("[samples]\n")
-        for k in keys:
-            fh.write(f"{k} {state.u_I[k]!r} {state.u_T[k]!r}\n")
-        fh.write("[classes]\n")
-        for k in sorted(state.u_c):
-            fh.write(f"{k} {state.u_c[k]!r}\n")
-
-
-def load_gdro_state(path) -> GdroEstimatorState:
-    state = GdroEstimatorState()
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != _STATE_HEADER:
-            raise ValueError(f"not a {_STATE_HEADER} file")
-        if int(header[1]) != _STATE_VERSION:
-            raise ValueError(f"unsupported state version {header[1]}")
-        tag, mant, shift, init = fh.readline().split()
-        if tag != "v":
-            raise ValueError("malformed state file: missing v line")
-        state.v_mantissa, state.v_shift = float(mant), float(shift)
-        state.v_initialized = bool(int(init))
-        section = None
-        for line in fh:
-            line = line.strip()
-            if line in ("[samples]", "[classes]"):
-                section = line
-                continue
-            parts = line.split()
-            if section == "[samples]":
-                state.u_I[int(parts[0])] = float(parts[1])
-                state.u_T[int(parts[0])] = float(parts[2])
-            elif section == "[classes]":
-                state.u_c[int(parts[0])] = float(parts[1])
-            else:
-                raise ValueError("malformed state file: data before section header")
-    return state

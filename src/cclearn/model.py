@@ -57,14 +57,6 @@ class EncoderConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """A single embedding vector; ``normalized`` records that it has unit L2 norm."""
-
-    vector: np.ndarray
-    normalized: bool = True
-
-
 def _normalize_rows(z):
     """Row-normalize, returning (unit rows, norms). Zero or non-finite rows error."""
     norms = np.sqrt(np.sum(z * z, axis=1))
@@ -213,23 +205,11 @@ class EncoderPair:
         E, _ = self._forward_labels(params, class_ids)
         return E
 
-    def encode_input(self, params, x) -> Embedding:
-        """Encode one input vector to a unit-norm embedding."""
-        return Embedding(vector=self.encode_input_batch(params, [x])[0], normalized=True)
-
-    def encode_label(self, params, class_id: int) -> Embedding:
-        """Encode one class id to a unit-norm embedding."""
-        return Embedding(vector=self.encode_label_batch(params, [class_id])[0], normalized=True)
-
     def similarity_matrix(self, params, X, class_ids) -> np.ndarray:
         """Cosine similarities, shape (len(X), len(class_ids))."""
         E1 = self.encode_input_batch(params, X)
         E2 = self.encode_label_batch(params, class_ids)
         return E1 @ E2.T
-
-    def pair_similarity(self, params, x, class_id: int) -> float:
-        """Inner product of the two unit embeddings; lies in [-1, 1]."""
-        return float(self.similarity_matrix(params, [x], [class_id])[0, 0])
 
     # --------------------------------------------------------------- backward
 
@@ -282,22 +262,10 @@ class EncoderPair:
             g[s["e2_b"]] = dZ2.sum(axis=0)
         return g
 
-    def pair_similarity_grad(self, params, x, class_id: int) -> np.ndarray:
-        """Analytic gradient of pair_similarity, through both normalizations."""
-        return self.weighted_pair_grad(params, [x], [class_id], np.ones((1, 1)))
-
     # -------------------------------------------------------------- inference
 
-    def predict(self, params, x, candidate_classes) -> int:
-        """Most similar candidate class; ties go to the smallest class id."""
-        candidates = sorted(set(int(c) for c in candidate_classes))
-        if not candidates:
-            raise ValueError("candidate_classes must be non-empty")
-        sims = self.similarity_matrix(params, [x], candidates)[0]
-        return candidates[int(np.argmax(sims))]
-
     def predict_batch(self, params, X, candidate_classes) -> np.ndarray:
-        """Vectorized predict over rows of X. Same tie-breaking rule."""
+        """Most similar candidate class per row of X; ties go to the smallest class id."""
         candidates = np.array(sorted(set(int(c) for c in candidate_classes)), dtype=np.int64)
         if candidates.size == 0:
             raise ValueError("candidate_classes must be non-empty")

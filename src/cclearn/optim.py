@@ -72,26 +72,3 @@ def step(opt: OptimizerState, params, grad):
         new_params = params - opt.eta * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         new_opt = replace(opt, momentum=momentum, second_moment=second, step_count=t)
     return new_opt, new_params
-
-
-def save_optimizer_state(opt: OptimizerState, path) -> None:
-    """Round-trip snapshot as an .npz archive."""
-    arrays = {"momentum": opt.momentum}
-    if opt.second_moment is not None:
-        arrays["second_moment"] = opt.second_moment
-    meta = np.array([opt.step_count, opt.beta1, opt.eta], dtype=np.float64)
-    np.savez(path, mode=np.array(opt.mode), meta=meta, **arrays)
-
-
-def load_optimizer_state(path) -> OptimizerState:
-    with np.load(path, allow_pickle=False) as z:
-        mode = str(z["mode"])
-        meta = z["meta"]
-        return OptimizerState(
-            momentum=z["momentum"],
-            second_moment=z["second_moment"] if "second_moment" in z else None,
-            step_count=int(meta[0]),
-            beta1=float(meta[1]),
-            eta=float(meta[2]),
-            mode=mode,
-        )

@@ -40,34 +40,6 @@ def accuracy_csv_text(matrix, config_hash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_accuracy_csv(matrix, path, config_hash: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(accuracy_csv_text(matrix, config_hash))
-
-
-def read_accuracy_csv(path):
-    """Inverse of write_accuracy_csv: (entries, aggregate, config_hash)."""
-    entries: dict[tuple[int, int], float] = {}
-    aggregate: dict[int, float] = {}
-    config_hash = ""
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                if "config_sha256=" in line:
-                    config_hash = line.split("config_sha256=")[1]
-                continue
-            if not line or line.startswith("after_task"):
-                continue
-            t_s, b_s, a_s = line.split(",")
-            t, b = int(t_s), int(b_s)
-            if b == -1:
-                aggregate[t] = float(a_s)
-            else:
-                entries[(t, b)] = float(a_s)
-    return entries, aggregate, config_hash
-
-
 def write_log_jsonl(records, path) -> None:
     with open(path, "w", newline="\n") as fh:
         for rec in records:

@@ -82,6 +82,30 @@ class RunConfig:
             raise ValueError("batch_size must be >= 1")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
+        # the components' constructors hold the range checks of the other fields
+        self.gdro_config()
+        init_optimizer(0, self.eta, self.beta1, self.optimizer)
+        GclEstimatorState(gamma=self.gcl_gamma)
+        self.encoder_config(input_dim=1, num_classes_max=1)
+
+    def gdro_config(self) -> GdroConfig:
+        return GdroConfig(
+            lam=self.dro_lambda,
+            gamma=self.dro_gamma,
+            margin=self.margin,
+            tau=self.tau,
+            batch_classes=self.batch_classes,
+            batch_per_class=self.batch_per_class,
+        )
+
+    def encoder_config(self, input_dim: int, num_classes_max: int) -> EncoderConfig:
+        return EncoderConfig(
+            input_dim=input_dim,
+            num_classes_max=num_classes_max,
+            hidden_dim=self.hidden_dim,
+            embed_dim=self.embed_dim,
+            seed=self.seed,
+        )
 
 
 @dataclass
@@ -90,13 +114,6 @@ class AccuracyMatrix:
 
     entries: dict[tuple[int, int], float] = field(default_factory=dict)
     aggregate: dict[int, float] = field(default_factory=dict)
-
-    def row(self, t: int) -> dict[int, float]:
-        return {b: v for (tt, b), v in self.entries.items() if tt == t}
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.aggregate)
 
     def final_aggregate(self) -> float:
         return self.aggregate[max(self.aggregate)]
@@ -153,12 +170,9 @@ class _Trainer:
     def __init__(self, stream: TaskStream, config: RunConfig):
         all_classes = stream.classes_up_to(stream.num_tasks - 1)
         self.enc = EncoderPair(
-            EncoderConfig(
+            config.encoder_config(
                 input_dim=stream.tasks[0].train[0].x.shape[0],
                 num_classes_max=max(all_classes) + 1,
-                hidden_dim=config.hidden_dim,
-                embed_dim=config.embed_dim,
-                seed=config.seed,
             )
         )
         self.config = config
@@ -170,14 +184,7 @@ class _Trainer:
         self.buffer = MemoryBuffer(config.memory_capacity, int(children[2].generate_state(1)[0]))
         self.gcl_state = GclEstimatorState(gamma=config.gcl_gamma)
         self.gdro_state = GdroEstimatorState()
-        self.gdro_config = GdroConfig(
-            lam=config.dro_lambda,
-            gamma=config.dro_gamma,
-            margin=config.margin,
-            tau=config.tau,
-            batch_classes=config.batch_classes,
-            batch_per_class=config.batch_per_class,
-        )
+        self.gdro_config = config.gdro_config()
         self.log: list[dict] = []
         self.global_step = 0
 
@@ -345,18 +352,3 @@ def run(stream: TaskStream, config: RunConfig, hook=None) -> RunResult:
         matrix.aggregate[t] = a_t
         trainer.log.append({"event": "task_summary", "after_task": t, "A_t": a_t})
     return RunResult(accuracy=matrix, params=trainer.params, log=trainer.log)
-
-
-def finetune_ce_baseline(stream: TaskStream, config: RunConfig) -> AccuracyMatrix:
-    """Per-task cross-entropy finetuning over the pool's classes."""
-    return run(stream, replace(config, method="finetune-ce")).accuracy
-
-
-def joint_upper_bound(stream: TaskStream, config: RunConfig) -> float:
-    """Train once on all tasks' data; returns accuracy on the union test set.
-
-    The merged phase trains the contrastive objective for epochs_per_task *
-    num_tasks epochs (same total budget as the continual run it bounds).
-    """
-    result = run(stream, replace(config, method="joint-upper-bound"))
-    return result.accuracy.aggregate[0]

@@ -1,9 +1,12 @@
 """Shared helpers: finite-difference oracles and random instance builders.
 
-The finite-difference gradient and the instance builders live here; the
-duplicate-implementation oracles (straight-line forward passes, naive loss
-loops, the simplex maximizer) live next to the tests that use them so each
-stays independent of the code path it checks.
+The finite-difference gradient, single-pair similarity helpers and the
+instance builders live here.  The reference oracles that several test files
+compare against (g_I/g_T, hinge_g1/hinge_g2, class_loss_hk and the accuracy
+CSV parser) live in ``oracles.py``.  The duplicate-implementation oracles
+(straight-line forward passes, naive loss loops, the simplex maximizer) live
+next to the tests that use them so each stays independent of the code path
+it checks.
 """
 
 import numpy as np
@@ -35,6 +38,16 @@ def assert_grad_close(analytic, reference, rtol=1e-4, floor=1e-7):
         f"gradient mismatch at coord {worst}: analytic={analytic[worst]!r} "
         f"reference={reference[worst]!r} err={err[worst]:.3e} tol={tol[worst]:.3e}"
     )
+
+
+def pair_sim(enc, params, x, class_id) -> float:
+    """Similarity of one (input, class) pair, a scalar in [-1, 1]."""
+    return float(enc.similarity_matrix(params, [x], [class_id])[0, 0])
+
+
+def pair_sim_grad(enc, params, x, class_id) -> np.ndarray:
+    """Analytic gradient of pair_sim, through both normalizations."""
+    return enc.weighted_pair_grad(params, [x], [class_id], np.ones((1, 1)))
 
 
 def make_encoder(seed, input_dim=3, num_classes=4, hidden_dim=4, embed_dim=3):

@@ -25,8 +25,6 @@ from cclearn.buffer import MemoryBuffer
 from cclearn.data import Sample
 from cclearn.gcl import (
     GclEstimatorState,
-    g_I,
-    g_T,
     gcl_gradient_estimate,
     gcl_loss_full,
     gcl_update_estimators,
@@ -34,16 +32,16 @@ from cclearn.gcl import (
 from cclearn.gdro import (
     GdroConfig,
     GdroEstimatorState,
-    class_loss_hk,
     dro_objective,
     dro_weights,
     gdro_gradient_estimate,
     gdro_update_estimators,
 )
 from cclearn.model import EncoderConfig, EncoderPair
-from cclearn.runner import ce_gradient, ce_loss, joint_upper_bound, run
+from cclearn.runner import ce_gradient, ce_loss, run
 
 from conftest import central_diff, make_pool
+from oracles import class_loss_hk, g_I, g_T, hinge_g1, hinge_g2
 
 RTOL = 1e-4
 FLOOR = 1e-7
@@ -235,8 +233,6 @@ def test_criterion_05_estimator_halving():
     batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
     gst = gdro_update_estimators(GdroEstimatorState(), enc, w0, [0, 1, 2], batches, pool, cfg1)
     h_target = {k: class_loss_hk(enc, w1, k, pool, cfg) for k in range(3)}
-    from cclearn.gdro import hinge_g1, hinge_g2
-
     gI_target = {s.sample_id: hinge_g1(enc, w1, s, pool, cfg.margin, cfg.tau) for s in pool}
     gT_target = {s.sample_id: hinge_g2(enc, w1, s, pool, cfg.margin, cfg.tau) for s in pool}
     gdro_ok = True
@@ -325,7 +321,7 @@ def benchmark_results():
         gcl_lo = run(stream, benchmark_config("gcl", CAPACITY_LOW, seed))
         gdro_lo = run(stream, benchmark_config("gdro", CAPACITY_LOW, seed))
         zero = run(stream, benchmark_config("zero-shot", 0, seed))
-        joint = joint_upper_bound(stream, benchmark_config("joint-upper-bound", 0, seed))
+        joint = run(stream, benchmark_config("joint-upper-bound", 0, seed)).accuracy.aggregate[0]
         out["per_seed"][seed] = {
             "ce": ce.accuracy,
             "gcl_hi": gcl_hi.accuracy,

@@ -155,14 +155,3 @@ def test_sample_class_batch_uniform(rng):
     sigma = np.sqrt(draws * p * (1 - p))
     for m in members:
         assert abs(counts[m] - draws * p) < 3.0 * sigma
-
-
-def test_snapshot_round_trip(rng):
-    buf = MemoryBuffer(capacity=9, rng_seed=10)
-    buf = buf.rebalance_after_task(_task(rng, [0, 1, 2], 5, 0))
-    ds = buf.to_dataset(num_classes=3, input_dim=2)
-    restored = MemoryBuffer.from_dataset(ds, capacity=9, rng_seed=10)
-    assert restored.class_counts() == buf.class_counts()
-    assert [s.sample_id for s in restored.union_view([])] == [
-        s.sample_id for s in buf.union_view([])
-    ]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cclearn import cli
-from cclearn.report import read_accuracy_csv
+
+from oracles import read_accuracy_csv
 
 
 def _gen(tmp_path, name="bench.clds", classes=8, per_class=15, seed=5):
@@ -235,3 +236,22 @@ def test_compare_missing_meta_exits_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert cli.main(["compare", str(out), str(empty), "-o", str(tmp_path / "cmp")]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tau", 0), ("tau", -0.5), ("eta", 0), ("embed_dim", 0), ("hidden_dim", -1),
+        ("gcl_gamma", 2), ("dro_gamma", 2), ("dro_lambda", 0), ("beta1", 2),
+        ("margin", -1), ("batch_classes", 0), ("batch_per_class", 0),
+        ("optimizer", "sgd"),
+    ],
+)
+def test_run_rejects_out_of_range_values_exits_2(tmp_path, capsys, field, value):
+    data = _gen(tmp_path)
+    doc = _config_doc(data, tmp_path / "out", **{field: value})
+    cfg = _write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,11 @@
+import resource
+import struct
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cclearn.data import (
     export_csv,
@@ -217,6 +223,58 @@ def test_load_rejects_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(DatasetFormatError):
         load(path)
+
+
+@contextmanager
+def _address_space_headroom(extra_bytes):
+    """Cap this process's address space at its current size plus ``extra_bytes``.
+
+    An oversized allocation then fails at once with MemoryError instead of
+    paging through swap.  Without /proc (not Linux) the cap is skipped.
+    """
+    try:
+        with open("/proc/self/statm") as fh:
+            current = int(fh.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = current + extra_bytes
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+_HEADER = struct.Struct("<IIIII")  # version, n, dim, classes, flags
+_U32 = st.integers(0, 2**32 - 1)
+
+
+def test_load_corrupt_header_raises_only_format_error(tmp_path):
+    path = tmp_path / "ds.clds"
+    save(gen_synthetic(3, 4, 5, 2.0, 0.2, seed=19), path)
+    blob = path.read_bytes()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(fields=st.lists(st.tuples(st.integers(0, 4), _U32), min_size=1, max_size=3))
+    @example(fields=[(1, 2**31)])
+    @example(fields=[(2, 2**30)])
+    @example(fields=[(1, 2**32 - 1), (2, 2**32 - 1)])
+    def corrupt_and_load(fields):
+        header = list(_HEADER.unpack_from(blob, 4))
+        for index, value in fields:
+            header[index] = value
+        path.write_bytes(blob[:4] + _HEADER.pack(*header) + blob[4 + _HEADER.size :])
+        try:
+            load(path)
+        except DatasetFormatError:
+            pass
+
+    with _address_space_headroom(256 * 2**20):
+        corrupt_and_load()
 
 
 def test_export_csv(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from cclearn.model import EncoderConfig, EncoderPair
 
-from conftest import assert_grad_close, central_diff, make_encoder
+from conftest import assert_grad_close, central_diff, make_encoder, pair_sim, pair_sim_grad
 
 
 def _expected_length(cfg):
@@ -80,12 +80,11 @@ def test_encode_outputs_unit_norm(hidden, rng):
     enc = make_encoder(seed=1, hidden_dim=hidden)
     w = enc.init_params()
     for _ in range(20):
-        e_in = enc.encode_input(w, rng.standard_normal(3))
-        assert e_in.normalized
-        assert abs(np.linalg.norm(e_in.vector) - 1.0) < 1e-9
+        e_in = enc.encode_input_batch(w, [rng.standard_normal(3)])[0]
+        assert abs(np.linalg.norm(e_in) - 1.0) < 1e-9
     for c in range(4):
-        e_lab = enc.encode_label(w, c)
-        assert abs(np.linalg.norm(e_lab.vector) - 1.0) < 1e-9
+        e_lab = enc.encode_label_batch(w, [c])[0]
+        assert abs(np.linalg.norm(e_lab) - 1.0) < 1e-9
 
 
 def test_encode_zero_input_returns_normalized_bias():
@@ -94,7 +93,7 @@ def test_encode_zero_input_returns_normalized_bias():
     b = np.array([0.5, -1.0, 2.0])
     w[enc.segment("e1_b")] = b
     w[enc.segment("e2_b")] = [1.0, 0.0, 0.0]
-    out = enc.encode_input(w, np.zeros(3)).vector
+    out = enc.encode_input_batch(w, [np.zeros(3)])[0]
     assert np.allclose(out, b / np.linalg.norm(b), atol=1e-12)
 
 
@@ -104,11 +103,11 @@ def test_encode_matches_straightline_oracle(hidden, rng):
     w = enc.init_params() + 0.05 * rng.standard_normal(enc.n_params)
     for _ in range(10):
         x = rng.standard_normal(3)
-        got = enc.encode_input(w, x).vector
+        got = enc.encode_input_batch(w, [x])[0]
         want = _oracle_forward_input(enc.config, w, x)
         assert np.max(np.abs(got - want)) < 1e-12
     for c in range(4):
-        got = enc.encode_label(w, c).vector
+        got = enc.encode_label_batch(w, [c])[0]
         want = _oracle_forward_label(enc.config, w, c)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -116,18 +115,18 @@ def test_encode_matches_straightline_oracle(hidden, rng):
 def test_encode_label_deterministic(rng):
     enc = make_encoder(seed=5)
     w = enc.init_params()
-    assert np.array_equal(enc.encode_label(w, 2).vector, enc.encode_label(w, 2).vector)
+    assert np.array_equal(enc.encode_label_batch(w, [2]), enc.encode_label_batch(w, [2]))
 
 
 def test_encode_rejects_bad_shapes():
     enc = make_encoder(seed=0)
     w = enc.init_params()
     with pytest.raises(ValueError):
-        enc.encode_input(w, np.zeros(7))
+        enc.encode_input_batch(w, [np.zeros(7)])
     with pytest.raises(ValueError):
-        enc.encode_label(w, 99)
+        enc.encode_label_batch(w, [99])
     with pytest.raises(ValueError):
-        enc.encode_label(w, -1)
+        enc.encode_label_batch(w, [-1])
 
 
 def _constant_embedding_params(enc, input_bias, label_bias):
@@ -142,13 +141,13 @@ def test_pair_similarity_identical_embeddings():
     enc = make_encoder(seed=0, hidden_dim=0)
     v = np.array([1.0, 2.0, -0.5])
     w = _constant_embedding_params(enc, v, v)
-    assert abs(enc.pair_similarity(w, np.ones(3), 1) - 1.0) < 1e-9
+    assert abs(pair_sim(enc, w, np.ones(3), 1) - 1.0) < 1e-9
 
 
 def test_pair_similarity_orthogonal_embeddings():
     enc = make_encoder(seed=0, hidden_dim=0)
     w = _constant_embedding_params(enc, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    assert abs(enc.pair_similarity(w, np.ones(3), 0)) < 1e-9
+    assert abs(pair_sim(enc, w, np.ones(3), 0)) < 1e-9
 
 
 def test_pair_similarity_is_dot_of_unit_embeddings(rng):
@@ -157,8 +156,8 @@ def test_pair_similarity_is_dot_of_unit_embeddings(rng):
     for _ in range(10):
         x = rng.standard_normal(3)
         c = int(rng.integers(4))
-        s = enc.pair_similarity(w, x, c)
-        want = float(enc.encode_input(w, x).vector @ enc.encode_label(w, c).vector)
+        s = pair_sim(enc, w, x, c)
+        want = float(enc.encode_input_batch(w, [x])[0] @ enc.encode_label_batch(w, [c])[0])
         assert abs(s - want) < 1e-12
         assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
@@ -171,8 +170,8 @@ def test_pair_similarity_grad_matches_finite_differences(hidden):
         w = enc.init_params(seed=trial) + 0.1 * rng.standard_normal(enc.n_params)
         x = rng.standard_normal(3)
         c = int(rng.integers(4))
-        g = enc.pair_similarity_grad(w, x, c)
-        fd = central_diff(lambda wv: enc.pair_similarity(wv, x, c), w)
+        g = pair_sim_grad(enc, w, x, c)
+        fd = central_diff(lambda wv: pair_sim(enc, wv, x, c), w)
         assert_grad_close(g, fd)
 
 
@@ -181,7 +180,7 @@ def test_pair_similarity_grad_zero_at_maximum():
     enc = make_encoder(seed=0, hidden_dim=0)
     v = np.array([0.3, -1.2, 0.8])
     w = _constant_embedding_params(enc, v, v)
-    g = enc.pair_similarity_grad(w, np.ones(3), 2)
+    g = pair_sim_grad(enc, w, np.ones(3), 2)
     assert np.max(np.abs(g)) < 1e-8
 
 
@@ -189,14 +188,14 @@ def test_pair_similarity_grad_zero_input_zeroes_weight_segment(rng):
     enc = make_encoder(seed=4, hidden_dim=0)
     w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
     w[enc.segment("e1_b")] = [0.1, 0.2, 0.3]  # keep the pre-norm output nonzero
-    g = enc.pair_similarity_grad(w, np.zeros(3), 1)
+    g = pair_sim_grad(enc, w, np.zeros(3), 1)
     assert np.all(g[enc.segment("e1_w")] == 0.0)
 
 
 def test_predict_singleton(rng):
     enc = make_encoder(seed=2)
     w = enc.init_params()
-    assert enc.predict(w, rng.standard_normal(3), {3}) == 3
+    assert enc.predict_batch(w, [rng.standard_normal(3)], {3})[0] == 3
 
 
 def test_predict_matches_bruteforce(rng):
@@ -206,16 +205,16 @@ def test_predict_matches_bruteforce(rng):
         x = rng.standard_normal(3)
         best = min(
             range(5),
-            key=lambda c: (-enc.pair_similarity(w, x, c), c),
+            key=lambda c: (-pair_sim(enc, w, x, c), c),
         )
-        assert enc.predict(w, x, set(range(5))) == best
+        assert enc.predict_batch(w, [x], set(range(5)))[0] == best
 
 
 def test_predict_tie_breaks_to_smallest_id():
     # all label embeddings identical -> every candidate ties
     enc = make_encoder(seed=0, hidden_dim=0)
     w = _constant_embedding_params(enc, [1.0, 1.0, 0.0], [0.0, 1.0, 1.0])
-    assert enc.predict(w, np.ones(3), {3, 1, 2}) == 1
+    assert enc.predict_batch(w, [np.ones(3)], {3, 1, 2})[0] == 1
 
 
 def test_argmax_invariant_to_positive_affine_rescale(rng):
@@ -232,8 +231,6 @@ def test_operations_are_pure(rng):
     enc = make_encoder(seed=14)
     w = enc.init_params()
     x = rng.standard_normal(3)
-    assert np.array_equal(enc.encode_input(w, x).vector, enc.encode_input(w, x).vector)
-    assert enc.pair_similarity(w, x, 1) == enc.pair_similarity(w, x, 1)
-    assert np.array_equal(
-        enc.pair_similarity_grad(w, x, 1), enc.pair_similarity_grad(w, x, 1)
-    )
+    assert np.array_equal(enc.encode_input_batch(w, [x]), enc.encode_input_batch(w, [x]))
+    assert pair_sim(enc, w, x, 1) == pair_sim(enc, w, x, 1)
+    assert np.array_equal(pair_sim_grad(enc, w, x, 1), pair_sim_grad(enc, w, x, 1))

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from cclearn.errors import NonFiniteGradientError
-from cclearn.optim import (
-    init_optimizer,
-    load_optimizer_state,
-    save_optimizer_state,
-    step,
-)
+from cclearn.optim import init_optimizer, step
 
 
 def test_beta1_one_is_plain_sgd(rng):
@@ -91,17 +86,3 @@ def test_invalid_hyperparameters():
         init_optimizer(3, eta=0.1, beta1=1.5)
     with pytest.raises(ValueError):
         init_optimizer(3, eta=0.1, beta1=0.5, mode="nesterov")
-
-
-def test_state_round_trip(tmp_path, rng):
-    opt = init_optimizer(4, eta=0.3, beta1=0.8, mode="adam")
-    for _ in range(3):
-        opt, _ = step(opt, rng.standard_normal(4), rng.standard_normal(4))
-    path = tmp_path / "opt.npz"
-    save_optimizer_state(opt, path)
-    back = load_optimizer_state(path)
-    assert back.mode == opt.mode
-    assert back.step_count == opt.step_count
-    assert back.beta1 == opt.beta1 and back.eta == opt.eta
-    assert np.array_equal(back.momentum, opt.momentum)
-    assert np.array_equal(back.second_moment, opt.second_moment)

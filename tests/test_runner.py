@@ -12,8 +12,6 @@ from cclearn.runner import (
     ce_gradient,
     ce_loss,
     evaluate,
-    finetune_ce_baseline,
-    joint_upper_bound,
     merge_tasks,
     run,
 )
@@ -24,6 +22,15 @@ from conftest import assert_grad_close, central_diff, make_encoder, make_pool
 def _small_stream(seed=0, num_classes=6, num_tasks=3, per_class=12):
     ds = gen_synthetic(num_classes, per_class, 8, separation=4.0, noise=0.5, seed=seed)
     return split_cil(ds, num_tasks, test_fraction=0.25, seed=seed + 1)
+
+
+def _row(matrix, t):
+    """Accuracies after stage t, keyed by evaluated task."""
+    return {b: v for (tt, b), v in matrix.entries.items() if tt == t}
+
+
+def _joint_bound(stream, config):
+    return run(stream, replace(config, method="joint-upper-bound")).accuracy.aggregate[0]
 
 
 def _fast_config(method, **kw):
@@ -125,11 +132,11 @@ def test_matrix_shape_and_range():
     stream = _small_stream()
     result = run(stream, _fast_config("gcl"))
     for t in range(3):
-        row = result.accuracy.row(t)
+        row = _row(result.accuracy, t)
         assert sorted(row) == list(range(t + 1))
         assert all(0.0 <= v <= 1.0 for v in row.values())
         assert 0.0 <= result.accuracy.aggregate[t] <= 1.0
-    assert result.accuracy.num_stages == 3
+    assert len(result.accuracy.aggregate) == 3
 
 
 def test_single_task_stream_equals_supervised_finetuning():
@@ -195,16 +202,10 @@ def test_divergence_aborts_with_diagnostic():
         run(stream, _fast_config("gcl", eta=1e308, epochs_per_task=2))
 
 
-def test_finetune_ce_baseline_wrapper():
-    stream = _small_stream()
-    matrix = finetune_ce_baseline(stream, _fast_config("gcl", epochs_per_task=3))
-    assert set(matrix.aggregate) == {0, 1, 2}
-
-
 def test_joint_upper_bound_equals_merged_single_task_run():
     stream = _small_stream()
     config = _fast_config("gcl", epochs_per_task=4)
-    jb = joint_upper_bound(stream, config)
+    jb = _joint_bound(stream, config)
     merged = merge_tasks(stream)
     direct = run(
         stream=merged,
@@ -231,7 +232,7 @@ def test_full_capacity_gcl_reaches_joint_bound():
         stream = _small_stream(seed=seed)
         config = _fast_config("gcl", memory_capacity=10_000, seed=seed + 50)
         result = run(stream, config)
-        bound = joint_upper_bound(stream, config)
+        bound = _joint_bound(stream, config)
         gaps.append(bound - result.accuracy.final_aggregate())
     assert np.mean(gaps) < 0.05
 
@@ -244,5 +245,5 @@ def test_dil_aggregate_is_mean_over_domain_rows():
     stream = split_dil(shifted, domain_order=[0, 1, 2], test_fraction=0.25, seed=23)
     result = run(stream, _fast_config("gcl", epochs_per_task=3))
     for t in range(3):
-        row = result.accuracy.row(t)
+        row = _row(result.accuracy, t)
         assert result.accuracy.aggregate[t] == pytest.approx(np.mean(list(row.values())))

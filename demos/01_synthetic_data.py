@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 
-from cclearn import export_csv, gen_domain_shift, gen_synthetic, load, save
+from cclearn import gen_domain_shift, gen_synthetic, load, save
 
 ds = gen_synthetic(num_classes=6, per_class=20, input_dim=8,
                    separation=4.0, noise=0.6, seed=42)
@@ -35,7 +35,3 @@ with tempfile.TemporaryDirectory() as tmp:
                     for a, b in zip(shifted.samples, back.samples))
     print(f"binary round-trip identical: {identical} "
           f"({os.path.getsize(path)} bytes)")
-    csv_path = os.path.join(tmp, "demo.csv")
-    export_csv(back, csv_path)
-    with open(csv_path) as fh:
-        print("csv header:", fh.readline().strip()[:60], "...")

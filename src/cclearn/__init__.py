@@ -14,7 +14,6 @@ from .data import (
     Sample,
     Task,
     TaskStream,
-    export_csv,
     gen_domain_shift,
     gen_synthetic,
     load,
@@ -58,9 +57,8 @@ __all__ = [
     "GdroEstimatorState", "MemoryBuffer", "NonFiniteGradientError",
     "OptimizerState", "RunConfig", "RunResult", "Sample", "Task", "TaskStream",
     "ce_gradient", "ce_loss", "dro_objective", "dro_weights", "evaluate",
-    "export_csv", "gcl_gradient_estimate", "gcl_loss_full",
-    "gcl_update_estimators", "gdro_gradient_estimate", "gdro_update_estimators",
-    "gen_domain_shift", "gen_synthetic", "init_optimizer", "load",
-    "merge_tasks", "run", "sample_class_batch", "save", "split_cil",
-    "split_dil", "step",
+    "gcl_gradient_estimate", "gcl_loss_full", "gcl_update_estimators",
+    "gdro_gradient_estimate", "gdro_update_estimators", "gen_domain_shift",
+    "gen_synthetic", "init_optimizer", "load", "merge_tasks", "run",
+    "sample_class_batch", "save", "split_cil", "split_dil", "step",
 ]

@@ -23,8 +23,8 @@ File format (``.clds``, little-endian binary):
 
 ``save`` always writes sample and task ids, so a loaded dataset keeps the
 sample identities it was saved with.  ``load`` checks the payload size the
-header implies against the file size before reading any payload.  A CSV
-export exists for inspection only.
+header implies against the file size before reading any payload, and rejects
+``dim == 0`` and class ids ``>= classes``.
 """
 
 from __future__ import annotations
@@ -232,6 +232,18 @@ def _stratified_split(samples, test_fraction, rng):
     return train, test
 
 
+def _task(t, train, test, classes, domain_id=None) -> Task:
+    """Task ``t`` of a split, its samples stamped with ``t``; refuses an empty train set."""
+    if not train:
+        raise ValueError(f"task {t} gets no training samples")
+    return Task(
+        train=[replace(s, task_id=t) for s in train],
+        test=[replace(s, task_id=t) for s in test],
+        classes=classes,
+        domain_id=domain_id,
+    )
+
+
 def split_cil(ds: Dataset, num_tasks, test_fraction, seed) -> TaskStream:
     """Class-incremental split: disjoint contiguous class blocks, seeded shuffle."""
     if ds.num_classes % num_tasks != 0:
@@ -246,13 +258,7 @@ def split_cil(ds: Dataset, num_tasks, test_fraction, seed) -> TaskStream:
         block = set(int(c) for c in order[t * per_task : (t + 1) * per_task])
         members = [s for s in ds.samples if s.class_id in block]
         train, test = _stratified_split(members, test_fraction, rng)
-        tasks.append(
-            Task(
-                train=[replace(s, task_id=t) for s in train],
-                test=[replace(s, task_id=t) for s in test],
-                classes=frozenset(block),
-            )
-        )
+        tasks.append(_task(t, train, test, frozenset(block)))
     return TaskStream(mode="cil", tasks=tasks)
 
 
@@ -260,6 +266,8 @@ def split_dil(ds: Dataset, domain_order, test_fraction=0.2, seed=0) -> TaskStrea
     """Domain-incremental split: one task per domain, identical class set each."""
     if not ds.has_domains:
         raise ValueError("dataset has no domain labels; use gen_domain_shift first")
+    if not domain_order:
+        raise ValueError("domain_order must name at least one domain")
     rng = np.random.default_rng(seed)
     domains_present = sorted({s.domain_id for s in ds.samples})
     if sorted(domain_order) != domains_present:
@@ -271,14 +279,7 @@ def split_dil(ds: Dataset, domain_order, test_fraction=0.2, seed=0) -> TaskStrea
     for t, d in enumerate(domain_order):
         members = [s for s in ds.samples if s.domain_id == d]
         train, test = _stratified_split(members, test_fraction, rng)
-        tasks.append(
-            Task(
-                train=[replace(s, task_id=t) for s in train],
-                test=[replace(s, task_id=t) for s in test],
-                classes=all_classes,
-                domain_id=d,
-            )
-        )
+        tasks.append(_task(t, train, test, all_classes, domain_id=d))
     return TaskStream(mode="dil", tasks=tasks)
 
 
@@ -325,6 +326,8 @@ def load(path) -> Dataset:
             raise DatasetFormatError(
                 f"unsupported dataset version {version} (supported: {_VERSION})"
             )
+        if dim == 0:
+            raise DatasetFormatError("input dimension is 0")
         # per-sample bytes: inputs, class id, then the id columns the flags declare
         row_bytes = 4 * dim + 4
         row_bytes += 8 if flags & _FLAG_SAMPLE_IDS else 0
@@ -338,6 +341,10 @@ def load(path) -> Dataset:
             )
         X = np.frombuffer(_read_exact(fh, 4 * n * dim, "inputs"), dtype="<f4").reshape(n, dim)
         y = np.frombuffer(_read_exact(fh, 4 * n, "class ids"), dtype="<u4")
+        if n and int(y.max()) >= num_classes:
+            raise DatasetFormatError(
+                f"class id {int(y.max())} out of range for a {num_classes}-class dataset"
+            )
         if flags & _FLAG_SAMPLE_IDS:
             ids = np.frombuffer(_read_exact(fh, 8 * n, "sample ids"), dtype="<u8")
         else:
@@ -370,14 +377,3 @@ def load(path) -> Dataset:
         has_domains=bool(flags & _FLAG_DOMAINS),
     )
 
-
-def export_csv(ds: Dataset, path) -> None:
-    """Human-readable dump (header row, one sample per line). Inspection only."""
-    with open(path, "w") as fh:
-        cols = ["sample_id", "class_id", "task_id", "domain_id"]
-        cols += [f"x{i}" for i in range(ds.input_dim)]
-        fh.write(",".join(cols) + "\n")
-        for s in ds.samples:
-            row = [str(s.sample_id), str(s.class_id), str(s.task_id), str(s.domain_id)]
-            row += [repr(float(v)) for v in s.x]
-            fh.write(",".join(row) + "\n")

@@ -111,12 +111,10 @@ def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:
     return float(np.mean(lse_rows - d) + np.mean(lse_cols - d))
 
 
-def _batch_normalizer_estimates(enc, params, batch, tau, pool_size):
-    """In-batch g estimates rescaled to the pool, plus the similarity matrix."""
+def _batch_exp_sims(enc, params, batch, tau, pool_size):
+    """exp(s_ab/tau) over the batch pairs, and the pool_size/|B| rescale to the pool."""
     S = enc.similarity_matrix(params, [s.x for s in batch], [s.class_id for s in batch])
-    E = np.exp(S / tau)
-    scale = pool_size / len(batch)
-    return scale * E.sum(axis=1), scale * E.sum(axis=0), S, E
+    return np.exp(S / tau), pool_size / len(batch)
 
 
 def gcl_update_estimators(
@@ -128,11 +126,11 @@ def gcl_update_estimators(
         raise ValueError("batch must be non-empty")
     if pool_size < len(batch):
         raise ValueError("pool_size must be >= batch size")
-    gI_hat, gT_hat, _, _ = _batch_normalizer_estimates(enc, params, batch, tau, pool_size)
+    E, scale = _batch_exp_sims(enc, params, batch, tau, pool_size)
     new = state.copy()
     ids = [s.sample_id for s in batch]
-    moving_average(new.u_I, ids, gI_hat, state.gamma, U_FLOOR)
-    moving_average(new.u_T, ids, gT_hat, state.gamma, U_FLOOR)
+    moving_average(new.u_I, ids, scale * E.sum(axis=1), state.gamma, U_FLOOR)
+    moving_average(new.u_T, ids, scale * E.sum(axis=0), state.gamma, U_FLOOR)
     return new
 
 
@@ -155,11 +153,7 @@ def gcl_gradient_estimate(
     u_I, u_T = sample_estimates(state, batch)
     inv_u_I = 1.0 / np.array(u_I)
     inv_u_T = 1.0 / np.array(u_T)
-    xs = [s.x for s in batch]
-    cls = [s.class_id for s in batch]
-    S = enc.similarity_matrix(params, xs, cls)
-    E = np.exp(S / tau)
-    scale = pool_size / n
+    E, scale = _batch_exp_sims(enc, params, batch, tau, pool_size)
     C = scale * E * (inv_u_I[:, None] + inv_u_T[None, :]) / (2.0 * n)
     C[np.diag_indices(n)] -= 1.0 / n
-    return enc.weighted_pair_grad(params, xs, cls, C)
+    return enc.weighted_pair_grad(params, [s.x for s in batch], [s.class_id for s in batch], C)

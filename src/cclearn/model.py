@@ -7,21 +7,23 @@ nearest-label-embedding by cosine similarity, so every objective in this
 package reduces to weighted sums of pairwise inner products between the two
 embedding sets.
 
-Parameter layout (flat float64 vector, offsets fixed by ``EncoderConfig``):
+Each encoder (tower ``e1`` for inputs, ``e2`` for labels) is a list of affine
+layers with a tanh between consecutive layers, followed by L2 normalization.
+The layer shapes (rows x fan-in) are
 
-    hidden_dim > 0:
-        [E1.W1 (h x in) | E1.W2 (e x h) | E1.b1 (h) | E1.b2 (e) |
-         E2.W1 (h x C)  | E2.W2 (e x h) | E2.b1 (h) | E2.b2 (e)]
-    hidden_dim == 0:
-        [E1.W (e x in) | E1.b (e) | E2.W (e x C) | E2.b (e)]
+    hidden_dim > 0:   [(h x in), (e x h)]  for e1,   [(h x C), (e x h)]  for e2
+    hidden_dim == 0:  [(e x in)]           for e1,   [(e x C)]           for e2
 
 where ``in`` = input_dim, ``h`` = hidden_dim, ``e`` = embed_dim and
-``C`` = num_classes_max.  Matrices are stored row-major.  The layout is stable
-so that finite-difference checks can index coordinates deterministically.
+``C`` = num_classes_max.  The flat float64 vector holds e1 then e2; within a
+tower, every layer's weights (row-major), then every layer's biases, named
+``e1_w1, e1_w2, e1_b1, e1_b2, e2_w1, ...`` (``e1_w, e1_b, ...`` for one
+layer).  The layout is stable so that finite-difference checks can index
+coordinates deterministically.
 
-Forward pass per encoder: affine -> tanh (if hidden) -> affine -> L2
-normalization.  tanh keeps everything smooth, which keeps numerical gradient
-checks clean.
+The label tower's one-hot input makes its first layer a column gather on the
+forward pass and a scatter-add on the backward pass.  tanh keeps everything
+smooth, which keeps numerical gradient checks clean.
 """
 
 from __future__ import annotations
@@ -77,27 +79,28 @@ class EncoderPair:
 
     def __init__(self, config: EncoderConfig):
         self.config = config
-        self._slices = self._build_layout(config)
+        self._layers, self._slices = self._build_layout(config)
         self.n_params = self._slices["__total__"]
 
     @staticmethod
-    def _build_layout(cfg: EncoderConfig) -> dict:
-        i, h, e, c = cfg.input_dim, cfg.hidden_dim, cfg.embed_dim, cfg.num_classes_max
-        names: list[tuple[str, int]]
-        if h > 0:
-            names = [
-                ("e1_w1", h * i), ("e1_w2", e * h), ("e1_b1", h), ("e1_b2", e),
-                ("e2_w1", h * c), ("e2_w2", e * h), ("e2_b1", h), ("e2_b2", e),
-            ]
-        else:
-            names = [("e1_w", e * i), ("e1_b", e), ("e2_w", e * c), ("e2_b", e)]
+    def _build_layout(cfg: EncoderConfig):
+        """Per tower, each layer's (weight slice, bias slice, shape); and every
+        named segment's slice."""
+        h, e = cfg.hidden_dim, cfg.embed_dim
+        layers: dict[str, list] = {}
         slices = {}
         off = 0
-        for name, size in names:
-            slices[name] = slice(off, off + size)
-            off += size
+        for tower, fan_in in (("e1", cfg.input_dim), ("e2", cfg.num_classes_max)):
+            shapes = [(h, fan_in), (e, h)] if h > 0 else [(e, fan_in)]
+            tags = ["1", "2"] if h > 0 else [""]
+            w, b = [f"{tower}_w{t}" for t in tags], [f"{tower}_b{t}" for t in tags]
+            sizes = [rows * cols for rows, cols in shapes] + [rows for rows, _ in shapes]
+            for name, size in zip(w + b, sizes):
+                slices[name] = slice(off, off + size)
+                off += size
+            layers[tower] = [(slices[wn], slices[bn], s) for wn, bn, s in zip(w, b, shapes)]
         slices["__total__"] = off
-        return slices
+        return layers, slices
 
     def segment(self, name: str) -> slice:
         """Flat-vector slice for one named parameter segment."""
@@ -106,94 +109,56 @@ class EncoderPair:
     def init_params(self, seed: int | None = None) -> np.ndarray:
         """Seeded initialization: weights ~ U(-1, 1)/sqrt(fan_in), biases zero.
 
-        Segments are filled in layout order from a single PCG64 stream, so the
-        result is a deterministic function of the seed.
+        Weight segments are filled in layout order from a single PCG64 stream,
+        so the result is a deterministic function of the seed.
         """
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed if seed is None else seed)
+        rng = np.random.default_rng(self.config.seed if seed is None else seed)
         w = np.zeros(self.n_params)
-        i, h, c = cfg.input_dim, cfg.hidden_dim, cfg.num_classes_max
-
-        def fill(name, n, fan_in):
-            w[self._slices[name]] = rng.uniform(-1.0, 1.0, n) / np.sqrt(fan_in)
-
-        if h > 0:
-            e = cfg.embed_dim
-            fill("e1_w1", h * i, i)
-            fill("e1_w2", e * h, h)
-            fill("e2_w1", h * c, c)
-            fill("e2_w2", e * h, h)
-        else:
-            e = cfg.embed_dim
-            fill("e1_w", e * i, i)
-            fill("e2_w", e * c, c)
+        for tower in ("e1", "e2"):
+            for w_slice, _, (rows, fan_in) in self._layers[tower]:
+                w[w_slice] = rng.uniform(-1.0, 1.0, rows * fan_in) / np.sqrt(fan_in)
         return w
 
-    def _unpack(self, params):
-        cfg = self.config
-        i, h, e, c = cfg.input_dim, cfg.hidden_dim, cfg.embed_dim, cfg.num_classes_max
+    # ---------------------------------------------------------------- forward
+
+    def _forward(self, params, tower, inp):
+        """One tower's forward pass. Returns (unit embeddings, cache).
+
+        ``inp`` is an input matrix for ``e1`` and a class-id vector for
+        ``e2``, whose first layer (a one-hot matmul) is a column gather.
+        """
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (self.n_params,):
             raise ValueError(
                 f"parameter vector has shape {params.shape}, expected ({self.n_params},)"
             )
-        s = self._slices
-        if h > 0:
-            return {
-                "W1": params[s["e1_w1"]].reshape(h, i),
-                "W2": params[s["e1_w2"]].reshape(e, h),
-                "b1": params[s["e1_b1"]],
-                "b2": params[s["e1_b2"]],
-                "V1": params[s["e2_w1"]].reshape(h, c),
-                "V2": params[s["e2_w2"]].reshape(e, h),
-                "c1": params[s["e2_b1"]],
-                "c2": params[s["e2_b2"]],
-            }
-        return {
-            "W": params[s["e1_w"]].reshape(e, i),
-            "b": params[s["e1_b"]],
-            "V": params[s["e2_w"]].reshape(e, c),
-            "c": params[s["e2_b"]],
-        }
-
-    # ---------------------------------------------------------------- forward
+        weights, acts = [], []
+        for k, (w_slice, b_slice, shape) in enumerate(self._layers[tower]):
+            W = params[w_slice].reshape(shape)
+            A = inp if k == 0 else np.tanh(Z)
+            weights.append(W)
+            acts.append(A)
+            Z = (W.T[A] if k == 0 and tower == "e2" else A @ W.T) + params[b_slice]
+        E, R = _normalize_rows(Z)
+        return E, {"tower": tower, "W": weights, "A": acts, "R": R}
 
     def _forward_inputs(self, params, X):
         """Batched input-encoder forward. Returns (unit embeddings, cache)."""
-        p = self._unpack(params)
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.config.input_dim:
             raise ValueError(
                 f"input has {X.shape[1]} features, expected {self.config.input_dim}"
             )
-        if self.config.hidden_dim > 0:
-            H = np.tanh(X @ p["W1"].T + p["b1"])
-            Z = H @ p["W2"].T + p["b2"]
-        else:
-            H = None
-            Z = X @ p["W"].T + p["b"]
-        E, R = _normalize_rows(Z)
-        return E, {"X": X, "H": H, "E": E, "R": R, "p": p}
+        return self._forward(params, "e1", X)
 
     def _forward_labels(self, params, class_ids):
         """Batched label-encoder forward over one-hot class inputs."""
-        p = self._unpack(params)
         cls = np.asarray(class_ids, dtype=np.int64)
         if cls.ndim != 1:
             cls = cls.reshape(-1)
         if np.any(cls < 0) or np.any(cls >= self.config.num_classes_max):
-            raise ValueError(
-                f"class id out of range [0, {self.config.num_classes_max})"
-            )
-        if self.config.hidden_dim > 0:
-            # one-hot matmul == column gather
-            H = np.tanh(p["V1"].T[cls] + p["c1"])
-            Z = H @ p["V2"].T + p["c2"]
-        else:
-            H = None
-            Z = p["V"].T[cls] + p["c"]
-        E, R = _normalize_rows(Z)
-        return E, {"cls": cls, "H": H, "E": E, "R": R, "p": p}
+            raise ValueError(f"class id out of range [0, {self.config.num_classes_max})")
+        return self._forward(params, "e2", cls)
 
     def encode_input_batch(self, params, X) -> np.ndarray:
         """Unit-norm embeddings for a batch of input vectors, shape (n, embed_dim)."""
@@ -212,6 +177,23 @@ class EncoderPair:
         return E1 @ E2.T
 
     # --------------------------------------------------------------- backward
+
+    def _backward(self, g, cache, dZ):
+        """Write one tower's gradient into ``g`` from ``dZ``, the gradient at its
+        pre-normalization output."""
+        layers = self._layers[cache["tower"]]
+        for k in reversed(range(len(layers))):
+            w_slice, b_slice, (rows, cols) = layers[k]
+            A = cache["A"][k]
+            if k == 0 and cache["tower"] == "e2":
+                dWt = np.zeros((cols, rows))
+                np.add.at(dWt, A, dZ)
+                g[w_slice] = dWt.T.ravel()
+            else:
+                g[w_slice] = (dZ.T @ A).ravel()
+            g[b_slice] = dZ.sum(axis=0)
+            if k > 0:
+                dZ = (dZ @ cache["W"][k]) * (1.0 - A * A)
 
     def weighted_pair_grad(self, params, X, class_ids, coeff) -> np.ndarray:
         """Gradient of sum_ij coeff[i, j] * sim(x_i, class_j) w.r.t. all parameters.
@@ -235,31 +217,8 @@ class EncoderPair:
         dZ2 = (C.T @ E1 - col_w[:, None] * E2) / c2["R"][:, None]
 
         g = np.zeros(self.n_params)
-        s = self._slices
-        p = c1["p"]
-        if self.config.hidden_dim > 0:
-            H1 = c1["H"]
-            g[s["e1_w2"]] = (dZ1.T @ H1).ravel()
-            g[s["e1_b2"]] = dZ1.sum(axis=0)
-            dA1 = (dZ1 @ p["W2"]) * (1.0 - H1 * H1)
-            g[s["e1_w1"]] = (dA1.T @ c1["X"]).ravel()
-            g[s["e1_b1"]] = dA1.sum(axis=0)
-
-            H2 = c2["H"]
-            g[s["e2_w2"]] = (dZ2.T @ H2).ravel()
-            g[s["e2_b2"]] = dZ2.sum(axis=0)
-            dA2 = (dZ2 @ p["V2"]) * (1.0 - H2 * H2)
-            dV1t = np.zeros((self.config.num_classes_max, self.config.hidden_dim))
-            np.add.at(dV1t, c2["cls"], dA2)
-            g[s["e2_w1"]] = dV1t.T.ravel()
-            g[s["e2_b1"]] = dA2.sum(axis=0)
-        else:
-            g[s["e1_w"]] = (dZ1.T @ c1["X"]).ravel()
-            g[s["e1_b"]] = dZ1.sum(axis=0)
-            dVt = np.zeros((self.config.num_classes_max, self.config.embed_dim))
-            np.add.at(dVt, c2["cls"], dZ2)
-            g[s["e2_w"]] = dVt.T.ravel()
-            g[s["e2_b"]] = dZ2.sum(axis=0)
+        self._backward(g, c1, dZ1)
+        self._backward(g, c2, dZ2)
         return g
 
     # -------------------------------------------------------------- inference

@@ -138,22 +138,24 @@ def evaluate(enc: EncoderPair, params, test, candidate_classes) -> float:
 # ------------------------------------------------------------- cross-entropy
 
 
-def ce_loss(enc: EncoderPair, params, batch, candidates, tau) -> float:
-    """Mean softmax cross-entropy of sim/tau logits over the candidate classes."""
+def _ce_logits(enc, params, batch, candidates, tau):
+    """sim/tau logits over the candidates, each row's true-class column, and row maxima."""
     Z = enc.similarity_matrix(params, [s.x for s in batch], candidates) / tau
     col = {c: j for j, c in enumerate(candidates)}
     idx = np.array([col[s.class_id] for s in batch])
-    m = Z.max(axis=1)
+    return Z, idx, Z.max(axis=1)
+
+
+def ce_loss(enc: EncoderPair, params, batch, candidates, tau) -> float:
+    """Mean softmax cross-entropy of sim/tau logits over the candidate classes."""
+    Z, idx, m = _ce_logits(enc, params, batch, candidates, tau)
     lse = m + np.log(np.exp(Z - m[:, None]).sum(axis=1))
     return float(np.mean(lse - Z[np.arange(len(batch)), idx]))
 
 
 def ce_gradient(enc: EncoderPair, params, batch, candidates, tau) -> np.ndarray:
     """Analytic gradient of ce_loss: (softmax - onehot) / (|B| * tau) pair weights."""
-    Z = enc.similarity_matrix(params, [s.x for s in batch], candidates) / tau
-    col = {c: j for j, c in enumerate(candidates)}
-    idx = np.array([col[s.class_id] for s in batch])
-    m = Z.max(axis=1)
+    Z, idx, m = _ce_logits(enc, params, batch, candidates, tau)
     P = np.exp(Z - m[:, None])
     P /= P.sum(axis=1, keepdims=True)
     P[np.arange(len(batch)), idx] -= 1.0

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from cclearn import cli
+from cclearn.data import Dataset, save
 
 from oracles import read_accuracy_csv
 
@@ -127,12 +129,49 @@ def test_run_missing_dataset_exits_3(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg)]) == 3
 
 
-def test_run_corrupt_dataset_exits_3(tmp_path):
-    bad = tmp_path / "bad.clds"
-    bad.write_bytes(b"JUNKJUNKJUNK")
-    doc = _config_doc(bad, tmp_path / "out")
+_HEADER = struct.Struct("<IIIII")  # version, n, dim, classes, flags
+
+
+def _patched_header(path, field, value):
+    """Replace one header field of a .clds file.  At ``dim`` 0 the input bytes
+    go too, so that the payload size still matches the header."""
+    blob = path.read_bytes()
+    header = dict(zip(("version", "n", "dim", "classes", "flags"), _HEADER.unpack(blob[4:24])))
+    payload = blob[24:]
+    if field == "dim":
+        payload = payload[4 * header["n"] * header["dim"] :]
+    header[field] = value
+    return blob[:4] + _HEADER.pack(*header.values()) + payload
+
+
+def test_run_corrupt_dataset_exits_3(tmp_path, capsys):
+    good = _gen(tmp_path)  # 8 classes
+    cases = {
+        "junk": b"JUNKJUNKJUNK",
+        "classes=4": _patched_header(good, "classes", 4),
+        "classes=0": _patched_header(good, "classes", 0),
+        "dim=0": _patched_header(good, "dim", 0),
+    }
+    for name, blob in cases.items():
+        bad = tmp_path / "bad.clds"
+        bad.write_bytes(blob)
+        cfg = _write_config(tmp_path, _config_doc(bad, tmp_path / "out"))
+        assert cli.main(["run", "--config", str(cfg)]) == 3, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset:") and err.count("\n") == 1, (name, err)
+
+
+@pytest.mark.parametrize("mode", ["cil", "dil"])
+def test_run_empty_dataset_exits_2(tmp_path, capsys, mode):
+    empty = tmp_path / "empty.clds"
+    save(Dataset(samples=[], num_classes=8, input_dim=6, has_domains=mode == "dil"), empty)
+    doc = _config_doc(empty, tmp_path / "out")
+    if mode == "dil":
+        doc["split"] = {"mode": "dil", "domain_order": []}
     cfg = _write_config(tmp_path, doc)
-    assert cli.main(["run", "--config", str(cfg)]) == 3
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
 
 
 def test_run_divergence_exits_4(tmp_path, capsys):

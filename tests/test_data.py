@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cclearn.data import (
-    export_csv,
     gen_domain_shift,
     gen_synthetic,
     load,
@@ -275,14 +274,3 @@ def test_load_corrupt_header_raises_only_format_error(tmp_path):
 
     with _address_space_headroom(256 * 2**20):
         corrupt_and_load()
-
-
-def test_export_csv(tmp_path):
-    ds = gen_synthetic(2, 4, 3, 2.0, 0.2, seed=18)
-    path = tmp_path / "ds.csv"
-    export_csv(ds, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "sample_id,class_id,task_id,domain_id,x0,x1,x2"
-    assert len(lines) == 1 + len(ds.samples)
-    first = lines[1].split(",")
-    assert float(first[4]) == float(ds.samples[0].x[0])

@@ -50,6 +50,31 @@ def _oracle_forward_label(cfg, params, class_id):
     return z / np.sqrt(np.sum(z * z))
 
 
+def _oracle_init(cfg, seed):
+    """Straight-line initialization: one PCG64 stream, each tower's weights drawn
+    in layout order as U(-1, 1)/sqrt(fan_in), biases zero."""
+    i, h, e, c = cfg.input_dim, cfg.hidden_dim, cfg.embed_dim, cfg.num_classes_max
+    rng = np.random.default_rng(seed)
+
+    def draw(rows, fan_in):
+        return rng.uniform(-1.0, 1.0, rows * fan_in) / np.sqrt(fan_in)
+
+    if h > 0:
+        e1_w1, e1_w2 = draw(h, i), draw(e, h)
+        e2_w1, e2_w2 = draw(h, c), draw(e, h)
+        return np.concatenate([e1_w1, e1_w2, np.zeros(h + e), e2_w1, e2_w2, np.zeros(h + e)])
+    e1_w, e2_w = draw(e, i), draw(e, c)
+    return np.concatenate([e1_w, np.zeros(e), e2_w, np.zeros(e)])
+
+
+@pytest.mark.parametrize("hidden", [0, 4])
+def test_init_params_match_fill_order_oracle(hidden):
+    cfg = EncoderConfig(input_dim=3, num_classes_max=5, hidden_dim=hidden, embed_dim=2, seed=17)
+    enc = EncoderPair(cfg)
+    assert np.array_equal(enc.init_params(), _oracle_init(cfg, 17))
+    assert np.array_equal(enc.init_params(seed=4), _oracle_init(cfg, 4))
+
+
 def test_init_params_deterministic():
     enc = make_encoder(seed=42)
     assert np.array_equal(enc.init_params(), enc.init_params())

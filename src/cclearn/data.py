@@ -232,6 +232,11 @@ def _stratified_split(samples, test_fraction, rng):
     return train, test
 
 
+def _check_test_fraction(test_fraction):
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+
+
 def _task(t, train, test, classes, domain_id=None) -> Task:
     """Task ``t`` of a split, its samples stamped with ``t``; refuses an empty train set."""
     if not train:
@@ -246,6 +251,9 @@ def _task(t, train, test, classes, domain_id=None) -> Task:
 
 def split_cil(ds: Dataset, num_tasks, test_fraction, seed) -> TaskStream:
     """Class-incremental split: disjoint contiguous class blocks, seeded shuffle."""
+    if num_tasks < 1:
+        raise ValueError(f"num_tasks must be >= 1, got {num_tasks}")
+    _check_test_fraction(test_fraction)
     if ds.num_classes % num_tasks != 0:
         raise ValueError(
             f"num_classes={ds.num_classes} is not divisible by num_tasks={num_tasks}"
@@ -268,6 +276,7 @@ def split_dil(ds: Dataset, domain_order, test_fraction=0.2, seed=0) -> TaskStrea
         raise ValueError("dataset has no domain labels; use gen_domain_shift first")
     if not domain_order:
         raise ValueError("domain_order must name at least one domain")
+    _check_test_fraction(test_fraction)
     rng = np.random.default_rng(seed)
     domains_present = sorted({s.domain_id for s in ds.samples})
     if sorted(domain_order) != domains_present:

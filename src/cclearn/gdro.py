@@ -226,20 +226,13 @@ def gdro_update_estimators(
     return new
 
 
-def gdro_gradient_estimate(
-    state: GdroEstimatorState,
-    enc: EncoderPair,
-    params,
-    class_batch,
-    per_class_batches,
-    pool,
-    config: GdroConfig,
-) -> np.ndarray:
-    """Compositional gradient estimator (module docstring) as one backward pass.
+def _pair_coefficients(state, enc, params, class_batch, per_class_batches, pool, config):
+    """Anchors and the nonzero pair coefficients of the compositional estimator.
 
-    Builds a single coefficient matrix over (anchor+pool) x (anchor+pool)
-    similarity pairs: active hinges contribute off-diagonal mass against pool
-    negatives and negative mass on the anchor's own diagonal entry.
+    Returns (anchors, coef1, coef2), both n x N over anchors x pool: coef1
+    weighs (anchor input, pool label) pairs, coef2 (anchor label, pool input)
+    pairs.  The anchor's own (input, label) pair takes minus its row sums of
+    both; callers place that diagonal.
     """
     anchors = _flatten_batches(class_batch, per_class_batches)
     if not state.v_initialized or state.v_mantissa <= 0:
@@ -270,13 +263,36 @@ def gdro_gradient_estimate(
     coef2 = np.where(
         neg, 2.0 * st["H2"] * np.exp(st["A2"] - log_u_T[:, None]), 0.0
     ) * (class_weight * inv_neg)[:, None]
+    return anchors, coef1, coef2
 
-    n, N = len(anchors), len(pool)
-    C = np.zeros((n + N, n + N))
-    C[:n, n:] = coef1  # anchor input vs pool label
-    C[n:, :n] = coef2.T  # pool input vs anchor label
-    C[np.arange(n), np.arange(n)] = -(coef1.sum(axis=1) + coef2.sum(axis=1))
 
-    xs = [s.x for s in anchors] + [s.x for s in pool]
-    cls = [s.class_id for s in anchors] + [s.class_id for s in pool]
-    return enc.weighted_pair_grad(params, xs, cls, C)
+def gdro_gradient_estimate(
+    state: GdroEstimatorState,
+    enc: EncoderPair,
+    params,
+    class_batch,
+    per_class_batches,
+    pool,
+    config: GdroConfig,
+) -> np.ndarray:
+    """Compositional gradient estimator (module docstring) as two backward passes.
+
+    Only anchor rows and anchor columns of the pair coefficients are nonzero,
+    so the gradient is the sum of two rectangular blocks, O(n*N) in time and
+    memory for n anchors and a pool of N:
+
+    - anchor inputs x (anchor labels | pool labels), coefficients
+      [diag(-(row sums of coef1 + coef2)) | coef1];
+    - pool inputs x anchor labels, coefficients coef2.T.
+    """
+    anchors, coef1, coef2 = _pair_coefficients(
+        state, enc, params, class_batch, per_class_batches, pool, config
+    )
+    xa = [s.x for s in anchors]
+    ca = [s.class_id for s in anchors]
+    C_anchor = np.concatenate(
+        [np.diag(-(coef1.sum(axis=1) + coef2.sum(axis=1))), coef1], axis=1
+    )
+    grad = enc.weighted_pair_grad(params, xa, ca + [s.class_id for s in pool], C_anchor)
+    grad += enc.weighted_pair_grad(params, [s.x for s in pool], ca, coef2.T)
+    return grad

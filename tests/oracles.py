@@ -2,16 +2,18 @@
 
 Single-anchor normalizers for the global contrastive loss (``g_I``, ``g_T``),
 single-anchor hinge normalizers and the exact per-class loss for the robust
-objective (``hinge_g1``, ``hinge_g2``, ``class_loss_hk``), and a parser for
-the accuracy CSV that ``cclearn run`` writes.  None of these is on a training
-path: the estimators compute the same quantities in batch, and the tests pin
-the two against each other.
+objective (``hinge_g1``, ``hinge_g2``, ``class_loss_hk``), the robust
+gradient estimator through one dense coefficient matrix
+(``gdro_gradient_dense``), and a parser for the accuracy CSV that
+``cclearn run`` writes.  None of these is on a training path: the
+estimators compute the same quantities in batch or in blocks, and the tests
+pin the two against each other.
 """
 
 import numpy as np
 
 from cclearn.gcl import _check_tau
-from cclearn.gdro import GdroConfig, _hinge_stats
+from cclearn.gdro import GdroConfig, _hinge_stats, _pair_coefficients
 from cclearn.model import EncoderPair
 
 
@@ -58,6 +60,24 @@ def class_loss_hk(enc: EncoderPair, params, class_id, pool, config: GdroConfig) 
         raise ValueError(f"class {class_id} not present in pool")
     st = _hinge_stats(enc, params, members, pool, config.margin, config.tau)
     return float(config.tau * np.mean(st["log_g1"] + st["log_g2"]) / 2.0)
+
+
+def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_batches, pool,
+                        config: GdroConfig) -> np.ndarray:
+    """``gdro_gradient_estimate`` through one (anchor+pool) x (anchor+pool)
+    coefficient matrix and a single backward pass: O((n+N)^2) memory."""
+    anchors, coef1, coef2 = _pair_coefficients(
+        state, enc, params, class_batch, per_class_batches, pool, config
+    )
+    n, N = len(anchors), len(pool)
+    C = np.zeros((n + N, n + N))
+    C[:n, n:] = coef1  # anchor input vs pool label
+    C[n:, :n] = coef2.T  # pool input vs anchor label
+    C[np.arange(n), np.arange(n)] = -(coef1.sum(axis=1) + coef2.sum(axis=1))
+
+    xs = [s.x for s in anchors] + [s.x for s in pool]
+    cls = [s.class_id for s in anchors] + [s.class_id for s in pool]
+    return enc.weighted_pair_grad(params, xs, cls, C)
 
 
 def read_accuracy_csv(path):

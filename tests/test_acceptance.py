@@ -9,6 +9,7 @@ well under their budgets on a laptop-class machine.
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +381,24 @@ def test_criterion_08_joint_bound_dominates(benchmark_results):
                 ok = False
                 worst = f" (violated by {name} on seed {s}: {final:.3f} > {joint:.3f})"
     _report(8, ok, f"joint bound >= final A_T of every method on every committed seed{worst}")
+
+
+def test_committed_final_accuracy_matches_reference(benchmark_results):
+    """Final A_t equals the benchmark's recorded reference (perfbench/reference.json)."""
+    reference = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
+    )["committed"]
+    labels = {
+        "gcl_lo": f"gcl/{CAPACITY_LOW}",
+        "gcl_hi": f"gcl/{CAPACITY_HIGH}",
+        "gdro_lo": f"gdro/{CAPACITY_LOW}",
+        "zero": "zero-shot",
+    }
+    for seed, results in benchmark_results["per_seed"].items():
+        got = {label: results[key].final_aggregate() for key, label in labels.items()}
+        got["joint-upper-bound"] = results["joint"]  # one merged stage: its only A_t
+        want = {label: reference[str(seed)][label] for label in got}
+        assert got == want, f"seed {seed}"
 
 
 def test_criterion_09_cmd_run_byte_identical(tmp_path):

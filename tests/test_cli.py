@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cclearn import cli
-from cclearn.data import Dataset, save
+from cclearn.data import Dataset, gen_domain_shift, load, save
 
 from oracles import read_accuracy_csv
 
@@ -172,6 +172,35 @@ def test_run_empty_dataset_exits_2(tmp_path, capsys, mode):
     assert cli.main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "mode, split",
+    [
+        ("cil", {"num_tasks": 0}),
+        ("cil", {"num_tasks": -4}),
+        ("cil", {"test_fraction": -0.2}),
+        ("cil", {"test_fraction": 0.0}),
+        ("dil", {"test_fraction": -0.2}),
+        ("dil", {"test_fraction": 0.0}),
+    ],
+    ids=["num_tasks=0", "num_tasks=-4", "cil-test_fraction=-0.2", "cil-test_fraction=0",
+         "dil-test_fraction=-0.2", "dil-test_fraction=0"],
+)
+def test_run_bad_split_exits_2(tmp_path, capsys, mode, split):
+    data = _gen(tmp_path)
+    doc = _config_doc(data, tmp_path / "out")
+    if mode == "dil":
+        shifted = tmp_path / "dil.clds"
+        save(gen_domain_shift(load(data), 2, "rotation", 0.5, 3), shifted)
+        doc["dataset"]["path"] = str(shifted)
+        doc["split"] = {"mode": "dil", "domain_order": [0, 1], "seed": 1}
+    doc["split"].update(split)
+    cfg = _write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_divergence_exits_4(tmp_path, capsys):

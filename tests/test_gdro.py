@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cclearn.data import Sample
+from cclearn import benchmark
+from cclearn.buffer import sample_class_batch
+from cclearn.data import Sample, gen_synthetic
 from cclearn.gdro import (
     GdroConfig,
     GdroEstimatorState,
@@ -12,9 +17,10 @@ from cclearn.gdro import (
     gdro_gradient_estimate,
     gdro_update_estimators,
 )
+from cclearn.model import EncoderPair
 
 from conftest import assert_grad_close, central_diff, make_encoder, pair_sim
-from oracles import class_loss_hk, hinge_g1, hinge_g2
+from oracles import class_loss_hk, gdro_gradient_dense, hinge_g1, hinge_g2
 
 
 def _cfg(**kw):
@@ -384,3 +390,63 @@ def test_small_lambda_is_numerically_usable(rng):
     h = np.array([class_loss_hk(enc, w, k, pool, cfg) for k in range(3)])
     # near the lam -> 0 limit the objective tracks the worst class
     assert abs(dro_objective(h, cfg.lam) - h.max()) < 0.1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.sampled_from([0, 3]),
+    n_classes=st.integers(2, 6),
+    per_class=st.integers(1, 5),
+    batch_classes=st.integers(1, 6),
+    batch_per_class=st.integers(1, 5),
+    lam=st.floats(0.02, 20.0),
+    margin=st.floats(0.0, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_blocks_match_dense_oracle(
+    hidden, n_classes, per_class, batch_classes, batch_per_class, lam, margin, seed
+):
+    rng = np.random.default_rng(seed)
+    enc = make_encoder(seed=seed, hidden_dim=hidden, num_classes=n_classes)
+    w0 = enc.init_params()
+    pool = _class_pool(rng, n_classes, per_class)
+    classes = [int(k) for k in rng.choice(n_classes, min(batch_classes, n_classes), replace=False)]
+    batches = {k: sample_class_batch(pool, k, batch_per_class, seed + k) for k in classes}
+    cfg = _cfg(lam=lam, margin=margin, gamma=0.6, batch_classes=len(classes),
+               batch_per_class=batch_per_class)
+    # estimators from other parameters, so they differ from the values at w1
+    state = gdro_update_estimators(GdroEstimatorState(), enc, w0, classes, batches, pool, cfg)
+    w1 = w0 + 0.2 * rng.standard_normal(enc.n_params)
+    state = gdro_update_estimators(state, enc, w1, classes, batches, pool, cfg)
+
+    got = gdro_gradient_estimate(state, enc, w1, classes, batches, pool, cfg)
+    want = gdro_gradient_dense(state, enc, w1, classes, batches, pool, cfg)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_gradient_memory_is_linear_in_pool():
+    """30 anchors against a pool of 3200: a dense (n+N)^2 coefficient matrix
+    alone would take 83 MB; each of the two rectangular blocks takes under 1 MB."""
+    run_cfg = benchmark.benchmark_config("gdro", 0, 0)
+    cfg = run_cfg.gdro_config()
+    num_classes = 40
+    pool = gen_synthetic(
+        num_classes, 3200 // num_classes, benchmark.INPUT_DIM,
+        benchmark.SEPARATION, benchmark.NOISE, 3,
+    ).samples
+    enc = EncoderPair(run_cfg.encoder_config(benchmark.INPUT_DIM, num_classes))
+    w = enc.init_params()
+    classes = list(range(0, num_classes, num_classes // cfg.batch_classes))
+    batches = {k: sample_class_batch(pool, k, cfg.batch_per_class, k) for k in classes}
+    assert sum(len(b) for b in batches.values()) == 30
+    state = gdro_update_estimators(GdroEstimatorState(), enc, w, classes, batches, pool, cfg)
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        grad = gdro_gradient_estimate(state, enc, w, classes, batches, pool, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+    assert peak < 20e6, f"gradient estimate peaked at {peak / 1e6:.1f} MB"

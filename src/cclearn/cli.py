@@ -66,6 +66,7 @@ def _fail(code, message):
 _RUN_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 _SPLIT_KEYS_CIL = {"mode", "num_tasks", "test_fraction", "seed"}
 _SPLIT_KEYS_DIL = {"mode", "domain_order", "test_fraction", "seed"}
+_META_KEYS = {"stream_sha256", "method", "memory_capacity", "final_aggregate", "aggregate"}
 
 
 def _check_keys(section, doc, allowed, required):
@@ -206,9 +207,12 @@ def cmd_compare(args) -> int:
         meta_path = Path(d) / "run_meta.json"
         try:
             with open(meta_path) as fh:
-                metas.append(json.load(fh))
-        except (OSError, json.JSONDecodeError) as err:
+                meta = json.load(fh)
+            if not isinstance(meta, dict) or not _META_KEYS <= meta.keys():
+                raise ValueError(f"not a run meta: needs keys {sorted(_META_KEYS)}")
+        except (OSError, ValueError) as err:  # JSONDecodeError is a ValueError
             return _fail(EXIT_CONFIG, f"cannot read {meta_path}: {err}")
+        metas.append(meta)
     stream_hashes = {m["stream_sha256"] for m in metas}
     if len(stream_hashes) != 1:
         return _fail(

@@ -238,9 +238,10 @@ def _check_test_fraction(test_fraction):
 
 
 def _task(t, train, test, classes, domain_id=None) -> Task:
-    """Task ``t`` of a split, its samples stamped with ``t``; refuses an empty train set."""
-    if not train:
-        raise ValueError(f"task {t} gets no training samples")
+    """Task ``t`` of a split, samples stamped with ``t``; refuses an empty train or test set."""
+    for part, samples in (("training", train), ("test", test)):
+        if not samples:
+            raise ValueError(f"task {t} gets no {part} samples")
     return Task(
         train=[replace(s, task_id=t) for s in train],
         test=[replace(s, task_id=t) for s in test],

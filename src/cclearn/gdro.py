@@ -137,7 +137,7 @@ def _hinge_stats(enc, params, anchors, pool, margin, tau):
     log_g1 = m1 + np.log(np.exp(A1 - m1[:, None]).sum(axis=1)) - np.log(n_neg)
     log_g2 = m2 + np.log(np.exp(A2 - m2[:, None]).sum(axis=1)) - np.log(n_neg)
     return {
-        "neg": neg, "n_neg": n_neg, "H1": H1, "H2": H2, "A1": A1, "A2": A2,
+        "n_neg": n_neg, "H1": H1, "H2": H2, "A1": A1, "A2": A2,
         "log_g1": log_g1, "log_g2": log_g2,
     }
 
@@ -254,15 +254,11 @@ def _pair_coefficients(state, enc, params, class_batch, per_class_batches, pool,
     log_u_I = np.array([math.log(u) for u in u_I])
     log_u_T = np.array([math.log(u) for u in u_T])
 
-    neg = st["neg"]
-    inv_neg = 1.0 / st["n_neg"]
-    # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau)
-    coef1 = np.where(
-        neg, 2.0 * st["H1"] * np.exp(st["A1"] - log_u_I[:, None]), 0.0
-    ) * (class_weight * inv_neg)[:, None]
-    coef2 = np.where(
-        neg, 2.0 * st["H2"] * np.exp(st["A2"] - log_u_T[:, None]), 0.0
-    ) * (class_weight * inv_neg)[:, None]
+    scale = (class_weight * (1.0 / st["n_neg"]))[:, None]
+    # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau); off the negatives
+    # H = 0 and A = -inf, so both coefficients are 0 there
+    coef1 = 2.0 * st["H1"] * np.exp(st["A1"] - log_u_I[:, None]) * scale
+    coef2 = 2.0 * st["H2"] * np.exp(st["A2"] - log_u_T[:, None]) * scale
     return anchors, coef1, coef2
 
 

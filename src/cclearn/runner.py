@@ -1,4 +1,4 @@
-"""Class- and domain-incremental training loops, evaluation, and baselines.
+"""Class- and domain-incremental training, evaluation, and baselines.
 
 A run walks the task stream in order.  For each stage it trains on the union
 of the current task's data and the replay buffer, rebalances the buffer, then
@@ -11,6 +11,13 @@ Accuracy bookkeeping: entry (t, b) is accuracy on task b's test set after
 stage t.  The per-stage aggregate A_t is accuracy over the union of test sets
 0..t for class-incremental streams, and the unweighted mean of per-domain
 accuracies for domain-incremental streams.
+
+Every method trains through one step loop (``_Trainer.train_task``): draw an
+epoch's batches, take the method's loss and gradient on each, check them,
+step the optimizer, guard against divergence and log every ``log_every``
+steps.  Methods differ only in how batches are drawn (shuffled slices of the
+pool, or class picks plus per-class draws for gdro) and in the loss and
+gradient of one step.
 
 Methods:
     gcl               global contrastive loss with replay
@@ -190,107 +197,86 @@ class _Trainer:
         self.log: list[dict] = []
         self.global_step = 0
 
-    def _apply(self, grad, task, epoch):
-        try:
-            self.opt, self.params = optimizer_step(self.opt, self.params, grad)
-        except NonFiniteGradientError as err:
-            raise DivergenceError(
-                f"non-finite gradient at task {task}, epoch {epoch}, step {self.global_step}",
-                task=task, epoch=epoch, step=self.global_step,
-            ) from err
-        # 1e150 guard: beyond it the norm of a forward pass overflows float64
-        if not np.all(np.isfinite(self.params)) or np.max(np.abs(self.params)) > 1e150:
-            raise DivergenceError(
-                f"parameters became non-finite or exploded at task {task}, "
-                f"epoch {epoch}, step {self.global_step}",
-                task=task, epoch=epoch, step=self.global_step,
-            )
+    def _diverged(self, what, task, epoch):
+        return DivergenceError(
+            f"{what} at task {task}, epoch {epoch}, step {self.global_step}",
+            task=task, epoch=epoch, step=self.global_step,
+        )
 
-    def _check_loss(self, loss, task, epoch):
-        if not math.isfinite(loss):
-            raise DivergenceError(
-                f"loss became non-finite at task {task}, epoch {epoch}, "
-                f"step {self.global_step}",
-                task=task, epoch=epoch, step=self.global_step,
-            )
-
-    def _train_gcl_like(self, pool, task, use_ce):
-        cfg = self.config
-        candidates = sorted({s.class_id for s in pool})
-        for epoch in range(cfg.epochs_per_task):
+    def _batches(self, pool, candidates):
+        """One epoch's batches, drawn up front; each RNG has this one consumer."""
+        cfg, gcfg = self.config, self.gdro_config
+        if cfg.method != "gdro":
             order = self.shuffle_rng.permutation(len(pool))
-            for start in range(0, len(pool), cfg.batch_size):
-                batch = [pool[i] for i in order[start : start + cfg.batch_size]]
-                if use_ce:
-                    loss = ce_loss(self.enc, self.params, batch, candidates, cfg.tau)
-                    grad = ce_gradient(self.enc, self.params, batch, candidates, cfg.tau)
-                else:
-                    loss = gcl_loss_full(self.enc, self.params, batch, cfg.tau)
-                    self.gcl_state = gcl_update_estimators(
-                        self.gcl_state, self.enc, self.params, batch, cfg.tau, len(pool)
-                    )
-                    grad = gcl_gradient_estimate(
-                        self.gcl_state, self.enc, self.params, batch, cfg.tau, len(pool)
-                    )
-                self._check_loss(loss, task, epoch)
-                self._apply(grad, task, epoch)
-                if self.global_step % cfg.log_every == 0:
-                    self.log.append(
-                        {"event": "step", "task": task, "epoch": epoch,
-                         "step": self.global_step, "loss": loss}
-                    )
-                self.global_step += 1
+            return [
+                [pool[i] for i in order[start : start + cfg.batch_size]]
+                for start in range(0, len(pool), cfg.batch_size)
+            ]
+        n_take = min(gcfg.batch_classes, len(candidates))
+        batches = []
+        for _ in range(max(1, math.ceil(len(pool) / (gcfg.batch_classes * gcfg.batch_per_class)))):
+            picked = self.batch_rng.choice(len(candidates), n_take, replace=False)
+            class_batch = [candidates[i] for i in picked]
+            seeds = {k: int(self.batch_rng.integers(2**63)) for k in class_batch}
+            batches.append((class_batch, {
+                k: sample_class_batch(pool, k, gcfg.batch_per_class, seeds[k])
+                for k in class_batch
+            }))
+        return batches
 
-    def _train_gdro(self, pool, task):
+    def _step(self, batch, pool, candidates):
+        """The method's loss, gradient and extra log fields on one batch.
+
+        The gdro loss is the robust objective over the estimated u_c.
+        """
+        cfg, gcfg, enc, params = self.config, self.gdro_config, self.enc, self.params
+        if cfg.method == "finetune-ce":
+            args = (enc, params, batch, candidates, cfg.tau)
+            return ce_loss(*args), ce_gradient(*args), {}
+        if cfg.method == "gcl":
+            args = (enc, params, batch, cfg.tau, len(pool))
+            loss = gcl_loss_full(enc, params, batch, cfg.tau)
+            self.gcl_state = gcl_update_estimators(self.gcl_state, *args)
+            return loss, gcl_gradient_estimate(self.gcl_state, *args), {}
+        args = (enc, params, *batch, pool, gcfg)
+        self.gdro_state = gdro_update_estimators(self.gdro_state, *args)
+        grad = gdro_gradient_estimate(self.gdro_state, *args)
+        tracked = sorted(self.gdro_state.u_c)
+        h = np.array([self.gdro_state.u_c[k] for k in tracked])
+        extra = {
+            "h": {str(k): float(v) for k, v in zip(tracked, h)},
+            "dro_weights": {str(k): float(w) for k, w in zip(tracked, dro_weights(h, gcfg.lam))},
+        }
+        return dro_objective(h, gcfg.lam), grad, extra
+
+    def train_task(self, task, pool):
+        """Train stage ``task`` on its pool (task data plus replay) for every epoch."""
         cfg = self.config
-        gcfg = self.gdro_config
-        classes_present = sorted({s.class_id for s in pool})
-        if len(classes_present) < 2:
+        if cfg.method == "zero-shot":
+            return
+        candidates = sorted({s.class_id for s in pool})
+        if cfg.method == "gdro" and len(candidates) < 2:
             raise DivergenceError(
                 "robust training needs at least two classes in the pool", task=task
             )
-        draws = gcfg.batch_classes * gcfg.batch_per_class
-        steps_per_epoch = max(1, math.ceil(len(pool) / draws))
         for epoch in range(cfg.epochs_per_task):
-            for _ in range(steps_per_epoch):
-                n_take = min(gcfg.batch_classes, len(classes_present))
-                picked = self.batch_rng.choice(len(classes_present), n_take, replace=False)
-                class_batch = [classes_present[i] for i in picked]
-                per_class = {
-                    k: sample_class_batch(
-                        pool, k, gcfg.batch_per_class, int(self.batch_rng.integers(2**63))
-                    )
-                    for k in class_batch
-                }
-                self.gdro_state = gdro_update_estimators(
-                    self.gdro_state, self.enc, self.params, class_batch, per_class, pool, gcfg
-                )
-                grad = gdro_gradient_estimate(
-                    self.gdro_state, self.enc, self.params, class_batch, per_class, pool, gcfg
-                )
-                tracked = sorted(self.gdro_state.u_c)
-                h_vals = np.array([self.gdro_state.u_c[k] for k in tracked])
-                loss = dro_objective(h_vals, gcfg.lam)
-                self._check_loss(loss, task, epoch)
-                self._apply(grad, task, epoch)
+            for batch in self._batches(pool, candidates):
+                loss, grad, extra = self._step(batch, pool, candidates)
+                if not math.isfinite(loss):
+                    raise self._diverged("loss became non-finite", task, epoch)
+                try:
+                    self.opt, self.params = optimizer_step(self.opt, self.params, grad)
+                except NonFiniteGradientError as err:
+                    raise self._diverged("non-finite gradient", task, epoch) from err
+                # 1e150 guard: beyond it the norm of a forward pass overflows float64
+                if not np.all(np.isfinite(self.params)) or np.max(np.abs(self.params)) > 1e150:
+                    raise self._diverged("parameters became non-finite or exploded", task, epoch)
                 if self.global_step % cfg.log_every == 0:
-                    w_vals = dro_weights(h_vals, gcfg.lam)
                     self.log.append(
                         {"event": "step", "task": task, "epoch": epoch,
-                         "step": self.global_step, "loss": loss,
-                         "h": {str(k): float(h) for k, h in zip(tracked, h_vals)},
-                         "dro_weights": {str(k): float(w) for k, w in zip(tracked, w_vals)}}
+                         "step": self.global_step, "loss": loss, **extra}
                     )
                 self.global_step += 1
-
-    def train_task(self, task_index, task: Task, pool):
-        method = self.config.method
-        if method == "zero-shot":
-            return
-        if method == "gdro":
-            self._train_gdro(pool, task_index)
-        else:
-            self._train_gcl_like(pool, task_index, use_ce=(method == "finetune-ce"))
 
 
 def merge_tasks(stream: TaskStream) -> TaskStream:
@@ -334,7 +320,7 @@ def run(stream: TaskStream, config: RunConfig, hook=None) -> RunResult:
         pool = trainer.buffer.union_view(task.train)
         if hook:
             hook("task_start", {"task": t, "buffer": trainer.buffer, "pool_size": len(pool)})
-        trainer.train_task(t, task, pool)
+        trainer.train_task(t, pool)
         trainer.buffer = trainer.buffer.rebalance_after_task(task.train)
         if hook:
             hook("rebalance", {"task": t, "buffer": trainer.buffer})

@@ -318,6 +318,7 @@ def benchmark_results():
     for seed in BENCHMARK_SEEDS:
         stream = benchmark_stream(seed)
         ce = run(stream, benchmark_config("finetune-ce", 0, seed))
+        ce_lo = run(stream, benchmark_config("finetune-ce", CAPACITY_LOW, seed))
         gcl_hi = run(stream, benchmark_config("gcl", CAPACITY_HIGH, seed))
         gcl_lo = run(stream, benchmark_config("gcl", CAPACITY_LOW, seed))
         gdro_lo = run(stream, benchmark_config("gdro", CAPACITY_LOW, seed))
@@ -325,6 +326,7 @@ def benchmark_results():
         joint = run(stream, benchmark_config("joint-upper-bound", 0, seed)).accuracy.aggregate[0]
         out["per_seed"][seed] = {
             "ce": ce.accuracy,
+            "ce_lo": ce_lo.accuracy,
             "gcl_hi": gcl_hi.accuracy,
             "gcl_lo": gcl_lo.accuracy,
             "gdro_lo": gdro_lo.accuracy,
@@ -392,6 +394,7 @@ def test_committed_final_accuracy_matches_reference(benchmark_results):
         "gcl_lo": f"gcl/{CAPACITY_LOW}",
         "gcl_hi": f"gcl/{CAPACITY_HIGH}",
         "gdro_lo": f"gdro/{CAPACITY_LOW}",
+        "ce_lo": f"finetune-ce/{CAPACITY_LOW}",
         "zero": "zero-shot",
     }
     for seed, results in benchmark_results["per_seed"].items():

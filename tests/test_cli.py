@@ -175,20 +175,24 @@ def test_run_empty_dataset_exits_2(tmp_path, capsys, mode):
 
 
 @pytest.mark.parametrize(
-    "mode, split",
+    "mode, split, gen",
     [
-        ("cil", {"num_tasks": 0}),
-        ("cil", {"num_tasks": -4}),
-        ("cil", {"test_fraction": -0.2}),
-        ("cil", {"test_fraction": 0.0}),
-        ("dil", {"test_fraction": -0.2}),
-        ("dil", {"test_fraction": 0.0}),
+        ("cil", {"num_tasks": 0}, {}),
+        ("cil", {"num_tasks": -4}, {}),
+        ("cil", {"test_fraction": -0.2}, {}),
+        ("cil", {"test_fraction": 0.0}, {}),
+        ("dil", {"test_fraction": -0.2}, {}),
+        ("dil", {"test_fraction": 0.0}, {}),
+        # round(2 * 0.2) = 0: every task gets an empty test set
+        ("cil", {"test_fraction": 0.2}, {"classes": 4, "per_class": 2}),
+        ("dil", {"test_fraction": 0.2}, {"classes": 4, "per_class": 2}),
     ],
     ids=["num_tasks=0", "num_tasks=-4", "cil-test_fraction=-0.2", "cil-test_fraction=0",
-         "dil-test_fraction=-0.2", "dil-test_fraction=0"],
+         "dil-test_fraction=-0.2", "dil-test_fraction=0", "cil-no-test-samples",
+         "dil-no-test-samples"],
 )
-def test_run_bad_split_exits_2(tmp_path, capsys, mode, split):
-    data = _gen(tmp_path)
+def test_run_bad_split_exits_2(tmp_path, capsys, mode, split, gen):
+    data = _gen(tmp_path, **gen)
     doc = _config_doc(data, tmp_path / "out")
     if mode == "dil":
         shifted = tmp_path / "dil.clds"
@@ -299,11 +303,17 @@ def test_compare_rejects_incompatible_streams(tmp_path):
     assert cli.main(["compare", str(out1), str(out2), "-o", str(tmp_path / "cmp")]) == 2
 
 
-def test_compare_missing_meta_exits_2(tmp_path):
+def test_compare_missing_meta_exits_2(tmp_path, capsys):
     out = _run_once(tmp_path, "ok")
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    assert cli.main(["compare", str(out), str(empty), "-o", str(tmp_path / "cmp")]) == 2
+    capsys.readouterr()
+    for name, text in {"empty": None, "list": "[]", "no-keys": "{}"}.items():
+        bad = tmp_path / name
+        bad.mkdir()
+        if text is not None:
+            (bad / "run_meta.json").write_text(text)
+        assert cli.main(["compare", str(out), str(bad), "-o", str(tmp_path / "cmp")]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and err.count("\n") == 1, (name, err)
 
 
 @pytest.mark.parametrize(

@@ -196,10 +196,14 @@ def test_gdro_logs_class_losses_and_weights():
     assert abs(sum(last["dro_weights"].values()) - 1.0) < 1e-9
 
 
-def test_divergence_aborts_with_diagnostic():
+@pytest.mark.parametrize("method", ["gcl", "finetune-ce", "gdro"])
+def test_divergence_aborts_with_diagnostic(method):
     stream = _small_stream()
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
-        run(stream, _fast_config("gcl", eta=1e308, epochs_per_task=2))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+        run(stream, _fast_config(method, eta=1e308, epochs_per_task=2))
+    err = info.value
+    assert None not in (err.task, err.epoch, err.step)
+    assert f"at task {err.task}, epoch {err.epoch}, step {err.step}" in str(err)
 
 
 def test_joint_upper_bound_equals_merged_single_task_run():

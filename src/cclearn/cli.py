@@ -66,7 +66,11 @@ def _fail(code, message):
 _RUN_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 _SPLIT_KEYS_CIL = {"mode", "num_tasks", "test_fraction", "seed"}
 _SPLIT_KEYS_DIL = {"mode", "domain_order", "test_fraction", "seed"}
-_META_KEYS = {"stream_sha256", "method", "memory_capacity", "final_aggregate", "aggregate"}
+# the run_meta.json keys compare reads, and their JSON types
+_META_TYPES = {
+    "stream_sha256": (str,), "method": (str,), "memory_capacity": (int,),
+    "final_aggregate": (int, float), "aggregate": (dict,),
+}
 
 
 def _check_keys(section, doc, allowed, required):
@@ -199,6 +203,21 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _read_meta(path) -> dict:
+    """The run meta at ``path``; ValueError unless it has the keys and types compare reads."""
+    with open(path) as fh:
+        meta = json.load(fh)
+    if not isinstance(meta, dict) or not _META_TYPES.keys() <= meta.keys():
+        raise ValueError(f"not a run meta: needs keys {sorted(_META_TYPES)}")
+    for key, kinds in _META_TYPES.items():
+        if type(meta[key]) not in kinds:  # JSON gives exact types; bool is not an int here
+            raise ValueError(f"{key} has the wrong type: {meta[key]!r}")
+    stages = meta["aggregate"]
+    if not stages or not all(t.isdecimal() and type(a) in (int, float) for t, a in stages.items()):
+        raise ValueError("aggregate must map stage numbers to accuracies")
+    return meta
+
+
 def cmd_compare(args) -> int:
     if len(args.rundirs) < 2:
         return _fail(EXIT_CONFIG, "compare needs at least two run directories")
@@ -206,13 +225,9 @@ def cmd_compare(args) -> int:
     for d in args.rundirs:
         meta_path = Path(d) / "run_meta.json"
         try:
-            with open(meta_path) as fh:
-                meta = json.load(fh)
-            if not isinstance(meta, dict) or not _META_KEYS <= meta.keys():
-                raise ValueError(f"not a run meta: needs keys {sorted(_META_KEYS)}")
+            metas.append(_read_meta(meta_path))
         except (OSError, ValueError) as err:  # JSONDecodeError is a ValueError
             return _fail(EXIT_CONFIG, f"cannot read {meta_path}: {err}")
-        metas.append(meta)
     stream_hashes = {m["stream_sha256"] for m in metas}
     if len(stream_hashes) != 1:
         return _fail(
@@ -223,6 +238,11 @@ def cmd_compare(args) -> int:
     groups: dict[tuple[str, int], list[dict]] = {}
     for m in metas:
         groups.setdefault((m["method"], m["memory_capacity"]), []).append(m)
+    for (method, memory), runs in groups.items():
+        if len({frozenset(m["aggregate"]) for m in runs}) != 1:
+            return _fail(
+                EXIT_CONFIG, f"incompatible runs: {method} (mem={memory}) runs differ in stages"
+            )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,9 +257,9 @@ def cmd_compare(args) -> int:
         lines.append(
             f"{method},{memory},{len(runs)},{float(finals.mean())!r},{float(finals.std())!r}"
         )
-        stages = sorted(int(t) for t in runs[0]["aggregate"])
-        curve = [float(np.mean([m["aggregate"][str(t)] for m in runs])) for t in stages]
-        series.append((f"{method} (mem={memory})", [t + 1 for t in stages], curve))
+        stages = sorted(runs[0]["aggregate"], key=int)
+        curve = [float(np.mean([m["aggregate"][t] for m in runs])) for t in stages]
+        series.append((f"{method} (mem={memory})", [int(t) + 1 for t in stages], curve))
     with open(out / "comparison.csv", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     write_svg(

@@ -24,7 +24,7 @@ File format (``.clds``, little-endian binary):
 ``save`` always writes sample and task ids, so a loaded dataset keeps the
 sample identities it was saved with.  ``load`` checks the payload size the
 header implies against the file size before reading any payload, and rejects
-``dim == 0`` and class ids ``>= classes``.
+``dim == 0``, class ids ``>= classes`` and duplicate sample ids.
 """
 
 from __future__ import annotations
@@ -194,13 +194,13 @@ def gen_domain_shift(base: Dataset, num_domains, shift_kind, magnitude, seed) ->
         raise ValueError("num_domains must be >= 2")
     rng = np.random.default_rng(seed)
     n = len(base.samples)
+    X = np.stack([s.x for s in base.samples]).astype(np.float64)
     samples = []
     for d in range(num_domains):
         if d == 0:
             transform = lambda X: X  # noqa: E731
         else:
             transform = _domain_transform(shift_kind, magnitude, base.input_dim, rng)
-        X = np.stack([s.x for s in base.samples]).astype(np.float64)
         Xd = transform(X).astype(np.float32)
         for i, s in enumerate(base.samples):
             samples.append(
@@ -357,6 +357,9 @@ def load(path) -> Dataset:
             )
         if flags & _FLAG_SAMPLE_IDS:
             ids = np.frombuffer(_read_exact(fh, 8 * n, "sample ids"), dtype="<u8")
+            unique, counts = np.unique(ids, return_counts=True)
+            if np.any(counts > 1):
+                raise DatasetFormatError(f"duplicate sample id {int(unique[counts > 1][0])}")
         else:
             ids = np.arange(n, dtype="<u8")
         if flags & _FLAG_TASK_IDS:

@@ -24,7 +24,8 @@ normalizer terms carry tau/2, which is L's gradient scaled by tau/2.  The
 full-batch identity m == (tau/2) * grad L is what the test suite pins down.
 
 Estimator state persists across tasks, carrying normalizer information from
-earlier stages forward.
+earlier stages forward.  ``gcl_update_estimators`` updates the state it is
+given in place and returns that same object.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class GclEstimatorState:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
 
-    def copy(self) -> "GclEstimatorState":
-        return GclEstimatorState(gamma=self.gamma, u_I=dict(self.u_I), u_T=dict(self.u_T))
-
 
 def _check_tau(tau):
     if not tau > 0:
@@ -82,8 +80,8 @@ def moving_average(store: dict, keys, values, gamma, floor=None) -> None:
         store[key] = new if floor is None else max(floor, new)
 
 
-def sample_estimates(state, samples) -> tuple[list[float], list[float]]:
-    """The (u_I, u_T) estimates of every sample; refuses missing or non-positive ones."""
+def sample_estimates(state, samples) -> np.ndarray:
+    """The (2, n) array of (u_I, u_T) per sample; refuses missing or non-positive estimates."""
     u_I, u_T = [], []
     for s in samples:
         ui = state.u_I.get(s.sample_id)
@@ -94,7 +92,7 @@ def sample_estimates(state, samples) -> tuple[list[float], list[float]]:
             raise ValueError(f"non-positive estimator value for sample {s.sample_id}")
         u_I.append(ui)
         u_T.append(ut)
-    return u_I, u_T
+    return np.array([u_I, u_T])
 
 
 def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:
@@ -120,18 +118,17 @@ def _batch_exp_sims(enc, params, batch, tau, pool_size):
 def gcl_update_estimators(
     state: GclEstimatorState, enc: EncoderPair, params, batch, tau, pool_size
 ) -> GclEstimatorState:
-    """Moving-average update of u_I, u_T for every anchor in the batch."""
+    """Moving-average update of u_I, u_T for every anchor in the batch, in place."""
     tau = _check_tau(tau)
     if not batch:
         raise ValueError("batch must be non-empty")
     if pool_size < len(batch):
         raise ValueError("pool_size must be >= batch size")
     E, scale = _batch_exp_sims(enc, params, batch, tau, pool_size)
-    new = state.copy()
     ids = [s.sample_id for s in batch]
-    moving_average(new.u_I, ids, scale * E.sum(axis=1), state.gamma, U_FLOOR)
-    moving_average(new.u_T, ids, scale * E.sum(axis=0), state.gamma, U_FLOOR)
-    return new
+    moving_average(state.u_I, ids, scale * E.sum(axis=1), state.gamma, U_FLOOR)
+    moving_average(state.u_T, ids, scale * E.sum(axis=0), state.gamma, U_FLOOR)
+    return state
 
 
 def gcl_gradient_estimate(
@@ -150,10 +147,8 @@ def gcl_gradient_estimate(
     if not batch:
         raise ValueError("batch must be non-empty")
     n = len(batch)
-    u_I, u_T = sample_estimates(state, batch)
-    inv_u_I = 1.0 / np.array(u_I)
-    inv_u_T = 1.0 / np.array(u_T)
+    inv_u = 1.0 / sample_estimates(state, batch)
     E, scale = _batch_exp_sims(enc, params, batch, tau, pool_size)
-    C = scale * E * (inv_u_I[:, None] + inv_u_T[None, :]) / (2.0 * n)
+    C = scale * E * (inv_u[0][:, None] + inv_u[1][None, :]) / (2.0 * n)
     C[np.diag_indices(n)] -= 1.0 / n
     return enc.weighted_pair_grad(params, [s.x for s in batch], [s.class_id for s in batch], C)

@@ -33,6 +33,9 @@ Overflow note: exp(u_c/lam) explodes for small lam, so the scalar estimator v
 is stored as (mantissa, shift) with value mantissa * exp(shift); every use of
 exp(u_c[k]/lam)/v is computed as exp(u_c[k]/lam - shift)/mantissa.  This keeps
 lam down to ~0.01 usable.
+
+``gdro_update_estimators`` updates the state it is given in place and returns
+that same object.
 """
 
 from __future__ import annotations
@@ -92,24 +95,15 @@ class GdroEstimatorState:
         """Linear-scale value of the scalar estimator (may overflow to inf)."""
         return self.v_mantissa * math.exp(self.v_shift) if self.v_initialized else 0.0
 
-    def copy(self) -> "GdroEstimatorState":
-        return GdroEstimatorState(
-            u_I=dict(self.u_I),
-            u_T=dict(self.u_T),
-            u_c=dict(self.u_c),
-            v_mantissa=self.v_mantissa,
-            v_shift=self.v_shift,
-            v_initialized=self.v_initialized,
-        )
-
 
 # ------------------------------------------------------------ hinge machinery
 
 
 def _hinge_stats(enc, params, anchors, pool, margin, tau):
-    """Similarities, hinge activations, and stable log g1/g2 per anchor vs pool.
+    """(n_neg, H, A, log_g): negative counts, hinge activations and stable log g.
 
-    Every anchor must see at least one negative (different class) in the pool.
+    Axis 0 of H, A (2, n, N) and log_g (2, n) holds g1 (anchor input x pool
+    label), then g2 (anchor label x pool input).  Every anchor needs a negative.
     """
     xa = [s.x for s in anchors]
     ca = np.array([s.class_id for s in anchors])
@@ -120,26 +114,22 @@ def _hinge_stats(enc, params, anchors, pool, margin, tau):
     cp = np.array([s.class_id for s in pool])
 
     sii = np.sum(E1a * E2a, axis=1)
-    S1 = E1a @ E2p.T  # anchor inputs vs pool labels
-    S2 = (E1p @ E2a.T).T  # anchor labels vs pool inputs, row per anchor
+    S = np.empty((2, len(anchors), len(pool)))
+    np.matmul(E1a, E2p.T, out=S[0])
+    S[1] = (E1p @ E2a.T).T  # E2a @ E1p.T would differ in the last bits
     neg = cp[None, :] != ca[:, None]
     n_neg = neg.sum(axis=1)
     if np.any(n_neg == 0):
         bad = anchors[int(np.argmin(n_neg))]
         raise ValueError(f"no negatives in pool for anchor of class {bad.class_id}")
 
-    H1 = np.where(neg, np.maximum(0.0, S1 - sii[:, None] + margin), 0.0)
-    H2 = np.where(neg, np.maximum(0.0, S2 - sii[:, None] + margin), 0.0)
-    A1 = np.where(neg, H1 * H1 / tau, -np.inf)
-    A2 = np.where(neg, H2 * H2 / tau, -np.inf)
-    m1 = A1.max(axis=1)
-    m2 = A2.max(axis=1)
-    log_g1 = m1 + np.log(np.exp(A1 - m1[:, None]).sum(axis=1)) - np.log(n_neg)
-    log_g2 = m2 + np.log(np.exp(A2 - m2[:, None]).sum(axis=1)) - np.log(n_neg)
-    return {
-        "n_neg": n_neg, "H1": H1, "H2": H2, "A1": A1, "A2": A2,
-        "log_g1": log_g1, "log_g2": log_g2,
-    }
+    H = np.where(neg, np.maximum(0.0, S - sii[:, None] + margin), 0.0)
+    del S  # dropping S early and the in-place exp below cut peak memory and page faults
+    A = np.where(neg, H * H / tau, -np.inf)
+    m = A.max(axis=2)
+    E = A - m[:, :, None]
+    log_g = m + np.log(np.exp(E, out=E).sum(axis=2)) - np.log(n_neg)
+    return n_neg, H, A, log_g
 
 
 # ------------------------------------------------------------ robust weighting
@@ -187,43 +177,35 @@ def gdro_update_estimators(
     pool,
     config: GdroConfig,
 ) -> GdroEstimatorState:
-    """One pass of the moving-average updates for sampled classes and samples.
+    """One pass of the moving-average updates for sampled classes and samples, in place.
 
     Order matters: per-sample g estimates first, then per-class h estimates
     from the same fresh statistics, then v from the updated u_c values over
     all tracked classes (stale entries stand in for unsampled classes).
     """
     anchors = _flatten_batches(class_batch, per_class_batches)
-    st = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
-    g1 = np.exp(st["log_g1"])
-    g2 = np.exp(st["log_g2"])
-
-    new = state.copy()
+    *_, log_g = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
     g = config.gamma
     ids = [s.sample_id for s in anchors]
-    moving_average(new.u_I, ids, g1, g, U_FLOOR)
-    moving_average(new.u_T, ids, g2, g, U_FLOOR)
-    h_hat = []
-    pos = 0
-    for k in class_batch:
-        rows = slice(pos, pos + len(per_class_batches[k]))
-        pos = rows.stop
-        h_hat.append(config.tau * np.mean(st["log_g1"][rows] + st["log_g2"][rows]) / 2.0)
-    moving_average(new.u_c, class_batch, h_hat, g)
+    for store, g_dir in zip((state.u_I, state.u_T), np.exp(log_g)):
+        moving_average(store, ids, g_dir, g, U_FLOOR)
+    bounds = np.cumsum([len(per_class_batches[k]) for k in class_batch])[:-1]
+    h_hat = [config.tau * np.mean(rows) / 2.0 for rows in np.split(log_g[0] + log_g[1], bounds)]
+    moving_average(state.u_c, class_batch, h_hat, g)
 
     # v <- (1-gamma) v + gamma * mean_k exp(u_c[k]/lam), in shifted form
-    uc = np.array([new.u_c[k] for k in sorted(new.u_c)])
+    uc = np.array([state.u_c[k] for k in sorted(state.u_c)])
     shift = float(np.max(uc / config.lam))
     mantissa = float(np.mean(np.exp(uc / config.lam - shift)))
-    if not new.v_initialized:
-        new.v_mantissa, new.v_shift, new.v_initialized = mantissa, shift, True
+    if not state.v_initialized:
+        state.v_mantissa, state.v_shift, state.v_initialized = mantissa, shift, True
     else:
-        common = max(shift, new.v_shift)
-        new.v_mantissa = (1 - g) * new.v_mantissa * math.exp(new.v_shift - common) + (
+        common = max(shift, state.v_shift)
+        state.v_mantissa = (1 - g) * state.v_mantissa * math.exp(state.v_shift - common) + (
             g * mantissa * math.exp(shift - common)
         )
-        new.v_shift = common
-    return new
+        state.v_shift = common
+    return state
 
 
 def _pair_coefficients(state, enc, params, class_batch, per_class_batches, pool, config):
@@ -237,7 +219,7 @@ def _pair_coefficients(state, enc, params, class_batch, per_class_batches, pool,
     anchors = _flatten_batches(class_batch, per_class_batches)
     if not state.v_initialized or state.v_mantissa <= 0:
         raise ValueError("scalar estimator v is not initialized or non-positive")
-    st = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
+    n_neg, H, A, _ = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
 
     class_weight = []
     for k in class_batch:
@@ -250,15 +232,13 @@ def _pair_coefficients(state, enc, params, class_batch, per_class_batches, pool,
         )
         class_weight.extend([w_k] * len(batch_k))
     class_weight = np.array(class_weight)
-    u_I, u_T = sample_estimates(state, anchors)
-    log_u_I = np.array([math.log(u) for u in u_I])
-    log_u_T = np.array([math.log(u) for u in u_T])
+    log_u = np.array([[math.log(u) for u in row] for row in sample_estimates(state, anchors)])
 
-    scale = (class_weight * (1.0 / st["n_neg"]))[:, None]
+    scale = (class_weight * (1.0 / n_neg))[:, None]
     # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau); off the negatives
-    # H = 0 and A = -inf, so both coefficients are 0 there
-    coef1 = 2.0 * st["H1"] * np.exp(st["A1"] - log_u_I[:, None]) * scale
-    coef2 = 2.0 * st["H2"] * np.exp(st["A2"] - log_u_T[:, None]) * scale
+    # H = 0 and A = -inf, so both coefficients are 0 there; A is reused in place
+    A -= log_u[:, :, None]
+    coef1, coef2 = 2.0 * H * np.exp(A, out=A) * scale
     return anchors, coef1, coef2
 
 

@@ -209,10 +209,10 @@ class EncoderPair:
             raise ValueError(
                 f"coefficient matrix has shape {C.shape}, expected {(E1.shape[0], E2.shape[0])}"
             )
-        S = E1 @ E2.T
+        CS = C * (E1 @ E2.T)
         # d sim / d z = (other - sim * self) / norm for each side
-        row_w = np.sum(C * S, axis=1)
-        col_w = np.sum(C * S, axis=0)
+        row_w = np.sum(CS, axis=1)
+        col_w = np.sum(CS, axis=0)
         dZ1 = (C @ E2 - row_w[:, None] * E1) / c1["R"][:, None]
         dZ2 = (C.T @ E1 - col_w[:, None] * E2) / c2["R"][:, None]
 

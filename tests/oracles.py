@@ -43,14 +43,14 @@ def g_T(enc: EncoderPair, params, anchor, candidates, tau) -> float:
 
 def hinge_g1(enc: EncoderPair, params, anchor, pool, margin, tau) -> float:
     """Input-anchored hinge normalizer, linear scale. Equals 1 iff no violations."""
-    st = _hinge_stats(enc, params, [anchor], pool, margin, tau)
-    return float(np.exp(st["log_g1"][0]))
+    *_, log_g = _hinge_stats(enc, params, [anchor], pool, margin, tau)
+    return float(np.exp(log_g[0, 0]))
 
 
 def hinge_g2(enc: EncoderPair, params, anchor, pool, margin, tau) -> float:
     """Label-anchored hinge normalizer, linear scale."""
-    st = _hinge_stats(enc, params, [anchor], pool, margin, tau)
-    return float(np.exp(st["log_g2"][0]))
+    *_, log_g = _hinge_stats(enc, params, [anchor], pool, margin, tau)
+    return float(np.exp(log_g[1, 0]))
 
 
 def class_loss_hk(enc: EncoderPair, params, class_id, pool, config: GdroConfig) -> float:
@@ -58,8 +58,8 @@ def class_loss_hk(enc: EncoderPair, params, class_id, pool, config: GdroConfig) 
     members = [s for s in pool if s.class_id == class_id]
     if not members:
         raise ValueError(f"class {class_id} not present in pool")
-    st = _hinge_stats(enc, params, members, pool, config.margin, config.tau)
-    return float(config.tau * np.mean(st["log_g1"] + st["log_g2"]) / 2.0)
+    *_, log_g = _hinge_stats(enc, params, members, pool, config.margin, config.tau)
+    return float(config.tau * np.mean(log_g[0] + log_g[1]) / 2.0)
 
 
 def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_batches, pool,

@@ -144,6 +144,14 @@ def _patched_header(path, field, value):
     return blob[:4] + _HEADER.pack(*header.values()) + payload
 
 
+def _zeroed_sample_ids(path):
+    """A .clds file whose sample ids are all 0."""
+    blob = path.read_bytes()
+    _, n, dim, _, _ = _HEADER.unpack(blob[4:24])
+    start = 24 + 4 * n * dim + 4 * n  # after the inputs and class ids
+    return blob[:start] + bytes(8 * n) + blob[start + 8 * n :]
+
+
 def test_run_corrupt_dataset_exits_3(tmp_path, capsys):
     good = _gen(tmp_path)  # 8 classes
     cases = {
@@ -151,6 +159,7 @@ def test_run_corrupt_dataset_exits_3(tmp_path, capsys):
         "classes=4": _patched_header(good, "classes", 4),
         "classes=0": _patched_header(good, "classes", 0),
         "dim=0": _patched_header(good, "dim", 0),
+        "duplicate-ids": _zeroed_sample_ids(good),
     }
     for name, blob in cases.items():
         bad = tmp_path / "bad.clds"
@@ -306,14 +315,24 @@ def test_compare_rejects_incompatible_streams(tmp_path):
 def test_compare_missing_meta_exits_2(tmp_path, capsys):
     out = _run_once(tmp_path, "ok")
     capsys.readouterr()
-    for name, text in {"empty": None, "list": "[]", "no-keys": "{}"}.items():
+    meta = json.loads((out / "run_meta.json").read_text())
+    one_stage_less = dict(meta, aggregate=dict(list(meta["aggregate"].items())[:-1]))
+    cases = {
+        "empty": (None, "cannot read"),
+        "list": ("[]", "cannot read"),
+        "no-keys": ("{}", "cannot read"),
+        "aggregate=5": (json.dumps(dict(meta, aggregate=5)), "cannot read"),
+        "final_aggregate=x": (json.dumps(dict(meta, final_aggregate="x")), "cannot read"),
+        "stages-differ": (json.dumps(one_stage_less), "incompatible runs"),
+    }
+    for name, (text, message) in cases.items():
         bad = tmp_path / name
         bad.mkdir()
         if text is not None:
             (bad / "run_meta.json").write_text(text)
         assert cli.main(["compare", str(out), str(bad), "-o", str(tmp_path / "cmp")]) == 2, name
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot read") and err.count("\n") == 1, (name, err)
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, (name, err)
 
 
 @pytest.mark.parametrize(
@@ -323,6 +342,8 @@ def test_compare_missing_meta_exits_2(tmp_path, capsys):
         ("gcl_gamma", 2), ("dro_gamma", 2), ("dro_lambda", 0), ("beta1", 2),
         ("margin", -1), ("batch_classes", 0), ("batch_per_class", 0),
         ("optimizer", "sgd"),
+        ("memory_capacity", 1.5), ("epochs_per_task", 2.5), ("batch_size", 3.5),
+        ("seed", 1.5), ("embed_dim", 2.5), ("hidden_dim", 2.5), ("batch_per_class", 2.5),
     ],
 )
 def test_run_rejects_out_of_range_values_exits_2(tmp_path, capsys, field, value):

@@ -151,6 +151,7 @@ def test_update_gamma_zero_freezes_initialized_state(rng):
     before = (dict(st.u_I), dict(st.u_T))
     w2 = w + 0.5  # different params would move an unfrozen estimator
     st2 = gcl_update_estimators(st, enc, w2, pool, 0.3, len(pool))
+    assert st2 is st  # updated in place
     assert (st2.u_I, st2.u_T) == before
 
 

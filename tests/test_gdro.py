@@ -293,10 +293,11 @@ def test_update_gamma_zero_freezes(rng):
     pool = _class_pool(rng, 3, 4)
     batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
     st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1, 2], batches, pool, _cfg(gamma=1.0))
+    before = (dict(st.u_c), dict(st.u_I), dict(st.u_T), st.v)
     frozen = _cfg(gamma=0.0)
     st2 = gdro_update_estimators(st, enc, w + 0.3, [0, 1, 2], batches, pool, frozen)
-    assert st2.u_c == st.u_c and st2.u_I == st.u_I and st2.u_T == st.u_T
-    assert st2.v == st.v
+    assert st2 is st  # updated in place
+    assert (st2.u_c, st2.u_I, st2.u_T, st2.v) == before
 
 
 def test_update_two_level_geometric_convergence(rng):

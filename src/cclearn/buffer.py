@@ -5,7 +5,8 @@ samples per class under a constant total budget.  When new classes arrive the
 per-class quota shrinks: capacity // K per class, with the capacity % K
 remainder slots going to the lowest class ids.  Existing slots are
 down-sampled uniformly at random; re-selection only ever draws from what is
-currently stored (streaming constraint), never from full past data.
+currently stored (streaming constraint), never from full past data.  The
+buffer rebalances in place: one object and one RNG serve the whole run.
 
 A class whose source holds fewer samples than its quota simply stores all of
 them, so per-class counts are exactly min(quota, available); they differ by
@@ -14,7 +15,6 @@ at most one across classes whenever the sources cover the quotas.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,13 +27,11 @@ class MemoryBuffer:
     capacity: int
     rng_seed: int
     slots: dict[int, list[Sample]] = field(default_factory=dict)
-    _rng: np.random.Generator = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.capacity < 0:
             raise ValueError("capacity must be >= 0")
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.rng_seed)
+        self._rng = np.random.default_rng(self.rng_seed)
 
     def __len__(self):
         return sum(len(v) for v in self.slots.values())
@@ -44,29 +42,26 @@ class MemoryBuffer:
     def rebalance_after_task(self, finished_task_data: list[Sample]) -> "MemoryBuffer":
         """Admit a finished task's data and re-even the per-class quotas.
 
-        Returns a new buffer; deterministic given rng_seed and call sequence.
-        Classes already stored (domain-incremental streams) merge their stored
-        samples with the incoming ones before down-sampling to quota.
+        Updates the buffer in place and returns it; deterministic given rng_seed
+        and call sequence.  Classes already stored (domain-incremental streams)
+        merge their stored samples with the incoming ones before down-sampling.
         """
-        new = MemoryBuffer(self.capacity, self.rng_seed, _rng=copy.deepcopy(self._rng))
         incoming: dict[int, list[Sample]] = {}
         for s in finished_task_data:
             incoming.setdefault(s.class_id, []).append(s)
 
         classes = sorted(set(self.slots) | set(incoming))
         if not classes:
-            return new
+            return self
         quota, remainder = divmod(self.capacity, len(classes))
         for i, k in enumerate(classes):
             q = quota + (1 if i < remainder else 0)
-            pool = list(self.slots.get(k, ())) + incoming.get(k, [])
-            if q >= len(pool):
-                kept = pool
-            else:
-                idx = new._rng.choice(len(pool), size=q, replace=False)
-                kept = [pool[j] for j in sorted(idx)]
-            new.slots[k] = kept
-        return new
+            pool = self.slots.get(k, []) + incoming.get(k, [])
+            if q < len(pool):
+                idx = self._rng.choice(len(pool), size=q, replace=False)
+                pool = [pool[j] for j in sorted(idx)]
+            self.slots[k] = pool
+        return self
 
     def union_view(self, current_task_data: list[Sample]) -> list[Sample]:
         """Stored samples (classes ascending) followed by the task data as given."""

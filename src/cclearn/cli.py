@@ -99,6 +99,8 @@ def validate_config(doc) -> dict:
     _check_keys("run", doc["run"], _RUN_KEYS, {"method", "epochs_per_task", "memory_capacity", "seed"})
     if doc["run"]["method"] not in METHODS:
         raise ConfigError(f"run.method must be one of {METHODS}")
+    if not isinstance(doc["dataset"]["path"], str):
+        raise ConfigError("dataset.path must be a string")
     if "output_dir" in doc and not isinstance(doc["output_dir"], str):
         raise ConfigError("output_dir must be a string")
     return doc

@@ -12,26 +12,25 @@ File format (``.clds``, little-endian binary):
     n       u32      number of samples
     dim     u32      input dimension
     classes u32      number of classes
-    flags   u32      bit0: domain ids present
-                     bit1: sample ids present (u64)
-                     bit2: task ids present (i32)
+    flags   u32      one bit per optional id column
     X       float32[n * dim]   row-major inputs
     y       u32[n]             class ids
-    ids     u64[n]             if flags bit1
-    tasks   i32[n]             if flags bit2
-    domains u32[n]             if flags bit0
+    ids                        each id column whose flag is set, in ``_ID_COLUMNS`` order
 
 ``save`` always writes sample and task ids, so a loaded dataset keeps the
 sample identities it was saved with.  ``load`` checks the payload size the
 header implies against the file size before reading any payload, and rejects
-``dim == 0``, class ids ``>= classes`` and duplicate sample ids.
+``dim == 0``, non-finite inputs, class ids ``>= classes`` and duplicate
+sample ids.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,14 +38,22 @@ from .errors import DatasetFormatError
 
 _MAGIC = b"CLDS"
 _VERSION = 1
-_FLAG_DOMAINS = 1
-_FLAG_SAMPLE_IDS = 2
-_FLAG_TASK_IDS = 4
+# The optional id columns in file order: Sample field, flag bit, dtype.  An
+# absent column reads as ids 0..n-1, or as the Sample default (task -1, domain 0).
+_ID_COLUMNS = (
+    ("sample_id", 2, "<u8"),
+    ("task_id", 4, "<i4"),
+    ("domain_id", 1, "<u4"),
+)
 
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """One labeled example. ``x`` is treated as read-only by the whole package."""
+    """One labeled example. ``x`` is treated as read-only by the whole package.
+
+    ``task_id`` is the file's task column: ``save`` and ``load`` round-trip
+    it, and splits never rewrite it (tasks hold the dataset's own samples).
+    """
 
     x: np.ndarray
     class_id: int
@@ -90,7 +97,10 @@ class TaskStream:
                 if seen & t.classes:
                     raise ValueError("class-incremental tasks must have disjoint class sets")
                 seen |= t.classes
-        for t in self.tasks:
+        for i, t in enumerate(self.tasks):
+            for part, samples in (("training", t.train), ("test", t.test)):
+                if not samples:
+                    raise ValueError(f"task {i} gets no {part} samples")
             for s in t.test:
                 if s.class_id not in t.classes:
                     raise ValueError(
@@ -142,8 +152,10 @@ def gen_synthetic(num_classes, per_class, input_dim, separation, noise, seed) ->
     """Gaussian blobs around well-separated class means; deterministic per seed."""
     if num_classes < 1 or per_class < 1 or input_dim < 1:
         raise ValueError("num_classes, per_class and input_dim must be positive")
-    if separation <= 0:
-        raise ValueError("separation must be > 0")
+    if not 0 < separation < math.inf:
+        raise ValueError(f"separation must be finite and > 0, got {separation}")
+    if not math.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise}")
     rng = np.random.default_rng(seed)
     means = _class_means(num_classes, input_dim, separation, rng)
     samples = []
@@ -192,6 +204,8 @@ def gen_domain_shift(base: Dataset, num_domains, shift_kind, magnitude, seed) ->
     """
     if num_domains < 2:
         raise ValueError("num_domains must be >= 2")
+    if not math.isfinite(magnitude):
+        raise ValueError(f"magnitude must be finite, got {magnitude}")
     rng = np.random.default_rng(seed)
     n = len(base.samples)
     X = np.stack([s.x for s in base.samples]).astype(np.float64)
@@ -232,29 +246,20 @@ def _stratified_split(samples, test_fraction, rng):
     return train, test
 
 
-def _check_test_fraction(test_fraction):
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-
-
-def _task(t, train, test, classes, domain_id=None) -> Task:
-    """Task ``t`` of a split, samples stamped with ``t``; refuses an empty train or test set."""
-    for part, samples in (("training", train), ("test", test)):
-        if not samples:
-            raise ValueError(f"task {t} gets no {part} samples")
-    return Task(
-        train=[replace(s, task_id=t) for s in train],
-        test=[replace(s, task_id=t) for s in test],
-        classes=classes,
-        domain_id=domain_id,
-    )
+def _check_split_args(test_fraction, **ints):
+    """Refuse a test_fraction outside (0, 1) and a non-integer ``ints`` value (``True`` too)."""
+    for name, value in ints.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(test_fraction, numbers.Real) or not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction!r}")
 
 
 def split_cil(ds: Dataset, num_tasks, test_fraction, seed) -> TaskStream:
     """Class-incremental split: disjoint contiguous class blocks, seeded shuffle."""
+    _check_split_args(test_fraction, num_tasks=num_tasks, seed=seed)
     if num_tasks < 1:
         raise ValueError(f"num_tasks must be >= 1, got {num_tasks}")
-    _check_test_fraction(test_fraction)
     if ds.num_classes % num_tasks != 0:
         raise ValueError(
             f"num_classes={ds.num_classes} is not divisible by num_tasks={num_tasks}"
@@ -267,7 +272,7 @@ def split_cil(ds: Dataset, num_tasks, test_fraction, seed) -> TaskStream:
         block = set(int(c) for c in order[t * per_task : (t + 1) * per_task])
         members = [s for s in ds.samples if s.class_id in block]
         train, test = _stratified_split(members, test_fraction, rng)
-        tasks.append(_task(t, train, test, frozenset(block)))
+        tasks.append(Task(train, test, frozenset(block)))
     return TaskStream(mode="cil", tasks=tasks)
 
 
@@ -277,7 +282,9 @@ def split_dil(ds: Dataset, domain_order, test_fraction=0.2, seed=0) -> TaskStrea
         raise ValueError("dataset has no domain labels; use gen_domain_shift first")
     if not domain_order:
         raise ValueError("domain_order must name at least one domain")
-    _check_test_fraction(test_fraction)
+    _check_split_args(
+        test_fraction, seed=seed, **{f"domain_order[{i}]": d for i, d in enumerate(domain_order)}
+    )
     rng = np.random.default_rng(seed)
     domains_present = sorted({s.domain_id for s in ds.samples})
     if sorted(domain_order) != domains_present:
@@ -286,10 +293,10 @@ def split_dil(ds: Dataset, domain_order, test_fraction=0.2, seed=0) -> TaskStrea
         )
     all_classes = frozenset(range(ds.num_classes))
     tasks = []
-    for t, d in enumerate(domain_order):
+    for d in domain_order:
         members = [s for s in ds.samples if s.domain_id == d]
         train, test = _stratified_split(members, test_fraction, rng)
-        tasks.append(_task(t, train, test, all_classes, domain_id=d))
+        tasks.append(Task(train, test, all_classes, domain_id=d))
     return TaskStream(mode="dil", tasks=tasks)
 
 
@@ -299,22 +306,17 @@ def split_dil(ds: Dataset, domain_order, test_fraction=0.2, seed=0) -> TaskStrea
 def save(ds: Dataset, path) -> None:
     """Write the binary dataset format described in the module docstring."""
     n = len(ds.samples)
-    flags = _FLAG_SAMPLE_IDS | _FLAG_TASK_IDS
-    if ds.has_domains:
-        flags |= _FLAG_DOMAINS
+    columns = [c for c in _ID_COLUMNS if c[0] != "domain_id" or ds.has_domains]
+    flags = sum(bit for _, bit, _ in columns)
     X = np.stack([s.x for s in ds.samples]).astype("<f4") if n else np.zeros((0, ds.input_dim), "<f4")
     y = np.array([s.class_id for s in ds.samples], dtype="<u4")
-    ids = np.array([s.sample_id for s in ds.samples], dtype="<u8")
-    tasks = np.array([s.task_id for s in ds.samples], dtype="<i4")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIII", _VERSION, n, ds.input_dim, ds.num_classes, flags))
         fh.write(X.tobytes())
         fh.write(y.tobytes())
-        fh.write(ids.tobytes())
-        fh.write(tasks.tobytes())
-        if ds.has_domains:
-            fh.write(np.array([s.domain_id for s in ds.samples], dtype="<u4").tobytes())
+        for name, _, dtype in columns:
+            fh.write(np.array([getattr(s, name) for s in ds.samples], dtype=dtype).tobytes())
 
 
 def _read_exact(fh, count, what):
@@ -338,11 +340,9 @@ def load(path) -> Dataset:
             )
         if dim == 0:
             raise DatasetFormatError("input dimension is 0")
+        columns = [(name, np.dtype(dtype)) for name, bit, dtype in _ID_COLUMNS if flags & bit]
         # per-sample bytes: inputs, class id, then the id columns the flags declare
-        row_bytes = 4 * dim + 4
-        row_bytes += 8 if flags & _FLAG_SAMPLE_IDS else 0
-        row_bytes += 4 if flags & _FLAG_TASK_IDS else 0
-        row_bytes += 4 if flags & _FLAG_DOMAINS else 0
+        row_bytes = 4 * dim + 4 + sum(dtype.itemsize for _, dtype in columns)
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         if n * row_bytes > payload:
             raise DatasetFormatError(
@@ -350,43 +350,33 @@ def load(path) -> Dataset:
                 f"file holds {payload}"
             )
         X = np.frombuffer(_read_exact(fh, 4 * n * dim, "inputs"), dtype="<f4").reshape(n, dim)
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise DatasetFormatError(f"non-finite input in row {int(np.argmin(finite))}")
         y = np.frombuffer(_read_exact(fh, 4 * n, "class ids"), dtype="<u4")
         if n and int(y.max()) >= num_classes:
             raise DatasetFormatError(
                 f"class id {int(y.max())} out of range for a {num_classes}-class dataset"
             )
-        if flags & _FLAG_SAMPLE_IDS:
-            ids = np.frombuffer(_read_exact(fh, 8 * n, "sample ids"), dtype="<u8")
-            unique, counts = np.unique(ids, return_counts=True)
-            if np.any(counts > 1):
-                raise DatasetFormatError(f"duplicate sample id {int(unique[counts > 1][0])}")
-        else:
-            ids = np.arange(n, dtype="<u8")
-        if flags & _FLAG_TASK_IDS:
-            tasks = np.frombuffer(_read_exact(fh, 4 * n, "task ids"), dtype="<i4")
-        else:
-            tasks = np.full(n, -1, dtype="<i4")
-        if flags & _FLAG_DOMAINS:
-            domains = np.frombuffer(_read_exact(fh, 4 * n, "domain ids"), dtype="<u4")
-        else:
-            domains = np.zeros(n, dtype="<u4")
+        ids = {
+            name: np.frombuffer(_read_exact(fh, dtype.itemsize * n, f"{name} column"), dtype=dtype)
+            for name, dtype in columns
+        }
         trailing = fh.read(1)
         if trailing:
             raise DatasetFormatError("unexpected trailing bytes after dataset payload")
+    ids.setdefault("sample_id", np.arange(n))
+    unique, counts = np.unique(ids["sample_id"], return_counts=True)
+    if np.any(counts > 1):
+        raise DatasetFormatError(f"duplicate sample id {int(unique[counts > 1][0])}")
+    ids = {name: column.tolist() for name, column in ids.items()}
     samples = [
-        Sample(
-            x=X[i].copy(),
-            class_id=int(y[i]),
-            sample_id=int(ids[i]),
-            task_id=int(tasks[i]),
-            domain_id=int(domains[i]),
-        )
+        Sample(x=X[i].copy(), class_id=int(y[i]), **{name: col[i] for name, col in ids.items()})
         for i in range(n)
     ]
     return Dataset(
         samples=samples,
         num_classes=int(num_classes),
         input_dim=int(dim),
-        has_domains=bool(flags & _FLAG_DOMAINS),
+        has_domains="domain_id" in ids,
     )
-

@@ -81,8 +81,9 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise TypeError(f"{f.name} must be an integer, got {value!r}")
+            kinds = {"int": int, "float": (int, float), "str": str}[f.type]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.epochs_per_task < 1:
@@ -240,10 +241,10 @@ class _Trainer:
         if cfg.method == "gcl":
             args = (enc, params, batch, cfg.tau, len(pool))
             loss = gcl_loss_full(enc, params, batch, cfg.tau)
-            self.gcl_state = gcl_update_estimators(self.gcl_state, *args)
+            gcl_update_estimators(self.gcl_state, *args)
             return loss, gcl_gradient_estimate(self.gcl_state, *args), {}
         args = (enc, params, *batch, pool, gcfg)
-        self.gdro_state = gdro_update_estimators(self.gdro_state, *args)
+        gdro_update_estimators(self.gdro_state, *args)
         grad = gdro_gradient_estimate(self.gdro_state, *args)
         tracked = sorted(self.gdro_state.u_c)
         h = np.array([self.gdro_state.u_c[k] for k in tracked])
@@ -284,14 +285,11 @@ class _Trainer:
 
 
 def merge_tasks(stream: TaskStream) -> TaskStream:
-    """Collapse a stream into one task holding all train and test data."""
-    train = [s for t in stream.tasks for s in t.train]
-    test = [s for t in stream.tasks for s in t.test]
-    classes = frozenset(stream.classes_up_to(stream.num_tasks - 1))
+    """Collapse a stream into one task holding all its train and test samples."""
     merged = Task(
-        train=[replace(s, task_id=0) for s in train],
-        test=[replace(s, task_id=0) for s in test],
-        classes=classes,
+        train=[s for t in stream.tasks for s in t.train],
+        test=[s for t in stream.tasks for s in t.test],
+        classes=frozenset(stream.classes_up_to(stream.num_tasks - 1)),
     )
     return TaskStream(mode="cil", tasks=[merged])
 
@@ -325,7 +323,7 @@ def run(stream: TaskStream, config: RunConfig, hook=None) -> RunResult:
         if hook:
             hook("task_start", {"task": t, "buffer": trainer.buffer, "pool_size": len(pool)})
         trainer.train_task(t, pool)
-        trainer.buffer = trainer.buffer.rebalance_after_task(task.train)
+        trainer.buffer.rebalance_after_task(task.train)
         if hook:
             hook("rebalance", {"task": t, "buffer": trainer.buffer})
 

@@ -25,6 +25,15 @@ def test_even_division_rebalance(rng):
     assert buf.class_counts() == {c: 5 for c in range(20)}
 
 
+def test_rebalance_updates_the_buffer_in_place(rng):
+    buf = MemoryBuffer(capacity=6, rng_seed=5)
+    slots = buf.slots
+    assert buf.rebalance_after_task(_task(rng, [0, 1], 4, 0)) is buf
+    assert buf.rebalance_after_task(_task(rng, [2], 4, 100)) is buf
+    assert buf.slots is slots
+    assert buf.class_counts() == {0: 2, 1: 2, 2: 2}
+
+
 def test_remainder_goes_to_lowest_class_ids(rng):
     buf = MemoryBuffer(capacity=10, rng_seed=1)
     buf = buf.rebalance_after_task(_task(rng, [5, 2, 9], 8, 0))

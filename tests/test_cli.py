@@ -57,11 +57,16 @@ def test_gen_deterministic_file_hash(tmp_path):
 
 
 def test_gen_invalid_dim_exits_2(tmp_path, capsys):
-    code = cli.main(
-        ["gen", "--classes", "3", "--per-class", "4", "--dim", "0", "-o", str(tmp_path / "x.clds")]
-    )
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    for extra in (["--dim", "0"], ["--noise", "nan"], ["--separation", "inf"],
+                  ["--domains", "2", "--magnitude", "nan"]):
+        code = cli.main(
+            ["gen", "--classes", "3", "--per-class", "4", "--dim", "4",
+             "-o", str(tmp_path / "x.clds"), *extra]
+        )
+        assert code == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, (extra, err)
+        assert not (tmp_path / "x.clds").exists()
 
 
 def test_run_produces_outputs(tmp_path, capsys):
@@ -152,9 +157,18 @@ def _zeroed_sample_ids(path):
     return blob[:start] + bytes(8 * n) + blob[start + 8 * n :]
 
 
+def _first_input(path, value):
+    """A .clds file whose first input is ``value``."""
+    blob = path.read_bytes()
+    return blob[:24] + struct.pack("<f", value) + blob[28:]
+
+
 def test_run_corrupt_dataset_exits_3(tmp_path, capsys):
     good = _gen(tmp_path)  # 8 classes
     cases = {
+        "nan-input": _first_input(good, float("nan")),
+        "inf-input": _first_input(good, float("inf")),
+        "-inf-input": _first_input(good, float("-inf")),
         "junk": b"JUNKJUNKJUNK",
         "classes=4": _patched_header(good, "classes", 4),
         "classes=0": _patched_header(good, "classes", 0),
@@ -195,10 +209,16 @@ def test_run_empty_dataset_exits_2(tmp_path, capsys, mode):
         # round(2 * 0.2) = 0: every task gets an empty test set
         ("cil", {"test_fraction": 0.2}, {"classes": 4, "per_class": 2}),
         ("dil", {"test_fraction": 0.2}, {"classes": 4, "per_class": 2}),
+        ("cil", {"num_tasks": True}, {}),
+        ("cil", {"seed": True}, {}),
+        ("dil", {"seed": True}, {}),
+        ("dil", {"domain_order": [True, False]}, {}),
+        ("cil", {"test_fraction": "0.2"}, {}),
     ],
     ids=["num_tasks=0", "num_tasks=-4", "cil-test_fraction=-0.2", "cil-test_fraction=0",
          "dil-test_fraction=-0.2", "dil-test_fraction=0", "cil-no-test-samples",
-         "dil-no-test-samples"],
+         "dil-no-test-samples", "num_tasks=true", "cil-seed=true",
+         "dil-seed=true", "domain_order=[true,false]", "test_fraction=string"],
 )
 def test_run_bad_split_exits_2(tmp_path, capsys, mode, split, gen):
     data = _gen(tmp_path, **gen)
@@ -344,6 +364,8 @@ def test_compare_missing_meta_exits_2(tmp_path, capsys):
         ("optimizer", "sgd"),
         ("memory_capacity", 1.5), ("epochs_per_task", 2.5), ("batch_size", 3.5),
         ("seed", 1.5), ("embed_dim", 2.5), ("hidden_dim", 2.5), ("batch_per_class", 2.5),
+        ("tau", True), ("eta", True), ("beta1", True), ("margin", False),
+        ("dro_lambda", True), ("tau", "0.2"),
     ],
 )
 def test_run_rejects_out_of_range_values_exits_2(tmp_path, capsys, field, value):
@@ -352,5 +374,18 @@ def test_run_rejects_out_of_range_values_exits_2(tmp_path, capsys, field, value)
     cfg = _write_config(tmp_path, doc)
     assert cli.main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config:") and "Traceback" not in err
+    assert err.startswith("error: config:") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "path", [["bench.clds"], {"file": "bench.clds"}, 0, True], ids=["list", "object", "0", "true"]
+)
+def test_run_rejects_non_string_dataset_path_exits_2(tmp_path, capsys, path):
+    doc = _config_doc(_gen(tmp_path), tmp_path / "out")
+    doc["dataset"]["path"] = path
+    cfg = _write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config: dataset.path must be a string\n", err
     assert not (tmp_path / "out").exists()

@@ -16,6 +16,7 @@ from cclearn.data import (
     split_dil,
 )
 from cclearn.errors import DatasetFormatError
+from cclearn.runner import merge_tasks
 
 
 def test_gen_deterministic():
@@ -163,6 +164,22 @@ def test_split_dil_requires_domains():
         split_dil(ds, domain_order=[0])
 
 
+def test_splits_and_merge_hold_the_datasets_own_samples():
+    base = gen_synthetic(4, 10, 6, 3.0, 0.4, seed=20)
+    shifted = gen_domain_shift(base, 2, "rotation", 0.5, seed=21)
+    for ds, stream in (
+        (base, split_cil(base, num_tasks=2, test_fraction=0.25, seed=22)),
+        (shifted, split_dil(shifted, domain_order=[1, 0], test_fraction=0.25, seed=23)),
+    ):
+        own = {id(s): s for s in ds.samples}
+        held = [s for t in stream.tasks for s in t.train + t.test]
+        assert len(held) == len(own)
+        assert all(own.get(id(s)) is s for s in held)
+        merged = merge_tasks(stream).tasks[0]
+        streamed = [s for t in stream.tasks for s in t.train] + [s for t in stream.tasks for s in t.test]
+        assert [id(s) for s in merged.train + merged.test] == [id(s) for s in streamed]
+
+
 def test_save_load_round_trip(tmp_path):
     base = gen_synthetic(4, 8, 5, 3.0, 0.4, seed=13)
     ds = gen_domain_shift(base, 2, "scaling", 0.7, seed=14)
@@ -274,3 +291,42 @@ def test_load_corrupt_header_raises_only_format_error(tmp_path):
 
     with _address_space_headroom(256 * 2**20):
         corrupt_and_load()
+
+
+# hand-built id columns, in file order: flag bit, Sample field, dtype, values
+_COLUMNS = (
+    (2, "sample_id", "<u8", [7, 3, 2**40]),
+    (4, "task_id", "<i4", [2, -1, 0]),
+    (1, "domain_id", "<u4", [1, 0, 3]),
+)
+_DEFAULTS = {"sample_id": [0, 1, 2], "task_id": [-1, -1, -1], "domain_id": [0, 0, 0]}
+
+
+def _hand_built(flags):
+    X = np.arange(6, dtype="<f4").reshape(3, 2)
+    body = X.tobytes() + np.array([0, 2, 1], dtype="<u4").tobytes()
+    for bit, _, dtype, values in _COLUMNS:
+        if flags & bit:
+            body += np.array(values, dtype=dtype).tobytes()
+    return b"CLDS" + _HEADER.pack(1, 3, 2, 3, flags) + body
+
+
+@pytest.mark.parametrize("flags", range(8))
+def test_load_reads_present_id_columns_and_defaults_absent_ones(tmp_path, flags):
+    path = tmp_path / "ds.clds"
+    path.write_bytes(_hand_built(flags))
+    ds = load(path)
+    assert ds.has_domains == bool(flags & 1)
+    assert np.array_equal(np.stack([s.x for s in ds.samples]), np.arange(6).reshape(3, 2))
+    assert [s.class_id for s in ds.samples] == [0, 2, 1]
+    for bit, name, _, values in _COLUMNS:
+        expected = values if flags & bit else _DEFAULTS[name]
+        assert [getattr(s, name) for s in ds.samples] == expected, name
+
+
+@pytest.mark.parametrize("flag", [1, 2, 4])
+def test_load_rejects_truncated_id_column(tmp_path, flag):
+    path = tmp_path / "ds.clds"
+    path.write_bytes(_hand_built(flag)[:-1])
+    with pytest.raises(DatasetFormatError):
+        load(path)

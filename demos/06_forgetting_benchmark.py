@@ -7,7 +7,7 @@ tiny ~4% buffer (where the robust reweighting earns its keep), and the joint
 upper bound.  Writes an SVG learning-curve chart next to this script.
 """
 
-import os
+from pathlib import Path
 
 from cclearn.benchmark import (
     CAPACITY_HIGH,
@@ -15,7 +15,7 @@ from cclearn.benchmark import (
     benchmark_config,
     benchmark_stream,
 )
-from cclearn.report import line_chart_svg, write_svg
+from cclearn.report import line_chart_svg
 from cclearn.runner import run
 
 SEED = 1
@@ -47,8 +47,8 @@ series = [
     (name, list(range(1, T + 1)), [r.accuracy.aggregate[t] for t in range(T)])
     for name, r in runs.items()
 ]
-out_dir = os.path.join(os.path.dirname(__file__), "output")
-os.makedirs(out_dir, exist_ok=True)
-out = os.path.join(out_dir, "forgetting_curves.svg")
-write_svg(line_chart_svg(series, "Accuracy over stages", "stage", "accuracy"), out)
+out_dir = Path(__file__).parent / "output"
+out_dir.mkdir(exist_ok=True)
+out = out_dir / "forgetting_curves.svg"
+out.write_text(line_chart_svg(series, "Accuracy over stages", "stage", "accuracy"), newline="\n")
 print(f"\nwrote learning curves to {out}")

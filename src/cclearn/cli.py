@@ -14,8 +14,11 @@ rejected everywhere):
       "output_dir": "out/run1"
     }
 
-``split.mode`` may also be "dil" with a "domain_order" list.  ``run`` accepts
-every RunConfig field.  The output directory is resolved from --out, then
+``split.mode`` may also be "dil" with a "domain_order" list.  The ``run`` keys
+are the RunConfig fields and the other ``split`` keys the parameters of
+``split_cil`` or ``split_dil``; those without a default are required.  A
+non-object section, a NaN or Infinity number or an unusable output directory
+exits 2 before training.  The output directory is resolved from --out, then
 ``output_dir`` in the config, then the CCLEARN_OUTPUT_DIR environment
 variable.  Each run directory receives accuracy.csv, log.jsonl, curve.svg and
 run_meta.json; all bytes are a deterministic function of config and seed.
@@ -24,7 +27,7 @@ run_meta.json; all bytes are a deterministic function of config and seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -34,15 +37,8 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import DatasetFormatError, DivergenceError
-from .report import (
-    accuracy_csv_text,
-    config_sha256,
-    file_sha256,
-    line_chart_svg,
-    write_log_jsonl,
-    write_svg,
-)
-from .runner import METHODS, RunConfig, run
+from .report import accuracy_csv_text, config_sha256, file_sha256, line_chart_svg
+from .runner import RunConfig, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,10 +48,6 @@ EXIT_DIVERGED = 4
 OUTPUT_DIR_ENV = "CCLEARN_OUTPUT_DIR"
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _fail(code, message):
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -63,9 +55,7 @@ def _fail(code, message):
 
 # -------------------------------------------------------------------- schema
 
-_RUN_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
-_SPLIT_KEYS_CIL = {"mode", "num_tasks", "test_fraction", "seed"}
-_SPLIT_KEYS_DIL = {"mode", "domain_order", "test_fraction", "seed"}
+_SPLITS = {"cil": data_mod.split_cil, "dil": data_mod.split_dil}
 # the run_meta.json keys compare reads, and their JSON types
 _META_TYPES = {
     "stream_sha256": (str,), "method": (str,), "memory_capacity": (int,),
@@ -73,48 +63,46 @@ _META_TYPES = {
 }
 
 
+def _keywords(fn, given=()):
+    """The keyword names ``fn`` accepts, and those it requires, besides the ``given`` ones."""
+    params = [p for p in inspect.signature(fn).parameters.values() if p.name not in given]
+    return {p.name for p in params}, {p.name for p in params if p.default is p.empty}
+
+
 def _check_keys(section, doc, allowed, required):
     if not isinstance(doc, dict):
-        raise ConfigError(f"section {section!r} must be an object")
+        raise ValueError(f"section {section!r} must be an object")
     unknown = set(doc) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in {section!r}: {sorted(unknown)}")
     missing = required - set(doc)
     if missing:
-        raise ConfigError(f"missing keys in {section!r}: {sorted(missing)}")
+        raise ValueError(f"missing keys in {section!r}: {sorted(missing)}")
 
 
-def validate_config(doc) -> dict:
-    """Strict schema check; returns the document unchanged on success."""
+def validate_config(doc) -> None:
+    """Strict schema check.  The ``run`` keys are RunConfig's fields; the ``split``
+    keys are ``mode`` plus the parameters of that mode's split function."""
     _check_keys("<root>", doc, {"dataset", "split", "run", "output_dir"}, {"dataset", "split", "run"})
     _check_keys("dataset", doc["dataset"], {"path"}, {"path"})
     split = doc["split"]
+    if not isinstance(split, dict):
+        raise ValueError("section 'split' must be an object")
     mode = split.get("mode")
-    if mode == "cil":
-        _check_keys("split", split, _SPLIT_KEYS_CIL, {"mode", "num_tasks", "test_fraction", "seed"})
-    elif mode == "dil":
-        _check_keys("split", split, _SPLIT_KEYS_DIL, {"mode", "domain_order"})
-    else:
-        raise ConfigError(f"split.mode must be 'cil' or 'dil', got {mode!r}")
-    _check_keys("run", doc["run"], _RUN_KEYS, {"method", "epochs_per_task", "memory_capacity", "seed"})
-    if doc["run"]["method"] not in METHODS:
-        raise ConfigError(f"run.method must be one of {METHODS}")
+    if mode not in list(_SPLITS):  # a list: mode may be unhashable
+        raise ValueError(f"split.mode must be 'cil' or 'dil', got {mode!r}")
+    allowed, required = _keywords(_SPLITS[mode], given={"ds"})
+    _check_keys("split", split, allowed | {"mode"}, required | {"mode"})
+    _check_keys("run", doc["run"], *_keywords(RunConfig))
     if not isinstance(doc["dataset"]["path"], str):
-        raise ConfigError("dataset.path must be a string")
+        raise ValueError("dataset.path must be a string")
     if "output_dir" in doc and not isinstance(doc["output_dir"], str):
-        raise ConfigError("output_dir must be a string")
-    return doc
+        raise ValueError("output_dir must be a string")
 
 
-def _build_stream(ds, split):
-    if split["mode"] == "cil":
-        return data_mod.split_cil(ds, split["num_tasks"], split["test_fraction"], split["seed"])
-    return data_mod.split_dil(
-        ds,
-        split["domain_order"],
-        test_fraction=split.get("test_fraction", 0.2),
-        seed=split.get("seed", 0),
-    )
+def _write_texts(out: Path, texts: dict) -> None:
+    for name, text in texts.items():  # the same bytes on every platform
+        (out / name).write_text(text, newline="\n")
 
 
 # ------------------------------------------------------------------ commands
@@ -140,10 +128,10 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = json.loads(Path(args.config).read_text())
         validate_config(doc)
-    except (OSError, json.JSONDecodeError, ConfigError) as err:
+        run_config = RunConfig(**doc["run"])
+    except (OSError, ValueError, TypeError) as err:  # JSONDecodeError is a ValueError
         return _fail(EXIT_CONFIG, f"config: {err}")
 
     data_path = args.data or doc["dataset"]["path"]
@@ -159,11 +147,17 @@ def cmd_run(args) -> int:
     except (OSError, DatasetFormatError) as err:
         return _fail(EXIT_DATASET, f"dataset: {err}")
 
+    split = dict(doc["split"])
     try:
-        stream = _build_stream(ds, doc["split"])
-        run_config = RunConfig(**doc["run"])
+        stream = _SPLITS[split.pop("mode")](ds, **split)
     except (ValueError, TypeError) as err:
         return _fail(EXIT_CONFIG, f"config: {err}")
+
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        return _fail(EXIT_CONFIG, f"output directory: {err}")
 
     try:
         result = run(stream, run_config)
@@ -171,21 +165,8 @@ def cmd_run(args) -> int:
         return _fail(EXIT_DIVERGED, f"diverged: {err}")
 
     cfg_hash = config_sha256({"dataset": doc["dataset"], "split": doc["split"], "run": doc["run"]})
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_log_jsonl(
-        [{"event": "run_meta", "config_sha256": cfg_hash}] + result.log, out / "log.jsonl"
-    )
-    with open(out / "accuracy.csv", "w", newline="\n") as fh:
-        fh.write(accuracy_csv_text(result.accuracy, cfg_hash))
+    records = [{"event": "run_meta", "config_sha256": cfg_hash}] + result.log
     stages = sorted(result.accuracy.aggregate)
-    svg = line_chart_svg(
-        [(run_config.method, [t + 1 for t in stages],
-          [result.accuracy.aggregate[t] for t in stages])],
-        title=f"Accuracy over stages ({run_config.method})",
-        x_label="stage", y_label="accuracy",
-    )
-    write_svg(svg, out / "curve.svg")
     meta = {
         "config": {"dataset": doc["dataset"], "split": doc["split"], "run": doc["run"]},
         "config_sha256": cfg_hash,
@@ -198,17 +179,24 @@ def cmd_run(args) -> int:
         "aggregate": {str(t): result.accuracy.aggregate[t] for t in stages},
         "final_aggregate": result.accuracy.final_aggregate(),
     }
-    with open(out / "run_meta.json", "w", newline="\n") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_texts(out, {
+        "log.jsonl": "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records),
+        "accuracy.csv": accuracy_csv_text(result.accuracy, cfg_hash),
+        "curve.svg": line_chart_svg(
+            [(run_config.method, [t + 1 for t in stages],
+              [result.accuracy.aggregate[t] for t in stages])],
+            title=f"Accuracy over stages ({run_config.method})",
+            x_label="stage", y_label="accuracy",
+        ),
+        "run_meta.json": json.dumps(meta, sort_keys=True, indent=1) + "\n",
+    })
     print(f"run complete: method={run_config.method} final={meta['final_aggregate']:.4f} -> {out}")
     return EXIT_OK
 
 
 def _read_meta(path) -> dict:
     """The run meta at ``path``; ValueError unless it has the keys and types compare reads."""
-    with open(path) as fh:
-        meta = json.load(fh)
+    meta = json.loads(Path(path).read_text())
     if not isinstance(meta, dict) or not _META_TYPES.keys() <= meta.keys():
         raise ValueError(f"not a run meta: needs keys {sorted(_META_TYPES)}")
     for key, kinds in _META_TYPES.items():
@@ -247,7 +235,10 @@ def cmd_compare(args) -> int:
             )
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        return _fail(EXIT_CONFIG, f"output directory: {err}")
     lines = [
         f"# stream_sha256={next(iter(stream_hashes))}",
         "method,memory,n_runs,final_mean,final_std",
@@ -262,12 +253,12 @@ def cmd_compare(args) -> int:
         stages = sorted(runs[0]["aggregate"], key=int)
         curve = [float(np.mean([m["aggregate"][t] for m in runs])) for t in stages]
         series.append((f"{method} (mem={memory})", [int(t) + 1 for t in stages], curve))
-    with open(out / "comparison.csv", "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    write_svg(
-        line_chart_svg(series, title="Method comparison", x_label="stage", y_label="accuracy"),
-        out / "comparison.svg",
-    )
+    _write_texts(out, {
+        "comparison.csv": "\n".join(lines) + "\n",
+        "comparison.svg": line_chart_svg(
+            series, title="Method comparison", x_label="stage", y_label="accuracy"
+        ),
+    })
     print(f"compared {len(metas)} runs ({len(groups)} method/memory groups) -> {out}")
     return EXIT_OK
 

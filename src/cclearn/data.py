@@ -69,9 +69,6 @@ class Dataset:
     input_dim: int
     has_domains: bool = False
 
-    def __len__(self):
-        return len(self.samples)
-
 
 @dataclass
 class Task:
@@ -123,6 +120,13 @@ class TaskStream:
 # ------------------------------------------------------------------ generation
 
 
+def _as_float32(X, cause):
+    """``X`` as float32; ValueError, naming the ``cause``, where a value overflows it."""
+    if not np.abs(X).max(initial=0.0) <= np.finfo(np.float32).max:  # NaN fails too
+        raise ValueError(f"generated inputs overflow float32; lower {cause}")
+    return X.astype(np.float32)
+
+
 def _class_means(num_classes, dim, separation, rng):
     """Means on a sphere of radius ``separation``; rejection keeps them apart.
 
@@ -148,6 +152,7 @@ def _class_means(num_classes, dim, separation, rng):
     return means
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _as_float32 refuses inf and NaN
 def gen_synthetic(num_classes, per_class, input_dim, separation, noise, seed) -> Dataset:
     """Gaussian blobs around well-separated class means; deterministic per seed."""
     if num_classes < 1 or per_class < 1 or input_dim < 1:
@@ -161,8 +166,8 @@ def gen_synthetic(num_classes, per_class, input_dim, separation, noise, seed) ->
     samples = []
     sid = 0
     for k in range(num_classes):
-        block = means[k] + noise * rng.standard_normal((per_class, input_dim))
-        block = block.astype(np.float32)
+        block = _as_float32(means[k] + noise * rng.standard_normal((per_class, input_dim)),
+                            "separation or noise")
         for row in block:
             samples.append(Sample(x=row, class_id=k, sample_id=sid))
             sid += 1
@@ -196,6 +201,7 @@ def _domain_transform(shift_kind, magnitude, dim, rng):
     raise ValueError(f"unknown shift_kind {shift_kind!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _as_float32 refuses inf and NaN
 def gen_domain_shift(base: Dataset, num_domains, shift_kind, magnitude, seed) -> Dataset:
     """Replicate ``base`` across domains, transforming inputs per domain.
 
@@ -215,7 +221,7 @@ def gen_domain_shift(base: Dataset, num_domains, shift_kind, magnitude, seed) ->
             transform = lambda X: X  # noqa: E731
         else:
             transform = _domain_transform(shift_kind, magnitude, base.input_dim, rng)
-        Xd = transform(X).astype(np.float32)
+        Xd = _as_float32(transform(X), "magnitude")
         for i, s in enumerate(base.samples):
             samples.append(
                 Sample(x=Xd[i], class_id=s.class_id, sample_id=d * n + i, domain_id=d)

@@ -65,8 +65,8 @@ class GdroConfig:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
+        if not 0 <= self.margin < math.inf:
+            raise ValueError(f"margin must be finite and >= 0, got {self.margin}")
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.batch_classes < 1 or self.batch_per_class < 1:

@@ -1,4 +1,4 @@
-"""CSV and SVG report writers. All output is deterministic byte-for-byte.
+"""CSV and SVG report text, and content hashes. All output is deterministic byte-for-byte.
 
 Accuracy CSV schema: a ``# config_sha256=...`` comment line, a header row,
 then one row per (after_task, eval_task) matrix entry in stage order, with an
@@ -38,12 +38,6 @@ def accuracy_csv_text(matrix, config_hash: str) -> str:
             lines.append(f"{t},{b},{matrix.entries[(t, b)]!r}")
         lines.append(f"{t},-1,{matrix.aggregate[t]!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_log_jsonl(records, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def line_chart_svg(series, title, x_label, y_label) -> str:
@@ -126,8 +120,3 @@ def line_chart_svg(series, title, x_label, y_label) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_svg(text, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)

@@ -30,6 +30,7 @@ Methods:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -84,6 +85,8 @@ class RunConfig:
             kinds = {"int": int, "float": (int, float), "str": str}[f.type]
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise TypeError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not abs(value) <= sys.float_info.max:  # NaN, inf, 10**400
+                raise ValueError(f"{f.name} must be a finite float, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.epochs_per_task < 1:

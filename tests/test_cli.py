@@ -58,7 +58,11 @@ def test_gen_deterministic_file_hash(tmp_path):
 
 def test_gen_invalid_dim_exits_2(tmp_path, capsys):
     for extra in (["--dim", "0"], ["--noise", "nan"], ["--separation", "inf"],
-                  ["--domains", "2", "--magnitude", "nan"]):
+                  ["--domains", "2", "--magnitude", "nan"],
+                  # finite, but the inputs would overflow float32
+                  ["--separation", "1e39"], ["--noise", "1e39"],
+                  ["--domains", "2", "--shift", "scaling", "--magnitude", "1e39"],
+                  ["--domains", "2", "--shift", "mean-offset", "--magnitude", "1e39"]):
         code = cli.main(
             ["gen", "--classes", "3", "--per-class", "4", "--dim", "4",
              "-o", str(tmp_path / "x.clds"), *extra]
@@ -236,6 +240,33 @@ def test_run_bad_split_exits_2(tmp_path, capsys, mode, split, gen):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("split", [[], "cil", 5, None], ids=["list", "string", "number", "null"])
+def test_run_non_object_split_exits_2(tmp_path, capsys, split):
+    doc = _config_doc(_gen(tmp_path), tmp_path / "out")
+    doc["split"] = split
+    cfg = _write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config: section 'split' must be an object\n", err
+
+
+@pytest.mark.parametrize("sub", [None, "sub"], ids=["file", "below-file"])
+def test_run_unusable_output_dir_exits_2_before_training(tmp_path, capsys, monkeypatch, sub):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker / sub if sub else blocker
+    cfg = _write_config(tmp_path, _config_doc(_gen(tmp_path), out))
+    capsys.readouterr()
+
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "run", no_training)
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory:") and err.count("\n") == 1, err
+
+
 def test_run_divergence_exits_4(tmp_path, capsys):
     data = _gen(tmp_path)
     doc = _config_doc(data, tmp_path / "out", eta=1e308)
@@ -332,6 +363,17 @@ def test_compare_rejects_incompatible_streams(tmp_path):
     assert cli.main(["compare", str(out1), str(out2), "-o", str(tmp_path / "cmp")]) == 2
 
 
+def test_compare_unusable_output_dir_exits_2(tmp_path, capsys):
+    out = _run_once(tmp_path, "r1")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    capsys.readouterr()
+    assert cli.main(["compare", str(out), str(out), "-o", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory:") and err.count("\n") == 1, err
+    assert blocker.read_text() == "not a directory"
+
+
 def test_compare_missing_meta_exits_2(tmp_path, capsys):
     out = _run_once(tmp_path, "ok")
     capsys.readouterr()
@@ -366,6 +408,10 @@ def test_compare_missing_meta_exits_2(tmp_path, capsys):
         ("seed", 1.5), ("embed_dim", 2.5), ("hidden_dim", 2.5), ("batch_per_class", 2.5),
         ("tau", True), ("eta", True), ("beta1", True), ("margin", False),
         ("dro_lambda", True), ("tau", "0.2"),
+        # JSON's NaN and Infinity literals
+        ("tau", float("inf")), ("eta", float("inf")), ("dro_lambda", float("inf")),
+        ("margin", float("nan")), ("margin", float("inf")),
+        pytest.param("tau", 10**400, id="tau-10**400"),  # a JSON integer no float holds
     ],
 )
 def test_run_rejects_out_of_range_values_exits_2(tmp_path, capsys, field, value):

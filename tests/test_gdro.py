@@ -29,6 +29,12 @@ def _cfg(**kw):
     return GdroConfig(**base)
 
 
+@pytest.mark.parametrize("margin", [math.nan, math.inf])
+def test_config_rejects_non_finite_margin(margin):
+    with pytest.raises(ValueError, match="margin"):
+        _cfg(margin=margin)
+
+
 def _class_pool(rng, n_classes, per_class, input_dim=3):
     samples, sid = [], 0
     for k in range(n_classes):

@@ -8,7 +8,7 @@ averages), and a KL-regularized robust objective that reweights per-class
 hinge losses toward the classes currently being forgotten.
 """
 
-from .buffer import MemoryBuffer, sample_class_batch
+from .buffer import MemoryBuffer, Pool, sample_class_batch
 from .data import (
     Dataset,
     Sample,
@@ -55,7 +55,7 @@ __all__ = [
     "AccuracyMatrix", "Dataset", "DatasetFormatError", "DivergenceError",
     "EncoderConfig", "EncoderPair", "GclEstimatorState", "GdroConfig",
     "GdroEstimatorState", "MemoryBuffer", "NonFiniteGradientError",
-    "OptimizerState", "RunConfig", "RunResult", "Sample", "Task", "TaskStream",
+    "OptimizerState", "Pool", "RunConfig", "RunResult", "Sample", "Task", "TaskStream",
     "ce_gradient", "ce_loss", "dro_objective", "dro_weights", "evaluate",
     "gcl_gradient_estimate", "gcl_loss_full", "gcl_update_estimators",
     "gdro_gradient_estimate", "gdro_update_estimators", "gen_domain_shift",

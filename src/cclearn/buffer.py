@@ -11,15 +11,47 @@ buffer rebalances in place: one object and one RNG serve the whole run.
 A class whose source holds fewer samples than its quota simply stores all of
 them, so per-class counts are exactly min(quota, available); they differ by
 at most one across classes whenever the sources cover the quotas.
+
+A stage trains on a ``Pool``: the buffer's samples followed by the task's, as
+an immutable sequence that also holds the arrays and the per-class members
+the estimators read, built once per stage.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Sample
+
+
+class Pool(Sequence):
+    """An immutable sequence of samples with their arrays built once.
+
+    ``X`` (N, d) float64 holds the inputs and ``y`` (N,) int64 the class ids,
+    row i for sample i; ``members[k]`` lists class k's samples in pool order.
+    """
+
+    def __init__(self, samples):
+        self._samples = tuple(samples)
+        self.X = np.array([s.x for s in self._samples], dtype=np.float64)
+        self.y = np.array([s.class_id for s in self._samples], dtype=np.int64)
+        self.members: dict[int, list[Sample]] = {}
+        for s in self._samples:
+            self.members.setdefault(s.class_id, []).append(s)
+
+    @classmethod
+    def of(cls, samples) -> "Pool":
+        """``samples`` if it is a Pool already, else a Pool of them."""
+        return samples if isinstance(samples, cls) else cls(samples)
+
+    def __len__(self):
+        return len(self._samples)
+
+    def __getitem__(self, i):
+        return self._samples[i]
 
 
 @dataclass
@@ -63,18 +95,16 @@ class MemoryBuffer:
             self.slots[k] = pool
         return self
 
-    def union_view(self, current_task_data: list[Sample]) -> list[Sample]:
+    def union_view(self, current_task_data: list[Sample]) -> Pool:
         """Stored samples (classes ascending) followed by the task data as given."""
-        out: list[Sample] = []
-        for k in sorted(self.slots):
-            out.extend(self.slots[k])
-        out.extend(current_task_data)
-        return out
+        return Pool(
+            [s for k in sorted(self.slots) for s in self.slots[k]] + list(current_task_data)
+        )
 
 
 def sample_class_batch(pool, class_id, batch_size, seed) -> list[Sample]:
     """Up to batch_size samples of one class, uniform without replacement."""
-    members = [s for s in pool if s.class_id == class_id]
+    members = Pool.of(pool).members.get(class_id)
     if not members:
         raise ValueError(f"class {class_id} not present in pool")
     n = min(batch_size, len(members))

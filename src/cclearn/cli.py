@@ -1,7 +1,8 @@
 """Command-line entry point: generate datasets, run experiments, compare runs.
 
 Exit codes: 0 success, 2 invalid arguments, config schema violation or
-out-of-range config value, 3 dataset read failure, 4 training divergence.
+out-of-range config value, 3 dataset read failure, 4 training divergence (the
+run removes the output directories it created, while they are empty).
 
 Experiment configs are JSON documents with three sections (unknown keys are
 rejected everywhere):
@@ -27,6 +28,7 @@ run_meta.json; all bytes are a deterministic function of config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import os
@@ -154,6 +156,7 @@ def cmd_run(args) -> int:
         return _fail(EXIT_CONFIG, f"config: {err}")
 
     out = Path(out_dir)
+    created = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -162,6 +165,9 @@ def cmd_run(args) -> int:
     try:
         result = run(stream, run_config)
     except DivergenceError as err:
+        for d in created:  # a diverged run leaves no directory it made behind
+            with contextlib.suppress(OSError):  # rmdir refuses a non-empty directory
+                d.rmdir()
         return _fail(EXIT_DIVERGED, f"diverged: {err}")
 
     cfg_hash = config_sha256({"dataset": doc["dataset"], "split": doc["split"], "run": doc["run"]})

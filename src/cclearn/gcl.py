@@ -110,9 +110,11 @@ def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:
 
 
 def _batch_exp_sims(enc, params, batch, tau, pool_size):
-    """exp(s_ab/tau) over the batch pairs, and the pool_size/|B| rescale to the pool."""
-    S = enc.similarity_matrix(params, [s.x for s in batch], [s.class_id for s in batch])
-    return np.exp(S / tau), pool_size / len(batch)
+    """exp(s_ab/tau) over the batch pairs, the pool_size/|B| rescale to the pool,
+    and the two towers' forward results."""
+    f1 = enc._forward_inputs(params, [s.x for s in batch])
+    f2 = enc._forward_labels(params, [s.class_id for s in batch])
+    return np.exp((f1[0] @ f2[0].T) / tau), pool_size / len(batch), (f1, f2)
 
 
 def gcl_update_estimators(
@@ -124,7 +126,7 @@ def gcl_update_estimators(
         raise ValueError("batch must be non-empty")
     if pool_size < len(batch):
         raise ValueError("pool_size must be >= batch size")
-    E, scale = _batch_exp_sims(enc, params, batch, tau, pool_size)
+    E, scale, _ = _batch_exp_sims(enc, params, batch, tau, pool_size)
     ids = [s.sample_id for s in batch]
     moving_average(state.u_I, ids, scale * E.sum(axis=1), state.gamma, U_FLOOR)
     moving_average(state.u_T, ids, scale * E.sum(axis=0), state.gamma, U_FLOOR)
@@ -148,7 +150,7 @@ def gcl_gradient_estimate(
         raise ValueError("batch must be non-empty")
     n = len(batch)
     inv_u = 1.0 / sample_estimates(state, batch)
-    E, scale = _batch_exp_sims(enc, params, batch, tau, pool_size)
+    E, scale, fwd = _batch_exp_sims(enc, params, batch, tau, pool_size)
     C = scale * E * (inv_u[0][:, None] + inv_u[1][None, :]) / (2.0 * n)
     C[np.diag_indices(n)] -= 1.0 / n
-    return enc.weighted_pair_grad(params, [s.x for s in batch], [s.class_id for s in batch], C)
+    return enc.pair_grad(*fwd, C)

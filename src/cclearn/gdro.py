@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .buffer import Pool
 from .gcl import U_FLOOR, moving_average, sample_estimates
 from .model import EncoderPair
 
@@ -100,36 +101,44 @@ class GdroEstimatorState:
 
 
 def _hinge_stats(enc, params, anchors, pool, margin, tau):
-    """(n_neg, H, A, log_g): negative counts, hinge activations and stable log g.
+    """(n_neg, H, A, log_g), fwd: negative counts, hinge activations, stable log g,
+    and the forward results (anchor inputs, anchor labels, pool inputs, pool labels).
 
     Axis 0 of H, A (2, n, N) and log_g (2, n) holds g1 (anchor input x pool
     label), then g2 (anchor label x pool input).  Every anchor needs a negative.
     """
-    xa = [s.x for s in anchors]
+    pool = Pool.of(pool)
     ca = np.array([s.class_id for s in anchors])
-    E1a = enc.encode_input_batch(params, xa)
-    E2a = enc.encode_label_batch(params, ca)
-    E1p = enc.encode_input_batch(params, [s.x for s in pool])
-    E2p = enc.encode_label_batch(params, [s.class_id for s in pool])
-    cp = np.array([s.class_id for s in pool])
+    fwd = (
+        enc._forward_inputs(params, [s.x for s in anchors]),
+        enc._forward_labels(params, ca),
+        enc._forward_inputs(params, pool.X),
+        enc._forward_labels(params, pool.y),
+    )
+    (E1a, _), (E2a, _), (E1p, _), (E2p, _) = fwd
 
     sii = np.sum(E1a * E2a, axis=1)
-    S = np.empty((2, len(anchors), len(pool)))
-    np.matmul(E1a, E2p.T, out=S[0])
-    S[1] = (E1p @ E2a.T).T  # E2a @ E1p.T would differ in the last bits
-    neg = cp[None, :] != ca[:, None]
+    H = np.empty((2, len(anchors), len(pool)))
+    np.matmul(E1a, E2p.T, out=H[0])
+    H[1] = (E1p @ E2a.T).T  # E2a @ E1p.T would differ in the last bits
+    neg = pool.y[None, :] != ca[:, None]
     n_neg = neg.sum(axis=1)
     if np.any(n_neg == 0):
         bad = anchors[int(np.argmin(n_neg))]
         raise ValueError(f"no negatives in pool for anchor of class {bad.class_id}")
 
-    H = np.where(neg, np.maximum(0.0, S - sii[:, None] + margin), 0.0)
-    del S  # dropping S early and the in-place exp below cut peak memory and page faults
-    A = np.where(neg, H * H / tau, -np.inf)
+    # the similarity block becomes the hinge in place; same operations, same bits
+    H -= sii[:, None]
+    H += margin
+    np.maximum(H, 0.0, out=H)
+    H *= neg
+    A = H * H
+    A /= tau
+    np.copyto(A, -np.inf, where=~neg)
     m = A.max(axis=2)
     E = A - m[:, :, None]
     log_g = m + np.log(np.exp(E, out=E).sum(axis=2)) - np.log(n_neg)
-    return n_neg, H, A, log_g
+    return (n_neg, H, A, log_g), fwd
 
 
 # ------------------------------------------------------------ robust weighting
@@ -184,7 +193,7 @@ def gdro_update_estimators(
     all tracked classes (stale entries stand in for unsampled classes).
     """
     anchors = _flatten_batches(class_batch, per_class_batches)
-    *_, log_g = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
+    (*_, log_g), _ = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
     g = config.gamma
     ids = [s.sample_id for s in anchors]
     for store, g_dir in zip((state.u_I, state.u_T), np.exp(log_g)):
@@ -209,17 +218,18 @@ def gdro_update_estimators(
 
 
 def _pair_coefficients(state, enc, params, class_batch, per_class_batches, pool, config):
-    """Anchors and the nonzero pair coefficients of the compositional estimator.
+    """The nonzero pair coefficients of the compositional estimator.
 
-    Returns (anchors, coef1, coef2), both n x N over anchors x pool: coef1
-    weighs (anchor input, pool label) pairs, coef2 (anchor label, pool input)
-    pairs.  The anchor's own (input, label) pair takes minus its row sums of
-    both; callers place that diagonal.
+    Returns (coef1, coef2, fwd), both coefficients n x N over anchors x pool:
+    coef1 weighs (anchor input, pool label) pairs, coef2 (anchor label, pool
+    input) pairs.  The anchor's own (input, label) pair takes minus its row
+    sums of both; callers place that diagonal.  ``fwd`` holds the forward
+    results of ``_hinge_stats``.
     """
     anchors = _flatten_batches(class_batch, per_class_batches)
     if not state.v_initialized or state.v_mantissa <= 0:
         raise ValueError("scalar estimator v is not initialized or non-positive")
-    n_neg, H, A, _ = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
+    (n_neg, H, A, _), fwd = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
 
     class_weight = []
     for k in class_batch:
@@ -239,7 +249,7 @@ def _pair_coefficients(state, enc, params, class_batch, per_class_batches, pool,
     # H = 0 and A = -inf, so both coefficients are 0 there; A is reused in place
     A -= log_u[:, :, None]
     coef1, coef2 = 2.0 * H * np.exp(A, out=A) * scale
-    return anchors, coef1, coef2
+    return coef1, coef2, fwd
 
 
 def gdro_gradient_estimate(
@@ -260,15 +270,16 @@ def gdro_gradient_estimate(
     - anchor inputs x (anchor labels | pool labels), coefficients
       [diag(-(row sums of coef1 + coef2)) | coef1];
     - pool inputs x anchor labels, coefficients coef2.T.
+
+    Both blocks reuse the forward results of the hinge statistics, so each
+    anchor and pool row is encoded once per tower.
     """
-    anchors, coef1, coef2 = _pair_coefficients(
+    coef1, coef2, (f1a, f2a, f1p, f2p) = _pair_coefficients(
         state, enc, params, class_batch, per_class_batches, pool, config
     )
-    xa = [s.x for s in anchors]
-    ca = [s.class_id for s in anchors]
     C_anchor = np.concatenate(
         [np.diag(-(coef1.sum(axis=1) + coef2.sum(axis=1))), coef1], axis=1
     )
-    grad = enc.weighted_pair_grad(params, xa, ca + [s.class_id for s in pool], C_anchor)
-    grad += enc.weighted_pair_grad(params, [s.x for s in pool], ca, coef2.T)
+    grad = enc.pair_grad(f1a, enc.concat_forwards(f2a, f2p), C_anchor)
+    grad += enc.pair_grad(f1p, f2a, coef2.T)
     return grad

@@ -24,6 +24,12 @@ coordinates deterministically.
 The label tower's one-hot input makes its first layer a column gather on the
 forward pass and a scatter-add on the backward pass.  tanh keeps everything
 smooth, which keeps numerical gradient checks clean.
+
+The forward pass (``_forward_inputs``, ``_forward_labels``) returns a tower's
+unit embeddings with the cache its backward needs.  The one backward,
+``pair_grad``, takes those forward results, so an objective that has encoded
+its rows to score them builds its gradient without encoding them again;
+``weighted_pair_grad`` is forward then ``pair_grad`` in one call.
 """
 
 from __future__ import annotations
@@ -61,10 +67,11 @@ class EncoderConfig:
 
 def _normalize_rows(z):
     """Row-normalize, returning (unit rows, norms). Zero or non-finite rows error."""
-    norms = np.sqrt(np.sum(z * z, axis=1))
-    if np.any(norms == 0.0):
-        raise ValueError("cannot normalize a zero-norm embedding")
-    if not np.all(np.isfinite(norms)):
+    norms = np.sqrt((z * z).sum(axis=1))
+    # one check on the happy path: min is NaN if any norm is; initial= admits no rows
+    if not (norms.min(initial=np.inf) > 0.0 and norms.max(initial=0.0) < np.inf):
+        if np.any(norms == 0.0):
+            raise ValueError("cannot normalize a zero-norm embedding")
         raise ValueError("embedding norm overflowed or is NaN")
     return z / norms[:, None], norms
 
@@ -160,6 +167,21 @@ class EncoderPair:
             raise ValueError(f"class id out of range [0, {self.config.num_classes_max})")
         return self._forward(params, "e2", cls)
 
+    @staticmethod
+    def concat_forwards(*results):
+        """One tower's forward results over several row sets, as one result over
+        their rows in order.  Forward passes are row-wise, so this equals the
+        forward pass of the concatenated rows, bit for bit when every part has
+        two or more rows (numpy multiplies a one-row matrix with gemv, not gemm)."""
+        Es, caches = zip(*results)
+        first = caches[0]
+        return np.concatenate(Es), {
+            "tower": first["tower"],
+            "W": first["W"],
+            "A": [np.concatenate(acts) for acts in zip(*(c["A"] for c in caches))],
+            "R": np.concatenate([c["R"] for c in caches]),
+        }
+
     def encode_input_batch(self, params, X) -> np.ndarray:
         """Unit-norm embeddings for a batch of input vectors, shape (n, embed_dim)."""
         E, _ = self._forward_inputs(params, X)
@@ -195,15 +217,17 @@ class EncoderPair:
             if k > 0:
                 dZ = (dZ @ cache["W"][k]) * (1.0 - A * A)
 
-    def weighted_pair_grad(self, params, X, class_ids, coeff) -> np.ndarray:
-        """Gradient of sum_ij coeff[i, j] * sim(x_i, class_j) w.r.t. all parameters.
+    def pair_grad(self, f1, f2, coeff) -> np.ndarray:
+        """Gradient of sum_ij coeff[i, j] * sim(row i of f1, row j of f2) w.r.t. all
+        parameters, from the forward results ``(E, cache)`` of the input tower
+        (``f1``) and the label tower (``f2``).
 
         This is the single backward primitive every objective is built from:
         any loss over pairwise similarities differentiates to a coefficient
-        matrix over (input, label) pairs.
+        matrix over (input, label) pairs.  Callers pass the forward results
+        they already hold, so a gradient costs no second forward pass.
         """
-        E1, c1 = self._forward_inputs(params, X)
-        E2, c2 = self._forward_labels(params, class_ids)
+        (E1, c1), (E2, c2) = f1, f2
         C = np.asarray(coeff, dtype=np.float64)
         if C.shape != (E1.shape[0], E2.shape[0]):
             raise ValueError(
@@ -220,6 +244,12 @@ class EncoderPair:
         self._backward(g, c1, dZ1)
         self._backward(g, c2, dZ2)
         return g
+
+    def weighted_pair_grad(self, params, X, class_ids, coeff) -> np.ndarray:
+        """``pair_grad`` over freshly encoded rows of X and class_ids."""
+        return self.pair_grad(
+            self._forward_inputs(params, X), self._forward_labels(params, class_ids), coeff
+        )
 
     # -------------------------------------------------------------- inference
 

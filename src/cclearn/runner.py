@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .buffer import MemoryBuffer, sample_class_batch
+from .buffer import MemoryBuffer, Pool, sample_class_batch
 from .data import Task, TaskStream
 from .errors import DivergenceError, NonFiniteGradientError
 from .gcl import (
@@ -154,28 +154,31 @@ def evaluate(enc: EncoderPair, params, test, candidate_classes) -> float:
 
 
 def _ce_logits(enc, params, batch, candidates, tau):
-    """sim/tau logits over the candidates, each row's true-class column, and row maxima."""
-    Z = enc.similarity_matrix(params, [s.x for s in batch], candidates) / tau
+    """sim/tau logits over the candidates, each row's true-class column, row
+    maxima, and the two towers' forward results."""
+    f1 = enc._forward_inputs(params, [s.x for s in batch])
+    f2 = enc._forward_labels(params, candidates)
+    Z = (f1[0] @ f2[0].T) / tau
     col = {c: j for j, c in enumerate(candidates)}
     idx = np.array([col[s.class_id] for s in batch])
-    return Z, idx, Z.max(axis=1)
+    return Z, idx, Z.max(axis=1), (f1, f2)
 
 
 def ce_loss(enc: EncoderPair, params, batch, candidates, tau) -> float:
     """Mean softmax cross-entropy of sim/tau logits over the candidate classes."""
-    Z, idx, m = _ce_logits(enc, params, batch, candidates, tau)
+    Z, idx, m, _ = _ce_logits(enc, params, batch, candidates, tau)
     lse = m + np.log(np.exp(Z - m[:, None]).sum(axis=1))
     return float(np.mean(lse - Z[np.arange(len(batch)), idx]))
 
 
 def ce_gradient(enc: EncoderPair, params, batch, candidates, tau) -> np.ndarray:
     """Analytic gradient of ce_loss: (softmax - onehot) / (|B| * tau) pair weights."""
-    Z, idx, m = _ce_logits(enc, params, batch, candidates, tau)
+    Z, idx, m, fwd = _ce_logits(enc, params, batch, candidates, tau)
     P = np.exp(Z - m[:, None])
     P /= P.sum(axis=1, keepdims=True)
     P[np.arange(len(batch)), idx] -= 1.0
     C = P / (len(batch) * tau)
-    return enc.weighted_pair_grad(params, [s.x for s in batch], candidates, C)
+    return enc.pair_grad(*fwd, C)
 
 
 # ----------------------------------------------------------------- run driver
@@ -257,12 +260,12 @@ class _Trainer:
         }
         return dro_objective(h, gcfg.lam), grad, extra
 
-    def train_task(self, task, pool):
-        """Train stage ``task`` on its pool (task data plus replay) for every epoch."""
+    def train_task(self, task, pool: Pool):
+        """Train stage ``task`` on its ``Pool`` (replay plus task data) for every epoch."""
         cfg = self.config
         if cfg.method == "zero-shot":
             return
-        candidates = sorted({s.class_id for s in pool})
+        candidates = sorted(pool.members)
         if cfg.method == "gdro" and len(candidates) < 2:
             raise DivergenceError(
                 "robust training needs at least two classes in the pool", task=task

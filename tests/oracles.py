@@ -43,13 +43,13 @@ def g_T(enc: EncoderPair, params, anchor, candidates, tau) -> float:
 
 def hinge_g1(enc: EncoderPair, params, anchor, pool, margin, tau) -> float:
     """Input-anchored hinge normalizer, linear scale. Equals 1 iff no violations."""
-    *_, log_g = _hinge_stats(enc, params, [anchor], pool, margin, tau)
+    (*_, log_g), _ = _hinge_stats(enc, params, [anchor], pool, margin, tau)
     return float(np.exp(log_g[0, 0]))
 
 
 def hinge_g2(enc: EncoderPair, params, anchor, pool, margin, tau) -> float:
     """Label-anchored hinge normalizer, linear scale."""
-    *_, log_g = _hinge_stats(enc, params, [anchor], pool, margin, tau)
+    (*_, log_g), _ = _hinge_stats(enc, params, [anchor], pool, margin, tau)
     return float(np.exp(log_g[1, 0]))
 
 
@@ -58,7 +58,7 @@ def class_loss_hk(enc: EncoderPair, params, class_id, pool, config: GdroConfig) 
     members = [s for s in pool if s.class_id == class_id]
     if not members:
         raise ValueError(f"class {class_id} not present in pool")
-    *_, log_g = _hinge_stats(enc, params, members, pool, config.margin, config.tau)
+    (*_, log_g), _ = _hinge_stats(enc, params, members, pool, config.margin, config.tau)
     return float(config.tau * np.mean(log_g[0] + log_g[1]) / 2.0)
 
 
@@ -66,9 +66,10 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
                         config: GdroConfig) -> np.ndarray:
     """``gdro_gradient_estimate`` through one (anchor+pool) x (anchor+pool)
     coefficient matrix and a single backward pass: O((n+N)^2) memory."""
-    anchors, coef1, coef2 = _pair_coefficients(
+    coef1, coef2, _ = _pair_coefficients(
         state, enc, params, class_batch, per_class_batches, pool, config
     )
+    anchors = [s for k in class_batch for s in per_class_batches[k]]
     n, N = len(anchors), len(pool)
     C = np.zeros((n + N, n + N))
     C[:n, n:] = coef1  # anchor input vs pool label

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cclearn.buffer import MemoryBuffer, sample_class_batch
+from cclearn.buffer import MemoryBuffer, Pool, sample_class_batch
 from cclearn.data import Sample
 
 from conftest import make_pool
@@ -44,15 +46,15 @@ def test_zero_capacity_stays_empty(rng):
     buf = MemoryBuffer(capacity=0, rng_seed=2)
     buf = buf.rebalance_after_task(_task(rng, [0, 1], 5, 0))
     assert len(buf) == 0
-    assert buf.union_view([]) == []
+    assert list(buf.union_view([])) == []
 
 
 def test_union_view_identities(rng):
     task = _task(rng, [0, 1], 3, 0)
     empty = MemoryBuffer(capacity=10, rng_seed=0)
-    assert empty.union_view(task) == task
+    assert list(empty.union_view(task)) == task
     buf = empty.rebalance_after_task(task)
-    assert buf.union_view([]) == buf.union_view([])
+    assert list(buf.union_view([])) == list(buf.union_view([]))
     new_task = _task(rng, [2], 4, 100)
     union = buf.union_view(new_task)
     assert len(union) == len(buf) + len(new_task)
@@ -164,3 +166,33 @@ def test_sample_class_batch_uniform(rng):
     sigma = np.sqrt(draws * p * (1 - p))
     for m in members:
         assert abs(counts[m] - draws * p) < 3.0 * sigma
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    class_ids=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+    batch_size=st.integers(1, 10),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_sample_class_batch_same_on_pool_and_list(class_ids, batch_size, seed):
+    samples = [
+        Sample(x=np.full(2, float(i)), class_id=k, sample_id=i) for i, k in enumerate(class_ids)
+    ]
+    pool = Pool(samples)
+    assert list(pool) == samples and len(pool) == len(samples)
+    for k in sorted(set(class_ids)):
+        from_pool = sample_class_batch(pool, k, batch_size, seed)
+        from_list = sample_class_batch(samples, k, batch_size, seed)
+        assert [s.sample_id for s in from_pool] == [s.sample_id for s in from_list]
+        assert pool.members[k] == [s for s in samples if s.class_id == k]
+
+
+def test_pool_arrays_follow_sample_order(rng):
+    samples = make_pool(rng, 9, 3, 4)
+    pool = Pool(samples)
+    assert pool.X.dtype == np.float64 and pool.X.shape == (9, 4)
+    assert pool.y.dtype == np.int64
+    assert np.array_equal(pool.X, np.array([s.x for s in samples]))
+    assert pool.y.tolist() == [s.class_id for s in samples]
+    assert Pool.of(pool) is pool
+    assert pool[3] is samples[3] and list(pool[2:4]) == samples[2:4]

@@ -276,6 +276,23 @@ def test_run_divergence_exits_4(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new-nested", "existing"])
+def test_run_divergence_removes_only_the_directories_it_created(tmp_path, capsys, existing):
+    data = _gen(tmp_path)
+    out = tmp_path / "kept" if existing else tmp_path / "a" / "b"
+    if existing:
+        out.mkdir()
+    cfg = _write_config(tmp_path, _config_doc(data, tmp_path / "unused", eta=1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+    assert "diverged" in capsys.readouterr().err
+    if existing:
+        assert out.is_dir()
+    else:
+        assert not (tmp_path / "a").exists()
+    assert not (tmp_path / "unused").exists()
+
+
 def test_run_output_dir_from_env(tmp_path, monkeypatch):
     data = _gen(tmp_path)
     doc = _config_doc(data, tmp_path / "ignored")

@@ -1,0 +1,82 @@
+"""Golden bits: training results pinned to the byte.
+
+Each case hashes a run's final parameters (``params.tobytes()``) and its JSON
+log with sha256 and compares against a digest recorded earlier.  A speed-up or
+refactor that claims to leave results unchanged must keep every digest.
+
+Floating-point bits depend on the numpy build, its BLAS and the SIMD kernels
+numpy dispatches to on this CPU, so the test skips, with the reason, when any
+of them differs from the recorded environment.  To re-record after a change
+that is meant to move results, print ``_digest`` for every case and replace
+the table.
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cclearn import benchmark, data, run
+
+RECORDED_NUMPY = "2.4.6"
+RECORDED_OPENBLAS = (
+    "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64"
+)
+RECORDED_SIMD = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
+
+GOLDEN = {
+    "gcl/20/seed1": "11b61f9665c0f548d7fb4c1d1ea0f8cb163bbb0f9c126ec72d240bc96f07cad0",
+    "gdro/20/seed1": "8b538c2463cff2dd9a45a8bc2a094db3e56d838ae4427339f10ee81738f8c68d",
+    "finetune-ce/20/seed1": "325f4ac5d50cd6d1065600e4a7d13e7b0e19fdb5b3991275ce3665269f9bf4f1",
+    "gdro/dil-hidden3": "3af15c6fee994b13dc1f50b2ac68ec8852d738d20543dc852a47de88990a5f24",
+}
+
+
+def _environment_mismatch():
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"].get("openblas configuration")
+    simd = config["SIMD Extensions"]["found"]
+    for what, now, recorded in (
+        ("numpy", np.__version__, RECORDED_NUMPY),
+        ("OpenBLAS configuration", blas, RECORDED_OPENBLAS),
+        ("SIMD extensions", simd, RECORDED_SIMD),
+    ):
+        if now != recorded:
+            return f"{what} is {now!r}; the digests were recorded with {recorded!r}"
+    return None
+
+
+def _dil_stream():
+    base = data.gen_synthetic(6, 20, 5, 3.0, 0.5, 31)
+    shifted = data.gen_domain_shift(base, 3, "rotation", 1.0, seed=32)
+    return data.split_dil(shifted, domain_order=[0, 1, 2], test_fraction=0.25, seed=33)
+
+
+def _case(name):
+    if name == "gdro/dil-hidden3":
+        cfg = benchmark.benchmark_config(
+            "gdro", 20, 3, hidden_dim=3, optimizer="adam", epochs_per_task=3
+        )
+        return _dil_stream(), replace(cfg, dro_lambda=0.05, batch_classes=3, batch_per_class=4)
+    method = name.split("/")[0]
+    seed = benchmark.BENCHMARK_SEEDS[0]
+    return benchmark.benchmark_stream(seed), benchmark.benchmark_config(
+        method, benchmark.CAPACITY_LOW, seed
+    )
+
+
+def _digest(name):
+    result = run(*_case(name))
+    h = hashlib.sha256(result.params.tobytes())
+    h.update(json.dumps(result.log, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_results_match_recorded_bits(name):
+    mismatch = _environment_mismatch()
+    if mismatch:
+        pytest.skip(mismatch)
+    assert _digest(name) == GOLDEN[name]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cclearn.model import EncoderConfig, EncoderPair
+from cclearn.model import EncoderConfig, EncoderPair, _normalize_rows
 
 from conftest import assert_grad_close, central_diff, make_encoder, pair_sim, pair_sim_grad
 
@@ -259,3 +261,52 @@ def test_operations_are_pure(rng):
     assert np.array_equal(enc.encode_input_batch(w, [x]), enc.encode_input_batch(w, [x]))
     assert pair_sim(enc, w, x, 1) == pair_sim(enc, w, x, 1)
     assert np.array_equal(pair_sim_grad(enc, w, x, 1), pair_sim_grad(enc, w, x, 1))
+
+
+_ZERO_NORM = "cannot normalize a zero-norm embedding"
+_NOT_FINITE = "embedding norm overflowed or is NaN"
+
+
+@pytest.mark.parametrize(
+    "bad_rows, message",
+    [
+        ([[0.0, 0.0]], _ZERO_NORM),
+        ([[np.nan, 1.0]], _NOT_FINITE),
+        ([[np.inf, 1.0]], _NOT_FINITE),
+        ([[np.nan, 1.0], [0.0, 0.0]], _ZERO_NORM),  # zero norm takes precedence
+    ],
+    ids=["zero", "nan", "inf", "zero-and-nan"],
+)
+def test_normalize_rows_rejects_bad_rows(bad_rows, message):
+    z = np.array([[3.0, 4.0], *bad_rows, [1.0, 0.0]])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _normalize_rows(z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hidden=st.sampled_from([0, 3]),
+    n_inputs=st.integers(1, 7),
+    label_parts=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_grad_on_forward_results_is_bitwise_weighted_pair_grad(
+    hidden, n_inputs, label_parts, seed
+):
+    """The backward from forward results equals forward-then-backward, also when
+    the label rows were encoded in parts and concatenated (as gdro does).
+
+    Parts have at least two rows: numpy multiplies a one-row matrix with gemv,
+    not gemm, so with hidden layers a one-row forward may differ in the last bits.
+    """
+    rng = np.random.default_rng(seed)
+    enc = make_encoder(seed=seed % 1000, hidden_dim=hidden, num_classes=5)
+    w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
+    X = rng.standard_normal((n_inputs, 3))
+    parts = [rng.integers(0, 5, size=k) for k in label_parts]
+    C = rng.standard_normal((n_inputs, sum(label_parts)))
+
+    want = enc.weighted_pair_grad(w, X, np.concatenate(parts), C)
+    f2 = enc.concat_forwards(*(enc._forward_labels(w, part) for part in parts))
+    got = enc.pair_grad(enc._forward_inputs(w, X), f2, C)
+    assert got.tobytes() == want.tobytes()

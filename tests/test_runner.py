@@ -4,8 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cclearn.buffer import sample_class_batch
 from cclearn.data import Sample, gen_synthetic, split_cil
 from cclearn.errors import DivergenceError
+from cclearn.gcl import GclEstimatorState, gcl_gradient_estimate, gcl_update_estimators
+from cclearn.gdro import (
+    GdroConfig,
+    GdroEstimatorState,
+    gdro_gradient_estimate,
+    gdro_update_estimators,
+)
 from cclearn.model import EncoderConfig, EncoderPair
 from cclearn.runner import (
     RunConfig,
@@ -251,3 +259,46 @@ def test_dil_aggregate_is_mean_over_domain_rows():
     for t in range(3):
         row = _row(result.accuracy, t)
         assert result.accuracy.aggregate[t] == pytest.approx(np.mean(list(row.values())))
+
+
+@pytest.mark.parametrize("method", ["gdro", "gcl", "finetune-ce"])
+def test_gradient_encodes_each_row_once_per_tower(rng, monkeypatch, method):
+    """One gradient call encodes its rows once per tower: the backward reuses the
+    forward results the call already holds."""
+    enc = make_encoder(seed=4, hidden_dim=3, num_classes=4)
+    w = enc.init_params()
+    pool = make_pool(rng, 40, 4, 3)
+    if method == "gdro":
+        cfg = GdroConfig(lam=0.7, gamma=0.9, margin=0.3, tau=0.4,
+                         batch_classes=2, batch_per_class=3)
+        batches = {k: sample_class_batch(pool, k, 3, k) for k in (1, 3)}
+        args = (enc, w, [1, 3], batches, pool, cfg)
+        state = gdro_update_estimators(GdroEstimatorState(), *args)
+        n = len(pool) + 6  # the pool and the anchors, once each
+        expected = {"e1": n, "e2": n}
+
+        def grad():
+            return gdro_gradient_estimate(state, *args)
+    elif method == "gcl":
+        batch = pool[:16]
+        state = gcl_update_estimators(GclEstimatorState(0.9), enc, w, batch, 0.2, len(pool))
+        expected = {"e1": 16, "e2": 16}
+
+        def grad():
+            return gcl_gradient_estimate(state, enc, w, batch, 0.2, len(pool))
+    else:
+        expected = {"e1": 16, "e2": 4}
+
+        def grad():
+            return ce_gradient(enc, w, pool[:16], [0, 1, 2, 3], 0.2)
+
+    rows = {"e1": 0, "e2": 0}
+    forward = EncoderPair._forward
+
+    def counting_forward(self, params, tower, inp):
+        rows[tower] += len(inp)
+        return forward(self, params, tower, inp)
+
+    monkeypatch.setattr(EncoderPair, "_forward", counting_forward)
+    assert np.all(np.isfinite(grad()))
+    assert rows == expected

@@ -13,8 +13,9 @@ them, so per-class counts are exactly min(quota, available); they differ by
 at most one across classes whenever the sources cover the quotas.
 
 A stage trains on a ``Pool``: the buffer's samples followed by the task's, as
-an immutable sequence that also holds the arrays and the per-class members
-the estimators read, built once per stage.
+an immutable sequence that also holds the arrays, sample ids and per-class
+members the estimators read, each built once.  Training batches and gdro's
+anchor sets are ``Pool``s too.
 """
 
 from __future__ import annotations
@@ -28,16 +29,19 @@ from .data import Sample
 
 
 class Pool(Sequence):
-    """An immutable sequence of samples with their arrays built once.
+    """An immutable sequence of samples and the arrays the estimators read.
 
-    ``X`` (N, d) float64 holds the inputs and ``y`` (N,) int64 the class ids,
-    row i for sample i; ``members[k]`` lists class k's samples in pool order.
+    ``X`` (N, d) float64 holds the inputs, ``y`` (N,) int64 the class ids and
+    ``ids`` the sample ids as Python ints (the estimators' keys), row i for
+    sample i; ``members[k]`` lists class k's samples in pool order.  This is
+    the one place a sample becomes encoder rows.
     """
 
     def __init__(self, samples):
         self._samples = tuple(samples)
         self.X = np.array([s.x for s in self._samples], dtype=np.float64)
         self.y = np.array([s.class_id for s in self._samples], dtype=np.int64)
+        self.ids = [s.sample_id for s in self._samples]
         self.members: dict[int, list[Sample]] = {}
         for s in self._samples:
             self.members.setdefault(s.class_id, []).append(s)
@@ -78,10 +82,7 @@ class MemoryBuffer:
         and call sequence.  Classes already stored (domain-incremental streams)
         merge their stored samples with the incoming ones before down-sampling.
         """
-        incoming: dict[int, list[Sample]] = {}
-        for s in finished_task_data:
-            incoming.setdefault(s.class_id, []).append(s)
-
+        incoming = Pool(finished_task_data).members
         classes = sorted(set(self.slots) | set(incoming))
         if not classes:
             return self

@@ -201,7 +201,8 @@ def cmd_run(args) -> int:
 
 
 def _read_meta(path) -> dict:
-    """The run meta at ``path``; ValueError unless it has the keys and types compare reads."""
+    """The run meta at ``path``; ValueError unless it has the keys and types compare reads
+    and every accuracy is a finite number in [0, 1]."""
     meta = json.loads(Path(path).read_text())
     if not isinstance(meta, dict) or not _META_TYPES.keys() <= meta.keys():
         raise ValueError(f"not a run meta: needs keys {sorted(_META_TYPES)}")
@@ -211,6 +212,9 @@ def _read_meta(path) -> dict:
     stages = meta["aggregate"]
     if not stages or not all(t.isdecimal() and type(a) in (int, float) for t, a in stages.items()):
         raise ValueError("aggregate must map stage numbers to accuracies")
+    for a in (meta["final_aggregate"], *stages.values()):
+        if not 0 <= a <= 1:  # NaN fails too; json reads NaN and Infinity
+            raise ValueError(f"accuracy {a!r} is not a number in [0, 1]")
     return meta
 
 

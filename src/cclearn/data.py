@@ -252,8 +252,17 @@ def _stratified_split(samples, test_fraction, rng):
     return train, test
 
 
-def _check_split_args(test_fraction, **ints):
-    """Refuse a test_fraction outside (0, 1) and a non-integer ``ints`` value (``True`` too)."""
+def _check_split_args(ds, test_fraction, **ints):
+    """Refuse a test_fraction outside (0, 1), a non-integer ``ints`` value (``True`` too)
+    and a dataset that declares more classes than it holds samples.
+
+    Splits allocate per declared class and the trainer sizes its label tower by
+    the count, so a header's ``classes`` is checked before either happens.
+    """
+    if ds.num_classes > len(ds.samples):
+        raise ValueError(
+            f"dataset declares {ds.num_classes} classes but holds {len(ds.samples)} samples"
+        )
     for name, value in ints.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise TypeError(f"{name} must be an integer, got {value!r}")
@@ -263,7 +272,7 @@ def _check_split_args(test_fraction, **ints):
 
 def split_cil(ds: Dataset, num_tasks, test_fraction, seed) -> TaskStream:
     """Class-incremental split: disjoint contiguous class blocks, seeded shuffle."""
-    _check_split_args(test_fraction, num_tasks=num_tasks, seed=seed)
+    _check_split_args(ds, test_fraction, num_tasks=num_tasks, seed=seed)
     if num_tasks < 1:
         raise ValueError(f"num_tasks must be >= 1, got {num_tasks}")
     if ds.num_classes % num_tasks != 0:
@@ -289,7 +298,8 @@ def split_dil(ds: Dataset, domain_order, test_fraction=0.2, seed=0) -> TaskStrea
     if not domain_order:
         raise ValueError("domain_order must name at least one domain")
     _check_split_args(
-        test_fraction, seed=seed, **{f"domain_order[{i}]": d for i, d in enumerate(domain_order)}
+        ds, test_fraction, seed=seed,
+        **{f"domain_order[{i}]": d for i, d in enumerate(domain_order)},
     )
     rng = np.random.default_rng(seed)
     domains_present = sorted({s.domain_id for s in ds.samples})

@@ -24,8 +24,9 @@ normalizer terms carry tau/2, which is L's gradient scaled by tau/2.  The
 full-batch identity m == (tau/2) * grad L is what the test suite pins down.
 
 Estimator state persists across tasks, carrying normalizer information from
-earlier stages forward.  ``gcl_update_estimators`` updates the state it is
-given in place and returns that same object.
+earlier stages forward, keyed by ``Pool.ids``.  ``gcl_update_estimators``
+updates the state it is given in place and returns that same object.  Each
+entry point reads its batch as a ``Pool`` (``Pool.of`` wraps a plain list).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .buffer import Pool
 from .model import EncoderPair
 
 # positive floor keeps 1/u finite if an estimate underflows
@@ -80,27 +82,37 @@ def moving_average(store: dict, keys, values, gamma, floor=None) -> None:
         store[key] = new if floor is None else max(floor, new)
 
 
-def sample_estimates(state, samples) -> np.ndarray:
-    """The (2, n) array of (u_I, u_T) per sample; refuses missing or non-positive estimates."""
+def sample_estimates(state, ids) -> np.ndarray:
+    """The (2, n) array of (u_I, u_T) per sample id; refuses missing or non-positive estimates."""
     u_I, u_T = [], []
-    for s in samples:
-        ui = state.u_I.get(s.sample_id)
-        ut = state.u_T.get(s.sample_id)
+    for i in ids:
+        ui = state.u_I.get(i)
+        ut = state.u_T.get(i)
         if ui is None or ut is None:
-            raise ValueError(f"estimator not initialized for sample {s.sample_id}")
+            raise ValueError(f"estimator not initialized for sample {i}")
         if ui <= 0 or ut <= 0:
-            raise ValueError(f"non-positive estimator value for sample {s.sample_id}")
+            raise ValueError(f"non-positive estimator value for sample {i}")
         u_I.append(ui)
         u_T.append(ut)
     return np.array([u_I, u_T])
 
 
-def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:
-    """Exact loss over the full pool; computed in log domain for stability."""
+def _batch_logits(enc, params, batch, tau):
+    """The batch as a Pool, s_ab/tau over its (input, label) pairs, and the two
+    towers' forward results.  Refuses a non-positive tau and an empty batch."""
     tau = _check_tau(tau)
-    if not pool:
-        raise ValueError("pool must be non-empty")
-    S = enc.similarity_matrix(params, [s.x for s in pool], [s.class_id for s in pool]) / tau
+    batch = Pool.of(batch)
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    f1 = enc._forward_inputs(params, batch.X)
+    f2 = enc._forward_labels(params, batch.y)
+    return batch, (f1[0] @ f2[0].T) / tau, (f1, f2)
+
+
+def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:
+    """Exact loss over the samples it is given, whose normalizers range over all
+    of them (the runner logs it per batch); computed in log domain for stability."""
+    _, S, _ = _batch_logits(enc, params, pool, tau)
     d = np.diag(S)
     row_max = S.max(axis=1)
     col_max = S.max(axis=0)
@@ -109,27 +121,16 @@ def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:
     return float(np.mean(lse_rows - d) + np.mean(lse_cols - d))
 
 
-def _batch_exp_sims(enc, params, batch, tau, pool_size):
-    """exp(s_ab/tau) over the batch pairs, the pool_size/|B| rescale to the pool,
-    and the two towers' forward results."""
-    f1 = enc._forward_inputs(params, [s.x for s in batch])
-    f2 = enc._forward_labels(params, [s.class_id for s in batch])
-    return np.exp((f1[0] @ f2[0].T) / tau), pool_size / len(batch), (f1, f2)
-
-
 def gcl_update_estimators(
     state: GclEstimatorState, enc: EncoderPair, params, batch, tau, pool_size
 ) -> GclEstimatorState:
     """Moving-average update of u_I, u_T for every anchor in the batch, in place."""
-    tau = _check_tau(tau)
-    if not batch:
-        raise ValueError("batch must be non-empty")
+    batch, S, _ = _batch_logits(enc, params, batch, tau)
     if pool_size < len(batch):
         raise ValueError("pool_size must be >= batch size")
-    E, scale, _ = _batch_exp_sims(enc, params, batch, tau, pool_size)
-    ids = [s.sample_id for s in batch]
-    moving_average(state.u_I, ids, scale * E.sum(axis=1), state.gamma, U_FLOOR)
-    moving_average(state.u_T, ids, scale * E.sum(axis=0), state.gamma, U_FLOOR)
+    E, scale = np.exp(S), pool_size / len(batch)
+    moving_average(state.u_I, batch.ids, scale * E.sum(axis=1), state.gamma, U_FLOOR)
+    moving_average(state.u_T, batch.ids, scale * E.sum(axis=0), state.gamma, U_FLOOR)
     return state
 
 
@@ -145,12 +146,9 @@ def gcl_gradient_estimate(
 
     with scale = pool_size/|B| matching the estimator update convention.
     """
-    tau = _check_tau(tau)
-    if not batch:
-        raise ValueError("batch must be non-empty")
+    batch, S, fwd = _batch_logits(enc, params, batch, tau)
     n = len(batch)
-    inv_u = 1.0 / sample_estimates(state, batch)
-    E, scale, fwd = _batch_exp_sims(enc, params, batch, tau, pool_size)
-    C = scale * E * (inv_u[0][:, None] + inv_u[1][None, :]) / (2.0 * n)
+    inv_u = 1.0 / sample_estimates(state, batch.ids)
+    C = pool_size / n * np.exp(S) * (inv_u[0][:, None] + inv_u[1][None, :]) / (2.0 * n)
     C[np.diag_indices(n)] -= 1.0 / n
     return enc.pair_grad(*fwd, C)

@@ -107,11 +107,10 @@ def _hinge_stats(enc, params, anchors, pool, margin, tau):
     Axis 0 of H, A (2, n, N) and log_g (2, n) holds g1 (anchor input x pool
     label), then g2 (anchor label x pool input).  Every anchor needs a negative.
     """
-    pool = Pool.of(pool)
-    ca = np.array([s.class_id for s in anchors])
+    anchors, pool = Pool.of(anchors), Pool.of(pool)
     fwd = (
-        enc._forward_inputs(params, [s.x for s in anchors]),
-        enc._forward_labels(params, ca),
+        enc._forward_inputs(params, anchors.X),
+        enc._forward_labels(params, anchors.y),
         enc._forward_inputs(params, pool.X),
         enc._forward_labels(params, pool.y),
     )
@@ -121,11 +120,11 @@ def _hinge_stats(enc, params, anchors, pool, margin, tau):
     H = np.empty((2, len(anchors), len(pool)))
     np.matmul(E1a, E2p.T, out=H[0])
     H[1] = (E1p @ E2a.T).T  # E2a @ E1p.T would differ in the last bits
-    neg = pool.y[None, :] != ca[:, None]
+    neg = pool.y[None, :] != anchors.y[:, None]
     n_neg = neg.sum(axis=1)
     if np.any(n_neg == 0):
-        bad = anchors[int(np.argmin(n_neg))]
-        raise ValueError(f"no negatives in pool for anchor of class {bad.class_id}")
+        bad = anchors.y[int(np.argmin(n_neg))]
+        raise ValueError(f"no negatives in pool for anchor of class {bad}")
 
     # the similarity block becomes the hinge in place; same operations, same bits
     H -= sii[:, None]
@@ -168,13 +167,12 @@ def dro_objective(h, lam) -> float:
 # --------------------------------------------------------------- estimators
 
 
-def _flatten_batches(class_batch, per_class_batches):
-    anchors = []
+def _flatten_batches(class_batch, per_class_batches) -> Pool:
+    """Every sampled class's anchors, in class-batch order, as one Pool."""
     for k in class_batch:
-        if k not in per_class_batches or not per_class_batches[k]:
+        if not per_class_batches.get(k):
             raise ValueError(f"missing or empty batch for class {k}")
-        anchors.extend(per_class_batches[k])
-    return anchors
+    return Pool(s for k in class_batch for s in per_class_batches[k])
 
 
 def gdro_update_estimators(
@@ -195,9 +193,8 @@ def gdro_update_estimators(
     anchors = _flatten_batches(class_batch, per_class_batches)
     (*_, log_g), _ = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
     g = config.gamma
-    ids = [s.sample_id for s in anchors]
     for store, g_dir in zip((state.u_I, state.u_T), np.exp(log_g)):
-        moving_average(store, ids, g_dir, g, U_FLOOR)
+        moving_average(store, anchors.ids, g_dir, g, U_FLOOR)
     bounds = np.cumsum([len(per_class_batches[k]) for k in class_batch])[:-1]
     h_hat = [config.tau * np.mean(rows) / 2.0 for rows in np.split(log_g[0] + log_g[1], bounds)]
     moving_average(state.u_c, class_batch, h_hat, g)
@@ -242,7 +239,7 @@ def _pair_coefficients(state, enc, params, class_batch, per_class_batches, pool,
         )
         class_weight.extend([w_k] * len(batch_k))
     class_weight = np.array(class_weight)
-    log_u = np.array([[math.log(u) for u in row] for row in sample_estimates(state, anchors)])
+    log_u = np.array([[math.log(u) for u in row] for row in sample_estimates(state, anchors.ids)])
 
     scale = (class_weight * (1.0 / n_neg))[:, None]
     # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau); off the negatives

@@ -143,11 +143,10 @@ class RunResult:
 
 def evaluate(enc: EncoderPair, params, test, candidate_classes) -> float:
     """Fraction of test samples whose nearest label embedding is the true class."""
+    test = Pool.of(test)
     if not test:
         raise ValueError("test set must be non-empty")
-    preds = enc.predict_batch(params, [s.x for s in test], candidate_classes)
-    truth = np.array([s.class_id for s in test])
-    return float(np.mean(preds == truth))
+    return float(np.mean(enc.predict_batch(params, test.X, candidate_classes) == test.y))
 
 
 # ------------------------------------------------------------- cross-entropy
@@ -156,11 +155,12 @@ def evaluate(enc: EncoderPair, params, test, candidate_classes) -> float:
 def _ce_logits(enc, params, batch, candidates, tau):
     """sim/tau logits over the candidates, each row's true-class column, row
     maxima, and the two towers' forward results."""
-    f1 = enc._forward_inputs(params, [s.x for s in batch])
+    batch = Pool.of(batch)
+    f1 = enc._forward_inputs(params, batch.X)
     f2 = enc._forward_labels(params, candidates)
     Z = (f1[0] @ f2[0].T) / tau
     col = {c: j for j, c in enumerate(candidates)}
-    idx = np.array([col[s.class_id] for s in batch])
+    idx = np.array([col[k] for k in batch.y.tolist()])
     return Z, idx, Z.max(axis=1), (f1, f2)
 
 
@@ -215,12 +215,13 @@ class _Trainer:
         )
 
     def _batches(self, pool, candidates):
-        """One epoch's batches, drawn up front; each RNG has this one consumer."""
+        """One epoch's batches, drawn up front; each RNG has this one consumer.
+        A gcl or cross-entropy batch is a ``Pool``."""
         cfg, gcfg = self.config, self.gdro_config
         if cfg.method != "gdro":
             order = self.shuffle_rng.permutation(len(pool))
             return [
-                [pool[i] for i in order[start : start + cfg.batch_size]]
+                Pool(pool[i] for i in order[start : start + cfg.batch_size])
                 for start in range(0, len(pool), cfg.batch_size)
             ]
         n_take = min(gcfg.batch_classes, len(candidates))

@@ -188,6 +188,21 @@ def test_run_corrupt_dataset_exits_3(tmp_path, capsys):
         assert err.startswith("error: dataset:") and err.count("\n") == 1, (name, err)
 
 
+def test_run_more_classes_than_samples_exits_2(tmp_path, capsys):
+    """A header that declares 2,000,000 classes for 20 samples passes ``load`` (every
+    class id is below it) but the split refuses it before any per-class allocation."""
+    good = _gen(tmp_path, classes=4, per_class=5)
+    bad = tmp_path / "bad.clds"
+    bad.write_bytes(_patched_header(good, "classes", 2_000_000))
+    doc = _config_doc(bad, tmp_path / "out")
+    doc["split"]["num_tasks"] = 2
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: dataset declares 2000000 classes"), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode", ["cil", "dil"])
 def test_run_empty_dataset_exits_2(tmp_path, capsys, mode):
     empty = tmp_path / "empty.clds"
@@ -402,6 +417,19 @@ def test_compare_missing_meta_exits_2(tmp_path, capsys):
         "no-keys": ("{}", "cannot read"),
         "aggregate=5": (json.dumps(dict(meta, aggregate=5)), "cannot read"),
         "final_aggregate=x": (json.dumps(dict(meta, final_aggregate="x")), "cannot read"),
+        # json reads NaN and Infinity; no accuracy lies outside [0, 1]
+        "final_aggregate=NaN": (json.dumps(dict(meta, final_aggregate=float("nan"))), "cannot read"),
+        "final_aggregate=Infinity": (
+            json.dumps(dict(meta, final_aggregate=float("inf"))), "cannot read"
+        ),
+        "final_aggregate=1.5": (json.dumps(dict(meta, final_aggregate=1.5)), "cannot read"),
+        "final_aggregate=-0.1": (json.dumps(dict(meta, final_aggregate=-0.1)), "cannot read"),
+        "aggregate=NaN": (json.dumps(dict(meta, aggregate={"0": float("nan")})), "cannot read"),
+        "aggregate=Infinity": (
+            json.dumps(dict(meta, aggregate={"0": float("inf")})), "cannot read"
+        ),
+        "aggregate=1.5": (json.dumps(dict(meta, aggregate={"0": 1.5})), "cannot read"),
+        "aggregate=-0.1": (json.dumps(dict(meta, aggregate={"0": -0.1})), "cannot read"),
         "stages-differ": (json.dumps(one_stage_less), "incompatible runs"),
     }
     for name, (text, message) in cases.items():

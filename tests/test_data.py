@@ -164,6 +164,23 @@ def test_split_dil_requires_domains():
         split_dil(ds, domain_order=[0])
 
 
+@pytest.mark.parametrize("mode", ["cil", "dil"])
+def test_splits_refuse_more_classes_than_samples(mode):
+    """The declared class count sizes a split's per-class allocations (8,000,000
+    classes took 6.8 s and 1.1 GB), so a split refuses a count above the sample
+    count first; 32 MB of headroom turns any such allocation into a MemoryError."""
+    ds = gen_synthetic(4, 5, 3, 3.0, 0.4, seed=0)
+    if mode == "dil":
+        ds = gen_domain_shift(ds, 2, "rotation", 0.5, seed=1)
+    ds.num_classes = 8_000_000
+    with pytest.raises(ValueError, match="declares 8000000 classes"):
+        with _address_space_headroom(32 * 2**20):
+            if mode == "cil":
+                split_cil(ds, 2, 0.2, 1)
+            else:
+                split_dil(ds, [0, 1], 0.2, 1)
+
+
 def test_splits_and_merge_hold_the_datasets_own_samples():
     base = gen_synthetic(4, 10, 6, 3.0, 0.4, seed=20)
     shifted = gen_domain_shift(base, 2, "rotation", 0.5, seed=21)

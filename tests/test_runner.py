@@ -3,11 +3,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cclearn.buffer import sample_class_batch
+import cclearn.gdro
+import cclearn.runner
+from cclearn.buffer import Pool, sample_class_batch
 from cclearn.data import Sample, gen_synthetic, split_cil
 from cclearn.errors import DivergenceError
-from cclearn.gcl import GclEstimatorState, gcl_gradient_estimate, gcl_update_estimators
+from cclearn.gcl import (
+    GclEstimatorState,
+    gcl_gradient_estimate,
+    gcl_loss_full,
+    gcl_update_estimators,
+    sample_estimates,
+)
 from cclearn.gdro import (
     GdroConfig,
     GdroEstimatorState,
@@ -302,3 +312,55 @@ def test_gradient_encodes_each_row_once_per_tower(rng, monkeypatch, method):
     monkeypatch.setattr(EncoderPair, "_forward", counting_forward)
     assert np.all(np.isfinite(grad()))
     assert rows == expected
+
+
+# ------------------------------------------------------------- Pool boundary
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    hidden_dim=st.sampled_from([0, 3]),
+    n=st.integers(2, 12),
+    num_classes=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_estimators_same_bits_on_list_and_pool(hidden_dim, n, num_classes, seed):
+    """Every batch entry point reads a list of samples through ``Pool.of``, so a
+    list and ``Pool(list)`` give the same bits."""
+    enc = make_encoder(seed=seed, hidden_dim=hidden_dim, num_classes=num_classes)
+    w = enc.init_params()
+    samples = make_pool(np.random.default_rng(seed), n, num_classes, 3)
+    classes = list(range(num_classes))
+    results = []
+    for batch in (samples, Pool(samples)):
+        state = gcl_update_estimators(GclEstimatorState(0.9), enc, w, batch, 0.2, 2 * n)
+        results.append([
+            np.float64(gcl_loss_full(enc, w, batch, 0.2)).tobytes(),
+            sample_estimates(state, [s.sample_id for s in samples]).tobytes(),  # u_I, u_T
+            gcl_gradient_estimate(state, enc, w, batch, 0.2, 2 * n).tobytes(),
+            np.float64(ce_loss(enc, w, batch, classes, 0.2)).tobytes(),
+            ce_gradient(enc, w, batch, classes, 0.2).tobytes(),
+            np.float64(evaluate(enc, w, batch, classes)).tobytes(),
+        ])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("method", ["gcl", "finetune-ce", "gdro"])
+def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
+    """The trainer's gcl and cross-entropy batches and gdro's anchors are Pools, and
+    so is the stage pool, so no estimator converts samples to rows itself."""
+    module, name, positions = {
+        "gcl": (cclearn.runner, "gcl_update_estimators", (3,)),  # the batch
+        "finetune-ce": (cclearn.runner, "ce_gradient", (2,)),  # the batch
+        "gdro": (cclearn.gdro, "_hinge_stats", (2, 3)),  # the anchors and the pool
+    }[method]
+    handed = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        handed.extend(args[i] for i in positions)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    run(_small_stream(), _fast_config(method, epochs_per_task=1))
+    assert handed and all(isinstance(arg, Pool) for arg in handed)

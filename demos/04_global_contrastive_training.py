@@ -14,13 +14,12 @@ from cclearn import (
     EncoderPair,
     GclEstimatorState,
     RunConfig,
-    gcl_gradient_estimate,
-    gcl_loss_full,
-    gcl_update_estimators,
+    gcl_step,
     gen_synthetic,
     run,
     split_cil,
 )
+from cclearn.gcl import gcl_loss_full
 
 ds = gen_synthetic(num_classes=6, per_class=20, input_dim=8,
                    separation=4.0, noise=0.6, seed=3)
@@ -33,8 +32,8 @@ enc = EncoderPair(EncoderConfig(input_dim=8, num_classes_max=6,
 w = enc.init_params()
 pool = task.train[:10]
 tau = 0.2
-state = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w, pool, tau, len(pool))
-m = gcl_gradient_estimate(state, enc, w, pool, tau, len(pool))
+# one training step: the loss, the estimator update and the gradient estimate m
+_, m = gcl_step(GclEstimatorState(gamma=1.0), enc, w, pool, tau, len(pool))
 eps = 1e-5
 fd = np.zeros_like(w)
 for i in range(len(w)):

@@ -25,7 +25,7 @@ from .errors import DatasetFormatError, DivergenceError, NonFiniteGradientError
 from .gcl import (
     GclEstimatorState,
     gcl_gradient_estimate,
-    gcl_loss_full,
+    gcl_step,
     gcl_update_estimators,
 )
 from .gdro import (
@@ -34,6 +34,7 @@ from .gdro import (
     dro_objective,
     dro_weights,
     gdro_gradient_estimate,
+    gdro_step,
     gdro_update_estimators,
 )
 from .model import EncoderConfig, EncoderPair
@@ -42,8 +43,7 @@ from .runner import (
     AccuracyMatrix,
     RunConfig,
     RunResult,
-    ce_gradient,
-    ce_loss,
+    ce_step,
     evaluate,
     merge_tasks,
     run,
@@ -56,9 +56,9 @@ __all__ = [
     "EncoderConfig", "EncoderPair", "GclEstimatorState", "GdroConfig",
     "GdroEstimatorState", "MemoryBuffer", "NonFiniteGradientError",
     "OptimizerState", "Pool", "RunConfig", "RunResult", "Sample", "Task", "TaskStream",
-    "ce_gradient", "ce_loss", "dro_objective", "dro_weights", "evaluate",
-    "gcl_gradient_estimate", "gcl_loss_full", "gcl_update_estimators",
-    "gdro_gradient_estimate", "gdro_update_estimators", "gen_domain_shift",
+    "ce_step", "dro_objective", "dro_weights", "evaluate",
+    "gcl_gradient_estimate", "gcl_step", "gcl_update_estimators",
+    "gdro_gradient_estimate", "gdro_step", "gdro_update_estimators", "gen_domain_shift",
     "gen_synthetic", "init_optimizer", "load", "merge_tasks", "run",
     "sample_class_batch", "save", "split_cil", "split_dil", "step",
 ]

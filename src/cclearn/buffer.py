@@ -13,15 +13,17 @@ them, so per-class counts are exactly min(quota, available); they differ by
 at most one across classes whenever the sources cover the quotas.
 
 A stage trains on a ``Pool``: the buffer's samples followed by the task's, as
-an immutable sequence that also holds the arrays, sample ids and per-class
-members the estimators read, each built once.  Training batches and gdro's
-anchor sets are ``Pool``s too.
+an immutable sequence that also holds the arrays and sample ids the
+estimators read, built once, and the per-class members, built on first read.
+A gcl or cross-entropy batch is ``pool.take(rows)``, sliced from the stage
+pool's arrays; gdro's anchor sets are ``Pool``s too.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +35,8 @@ class Pool(Sequence):
 
     ``X`` (N, d) float64 holds the inputs, ``y`` (N,) int64 the class ids and
     ``ids`` the sample ids as Python ints (the estimators' keys), row i for
-    sample i; ``members[k]`` lists class k's samples in pool order.  This is
-    the one place a sample becomes encoder rows.
+    sample i; ``members[k]`` lists class k's samples in pool order, built on
+    first read.  This is the one place a sample becomes encoder rows.
     """
 
     def __init__(self, samples):
@@ -42,9 +44,24 @@ class Pool(Sequence):
         self.X = np.array([s.x for s in self._samples], dtype=np.float64)
         self.y = np.array([s.class_id for s in self._samples], dtype=np.int64)
         self.ids = [s.sample_id for s in self._samples]
-        self.members: dict[int, list[Sample]] = {}
+
+    def take(self, idx) -> "Pool":
+        """Rows ``idx`` as a Pool, sliced from this pool's arrays, so no sample is
+        read; equal to ``Pool([self[i] for i in idx])``, with ``X`` kept (n, d)."""
+        idx = np.asarray(idx, dtype=np.intp)
+        rows = idx.tolist()
+        part = Pool.__new__(Pool)
+        part._samples = tuple([self._samples[i] for i in rows])
+        part.X, part.y = self.X[idx], self.y[idx]
+        part.ids = [self.ids[i] for i in rows]
+        return part
+
+    @cached_property
+    def members(self) -> dict[int, list[Sample]]:
+        members: dict[int, list[Sample]] = {}
         for s in self._samples:
-            self.members.setdefault(s.class_id, []).append(s)
+            members.setdefault(s.class_id, []).append(s)
+        return members
 
     @classmethod
     def of(cls, samples) -> "Pool":

@@ -24,9 +24,14 @@ normalizer terms carry tau/2, which is L's gradient scaled by tau/2.  The
 full-batch identity m == (tau/2) * grad L is what the test suite pins down.
 
 Estimator state persists across tasks, carrying normalizer information from
-earlier stages forward, keyed by ``Pool.ids``.  ``gcl_update_estimators``
-updates the state it is given in place and returns that same object.  Each
-entry point reads its batch as a ``Pool`` (``Pool.of`` wraps a plain list).
+earlier stages forward, keyed by ``Pool.ids``.  A training step is one call
+to ``gcl_step``: it encodes the batch once, takes the loss from the batch
+logits S, updates the state in place and forms the gradient coefficients, the
+update and the coefficients sharing one exp(S).  ``gcl_loss_full``,
+``gcl_update_estimators`` (in place; returns the same state) and
+``gcl_gradient_estimate`` are each one of those parts on its own, built from
+the same private pieces.  Each entry point reads its batch as a ``Pool``
+(``Pool.of`` wraps a plain list).
 """
 
 from __future__ import annotations
@@ -109,10 +114,9 @@ def _batch_logits(enc, params, batch, tau):
     return batch, (f1[0] @ f2[0].T) / tau, (f1, f2)
 
 
-def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:
-    """Exact loss over the samples it is given, whose normalizers range over all
-    of them (the runner logs it per batch); computed in log domain for stability."""
-    _, S, _ = _batch_logits(enc, params, pool, tau)
+def _loss(S) -> float:
+    """The exact loss of a batch from its logits S, whose normalizers range over
+    the whole batch; computed in log domain for stability."""
     d = np.diag(S)
     row_max = S.max(axis=1)
     col_max = S.max(axis=0)
@@ -121,34 +125,63 @@ def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:
     return float(np.mean(lse_rows - d) + np.mean(lse_cols - d))
 
 
-def gcl_update_estimators(
-    state: GclEstimatorState, enc: EncoderPair, params, batch, tau, pool_size
-) -> GclEstimatorState:
-    """Moving-average update of u_I, u_T for every anchor in the batch, in place."""
-    batch, S, _ = _batch_logits(enc, params, batch, tau)
-    if pool_size < len(batch):
+def _update(state, ids, E, pool_size) -> None:
+    """In-place moving averages of u_I, u_T from E = exp(S): row and column sums
+    rescaled by pool_size/|B| to target the full-pool normalizers."""
+    if pool_size < len(ids):
         raise ValueError("pool_size must be >= batch size")
-    E, scale = np.exp(S), pool_size / len(batch)
-    moving_average(state.u_I, batch.ids, scale * E.sum(axis=1), state.gamma, U_FLOOR)
-    moving_average(state.u_T, batch.ids, scale * E.sum(axis=0), state.gamma, U_FLOOR)
-    return state
+    scale = pool_size / len(ids)
+    moving_average(state.u_I, ids, scale * E.sum(axis=1), state.gamma, U_FLOOR)
+    moving_average(state.u_T, ids, scale * E.sum(axis=0), state.gamma, U_FLOOR)
 
 
-def gcl_gradient_estimate(
-    state: GclEstimatorState, enc: EncoderPair, params, batch, tau, pool_size
-) -> np.ndarray:
-    """Mini-batch gradient estimator m (see module docstring for the form).
-
-    Every pair gradient flows through one coefficient matrix:
+def _coefficients(state, ids, E, pool_size) -> np.ndarray:
+    """The pair coefficients of the gradient estimator m, from E = exp(S):
 
         C[a, b] = scale * exp(s_ab/tau) * (1/u_I[a] + 1/u_T[b]) / (2|B|)
         C[a, a] -= 1/|B|
 
     with scale = pool_size/|B| matching the estimator update convention.
     """
-    batch, S, fwd = _batch_logits(enc, params, batch, tau)
-    n = len(batch)
-    inv_u = 1.0 / sample_estimates(state, batch.ids)
-    C = pool_size / n * np.exp(S) * (inv_u[0][:, None] + inv_u[1][None, :]) / (2.0 * n)
+    n = len(ids)
+    inv_u = 1.0 / sample_estimates(state, ids)
+    C = pool_size / n * E * (inv_u[0][:, None] + inv_u[1][None, :]) / (2.0 * n)
     C[np.diag_indices(n)] -= 1.0 / n
-    return enc.pair_grad(*fwd, C)
+    return C
+
+
+def gcl_step(
+    state: GclEstimatorState, enc: EncoderPair, params, batch, tau, pool_size
+) -> tuple[float, np.ndarray]:
+    """One training step: the batch loss, then the in-place estimator update, then
+    the gradient estimate m from the updated state, all from one encoding of the
+    batch.  Bitwise the same as ``gcl_loss_full``, ``gcl_update_estimators`` and
+    ``gcl_gradient_estimate`` called in that order."""
+    batch, S, fwd = _batch_logits(enc, params, batch, tau)
+    E = np.exp(S)
+    loss = _loss(S)
+    _update(state, batch.ids, E, pool_size)
+    return loss, enc.pair_grad(*fwd, _coefficients(state, batch.ids, E, pool_size))
+
+
+def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:
+    """Exact loss over the samples it is given, whose normalizers range over all of them."""
+    return _loss(_batch_logits(enc, params, pool, tau)[1])
+
+
+def gcl_update_estimators(
+    state: GclEstimatorState, enc: EncoderPair, params, batch, tau, pool_size
+) -> GclEstimatorState:
+    """Moving-average update of u_I, u_T for every anchor in the batch, in place."""
+    batch, S, _ = _batch_logits(enc, params, batch, tau)
+    _update(state, batch.ids, np.exp(S), pool_size)
+    return state
+
+
+def gcl_gradient_estimate(
+    state: GclEstimatorState, enc: EncoderPair, params, batch, tau, pool_size
+) -> np.ndarray:
+    """Mini-batch gradient estimator m (module docstring), through one coefficient
+    matrix (``_coefficients``) and one backward pass."""
+    batch, S, fwd = _batch_logits(enc, params, batch, tau)
+    return enc.pair_grad(*fwd, _coefficients(state, batch.ids, np.exp(S), pool_size))

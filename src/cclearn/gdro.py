@@ -34,8 +34,12 @@ is stored as (mantissa, shift) with value mantissa * exp(shift); every use of
 exp(u_c[k]/lam)/v is computed as exp(u_c[k]/lam - shift)/mantissa.  This keeps
 lam down to ~0.01 usable.
 
-``gdro_update_estimators`` updates the state it is given in place and returns
-that same object.
+A training step is one call to ``gdro_step``: it encodes the anchors and the
+pool and scores them once (``_hinge_stats``), updates the state in place from
+the log normalizers, then forms the gradient coefficients from the same hinge
+statistics.  ``gdro_update_estimators`` (in place; returns the same state) and
+``gdro_gradient_estimate`` are each one of those parts on its own, built from
+the same private pieces.
 """
 
 from __future__ import annotations
@@ -90,6 +94,11 @@ class GdroEstimatorState:
     v_mantissa: float = 0.0
     v_shift: float = 0.0
     v_initialized: bool = False
+
+    def class_losses(self):
+        """The tracked classes, ascending, and their u_c estimates as an array."""
+        classes = sorted(self.u_c)
+        return classes, np.array([self.u_c[k] for k in classes])
 
     @property
     def v(self) -> float:
@@ -175,32 +184,23 @@ def _flatten_batches(class_batch, per_class_batches) -> Pool:
     return Pool(s for k in class_batch for s in per_class_batches[k])
 
 
-def gdro_update_estimators(
-    state: GdroEstimatorState,
-    enc: EncoderPair,
-    params,
-    class_batch,
-    per_class_batches,
-    pool,
-    config: GdroConfig,
-) -> GdroEstimatorState:
-    """One pass of the moving-average updates for sampled classes and samples, in place.
+def _update(state, anchors, sizes, class_batch, log_g, config) -> None:
+    """The moving-average updates for the sampled classes and anchors, in place.
 
     Order matters: per-sample g estimates first, then per-class h estimates
     from the same fresh statistics, then v from the updated u_c values over
     all tracked classes (stale entries stand in for unsampled classes).
+    ``sizes`` holds each sampled class's anchor count, in class-batch order.
     """
-    anchors = _flatten_batches(class_batch, per_class_batches)
-    (*_, log_g), _ = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
     g = config.gamma
     for store, g_dir in zip((state.u_I, state.u_T), np.exp(log_g)):
         moving_average(store, anchors.ids, g_dir, g, U_FLOOR)
-    bounds = np.cumsum([len(per_class_batches[k]) for k in class_batch])[:-1]
+    bounds = np.cumsum(sizes)[:-1]
     h_hat = [config.tau * np.mean(rows) / 2.0 for rows in np.split(log_g[0] + log_g[1], bounds)]
     moving_average(state.u_c, class_batch, h_hat, g)
 
     # v <- (1-gamma) v + gamma * mean_k exp(u_c[k]/lam), in shifted form
-    uc = np.array([state.u_c[k] for k in sorted(state.u_c)])
+    _, uc = state.class_losses()
     shift = float(np.max(uc / config.lam))
     mantissa = float(np.mean(np.exp(uc / config.lam - shift)))
     if not state.v_initialized:
@@ -211,42 +211,106 @@ def gdro_update_estimators(
             g * mantissa * math.exp(shift - common)
         )
         state.v_shift = common
-    return state
 
 
-def _pair_coefficients(state, enc, params, class_batch, per_class_batches, pool, config):
-    """The nonzero pair coefficients of the compositional estimator.
+def _coefficients(state, anchors, sizes, class_batch, stats, config):
+    """The nonzero pair coefficients of the compositional estimator, from the
+    hinge statistics ``stats`` of ``_hinge_stats``, whose A is reused in place.
 
-    Returns (coef1, coef2, fwd), both coefficients n x N over anchors x pool:
-    coef1 weighs (anchor input, pool label) pairs, coef2 (anchor label, pool
-    input) pairs.  The anchor's own (input, label) pair takes minus its row
-    sums of both; callers place that diagonal.  ``fwd`` holds the forward
-    results of ``_hinge_stats``.
+    Returns (coef1, coef2), both n x N over anchors x pool: coef1 weighs
+    (anchor input, pool label) pairs, coef2 (anchor label, pool input) pairs.
+    The anchor's own (input, label) pair takes minus its row sums of both;
+    ``_gradient`` places that diagonal.
     """
-    anchors = _flatten_batches(class_batch, per_class_batches)
     if not state.v_initialized or state.v_mantissa <= 0:
         raise ValueError("scalar estimator v is not initialized or non-positive")
-    (n_neg, H, A, _), fwd = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
-
+    n_neg, H, A, _ = stats
     class_weight = []
-    for k in class_batch:
+    for k, size in zip(class_batch, sizes):
         if k not in state.u_c:
             raise ValueError(f"class estimator not initialized for class {k}")
-        batch_k = per_class_batches[k]
         # exp(u_c/lam) / (v * |Bc|) with the shared shift folded in
         w_k = math.exp(state.u_c[k] / config.lam - state.v_shift) / (
-            state.v_mantissa * len(class_batch) * 2.0 * len(batch_k)
+            state.v_mantissa * len(class_batch) * 2.0 * size
         )
-        class_weight.extend([w_k] * len(batch_k))
+        class_weight.extend([w_k] * size)
     class_weight = np.array(class_weight)
     log_u = np.array([[math.log(u) for u in row] for row in sample_estimates(state, anchors.ids)])
 
     scale = (class_weight * (1.0 / n_neg))[:, None]
     # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau); off the negatives
-    # H = 0 and A = -inf, so both coefficients are 0 there; A is reused in place
+    # H = 0 and A = -inf, so both coefficients are 0 there
     A -= log_u[:, :, None]
     coef1, coef2 = 2.0 * H * np.exp(A, out=A) * scale
-    return coef1, coef2, fwd
+    return coef1, coef2
+
+
+def _gradient(enc, coef1, coef2, fwd) -> np.ndarray:
+    """The estimator's gradient as two backward passes over the forward results
+    ``fwd`` of ``_hinge_stats`` (anchor inputs, anchor labels, pool inputs, pool
+    labels), so each anchor and pool row is encoded once per tower.
+
+    Only anchor rows and anchor columns of the pair coefficients are nonzero,
+    so the gradient is the sum of two rectangular blocks, O(n*N) in time and
+    memory for n anchors and a pool of N:
+
+    - anchor inputs x (anchor labels | pool labels), coefficients
+      [diag(-(row sums of coef1 + coef2)) | coef1];
+    - pool inputs x anchor labels, coefficients coef2.T.
+    """
+    f1a, f2a, f1p, f2p = fwd
+    C_anchor = np.concatenate(
+        [np.diag(-(coef1.sum(axis=1) + coef2.sum(axis=1))), coef1], axis=1
+    )
+    grad = enc.pair_grad(f1a, enc.concat_forwards(f2a, f2p), C_anchor)
+    grad += enc.pair_grad(f1p, f2a, coef2.T)
+    return grad
+
+
+def _anchor_stats(enc, params, class_batch, per_class_batches, pool, config):
+    """The anchors as a Pool, each sampled class's anchor count, the hinge
+    statistics and the forward results: one encoding and scoring of the pool."""
+    anchors = _flatten_batches(class_batch, per_class_batches)
+    sizes = [len(per_class_batches[k]) for k in class_batch]
+    stats, fwd = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
+    return anchors, sizes, stats, fwd
+
+
+def gdro_step(
+    state: GdroEstimatorState,
+    enc: EncoderPair,
+    params,
+    class_batch,
+    per_class_batches,
+    pool,
+    config: GdroConfig,
+) -> tuple[float, np.ndarray]:
+    """One training step: the in-place estimator update, then the robust objective
+    over the updated u_c and the gradient estimate, from one ``_hinge_stats``.
+    Bitwise the same as ``gdro_update_estimators`` then ``gdro_gradient_estimate``."""
+    anchors, sizes, stats, fwd = _anchor_stats(
+        enc, params, class_batch, per_class_batches, pool, config
+    )
+    _update(state, anchors, sizes, class_batch, stats[3], config)
+    coef1, coef2 = _coefficients(state, anchors, sizes, class_batch, stats, config)
+    return dro_objective(state.class_losses()[1], config.lam), _gradient(enc, coef1, coef2, fwd)
+
+
+def gdro_update_estimators(
+    state: GdroEstimatorState,
+    enc: EncoderPair,
+    params,
+    class_batch,
+    per_class_batches,
+    pool,
+    config: GdroConfig,
+) -> GdroEstimatorState:
+    """One pass of the moving-average updates for sampled classes and samples, in place."""
+    anchors, sizes, stats, _ = _anchor_stats(
+        enc, params, class_batch, per_class_batches, pool, config
+    )
+    _update(state, anchors, sizes, class_batch, stats[3], config)
+    return state
 
 
 def gdro_gradient_estimate(
@@ -258,25 +322,9 @@ def gdro_gradient_estimate(
     pool,
     config: GdroConfig,
 ) -> np.ndarray:
-    """Compositional gradient estimator (module docstring) as two backward passes.
-
-    Only anchor rows and anchor columns of the pair coefficients are nonzero,
-    so the gradient is the sum of two rectangular blocks, O(n*N) in time and
-    memory for n anchors and a pool of N:
-
-    - anchor inputs x (anchor labels | pool labels), coefficients
-      [diag(-(row sums of coef1 + coef2)) | coef1];
-    - pool inputs x anchor labels, coefficients coef2.T.
-
-    Both blocks reuse the forward results of the hinge statistics, so each
-    anchor and pool row is encoded once per tower.
-    """
-    coef1, coef2, (f1a, f2a, f1p, f2p) = _pair_coefficients(
-        state, enc, params, class_batch, per_class_batches, pool, config
+    """Compositional gradient estimator (module docstring) as two backward passes
+    (``_gradient``) that reuse the forward results of the hinge statistics."""
+    anchors, sizes, stats, fwd = _anchor_stats(
+        enc, params, class_batch, per_class_batches, pool, config
     )
-    C_anchor = np.concatenate(
-        [np.diag(-(coef1.sum(axis=1) + coef2.sum(axis=1))), coef1], axis=1
-    )
-    grad = enc.pair_grad(f1a, enc.concat_forwards(f2a, f2p), C_anchor)
-    grad += enc.pair_grad(f1p, f2a, coef2.T)
-    return grad
+    return _gradient(enc, *_coefficients(state, anchors, sizes, class_batch, stats, config), fwd)

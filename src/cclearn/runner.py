@@ -9,15 +9,17 @@ separate linear head exists anywhere.
 
 Accuracy bookkeeping: entry (t, b) is accuracy on task b's test set after
 stage t.  The per-stage aggregate A_t is accuracy over the union of test sets
-0..t for class-incremental streams, and the unweighted mean of per-domain
+0..t for class-incremental streams, counted from the per-task entries so each
+test row is evaluated once per stage, and the unweighted mean of per-domain
 accuracies for domain-incremental streams.
 
 Every method trains through one step loop (``_Trainer.train_task``): draw an
 epoch's batches, take the method's loss and gradient on each, check them,
 step the optimizer, guard against divergence and log every ``log_every``
-steps.  Methods differ only in how batches are drawn (shuffled slices of the
-pool, or class picks plus per-class draws for gdro) and in the loss and
-gradient of one step.
+steps.  Methods differ only in how batches are drawn (shuffled row views of
+the stage pool, or class picks plus per-class draws for gdro) and in the one
+fused step function that gives a batch's loss and gradient: ``gcl_step``,
+``gdro_step`` or ``ce_step``.  Each encodes its rows once per step.
 
 Methods:
     gcl               global contrastive loss with replay
@@ -38,20 +40,12 @@ import numpy as np
 from .buffer import MemoryBuffer, Pool, sample_class_batch
 from .data import Task, TaskStream
 from .errors import DivergenceError, NonFiniteGradientError
-from .gcl import (
-    GclEstimatorState,
-    gcl_gradient_estimate,
-    gcl_loss_full,
-    gcl_update_estimators,
-)
-from .gdro import (
-    GdroConfig,
-    GdroEstimatorState,
-    dro_objective,
-    dro_weights,
-    gdro_gradient_estimate,
-    gdro_update_estimators,
-)
+from .gcl import GclEstimatorState, _check_tau, gcl_step
+from .gdro import GdroConfig, GdroEstimatorState, dro_weights, gdro_step
+
+# perfbench/tracing.py wraps these names on this module; training calls the fused steps
+from .gcl import gcl_gradient_estimate, gcl_loss_full, gcl_update_estimators  # noqa: F401
+from .gdro import gdro_gradient_estimate, gdro_update_estimators  # noqa: F401
 from .model import EncoderConfig, EncoderPair
 from .optim import init_optimizer, step as optimizer_step
 
@@ -153,32 +147,54 @@ def evaluate(enc: EncoderPair, params, test, candidate_classes) -> float:
 
 
 def _ce_logits(enc, params, batch, candidates, tau):
-    """sim/tau logits over the candidates, each row's true-class column, row
-    maxima, and the two towers' forward results."""
+    """sim/tau logits over the candidates, each row's true-class column, and the
+    two towers' forward results.  Refuses a non-positive tau, an empty batch and
+    a batch class that is not among the candidates."""
+    tau = _check_tau(tau)
     batch = Pool.of(batch)
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    col = {c: j for j, c in enumerate(candidates)}
+    try:
+        idx = np.array([col[k] for k in batch.y.tolist()])
+    except KeyError as err:
+        raise ValueError(
+            f"batch class {err.args[0]} is not among the candidates {list(candidates)}"
+        ) from None
     f1 = enc._forward_inputs(params, batch.X)
     f2 = enc._forward_labels(params, candidates)
-    Z = (f1[0] @ f2[0].T) / tau
-    col = {c: j for j, c in enumerate(candidates)}
-    idx = np.array([col[k] for k in batch.y.tolist()])
-    return Z, idx, Z.max(axis=1), (f1, f2)
+    return (f1[0] @ f2[0].T) / tau, idx, (f1, f2)
+
+
+def _ce_softmax(Z, idx):
+    """Mean softmax cross-entropy of logits Z against true columns idx, and the
+    row softmax P."""
+    m = Z.max(axis=1)
+    P = np.exp(Z - m[:, None])
+    total = P.sum(axis=1, keepdims=True)
+    loss = float(np.mean(m + np.log(total[:, 0]) - Z[np.arange(len(Z)), idx]))
+    P /= total
+    return loss, P
+
+
+def ce_step(enc: EncoderPair, params, batch, candidates, tau) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of sim/tau logits over the candidate classes, and
+    its analytic gradient through (softmax - onehot) / (|B| * tau) pair weights,
+    from one encoding of the batch."""
+    Z, idx, fwd = _ce_logits(enc, params, batch, candidates, tau)
+    loss, P = _ce_softmax(Z, idx)
+    P[np.arange(len(P)), idx] -= 1.0
+    return loss, enc.pair_grad(*fwd, P / (len(P) * tau))
 
 
 def ce_loss(enc: EncoderPair, params, batch, candidates, tau) -> float:
-    """Mean softmax cross-entropy of sim/tau logits over the candidate classes."""
-    Z, idx, m, _ = _ce_logits(enc, params, batch, candidates, tau)
-    lse = m + np.log(np.exp(Z - m[:, None]).sum(axis=1))
-    return float(np.mean(lse - Z[np.arange(len(batch)), idx]))
+    """The loss of ``ce_step``."""
+    return _ce_softmax(*_ce_logits(enc, params, batch, candidates, tau)[:2])[0]
 
 
 def ce_gradient(enc: EncoderPair, params, batch, candidates, tau) -> np.ndarray:
-    """Analytic gradient of ce_loss: (softmax - onehot) / (|B| * tau) pair weights."""
-    Z, idx, m, fwd = _ce_logits(enc, params, batch, candidates, tau)
-    P = np.exp(Z - m[:, None])
-    P /= P.sum(axis=1, keepdims=True)
-    P[np.arange(len(batch)), idx] -= 1.0
-    C = P / (len(batch) * tau)
-    return enc.pair_grad(*fwd, C)
+    """The gradient of ``ce_step``."""
+    return ce_step(enc, params, batch, candidates, tau)[1]
 
 
 # ----------------------------------------------------------------- run driver
@@ -216,12 +232,12 @@ class _Trainer:
 
     def _batches(self, pool, candidates):
         """One epoch's batches, drawn up front; each RNG has this one consumer.
-        A gcl or cross-entropy batch is a ``Pool``."""
+        A gcl or cross-entropy batch is a row view of the stage pool."""
         cfg, gcfg = self.config, self.gdro_config
         if cfg.method != "gdro":
             order = self.shuffle_rng.permutation(len(pool))
             return [
-                Pool(pool[i] for i in order[start : start + cfg.batch_size])
+                pool.take(order[start : start + cfg.batch_size])
                 for start in range(0, len(pool), cfg.batch_size)
             ]
         n_take = min(gcfg.batch_classes, len(candidates))
@@ -237,29 +253,27 @@ class _Trainer:
         return batches
 
     def _step(self, batch, pool, candidates):
-        """The method's loss, gradient and extra log fields on one batch.
+        """The method's loss and gradient on one batch, from one fused step call.
 
         The gdro loss is the robust objective over the estimated u_c.
         """
-        cfg, gcfg, enc, params = self.config, self.gdro_config, self.enc, self.params
+        cfg, enc, params = self.config, self.enc, self.params
         if cfg.method == "finetune-ce":
-            args = (enc, params, batch, candidates, cfg.tau)
-            return ce_loss(*args), ce_gradient(*args), {}
+            return ce_step(enc, params, batch, candidates, cfg.tau)
         if cfg.method == "gcl":
-            args = (enc, params, batch, cfg.tau, len(pool))
-            loss = gcl_loss_full(enc, params, batch, cfg.tau)
-            gcl_update_estimators(self.gcl_state, *args)
-            return loss, gcl_gradient_estimate(self.gcl_state, *args), {}
-        args = (enc, params, *batch, pool, gcfg)
-        gdro_update_estimators(self.gdro_state, *args)
-        grad = gdro_gradient_estimate(self.gdro_state, *args)
-        tracked = sorted(self.gdro_state.u_c)
-        h = np.array([self.gdro_state.u_c[k] for k in tracked])
-        extra = {
+            return gcl_step(self.gcl_state, enc, params, batch, cfg.tau, len(pool))
+        return gdro_step(self.gdro_state, enc, params, *batch, pool, self.gdro_config)
+
+    def _log_fields(self):
+        """gdro's per-class loss estimates and robust weights; other methods add none."""
+        if self.config.method != "gdro":
+            return {}
+        tracked, h = self.gdro_state.class_losses()
+        weights = dro_weights(h, self.gdro_config.lam)
+        return {
             "h": {str(k): float(v) for k, v in zip(tracked, h)},
-            "dro_weights": {str(k): float(w) for k, w in zip(tracked, dro_weights(h, gcfg.lam))},
+            "dro_weights": {str(k): float(w) for k, w in zip(tracked, weights)},
         }
-        return dro_objective(h, gcfg.lam), grad, extra
 
     def train_task(self, task, pool: Pool):
         """Train stage ``task`` on its ``Pool`` (replay plus task data) for every epoch."""
@@ -273,7 +287,7 @@ class _Trainer:
             )
         for epoch in range(cfg.epochs_per_task):
             for batch in self._batches(pool, candidates):
-                loss, grad, extra = self._step(batch, pool, candidates)
+                loss, grad = self._step(batch, pool, candidates)
                 if not math.isfinite(loss):
                     raise self._diverged("loss became non-finite", task, epoch)
                 try:
@@ -286,7 +300,7 @@ class _Trainer:
                 if self.global_step % cfg.log_every == 0:
                     self.log.append(
                         {"event": "step", "task": task, "epoch": epoch,
-                         "step": self.global_step, "loss": loss, **extra}
+                         "step": self.global_step, "loss": loss, **self._log_fields()}
                     )
                 self.global_step += 1
 
@@ -335,17 +349,20 @@ def run(stream: TaskStream, config: RunConfig, hook=None) -> RunResult:
             hook("rebalance", {"task": t, "buffer": trainer.buffer})
 
         candidates = all_classes if stream.mode == "dil" else stream.classes_up_to(t)
+        accs = []
         for b in range(t + 1):
             acc = evaluate(trainer.enc, trainer.params, stream.tasks[b].test, candidates)
             matrix.entries[(t, b)] = acc
+            accs.append(acc)
             trainer.log.append(
                 {"event": "eval", "after_task": t, "eval_task": b, "accuracy": acc}
             )
         if stream.mode == "dil":
-            a_t = float(np.mean([matrix.entries[(t, b)] for b in range(t + 1)]))
+            a_t = float(np.mean(accs))
         else:
-            union_test = [s for b in range(t + 1) for s in stream.tasks[b].test]
-            a_t = evaluate(trainer.enc, trainer.params, union_test, candidates)
+            # acc is the correctly rounded correct/n, so round(acc * n) is the count
+            sizes = [len(stream.tasks[b].test) for b in range(t + 1)]
+            a_t = sum(round(acc * n) for acc, n in zip(accs, sizes)) / sum(sizes)
         matrix.aggregate[t] = a_t
         trainer.log.append({"event": "task_summary", "after_task": t, "A_t": a_t})
     return RunResult(accuracy=matrix, params=trainer.params, log=trainer.log)

@@ -13,7 +13,7 @@ pin the two against each other.
 import numpy as np
 
 from cclearn.gcl import _check_tau
-from cclearn.gdro import GdroConfig, _hinge_stats, _pair_coefficients
+from cclearn.gdro import GdroConfig, _anchor_stats, _coefficients, _hinge_stats
 from cclearn.model import EncoderPair
 
 
@@ -66,9 +66,10 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
                         config: GdroConfig) -> np.ndarray:
     """``gdro_gradient_estimate`` through one (anchor+pool) x (anchor+pool)
     coefficient matrix and a single backward pass: O((n+N)^2) memory."""
-    coef1, coef2, _ = _pair_coefficients(
-        state, enc, params, class_batch, per_class_batches, pool, config
+    anchors, sizes, stats, _ = _anchor_stats(
+        enc, params, class_batch, per_class_batches, pool, config
     )
+    coef1, coef2 = _coefficients(state, anchors, sizes, class_batch, stats, config)
     anchors = [s for k in class_batch for s in per_class_batches[k]]
     n, N = len(anchors), len(pool)
     C = np.zeros((n + N, n + N))

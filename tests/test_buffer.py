@@ -196,3 +196,25 @@ def test_pool_arrays_follow_sample_order(rng):
     assert pool.y.tolist() == [s.class_id for s in samples]
     assert Pool.of(pool) is pool
     assert pool[3] is samples[3] and list(pool[2:4]) == samples[2:4]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    num_classes=st.integers(1, 5),
+    picks=st.lists(st.integers(0, 2**16), max_size=40),
+    seed=st.integers(0, 2**16),
+)
+def test_take_equals_a_pool_of_the_picked_samples(n, num_classes, picks, seed):
+    """``pool.take(idx)`` slices the stage pool's arrays; it is the Pool built from
+    the picked samples, except that an empty take keeps ``X`` two-dimensional."""
+    pool = Pool(make_pool(np.random.default_rng(seed), n, num_classes, 3))
+    idx = np.array([p % n for p in picks], dtype=np.int64)
+    part, built = pool.take(idx), Pool([pool[i] for i in idx])
+    assert part.X.tobytes() == built.X.tobytes() and part.X.dtype == np.float64
+    assert part.y.tobytes() == built.y.tobytes() and part.y.dtype == np.int64
+    assert part.ids == built.ids and all(type(i) is int for i in part.ids)
+    assert list(part) == list(built) and len(part) == len(idx)
+    assert "members" not in vars(part)  # built on first read
+    assert part.members == built.members
+    assert part.X.shape == (len(idx), 3)

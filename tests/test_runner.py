@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cclearn.gcl
 import cclearn.gdro
 import cclearn.runner
 from cclearn.buffer import Pool, sample_class_batch
@@ -15,13 +17,16 @@ from cclearn.gcl import (
     GclEstimatorState,
     gcl_gradient_estimate,
     gcl_loss_full,
+    gcl_step,
     gcl_update_estimators,
     sample_estimates,
 )
 from cclearn.gdro import (
     GdroConfig,
     GdroEstimatorState,
+    dro_objective,
     gdro_gradient_estimate,
+    gdro_step,
     gdro_update_estimators,
 )
 from cclearn.model import EncoderConfig, EncoderPair
@@ -29,6 +34,7 @@ from cclearn.runner import (
     RunConfig,
     ce_gradient,
     ce_loss,
+    ce_step,
     evaluate,
     merge_tasks,
     run,
@@ -125,6 +131,36 @@ def test_ce_gradient_matches_finite_differences(hidden):
     assert_grad_close(g, fd)
 
 
+@pytest.mark.parametrize("case, pattern", [
+    ("class-not-candidate", "batch class 2 is not among the candidates"),
+    ("no-candidates", "is not among the candidates"),
+    ("empty-batch", "batch must be non-empty"),
+    ("tau=0", "tau must be > 0"),
+    ("tau=-1", "tau must be > 0"),
+    ("tau=nan", "tau must be > 0"),
+])
+def test_cross_entropy_refuses_hostile_input(rng, case, pattern):
+    """A one-line ValueError, with no numpy warning, from the step and from the loss
+    and gradient on their own."""
+    enc = make_encoder(seed=1, num_classes=4)
+    w = enc.init_params()
+    batch, candidates, tau = make_pool(rng, 6, 4, 3), [0, 1, 2, 3], 0.3
+    if case == "class-not-candidate":
+        candidates = [0, 1, 3]
+    elif case == "no-candidates":
+        candidates = []
+    elif case == "empty-batch":
+        batch = []
+    else:
+        tau = float(case.split("=")[1])
+    for entry in (ce_step, ce_loss, ce_gradient):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=pattern) as info:
+                entry(enc, w, batch, candidates, tau)
+        assert "\n" not in str(info.value)
+
+
 # ------------------------------------------------------------------- running
 
 
@@ -144,6 +180,30 @@ def test_zero_shot_rows_match_initial_model():
             want = evaluate(enc, w0, stream.tasks[b].test, candidates)
             assert result.accuracy.entries[(t, b)] == want
     assert np.array_equal(result.params, w0)
+
+
+def test_cil_stage_evaluates_each_test_row_once(monkeypatch):
+    """A_t over the union of seen test sets is counted from the per-task entries,
+    with the same bits as evaluating the union."""
+    stream = _small_stream()
+    rows = []
+    original = cclearn.runner.evaluate
+
+    def counting(enc, params, test, candidates):
+        rows.append(len(test))
+        return original(enc, params, test, candidates)
+
+    monkeypatch.setattr(cclearn.runner, "evaluate", counting)
+    result = run(stream, _fast_config("zero-shot"))
+    monkeypatch.undo()
+    seen = [[s for b in range(t + 1) for s in stream.tasks[b].test] for t in range(3)]
+    assert sum(rows) == sum(len(union) for union in seen)
+    enc = EncoderPair(
+        EncoderConfig(input_dim=8, num_classes_max=6, hidden_dim=0, embed_dim=6, seed=3)
+    )
+    for t, union in enumerate(seen):
+        want = evaluate(enc, enc.init_params(), union, stream.classes_up_to(t))
+        assert np.float64(result.accuracy.aggregate[t]).tobytes() == np.float64(want).tobytes()
 
 
 def test_matrix_shape_and_range():
@@ -350,8 +410,8 @@ def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
     """The trainer's gcl and cross-entropy batches and gdro's anchors are Pools, and
     so is the stage pool, so no estimator converts samples to rows itself."""
     module, name, positions = {
-        "gcl": (cclearn.runner, "gcl_update_estimators", (3,)),  # the batch
-        "finetune-ce": (cclearn.runner, "ce_gradient", (2,)),  # the batch
+        "gcl": (cclearn.runner, "gcl_step", (3,)),  # the batch
+        "finetune-ce": (cclearn.runner, "ce_step", (2,)),  # the batch
         "gdro": (cclearn.gdro, "_hinge_stats", (2, 3)),  # the anchors and the pool
     }[method]
     handed = []
@@ -364,3 +424,92 @@ def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
     monkeypatch.setattr(module, name, recording)
     run(_small_stream(), _fast_config(method, epochs_per_task=1))
     assert handed and all(isinstance(arg, Pool) for arg in handed)
+
+
+# --------------------------------------------------------------- fused steps
+
+
+def _state_bytes(state):
+    """Every estimator field of a gcl or gdro state, keys and float bits."""
+    out = []
+    for name in ("u_I", "u_T", "u_c"):
+        if hasattr(state, name):
+            store = getattr(state, name)
+            out += [list(store), np.array(list(store.values())).tobytes()]
+    if isinstance(state, GdroEstimatorState):
+        out += [np.float64([state.v_mantissa, state.v_shift]).tobytes(), state.v_initialized]
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    hidden_dim=st.sampled_from([0, 3]),
+    n=st.integers(4, 14),
+    num_classes=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_steps_are_bitwise_the_separate_sequence(hidden_dim, n, num_classes, seed):
+    """Over three steps, each fused step gives the loss, gradient and estimator
+    state of the separate calls the runner used to make, to the bit."""
+    rng = np.random.default_rng(seed)
+    enc = make_encoder(seed=seed, hidden_dim=hidden_dim, num_classes=num_classes)
+    w = enc.init_params()
+    pool = Pool(make_pool(rng, n, num_classes, 3))
+    classes = list(range(num_classes))
+    cfg = GdroConfig(lam=0.7, gamma=0.8, margin=0.3, tau=0.4,
+                     batch_classes=2, batch_per_class=3)
+    gcl_states = GclEstimatorState(0.9), GclEstimatorState(0.9)
+    gdro_states = GdroEstimatorState(), GdroEstimatorState()
+    for _ in range(3):
+        w = w + 0.05 * rng.standard_normal(enc.n_params)
+        batch = pool.take(rng.permutation(n)[: int(rng.integers(1, n + 1))])
+
+        separate_state, fused_state = gcl_states
+        loss = gcl_loss_full(enc, w, batch, 0.2)
+        gcl_update_estimators(separate_state, enc, w, batch, 0.2, n)
+        grad = gcl_gradient_estimate(separate_state, enc, w, batch, 0.2, n)
+        fused = gcl_step(fused_state, enc, w, batch, 0.2, n)
+        assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
+        assert fused[1].tobytes() == grad.tobytes()
+        assert _state_bytes(fused_state) == _state_bytes(separate_state)
+
+        fused = ce_step(enc, w, batch, classes, 0.2)
+        loss = ce_loss(enc, w, batch, classes, 0.2)
+        assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
+        assert fused[1].tobytes() == ce_gradient(enc, w, batch, classes, 0.2).tobytes()
+
+        separate_state, fused_state = gdro_states
+        picked = [int(k) for k in rng.choice(num_classes, 2, replace=False)]
+        args = (enc, w, picked,
+                {k: sample_class_batch(pool, k, 3, int(rng.integers(2**32))) for k in picked},
+                pool, cfg)
+        gdro_update_estimators(separate_state, *args)
+        grad = gdro_gradient_estimate(separate_state, *args)
+        loss = dro_objective(separate_state.class_losses()[1], cfg.lam)
+        fused = gdro_step(fused_state, *args)
+        assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
+        assert fused[1].tobytes() == grad.tobytes()
+        assert _state_bytes(fused_state) == _state_bytes(separate_state)
+
+
+@pytest.mark.parametrize("method, module, name", [
+    ("gdro", cclearn.gdro, "_hinge_stats"),
+    ("gcl", cclearn.gcl, "_batch_logits"),
+    ("finetune-ce", cclearn.runner, "_ce_logits"),
+])
+def test_one_encoding_per_optimizer_step(monkeypatch, method, module, name):
+    """Each training step encodes and scores its rows once: one call of the
+    method's encoding function per optimizer step."""
+    calls = {"encode": 0, "optimizer": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(module, name, counted("encode", getattr(module, name)))
+    monkeypatch.setattr(cclearn.runner, "optimizer_step",
+                        counted("optimizer", cclearn.runner.optimizer_step))
+    run(_small_stream(), _fast_config(method, epochs_per_task=2))
+    assert calls["optimizer"] > 0 and calls["encode"] == calls["optimizer"]

@@ -21,7 +21,7 @@ from .data import (
     split_cil,
     split_dil,
 )
-from .errors import DatasetFormatError, DivergenceError, NonFiniteGradientError
+from .errors import ConfigError, DatasetFormatError, DivergenceError, NonFiniteGradientError
 from .gcl import (
     GclEstimatorState,
     gcl_gradient_estimate,
@@ -52,7 +52,7 @@ from .runner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyMatrix", "Dataset", "DatasetFormatError", "DivergenceError",
+    "AccuracyMatrix", "ConfigError", "Dataset", "DatasetFormatError", "DivergenceError",
     "EncoderConfig", "EncoderPair", "GclEstimatorState", "GdroConfig",
     "GdroEstimatorState", "MemoryBuffer", "NonFiniteGradientError",
     "OptimizerState", "Pool", "RunConfig", "RunResult", "Sample", "Task", "TaskStream",

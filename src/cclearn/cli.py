@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .errors import DatasetFormatError, DivergenceError
+from .errors import ConfigError, DatasetFormatError, DivergenceError
 from .report import accuracy_csv_text, config_sha256, file_sha256, line_chart_svg
 from .runner import RunConfig, run
 
@@ -164,10 +164,12 @@ def cmd_run(args) -> int:
 
     try:
         result = run(stream, run_config)
-    except DivergenceError as err:
-        for d in created:  # a diverged run leaves no directory it made behind
+    except (ConfigError, DivergenceError) as err:
+        for d in created:  # a failed run leaves no directory it made behind
             with contextlib.suppress(OSError):  # rmdir refuses a non-empty directory
                 d.rmdir()
+        if isinstance(err, ConfigError):
+            return _fail(EXIT_CONFIG, f"config: {err}")
         return _fail(EXIT_DIVERGED, f"diverged: {err}")
 
     cfg_hash = config_sha256({"dataset": doc["dataset"], "split": doc["split"], "run": doc["run"]})

@@ -5,6 +5,11 @@ class DatasetFormatError(Exception):
     """Raised when a dataset file is malformed, truncated, or has an unsupported version."""
 
 
+class ConfigError(ValueError):
+    """Raised when a config is valid on its own but cannot train on the stream it
+    is given, such as gdro on a stage whose pool holds a single class."""
+
+
 class DivergenceError(RuntimeError):
     """Raised when training produces non-finite losses, gradients, or parameters.
 

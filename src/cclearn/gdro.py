@@ -40,6 +40,14 @@ the log normalizers, then forms the gradient coefficients from the same hinge
 statistics.  ``gdro_update_estimators`` (in place; returns the same state) and
 ``gdro_gradient_estimate`` are each one of those parts on its own, built from
 the same private pieces.
+
+A step's pool-sized arrays (the (2, n, N) blocks H and A and the
+log-sum-exp scratch, the g2 similarities, the negative masks and the anchor
+block of pair coefficients; the coefficients overwrite H) are views of the
+grow-only ``WorkArrays`` on the state.  A step allocates none of them unless
+its pool or anchor count outgrows every earlier step of the run.  The hinge
+statistics are such views, valid until the next step on the same state
+overwrites them.
 """
 
 from __future__ import annotations
@@ -78,6 +86,25 @@ class GdroConfig:
             raise ValueError("batch_classes and batch_per_class must be positive")
 
 
+class WorkArrays:
+    """Grow-only flat buffers, one per name, handed out as views of any shape.
+
+    ``take`` returns the first ``prod(shape)`` elements of the named buffer,
+    reshaped; the buffer is replaced by a larger one only when a shape needs
+    more.  A view is valid until the next ``take`` of the same name.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
 @dataclass
 class GdroEstimatorState:
     """Moving averages for the compositional estimator.
@@ -85,7 +112,8 @@ class GdroEstimatorState:
     u_I/u_T track per-sample hinge normalizers g1/g2, u_c tracks per-class
     losses h_k, and v tracks (1/K) * sum_k exp(u_c[k]/lam) over all tracked
     classes.  Key presence doubles as the initialization flag; first touches
-    use gamma=1.
+    use gamma=1.  ``work`` holds the run's pool-sized scratch arrays, which
+    every step overwrites.
     """
 
     u_I: dict[int, float] = field(default_factory=dict)
@@ -94,6 +122,7 @@ class GdroEstimatorState:
     v_mantissa: float = 0.0
     v_shift: float = 0.0
     v_initialized: bool = False
+    work: WorkArrays = field(default_factory=WorkArrays, init=False, repr=False, compare=False)
 
     def class_losses(self):
         """The tracked classes, ascending, and their u_c estimates as an array."""
@@ -109,14 +138,17 @@ class GdroEstimatorState:
 # ------------------------------------------------------------ hinge machinery
 
 
-def _hinge_stats(enc, params, anchors, pool, margin, tau):
+def _hinge_stats(enc, params, anchors, pool, margin, tau, work=None):
     """(n_neg, H, A, log_g), fwd: negative counts, hinge activations, stable log g,
     and the forward results (anchor inputs, anchor labels, pool inputs, pool labels).
 
     Axis 0 of H, A (2, n, N) and log_g (2, n) holds g1 (anchor input x pool
     label), then g2 (anchor label x pool input).  Every anchor needs a negative.
+    H and A are views of ``work`` (a fresh ``WorkArrays`` when None), so they
+    hold until the next call on the same ``work`` overwrites them.
     """
     anchors, pool = Pool.of(anchors), Pool.of(pool)
+    work = WorkArrays() if work is None else work
     fwd = (
         enc._forward_inputs(params, anchors.X),
         enc._forward_labels(params, anchors.y),
@@ -124,12 +156,14 @@ def _hinge_stats(enc, params, anchors, pool, margin, tau):
         enc._forward_labels(params, pool.y),
     )
     (E1a, _), (E2a, _), (E1p, _), (E2p, _) = fwd
+    n, N = len(anchors), len(pool)
 
     sii = np.sum(E1a * E2a, axis=1)
-    H = np.empty((2, len(anchors), len(pool)))
+    H = work.take("H", (2, n, N))
     np.matmul(E1a, E2p.T, out=H[0])
-    H[1] = (E1p @ E2a.T).T  # E2a @ E1p.T would differ in the last bits
-    neg = pool.y[None, :] != anchors.y[:, None]
+    H2t = work.take("H2t", (N, n))
+    H[1] = np.matmul(E1p, E2a.T, out=H2t).T  # E2a @ E1p.T would differ in the last bits
+    neg = np.not_equal(pool.y[None, :], anchors.y[:, None], out=work.take("neg", (n, N), bool))
     n_neg = neg.sum(axis=1)
     if np.any(n_neg == 0):
         bad = anchors.y[int(np.argmin(n_neg))]
@@ -140,11 +174,11 @@ def _hinge_stats(enc, params, anchors, pool, margin, tau):
     H += margin
     np.maximum(H, 0.0, out=H)
     H *= neg
-    A = H * H
+    A = np.multiply(H, H, out=work.take("A", (2, n, N)))
     A /= tau
-    np.copyto(A, -np.inf, where=~neg)
+    np.copyto(A, -np.inf, where=np.logical_not(neg, out=work.take("same", (n, N), bool)))
     m = A.max(axis=2)
-    E = A - m[:, :, None]
+    E = np.subtract(A, m[:, :, None], out=work.take("E", (2, n, N)))
     log_g = m + np.log(np.exp(E, out=E).sum(axis=2)) - np.log(n_neg)
     return (n_neg, H, A, log_g), fwd
 
@@ -215,7 +249,7 @@ def _update(state, anchors, sizes, class_batch, log_g, config) -> None:
 
 def _coefficients(state, anchors, sizes, class_batch, stats, config):
     """The nonzero pair coefficients of the compositional estimator, from the
-    hinge statistics ``stats`` of ``_hinge_stats``, whose A is reused in place.
+    hinge statistics ``stats`` of ``_hinge_stats``, written over their H and A.
 
     Returns (coef1, coef2), both n x N over anchors x pool: coef1 weighs
     (anchor input, pool label) pairs, coef2 (anchor label, pool input) pairs.
@@ -241,11 +275,13 @@ def _coefficients(state, anchors, sizes, class_batch, stats, config):
     # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau); off the negatives
     # H = 0 and A = -inf, so both coefficients are 0 there
     A -= log_u[:, :, None]
-    coef1, coef2 = 2.0 * H * np.exp(A, out=A) * scale
-    return coef1, coef2
+    coef = np.multiply(2.0, H, out=H)
+    coef *= np.exp(A, out=A)
+    coef *= scale
+    return coef[0], coef[1]
 
 
-def _gradient(enc, coef1, coef2, fwd) -> np.ndarray:
+def _gradient(enc, coef1, coef2, fwd, work) -> np.ndarray:
     """The estimator's gradient as two backward passes over the forward results
     ``fwd`` of ``_hinge_stats`` (anchor inputs, anchor labels, pool inputs, pool
     labels), so each anchor and pool row is encoded once per tower.
@@ -257,22 +293,27 @@ def _gradient(enc, coef1, coef2, fwd) -> np.ndarray:
     - anchor inputs x (anchor labels | pool labels), coefficients
       [diag(-(row sums of coef1 + coef2)) | coef1];
     - pool inputs x anchor labels, coefficients coef2.T.
+
+    The first block's coefficients are written into ``work``.
     """
     f1a, f2a, f1p, f2p = fwd
-    C_anchor = np.concatenate(
-        [np.diag(-(coef1.sum(axis=1) + coef2.sum(axis=1))), coef1], axis=1
-    )
+    n = len(coef1)
+    C_anchor = work.take("C_anchor", (n, n + coef1.shape[1]))
+    C_anchor[:, :n] = 0.0
+    np.fill_diagonal(C_anchor[:, :n], -(coef1.sum(axis=1) + coef2.sum(axis=1)))
+    C_anchor[:, n:] = coef1
     grad = enc.pair_grad(f1a, enc.concat_forwards(f2a, f2p), C_anchor)
     grad += enc.pair_grad(f1p, f2a, coef2.T)
     return grad
 
 
-def _anchor_stats(enc, params, class_batch, per_class_batches, pool, config):
+def _anchor_stats(enc, params, class_batch, per_class_batches, pool, config, work=None):
     """The anchors as a Pool, each sampled class's anchor count, the hinge
-    statistics and the forward results: one encoding and scoring of the pool."""
+    statistics (views of ``work``) and the forward results: one encoding and
+    scoring of the pool."""
     anchors = _flatten_batches(class_batch, per_class_batches)
     sizes = [len(per_class_batches[k]) for k in class_batch]
-    stats, fwd = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau)
+    stats, fwd = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau, work)
     return anchors, sizes, stats, fwd
 
 
@@ -289,11 +330,12 @@ def gdro_step(
     over the updated u_c and the gradient estimate, from one ``_hinge_stats``.
     Bitwise the same as ``gdro_update_estimators`` then ``gdro_gradient_estimate``."""
     anchors, sizes, stats, fwd = _anchor_stats(
-        enc, params, class_batch, per_class_batches, pool, config
+        enc, params, class_batch, per_class_batches, pool, config, state.work
     )
     _update(state, anchors, sizes, class_batch, stats[3], config)
     coef1, coef2 = _coefficients(state, anchors, sizes, class_batch, stats, config)
-    return dro_objective(state.class_losses()[1], config.lam), _gradient(enc, coef1, coef2, fwd)
+    grad = _gradient(enc, coef1, coef2, fwd, state.work)
+    return dro_objective(state.class_losses()[1], config.lam), grad
 
 
 def gdro_update_estimators(
@@ -307,7 +349,7 @@ def gdro_update_estimators(
 ) -> GdroEstimatorState:
     """One pass of the moving-average updates for sampled classes and samples, in place."""
     anchors, sizes, stats, _ = _anchor_stats(
-        enc, params, class_batch, per_class_batches, pool, config
+        enc, params, class_batch, per_class_batches, pool, config, state.work
     )
     _update(state, anchors, sizes, class_batch, stats[3], config)
     return state
@@ -325,6 +367,7 @@ def gdro_gradient_estimate(
     """Compositional gradient estimator (module docstring) as two backward passes
     (``_gradient``) that reuse the forward results of the hinge statistics."""
     anchors, sizes, stats, fwd = _anchor_stats(
-        enc, params, class_batch, per_class_batches, pool, config
+        enc, params, class_batch, per_class_batches, pool, config, state.work
     )
-    return _gradient(enc, *_coefficients(state, anchors, sizes, class_batch, stats, config), fwd)
+    coef1, coef2 = _coefficients(state, anchors, sizes, class_batch, stats, config)
+    return _gradient(enc, coef1, coef2, fwd, state.work)

@@ -233,7 +233,8 @@ class EncoderPair:
             raise ValueError(
                 f"coefficient matrix has shape {C.shape}, expected {(E1.shape[0], E2.shape[0])}"
             )
-        CS = C * (E1 @ E2.T)
+        CS = E1 @ E2.T
+        CS *= C
         # d sim / d z = (other - sim * self) / norm for each side
         row_w = np.sum(CS, axis=1)
         col_w = np.sum(CS, axis=0)

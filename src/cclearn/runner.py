@@ -39,7 +39,7 @@ import numpy as np
 
 from .buffer import MemoryBuffer, Pool, sample_class_batch
 from .data import Task, TaskStream
-from .errors import DivergenceError, NonFiniteGradientError
+from .errors import ConfigError, DivergenceError, NonFiniteGradientError
 from .gcl import GclEstimatorState, _check_tau, gcl_step
 from .gdro import GdroConfig, GdroEstimatorState, dro_weights, gdro_step
 
@@ -282,8 +282,9 @@ class _Trainer:
             return
         candidates = sorted(pool.members)
         if cfg.method == "gdro" and len(candidates) < 2:
-            raise DivergenceError(
-                "robust training needs at least two classes in the pool", task=task
+            raise ConfigError(
+                f"gdro needs at least two classes in each stage's pool; "
+                f"the pool of stage {task} holds {len(candidates)}"
             )
         for epoch in range(cfg.epochs_per_task):
             for batch in self._batches(pool, candidates):

@@ -1,7 +1,8 @@
 """Shared helpers: finite-difference oracles and random instance builders.
 
-The finite-difference gradient, single-pair similarity helpers and the
-instance builders live here.  The reference oracles that several test files
+The finite-difference gradient, single-pair similarity helpers, the
+instance builders and ``state_bytes`` (an estimator state as comparable
+bytes) live here.  The reference oracles that several test files
 compare against (g_I/g_T, hinge_g1/hinge_g2, class_loss_hk and the accuracy
 CSV parser) live in ``oracles.py``.  The duplicate-implementation oracles
 (straight-line forward passes, naive loss loops, the simplex maximizer) live
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from cclearn.data import Sample
+from cclearn.gdro import GdroEstimatorState
 from cclearn.model import EncoderConfig, EncoderPair
 
 
@@ -61,6 +63,18 @@ def make_encoder(seed, input_dim=3, num_classes=4, hidden_dim=4, embed_dim=3):
         )
     )
     return enc
+
+
+def state_bytes(state):
+    """Every estimator field of a gcl or gdro state, keys and float bits."""
+    out = []
+    for name in ("u_I", "u_T", "u_c"):
+        if hasattr(state, name):
+            store = getattr(state, name)
+            out += [list(store), np.array(list(store.values())).tobytes()]
+    if isinstance(state, GdroEstimatorState):
+        out += [np.float64([state.v_mantissa, state.v_shift]).tobytes(), state.v_initialized]
+    return out
 
 
 def make_pool(rng, n, num_classes, input_dim, id_offset=0):

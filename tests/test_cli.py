@@ -291,6 +291,18 @@ def test_run_divergence_exits_4(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_run_gdro_one_class_stage_exits_2_and_leaves_no_directory(tmp_path, capsys):
+    """One class per task leaves gdro's first stage without negatives: a config
+    error, reported before training and without an output directory."""
+    data = _gen(tmp_path, classes=4, per_class=10)
+    cfg = _write_config(tmp_path, _config_doc(data, tmp_path / "a" / "b", method="gdro"))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1, err
+    assert "two classes" in err
+    assert not (tmp_path / "a").exists()
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["new-nested", "existing"])
 def test_run_divergence_removes_only_the_directories_it_created(tmp_path, capsys, existing):
     data = _gen(tmp_path)

@@ -7,19 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cclearn import benchmark
-from cclearn.buffer import sample_class_batch
+from cclearn.buffer import Pool, sample_class_batch
 from cclearn.data import Sample, gen_synthetic
 from cclearn.gdro import (
     GdroConfig,
     GdroEstimatorState,
+    WorkArrays,
     dro_objective,
     dro_weights,
     gdro_gradient_estimate,
+    gdro_step,
     gdro_update_estimators,
 )
 from cclearn.model import EncoderPair
 
-from conftest import assert_grad_close, central_diff, make_encoder, pair_sim
+from conftest import (
+    assert_grad_close,
+    central_diff,
+    make_encoder,
+    make_pool,
+    pair_sim,
+    state_bytes,
+)
 from oracles import class_loss_hk, gdro_gradient_dense, hinge_g1, hinge_g2
 
 
@@ -431,21 +440,26 @@ def test_gradient_blocks_match_dense_oracle(
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def test_gradient_memory_is_linear_in_pool():
-    """30 anchors against a pool of 3200: a dense (n+N)^2 coefficient matrix
-    alone would take 83 MB; each of the two rectangular blocks takes under 1 MB."""
+def _benchmark_gdro(pool_size, num_classes=40):
+    """The benchmark's gdro encoder, parameters and config, a synthetic pool of
+    ``pool_size`` rows over ``num_classes`` classes, and 30 anchors."""
     run_cfg = benchmark.benchmark_config("gdro", 0, 0)
     cfg = run_cfg.gdro_config()
-    num_classes = 40
     pool = gen_synthetic(
-        num_classes, 3200 // num_classes, benchmark.INPUT_DIM,
+        num_classes, pool_size // num_classes, benchmark.INPUT_DIM,
         benchmark.SEPARATION, benchmark.NOISE, 3,
     ).samples
     enc = EncoderPair(run_cfg.encoder_config(benchmark.INPUT_DIM, num_classes))
-    w = enc.init_params()
     classes = list(range(0, num_classes, num_classes // cfg.batch_classes))
     batches = {k: sample_class_batch(pool, k, cfg.batch_per_class, k) for k in classes}
     assert sum(len(b) for b in batches.values()) == 30
+    return enc, enc.init_params(), classes, batches, pool, cfg
+
+
+def test_gradient_memory_is_linear_in_pool():
+    """30 anchors against a pool of 3200: a dense (n+N)^2 coefficient matrix
+    alone would take 83 MB; each of the two rectangular blocks takes under 1 MB."""
+    enc, w, classes, batches, pool, cfg = _benchmark_gdro(3200)
     state = gdro_update_estimators(GdroEstimatorState(), enc, w, classes, batches, pool, cfg)
 
     tracemalloc.start()
@@ -457,3 +471,51 @@ def test_gradient_memory_is_linear_in_pool():
         tracemalloc.stop()
     assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
     assert peak < 20e6, f"gradient estimate peaked at {peak / 1e6:.1f} MB"
+
+
+def test_warm_step_allocates_no_pool_sized_block():
+    """Once a run's work arrays have grown, a gdro step at pool 1200 with 30
+    anchors writes its (2, n, N) blocks into them: the step's traced peak stays
+    under 1 MB, where one (2, 30, 1200) float block alone takes 0.58 MB."""
+    enc, w, classes, batches, samples, cfg = _benchmark_gdro(1200)
+    pool = Pool(samples)  # as the runner passes it, built once per stage
+    state = GdroEstimatorState()
+    gdro_step(state, enc, w, classes, batches, pool, cfg)  # grows the work arrays
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _, grad = gdro_step(state, enc, w, classes, batches, pool, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+    assert peak < 1e6, f"warm gdro step peaked at {peak / 1e6:.2f} MB"
+
+
+@settings(max_examples=6, deadline=None)
+@given(hidden=st.sampled_from([0, 3]), seed=st.integers(0, 2**32 - 1))
+def test_reused_work_arrays_leak_nothing_between_steps(hidden, seed):
+    """Steps on one state, with the anchor count n shrinking and growing and the
+    pool size N changing (1200, 400, 800), give the bytes of the same steps each
+    run with fresh work arrays.  Class 7 holds 2 rows, fewer than a class batch."""
+    rng = np.random.default_rng(seed)
+    num_classes, per_class = 8, 6
+    enc = make_encoder(seed=seed % 2**16, hidden_dim=hidden, num_classes=num_classes)
+    w = enc.init_params()
+    small = [Sample(x=rng.standard_normal(3), class_id=7, sample_id=10_000 + i) for i in range(2)]
+    samples = small + make_pool(rng, 1200, num_classes - 1, 3)
+    cfg = _cfg(gamma=0.8, batch_per_class=per_class)
+    reused, fresh = GdroEstimatorState(), GdroEstimatorState()
+    for size, with_small in ((1200, False), (400, True), (800, False)):
+        pool = Pool(samples[:size])
+        picked = [int(k) for k in rng.choice(num_classes - 1, 3, replace=False)]
+        if with_small:
+            picked[0] = 7
+        batches = {k: sample_class_batch(pool, k, per_class, seed + k) for k in picked}
+        w = w + 0.05 * rng.standard_normal(enc.n_params)
+        fresh.work = WorkArrays()
+        loss, grad = gdro_step(fresh, enc, w, picked, batches, pool, cfg)
+        want = [np.float64(loss).tobytes(), grad.tobytes(), *state_bytes(fresh)]
+        loss, grad = gdro_step(reused, enc, w, picked, batches, pool, cfg)
+        assert [np.float64(loss).tobytes(), grad.tobytes(), *state_bytes(reused)] == want

@@ -12,7 +12,7 @@ import cclearn.gdro
 import cclearn.runner
 from cclearn.buffer import Pool, sample_class_batch
 from cclearn.data import Sample, gen_synthetic, split_cil
-from cclearn.errors import DivergenceError
+from cclearn.errors import ConfigError, DivergenceError
 from cclearn.gcl import (
     GclEstimatorState,
     gcl_gradient_estimate,
@@ -40,7 +40,7 @@ from cclearn.runner import (
     run,
 )
 
-from conftest import assert_grad_close, central_diff, make_encoder, make_pool
+from conftest import assert_grad_close, central_diff, make_encoder, make_pool, state_bytes
 
 
 def _small_stream(seed=0, num_classes=6, num_tasks=3, per_class=12):
@@ -284,6 +284,16 @@ def test_divergence_aborts_with_diagnostic(method):
     assert f"at task {err.task}, epoch {err.epoch}, step {err.step}" in str(err)
 
 
+def test_gdro_refuses_a_one_class_stage_before_any_step(monkeypatch):
+    """A stage pool of one class is a config error (a ValueError), raised before
+    the stage's first step."""
+    steps = []
+    monkeypatch.setattr(cclearn.runner, "gdro_step", lambda *args: steps.append(args))
+    with pytest.raises(ConfigError, match="stage 0 holds 1") as info:
+        run(_small_stream(num_classes=3, num_tasks=3), _fast_config("gdro"))
+    assert isinstance(info.value, ValueError) and not steps
+
+
 def test_joint_upper_bound_equals_merged_single_task_run():
     stream = _small_stream()
     config = _fast_config("gcl", epochs_per_task=4)
@@ -429,18 +439,6 @@ def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
 # --------------------------------------------------------------- fused steps
 
 
-def _state_bytes(state):
-    """Every estimator field of a gcl or gdro state, keys and float bits."""
-    out = []
-    for name in ("u_I", "u_T", "u_c"):
-        if hasattr(state, name):
-            store = getattr(state, name)
-            out += [list(store), np.array(list(store.values())).tobytes()]
-    if isinstance(state, GdroEstimatorState):
-        out += [np.float64([state.v_mantissa, state.v_shift]).tobytes(), state.v_initialized]
-    return out
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     hidden_dim=st.sampled_from([0, 3]),
@@ -471,7 +469,7 @@ def test_fused_steps_are_bitwise_the_separate_sequence(hidden_dim, n, num_classe
         fused = gcl_step(fused_state, enc, w, batch, 0.2, n)
         assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
         assert fused[1].tobytes() == grad.tobytes()
-        assert _state_bytes(fused_state) == _state_bytes(separate_state)
+        assert state_bytes(fused_state) == state_bytes(separate_state)
 
         fused = ce_step(enc, w, batch, classes, 0.2)
         loss = ce_loss(enc, w, batch, classes, 0.2)
@@ -489,7 +487,7 @@ def test_fused_steps_are_bitwise_the_separate_sequence(hidden_dim, n, num_classe
         fused = gdro_step(fused_state, *args)
         assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
         assert fused[1].tobytes() == grad.tobytes()
-        assert _state_bytes(fused_state) == _state_bytes(separate_state)
+        assert state_bytes(fused_state) == state_bytes(separate_state)
 
 
 @pytest.mark.parametrize("method, module, name", [

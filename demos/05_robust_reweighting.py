@@ -36,7 +36,7 @@ cfg = GdroConfig(lam=0.5, gamma=1.0, margin=0.4, tau=0.3, batch_classes=4, batch
 classes = list(centers)
 members = {k: [s for s in pool if s.class_id == k] for k in classes}
 state = gdro_update_estimators(GdroEstimatorState(), enc, w, classes, members, pool, cfg)
-h = np.array([state.u_c[k] for k in classes])
+_, h = state.class_losses()  # classes 0..3, ascending
 print("per-class hinge losses h_k:", np.round(h, 3))
 print("(classes 0 and 3 overlap, so their margins are violated more)\n")
 

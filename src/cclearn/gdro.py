@@ -37,7 +37,9 @@ lam down to ~0.01 usable.
 A training step is one call to ``gdro_step``: it encodes the anchors and the
 pool and scores them once (``_hinge_stats``), updates the state in place from
 the log normalizers, then forms the gradient coefficients from the same hinge
-statistics.  ``gdro_update_estimators`` (in place; returns the same state) and
+statistics and the same id -> column lookups.  The per-sample and per-class
+estimates are ``MovingAverages`` arrays updated by gcl's ``moving_average``.
+``gdro_update_estimators`` (in place; returns the same state) and
 ``gdro_gradient_estimate`` are each one of those parts on its own, built from
 the same private pieces.
 
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .buffer import Pool
-from .gcl import U_FLOOR, moving_average, sample_estimates
+from .gcl import U_FLOOR, MovingAverages, moving_average, sample_estimates
 from .model import EncoderPair
 
 
@@ -105,20 +107,20 @@ class WorkArrays:
         return flat[:size].reshape(shape)
 
 
-@dataclass
+@dataclass(eq=False)
 class GdroEstimatorState:
     """Moving averages for the compositional estimator.
 
-    u_I/u_T track per-sample hinge normalizers g1/g2, u_c tracks per-class
-    losses h_k, and v tracks (1/K) * sum_k exp(u_c[k]/lam) over all tracked
-    classes.  Key presence doubles as the initialization flag; first touches
-    use gamma=1.  ``work`` holds the run's pool-sized scratch arrays, which
-    every step overwrites.
+    ``samples`` holds u_I (row 0) and u_T (row 1), the per-sample hinge
+    normalizers g1/g2, per sample id; ``classes`` holds u_c (row 0), the
+    per-class losses h_k, per class id; v tracks (1/K) * sum_k exp(u_c[k]/lam)
+    over all tracked classes.  Each table's initialized mask is its
+    initialization flag; first touches use gamma=1.  ``work`` holds the run's
+    pool-sized scratch arrays, which every step overwrites.
     """
 
-    u_I: dict[int, float] = field(default_factory=dict)
-    u_T: dict[int, float] = field(default_factory=dict)
-    u_c: dict[int, float] = field(default_factory=dict)
+    samples: MovingAverages = field(default_factory=lambda: MovingAverages(2))
+    classes: MovingAverages = field(default_factory=lambda: MovingAverages(1))
     v_mantissa: float = 0.0
     v_shift: float = 0.0
     v_initialized: bool = False
@@ -126,8 +128,9 @@ class GdroEstimatorState:
 
     def class_losses(self):
         """The tracked classes, ascending, and their u_c estimates as an array."""
-        classes = sorted(self.u_c)
-        return classes, np.array([self.u_c[k] for k in classes])
+        slot = self.classes.slot
+        classes = sorted(slot)
+        return classes, self.classes.values[0, [slot[k] for k in classes]]
 
     @property
     def v(self) -> float:
@@ -204,7 +207,8 @@ def dro_objective(h, lam) -> float:
     h = np.asarray(h, dtype=np.float64)
     z = h / lam
     m = z.max()
-    return float(lam * (m + np.log(np.mean(np.exp(z - m)))))
+    e = np.exp(z - m)
+    return float(lam * (m + np.log(e.sum() / e.size)))
 
 
 # --------------------------------------------------------------- estimators
@@ -218,25 +222,30 @@ def _flatten_batches(class_batch, per_class_batches) -> Pool:
     return Pool(s for k in class_batch for s in per_class_batches[k])
 
 
-def _update(state, anchors, sizes, class_batch, log_g, config) -> None:
+def _update(state, anchors, sizes, class_batch, log_g, config):
     """The moving-average updates for the sampled classes and anchors, in place.
 
     Order matters: per-sample g estimates first, then per-class h estimates
     from the same fresh statistics, then v from the updated u_c values over
     all tracked classes (stale entries stand in for unsampled classes).
     ``sizes`` holds each sampled class's anchor count, in class-batch order.
+    Returns the anchors' columns of ``state.samples`` and the classes' columns
+    of ``state.classes``.
     """
     g = config.gamma
-    for store, g_dir in zip((state.u_I, state.u_T), np.exp(log_g)):
-        moving_average(store, anchors.ids, g_dir, g, U_FLOOR)
+    cols = moving_average(state.samples, anchors.ids, np.exp(log_g), g, U_FLOOR)
     bounds = np.cumsum(sizes)[:-1]
-    h_hat = [config.tau * np.mean(rows) / 2.0 for rows in np.split(log_g[0] + log_g[1], bounds)]
-    moving_average(state.u_c, class_batch, h_hat, g)
+    h_hat = [
+        config.tau * (rows.sum() / len(rows)) / 2.0
+        for rows in np.split(log_g[0] + log_g[1], bounds)
+    ]
+    class_cols = moving_average(state.classes, class_batch, [h_hat], g)
 
     # v <- (1-gamma) v + gamma * mean_k exp(u_c[k]/lam), in shifted form
-    _, uc = state.class_losses()
-    shift = float(np.max(uc / config.lam))
-    mantissa = float(np.mean(np.exp(uc / config.lam - shift)))
+    z = state.class_losses()[1] / config.lam
+    shift = float(z.max())
+    e = np.exp(z - shift)
+    mantissa = float(e.sum() / len(e))
     if not state.v_initialized:
         state.v_mantissa, state.v_shift, state.v_initialized = mantissa, shift, True
     else:
@@ -245,31 +254,33 @@ def _update(state, anchors, sizes, class_batch, log_g, config) -> None:
             g * mantissa * math.exp(shift - common)
         )
         state.v_shift = common
+    return cols, class_cols
 
 
-def _coefficients(state, anchors, sizes, class_batch, stats, config):
+def _coefficients(state, anchors, sizes, class_batch, stats, config, cols=(None, None)):
     """The nonzero pair coefficients of the compositional estimator, from the
     hinge statistics ``stats`` of ``_hinge_stats``, written over their H and A.
 
     Returns (coef1, coef2), both n x N over anchors x pool: coef1 weighs
     (anchor input, pool label) pairs, coef2 (anchor label, pool input) pairs.
     The anchor's own (input, label) pair takes minus its row sums of both;
-    ``_gradient`` places that diagonal.
+    ``_gradient`` places that diagonal.  ``cols`` are the columns ``_update``
+    returns, when known.
     """
     if not state.v_initialized or state.v_mantissa <= 0:
         raise ValueError("scalar estimator v is not initialized or non-positive")
     n_neg, H, A, _ = stats
-    class_weight = []
-    for k, size in zip(class_batch, sizes):
-        if k not in state.u_c:
-            raise ValueError(f"class estimator not initialized for class {k}")
-        # exp(u_c/lam) / (v * |Bc|) with the shared shift folded in
-        w_k = math.exp(state.u_c[k] / config.lam - state.v_shift) / (
-            state.v_mantissa * len(class_batch) * 2.0 * size
-        )
-        class_weight.extend([w_k] * size)
-    class_weight = np.array(class_weight)
-    log_u = np.array([[math.log(u) for u in row] for row in sample_estimates(state, anchors.ids)])
+    u_c = state.classes.read(class_batch, cols[1], what="class", positive=False)[0]
+    # exp(u_c/lam) / (v * |Bc|) per anchor, with the shared shift folded in
+    norm = state.v_mantissa * len(class_batch) * 2.0
+    class_weight = np.repeat(
+        [math.exp(u / config.lam - state.v_shift) / (norm * size)
+         for u, size in zip(u_c.tolist(), sizes)],
+        sizes,
+    )
+    # math.log, not np.log: the two differ in the last bit on some inputs
+    u = sample_estimates(state, anchors.ids, cols[0]).tolist()
+    log_u = np.array([[math.log(x) for x in row] for row in u])
 
     scale = (class_weight * (1.0 / n_neg))[:, None]
     # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau); off the negatives
@@ -332,8 +343,8 @@ def gdro_step(
     anchors, sizes, stats, fwd = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, state.work
     )
-    _update(state, anchors, sizes, class_batch, stats[3], config)
-    coef1, coef2 = _coefficients(state, anchors, sizes, class_batch, stats, config)
+    cols = _update(state, anchors, sizes, class_batch, stats[3], config)
+    coef1, coef2 = _coefficients(state, anchors, sizes, class_batch, stats, config, cols)
     grad = _gradient(enc, coef1, coef2, fwd, state.work)
     return dro_objective(state.class_losses()[1], config.lam), grad
 

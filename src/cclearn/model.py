@@ -163,7 +163,8 @@ class EncoderPair:
         cls = np.asarray(class_ids, dtype=np.int64)
         if cls.ndim != 1:
             cls = cls.reshape(-1)
-        if np.any(cls < 0) or np.any(cls >= self.config.num_classes_max):
+        # initial=0 admits no rows and keeps the check to one min and one max
+        if cls.min(initial=0) < 0 or cls.max(initial=0) >= self.config.num_classes_max:
             raise ValueError(f"class id out of range [0, {self.config.num_classes_max})")
         return self._forward(params, "e2", cls)
 
@@ -208,9 +209,10 @@ class EncoderPair:
             w_slice, b_slice, (rows, cols) = layers[k]
             A = cache["A"][k]
             if k == 0 and cache["tower"] == "e2":
-                dWt = np.zeros((cols, rows))
-                np.add.at(dWt, A, dZ)
-                g[w_slice] = dWt.T.ravel()
+                # scatter-add dZ's rows into W's columns A: bincount adds each
+                # (row, class) cell's terms in row order from 0.0, as np.add.at does
+                cells = np.arange(rows) * cols + A[:, None]
+                g[w_slice] = np.bincount(cells.ravel(), dZ.ravel(), rows * cols)
             else:
                 g[w_slice] = (dZ.T @ A).ravel()
             g[b_slice] = dZ.sum(axis=0)
@@ -236,8 +238,8 @@ class EncoderPair:
         CS = E1 @ E2.T
         CS *= C
         # d sim / d z = (other - sim * self) / norm for each side
-        row_w = np.sum(CS, axis=1)
-        col_w = np.sum(CS, axis=0)
+        row_w = CS.sum(axis=1)
+        col_w = CS.sum(axis=0)
         dZ1 = (C @ E2 - row_w[:, None] * E1) / c1["R"][:, None]
         dZ2 = (C.T @ E1 - col_w[:, None] * E2) / c2["R"][:, None]
 

@@ -13,7 +13,7 @@ both moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,19 +56,18 @@ def step(opt: OptimizerState, params, grad):
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != opt.momentum.shape or np.shape(params) != grad.shape:
         raise ValueError("params, grad and optimizer state must have matching shapes")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NonFiniteGradientError("gradient contains NaN or Inf; step refused")
 
     momentum = (1.0 - opt.beta1) * opt.momentum + opt.beta1 * grad
     t = opt.step_count + 1
     if opt.mode == "momentum-sgd":
         new_params = params - opt.eta * momentum
-        new_opt = replace(opt, momentum=momentum, step_count=t)
+        second = None
     else:
         second = _ADAM_BETA2 * opt.second_moment + (1.0 - _ADAM_BETA2) * grad * grad
         m_corr = 1.0 - (1.0 - opt.beta1) ** t
         m_hat = momentum / m_corr if m_corr > 0 else momentum
         v_hat = second / (1.0 - _ADAM_BETA2**t)
         new_params = params - opt.eta * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        new_opt = replace(opt, momentum=momentum, second_moment=second, step_count=t)
-    return new_opt, new_params
+    return OptimizerState(momentum, second, t, opt.beta1, opt.eta, opt.mode), new_params

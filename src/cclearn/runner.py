@@ -172,7 +172,8 @@ def _ce_softmax(Z, idx):
     m = Z.max(axis=1)
     P = np.exp(Z - m[:, None])
     total = P.sum(axis=1, keepdims=True)
-    loss = float(np.mean(m + np.log(total[:, 0]) - Z[np.arange(len(Z)), idx]))
+    row_loss = m + np.log(total[:, 0]) - Z[np.arange(len(Z)), idx]
+    loss = float(row_loss.sum() / len(row_loss))
     P /= total
     return loss, P
 
@@ -295,8 +296,9 @@ class _Trainer:
                     self.opt, self.params = optimizer_step(self.opt, self.params, grad)
                 except NonFiniteGradientError as err:
                     raise self._diverged("non-finite gradient", task, epoch) from err
-                # 1e150 guard: beyond it the norm of a forward pass overflows float64
-                if not np.all(np.isfinite(self.params)) or np.max(np.abs(self.params)) > 1e150:
+                # 1e150 guard: beyond it the norm of a forward pass overflows float64;
+                # a NaN or inf parameter fails the comparison too
+                if not np.abs(self.params).max() <= 1e150:
                     raise self._diverged("parameters became non-finite or exploded", task, epoch)
                 if self.global_step % cfg.log_every == 0:
                     self.log.append(

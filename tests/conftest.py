@@ -2,7 +2,7 @@
 
 The finite-difference gradient, single-pair similarity helpers, the
 instance builders and ``state_bytes`` (an estimator state as comparable
-bytes) live here.  The reference oracles that several test files
+keys and bytes) live here.  The reference oracles that several test files
 compare against (g_I/g_T, hinge_g1/hinge_g2, class_loss_hk and the accuracy
 CSV parser) live in ``oracles.py``.  The duplicate-implementation oracles
 (straight-line forward passes, naive loss loops, the simplex maximizer) live
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from cclearn.data import Sample
+from cclearn.gcl import sample_estimates
 from cclearn.gdro import GdroEstimatorState
 from cclearn.model import EncoderConfig, EncoderPair
 
@@ -66,13 +67,13 @@ def make_encoder(seed, input_dim=3, num_classes=4, hidden_dim=4, embed_dim=3):
 
 
 def state_bytes(state):
-    """Every estimator field of a gcl or gdro state, keys and float bits."""
-    out = []
-    for name in ("u_I", "u_T", "u_c"):
-        if hasattr(state, name):
-            store = getattr(state, name)
-            out += [list(store), np.array(list(store.values())).tobytes()]
+    """Every estimator of a gcl or gdro state: its keys in first-touch order and
+    its float bits."""
+    ids = list(state.samples.slot)
+    out = [ids, sample_estimates(state, ids).tobytes()]
     if isinstance(state, GdroEstimatorState):
+        classes, u_c = state.class_losses()
+        out += [list(state.classes.slot), classes, u_c.tobytes()]
         out += [np.float64([state.v_mantissa, state.v_shift]).tobytes(), state.v_initialized]
     return out
 

@@ -4,10 +4,12 @@ Single-anchor normalizers for the global contrastive loss (``g_I``, ``g_T``),
 single-anchor hinge normalizers and the exact per-class loss for the robust
 objective (``hinge_g1``, ``hinge_g2``, ``class_loss_hk``), the robust
 gradient estimator through one dense coefficient matrix
-(``gdro_gradient_dense``), and a parser for the accuracy CSV that
-``cclearn run`` writes.  None of these is on a training path: the
-estimators compute the same quantities in batch or in blocks, and the tests
-pin the two against each other.
+(``gdro_gradient_dense``), the per-key dict recurrence that the array-backed
+``moving_average`` vectorises (``dict_moving_average``), the label tower's
+scatter-add backward through ``np.add.at`` (``backward_add_at``), and a
+parser for the accuracy CSV that ``cclearn run`` writes.  None of these is on
+a training path: the package computes the same quantities in batch, in
+blocks or in arrays, and the tests pin the two against each other.
 """
 
 import numpy as np
@@ -80,6 +82,35 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
     xs = [s.x for s in anchors] + [s.x for s in pool]
     cls = [s.class_id for s in anchors] + [s.class_id for s in pool]
     return enc.weighted_pair_grad(params, xs, cls, C)
+
+
+def dict_moving_average(store: dict, keys, values, gamma, floor=None) -> None:
+    """In-place ``store[k] <- (1 - gamma) * store[k] + gamma * v`` per (k, v) pair,
+    one key at a time; a key's first update writes ``v``, and ``floor`` raises
+    each result to at least ``floor`` with Python's ``max``."""
+    for key, value in zip(keys, values):
+        value = float(value)
+        old = store.get(key)
+        new = value if old is None else (1 - gamma) * old + gamma * value
+        store[key] = new if floor is None else max(floor, new)
+
+
+def backward_add_at(enc: EncoderPair, g, cache, dZ):
+    """``EncoderPair._backward`` with the label tower's one-hot first layer
+    scattered through ``np.add.at`` into a zeroed (classes x rows) array."""
+    layers = enc._layers[cache["tower"]]
+    for k in reversed(range(len(layers))):
+        w_slice, b_slice, (rows, cols) = layers[k]
+        A = cache["A"][k]
+        if k == 0 and cache["tower"] == "e2":
+            dWt = np.zeros((cols, rows))
+            np.add.at(dWt, A, dZ)
+            g[w_slice] = dWt.T.ravel()
+        else:
+            g[w_slice] = (dZ.T @ A).ravel()
+        g[b_slice] = dZ.sum(axis=0)
+        if k > 0:
+            dZ = (dZ @ cache["W"][k]) * (1.0 - A * A)
 
 
 def read_accuracy_csv(path):

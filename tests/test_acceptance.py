@@ -6,6 +6,7 @@ criteria run on the committed benchmark (cclearn.benchmark) and finish in
 well under their budgets on a laptop-class machine.
 """
 
+import copy
 import hashlib
 import json
 import time
@@ -29,6 +30,7 @@ from cclearn.gcl import (
     gcl_gradient_estimate,
     gcl_loss_full,
     gcl_update_estimators,
+    sample_estimates,
 )
 from cclearn.gdro import (
     GdroConfig,
@@ -213,17 +215,14 @@ def test_criterion_05_estimator_halving():
 
     # GCL state: initialize at w0, then track targets at w1 with gamma = 0.5
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w0, pool, tau, len(pool))
-    st = GclEstimatorState(gamma=0.5, u_I=dict(st.u_I), u_T=dict(st.u_T))
-    tI = {s.sample_id: g_I(enc, w1, s, pool, tau) for s in pool}
-    tT = {s.sample_id: g_T(enc, w1, s, pool, tau) for s in pool}
+    st = GclEstimatorState(gamma=0.5, samples=copy.deepcopy(st.samples))
+    ids = [s.sample_id for s in pool]
+    t_IT = np.array([[g(enc, w1, s, pool, tau) for s in pool] for g in (g_I, g_T)])
     gcl_ok = True
     prev = None
     for _ in range(14):
         st = gcl_update_estimators(st, enc, w1, pool, tau, len(pool))
-        err = max(
-            max(abs(st.u_I[k] - tI[k]) for k in tI),
-            max(abs(st.u_T[k] - tT[k]) for k in tT),
-        )
+        err = np.abs(sample_estimates(st, ids) - t_IT).max()
         if prev is not None and abs(err - 0.5 * prev) > 1e-9 * max(1.0, prev):
             gcl_ok = False
         prev = err
@@ -233,17 +232,17 @@ def test_criterion_05_estimator_halving():
     cfg = GdroConfig(lam=0.8, gamma=0.5, margin=0.3, tau=0.4, batch_classes=3, batch_per_class=4)
     batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
     gst = gdro_update_estimators(GdroEstimatorState(), enc, w0, [0, 1, 2], batches, pool, cfg1)
-    h_target = {k: class_loss_hk(enc, w1, k, pool, cfg) for k in range(3)}
-    gI_target = {s.sample_id: hinge_g1(enc, w1, s, pool, cfg.margin, cfg.tau) for s in pool}
-    gT_target = {s.sample_id: hinge_g2(enc, w1, s, pool, cfg.margin, cfg.tau) for s in pool}
+    h_target = np.array([class_loss_hk(enc, w1, k, pool, cfg) for k in range(3)])
+    g_target = np.array(
+        [[g(enc, w1, s, pool, cfg.margin, cfg.tau) for s in pool] for g in (hinge_g1, hinge_g2)]
+    )
     gdro_ok = True
     prev = None
     for _ in range(14):
         gst = gdro_update_estimators(gst, enc, w1, [0, 1, 2], batches, pool, cfg)
         err = max(
-            max(abs(gst.u_c[k] - h_target[k]) for k in h_target),
-            max(abs(gst.u_I[k] - gI_target[k]) for k in gI_target),
-            max(abs(gst.u_T[k] - gT_target[k]) for k in gT_target),
+            np.abs(gst.class_losses()[1] - h_target).max(),
+            np.abs(sample_estimates(gst, ids) - g_target).max(),
         )
         if prev is not None and abs(err - 0.5 * prev) > 1e-9 * max(1.0, prev):
             gdro_ok = False

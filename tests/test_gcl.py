@@ -1,13 +1,21 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclearn.gcl import (
+    U_FLOOR,
     GclEstimatorState,
+    MovingAverages,
     gcl_gradient_estimate,
     gcl_loss_full,
+    gcl_step,
     gcl_update_estimators,
+    moving_average,
+    sample_estimates,
 )
 
 from conftest import (
@@ -17,8 +25,9 @@ from conftest import (
     make_pool,
     pair_sim,
     pair_sim_grad,
+    state_bytes,
 )
-from oracles import g_I, g_T
+from oracles import dict_moving_average, g_I, g_T
 
 
 def _constant_sim_params(enc):
@@ -137,10 +146,11 @@ def test_update_gamma_one_full_batch_is_exact(rng):
     w = enc.init_params()
     pool = make_pool(rng, 6, 3, 3)
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w, pool, 0.3, len(pool))
-    for s in pool:
-        assert abs(st.u_I[s.sample_id] - g_I(enc, w, s, pool, 0.3)) < 1e-10
-        assert abs(st.u_T[s.sample_id] - g_T(enc, w, s, pool, 0.3)) < 1e-10
-        assert st.u_I[s.sample_id] > 0
+    u_I, u_T = sample_estimates(st, [s.sample_id for s in pool])
+    for s, ui, ut in zip(pool, u_I, u_T):
+        assert abs(ui - g_I(enc, w, s, pool, 0.3)) < 1e-10
+        assert abs(ut - g_T(enc, w, s, pool, 0.3)) < 1e-10
+        assert ui > 0
 
 
 def test_update_gamma_zero_freezes_initialized_state(rng):
@@ -148,11 +158,11 @@ def test_update_gamma_zero_freezes_initialized_state(rng):
     w = enc.init_params()
     pool = make_pool(rng, 6, 3, 3)
     st = gcl_update_estimators(GclEstimatorState(gamma=0.0), enc, w, pool, 0.3, len(pool))
-    before = (dict(st.u_I), dict(st.u_T))
+    before = state_bytes(st)
     w2 = w + 0.5  # different params would move an unfrozen estimator
     st2 = gcl_update_estimators(st, enc, w2, pool, 0.3, len(pool))
     assert st2 is st  # updated in place
-    assert (st2.u_I, st2.u_T) == before
+    assert state_bytes(st2) == before
 
 
 def test_update_converges_geometrically(rng):
@@ -162,12 +172,13 @@ def test_update_converges_geometrically(rng):
     pool = make_pool(rng, 6, 3, 3)
     tau = 0.3
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w0, pool, tau, len(pool))
-    st = GclEstimatorState(gamma=0.5, u_I=dict(st.u_I), u_T=dict(st.u_T))
-    target = {s.sample_id: g_I(enc, w1, s, pool, tau) for s in pool}
+    st = GclEstimatorState(gamma=0.5, samples=copy.deepcopy(st.samples))
+    ids = [s.sample_id for s in pool]
+    target = [g_I(enc, w1, s, pool, tau) for s in pool]
     errs = []
     for _ in range(12):
         st = gcl_update_estimators(st, enc, w1, pool, tau, len(pool))
-        errs.append(max(abs(st.u_I[k] - target[k]) for k in target))
+        errs.append(max(abs(u - t) for u, t in zip(sample_estimates(st, ids)[0], target)))
     for prev, cur in zip(errs, errs[1:]):
         assert abs(cur - 0.5 * prev) < 1e-9 * max(1.0, prev)
 
@@ -222,7 +233,9 @@ def test_gradient_matches_symbolic_reassembly_under_tau_change(tau, rng):
     pool = make_pool(rng, 5, 3, 3)
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w, pool, tau, 10)
     got = gcl_gradient_estimate(st, enc, w, pool, tau, 10)
-    want = _reassembled_estimate(enc, w, pool, tau, 10, st.u_I, st.u_T)
+    ids = [s.sample_id for s in pool]
+    u_I, u_T = (dict(zip(ids, row)) for row in sample_estimates(st, ids))
+    want = _reassembled_estimate(enc, w, pool, tau, 10, u_I, u_T)
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -230,11 +243,12 @@ def test_gradient_requires_initialized_estimators(rng):
     enc = make_encoder(seed=7)
     w = enc.init_params()
     pool = make_pool(rng, 3, 3, 3)
-    with pytest.raises(ValueError):
+    first = pool[0].sample_id
+    with pytest.raises(ValueError, match=f"estimator not initialized for sample {first}$"):
         gcl_gradient_estimate(GclEstimatorState(gamma=0.9), enc, w, pool, 0.3, 3)
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w, pool, 0.3, 3)
-    st.u_I[pool[0].sample_id] = -1.0
-    with pytest.raises(ValueError):
+    st.samples.values[0, st.samples.slot[first]] = -1.0  # u_I of the first sample
+    with pytest.raises(ValueError, match=f"non-positive estimator value for sample {first}$"):
         gcl_gradient_estimate(st, enc, w, pool, 0.3, 3)
 
 
@@ -250,4 +264,57 @@ def test_state_determinism_snapshot(rng):
         return st
 
     a, b = build(), build()
-    assert a.u_I == b.u_I and a.u_T == b.u_T
+    assert state_bytes(a) == state_bytes(b)
+    assert state_bytes(a)[0] == [s.sample_id for s in pool]  # first-touch order
+
+
+def test_step_refuses_repeated_ids_and_leaves_state_alone(rng):
+    enc = make_encoder(seed=3)
+    w = enc.init_params()
+    pool = make_pool(rng, 6, 3, 3)
+    st = GclEstimatorState(gamma=0.9)
+    gcl_step(st, enc, w, pool[:4], 0.3, len(pool))
+    before = state_bytes(st)
+    with pytest.raises(ValueError, match="^the ids of one estimator update must not repeat$"):
+        gcl_step(st, enc, w, pool[3:] + pool[:1] + pool[3:4], 0.3, 2 * len(pool))
+    assert state_bytes(st) == before
+
+
+# values the floor and the first touch must treat exactly as the per-key loop:
+# NaN, infinities, zeros, subnormals and values just under and over U_FLOOR
+_ESTIMATES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.5 * U_FLOOR, U_FLOOR, 2 * U_FLOOR]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 2),
+    gamma=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    floor=st.sampled_from([None, U_FLOOR]),
+    data=st.data(),
+)
+def test_moving_average_is_bitwise_the_per_key_recurrence(rows, gamma, floor, data):
+    """Across calls with fresh and repeated keys, past the first capacity, the
+    columns hold the dict recurrence's keys in first-touch order and its bits."""
+    table, stores = MovingAverages(rows), [{} for _ in range(rows)]
+    for _ in range(data.draw(st.integers(1, 5))):
+        keys = data.draw(st.lists(st.integers(0, 150), min_size=1, max_size=40, unique=True))
+        values = data.draw(
+            st.lists(
+                st.lists(_ESTIMATES, min_size=len(keys), max_size=len(keys)),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            cols = moving_average(table, keys, values, gamma, floor)
+        for store, row in zip(stores, values):
+            dict_moving_average(store, keys, row, gamma, floor)
+
+        assert list(table.slot) == list(stores[0])
+        assert [table.slot[k] for k in keys] == cols.tolist()
+        every = list(stores[0])
+        got = table.read(every, positive=False)
+        assert got.tobytes() == np.array([[s[k] for k in every] for s in stores]).tobytes()

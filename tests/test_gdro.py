@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from cclearn import benchmark
 from cclearn.buffer import Pool, sample_class_batch
 from cclearn.data import Sample, gen_synthetic
+from cclearn.gcl import sample_estimates
 from cclearn.gdro import (
     GdroConfig,
     GdroEstimatorState,
@@ -295,11 +297,12 @@ def test_update_gamma_one_full_batch_exact(rng):
     batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
     st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1, 2], batches, pool, cfg)
     h = np.array([class_loss_hk(enc, w, k, pool, cfg) for k in range(3)])
-    for k in range(3):
-        assert abs(st.u_c[k] - h[k]) < 1e-12
+    classes, u_c = st.class_losses()
+    assert classes == [0, 1, 2]
+    assert np.abs(u_c - h).max() < 1e-12
     assert abs(st.v - np.mean(np.exp(h / cfg.lam))) < 1e-10
-    for s in pool:
-        assert abs(st.u_I[s.sample_id] - _naive_g1(enc, w, s, pool, cfg.margin, cfg.tau)) < 1e-10
+    for s, ui in zip(pool, sample_estimates(st, [s.sample_id for s in pool])[0]):
+        assert abs(ui - _naive_g1(enc, w, s, pool, cfg.margin, cfg.tau)) < 1e-10
 
 
 def test_update_gamma_zero_freezes(rng):
@@ -308,11 +311,29 @@ def test_update_gamma_zero_freezes(rng):
     pool = _class_pool(rng, 3, 4)
     batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
     st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1, 2], batches, pool, _cfg(gamma=1.0))
-    before = (dict(st.u_c), dict(st.u_I), dict(st.u_T), st.v)
+    before = copy.deepcopy(st)
     frozen = _cfg(gamma=0.0)
     st2 = gdro_update_estimators(st, enc, w + 0.3, [0, 1, 2], batches, pool, frozen)
     assert st2 is st  # updated in place
-    assert (st2.u_c, st2.u_I, st2.u_T, st2.v) == before
+    assert state_bytes(st2)[:-2] == state_bytes(before)[:-2]  # all but v
+    assert st2.v == before.v
+
+
+@pytest.mark.parametrize("repeat", ["anchor", "class"])
+def test_update_refuses_repeated_ids_and_leaves_state_alone(rng, repeat):
+    enc = make_encoder(seed=8)
+    w = enc.init_params()
+    pool = _class_pool(rng, 3, 4)
+    batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
+    st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1], batches, pool, _cfg())
+    before = state_bytes(st)
+    if repeat == "anchor":
+        classes, batches[2] = [2], batches[2] + batches[2][:1]
+    else:
+        classes = [2, 2]  # every anchor of class 2 twice
+    with pytest.raises(ValueError, match="^the ids of one estimator update must not repeat$"):
+        gdro_update_estimators(st, enc, w, classes, batches, pool, _cfg())
+    assert state_bytes(st) == before
 
 
 def test_update_two_level_geometric_convergence(rng):
@@ -326,14 +347,14 @@ def test_update_two_level_geometric_convergence(rng):
     h_target = np.array([class_loss_hk(enc, w1, k, pool, cfg) for k in range(3)])
 
     # independent two-level recursion oracle
-    uc_hat = np.array([st.u_c[k] for k in range(3)])
+    uc_hat = st.class_losses()[1]
     v_hat = st.v
     errs = []
     for _ in range(16):
         st = gdro_update_estimators(st, enc, w1, [0, 1, 2], batches, pool, cfg)
         uc_hat = 0.5 * uc_hat + 0.5 * h_target
         v_hat = 0.5 * v_hat + 0.5 * float(np.mean(np.exp(uc_hat / cfg.lam)))
-        got_uc = np.array([st.u_c[k] for k in range(3)])
+        got_uc = st.class_losses()[1]
         assert np.abs(got_uc - uc_hat).max() < 1e-9
         assert abs(st.v - v_hat) < 1e-9 * max(1.0, v_hat)
         errs.append(np.abs(got_uc - h_target).max())

@@ -31,6 +31,8 @@ GOLDEN = {
     "gdro/20/seed1": "8b538c2463cff2dd9a45a8bc2a094db3e56d838ae4427339f10ee81738f8c68d",
     "finetune-ce/20/seed1": "325f4ac5d50cd6d1065600e4a7d13e7b0e19fdb5b3991275ce3665269f9bf4f1",
     "gdro/dil-hidden3": "3af15c6fee994b13dc1f50b2ac68ec8852d738d20543dc852a47de88990a5f24",
+    "gcl/20/seed1-hidden3-adam": "94fa4ade7fc8262a8a59dc0ff934e40ecc5869ef29048857aab5a70ec7f52f68",
+    "finetune-ce/dil": "471edbc0206942a1d272bbeac9f92488600f47ec7061674bc02e14afe73daaa2",
 }
 
 
@@ -60,10 +62,15 @@ def _case(name):
             "gdro", 20, 3, hidden_dim=3, optimizer="adam", epochs_per_task=3
         )
         return _dil_stream(), replace(cfg, dro_lambda=0.05, batch_classes=3, batch_per_class=4)
+    if name == "finetune-ce/dil":
+        return _dil_stream(), benchmark.benchmark_config("finetune-ce", 20, 3, epochs_per_task=3)
     method = name.split("/")[0]
     seed = benchmark.BENCHMARK_SEEDS[0]
+    overrides = {}
+    if name == "gcl/20/seed1-hidden3-adam":  # the hidden label tower and Adam under gcl
+        overrides = dict(hidden_dim=3, optimizer="adam", eta=0.05, epochs_per_task=5)
     return benchmark.benchmark_stream(seed), benchmark.benchmark_config(
-        method, benchmark.CAPACITY_LOW, seed
+        method, benchmark.CAPACITY_LOW, seed, **overrides
     )
 
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from cclearn.model import EncoderConfig, EncoderPair, _normalize_rows
 
 from conftest import assert_grad_close, central_diff, make_encoder, pair_sim, pair_sim_grad
+from oracles import backward_add_at
 
 
 def _expected_length(cfg):
@@ -309,4 +312,28 @@ def test_pair_grad_on_forward_results_is_bitwise_weighted_pair_grad(
     want = enc.weighted_pair_grad(w, X, np.concatenate(parts), C)
     f2 = enc.concat_forwards(*(enc._forward_labels(w, part) for part in parts))
     got = enc.pair_grad(enc._forward_inputs(w, X), f2, C)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hidden=st.sampled_from([0, 1, 3]),
+    num_classes=st.integers(1, 6),
+    classes=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+    n_inputs=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_label_tower_backward_is_bitwise_add_at(hidden, num_classes, classes, n_inputs, seed):
+    """The one-hot first layer's scatter-add gives np.add.at's bytes, with one
+    label row or many, with classes repeated and classes absent."""
+    rng = np.random.default_rng(seed)
+    enc = make_encoder(seed=seed % 1000, hidden_dim=hidden, num_classes=num_classes)
+    w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
+    f1 = enc._forward_inputs(w, rng.standard_normal((n_inputs, 3)))
+    f2 = enc._forward_labels(w, [k % num_classes for k in classes])
+    C = rng.standard_normal((n_inputs, len(classes)))
+
+    got = enc.pair_grad(f1, f2, C)
+    with mock.patch.object(EncoderPair, "_backward", backward_add_at):
+        want = enc.pair_grad(f1, f2, C)
     assert got.tobytes() == want.tobytes()

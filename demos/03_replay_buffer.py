@@ -37,6 +37,6 @@ print(f"\nunion view with a new 5-sample task: {len(pool)} samples "
       f"(buffer classes first, ascending)")
 
 batch = sample_class_batch(pool, class_id=0, batch_size=2, seed=3)
-print(f"seeded class-0 batch: sample ids {[s.sample_id for s in batch]}")
+print(f"seeded class-0 batch: sample ids {batch.ids}")
 batch2 = sample_class_batch(pool, class_id=0, batch_size=2, seed=3)
-print(f"same seed again:      sample ids {[s.sample_id for s in batch2]}")
+print(f"same seed again:      sample ids {batch2.ids}")

@@ -15,8 +15,8 @@ from cclearn import (
     Sample,
     dro_objective,
     dro_weights,
-    gdro_update_estimators,
 )
+from cclearn.gdro import gdro_update_estimators
 
 rng = np.random.default_rng(5)
 enc = EncoderPair(EncoderConfig(input_dim=6, num_classes_max=4,

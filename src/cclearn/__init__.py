@@ -22,32 +22,11 @@ from .data import (
     split_dil,
 )
 from .errors import ConfigError, DatasetFormatError, DivergenceError, NonFiniteGradientError
-from .gcl import (
-    GclEstimatorState,
-    gcl_gradient_estimate,
-    gcl_step,
-    gcl_update_estimators,
-)
-from .gdro import (
-    GdroConfig,
-    GdroEstimatorState,
-    dro_objective,
-    dro_weights,
-    gdro_gradient_estimate,
-    gdro_step,
-    gdro_update_estimators,
-)
+from .gcl import GclEstimatorState, gcl_step
+from .gdro import GdroConfig, GdroEstimatorState, dro_objective, dro_weights, gdro_step
 from .model import EncoderConfig, EncoderPair
 from .optim import OptimizerState, init_optimizer, step
-from .runner import (
-    AccuracyMatrix,
-    RunConfig,
-    RunResult,
-    ce_step,
-    evaluate,
-    merge_tasks,
-    run,
-)
+from .runner import AccuracyMatrix, RunConfig, RunResult, ce_step, evaluate, run
 
 __version__ = "0.1.0"
 
@@ -56,9 +35,7 @@ __all__ = [
     "EncoderConfig", "EncoderPair", "GclEstimatorState", "GdroConfig",
     "GdroEstimatorState", "MemoryBuffer", "NonFiniteGradientError",
     "OptimizerState", "Pool", "RunConfig", "RunResult", "Sample", "Task", "TaskStream",
-    "ce_step", "dro_objective", "dro_weights", "evaluate",
-    "gcl_gradient_estimate", "gcl_step", "gcl_update_estimators",
-    "gdro_gradient_estimate", "gdro_step", "gdro_update_estimators", "gen_domain_shift",
-    "gen_synthetic", "init_optimizer", "load", "merge_tasks", "run",
+    "ce_step", "dro_objective", "dro_weights", "evaluate", "gcl_step", "gdro_step",
+    "gen_domain_shift", "gen_synthetic", "init_optimizer", "load", "run",
     "sample_class_batch", "save", "split_cil", "split_dil", "step",
 ]

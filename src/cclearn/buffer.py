@@ -12,16 +12,16 @@ A class whose source holds fewer samples than its quota simply stores all of
 them, so per-class counts are exactly min(quota, available); they differ by
 at most one across classes whenever the sources cover the quotas.
 
-A stage trains on a ``Pool``: the buffer's samples followed by the task's, as
-an immutable sequence that also holds the arrays and sample ids the
-estimators read, built once, and the per-class members, built on first read.
-A gcl or cross-entropy batch is ``pool.take(rows)``, sliced from the stage
-pool's arrays; gdro's anchor sets are ``Pool``s too.
+The buffer is the one object that stores samples.  A stage trains on a
+``Pool``: the rows of the buffer's samples followed by the task's, built once
+by ``union_view``.  Every batch is a row view of that pool: a gcl or
+cross-entropy batch is ``pool.take(rows)``, a gdro per-class batch is
+``sample_class_batch``'s take of one class's rows, and gdro's anchor set is
+the ``Pool.concat`` of those batches.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,49 +30,51 @@ import numpy as np
 from .data import Sample
 
 
-class Pool(Sequence):
-    """An immutable sequence of samples and the arrays the estimators read.
+class Pool:
+    """Rows for the encoders: ``X`` (N, d) float64 inputs, ``y`` (N,) int64
+    class ids and ``ids`` the sample ids as Python ints (the estimators' keys).
 
-    ``X`` (N, d) float64 holds the inputs, ``y`` (N,) int64 the class ids and
-    ``ids`` the sample ids as Python ints (the estimators' keys), row i for
-    sample i; ``members[k]`` lists class k's samples in pool order, built on
-    first read.  This is the one place a sample becomes encoder rows.
+    ``members[k]`` holds class k's row indices in pool order, built on first
+    read.  ``Pool.of`` is the one place a sample becomes a row.
     """
 
-    def __init__(self, samples):
-        self._samples = tuple(samples)
-        self.X = np.array([s.x for s in self._samples], dtype=np.float64)
-        self.y = np.array([s.class_id for s in self._samples], dtype=np.int64)
-        self.ids = [s.sample_id for s in self._samples]
-
-    def take(self, idx) -> "Pool":
-        """Rows ``idx`` as a Pool, sliced from this pool's arrays, so no sample is
-        read; equal to ``Pool([self[i] for i in idx])``, with ``X`` kept (n, d)."""
-        idx = np.asarray(idx, dtype=np.intp)
-        rows = idx.tolist()
-        part = Pool.__new__(Pool)
-        part._samples = tuple([self._samples[i] for i in rows])
-        part.X, part.y = self.X[idx], self.y[idx]
-        part.ids = [self.ids[i] for i in rows]
-        return part
-
-    @cached_property
-    def members(self) -> dict[int, list[Sample]]:
-        members: dict[int, list[Sample]] = {}
-        for s in self._samples:
-            members.setdefault(s.class_id, []).append(s)
-        return members
+    def __init__(self, X, y, ids):
+        self.X, self.y, self.ids = X, y, ids
 
     @classmethod
     def of(cls, samples) -> "Pool":
-        """``samples`` if it is a Pool already, else a Pool of them."""
-        return samples if isinstance(samples, cls) else cls(samples)
+        """``samples`` if it is a Pool already, else the rows of the samples in order."""
+        if isinstance(samples, cls):
+            return samples
+        samples = list(samples)
+        return cls(
+            np.array([s.x for s in samples], dtype=np.float64),
+            np.array([s.class_id for s in samples], dtype=np.int64),
+            [s.sample_id for s in samples],
+        )
+
+    @classmethod
+    def concat(cls, parts) -> "Pool":
+        """The rows of ``parts`` (Pools), one after another."""
+        return cls(
+            np.concatenate([p.X for p in parts]),
+            np.concatenate([p.y for p in parts]),
+            [i for p in parts for i in p.ids],
+        )
+
+    def take(self, idx) -> "Pool":
+        """Rows ``idx``, in that order; ``X`` stays (n, d) when ``idx`` is empty."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return Pool(self.X[idx], self.y[idx], [self.ids[i] for i in idx.tolist()])
+
+    @cached_property
+    def members(self) -> dict[int, np.ndarray]:
+        order = np.argsort(self.y, kind="stable")
+        classes, starts = np.unique(self.y[order], return_index=True)
+        return dict(zip(classes.tolist(), np.split(order, starts[1:])))
 
     def __len__(self):
-        return len(self._samples)
-
-    def __getitem__(self, i):
-        return self._samples[i]
+        return len(self.ids)
 
 
 @dataclass
@@ -99,7 +101,9 @@ class MemoryBuffer:
         and call sequence.  Classes already stored (domain-incremental streams)
         merge their stored samples with the incoming ones before down-sampling.
         """
-        incoming = Pool(finished_task_data).members
+        incoming: dict[int, list[Sample]] = {}
+        for s in finished_task_data:
+            incoming.setdefault(s.class_id, []).append(s)
         classes = sorted(set(self.slots) | set(incoming))
         if not classes:
             return self
@@ -114,17 +118,18 @@ class MemoryBuffer:
         return self
 
     def union_view(self, current_task_data: list[Sample]) -> Pool:
-        """Stored samples (classes ascending) followed by the task data as given."""
-        return Pool(
+        """Rows of the stored samples (classes ascending), then the task data as given."""
+        return Pool.of(
             [s for k in sorted(self.slots) for s in self.slots[k]] + list(current_task_data)
         )
 
 
-def sample_class_batch(pool, class_id, batch_size, seed) -> list[Sample]:
-    """Up to batch_size samples of one class, uniform without replacement."""
-    members = Pool.of(pool).members.get(class_id)
-    if not members:
+def sample_class_batch(pool, class_id, batch_size, seed) -> Pool:
+    """Up to batch_size rows of one class, uniform without replacement."""
+    pool = Pool.of(pool)
+    rows = pool.members.get(class_id)
+    if rows is None:
         raise ValueError(f"class {class_id} not present in pool")
-    n = min(batch_size, len(members))
-    idx = np.random.default_rng(seed).choice(len(members), size=n, replace=False)
-    return [members[i] for i in idx]
+    n = min(batch_size, len(rows))
+    idx = np.random.default_rng(seed).choice(len(rows), size=n, replace=False)
+    return pool.take(rows[idx])

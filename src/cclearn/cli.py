@@ -1,8 +1,9 @@
 """Command-line entry point: generate datasets, run experiments, compare runs.
 
-Exit codes: 0 success, 2 invalid arguments, config schema violation or
-out-of-range config value, 3 dataset read failure, 4 training divergence (the
-run removes the output directories it created, while they are empty).
+Exit codes: 0 success, 2 invalid arguments, config schema violation,
+out-of-range config value or a model too large to allocate, 3 dataset read
+failure, 4 training divergence (a failed run removes the output directories
+it created, while they are empty).
 
 Experiment configs are JSON documents with three sections (unknown keys are
 rejected everywhere):
@@ -164,13 +165,14 @@ def cmd_run(args) -> int:
 
     try:
         result = run(stream, run_config)
-    except (ConfigError, DivergenceError) as err:
+    except (ConfigError, MemoryError, DivergenceError) as err:
         for d in created:  # a failed run leaves no directory it made behind
             with contextlib.suppress(OSError):  # rmdir refuses a non-empty directory
                 d.rmdir()
-        if isinstance(err, ConfigError):
-            return _fail(EXIT_CONFIG, f"config: {err}")
-        return _fail(EXIT_DIVERGED, f"diverged: {err}")
+        if isinstance(err, DivergenceError):
+            return _fail(EXIT_DIVERGED, f"diverged: {err}")
+        # a MemoryError: the configured model is too large to allocate
+        return _fail(EXIT_CONFIG, f"config: {err}")
 
     cfg_hash = config_sha256({"dataset": doc["dataset"], "split": doc["split"], "run": doc["run"]})
     records = [{"event": "run_meta", "config_sha256": cfg_hash}] + result.log

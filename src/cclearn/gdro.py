@@ -141,17 +141,16 @@ class GdroEstimatorState:
 # ------------------------------------------------------------ hinge machinery
 
 
-def _hinge_stats(enc, params, anchors, pool, margin, tau, work=None):
+def _hinge_stats(enc, params, anchors, pool, margin, tau, work):
     """(n_neg, H, A, log_g), fwd: negative counts, hinge activations, stable log g,
     and the forward results (anchor inputs, anchor labels, pool inputs, pool labels).
 
     Axis 0 of H, A (2, n, N) and log_g (2, n) holds g1 (anchor input x pool
     label), then g2 (anchor label x pool input).  Every anchor needs a negative.
-    H and A are views of ``work`` (a fresh ``WorkArrays`` when None), so they
-    hold until the next call on the same ``work`` overwrites them.
+    H and A are views of the ``WorkArrays`` ``work``, so they hold until the
+    next call on the same ``work`` overwrites them.
     """
     anchors, pool = Pool.of(anchors), Pool.of(pool)
-    work = WorkArrays() if work is None else work
     fwd = (
         enc._forward_inputs(params, anchors.X),
         enc._forward_labels(params, anchors.y),
@@ -219,7 +218,7 @@ def _flatten_batches(class_batch, per_class_batches) -> Pool:
     for k in class_batch:
         if not per_class_batches.get(k):
             raise ValueError(f"missing or empty batch for class {k}")
-    return Pool(s for k in class_batch for s in per_class_batches[k])
+    return Pool.concat([Pool.of(per_class_batches[k]) for k in class_batch])
 
 
 def _update(state, anchors, sizes, class_batch, log_g, config):
@@ -318,7 +317,7 @@ def _gradient(enc, coef1, coef2, fwd, work) -> np.ndarray:
     return grad
 
 
-def _anchor_stats(enc, params, class_batch, per_class_batches, pool, config, work=None):
+def _anchor_stats(enc, params, class_batch, per_class_batches, pool, config, work):
     """The anchors as a Pool, each sampled class's anchor count, the hinge
     statistics (views of ``work``) and the forward results: one encoding and
     scoring of the pool."""

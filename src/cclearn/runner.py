@@ -233,7 +233,7 @@ class _Trainer:
 
     def _batches(self, pool, candidates):
         """One epoch's batches, drawn up front; each RNG has this one consumer.
-        A gcl or cross-entropy batch is a row view of the stage pool."""
+        Every batch is a row view of the stage pool."""
         cfg, gcfg = self.config, self.gdro_config
         if cfg.method != "gdro":
             order = self.shuffle_rng.permutation(len(pool))

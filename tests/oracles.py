@@ -14,8 +14,9 @@ blocks or in arrays, and the tests pin the two against each other.
 
 import numpy as np
 
+from cclearn.buffer import Pool
 from cclearn.gcl import _check_tau
-from cclearn.gdro import GdroConfig, _anchor_stats, _coefficients, _hinge_stats
+from cclearn.gdro import GdroConfig, WorkArrays, _anchor_stats, _coefficients, _hinge_stats
 from cclearn.model import EncoderPair
 
 
@@ -45,13 +46,13 @@ def g_T(enc: EncoderPair, params, anchor, candidates, tau) -> float:
 
 def hinge_g1(enc: EncoderPair, params, anchor, pool, margin, tau) -> float:
     """Input-anchored hinge normalizer, linear scale. Equals 1 iff no violations."""
-    (*_, log_g), _ = _hinge_stats(enc, params, [anchor], pool, margin, tau)
+    (*_, log_g), _ = _hinge_stats(enc, params, [anchor], pool, margin, tau, WorkArrays())
     return float(np.exp(log_g[0, 0]))
 
 
 def hinge_g2(enc: EncoderPair, params, anchor, pool, margin, tau) -> float:
     """Label-anchored hinge normalizer, linear scale."""
-    (*_, log_g), _ = _hinge_stats(enc, params, [anchor], pool, margin, tau)
+    (*_, log_g), _ = _hinge_stats(enc, params, [anchor], pool, margin, tau, WorkArrays())
     return float(np.exp(log_g[1, 0]))
 
 
@@ -60,7 +61,9 @@ def class_loss_hk(enc: EncoderPair, params, class_id, pool, config: GdroConfig) 
     members = [s for s in pool if s.class_id == class_id]
     if not members:
         raise ValueError(f"class {class_id} not present in pool")
-    (*_, log_g), _ = _hinge_stats(enc, params, members, pool, config.margin, config.tau)
+    (*_, log_g), _ = _hinge_stats(
+        enc, params, members, pool, config.margin, config.tau, WorkArrays()
+    )
     return float(config.tau * np.mean(log_g[0] + log_g[1]) / 2.0)
 
 
@@ -69,18 +72,18 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
     """``gdro_gradient_estimate`` through one (anchor+pool) x (anchor+pool)
     coefficient matrix and a single backward pass: O((n+N)^2) memory."""
     anchors, sizes, stats, _ = _anchor_stats(
-        enc, params, class_batch, per_class_batches, pool, config
+        enc, params, class_batch, per_class_batches, pool, config, WorkArrays()
     )
     coef1, coef2 = _coefficients(state, anchors, sizes, class_batch, stats, config)
-    anchors = [s for k in class_batch for s in per_class_batches[k]]
+    pool = Pool.of(pool)
     n, N = len(anchors), len(pool)
     C = np.zeros((n + N, n + N))
     C[:n, n:] = coef1  # anchor input vs pool label
     C[n:, :n] = coef2.T  # pool input vs anchor label
     C[np.arange(n), np.arange(n)] = -(coef1.sum(axis=1) + coef2.sum(axis=1))
 
-    xs = [s.x for s in anchors] + [s.x for s in pool]
-    cls = [s.class_id for s in anchors] + [s.class_id for s in pool]
+    xs = np.concatenate([anchors.X, pool.X])
+    cls = np.concatenate([anchors.y, pool.y])
     return enc.weighted_pair_grad(params, xs, cls, C)
 
 

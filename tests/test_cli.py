@@ -9,6 +9,7 @@ from cclearn import cli
 from cclearn.data import Dataset, gen_domain_shift, load, save
 
 from oracles import read_accuracy_csv
+from test_data import _address_space_headroom
 
 
 def _gen(tmp_path, name="bench.clds", classes=8, per_class=15, seed=5):
@@ -300,6 +301,20 @@ def test_run_gdro_one_class_stage_exits_2_and_leaves_no_directory(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.count("\n") == 1, err
     assert "two classes" in err
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("field", ["hidden_dim", "embed_dim"])
+def test_run_oversized_encoder_exits_2_and_leaves_no_directory(tmp_path, capsys, field):
+    """An encoder no memory holds is a config error: the parameter vector's
+    allocation fails at once, long before the address-space cap matters."""
+    data = _gen(tmp_path)
+    cfg = _write_config(tmp_path, _config_doc(data, tmp_path / "a" / "b", **{field: 10**15}))
+    with _address_space_headroom(64 * 2**20):
+        code = cli.main(["run", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1, err
     assert not (tmp_path / "a").exists()
 
 

@@ -499,7 +499,7 @@ def test_warm_step_allocates_no_pool_sized_block():
     anchors writes its (2, n, N) blocks into them: the step's traced peak stays
     under 1 MB, where one (2, 30, 1200) float block alone takes 0.58 MB."""
     enc, w, classes, batches, samples, cfg = _benchmark_gdro(1200)
-    pool = Pool(samples)  # as the runner passes it, built once per stage
+    pool = Pool.of(samples)  # as the runner passes it, built once per stage
     state = GdroEstimatorState()
     gdro_step(state, enc, w, classes, batches, pool, cfg)  # grows the work arrays
 
@@ -529,7 +529,7 @@ def test_reused_work_arrays_leak_nothing_between_steps(hidden, seed):
     cfg = _cfg(gamma=0.8, batch_per_class=per_class)
     reused, fresh = GdroEstimatorState(), GdroEstimatorState()
     for size, with_small in ((1200, False), (400, True), (800, False)):
-        pool = Pool(samples[:size])
+        pool = Pool.of(samples[:size])
         picked = [int(k) for k in rng.choice(num_classes - 1, 3, replace=False)]
         if with_small:
             picked[0] = 7

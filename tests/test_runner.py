@@ -396,13 +396,13 @@ def test_gradient_encodes_each_row_once_per_tower(rng, monkeypatch, method):
 )
 def test_estimators_same_bits_on_list_and_pool(hidden_dim, n, num_classes, seed):
     """Every batch entry point reads a list of samples through ``Pool.of``, so a
-    list and ``Pool(list)`` give the same bits."""
+    list and ``Pool.of(list)`` give the same bits."""
     enc = make_encoder(seed=seed, hidden_dim=hidden_dim, num_classes=num_classes)
     w = enc.init_params()
     samples = make_pool(np.random.default_rng(seed), n, num_classes, 3)
     classes = list(range(num_classes))
     results = []
-    for batch in (samples, Pool(samples)):
+    for batch in (samples, Pool.of(samples)):
         state = gcl_update_estimators(GclEstimatorState(0.9), enc, w, batch, 0.2, 2 * n)
         results.append([
             np.float64(gcl_loss_full(enc, w, batch, 0.2)).tobytes(),
@@ -452,7 +452,7 @@ def test_fused_steps_are_bitwise_the_separate_sequence(hidden_dim, n, num_classe
     rng = np.random.default_rng(seed)
     enc = make_encoder(seed=seed, hidden_dim=hidden_dim, num_classes=num_classes)
     w = enc.init_params()
-    pool = Pool(make_pool(rng, n, num_classes, 3))
+    pool = Pool.of(make_pool(rng, n, num_classes, 3))
     classes = list(range(num_classes))
     cfg = GdroConfig(lam=0.7, gamma=0.8, margin=0.3, tau=0.4,
                      batch_classes=2, batch_per_class=3)

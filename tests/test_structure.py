@@ -1,9 +1,11 @@
-"""Only ``Pool`` turns samples into encoder rows.
+"""Only ``Pool.of`` turns samples into encoder rows.
 
 The estimators and the runner's evaluation and cross-entropy logits read the
 ``X``, ``y`` and ``ids`` of a ``Pool``; none reads a sample's ``x``,
 ``class_id`` or ``sample_id`` itself, so how a sample becomes rows is decided
-in one class.
+in one place.  Every batch and gdro anchor set is a row view of its stage
+pool: ``Pool.take``, ``Pool.concat``, ``Pool.members`` and
+``sample_class_batch`` read no sample either.
 """
 
 import ast
@@ -24,10 +26,17 @@ def _field_reads(tree) -> list[str]:
 
 
 def _function(path, name):
-    for node in ast.parse(path.read_text()).body:
+    """The module-level function ``name``, or the method ``Class.method``."""
+    body = ast.parse(path.read_text()).body
+    owner, _, name = name.rpartition(".")
+    if owner:
+        classes = [n for n in body if isinstance(n, ast.ClassDef) and n.name == owner]
+        assert classes, f"{path.name} defines no class {owner}"
+        body = classes[0].body
+    for node in body:
         if isinstance(node, ast.FunctionDef) and node.name == name:
             return node
-    raise AssertionError(f"{path.name} defines no function {name}")
+    raise AssertionError(f"{path.name} defines no function {owner or ''}.{name}")
 
 
 @pytest.mark.parametrize("module", ["gcl.py", "gdro.py"])
@@ -38,3 +47,10 @@ def test_estimators_read_no_sample_field(module):
 @pytest.mark.parametrize("function", ["evaluate", "_ce_logits"])
 def test_runner_rows_come_from_pools(function):
     assert _field_reads(_function(PACKAGE / "runner.py", function)) == []
+
+
+@pytest.mark.parametrize(
+    "function", ["Pool.take", "Pool.concat", "Pool.members", "sample_class_batch"]
+)
+def test_batches_are_row_views(function):
+    assert _field_reads(_function(PACKAGE / "buffer.py", function)) == []

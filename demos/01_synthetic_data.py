@@ -14,10 +14,9 @@ from cclearn import gen_domain_shift, gen_synthetic, load, save
 
 ds = gen_synthetic(num_classes=6, per_class=20, input_dim=8,
                    separation=4.0, noise=0.6, seed=42)
-print(f"generated {len(ds.samples)} samples, {ds.num_classes} classes, dim {ds.input_dim}")
+print(f"generated {len(ds.y)} samples, {ds.num_classes} classes, dim {ds.input_dim}")
 
-means = {k: np.stack([s.x for s in ds.samples if s.class_id == k]).mean(axis=0)
-         for k in range(ds.num_classes)}
+means = {k: ds.X[ds.y == k].mean(axis=0) for k in range(ds.num_classes)}
 dists = [np.linalg.norm(means[a] - means[b])
          for a in means for b in means if a < b]
 print(f"pairwise mean distances: min={min(dists):.2f} max={max(dists):.2f} "
@@ -25,13 +24,12 @@ print(f"pairwise mean distances: min={min(dists):.2f} max={max(dists):.2f} "
 
 shifted = gen_domain_shift(ds, num_domains=3, shift_kind="rotation",
                            magnitude=0.8, seed=7)
-print(f"after domain shift: {len(shifted.samples)} samples over 3 domains")
+print(f"after domain shift: {len(shifted.y)} samples over 3 domains")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "demo.clds")
     save(shifted, path)
     back = load(path)
-    identical = all(np.array_equal(a.x, b.x)
-                    for a, b in zip(shifted.samples, back.samples))
+    identical = np.array_equal(shifted.X, back.X)
     print(f"binary round-trip identical: {identical} "
           f"({os.path.getsize(path)} bytes)")

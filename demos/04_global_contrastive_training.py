@@ -30,7 +30,7 @@ task = stream.tasks[0]
 enc = EncoderPair(EncoderConfig(input_dim=8, num_classes_max=6,
                                 hidden_dim=0, embed_dim=6, seed=0))
 w = enc.init_params()
-pool = task.train[:10]
+pool = task.train.take(range(10))
 tau = 0.2
 # one training step: the loss, the estimator update and the gradient estimate m
 _, m = gcl_step(GclEstimatorState(gamma=1.0), enc, w, pool, tau, len(pool))

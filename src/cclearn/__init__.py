@@ -8,9 +8,10 @@ averages), and a KL-regularized robust objective that reweights per-class
 hinge losses toward the classes currently being forgotten.
 """
 
-from .buffer import MemoryBuffer, Pool, sample_class_batch
+from .buffer import MemoryBuffer, sample_class_batch
 from .data import (
     Dataset,
+    Pool,
     Sample,
     Task,
     TaskStream,

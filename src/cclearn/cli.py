@@ -1,9 +1,9 @@
 """Command-line entry point: generate datasets, run experiments, compare runs.
 
 Exit codes: 0 success, 2 invalid arguments, config schema violation,
-out-of-range config value or a model too large to allocate, 3 dataset read
-failure, 4 training divergence (a failed run removes the output directories
-it created, while they are empty).
+out-of-range config value or a model or generated dataset too large to
+allocate, 3 dataset read failure, 4 training divergence (a failed run removes
+the output directories it created, while they are empty).
 
 Experiment configs are JSON documents with three sections (unknown keys are
 rejected everywhere):
@@ -119,10 +119,10 @@ def cmd_gen(args) -> int:
         if args.domains:
             ds = data_mod.gen_domain_shift(ds, args.domains, args.shift, args.magnitude, args.seed)
         data_mod.save(ds, args.output)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:  # MemoryError: sizes no memory holds
         return _fail(EXIT_CONFIG, str(err))
     print(
-        f"wrote {args.output}: {len(ds.samples)} samples, "
+        f"wrote {args.output}: {len(ds.y)} samples, "
         f"{ds.num_classes} classes, dim {ds.input_dim}"
         + (f", {args.domains} domains" if args.domains else "")
     )

@@ -1,9 +1,16 @@
-"""Synthetic datasets, task splitting, and dataset file I/O.
+"""Synthetic datasets, task splitting, dataset file I/O, and the rows that
+every layer trains on.
 
 Data generation is a desk-scale stand-in for image benchmarks: class means sit
 on a sphere (radius = ``separation``) with a rejection step enforcing minimum
 pairwise distance, and samples are means plus Gaussian noise.  Inputs are
 stored as float32 so files round-trip bit-exactly.
+
+Data travels as rows from file to training step: a ``Dataset`` holds columns,
+generation, ``save`` and ``load`` work on whole columns, splits select index
+arrays, and a task's train and test sets are ``Pool``s, the float64 rows the
+encoders read.  ``Sample`` and ``Pool.of`` are the entry point for a caller's
+own list of samples.
 
 File format (``.clds``, little-endian binary):
 
@@ -31,6 +38,7 @@ import numbers
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,22 +46,19 @@ from .errors import DatasetFormatError
 
 _MAGIC = b"CLDS"
 _VERSION = 1
-# The optional id columns in file order: Sample field, flag bit, dtype.  An
-# absent column reads as ids 0..n-1, or as the Sample default (task -1, domain 0).
+# The optional id columns in file order: Dataset column, flag bit, dtype.  An
+# absent column reads as ids 0..n-1, task ids -1 or no domains.
 _ID_COLUMNS = (
-    ("sample_id", 2, "<u8"),
-    ("task_id", 4, "<i4"),
-    ("domain_id", 1, "<u4"),
+    ("ids", 2, "<u8"),
+    ("task_ids", 4, "<i4"),
+    ("domain_ids", 1, "<u4"),
 )
 
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """One labeled example. ``x`` is treated as read-only by the whole package.
-
-    ``task_id`` is the file's task column: ``save`` and ``load`` round-trip
-    it, and splits never rewrite it (tasks hold the dataset's own samples).
-    """
+    """One labeled example, as a caller builds it. ``x`` is treated as read-only
+    by the whole package; ``Pool.of`` turns a list of samples into rows."""
 
     x: np.ndarray
     class_id: int
@@ -62,20 +67,101 @@ class Sample:
     domain_id: int = 0
 
 
+class Pool:
+    """Rows for the encoders: ``X`` (N, d) float64 inputs, ``y`` (N,) int64
+    class ids and ``ids`` the sample ids as Python ints (the estimators' keys).
+
+    ``members[k]`` holds class k's row indices in pool order, built on first
+    read.  ``Pool.of`` is the one place a sample becomes a row.
+    """
+
+    def __init__(self, X, y, ids):
+        self.X, self.y, self.ids = X, y, ids
+
+    @classmethod
+    def of(cls, samples) -> "Pool":
+        """``samples`` if it is a Pool already, else the rows of the samples in order."""
+        if isinstance(samples, cls):
+            return samples
+        samples = list(samples)
+        return cls(
+            np.array([s.x for s in samples], dtype=np.float64),
+            np.array([s.class_id for s in samples], dtype=np.int64),
+            [s.sample_id for s in samples],
+        )
+
+    @classmethod
+    def concat(cls, parts) -> "Pool":
+        """The rows of ``parts`` (Pools), one after another."""
+        parts = [p for p in parts if len(p)] or parts[:1]  # ``Pool.of([])`` has no row width
+        return cls(
+            np.concatenate([p.X for p in parts]),
+            np.concatenate([p.y for p in parts]),
+            [i for p in parts for i in p.ids],
+        )
+
+    def take(self, idx) -> "Pool":
+        """Rows ``idx``, in that order; ``X`` stays (n, d) when ``idx`` is empty."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return Pool(self.X[idx], self.y[idx], [self.ids[i] for i in idx.tolist()])
+
+    @cached_property
+    def members(self) -> dict[int, np.ndarray]:
+        order = np.argsort(self.y, kind="stable")
+        classes, starts = np.unique(self.y[order], return_index=True)
+        return dict(zip(classes.tolist(), np.split(order, starts[1:])))
+
+    def __len__(self):
+        return len(self.ids)
+
+
 @dataclass
 class Dataset:
-    samples: list[Sample]
+    """n samples as columns: ``X`` (n, dim) float32 inputs, ``y`` class ids,
+    ``ids`` sample ids (0..n-1 if not given), ``task_ids`` the file's task
+    column (-1 if not given) and ``domain_ids``, None without domains."""
+
+    X: np.ndarray
+    y: np.ndarray
     num_classes: int
-    input_dim: int
-    has_domains: bool = False
+    ids: np.ndarray | None = None
+    task_ids: np.ndarray | None = None
+    domain_ids: np.ndarray | None = None
+
+    def __post_init__(self):
+        n = len(self.y)
+        self.ids = np.arange(n) if self.ids is None else self.ids
+        self.task_ids = np.full(n, -1) if self.task_ids is None else self.task_ids
+
+    @property
+    def input_dim(self) -> int:
+        return self.X.shape[1]
+
+    @property
+    def has_domains(self) -> bool:
+        return self.domain_ids is not None
+
+    @property
+    def samples(self) -> list[Sample]:
+        """The rows as ``Sample``s, built on each read.  It exists for
+        ``perfbench/sweep.py``, which reads a generated dataset as a sample list,
+        until ROADMAP item 1 re-seams the sweep."""
+        domains = self.domain_ids if self.has_domains else np.zeros(len(self.y), np.int64)
+        columns = (self.y, self.ids, self.task_ids, domains)
+        return [Sample(x, *row) for x, *row in zip(self.X, *(c.tolist() for c in columns))]
+
+
+def _rows(ds: Dataset, idx) -> Pool:
+    """The dataset's rows ``idx`` as a Pool."""
+    return Pool(ds.X[idx].astype(np.float64), ds.y[idx].astype(np.int64), ds.ids[idx].tolist())
 
 
 @dataclass
 class Task:
-    """One stage of a task stream: train pool, held-out test set, class set."""
+    """One stage of a task stream: train and test rows, and the class set."""
 
-    train: list[Sample]
-    test: list[Sample]
+    train: Pool
+    test: Pool
     classes: frozenset[int]
     domain_id: int | None = None
 
@@ -88,22 +174,18 @@ class TaskStream:
     def __post_init__(self):
         if self.mode not in ("cil", "dil"):
             raise ValueError(f"unknown stream mode {self.mode!r}")
-        if self.mode == "cil":
-            seen: set[int] = set()
-            for t in self.tasks:
-                if seen & t.classes:
-                    raise ValueError("class-incremental tasks must have disjoint class sets")
-                seen |= t.classes
+        distinct = self.classes_up_to(self.num_tasks)
+        if self.mode == "cil" and sum(len(t.classes) for t in self.tasks) > len(distinct):
+            raise ValueError("class-incremental tasks must have disjoint class sets")
         for i, t in enumerate(self.tasks):
-            for part, samples in (("training", t.train), ("test", t.test)):
-                if not samples:
+            for part, rows in (("training", t.train), ("test", t.test)):
+                if not len(rows):
                     raise ValueError(f"task {i} gets no {part} samples")
-            for s in t.test:
-                if s.class_id not in t.classes:
-                    raise ValueError(
-                        f"test sample {s.sample_id} has class {s.class_id} "
-                        f"outside its task's class set"
-                    )
+                outside = ~np.isin(rows.y, list(t.classes))
+                if outside.any():
+                    r = int(np.argmax(outside))
+                    raise ValueError(f"{part} sample {rows.ids[r]} has class {rows.y[r]} "
+                                     "outside its task's class set")
 
     @property
     def num_tasks(self):
@@ -111,10 +193,7 @@ class TaskStream:
 
     def classes_up_to(self, t: int) -> set[int]:
         """Union of class sets of tasks 0..t inclusive."""
-        out: set[int] = set()
-        for task in self.tasks[: t + 1]:
-            out |= task.classes
-        return out
+        return set().union(*(task.classes for task in self.tasks[: t + 1]))
 
 
 # ------------------------------------------------------------------ generation
@@ -163,15 +242,11 @@ def gen_synthetic(num_classes, per_class, input_dim, separation, noise, seed) ->
         raise ValueError(f"noise must be finite, got {noise}")
     rng = np.random.default_rng(seed)
     means = _class_means(num_classes, input_dim, separation, rng)
-    samples = []
-    sid = 0
-    for k in range(num_classes):
-        block = _as_float32(means[k] + noise * rng.standard_normal((per_class, input_dim)),
-                            "separation or noise")
-        for row in block:
-            samples.append(Sample(x=row, class_id=k, sample_id=sid))
-            sid += 1
-    return Dataset(samples=samples, num_classes=num_classes, input_dim=input_dim)
+    n = num_classes * per_class
+    y = np.repeat(np.arange(num_classes), per_class)
+    X = noise * rng.standard_normal((n, input_dim))
+    X += means[y]
+    return Dataset(_as_float32(X, "separation or noise"), y, num_classes)
 
 
 def _domain_transform(shift_kind, magnitude, dim, rng):
@@ -206,50 +281,38 @@ def gen_domain_shift(base: Dataset, num_domains, shift_kind, magnitude, seed) ->
     """Replicate ``base`` across domains, transforming inputs per domain.
 
     Domain 0 is the untouched base; domains 1..num_domains-1 get independent
-    seeded transforms.  Class labels are preserved and sample ids stay unique.
+    seeded transforms.  Class labels are preserved; sample ids are renumbered
+    0..num_domains*n-1, domain by domain.
     """
     if num_domains < 2:
         raise ValueError("num_domains must be >= 2")
     if not math.isfinite(magnitude):
         raise ValueError(f"magnitude must be finite, got {magnitude}")
     rng = np.random.default_rng(seed)
-    n = len(base.samples)
-    X = np.stack([s.x for s in base.samples]).astype(np.float64)
-    samples = []
-    for d in range(num_domains):
-        if d == 0:
-            transform = lambda X: X  # noqa: E731
-        else:
-            transform = _domain_transform(shift_kind, magnitude, base.input_dim, rng)
-        Xd = _as_float32(transform(X), "magnitude")
-        for i, s in enumerate(base.samples):
-            samples.append(
-                Sample(x=Xd[i], class_id=s.class_id, sample_id=d * n + i, domain_id=d)
-            )
-    return Dataset(
-        samples=samples,
-        num_classes=base.num_classes,
-        input_dim=base.input_dim,
-        has_domains=True,
-    )
+    n, dim = base.X.shape
+    # the whole output first: a domain count no memory holds fails before any draw
+    X = np.empty((num_domains * n, dim), dtype=np.float32)
+    X[:n] = base.X
+    X64 = base.X.astype(np.float64)
+    for d in range(1, num_domains):
+        transform = _domain_transform(shift_kind, magnitude, dim, rng)
+        X[d * n : (d + 1) * n] = _as_float32(transform(X64), "magnitude")
+    domain_ids = np.repeat(np.arange(num_domains), n)
+    return Dataset(X, np.tile(base.y, num_domains), base.num_classes, domain_ids=domain_ids)
 
 
 # ------------------------------------------------------------------- splitting
 
 
-def _stratified_split(samples, test_fraction, rng):
-    """Per-class shuffle, first round(n * fraction) to test. Order: class-ascending."""
-    by_class: dict[int, list[Sample]] = {}
-    for s in samples:
-        by_class.setdefault(s.class_id, []).append(s)
-    train, test = [], []
-    for k in sorted(by_class):
-        members = by_class[k]
-        idx = rng.permutation(len(members))
-        n_test = int(round(len(members) * test_fraction))
-        test.extend(members[i] for i in sorted(idx[:n_test]))
-        train.extend(members[i] for i in sorted(idx[n_test:]))
-    return train, test
+def _stratified_split(y, rows, test_fraction, rng):
+    """Per-class shuffle of the dataset rows ``rows``, first round(n * fraction)
+    to test.  Returns (train, test) row indices, class-ascending."""
+    by_class = rows[np.argsort(y[rows], kind="stable")]
+    starts = np.unique(y[by_class], return_index=True)[1].tolist()
+    is_test = np.zeros(len(rows), dtype=bool)
+    for start, size in zip(starts, np.diff([*starts, len(rows)]).tolist()):
+        is_test[start + rng.permutation(size)[: int(round(size * test_fraction))]] = True
+    return by_class[~is_test], by_class[is_test]
 
 
 def _check_split_args(ds, test_fraction, **ints):
@@ -259,9 +322,9 @@ def _check_split_args(ds, test_fraction, **ints):
     Splits allocate per declared class and the trainer sizes its label tower by
     the count, so a header's ``classes`` is checked before either happens.
     """
-    if ds.num_classes > len(ds.samples):
+    if ds.num_classes > len(ds.y):
         raise ValueError(
-            f"dataset declares {ds.num_classes} classes but holds {len(ds.samples)} samples"
+            f"dataset declares {ds.num_classes} classes but holds {len(ds.y)} samples"
         )
     for name, value in ints.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -284,10 +347,10 @@ def split_cil(ds: Dataset, num_tasks, test_fraction, seed) -> TaskStream:
     per_task = ds.num_classes // num_tasks
     tasks = []
     for t in range(num_tasks):
-        block = set(int(c) for c in order[t * per_task : (t + 1) * per_task])
-        members = [s for s in ds.samples if s.class_id in block]
-        train, test = _stratified_split(members, test_fraction, rng)
-        tasks.append(Task(train, test, frozenset(block)))
+        block = order[t * per_task : (t + 1) * per_task]
+        rows = np.flatnonzero(np.isin(ds.y, block))
+        train, test = _stratified_split(ds.y, rows, test_fraction, rng)
+        tasks.append(Task(_rows(ds, train), _rows(ds, test), frozenset(block.tolist())))
     return TaskStream(mode="cil", tasks=tasks)
 
 
@@ -302,7 +365,7 @@ def split_dil(ds: Dataset, domain_order, test_fraction=0.2, seed=0) -> TaskStrea
         **{f"domain_order[{i}]": d for i, d in enumerate(domain_order)},
     )
     rng = np.random.default_rng(seed)
-    domains_present = sorted({s.domain_id for s in ds.samples})
+    domains_present = np.unique(ds.domain_ids).tolist()
     if sorted(domain_order) != domains_present:
         raise ValueError(
             f"domain_order {list(domain_order)} is not a permutation of {domains_present}"
@@ -310,9 +373,9 @@ def split_dil(ds: Dataset, domain_order, test_fraction=0.2, seed=0) -> TaskStrea
     all_classes = frozenset(range(ds.num_classes))
     tasks = []
     for d in domain_order:
-        members = [s for s in ds.samples if s.domain_id == d]
-        train, test = _stratified_split(members, test_fraction, rng)
-        tasks.append(Task(train, test, all_classes, domain_id=d))
+        rows = np.flatnonzero(ds.domain_ids == d)
+        train, test = _stratified_split(ds.y, rows, test_fraction, rng)
+        tasks.append(Task(_rows(ds, train), _rows(ds, test), all_classes, domain_id=d))
     return TaskStream(mode="dil", tasks=tasks)
 
 
@@ -321,18 +384,16 @@ def split_dil(ds: Dataset, domain_order, test_fraction=0.2, seed=0) -> TaskStrea
 
 def save(ds: Dataset, path) -> None:
     """Write the binary dataset format described in the module docstring."""
-    n = len(ds.samples)
-    columns = [c for c in _ID_COLUMNS if c[0] != "domain_id" or ds.has_domains]
+    n, dim = ds.X.shape
+    columns = [c for c in _ID_COLUMNS if getattr(ds, c[0]) is not None]
     flags = sum(bit for _, bit, _ in columns)
-    X = np.stack([s.x for s in ds.samples]).astype("<f4") if n else np.zeros((0, ds.input_dim), "<f4")
-    y = np.array([s.class_id for s in ds.samples], dtype="<u4")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIII", _VERSION, n, ds.input_dim, ds.num_classes, flags))
-        fh.write(X.tobytes())
-        fh.write(y.tobytes())
+        fh.write(struct.pack("<IIIII", _VERSION, n, dim, ds.num_classes, flags))
+        fh.write(np.asarray(ds.X, dtype="<f4").tobytes())
+        fh.write(np.asarray(ds.y, dtype="<u4").tobytes())
         for name, _, dtype in columns:
-            fh.write(np.array([getattr(s, name) for s in ds.samples], dtype=dtype).tobytes())
+            fh.write(np.asarray(getattr(ds, name), dtype=dtype).tobytes())
 
 
 def _read_exact(fh, count, what):
@@ -374,25 +435,15 @@ def load(path) -> Dataset:
             raise DatasetFormatError(
                 f"class id {int(y.max())} out of range for a {num_classes}-class dataset"
             )
-        ids = {
+        cols = {
             name: np.frombuffer(_read_exact(fh, dtype.itemsize * n, f"{name} column"), dtype=dtype)
             for name, dtype in columns
         }
         trailing = fh.read(1)
         if trailing:
             raise DatasetFormatError("unexpected trailing bytes after dataset payload")
-    ids.setdefault("sample_id", np.arange(n))
-    unique, counts = np.unique(ids["sample_id"], return_counts=True)
+    ds = Dataset(X, y, int(num_classes), **cols)
+    unique, counts = np.unique(ds.ids, return_counts=True)
     if np.any(counts > 1):
         raise DatasetFormatError(f"duplicate sample id {int(unique[counts > 1][0])}")
-    ids = {name: column.tolist() for name, column in ids.items()}
-    samples = [
-        Sample(x=X[i].copy(), class_id=int(y[i]), **{name: col[i] for name, col in ids.items()})
-        for i in range(n)
-    ]
-    return Dataset(
-        samples=samples,
-        num_classes=int(num_classes),
-        input_dim=int(dim),
-        has_domains="domain_id" in ids,
-    )
+    return ds

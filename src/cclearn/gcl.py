@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .buffer import Pool
+from .data import Pool
 from .model import EncoderPair
 
 # positive floor keeps 1/u finite if an estimate underflows

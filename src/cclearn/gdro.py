@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .buffer import Pool
+from .data import Pool
 from .gcl import U_FLOOR, MovingAverages, moving_average, sample_estimates
 from .model import EncoderPair
 

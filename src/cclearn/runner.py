@@ -37,8 +37,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .buffer import MemoryBuffer, Pool, sample_class_batch
-from .data import Task, TaskStream
+from .buffer import MemoryBuffer, sample_class_batch
+from .data import Pool, Task, TaskStream
 from .errors import ConfigError, DivergenceError, NonFiniteGradientError
 from .gcl import GclEstimatorState, _check_tau, gcl_step
 from .gdro import GdroConfig, GdroEstimatorState, dro_weights, gdro_step
@@ -208,7 +208,7 @@ class _Trainer:
         all_classes = stream.classes_up_to(stream.num_tasks - 1)
         self.enc = EncoderPair(
             config.encoder_config(
-                input_dim=stream.tasks[0].train[0].x.shape[0],
+                input_dim=stream.tasks[0].train.X.shape[1],
                 num_classes_max=max(all_classes) + 1,
             )
         )
@@ -233,7 +233,8 @@ class _Trainer:
 
     def _batches(self, pool, candidates):
         """One epoch's batches, drawn up front; each RNG has this one consumer.
-        Every batch is a row view of the stage pool."""
+        A gcl or cross-entropy batch is a row view of the stage pool, a gdro
+        batch its (class, seed) picks; ``_step`` draws the per-class rows."""
         cfg, gcfg = self.config, self.gdro_config
         if cfg.method != "gdro":
             order = self.shuffle_rng.permutation(len(pool))
@@ -245,12 +246,7 @@ class _Trainer:
         batches = []
         for _ in range(max(1, math.ceil(len(pool) / (gcfg.batch_classes * gcfg.batch_per_class)))):
             picked = self.batch_rng.choice(len(candidates), n_take, replace=False)
-            class_batch = [candidates[i] for i in picked]
-            seeds = {k: int(self.batch_rng.integers(2**63)) for k in class_batch}
-            batches.append((class_batch, {
-                k: sample_class_batch(pool, k, gcfg.batch_per_class, seeds[k])
-                for k in class_batch
-            }))
+            batches.append([(candidates[i], int(self.batch_rng.integers(2**63))) for i in picked])
         return batches
 
     def _step(self, batch, pool, candidates):
@@ -263,7 +259,9 @@ class _Trainer:
             return ce_step(enc, params, batch, candidates, cfg.tau)
         if cfg.method == "gcl":
             return gcl_step(self.gcl_state, enc, params, batch, cfg.tau, len(pool))
-        return gdro_step(self.gdro_state, enc, params, *batch, pool, self.gdro_config)
+        gcfg = self.gdro_config
+        per_class = {k: sample_class_batch(pool, k, gcfg.batch_per_class, seed) for k, seed in batch}
+        return gdro_step(self.gdro_state, enc, params, list(per_class), per_class, pool, gcfg)
 
     def _log_fields(self):
         """gdro's per-class loss estimates and robust weights; other methods add none."""
@@ -309,10 +307,10 @@ class _Trainer:
 
 
 def merge_tasks(stream: TaskStream) -> TaskStream:
-    """Collapse a stream into one task holding all its train and test samples."""
+    """Collapse a stream into one task holding all its train and test rows, in order."""
     merged = Task(
-        train=[s for t in stream.tasks for s in t.train],
-        test=[s for t in stream.tasks for s in t.test],
+        train=Pool.concat([t.train for t in stream.tasks]),
+        test=Pool.concat([t.test for t in stream.tasks]),
         classes=frozenset(stream.classes_up_to(stream.num_tasks - 1)),
     )
     return TaskStream(mode="cil", tasks=[merged])

@@ -6,7 +6,9 @@ objective (``hinge_g1``, ``hinge_g2``, ``class_loss_hk``), the robust
 gradient estimator through one dense coefficient matrix
 (``gdro_gradient_dense``), the per-key dict recurrence that the array-backed
 ``moving_average`` vectorises (``dict_moving_average``), the label tower's
-scatter-add backward through ``np.add.at`` (``backward_add_at``), and a
+scatter-add backward through ``np.add.at`` (``backward_add_at``), a replay
+buffer that stores per-class lists of samples (``SampleBuffer``), splits that
+gather samples one by one (``split_cil_samples``, ``split_dil_samples``), and a
 parser for the accuracy CSV that ``cclearn run`` writes.  None of these is on
 a training path: the package computes the same quantities in batch, in
 blocks or in arrays, and the tests pin the two against each other.
@@ -14,7 +16,7 @@ blocks or in arrays, and the tests pin the two against each other.
 
 import numpy as np
 
-from cclearn.buffer import Pool
+from cclearn.data import Pool
 from cclearn.gcl import _check_tau
 from cclearn.gdro import GdroConfig, WorkArrays, _anchor_stats, _coefficients, _hinge_stats
 from cclearn.model import EncoderPair
@@ -114,6 +116,78 @@ def backward_add_at(enc: EncoderPair, g, cache, dZ):
         g[b_slice] = dZ.sum(axis=0)
         if k > 0:
             dZ = (dZ @ cache["W"][k]) * (1.0 - A * A)
+
+
+class SampleBuffer:
+    """The class-balanced replay buffer kept as ``slots``, a list of samples per
+    class; a class that falls to quota 0 keeps an empty list."""
+
+    def __init__(self, capacity, rng_seed):
+        self.capacity = capacity
+        self.slots: dict[int, list] = {}
+        self._rng = np.random.default_rng(rng_seed)
+
+    def class_counts(self) -> dict[int, int]:
+        return {k: len(v) for k, v in sorted(self.slots.items())}
+
+    def rebalance_after_task(self, samples):
+        incoming: dict[int, list] = {}
+        for s in samples:
+            incoming.setdefault(s.class_id, []).append(s)
+        classes = sorted(set(self.slots) | set(incoming))
+        if not classes:
+            return self
+        quota, remainder = divmod(self.capacity, len(classes))
+        for i, k in enumerate(classes):
+            q = quota + (1 if i < remainder else 0)
+            pool = self.slots.get(k, []) + incoming.get(k, [])
+            if q < len(pool):
+                idx = self._rng.choice(len(pool), size=q, replace=False)
+                pool = [pool[j] for j in sorted(idx)]
+            self.slots[k] = pool
+        return self
+
+    def union_view(self, samples) -> Pool:
+        return Pool.of([s for k in sorted(self.slots) for s in self.slots[k]] + list(samples))
+
+
+def _stratified_split_samples(samples, test_fraction, rng):
+    """Per-class shuffle, first round(n * fraction) to test. Order: class-ascending."""
+    by_class: dict[int, list] = {}
+    for s in samples:
+        by_class.setdefault(s.class_id, []).append(s)
+    train, test = [], []
+    for k in sorted(by_class):
+        members = by_class[k]
+        idx = rng.permutation(len(members))
+        n_test = int(round(len(members) * test_fraction))
+        test.extend(members[i] for i in sorted(idx[:n_test]))
+        train.extend(members[i] for i in sorted(idx[n_test:]))
+    return train, test
+
+
+def split_cil_samples(samples, num_classes, num_tasks, test_fraction, seed):
+    """``split_cil`` over a list of samples: [(train, test, classes)] per task."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(num_classes)
+    per_task = num_classes // num_tasks
+    tasks = []
+    for t in range(num_tasks):
+        block = set(int(c) for c in order[t * per_task : (t + 1) * per_task])
+        members = [s for s in samples if s.class_id in block]
+        tasks.append((*_stratified_split_samples(members, test_fraction, rng), frozenset(block)))
+    return tasks
+
+
+def split_dil_samples(samples, num_classes, domain_order, test_fraction, seed):
+    """``split_dil`` over a list of samples: [(train, test, classes)] per task."""
+    rng = np.random.default_rng(seed)
+    tasks = []
+    for d in domain_order:
+        members = [s for s in samples if s.domain_id == d]
+        train, test = _stratified_split_samples(members, test_fraction, rng)
+        tasks.append((train, test, frozenset(range(num_classes))))
+    return tasks
 
 
 def read_accuracy_csv(path):

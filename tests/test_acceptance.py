@@ -292,13 +292,8 @@ def test_criterion_06_buffer_law():
         a, b = build(), build()
         if a.class_counts() != b.class_counts():
             ok = False
-        for k in a.slots:
-            if [s.sample_id for s in a.slots[k]] != [s.sample_id for s in b.slots[k]]:
-                ok = False
-            if not all(
-                np.array_equal(sa.x, sb.x) for sa, sb in zip(a.slots[k], b.slots[k])
-            ):
-                ok = False
+        if a.stored.ids != b.stored.ids or a.stored.X.tobytes() != b.stored.X.tobytes():
+            ok = False
         if not ok:
             break
     _report(

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cclearn.buffer import MemoryBuffer, Pool, sample_class_batch
-from cclearn.data import Sample
+from cclearn.buffer import MemoryBuffer, sample_class_batch
+from cclearn.data import Pool, Sample
 from cclearn.gdro import _flatten_batches
 
 from conftest import make_pool
+from oracles import SampleBuffer
 
 
 def _task(rng, classes, per_class, id_offset):
@@ -27,6 +28,17 @@ def _assert_rows(pool, samples):
     assert pool.X.tobytes() == np.array([s.x for s in samples], dtype=np.float64).tobytes()
 
 
+def _assert_same_rows(a, b):
+    """Two Pools hold the same rows, in order, to the byte."""
+    assert a.ids == b.ids
+    assert a.y.tolist() == b.y.tolist()
+    assert a.X.tobytes() == b.X.tobytes()
+
+
+def _stored_ids(buf, k):
+    return {buf.stored.ids[i] for i in buf.stored.members.get(k, [])}
+
+
 def test_even_division_rebalance(rng):
     buf = MemoryBuffer(capacity=100, rng_seed=0)
     buf = buf.rebalance_after_task(_task(rng, range(10), 20, 0))
@@ -37,10 +49,8 @@ def test_even_division_rebalance(rng):
 
 def test_rebalance_updates_the_buffer_in_place(rng):
     buf = MemoryBuffer(capacity=6, rng_seed=5)
-    slots = buf.slots
     assert buf.rebalance_after_task(_task(rng, [0, 1], 4, 0)) is buf
     assert buf.rebalance_after_task(_task(rng, [2], 4, 100)) is buf
-    assert buf.slots is slots
     assert buf.class_counts() == {0: 2, 1: 2, 2: 2}
 
 
@@ -62,7 +72,7 @@ def test_union_view_identities(rng):
     empty = MemoryBuffer(capacity=10, rng_seed=0)
     _assert_rows(empty.union_view(task), task)
     buf = empty.rebalance_after_task(task)
-    stored = [s for k in sorted(buf.slots) for s in buf.slots[k]]
+    stored = sorted(task, key=lambda s: s.class_id)  # everything fits; classes ascending
     for view in (buf.union_view([]), buf.union_view([])):  # every call gives the same rows
         _assert_rows(view, stored)
     new_task = _task(rng, [2], 4, 100)
@@ -101,10 +111,7 @@ def test_rebalance_deterministic_per_seed(rng):
 
     a, b = build(), build()
     assert a.class_counts() == b.class_counts()
-    for k in a.slots:
-        assert [s.sample_id for s in a.slots[k]] == [s.sample_id for s in b.slots[k]]
-        for sa, sb in zip(a.slots[k], b.slots[k]):
-            assert np.array_equal(sa.x, sb.x)
+    _assert_same_rows(a.stored, b.stored)
 
 
 def test_buffer_invariants_over_random_task_sequences():
@@ -123,9 +130,7 @@ def test_buffer_invariants_over_random_task_sequences():
             next_id += n_cls * per_class
             prev_counts = buf.class_counts()
             available = dict(prev_counts)
-            source_ids = {
-                k: {s.sample_id for s in members} for k, members in buf.slots.items()
-            }
+            source_ids = {k: _stored_ids(buf, k) for k in prev_counts}
             for c in classes:
                 available[c] = available.get(c, 0) + per_class
             for s in task:
@@ -139,12 +144,44 @@ def test_buffer_invariants_over_random_task_sequences():
                 q = quota + (1 if i < rem else 0)
                 assert counts.get(k, 0) == min(q, available[k])
                 # only samples from the previous buffer or the incoming task
-                assert {s.sample_id for s in buf.slots.get(k, [])} <= source_ids[k]
+                assert _stored_ids(buf, k) <= source_ids[k]
                 # disjoint incoming classes never grow an existing class
                 if k in prev_counts and k not in {s.class_id for s in task}:
                     assert counts.get(k, 0) <= prev_counts[k]
             stored = buf.union_view([]).ids
             assert len(stored) == len(set(stored))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(0, 39),
+    tasks=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=24), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(capacity=0, tasks=[[0, 1, 1], [2, 3]], seed=0)
+@example(capacity=3, tasks=[[0, 1, 2, 3, 3], [3, 1, 1, 0], [4]], seed=1)
+@example(capacity=5, tasks=[[2, 0, 1, 0, 1, 2]] * 3, seed=2)
+def test_buffer_matches_the_per_sample_oracle(capacity, tasks, seed):
+    """Over random task sequences (class- and domain-incremental, classes that
+    recur, capacity 0, classes pushed to quota 0), the row buffer stores the
+    oracle's samples to the byte and draws the same RNG values.  The oracle
+    keeps a class at quota 0 as an empty list; ``class_counts`` lists only the
+    classes the buffer holds."""
+    rng = np.random.default_rng(seed)
+    buf, oracle = MemoryBuffer(capacity, seed), SampleBuffer(capacity, seed)
+    next_id = 0
+    for classes in tasks:
+        task = [
+            Sample(x=rng.standard_normal(2), class_id=k, sample_id=next_id + i)
+            for i, k in enumerate(classes)
+        ]
+        next_id += len(task)
+        _assert_same_rows(buf.union_view(Pool.of(task)), oracle.union_view(task))
+        buf.rebalance_after_task(Pool.of(task))
+        oracle.rebalance_after_task(task)
+        assert buf.class_counts() == {k: n for k, n in oracle.class_counts().items() if n}
+        _assert_same_rows(buf.union_view([]), oracle.union_view([]))
+        assert len(buf) == sum(oracle.class_counts().values())
 
 
 def test_sample_class_batch_exhaustive_and_deterministic(rng):

@@ -48,7 +48,23 @@ def test_gen_writes_expected_sample_count(tmp_path, capsys):
     assert "1000 samples" in out
     from cclearn.data import load
 
-    assert len(load(path).samples) == 1000
+    assert len(load(path).y) == 1000
+
+
+@pytest.mark.parametrize("flag", ["--classes", "--per-class", "--dim", "--domains"])
+def test_gen_oversized_size_exits_2_and_writes_no_file(tmp_path, capsys, flag):
+    """A size no memory holds is a config error: one error line and no file.
+    The domain count fails too, as gen allocates the whole output before it
+    draws any domain's transform."""
+    sizes = {"--classes": 4, "--per-class": 5, "--dim": 3, "--domains": 2, flag: 10**12}
+    path = tmp_path / "big.clds"
+    argv = ["gen", *(str(a) for item in sizes.items() for a in item), "-o", str(path)]
+    with _address_space_headroom(64 * 2**20):
+        code = cli.main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not path.exists()
 
 
 def test_gen_deterministic_file_hash(tmp_path):
@@ -207,7 +223,9 @@ def test_run_more_classes_than_samples_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("mode", ["cil", "dil"])
 def test_run_empty_dataset_exits_2(tmp_path, capsys, mode):
     empty = tmp_path / "empty.clds"
-    save(Dataset(samples=[], num_classes=8, input_dim=6, has_domains=mode == "dil"), empty)
+    none = np.zeros(0, dtype=np.int64)
+    domains = none if mode == "dil" else None
+    save(Dataset(np.zeros((0, 6), np.float32), none, 8, domain_ids=domains), empty)
     doc = _config_doc(empty, tmp_path / "out")
     if mode == "dil":
         doc["split"] = {"mode": "dil", "domain_order": []}

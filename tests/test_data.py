@@ -8,6 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cclearn.data import (
+    Dataset,
+    Pool,
+    Task,
+    TaskStream,
     gen_domain_shift,
     gen_synthetic,
     load,
@@ -18,35 +22,34 @@ from cclearn.data import (
 from cclearn.errors import DatasetFormatError
 from cclearn.runner import merge_tasks
 
+from oracles import split_cil_samples, split_dil_samples
+
 
 def test_gen_deterministic():
     a = gen_synthetic(5, 10, 8, separation=3.0, noise=0.5, seed=4)
     b = gen_synthetic(5, 10, 8, separation=3.0, noise=0.5, seed=4)
-    assert len(a.samples) == len(b.samples) == 50
-    for sa, sb in zip(a.samples, b.samples):
-        assert np.array_equal(sa.x, sb.x)
-        assert (sa.class_id, sa.sample_id) == (sb.class_id, sb.sample_id)
+    assert len(a.y) == len(b.y) == 50
+    assert a.X.dtype == np.float32 and a.X.tobytes() == b.X.tobytes()
+    assert a.y.tolist() == b.y.tolist() and a.ids.tolist() == b.ids.tolist()
 
 
 def test_gen_zero_noise_collapses_to_means():
     ds = gen_synthetic(4, 6, 8, separation=3.0, noise=0.0, seed=1)
     for k in range(4):
-        xs = np.stack([s.x for s in ds.samples if s.class_id == k])
+        xs = ds.X[ds.y == k]
         assert np.all(xs == xs[0])
+
+
+def _nearest_mean_accuracy(X, y, means):
+    """Share of rows whose nearest of ``means`` (one row per class) is their class."""
+    d = np.linalg.norm(X[:, None, :] - means[None, :, :], axis=-1)
+    return float(np.mean(np.argmin(d, axis=1) == y))
 
 
 def test_gen_separation_dominates_noise_nearest_mean_is_perfect():
     ds = gen_synthetic(6, 20, 10, separation=8.0, noise=0.3, seed=2)
-    means = {
-        k: np.stack([s.x for s in ds.samples if s.class_id == k]).mean(axis=0)
-        for k in range(6)
-    }
-    correct = sum(
-        1
-        for s in ds.samples
-        if min(means, key=lambda k: np.linalg.norm(s.x - means[k])) == s.class_id
-    )
-    assert correct == len(ds.samples)
+    means = np.stack([ds.X[ds.y == k].mean(axis=0) for k in range(6)])
+    assert _nearest_mean_accuracy(ds.X, ds.y, means) == 1.0
 
 
 def test_gen_validates_arguments():
@@ -60,20 +63,19 @@ def test_domain_shift_zero_magnitude_is_identity():
     base = gen_synthetic(3, 5, 6, 3.0, 0.4, seed=3)
     for kind in ("rotation", "scaling", "mean-offset"):
         shifted = gen_domain_shift(base, 3, kind, magnitude=0.0, seed=7)
-        assert len(shifted.samples) == 3 * len(base.samples)
+        assert len(shifted.y) == 3 * len(base.y)
         assert shifted.has_domains
+        assert shifted.ids.tolist() == list(range(len(shifted.y)))
         for d in range(3):
-            block = [s for s in shifted.samples if s.domain_id == d]
-            for s, b in zip(block, base.samples):
-                assert np.allclose(s.x, b.x, atol=1e-6)
-                assert s.class_id == b.class_id
+            block = shifted.domain_ids == d
+            assert np.allclose(shifted.X[block], base.X, atol=1e-6)
+            assert shifted.y[block].tolist() == base.y.tolist()
 
 
 def test_domain_shift_rotation_preserves_pairwise_distances():
     base = gen_synthetic(3, 8, 6, 3.0, 0.4, seed=5)
     shifted = gen_domain_shift(base, 2, "rotation", magnitude=1.0, seed=9)
-    x0 = np.stack([s.x for s in shifted.samples if s.domain_id == 0])
-    x1 = np.stack([s.x for s in shifted.samples if s.domain_id == 1])
+    x0, x1 = shifted.X[shifted.domain_ids == 0], shifted.X[shifted.domain_ids == 1]
     d0 = np.linalg.norm(x0[:, None] - x0[None, :], axis=-1)
     d1 = np.linalg.norm(x1[:, None] - x1[None, :], axis=-1)
     assert np.abs(d0 - d1).max() < 1e-4
@@ -83,21 +85,11 @@ def test_domain_shift_rotation_preserves_pairwise_distances():
 def test_domain_shift_mean_offset_degrades_cross_domain_nearest_mean():
     base = gen_synthetic(4, 25, 8, 5.0, 0.4, seed=6)
     shifted = gen_domain_shift(base, 2, "mean-offset", magnitude=12.0, seed=11)
-    d0 = [s for s in shifted.samples if s.domain_id == 0]
-    d1 = [s for s in shifted.samples if s.domain_id == 1]
-    means = {
-        k: np.stack([s.x for s in d0 if s.class_id == k]).mean(axis=0) for k in range(4)
-    }
-
-    def acc(samples):
-        hits = sum(
-            1
-            for s in samples
-            if min(means, key=lambda k: np.linalg.norm(s.x - means[k])) == s.class_id
-        )
-        return hits / len(samples)
-
-    assert acc(d0) > acc(d1)
+    d0, d1 = shifted.domain_ids == 0, shifted.domain_ids == 1
+    means = np.stack([shifted.X[d0 & (shifted.y == k)].mean(axis=0) for k in range(4)])
+    assert _nearest_mean_accuracy(shifted.X[d0], shifted.y[d0], means) > _nearest_mean_accuracy(
+        shifted.X[d1], shifted.y[d1], means
+    )
 
 
 def test_domain_shift_unknown_kind():
@@ -123,8 +115,8 @@ def test_split_cil_stratified_counts():
     stream = split_cil(ds, num_tasks=2, test_fraction=0.2, seed=2)
     for task in stream.tasks:
         for k in task.classes:
-            n_test = sum(1 for s in task.test if s.class_id == k)
-            n_train = sum(1 for s in task.train if s.class_id == k)
+            n_test = int(np.sum(task.test.y == k))
+            n_train = int(np.sum(task.train.y == k))
             assert n_test == 10
             assert n_train == 40
 
@@ -155,7 +147,7 @@ def test_split_dil_basic():
     assert [t.domain_id for t in stream.tasks] == [2, 0, 1]
     for task in stream.tasks:
         assert task.classes == frozenset(range(4))
-        assert len(task.train) + len(task.test) == len(base.samples)
+        assert len(task.train) + len(task.test) == len(base.y)
 
 
 def test_split_dil_requires_domains():
@@ -182,19 +174,85 @@ def test_splits_refuse_more_classes_than_samples(mode):
 
 
 def test_splits_and_merge_hold_the_datasets_own_samples():
+    """Every dataset row sits in exactly one task, train or test, with its own
+    input bytes, id and class; ``merge_tasks`` keeps the stream's order."""
     base = gen_synthetic(4, 10, 6, 3.0, 0.4, seed=20)
     shifted = gen_domain_shift(base, 2, "rotation", 0.5, seed=21)
     for ds, stream in (
         (base, split_cil(base, num_tasks=2, test_fraction=0.25, seed=22)),
         (shifted, split_dil(shifted, domain_order=[1, 0], test_fraction=0.25, seed=23)),
     ):
-        own = {id(s): s for s in ds.samples}
-        held = [s for t in stream.tasks for s in t.train + t.test]
-        assert len(held) == len(own)
-        assert all(own.get(id(s)) is s for s in held)
+        parts = [p for t in stream.tasks for p in (t.train, t.test)]
+        row_of = {i: r for r, i in enumerate(ds.ids.tolist())}
+        rows = [row_of[i] for p in parts for i in p.ids]
+        assert sorted(rows) == list(range(len(ds.y)))
+        held = Pool.concat(parts)
+        assert held.X.tobytes() == ds.X[rows].astype(np.float64).tobytes()
+        assert held.y.tolist() == ds.y[rows].tolist()
         merged = merge_tasks(stream).tasks[0]
-        streamed = [s for t in stream.tasks for s in t.train] + [s for t in stream.tasks for s in t.test]
-        assert [id(s) for s in merged.train + merged.test] == [id(s) for s in streamed]
+        for got, part in ((merged.train, "train"), (merged.test, "test")):
+            want = Pool.concat([getattr(t, part) for t in stream.tasks])
+            assert got.ids == want.ids and got.y.tolist() == want.y.tolist()
+            assert got.X.tobytes() == want.X.tobytes()
+
+
+def _shuffled(ds, seed):
+    """``ds`` with its rows in a seeded random order."""
+    perm = np.random.default_rng(seed).permutation(len(ds.y))
+    domains = None if ds.domain_ids is None else ds.domain_ids[perm]
+    return Dataset(ds.X[perm], ds.y[perm], ds.num_classes, ds.ids[perm], ds.task_ids[perm], domains)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    per_task=st.integers(1, 3),
+    num_tasks=st.integers(1, 4),
+    per_class=st.integers(3, 9),
+    num_domains=st.integers(2, 4),
+    test_fraction=st.floats(0.2, 0.8),
+    seed=st.integers(0, 2**16),
+)
+def test_splits_match_the_per_sample_oracles(
+    per_task, num_tasks, per_class, num_domains, test_fraction, seed
+):
+    """Index-array splits select the rows the per-sample splits gather, in the
+    same order and with the same RNG draws, from datasets in random row order."""
+    num_classes = per_task * num_tasks
+    base = _shuffled(gen_synthetic(num_classes, per_class, 3, 3.0, 0.4, seed), seed + 1)
+    shifted = _shuffled(gen_domain_shift(base, num_domains, "rotation", 0.5, seed), seed + 2)
+    order = [int(d) for d in np.random.default_rng(seed).permutation(num_domains)]
+    for stream, want in (
+        (
+            split_cil(base, num_tasks, test_fraction, seed),
+            split_cil_samples(base.samples, num_classes, num_tasks, test_fraction, seed),
+        ),
+        (
+            split_dil(shifted, order, test_fraction, seed),
+            split_dil_samples(shifted.samples, num_classes, order, test_fraction, seed),
+        ),
+    ):
+        assert len(stream.tasks) == len(want)
+        for task, (train, test, classes) in zip(stream.tasks, want):
+            assert task.classes == classes
+            for got, samples in ((task.train, train), (task.test, test)):
+                expected = Pool.of(samples)
+                assert got.ids == expected.ids and got.y.tolist() == expected.y.tolist()
+                assert got.X.tobytes() == expected.X.tobytes()
+
+
+@pytest.mark.parametrize("part", ["train", "test"])
+def test_stream_rejects_rows_outside_the_task_classes(part):
+    """A class-incremental task whose training or test rows hold another task's
+    class is refused with one line naming the row's sample id and class."""
+    t0, t1 = split_cil(gen_synthetic(4, 6, 3, 3.0, 0.4, seed=0), 2, 0.25, seed=1).tasks
+    k = min(t1.classes)
+    stray = t1.train.take(t1.train.members[k][:1])
+    rows = {"train": t0.train, "test": t0.test}
+    rows[part] = Pool.concat([rows[part], stray])
+    name = {"train": "training", "test": "test"}[part]
+    with pytest.raises(ValueError, match=f"^{name} sample {stray.ids[0]} has class {k} outside") as info:
+        TaskStream("cil", [Task(rows["train"], rows["test"], t0.classes), t1])
+    assert "\n" not in str(info.value)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -206,12 +264,9 @@ def test_save_load_round_trip(tmp_path):
     assert back.num_classes == ds.num_classes
     assert back.input_dim == ds.input_dim
     assert back.has_domains == ds.has_domains
-    assert len(back.samples) == len(ds.samples)
-    for a, b in zip(ds.samples, back.samples):
-        assert np.array_equal(a.x, b.x)
-        assert (a.class_id, a.sample_id, a.task_id, a.domain_id) == (
-            b.class_id, b.sample_id, b.task_id, b.domain_id,
-        )
+    assert back.X.tobytes() == ds.X.tobytes()
+    for column in ("y", "ids", "task_ids", "domain_ids"):
+        assert getattr(back, column).tolist() == getattr(ds, column).tolist(), column
     # byte-identical re-serialization
     path2 = tmp_path / "ds2.clds"
     save(back, path2)
@@ -310,13 +365,13 @@ def test_load_corrupt_header_raises_only_format_error(tmp_path):
         corrupt_and_load()
 
 
-# hand-built id columns, in file order: flag bit, Sample field, dtype, values
+# hand-built id columns, in file order: flag bit, Dataset column, dtype, values
 _COLUMNS = (
-    (2, "sample_id", "<u8", [7, 3, 2**40]),
-    (4, "task_id", "<i4", [2, -1, 0]),
-    (1, "domain_id", "<u4", [1, 0, 3]),
+    (2, "ids", "<u8", [7, 3, 2**40]),
+    (4, "task_ids", "<i4", [2, -1, 0]),
+    (1, "domain_ids", "<u4", [1, 0, 3]),
 )
-_DEFAULTS = {"sample_id": [0, 1, 2], "task_id": [-1, -1, -1], "domain_id": [0, 0, 0]}
+_DEFAULTS = {"ids": [0, 1, 2], "task_ids": [-1, -1, -1], "domain_ids": None}
 
 
 def _hand_built(flags):
@@ -334,11 +389,12 @@ def test_load_reads_present_id_columns_and_defaults_absent_ones(tmp_path, flags)
     path.write_bytes(_hand_built(flags))
     ds = load(path)
     assert ds.has_domains == bool(flags & 1)
-    assert np.array_equal(np.stack([s.x for s in ds.samples]), np.arange(6).reshape(3, 2))
-    assert [s.class_id for s in ds.samples] == [0, 2, 1]
+    assert np.array_equal(ds.X, np.arange(6).reshape(3, 2))
+    assert ds.y.tolist() == [0, 2, 1]
     for bit, name, _, values in _COLUMNS:
         expected = values if flags & bit else _DEFAULTS[name]
-        assert [getattr(s, name) for s in ds.samples] == expected, name
+        column = getattr(ds, name)
+        assert (None if column is None else column.tolist()) == expected, name
 
 
 @pytest.mark.parametrize("flag", [1, 2, 4])

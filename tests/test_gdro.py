@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cclearn import benchmark
-from cclearn.buffer import Pool, sample_class_batch
-from cclearn.data import Sample, gen_synthetic
+from cclearn.buffer import sample_class_batch
+from cclearn.data import Pool, Sample, gen_synthetic
 from cclearn.gcl import sample_estimates
 from cclearn.gdro import (
     GdroConfig,

@@ -28,3 +28,14 @@ def test_tracer_finds_every_name_it_wraps():
     tracing = _load("tracing")
     with tracing.traced(tracing.Tracer()):  # getattr on each wrapped name
         pass
+
+
+def test_sweep_builds_and_steps_its_sample_list_inputs(monkeypatch):
+    """The sweep reads a generated dataset as a list of samples and steps both
+    estimators on it; one small pool size shows that path still builds and runs."""
+    sweep = _load("sweep")
+    monkeypatch.setattr(sweep, "POOL_SIZES", (400,))
+    monkeypatch.setattr(sweep, "MIN_SECONDS", 0)
+    metrics = sweep.pool_sweep(0)
+    assert sorted(metrics) == ["sweep.gcl_step_s.400", "sweep.gdro_step_s.400"]
+    assert all(seconds > 0 for seconds in metrics.values())

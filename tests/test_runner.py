@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import cclearn.gcl
 import cclearn.gdro
 import cclearn.runner
-from cclearn.buffer import Pool, sample_class_batch
-from cclearn.data import Sample, gen_synthetic, split_cil
+from cclearn.buffer import sample_class_batch
+from cclearn.data import Pool, Sample, gen_synthetic, split_cil
 from cclearn.errors import ConfigError, DivergenceError
 from cclearn.gcl import (
     GclEstimatorState,
@@ -196,7 +196,7 @@ def test_cil_stage_evaluates_each_test_row_once(monkeypatch):
     monkeypatch.setattr(cclearn.runner, "evaluate", counting)
     result = run(stream, _fast_config("zero-shot"))
     monkeypatch.undo()
-    seen = [[s for b in range(t + 1) for s in stream.tasks[b].test] for t in range(3)]
+    seen = [Pool.concat([stream.tasks[b].test for b in range(t + 1)]) for t in range(3)]
     assert sum(rows) == sum(len(union) for union in seen)
     enc = EncoderPair(
         EncoderConfig(input_dim=8, num_classes_max=6, hidden_dim=0, embed_dim=6, seed=3)

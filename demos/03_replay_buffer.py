@@ -7,20 +7,19 @@ shrink.  The whole process is a deterministic function of the seed.
 
 import numpy as np
 
-from cclearn import MemoryBuffer, Sample, sample_class_batch
+from cclearn import MemoryBuffer, Pool, sample_class_batch
 
 rng = np.random.default_rng(0)
 sid = 0
 
 
 def make_task(classes, per_class):
+    """per_class random 4-d rows of each class in turn, as one Pool."""
     global sid
-    out = []
-    for c in classes:
-        for _ in range(per_class):
-            out.append(Sample(x=rng.standard_normal(4), class_id=c, sample_id=sid))
-            sid += 1
-    return out
+    y = np.repeat(list(classes), per_class)
+    ids = list(range(sid, sid + len(y)))
+    sid += len(y)
+    return Pool(rng.standard_normal((len(y), 4)), y, ids)
 
 
 buf = MemoryBuffer(capacity=24, rng_seed=7)
@@ -29,7 +28,7 @@ for t in range(4):
     task = make_task(range(t * 3, t * 3 + 3), per_class=15)
     buf = buf.rebalance_after_task(task)
     counts = buf.class_counts()
-    print(f"after task {t} (classes {sorted({s.class_id for s in task})}): "
+    print(f"after task {t} (classes {sorted(task.members)}): "
           f"{len(buf)}/{buf.capacity} stored, per-class counts {counts}")
 
 pool = buf.union_view(make_task([99], per_class=5))

@@ -12,7 +12,7 @@ from cclearn import (
     EncoderPair,
     GdroConfig,
     GdroEstimatorState,
-    Sample,
+    Pool,
     dro_objective,
     dro_weights,
 )
@@ -24,17 +24,15 @@ enc = EncoderPair(EncoderConfig(input_dim=6, num_classes_max=4,
 w = enc.init_params()
 
 # class 3 gets overlapping inputs (copies of class 0's region): a hard class
-pool, sid = [], 0
 centers = {0: np.zeros(6), 1: np.full(6, 3.0), 2: np.full(6, -3.0), 3: np.full(6, 0.3)}
-for k, center in centers.items():
-    for _ in range(6):
-        pool.append(Sample(x=center + 0.4 * rng.standard_normal(6), class_id=k, sample_id=sid))
-        sid += 1
+y = np.repeat(list(centers), 6)
+X = np.array([centers[k] for k in y.tolist()]) + 0.4 * rng.standard_normal((len(y), 6))
+pool = Pool(X, y, list(range(len(y))))
 
 # one full-batch update at gamma=1 sets each class estimate u_c to the exact h_k
 cfg = GdroConfig(lam=0.5, gamma=1.0, margin=0.4, tau=0.3, batch_classes=4, batch_per_class=6)
 classes = list(centers)
-members = {k: [s for s in pool if s.class_id == k] for k in classes}
+members = {k: pool.take(pool.members[k]) for k in classes}
 state = gdro_update_estimators(GdroEstimatorState(), enc, w, classes, members, pool, cfg)
 _, h = state.class_losses()  # classes 0..3, ascending
 print("per-class hinge losses h_k:", np.round(h, 3))

@@ -12,7 +12,6 @@ from .buffer import MemoryBuffer, sample_class_batch
 from .data import (
     Dataset,
     Pool,
-    Sample,
     Task,
     TaskStream,
     gen_domain_shift,
@@ -35,7 +34,7 @@ __all__ = [
     "AccuracyMatrix", "ConfigError", "Dataset", "DatasetFormatError", "DivergenceError",
     "EncoderConfig", "EncoderPair", "GclEstimatorState", "GdroConfig",
     "GdroEstimatorState", "MemoryBuffer", "NonFiniteGradientError",
-    "OptimizerState", "Pool", "RunConfig", "RunResult", "Sample", "Task", "TaskStream",
+    "OptimizerState", "Pool", "RunConfig", "RunResult", "Task", "TaskStream",
     "ce_step", "dro_objective", "dro_weights", "evaluate", "gcl_step", "gdro_step",
     "gen_domain_shift", "gen_synthetic", "init_optimizer", "load", "run",
     "sample_class_batch", "save", "split_cil", "split_dil", "step",

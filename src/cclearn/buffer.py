@@ -12,9 +12,10 @@ A class whose source holds fewer rows than its quota simply stores all of
 them, so per-class counts are exactly min(quota, available); they differ by
 at most one across classes whenever the sources cover the quotas.
 
-The buffer stores copies of the rows it admits as one class-ascending
-``Pool``.  A stage trains on the stored rows followed by the task's, joined
-once by ``union_view``.  Every batch is a row view of that pool: a gcl or
+The buffer takes and stores ``Pool``s: it starts from the empty Pool and
+keeps copies of the rows it admits as one class-ascending Pool.  A stage
+trains on the stored rows followed by the task's, joined once by
+``union_view``.  Every batch is a row view of that pool: a gcl or
 cross-entropy batch is ``pool.take(rows)``, a gdro per-class batch is
 ``sample_class_batch``'s take of one class's rows, and gdro's anchor set is
 the ``Pool.concat`` of those batches.
@@ -38,7 +39,7 @@ class MemoryBuffer:
         if self.capacity < 0:
             raise ValueError("capacity must be >= 0")
         self._rng = np.random.default_rng(self.rng_seed)
-        self.stored = Pool.of([])  # classes ascending, each in admission order
+        self.stored = Pool.concat([])  # classes ascending, each in admission order
 
     def __len__(self):
         return len(self.stored)
@@ -47,14 +48,14 @@ class MemoryBuffer:
         """Rows stored per class, for each class the buffer holds, ascending."""
         return {k: len(rows) for k, rows in self.stored.members.items()}
 
-    def rebalance_after_task(self, finished_task_data) -> "MemoryBuffer":
-        """Admit a finished task's rows (a Pool or samples); re-even the quotas.
+    def rebalance_after_task(self, finished_task_data: Pool) -> "MemoryBuffer":
+        """Admit a finished task's rows; re-even the quotas.
 
         Updates the buffer in place and returns it; deterministic given rng_seed
         and call sequence.  Classes already stored (domain-incremental streams)
         merge their stored rows with the incoming ones before down-sampling.
         """
-        rows = Pool.concat([self.stored, Pool.of(finished_task_data)])
+        rows = Pool.concat([self.stored, finished_task_data])
         if not len(rows):
             return self
         quota, remainder = divmod(self.capacity, len(rows.members))
@@ -67,14 +68,13 @@ class MemoryBuffer:
         self.stored = rows.take(np.concatenate(kept))
         return self
 
-    def union_view(self, current_task_data) -> Pool:
+    def union_view(self, current_task_data: Pool) -> Pool:
         """The stored rows (classes ascending), then the task's rows as given."""
-        return Pool.concat([self.stored, Pool.of(current_task_data)])
+        return Pool.concat([self.stored, current_task_data])
 
 
-def sample_class_batch(pool, class_id, batch_size, seed) -> Pool:
-    """Up to batch_size rows of one class, uniform without replacement."""
-    pool = Pool.of(pool)
+def sample_class_batch(pool: Pool, class_id, batch_size, seed) -> Pool:
+    """Up to batch_size rows of one class of ``pool``, uniform without replacement."""
     rows = pool.members.get(class_id)
     if rows is None:
         raise ValueError(f"class {class_id} not present in pool")

@@ -9,8 +9,8 @@ stored as float32 so files round-trip bit-exactly.
 Data travels as rows from file to training step: a ``Dataset`` holds columns,
 generation, ``save`` and ``load`` work on whole columns, splits select index
 arrays, and a task's train and test sets are ``Pool``s, the float64 rows the
-encoders read.  ``Sample`` and ``Pool.of`` are the entry point for a caller's
-own list of samples.
+encoders read.  A ``Pool`` is the one row type: a caller with rows of its own
+builds a Pool from arrays, and every function that takes rows takes a Pool.
 
 File format (``.clds``, little-endian binary):
 
@@ -27,8 +27,8 @@ File format (``.clds``, little-endian binary):
 ``save`` always writes sample and task ids, so a loaded dataset keeps the
 sample identities it was saved with.  ``load`` checks the payload size the
 header implies against the file size before reading any payload, and rejects
-``dim == 0``, non-finite inputs, class ids ``>= classes`` and duplicate
-sample ids.
+a flag bit that names no id column, ``dim == 0``, non-finite inputs, class
+ids ``>= classes`` and duplicate sample ids.
 """
 
 from __future__ import annotations
@@ -55,45 +55,30 @@ _ID_COLUMNS = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One labeled example, as a caller builds it. ``x`` is treated as read-only
-    by the whole package; ``Pool.of`` turns a list of samples into rows."""
-
-    x: np.ndarray
-    class_id: int
-    sample_id: int
-    task_id: int = -1
-    domain_id: int = 0
-
-
 class Pool:
     """Rows for the encoders: ``X`` (N, d) float64 inputs, ``y`` (N,) int64
     class ids and ``ids`` the sample ids as Python ints (the estimators' keys).
 
     ``members[k]`` holds class k's row indices in pool order, built on first
-    read.  ``Pool.of`` is the one place a sample becomes a row.
+    read.  A Pool is the package's one row type: every function that takes
+    rows takes a Pool.
     """
 
     def __init__(self, X, y, ids):
         self.X, self.y, self.ids = X, y, ids
 
     @classmethod
-    def of(cls, samples) -> "Pool":
-        """``samples`` if it is a Pool already, else the rows of the samples in order."""
-        if isinstance(samples, cls):
-            return samples
-        samples = list(samples)
-        return cls(
-            np.array([s.x for s in samples], dtype=np.float64),
-            np.array([s.class_id for s in samples], dtype=np.int64),
-            [s.sample_id for s in samples],
-        )
+    def of(cls, rows) -> "Pool":
+        """``rows`` if it is a Pool, else the Pools in ``rows`` joined by ``concat``."""
+        return rows if isinstance(rows, cls) else cls.concat(rows)
 
     @classmethod
     def concat(cls, parts) -> "Pool":
-        """The rows of ``parts`` (Pools), one after another."""
-        parts = [p for p in parts if len(p)] or parts[:1]  # ``Pool.of([])`` has no row width
+        """The rows of ``parts`` (Pools), one after another.  Parts with no rows
+        are skipped, whatever their width; with none left the Pool is empty."""
+        parts = [p for p in parts if len(p)]
+        if not parts:
+            return cls(np.empty((0, 0)), np.empty(0, dtype=np.int64), [])
         return cls(
             np.concatenate([p.X for p in parts]),
             np.concatenate([p.y for p in parts]),
@@ -104,6 +89,10 @@ class Pool:
         """Rows ``idx``, in that order; ``X`` stays (n, d) when ``idx`` is empty."""
         idx = np.asarray(idx, dtype=np.intp)
         return Pool(self.X[idx], self.y[idx], [self.ids[i] for i in idx.tolist()])
+
+    def __getitem__(self, i) -> "Pool":
+        """Row ``i`` as a one-row Pool."""
+        return self.take([i])
 
     @cached_property
     def members(self) -> dict[int, np.ndarray]:
@@ -142,13 +131,9 @@ class Dataset:
         return self.domain_ids is not None
 
     @property
-    def samples(self) -> list[Sample]:
-        """The rows as ``Sample``s, built on each read.  It exists for
-        ``perfbench/sweep.py``, which reads a generated dataset as a sample list,
-        until ROADMAP item 1 re-seams the sweep."""
-        domains = self.domain_ids if self.has_domains else np.zeros(len(self.y), np.int64)
-        columns = (self.y, self.ids, self.task_ids, domains)
-        return [Sample(x, *row) for x, *row in zip(self.X, *(c.tolist() for c in columns))]
+    def samples(self) -> Pool:
+        """All rows as one Pool, built on each read (``perfbench/sweep.py`` reads it)."""
+        return _rows(self, np.arange(len(self.y)))
 
 
 def _rows(ds: Dataset, idx) -> Pool:
@@ -417,6 +402,9 @@ def load(path) -> Dataset:
             )
         if dim == 0:
             raise DatasetFormatError("input dimension is 0")
+        unknown = flags & ~sum(bit for _, bit, _ in _ID_COLUMNS)
+        if unknown:
+            raise DatasetFormatError(f"unknown flag bits {unknown:#x} in flags {flags:#x}")
         columns = [(name, np.dtype(dtype)) for name, bit, dtype in _ID_COLUMNS if flags & bit]
         # per-sample bytes: inputs, class id, then the id columns the flags declare
         row_bytes = 4 * dim + 4 + sum(dtype.itemsize for _, dtype in columns)

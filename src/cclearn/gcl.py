@@ -32,8 +32,8 @@ logits S, updates the state in place and forms the gradient coefficients, the
 update and the coefficients sharing one exp(S) and one id -> column lookup.
 ``gcl_loss_full``, ``gcl_update_estimators`` (in place; returns the same
 state) and ``gcl_gradient_estimate`` are each one of those parts on its own,
-built from the same private pieces.  Each entry point reads its batch as a
-``Pool`` (``Pool.of`` wraps a plain list).
+built from the same private pieces.  Each entry point takes its batch as a
+``Pool``, or as a list of Pools that ``Pool.of`` joins.
 """
 
 from __future__ import annotations
@@ -151,8 +151,9 @@ def sample_estimates(state, ids, cols=None) -> np.ndarray:
 
 
 def _batch_logits(enc, params, batch, tau):
-    """The batch as a Pool, s_ab/tau over its (input, label) pairs, and the two
-    towers' forward results.  Refuses a non-positive tau and an empty batch."""
+    """The batch (a Pool, or a list of Pools joined into one), s_ab/tau over its
+    (input, label) pairs, and the two towers' forward results.  Refuses a
+    non-positive tau and an empty batch."""
     tau = _check_tau(tau)
     batch = Pool.of(batch)
     if not batch:

@@ -150,7 +150,6 @@ def _hinge_stats(enc, params, anchors, pool, margin, tau, work):
     H and A are views of the ``WorkArrays`` ``work``, so they hold until the
     next call on the same ``work`` overwrites them.
     """
-    anchors, pool = Pool.of(anchors), Pool.of(pool)
     fwd = (
         enc._forward_inputs(params, anchors.X),
         enc._forward_labels(params, anchors.y),
@@ -215,10 +214,12 @@ def dro_objective(h, lam) -> float:
 
 def _flatten_batches(class_batch, per_class_batches) -> Pool:
     """Every sampled class's anchors, in class-batch order, as one Pool."""
+    if len(class_batch) == 0:
+        raise ValueError("class_batch must name at least one class")
     for k in class_batch:
         if not per_class_batches.get(k):
             raise ValueError(f"missing or empty batch for class {k}")
-    return Pool.concat([Pool.of(per_class_batches[k]) for k in class_batch])
+    return Pool.concat([per_class_batches[k] for k in class_batch])
 
 
 def _update(state, anchors, sizes, class_batch, log_g, config):

@@ -135,9 +135,8 @@ class RunResult:
     log: list[dict]
 
 
-def evaluate(enc: EncoderPair, params, test, candidate_classes) -> float:
-    """Fraction of test samples whose nearest label embedding is the true class."""
-    test = Pool.of(test)
+def evaluate(enc: EncoderPair, params, test: Pool, candidate_classes) -> float:
+    """Fraction of test rows whose nearest label embedding is the true class."""
     if not test:
         raise ValueError("test set must be non-empty")
     return float(np.mean(enc.predict_batch(params, test.X, candidate_classes) == test.y))
@@ -151,7 +150,6 @@ def _ce_logits(enc, params, batch, candidates, tau):
     two towers' forward results.  Refuses a non-positive tau, an empty batch and
     a batch class that is not among the candidates."""
     tau = _check_tau(tau)
-    batch = Pool.of(batch)
     if not batch:
         raise ValueError("batch must be non-empty")
     col = {c: j for j, c in enumerate(candidates)}

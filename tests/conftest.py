@@ -1,10 +1,11 @@
 """Shared helpers: finite-difference oracles and random instance builders.
 
 The finite-difference gradient, single-pair similarity helpers, the
-instance builders and ``state_bytes`` (an estimator state as comparable
-keys and bytes) live here.  The reference oracles that several test files
-compare against (g_I/g_T, hinge_g1/hinge_g2, class_loss_hk and the accuracy
-CSV parser) live in ``oracles.py``.  The duplicate-implementation oracles
+instance builders (random ``Pool``s and a Pool's per-class batches) and
+``state_bytes`` (an estimator state as comparable keys and bytes) live
+here.  The reference oracles that several test files compare against
+(g_I/g_T, hinge_g1/hinge_g2, class_loss_hk and the accuracy CSV parser) live
+in ``oracles.py``.  The duplicate-implementation oracles
 (straight-line forward passes, naive loss loops, the simplex maximizer) live
 next to the tests that use them so each stays independent of the code path
 it checks.
@@ -13,7 +14,7 @@ it checks.
 import numpy as np
 import pytest
 
-from cclearn.data import Sample
+from cclearn.data import Pool
 from cclearn.gcl import sample_estimates
 from cclearn.gdro import GdroEstimatorState
 from cclearn.model import EncoderConfig, EncoderPair
@@ -79,15 +80,21 @@ def state_bytes(state):
 
 
 def make_pool(rng, n, num_classes, input_dim, id_offset=0):
-    """Random samples with classes cycling so every class is represented."""
-    return [
-        Sample(
-            x=rng.standard_normal(input_dim),
-            class_id=int(i % num_classes),
-            sample_id=id_offset + i,
-        )
-        for i in range(n)
-    ]
+    """n random rows with classes cycling so every class is represented.  One
+    (n, input_dim) draw, which gives the numbers of n per-row draws."""
+    y = np.arange(n, dtype=np.int64) % num_classes
+    return Pool(rng.standard_normal((n, input_dim)), y, list(range(id_offset, id_offset + n)))
+
+
+def class_pool(rng, classes, per_class, input_dim, id_offset=0):
+    """``per_class`` random rows of each of ``classes`` in turn, ids from ``id_offset``."""
+    y = np.repeat(np.asarray(classes, dtype=np.int64), per_class)
+    return Pool(rng.standard_normal((len(y), input_dim)), y, list(range(id_offset, id_offset + len(y))))
+
+
+def class_batches(pool, classes):
+    """Every row of each of ``classes``, as gdro's per-class batches."""
+    return {k: pool.take(pool.members[k]) for k in classes}
 
 
 @pytest.fixture

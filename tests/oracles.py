@@ -12,7 +12,14 @@ gather samples one by one (``split_cil_samples``, ``split_dil_samples``), and a
 parser for the accuracy CSV that ``cclearn run`` writes.  None of these is on
 a training path: the package computes the same quantities in batch, in
 blocks or in arrays, and the tests pin the two against each other.
+
+The per-sample oracles keep their samples as plain ``Record``s, one per row;
+``records`` and ``dataset_records`` read them off a Pool or a Dataset, and
+``rows`` turns them back into a Pool.  The single-anchor oracles take the
+anchor as a one-row Pool (``pool[i]``) and the pool as a Pool.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +40,7 @@ def g_I(enc: EncoderPair, params, anchor, candidates, tau) -> float:
     tau = _check_tau(tau)
     if not candidates:
         raise ValueError("candidate list must be non-empty")
-    sims = enc.similarity_matrix(params, [anchor.x], [s.class_id for s in candidates])[0]
+    sims = enc.similarity_matrix(params, anchor.X, candidates.y)[0]
     return _stable_expsum(sims / tau)
 
 
@@ -42,27 +49,27 @@ def g_T(enc: EncoderPair, params, anchor, candidates, tau) -> float:
     tau = _check_tau(tau)
     if not candidates:
         raise ValueError("candidate list must be non-empty")
-    sims = enc.similarity_matrix(params, [s.x for s in candidates], [anchor.class_id])[:, 0]
+    sims = enc.similarity_matrix(params, candidates.X, anchor.y)[:, 0]
     return _stable_expsum(sims / tau)
 
 
 def hinge_g1(enc: EncoderPair, params, anchor, pool, margin, tau) -> float:
     """Input-anchored hinge normalizer, linear scale. Equals 1 iff no violations."""
-    (*_, log_g), _ = _hinge_stats(enc, params, [anchor], pool, margin, tau, WorkArrays())
+    (*_, log_g), _ = _hinge_stats(enc, params, anchor, pool, margin, tau, WorkArrays())
     return float(np.exp(log_g[0, 0]))
 
 
 def hinge_g2(enc: EncoderPair, params, anchor, pool, margin, tau) -> float:
     """Label-anchored hinge normalizer, linear scale."""
-    (*_, log_g), _ = _hinge_stats(enc, params, [anchor], pool, margin, tau, WorkArrays())
+    (*_, log_g), _ = _hinge_stats(enc, params, anchor, pool, margin, tau, WorkArrays())
     return float(np.exp(log_g[1, 0]))
 
 
 def class_loss_hk(enc: EncoderPair, params, class_id, pool, config: GdroConfig) -> float:
     """Per-class loss h_k over all pool members of the class; always >= 0."""
-    members = [s for s in pool if s.class_id == class_id]
-    if not members:
+    if class_id not in pool.members:
         raise ValueError(f"class {class_id} not present in pool")
+    members = pool.take(pool.members[class_id])
     (*_, log_g), _ = _hinge_stats(
         enc, params, members, pool, config.margin, config.tau, WorkArrays()
     )
@@ -77,7 +84,6 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
         enc, params, class_batch, per_class_batches, pool, config, WorkArrays()
     )
     coef1, coef2 = _coefficients(state, anchors, sizes, class_batch, stats, config)
-    pool = Pool.of(pool)
     n, N = len(anchors), len(pool)
     C = np.zeros((n + N, n + N))
     C[:n, n:] = coef1  # anchor input vs pool label
@@ -118,6 +124,38 @@ def backward_add_at(enc: EncoderPair, g, cache, dZ):
             dZ = (dZ @ cache["W"][k]) * (1.0 - A * A)
 
 
+@dataclass(frozen=True, eq=False)
+class Record:
+    """One labeled example, as the per-sample oracles hold it."""
+
+    x: np.ndarray
+    class_id: int
+    sample_id: int
+    domain_id: int = 0
+
+
+def records(pool: Pool) -> list[Record]:
+    """The rows of ``pool`` as records, in order."""
+    return [Record(x, k, i) for x, k, i in zip(pool.X, pool.y.tolist(), pool.ids)]
+
+
+def dataset_records(ds) -> list[Record]:
+    """The rows of the Dataset ``ds`` as records, in order, with their domains."""
+    domains = ds.domain_ids.tolist() if ds.has_domains else [0] * len(ds.y)
+    return [Record(*row) for row in zip(ds.X, ds.y.tolist(), ds.ids.tolist(), domains)]
+
+
+def rows(recs) -> Pool:
+    """The records' rows as a Pool, one row per record in order."""
+    if not recs:
+        return Pool.concat([])
+    return Pool(
+        np.array([r.x for r in recs], dtype=np.float64),
+        np.array([r.class_id for r in recs], dtype=np.int64),
+        [r.sample_id for r in recs],
+    )
+
+
 class SampleBuffer:
     """The class-balanced replay buffer kept as ``slots``, a list of samples per
     class; a class that falls to quota 0 keeps an empty list."""
@@ -148,7 +186,7 @@ class SampleBuffer:
         return self
 
     def union_view(self, samples) -> Pool:
-        return Pool.of([s for k in sorted(self.slots) for s in self.slots[k]] + list(samples))
+        return rows([s for k in sorted(self.slots) for s in self.slots[k]] + list(samples))
 
 
 def _stratified_split_samples(samples, test_fraction, rng):

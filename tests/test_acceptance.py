@@ -24,7 +24,7 @@ from cclearn.benchmark import (
     benchmark_stream,
 )
 from cclearn.buffer import MemoryBuffer
-from cclearn.data import Sample
+from cclearn.data import Pool
 from cclearn.gcl import (
     GclEstimatorState,
     gcl_gradient_estimate,
@@ -43,7 +43,7 @@ from cclearn.gdro import (
 from cclearn.model import EncoderConfig, EncoderPair
 from cclearn.runner import ce_gradient, ce_loss, run
 
-from conftest import central_diff, make_pool
+from conftest import central_diff, class_batches, class_pool, make_pool
 from oracles import class_loss_hk, g_I, g_T, hinge_g1, hinge_g2
 
 RTOL = 1e-4
@@ -94,12 +94,7 @@ def _gdro_instance(seed):
     """3 classes x 4 samples, rejecting near-kink hinges so FD is clean."""
     for attempt in range(50):
         enc, rng, w = _make_instance(1000 * seed + attempt, hidden=0 if seed % 2 else 4)
-        pool = []
-        sid = 0
-        for k in range(3):
-            for _ in range(4):
-                pool.append(Sample(x=rng.standard_normal(3), class_id=k, sample_id=sid))
-                sid += 1
+        pool = class_pool(rng, range(3), 4, 3)
         cfg = GdroConfig(
             lam=float(rng.uniform(0.4, 1.5)),
             gamma=1.0,
@@ -108,12 +103,10 @@ def _gdro_instance(seed):
             batch_classes=3,
             batch_per_class=4,
         )
-        S = enc.similarity_matrix(w, [s.x for s in pool], [s.class_id for s in pool])
+        S = enc.similarity_matrix(w, pool.X, pool.y)
         d = np.diag(S)
         arg = S - d[:, None] + cfg.margin
-        off_class = np.array([s.class_id for s in pool])[:, None] != np.array(
-            [s.class_id for s in pool]
-        )[None, :]
+        off_class = pool.y[:, None] != pool.y[None, :]
         if np.min(np.abs(arg[off_class.T])) > 1e-3 and np.min(np.abs(arg.T[off_class])) > 1e-3:
             return enc, w, pool, cfg
     raise RuntimeError("could not build a kink-free instance")
@@ -126,7 +119,7 @@ def test_criterion_02_gdro_gradient_fidelity():
     for trial in range(trials):
         enc, w, pool, cfg = _gdro_instance(trial)
         assert enc.n_params <= 200
-        batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
+        batches = class_batches(pool, range(3))
         st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1, 2], batches, pool, cfg)
         grad = gdro_gradient_estimate(st, enc, w, [0, 1, 2], batches, pool, cfg)
 
@@ -205,19 +198,15 @@ def test_criterion_05_estimator_halving():
     enc = EncoderPair(EncoderConfig(input_dim=3, num_classes_max=3, hidden_dim=4, embed_dim=3, seed=0))
     w0 = enc.init_params()
     w1 = enc.init_params(seed=77)
-    pool = []
-    sid = 0
-    for k in range(3):
-        for _ in range(4):
-            pool.append(Sample(x=rng.standard_normal(3), class_id=k, sample_id=sid))
-            sid += 1
+    pool = class_pool(rng, range(3), 4, 3)
+    anchors = [pool[i] for i in range(len(pool))]
     tau = 0.4
 
     # GCL state: initialize at w0, then track targets at w1 with gamma = 0.5
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w0, pool, tau, len(pool))
     st = GclEstimatorState(gamma=0.5, samples=copy.deepcopy(st.samples))
-    ids = [s.sample_id for s in pool]
-    t_IT = np.array([[g(enc, w1, s, pool, tau) for s in pool] for g in (g_I, g_T)])
+    ids = pool.ids
+    t_IT = np.array([[g(enc, w1, a, pool, tau) for a in anchors] for g in (g_I, g_T)])
     gcl_ok = True
     prev = None
     for _ in range(14):
@@ -230,11 +219,11 @@ def test_criterion_05_estimator_halving():
     # GDRO state: same scheme over u_I / u_T / u_c
     cfg1 = GdroConfig(lam=0.8, gamma=1.0, margin=0.3, tau=0.4, batch_classes=3, batch_per_class=4)
     cfg = GdroConfig(lam=0.8, gamma=0.5, margin=0.3, tau=0.4, batch_classes=3, batch_per_class=4)
-    batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
+    batches = class_batches(pool, range(3))
     gst = gdro_update_estimators(GdroEstimatorState(), enc, w0, [0, 1, 2], batches, pool, cfg1)
     h_target = np.array([class_loss_hk(enc, w1, k, pool, cfg) for k in range(3)])
     g_target = np.array(
-        [[g(enc, w1, s, pool, cfg.margin, cfg.tau) for s in pool] for g in (hinge_g1, hinge_g2)]
+        [[g(enc, w1, a, pool, cfg.margin, cfg.tau) for a in anchors] for g in (hinge_g1, hinge_g2)]
     )
     gdro_ok = True
     prev = None
@@ -268,15 +257,11 @@ def test_criterion_06_buffer_law():
         for _ in range(int(master.integers(1, 5))):
             n_cls = int(master.integers(1, 4))
             per_class = cap + int(master.integers(1, 6))  # sources always cover quotas
-            task = []
-            for c in range(next_class, next_class + n_cls):
-                for _ in range(per_class):
-                    task.append(
-                        Sample(x=np.array([float(next_id)]), class_id=c, sample_id=next_id)
-                    )
-                    next_id += 1
+            ids = np.arange(next_id, next_id + n_cls * per_class)
+            y = np.repeat(np.arange(next_class, next_class + n_cls), per_class)
+            tasks.append(Pool(ids[:, None].astype(np.float64), y, ids.tolist()))
+            next_id += len(ids)
             next_class += n_cls
-            tasks.append(task)
 
         def build():
             buf = MemoryBuffer(capacity=cap, rng_seed=seed)

@@ -195,6 +195,7 @@ def test_run_corrupt_dataset_exits_3(tmp_path, capsys):
         "classes=0": _patched_header(good, "classes", 0),
         "dim=0": _patched_header(good, "dim", 0),
         "duplicate-ids": _zeroed_sample_ids(good),
+        "undefined-flag-bit": _patched_header(good, "flags", 6 | 8),  # payload size unchanged
     }
     for name, blob in cases.items():
         bad = tmp_path / "bad.clds"

@@ -22,7 +22,7 @@ from cclearn.data import (
 from cclearn.errors import DatasetFormatError
 from cclearn.runner import merge_tasks
 
-from oracles import split_cil_samples, split_dil_samples
+from oracles import dataset_records, rows, split_cil_samples, split_dil_samples
 
 
 def test_gen_deterministic():
@@ -224,20 +224,41 @@ def test_splits_match_the_per_sample_oracles(
     for stream, want in (
         (
             split_cil(base, num_tasks, test_fraction, seed),
-            split_cil_samples(base.samples, num_classes, num_tasks, test_fraction, seed),
+            split_cil_samples(dataset_records(base), num_classes, num_tasks, test_fraction, seed),
         ),
         (
             split_dil(shifted, order, test_fraction, seed),
-            split_dil_samples(shifted.samples, num_classes, order, test_fraction, seed),
+            split_dil_samples(dataset_records(shifted), num_classes, order, test_fraction, seed),
         ),
     ):
         assert len(stream.tasks) == len(want)
         for task, (train, test, classes) in zip(stream.tasks, want):
             assert task.classes == classes
             for got, samples in ((task.train, train), (task.test, test)):
-                expected = Pool.of(samples)
+                expected = rows(samples)
                 assert got.ids == expected.ids and got.y.tolist() == expected.y.tolist()
                 assert got.X.tobytes() == expected.X.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    num_classes=st.integers(1, 5),
+    per_class=st.integers(1, 6),
+    num_domains=st.sampled_from([0, 2, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_dataset_samples_are_its_rows(num_classes, per_class, num_domains, seed):
+    """``Dataset.samples`` is every row of the dataset as one Pool, in row order:
+    float64 inputs, int64 classes and the dataset's sample ids, also for a
+    shuffled domain-shifted dataset whose ids are not 0..n-1."""
+    ds = gen_synthetic(num_classes, per_class, 3, 3.0, 0.4, seed)
+    if num_domains:
+        ds = _shuffled(gen_domain_shift(ds, num_domains, "rotation", 0.5, seed), seed + 1)
+    pool = ds.samples
+    assert isinstance(pool, Pool) and len(pool) == len(ds.y)
+    assert pool.X.dtype == np.float64 and pool.X.tobytes() == ds.X.astype(np.float64).tobytes()
+    assert pool.y.dtype == np.int64 and pool.y.tolist() == ds.y.tolist()
+    assert pool.ids == ds.ids.tolist() and all(type(i) is int for i in pool.ids)
 
 
 @pytest.mark.parametrize("part", ["train", "test"])
@@ -395,6 +416,21 @@ def test_load_reads_present_id_columns_and_defaults_absent_ones(tmp_path, flags)
         expected = values if flags & bit else _DEFAULTS[name]
         column = getattr(ds, name)
         assert (None if column is None else column.tolist()) == expected, name
+
+
+@pytest.mark.parametrize("flags", [8, 8 | 6, 2**31 | 7, 2**32 - 1])
+def test_load_rejects_undefined_flag_bits(tmp_path, flags):
+    """A flag bit that names no id column is refused, even where the payload
+    size still matches the columns the defined bits declare."""
+    ds = gen_synthetic(4, 5, 3, 3.0, 0.4, seed=0)
+    path = tmp_path / "ds.clds"
+    save(ds, path)
+    blob = bytearray(path.read_bytes())
+    assert _HEADER.unpack_from(blob, 4)[4] == 6  # sample and task ids
+    blob[20:24] = struct.pack("<I", flags)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DatasetFormatError, match=f"^unknown flag bits {flags & ~7:#x} in flags"):
+        load(path)
 
 
 @pytest.mark.parametrize("flag", [1, 2, 4])

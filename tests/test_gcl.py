@@ -40,13 +40,13 @@ def _constant_sim_params(enc):
 
 def _naive_g_I(enc, w, anchor, candidates, tau):
     return sum(
-        math.exp(pair_sim(enc, w, anchor.x, s.class_id) / tau) for s in candidates
+        math.exp(pair_sim(enc, w, anchor.X[0], k) / tau) for k in candidates.y.tolist()
     )
 
 
 def _naive_g_T(enc, w, anchor, candidates, tau):
     return sum(
-        math.exp(pair_sim(enc, w, s.x, anchor.class_id) / tau) for s in candidates
+        math.exp(pair_sim(enc, w, x, int(anchor.y[0])) / tau) for x in candidates.X
     )
 
 
@@ -54,8 +54,9 @@ def _naive_loss(enc, w, pool, tau):
     """From-scratch loss: two softmax terms per anchor, plain python loops."""
     n = len(pool)
     total = 0.0
-    for i, a in enumerate(pool):
-        s_ii = pair_sim(enc, w, a.x, a.class_id)
+    for i in range(n):
+        a = pool[i]
+        s_ii = pair_sim(enc, w, a.X[0], int(a.y[0]))
         total += -math.log(math.exp(s_ii / tau) / _naive_g_I(enc, w, a, pool, tau))
         total += -math.log(math.exp(s_ii / tau) / _naive_g_T(enc, w, a, pool, tau))
     return total / n
@@ -64,12 +65,13 @@ def _naive_loss(enc, w, pool, tau):
 def test_g_single_candidate_is_exp_sim_over_tau(rng):
     enc = make_encoder(seed=1)
     w = enc.init_params()
-    a, b = make_pool(rng, 2, 3, 3)
+    pool = make_pool(rng, 2, 3, 3)
+    a, b = pool[0], pool[1]
     tau = 0.5
-    s = pair_sim(enc, w, a.x, b.class_id)
-    assert abs(g_I(enc, w, a, [b], tau) - math.exp(s / tau)) < 1e-12
-    s2 = pair_sim(enc, w, b.x, a.class_id)
-    assert abs(g_T(enc, w, a, [b], tau) - math.exp(s2 / tau)) < 1e-12
+    s = pair_sim(enc, w, a.X[0], int(b.y[0]))
+    assert abs(g_I(enc, w, a, b, tau) - math.exp(s / tau)) < 1e-12
+    s2 = pair_sim(enc, w, b.X[0], int(a.y[0]))
+    assert abs(g_T(enc, w, a, b, tau) - math.exp(s2 / tau)) < 1e-12
 
 
 def test_g_with_orthogonal_similarities_counts_candidates():
@@ -86,9 +88,9 @@ def test_g_symmetric_construction_makes_g_T_equal_g_I(rng):
     enc = make_encoder(seed=0, hidden_dim=0)
     w = _constant_sim_params(enc)
     pool = make_pool(rng, 5, 3, 3)
-    for anchor in pool:
+    for i in range(len(pool)):
         assert abs(
-            g_I(enc, w, anchor, pool, 0.7) - g_T(enc, w, anchor, pool, 0.7)
+            g_I(enc, w, pool[i], pool, 0.7) - g_T(enc, w, pool[i], pool, 0.7)
         ) < 1e-9
 
 
@@ -98,7 +100,7 @@ def test_g_matches_naive_oracle(hidden, rng):
     w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
     pool = make_pool(rng, 8, 4, 3)
     tau = 0.3
-    for anchor in pool[:3]:
+    for anchor in (pool[0], pool[1], pool[2]):
         got = g_I(enc, w, anchor, pool, tau)
         want = _naive_g_I(enc, w, anchor, pool, tau)
         assert abs(got - want) / want < 1e-12
@@ -111,9 +113,9 @@ def test_g_matches_naive_oracle(hidden, rng):
 def test_g_rejects_empty_candidates(rng):
     enc = make_encoder(seed=1)
     w = enc.init_params()
-    (a,) = make_pool(rng, 1, 3, 3)
+    a = make_pool(rng, 1, 3, 3)
     with pytest.raises(ValueError):
-        g_I(enc, w, a, [], 0.5)
+        g_I(enc, w, a, a.take([]), 0.5)
 
 
 def test_loss_single_sample_is_zero(rng):
@@ -146,10 +148,10 @@ def test_update_gamma_one_full_batch_is_exact(rng):
     w = enc.init_params()
     pool = make_pool(rng, 6, 3, 3)
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w, pool, 0.3, len(pool))
-    u_I, u_T = sample_estimates(st, [s.sample_id for s in pool])
-    for s, ui, ut in zip(pool, u_I, u_T):
-        assert abs(ui - g_I(enc, w, s, pool, 0.3)) < 1e-10
-        assert abs(ut - g_T(enc, w, s, pool, 0.3)) < 1e-10
+    u_I, u_T = sample_estimates(st, pool.ids)
+    for i, (ui, ut) in enumerate(zip(u_I, u_T)):
+        assert abs(ui - g_I(enc, w, pool[i], pool, 0.3)) < 1e-10
+        assert abs(ut - g_T(enc, w, pool[i], pool, 0.3)) < 1e-10
         assert ui > 0
 
 
@@ -173,8 +175,8 @@ def test_update_converges_geometrically(rng):
     tau = 0.3
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w0, pool, tau, len(pool))
     st = GclEstimatorState(gamma=0.5, samples=copy.deepcopy(st.samples))
-    ids = [s.sample_id for s in pool]
-    target = [g_I(enc, w1, s, pool, tau) for s in pool]
+    ids = pool.ids
+    target = [g_I(enc, w1, pool[i], pool, tau) for i in range(len(pool))]
     errs = []
     for _ in range(12):
         st = gcl_update_estimators(st, enc, w1, pool, tau, len(pool))
@@ -213,16 +215,17 @@ def _reassembled_estimate(enc, w, batch, tau, pool_size, u_I, u_T):
     n = len(batch)
     scale = pool_size / n
     m = np.zeros(enc.n_params)
-    for i, a in enumerate(batch):
-        m += -pair_sim_grad(enc, w, a.x, a.class_id) / n
-        for b in batch:
-            s_ab = pair_sim(enc, w, a.x, b.class_id)
-            grad_ab = pair_sim_grad(enc, w, a.x, b.class_id)
+    rows = list(zip(batch.X, batch.y.tolist(), batch.ids))
+    for a_x, a_class, a_id in rows:
+        m += -pair_sim_grad(enc, w, a_x, a_class) / n
+        for b_x, b_class, _ in rows:
+            s_ab = pair_sim(enc, w, a_x, b_class)
+            grad_ab = pair_sim_grad(enc, w, a_x, b_class)
             # d/dw of scale*exp(s/tau), weighted by tau/(2 n u)
-            m += (tau / (2 * n * u_I[a.sample_id])) * scale * math.exp(s_ab / tau) / tau * grad_ab
-            s_ba = pair_sim(enc, w, b.x, a.class_id)
-            grad_ba = pair_sim_grad(enc, w, b.x, a.class_id)
-            m += (tau / (2 * n * u_T[a.sample_id])) * scale * math.exp(s_ba / tau) / tau * grad_ba
+            m += (tau / (2 * n * u_I[a_id])) * scale * math.exp(s_ab / tau) / tau * grad_ab
+            s_ba = pair_sim(enc, w, b_x, a_class)
+            grad_ba = pair_sim_grad(enc, w, b_x, a_class)
+            m += (tau / (2 * n * u_T[a_id])) * scale * math.exp(s_ba / tau) / tau * grad_ba
     return m
 
 
@@ -233,7 +236,7 @@ def test_gradient_matches_symbolic_reassembly_under_tau_change(tau, rng):
     pool = make_pool(rng, 5, 3, 3)
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w, pool, tau, 10)
     got = gcl_gradient_estimate(st, enc, w, pool, tau, 10)
-    ids = [s.sample_id for s in pool]
+    ids = pool.ids
     u_I, u_T = (dict(zip(ids, row)) for row in sample_estimates(st, ids))
     want = _reassembled_estimate(enc, w, pool, tau, 10, u_I, u_T)
     assert np.max(np.abs(got - want)) < 1e-10
@@ -243,7 +246,7 @@ def test_gradient_requires_initialized_estimators(rng):
     enc = make_encoder(seed=7)
     w = enc.init_params()
     pool = make_pool(rng, 3, 3, 3)
-    first = pool[0].sample_id
+    first = pool.ids[0]
     with pytest.raises(ValueError, match=f"estimator not initialized for sample {first}$"):
         gcl_gradient_estimate(GclEstimatorState(gamma=0.9), enc, w, pool, 0.3, 3)
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w, pool, 0.3, 3)
@@ -259,13 +262,13 @@ def test_state_determinism_snapshot(rng):
 
     def build():
         st = GclEstimatorState(gamma=0.7)
-        for batch in (pool[:3], pool[2:], pool):
+        for batch in (pool.take(range(3)), pool.take(range(2, 5)), pool):
             st = gcl_update_estimators(st, enc, w, batch, 0.2, len(pool))
         return st
 
     a, b = build(), build()
     assert state_bytes(a) == state_bytes(b)
-    assert state_bytes(a)[0] == [s.sample_id for s in pool]  # first-touch order
+    assert state_bytes(a)[0] == pool.ids  # first-touch order
 
 
 def test_step_refuses_repeated_ids_and_leaves_state_alone(rng):
@@ -273,10 +276,10 @@ def test_step_refuses_repeated_ids_and_leaves_state_alone(rng):
     w = enc.init_params()
     pool = make_pool(rng, 6, 3, 3)
     st = GclEstimatorState(gamma=0.9)
-    gcl_step(st, enc, w, pool[:4], 0.3, len(pool))
+    gcl_step(st, enc, w, pool.take(range(4)), 0.3, len(pool))
     before = state_bytes(st)
     with pytest.raises(ValueError, match="^the ids of one estimator update must not repeat$"):
-        gcl_step(st, enc, w, pool[3:] + pool[:1] + pool[3:4], 0.3, 2 * len(pool))
+        gcl_step(st, enc, w, pool.take([3, 4, 5, 0, 3]), 0.3, 2 * len(pool))
     assert state_bytes(st) == before
 
 

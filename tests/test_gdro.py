@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cclearn import benchmark
 from cclearn.buffer import sample_class_batch
-from cclearn.data import Pool, Sample, gen_synthetic
+from cclearn.data import Pool, gen_synthetic
 from cclearn.gcl import sample_estimates
 from cclearn.gdro import (
     GdroConfig,
@@ -26,6 +26,8 @@ from cclearn.model import EncoderPair
 from conftest import (
     assert_grad_close,
     central_diff,
+    class_batches,
+    class_pool,
     make_encoder,
     make_pool,
     pair_sim,
@@ -46,41 +48,34 @@ def test_config_rejects_non_finite_margin(margin):
         _cfg(margin=margin)
 
 
-def _class_pool(rng, n_classes, per_class, input_dim=3):
-    samples, sid = [], 0
-    for k in range(n_classes):
-        for _ in range(per_class):
-            samples.append(Sample(x=rng.standard_normal(input_dim), class_id=k, sample_id=sid))
-            sid += 1
-    return samples
-
-
 def _naive_g1(enc, w, anchor, pool, margin, tau):
-    s_ii = pair_sim(enc, w, anchor.x, anchor.class_id)
+    x, k = anchor.X[0], int(anchor.y[0])
+    s_ii = pair_sim(enc, w, x, k)
     terms = [
-        math.exp(max(0.0, pair_sim(enc, w, anchor.x, s.class_id) - s_ii + margin) ** 2 / tau)
-        for s in pool
-        if s.class_id != anchor.class_id
+        math.exp(max(0.0, pair_sim(enc, w, x, j) - s_ii + margin) ** 2 / tau)
+        for j in pool.y.tolist()
+        if j != k
     ]
     return sum(terms) / len(terms)
 
 
 def _naive_g2(enc, w, anchor, pool, margin, tau):
-    s_ii = pair_sim(enc, w, anchor.x, anchor.class_id)
+    x, k = anchor.X[0], int(anchor.y[0])
+    s_ii = pair_sim(enc, w, x, k)
     terms = [
-        math.exp(max(0.0, pair_sim(enc, w, s.x, anchor.class_id) - s_ii + margin) ** 2 / tau)
-        for s in pool
-        if s.class_id != anchor.class_id
+        math.exp(max(0.0, pair_sim(enc, w, xj, k) - s_ii + margin) ** 2 / tau)
+        for xj, j in zip(pool.X, pool.y.tolist())
+        if j != k
     ]
     return sum(terms) / len(terms)
 
 
 def _naive_hk(enc, w, k, pool, cfg):
-    members = [s for s in pool if s.class_id == k]
+    members = pool.members[k].tolist()
     total = sum(
-        cfg.tau * math.log(_naive_g1(enc, w, s, pool, cfg.margin, cfg.tau))
-        + cfg.tau * math.log(_naive_g2(enc, w, s, pool, cfg.margin, cfg.tau))
-        for s in members
+        cfg.tau * math.log(_naive_g1(enc, w, pool[i], pool, cfg.margin, cfg.tau))
+        + cfg.tau * math.log(_naive_g2(enc, w, pool[i], pool, cfg.margin, cfg.tau))
+        for i in members
     )
     return total / (2 * len(members))
 
@@ -98,18 +93,13 @@ def _separated_two_class_setup():
     V[0, 0], V[0, 1] = 1.0, -1.0
     w[enc.segment("e2_w")] = V.ravel()
     u = np.array([1.0, 0.0, 0.0])
-    pool = [
-        Sample(x=u, class_id=0, sample_id=0),
-        Sample(x=u * 2.0, class_id=0, sample_id=1),
-        Sample(x=-u, class_id=1, sample_id=2),
-        Sample(x=-u * 3.0, class_id=1, sample_id=3),
-    ]
+    pool = Pool(np.array([u, u * 2.0, -u, -u * 3.0]), np.array([0, 0, 1, 1]), [0, 1, 2, 3])
     return enc, w, pool
 
 
 def test_hinge_g_inactive_is_one():
     enc, w, pool = _separated_two_class_setup()
-    for anchor in pool:
+    for anchor in (pool[0], pool[1], pool[2], pool[3]):
         assert hinge_g1(enc, w, anchor, pool, margin=0.5, tau=0.3) == pytest.approx(1.0, abs=1e-12)
         assert hinge_g2(enc, w, anchor, pool, margin=0.5, tau=0.3) == pytest.approx(1.0, abs=1e-12)
 
@@ -117,18 +107,18 @@ def test_hinge_g_inactive_is_one():
 def test_hinge_g_single_active_negative(rng):
     enc = make_encoder(seed=3)
     w = enc.init_params()
-    anchor = Sample(x=rng.standard_normal(3), class_id=0, sample_id=0)
-    neg = Sample(x=rng.standard_normal(3), class_id=1, sample_id=1)
+    pool = class_pool(rng, [0, 1], 1, 3)  # an anchor of class 0 and one negative
+    anchor_x, neg_x = pool.X
     margin, tau = 1.9, 0.4  # margin large enough to force an active hinge
-    s_ii = pair_sim(enc, w, anchor.x, 0)
-    s_ij = pair_sim(enc, w, anchor.x, 1)
+    s_ii = pair_sim(enc, w, anchor_x, 0)
+    s_ij = pair_sim(enc, w, anchor_x, 1)
     h = max(0.0, s_ij - s_ii + margin)
     assert h > 0
-    got = hinge_g1(enc, w, anchor, [anchor, neg], margin, tau)
+    got = hinge_g1(enc, w, pool[0], pool, margin, tau)
     assert abs(got - math.exp(h * h / tau)) < 1e-12
-    s_ji = pair_sim(enc, w, neg.x, 0)
+    s_ji = pair_sim(enc, w, neg_x, 0)
     h2 = max(0.0, s_ji - s_ii + margin)
-    got2 = hinge_g2(enc, w, anchor, [anchor, neg], margin, tau)
+    got2 = hinge_g2(enc, w, pool[0], pool, margin, tau)
     assert abs(got2 - math.exp(h2 * h2 / tau)) < 1e-12
 
 
@@ -136,8 +126,8 @@ def test_hinge_g_single_active_negative(rng):
 def test_hinge_g_matches_naive_oracle(hidden, rng):
     enc = make_encoder(seed=5, hidden_dim=hidden)
     w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
-    pool = _class_pool(rng, 3, 3)
-    for anchor in pool[:4]:
+    pool = class_pool(rng, range(3), 3, 3)
+    for anchor in (pool[0], pool[1], pool[2], pool[3]):
         got = hinge_g1(enc, w, anchor, pool, 0.3, 0.5)
         want = _naive_g1(enc, w, anchor, pool, 0.3, 0.5)
         assert abs(got - want) / want < 1e-12
@@ -149,7 +139,7 @@ def test_hinge_g_matches_naive_oracle(hidden, rng):
 def test_hinge_g_requires_negatives(rng):
     enc = make_encoder(seed=1)
     w = enc.init_params()
-    pool = [Sample(x=rng.standard_normal(3), class_id=0, sample_id=i) for i in range(3)]
+    pool = class_pool(rng, [0], 3, 3)
     with pytest.raises(ValueError):
         hinge_g1(enc, w, pool[0], pool, 0.1, 0.3)
 
@@ -164,11 +154,7 @@ def test_class_loss_zero_when_hinges_inactive():
 def test_class_loss_single_member(rng):
     enc = make_encoder(seed=6)
     w = enc.init_params()
-    pool = [
-        Sample(x=rng.standard_normal(3), class_id=0, sample_id=0),
-        Sample(x=rng.standard_normal(3), class_id=1, sample_id=1),
-        Sample(x=rng.standard_normal(3), class_id=1, sample_id=2),
-    ]
+    pool = Pool(rng.standard_normal((3, 3)), np.array([0, 1, 1]), [0, 1, 2])
     cfg = _cfg(margin=0.4, tau=0.5)
     want = (cfg.tau / 2) * (
         math.log(hinge_g1(enc, w, pool[0], pool, 0.4, 0.5))
@@ -180,7 +166,7 @@ def test_class_loss_single_member(rng):
 def test_class_loss_matches_naive_oracle(rng):
     enc = make_encoder(seed=7)
     w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
-    pool = _class_pool(rng, 3, 4)
+    pool = class_pool(rng, range(3), 4, 3)
     cfg = _cfg(margin=0.25, tau=0.45)
     for k in range(3):
         got = class_loss_hk(enc, w, k, pool, cfg)
@@ -192,7 +178,7 @@ def test_class_loss_matches_naive_oracle(rng):
 def test_class_loss_missing_class(rng):
     enc = make_encoder(seed=1)
     w = enc.init_params()
-    pool = _class_pool(rng, 2, 2)
+    pool = class_pool(rng, range(2), 2, 3)
     with pytest.raises(ValueError):
         class_loss_hk(enc, w, 9, pool, _cfg())
 
@@ -292,24 +278,24 @@ def test_objective_equals_inner_max_value(rng):
 def test_update_gamma_one_full_batch_exact(rng):
     enc = make_encoder(seed=8)
     w = enc.init_params()
-    pool = _class_pool(rng, 3, 4)
+    pool = class_pool(rng, range(3), 4, 3)
     cfg = _cfg(gamma=1.0)
-    batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
+    batches = class_batches(pool, range(3))
     st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1, 2], batches, pool, cfg)
     h = np.array([class_loss_hk(enc, w, k, pool, cfg) for k in range(3)])
     classes, u_c = st.class_losses()
     assert classes == [0, 1, 2]
     assert np.abs(u_c - h).max() < 1e-12
     assert abs(st.v - np.mean(np.exp(h / cfg.lam))) < 1e-10
-    for s, ui in zip(pool, sample_estimates(st, [s.sample_id for s in pool])[0]):
-        assert abs(ui - _naive_g1(enc, w, s, pool, cfg.margin, cfg.tau)) < 1e-10
+    for i, ui in enumerate(sample_estimates(st, pool.ids)[0]):
+        assert abs(ui - _naive_g1(enc, w, pool[i], pool, cfg.margin, cfg.tau)) < 1e-10
 
 
 def test_update_gamma_zero_freezes(rng):
     enc = make_encoder(seed=8)
     w = enc.init_params()
-    pool = _class_pool(rng, 3, 4)
-    batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
+    pool = class_pool(rng, range(3), 4, 3)
+    batches = class_batches(pool, range(3))
     st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1, 2], batches, pool, _cfg(gamma=1.0))
     before = copy.deepcopy(st)
     frozen = _cfg(gamma=0.0)
@@ -323,12 +309,12 @@ def test_update_gamma_zero_freezes(rng):
 def test_update_refuses_repeated_ids_and_leaves_state_alone(rng, repeat):
     enc = make_encoder(seed=8)
     w = enc.init_params()
-    pool = _class_pool(rng, 3, 4)
-    batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
+    pool = class_pool(rng, range(3), 4, 3)
+    batches = class_batches(pool, range(3))
     st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1], batches, pool, _cfg())
     before = state_bytes(st)
     if repeat == "anchor":
-        classes, batches[2] = [2], batches[2] + batches[2][:1]
+        classes, batches[2] = [2], Pool.concat([batches[2], batches[2][0]])
     else:
         classes = [2, 2]  # every anchor of class 2 twice
     with pytest.raises(ValueError, match="^the ids of one estimator update must not repeat$"):
@@ -340,8 +326,8 @@ def test_update_two_level_geometric_convergence(rng):
     enc = make_encoder(seed=9)
     w0 = enc.init_params()
     w1 = enc.init_params(seed=50)
-    pool = _class_pool(rng, 3, 4)
-    batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
+    pool = class_pool(rng, range(3), 4, 3)
+    batches = class_batches(pool, range(3))
     st = gdro_update_estimators(GdroEstimatorState(), enc, w0, [0, 1, 2], batches, pool, _cfg(gamma=1.0))
     cfg = _cfg(gamma=0.5)
     h_target = np.array([class_loss_hk(enc, w1, k, pool, cfg) for k in range(3)])
@@ -363,14 +349,27 @@ def test_update_two_level_geometric_convergence(rng):
     assert abs(st.v - np.mean(np.exp(h_target / cfg.lam))) < 1e-2
 
 
+@pytest.mark.parametrize("entry", [gdro_update_estimators, gdro_gradient_estimate, gdro_step])
+def test_empty_class_batch_is_refused(rng, entry):
+    """A step that samples no class has no anchors: one line, and the state stays
+    as it was."""
+    enc = make_encoder(seed=8)
+    w = enc.init_params()
+    pool = class_pool(rng, range(3), 4, 3)
+    st = GdroEstimatorState()
+    with pytest.raises(ValueError, match="^class_batch must name at least one class$"):
+        entry(st, enc, w, [], {}, pool, _cfg())
+    assert state_bytes(st) == state_bytes(GdroEstimatorState())
+
+
 @pytest.mark.parametrize("hidden", [0, 4])
 def test_gradient_full_batch_matches_finite_differences(hidden):
     rng = np.random.default_rng(23)
     enc = make_encoder(seed=10, hidden_dim=hidden)
     w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
-    pool = _class_pool(rng, 3, 4)
+    pool = class_pool(rng, range(3), 4, 3)
     cfg = _cfg(gamma=1.0, margin=0.3, tau=0.5, lam=0.8)
-    batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
+    batches = class_batches(pool, range(3))
     st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1, 2], batches, pool, cfg)
     grad = gdro_gradient_estimate(st, enc, w, [0, 1, 2], batches, pool, cfg)
 
@@ -385,7 +384,7 @@ def test_gradient_full_batch_matches_finite_differences(hidden):
 def test_gradient_zero_when_all_hinges_inactive():
     enc, w, pool = _separated_two_class_setup()
     cfg = _cfg(gamma=1.0, margin=0.5, tau=0.3, batch_classes=2, batch_per_class=2)
-    batches = {k: [s for s in pool if s.class_id == k] for k in range(2)}
+    batches = class_batches(pool, range(2))
     st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1], batches, pool, cfg)
     grad = gdro_gradient_estimate(st, enc, w, [0, 1], batches, pool, cfg)
     assert np.max(np.abs(grad)) == 0.0
@@ -394,10 +393,10 @@ def test_gradient_zero_when_all_hinges_inactive():
 def test_gradient_single_tracked_class_reduces_to_class_loss_gradient(rng):
     enc = make_encoder(seed=12)
     w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
-    pool = _class_pool(rng, 3, 4)
+    pool = class_pool(rng, range(3), 4, 3)
     cfg = _cfg(gamma=1.0, margin=0.3, tau=0.5)
     k = 0
-    batches = {k: [s for s in pool if s.class_id == k]}
+    batches = class_batches(pool, [k])
     st = gdro_update_estimators(GdroEstimatorState(), enc, w, [k], batches, pool, cfg)
     grad = gdro_gradient_estimate(st, enc, w, [k], batches, pool, cfg)
     fd = central_diff(lambda wv: class_loss_hk(enc, wv, k, pool, cfg), w)
@@ -407,8 +406,8 @@ def test_gradient_single_tracked_class_reduces_to_class_loss_gradient(rng):
 def test_gradient_requires_initialized_state(rng):
     enc = make_encoder(seed=12)
     w = enc.init_params()
-    pool = _class_pool(rng, 2, 2)
-    batches = {0: [s for s in pool if s.class_id == 0]}
+    pool = class_pool(rng, range(2), 2, 3)
+    batches = class_batches(pool, [0])
     with pytest.raises(ValueError):
         gdro_gradient_estimate(GdroEstimatorState(), enc, w, [0], batches, pool, _cfg())
 
@@ -418,9 +417,9 @@ def test_small_lambda_is_numerically_usable(rng):
     # but the shifted v keeps weights finite
     enc = make_encoder(seed=14)
     w = enc.init_params() + 0.2 * rng.standard_normal(enc.n_params)
-    pool = _class_pool(rng, 3, 4)
+    pool = class_pool(rng, range(3), 4, 3)
     cfg = _cfg(gamma=1.0, lam=0.01, margin=0.8, tau=0.3)
-    batches = {k: [s for s in pool if s.class_id == k] for k in range(3)}
+    batches = class_batches(pool, range(3))
     st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1, 2], batches, pool, cfg)
     grad = gdro_gradient_estimate(st, enc, w, [0, 1, 2], batches, pool, cfg)
     assert np.all(np.isfinite(grad))
@@ -446,7 +445,7 @@ def test_gradient_blocks_match_dense_oracle(
     rng = np.random.default_rng(seed)
     enc = make_encoder(seed=seed, hidden_dim=hidden, num_classes=n_classes)
     w0 = enc.init_params()
-    pool = _class_pool(rng, n_classes, per_class)
+    pool = class_pool(rng, range(n_classes), per_class, 3)
     classes = [int(k) for k in rng.choice(n_classes, min(batch_classes, n_classes), replace=False)]
     batches = {k: sample_class_batch(pool, k, batch_per_class, seed + k) for k in classes}
     cfg = _cfg(lam=lam, margin=margin, gamma=0.6, batch_classes=len(classes),
@@ -498,8 +497,7 @@ def test_warm_step_allocates_no_pool_sized_block():
     """Once a run's work arrays have grown, a gdro step at pool 1200 with 30
     anchors writes its (2, n, N) blocks into them: the step's traced peak stays
     under 1 MB, where one (2, 30, 1200) float block alone takes 0.58 MB."""
-    enc, w, classes, batches, samples, cfg = _benchmark_gdro(1200)
-    pool = Pool.of(samples)  # as the runner passes it, built once per stage
+    enc, w, classes, batches, pool, cfg = _benchmark_gdro(1200)
     state = GdroEstimatorState()
     gdro_step(state, enc, w, classes, batches, pool, cfg)  # grows the work arrays
 
@@ -524,12 +522,12 @@ def test_reused_work_arrays_leak_nothing_between_steps(hidden, seed):
     num_classes, per_class = 8, 6
     enc = make_encoder(seed=seed % 2**16, hidden_dim=hidden, num_classes=num_classes)
     w = enc.init_params()
-    small = [Sample(x=rng.standard_normal(3), class_id=7, sample_id=10_000 + i) for i in range(2)]
-    samples = small + make_pool(rng, 1200, num_classes - 1, 3)
+    small = class_pool(rng, [7], 2, 3, id_offset=10_000)
+    rows = Pool.concat([small, make_pool(rng, 1200, num_classes - 1, 3)])
     cfg = _cfg(gamma=0.8, batch_per_class=per_class)
     reused, fresh = GdroEstimatorState(), GdroEstimatorState()
     for size, with_small in ((1200, False), (400, True), (800, False)):
-        pool = Pool.of(samples[:size])
+        pool = rows.take(range(size))
         picked = [int(k) for k in rng.choice(num_classes - 1, 3, replace=False)]
         if with_small:
             picked[0] = 7

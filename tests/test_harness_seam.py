@@ -31,8 +31,9 @@ def test_tracer_finds_every_name_it_wraps():
 
 
 def test_sweep_builds_and_steps_its_sample_list_inputs(monkeypatch):
-    """The sweep reads a generated dataset as a list of samples and steps both
-    estimators on it; one small pool size shows that path still builds and runs."""
+    """The sweep reads a generated dataset's ``samples`` (one Pool), passes its
+    gcl batch as a list of one-row Pools and steps both estimators; one small
+    pool size shows that path still builds and runs."""
     sweep = _load("sweep")
     monkeypatch.setattr(sweep, "POOL_SIZES", (400,))
     monkeypatch.setattr(sweep, "MIN_SECONDS", 0)

@@ -11,7 +11,7 @@ import cclearn.gcl
 import cclearn.gdro
 import cclearn.runner
 from cclearn.buffer import sample_class_batch
-from cclearn.data import Pool, Sample, gen_synthetic, split_cil
+from cclearn.data import Pool, gen_synthetic, split_cil
 from cclearn.errors import ConfigError, DivergenceError
 from cclearn.gcl import (
     GclEstimatorState,
@@ -40,7 +40,14 @@ from cclearn.runner import (
     run,
 )
 
-from conftest import assert_grad_close, central_diff, make_encoder, make_pool, state_bytes
+from conftest import (
+    assert_grad_close,
+    central_diff,
+    class_pool,
+    make_encoder,
+    make_pool,
+    state_bytes,
+)
 
 
 def _small_stream(seed=0, num_classes=6, num_tasks=3, per_class=12):
@@ -76,9 +83,7 @@ def test_evaluate_degenerate_model_ties_to_smallest_id(rng):
     w = np.zeros(enc.n_params)
     w[enc.segment("e1_b")] = [1.0, 0.0, 0.0]
     w[enc.segment("e2_b")] = [0.0, 1.0, 0.0]  # all label embeddings identical
-    test = [
-        Sample(x=rng.standard_normal(3), class_id=i % 2, sample_id=i) for i in range(20)
-    ]
+    test = make_pool(rng, 20, 2, 3)
     assert evaluate(enc, w, test, {0, 1}) == 0.5
 
 
@@ -87,14 +92,14 @@ def test_evaluate_order_invariant(rng):
     w = enc.init_params()
     test = make_pool(rng, 16, 4, 3)
     acc = evaluate(enc, w, test, set(range(4)))
-    shuffled = [test[i] for i in rng.permutation(len(test))]
+    shuffled = test.take(rng.permutation(len(test)))
     assert evaluate(enc, w, shuffled, set(range(4))) == acc
 
 
 def test_evaluate_rejects_empty():
     enc = make_encoder(seed=0)
     with pytest.raises(ValueError):
-        evaluate(enc, enc.init_params(), [], {0})
+        evaluate(enc, enc.init_params(), Pool.concat([]), {0})
 
 
 # ------------------------------------------------------------- cross-entropy
@@ -103,7 +108,7 @@ def test_evaluate_rejects_empty():
 def test_ce_loss_single_candidate_is_zero(rng):
     enc = make_encoder(seed=1)
     w = enc.init_params()
-    batch = [Sample(x=rng.standard_normal(3), class_id=2, sample_id=0)]
+    batch = class_pool(rng, [2], 1, 3)
     assert ce_loss(enc, w, batch, [2], tau=0.3) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -112,7 +117,7 @@ def test_ce_loss_uniform_logits_is_log_k(rng):
     w = np.zeros(enc.n_params)
     w[enc.segment("e1_b")] = [1.0, 0.0, 0.0]
     w[enc.segment("e2_b")] = [0.0, 1.0, 0.0]  # identical labels -> uniform softmax
-    batch = [Sample(x=rng.standard_normal(3), class_id=1, sample_id=0)]
+    batch = class_pool(rng, [1], 1, 3)
     for k in (2, 3, 4):
         assert ce_loss(enc, w, batch, list(range(k)), 0.4) == pytest.approx(
             math.log(k), abs=1e-9
@@ -150,7 +155,7 @@ def test_cross_entropy_refuses_hostile_input(rng, case, pattern):
     elif case == "no-candidates":
         candidates = []
     elif case == "empty-batch":
-        batch = []
+        batch = batch.take([])
     else:
         tau = float(case.split("=")[1])
     for entry in (ce_step, ce_loss, ce_gradient):
@@ -360,7 +365,7 @@ def test_gradient_encodes_each_row_once_per_tower(rng, monkeypatch, method):
         def grad():
             return gdro_gradient_estimate(state, *args)
     elif method == "gcl":
-        batch = pool[:16]
+        batch = pool.take(range(16))
         state = gcl_update_estimators(GclEstimatorState(0.9), enc, w, batch, 0.2, len(pool))
         expected = {"e1": 16, "e2": 16}
 
@@ -370,7 +375,7 @@ def test_gradient_encodes_each_row_once_per_tower(rng, monkeypatch, method):
         expected = {"e1": 16, "e2": 4}
 
         def grad():
-            return ce_gradient(enc, w, pool[:16], [0, 1, 2, 3], 0.2)
+            return ce_gradient(enc, w, pool.take(range(16)), [0, 1, 2, 3], 0.2)
 
     rows = {"e1": 0, "e2": 0}
     forward = EncoderPair._forward
@@ -395,23 +400,22 @@ def test_gradient_encodes_each_row_once_per_tower(rng, monkeypatch, method):
     seed=st.integers(0, 2**16),
 )
 def test_estimators_same_bits_on_list_and_pool(hidden_dim, n, num_classes, seed):
-    """Every batch entry point reads a list of samples through ``Pool.of``, so a
-    list and ``Pool.of(list)`` give the same bits."""
+    """gcl's entry points join a list of one-row Pools through ``Pool.of``, as the
+    benchmark's pool sweep passes its batch, so the list and the Pool it joins
+    give the same bits."""
     enc = make_encoder(seed=seed, hidden_dim=hidden_dim, num_classes=num_classes)
     w = enc.init_params()
-    samples = make_pool(np.random.default_rng(seed), n, num_classes, 3)
-    classes = list(range(num_classes))
+    pool = make_pool(np.random.default_rng(seed), n, num_classes, 3)
     results = []
-    for batch in (samples, Pool.of(samples)):
+    for batch in ([pool[i] for i in range(n)], pool):
         state = gcl_update_estimators(GclEstimatorState(0.9), enc, w, batch, 0.2, 2 * n)
         results.append([
             np.float64(gcl_loss_full(enc, w, batch, 0.2)).tobytes(),
-            sample_estimates(state, [s.sample_id for s in samples]).tobytes(),  # u_I, u_T
+            sample_estimates(state, pool.ids).tobytes(),  # u_I, u_T
             gcl_gradient_estimate(state, enc, w, batch, 0.2, 2 * n).tobytes(),
-            np.float64(ce_loss(enc, w, batch, classes, 0.2)).tobytes(),
-            ce_gradient(enc, w, batch, classes, 0.2).tobytes(),
-            np.float64(evaluate(enc, w, batch, classes)).tobytes(),
         ])
+        loss, grad = gcl_step(GclEstimatorState(0.9), enc, w, batch, 0.2, 2 * n)
+        results[-1] += [np.float64(loss).tobytes(), grad.tobytes()]
     assert results[0] == results[1]
 
 
@@ -452,7 +456,7 @@ def test_fused_steps_are_bitwise_the_separate_sequence(hidden_dim, n, num_classe
     rng = np.random.default_rng(seed)
     enc = make_encoder(seed=seed, hidden_dim=hidden_dim, num_classes=num_classes)
     w = enc.init_params()
-    pool = Pool.of(make_pool(rng, n, num_classes, 3))
+    pool = make_pool(rng, n, num_classes, 3)
     classes = list(range(num_classes))
     cfg = GdroConfig(lam=0.7, gamma=0.8, margin=0.3, tau=0.4,
                      batch_classes=2, batch_per_class=3)

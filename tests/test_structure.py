@@ -1,15 +1,14 @@
-"""Only ``Pool.of`` turns samples into encoder rows.
+"""A Pool is the only row type.
 
 Data travels as rows from the ``.clds`` file to the training step: datasets
 hold columns, splits select index arrays, tasks and the replay buffer hold
-``Pool``s.  No module on that path (``data.py``, ``buffer.py``,
-``runner.py``) reads a sample's ``x``, ``class_id`` or ``sample_id`` outside
-``Pool.of``, the entry point for a caller's own list of samples
-(``Dataset.samples`` builds samples from columns and reads none).  The
-estimators read the ``X``, ``y`` and ``ids`` of a ``Pool`` too, so how a
-sample becomes rows is decided in one place.  Every batch and gdro anchor set
-is a row view of its stage pool: ``Pool.take``, ``Pool.concat``,
-``Pool.members`` and ``sample_class_batch`` read no sample either.
+``Pool``s.  The package defines no per-sample type, and no module reads a
+sample's ``x``, ``class_id`` or ``sample_id``: the estimators, the buffer and
+the runner read the ``X``, ``y`` and ``ids`` of a ``Pool``.  Every batch and
+gdro anchor set is a row view of its stage pool: ``Pool.take``,
+``Pool.concat``, ``Pool.members`` and ``sample_class_batch`` read no sample
+either.  ``Pool.of`` joins a list of Pools in one place only, gcl's batch
+entry, which the benchmark's pool sweep feeds a list of one-row Pools.
 """
 
 import ast
@@ -17,18 +16,18 @@ from pathlib import Path
 
 import pytest
 
+import cclearn
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cclearn"
 SAMPLE_FIELDS = {"x", "class_id", "sample_id"}
 
 
-def _field_reads(tree, outside=()) -> list[str]:
-    """Reads of a sample field in ``tree``, except within the nodes ``outside``."""
-    skipped = [(node.lineno, node.end_lineno) for node in outside]
+def _field_reads(tree) -> list[str]:
+    """Reads of a sample field in ``tree``."""
     return sorted(
         f"line {node.lineno}: .{node.attr}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in SAMPLE_FIELDS
-        and not any(start <= node.lineno <= end for start, end in skipped)
     )
 
 
@@ -66,6 +65,32 @@ def test_batches_are_row_views(function):
 
 @pytest.mark.parametrize("module", ["data.py", "buffer.py", "runner.py"])
 def test_data_path_reads_no_sample_field_outside_pool_of(module):
-    path = PACKAGE / module
-    entry = [_function(path, "Pool.of")] if module == "data.py" else []
-    assert _field_reads(ast.parse(path.read_text()), outside=entry) == []
+    """Not even ``Pool.of`` reads one: it joins Pools."""
+    assert _field_reads(ast.parse((PACKAGE / module).read_text())) == []
+
+
+def _calls_of_pool_of() -> list[str]:
+    """``module:function`` of each call of ``Pool.of`` in the package."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            calls += [
+                f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "of" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "Pool"
+            ]
+    return calls
+
+
+def test_pool_is_the_only_row_type():
+    classes = {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert "Sample" not in classes and not hasattr(cclearn, "Sample")
+    assert _calls_of_pool_of() == ["gcl.py:_batch_logits"]

@@ -35,7 +35,8 @@ pool = buf.union_view(make_task([99], per_class=5))
 print(f"\nunion view with a new 5-sample task: {len(pool)} samples "
       f"(buffer classes first, ascending)")
 
+# a class batch is row indices into the pool; the pool maps them to sample ids
 batch = sample_class_batch(pool, class_id=0, batch_size=2, seed=3)
-print(f"seeded class-0 batch: sample ids {batch.ids}")
+print(f"seeded class-0 batch: rows {batch.tolist()}, sample ids {pool.take(batch).ids}")
 batch2 = sample_class_batch(pool, class_id=0, batch_size=2, seed=3)
-print(f"same seed again:      sample ids {batch2.ids}")
+print(f"same seed again:      rows {batch2.tolist()}, sample ids {pool.take(batch2).ids}")

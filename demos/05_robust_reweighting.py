@@ -32,7 +32,7 @@ pool = Pool(X, y, list(range(len(y))))
 # one full-batch update at gamma=1 sets each class estimate u_c to the exact h_k
 cfg = GdroConfig(lam=0.5, gamma=1.0, margin=0.4, tau=0.3, batch_classes=4, batch_per_class=6)
 classes = list(centers)
-members = {k: pool.take(pool.members[k]) for k in classes}
+members = {k: pool.members[k] for k in classes}  # each class's anchors, as rows of the pool
 state = gdro_update_estimators(GdroEstimatorState(), enc, w, classes, members, pool, cfg)
 _, h = state.class_losses()  # classes 0..3, ascending
 print("per-class hinge losses h_k:", np.round(h, 3))

@@ -15,10 +15,10 @@ at most one across classes whenever the sources cover the quotas.
 The buffer takes and stores ``Pool``s: it starts from the empty Pool and
 keeps copies of the rows it admits as one class-ascending Pool.  A stage
 trains on the stored rows followed by the task's, joined once by
-``union_view``.  Every batch is a row view of that pool: a gcl or
-cross-entropy batch is ``pool.take(rows)``, a gdro per-class batch is
-``sample_class_batch``'s take of one class's rows, and gdro's anchor set is
-the ``Pool.concat`` of those batches.
+``union_view``.  Every batch is rows of that pool: a gcl or cross-entropy
+batch is ``pool.take(rows)``, and a gdro per-class batch is
+``sample_class_batch``'s draw of one class's row indices, which gdro joins
+into its anchor rows and scores against the pool it has encoded.
 """
 
 from __future__ import annotations
@@ -73,11 +73,13 @@ class MemoryBuffer:
         return Pool.concat([self.stored, current_task_data])
 
 
-def sample_class_batch(pool: Pool, class_id, batch_size, seed) -> Pool:
-    """Up to batch_size rows of one class of ``pool``, uniform without replacement."""
+def sample_class_batch(pool: Pool, class_id, batch_size, seed) -> np.ndarray:
+    """Up to batch_size rows of one class of ``pool``, uniform without replacement,
+    as indices into ``pool``."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rows = pool.members.get(class_id)
     if rows is None:
         raise ValueError(f"class {class_id} not present in pool")
     n = min(batch_size, len(rows))
-    idx = np.random.default_rng(seed).choice(len(rows), size=n, replace=False)
-    return pool.take(rows[idx])
+    return rows[np.random.default_rng(seed).choice(len(rows), size=n, replace=False)]

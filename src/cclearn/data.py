@@ -59,9 +59,10 @@ class Pool:
     """Rows for the encoders: ``X`` (N, d) float64 inputs, ``y`` (N,) int64
     class ids and ``ids`` the sample ids as Python ints (the estimators' keys).
 
-    ``members[k]`` holds class k's row indices in pool order, built on first
-    read.  A Pool is the package's one row type: every function that takes
-    rows takes a Pool.
+    ``members[k]`` holds class k's row indices in pool order, and
+    ``class_index`` the distinct classes with each row's position among them;
+    both are built on first read.  A Pool is the package's one row type: every
+    function that takes rows takes a Pool.
     """
 
     def __init__(self, X, y, ids):
@@ -99,6 +100,12 @@ class Pool:
         order = np.argsort(self.y, kind="stable")
         classes, starts = np.unique(self.y[order], return_index=True)
         return dict(zip(classes.tolist(), np.split(order, starts[1:])))
+
+    @cached_property
+    def class_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct class ids, ascending, and each row's position among them:
+        ``classes[index]`` is ``y``."""
+        return np.unique(self.y, return_inverse=True)
 
     def __len__(self):
         return len(self.ids)

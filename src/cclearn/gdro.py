@@ -34,8 +34,16 @@ is stored as (mantissa, shift) with value mantissa * exp(shift); every use of
 exp(u_c[k]/lam)/v is computed as exp(u_c[k]/lam - shift)/mantissa.  This keeps
 lam down to ~0.01 usable.
 
-A training step is one call to ``gdro_step``: it encodes the anchors and the
-pool and scores them once (``_hinge_stats``), updates the state in place from
+The anchors are rows of the pool: ``per_class_batches`` maps each sampled
+class to an integer array of its rows in ``pool`` (``sample_class_batch``'s
+draw), and the anchor set is those arrays joined in class-batch order.  A
+class whose rows are missing, empty, outside the pool or of another class is
+refused in one line naming it.
+
+A training step is one call to ``gdro_step``: it encodes the pool once per
+tower (the input tower over its rows, the label tower over its distinct
+classes), takes the anchors' and the pool's labels as row gathers of those,
+and scores them once (``_hinge_stats``); it updates the state in place from
 the log normalizers, then forms the gradient coefficients from the same hinge
 statistics and the same id -> column lookups.  The per-sample and per-class
 estimates are ``MovingAverages`` arrays updated by gcl's ``moving_average``.
@@ -44,7 +52,7 @@ estimates are ``MovingAverages`` arrays updated by gcl's ``moving_average``.
 the same private pieces.
 
 A step's pool-sized arrays (the (2, n, N) blocks H and A and the
-log-sum-exp scratch, the g2 similarities, the negative masks and the anchor
+log-sum-exp scratch, the g2 similarities, the same-class mask and the anchor
 block of pair coefficients; the coefficients overwrite H) are views of the
 grow-only ``WorkArrays`` on the state.  A step allocates none of them unless
 its pool or anchor count outgrows every earlier step of the run.  The hinge
@@ -59,7 +67,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Pool
 from .gcl import U_FLOOR, MovingAverages, moving_average, sample_estimates
 from .model import EncoderPair
 
@@ -141,43 +148,50 @@ class GdroEstimatorState:
 # ------------------------------------------------------------ hinge machinery
 
 
-def _hinge_stats(enc, params, anchors, pool, margin, tau, work):
+def _hinge_stats(enc, params, rows, pool, margin, tau, work):
     """(n_neg, H, A, log_g), fwd: negative counts, hinge activations, stable log g,
-    and the forward results (anchor inputs, anchor labels, pool inputs, pool labels).
+    and the forward results (anchor inputs, anchor labels, pool inputs, pool labels)
+    for the anchors at ``rows`` of ``pool``.
 
     Axis 0 of H, A (2, n, N) and log_g (2, n) holds g1 (anchor input x pool
     label), then g2 (anchor label x pool input).  Every anchor needs a negative.
-    H and A are views of the ``WorkArrays`` ``work``, so they hold until the
-    next call on the same ``work`` overwrites them.
+    Each tower encodes once: the input tower the pool's rows, the label tower
+    the pool's distinct classes; the pool's labels and the anchors' results are
+    row gathers of those.  H and A are views of the ``WorkArrays`` ``work``, so
+    they hold until the next call on the same ``work`` overwrites them.
     """
+    classes, index = pool.class_index
+    f1p = enc._forward_inputs(params, pool.X)
+    f2c = enc._forward_labels(params, classes)
     fwd = (
-        enc._forward_inputs(params, anchors.X),
-        enc._forward_labels(params, anchors.y),
-        enc._forward_inputs(params, pool.X),
-        enc._forward_labels(params, pool.y),
+        enc.take_forward(f1p, rows),
+        enc.take_forward(f2c, index[rows]),
+        f1p,
+        enc.take_forward(f2c, index),
     )
     (E1a, _), (E2a, _), (E1p, _), (E2p, _) = fwd
-    n, N = len(anchors), len(pool)
+    n, N = len(rows), len(pool)
 
     sii = np.sum(E1a * E2a, axis=1)
     H = work.take("H", (2, n, N))
     np.matmul(E1a, E2p.T, out=H[0])
     H2t = work.take("H2t", (N, n))
     H[1] = np.matmul(E1p, E2a.T, out=H2t).T  # E2a @ E1p.T would differ in the last bits
-    neg = np.not_equal(pool.y[None, :], anchors.y[:, None], out=work.take("neg", (n, N), bool))
-    n_neg = neg.sum(axis=1)
+    ya = pool.y[rows]
+    same = np.equal(pool.y[None, :], ya[:, None], out=work.take("same", (n, N), bool))
+    n_neg = N - same.sum(axis=1)
     if np.any(n_neg == 0):
-        bad = anchors.y[int(np.argmin(n_neg))]
+        bad = ya[int(np.argmin(n_neg))]
         raise ValueError(f"no negatives in pool for anchor of class {bad}")
 
-    # the similarity block becomes the hinge in place; same operations, same bits
+    # the similarity block becomes the hinge in place; same operations, same bits.
+    # Off the negatives the hinge is left as is: A is -inf there, so exp(A) = 0
     H -= sii[:, None]
     H += margin
     np.maximum(H, 0.0, out=H)
-    H *= neg
     A = np.multiply(H, H, out=work.take("A", (2, n, N)))
     A /= tau
-    np.copyto(A, -np.inf, where=np.logical_not(neg, out=work.take("same", (n, N), bool)))
+    np.copyto(A, -np.inf, where=same)
     m = A.max(axis=2)
     E = np.subtract(A, m[:, :, None], out=work.take("E", (2, n, N)))
     log_g = m + np.log(np.exp(E, out=E).sum(axis=2)) - np.log(n_neg)
@@ -212,28 +226,43 @@ def dro_objective(h, lam) -> float:
 # --------------------------------------------------------------- estimators
 
 
-def _flatten_batches(class_batch, per_class_batches) -> Pool:
-    """Every sampled class's anchors, in class-batch order, as one Pool."""
+def _anchor_rows(class_batch, per_class_batches, pool):
+    """Every sampled class's rows into ``pool``, joined in class-batch order, and
+    each class's row count.  Refuses a class whose rows are missing, empty, not
+    integers, outside the pool or of another class."""
     if len(class_batch) == 0:
         raise ValueError("class_batch must name at least one class")
+    parts = []
     for k in class_batch:
-        if not per_class_batches.get(k):
-            raise ValueError(f"missing or empty batch for class {k}")
-    return Pool.concat([per_class_batches[k] for k in class_batch])
+        rows = per_class_batches.get(k)
+        if not isinstance(rows, np.ndarray) or rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError(f"class {k} needs its rows as a 1-d integer array")
+        if not len(rows):
+            raise ValueError(f"class {k} has no rows")
+        parts.append(rows.astype(np.intp, copy=False))
+    sizes = [len(rows) for rows in parts]
+    rows = np.concatenate(parts)
+    want = np.repeat(class_batch, sizes)
+    ok = (rows >= 0) & (rows < len(pool))
+    ok[ok] = pool.y[rows[ok]] == want[ok]
+    if not ok.all():
+        k = want[int(np.argmin(ok))]
+        raise ValueError(f"rows for class {k} fall outside the pool or hold another class")
+    return rows, sizes
 
 
-def _update(state, anchors, sizes, class_batch, log_g, config):
+def _update(state, ids, sizes, class_batch, log_g, config):
     """The moving-average updates for the sampled classes and anchors, in place.
 
     Order matters: per-sample g estimates first, then per-class h estimates
     from the same fresh statistics, then v from the updated u_c values over
     all tracked classes (stale entries stand in for unsampled classes).
-    ``sizes`` holds each sampled class's anchor count, in class-batch order.
-    Returns the anchors' columns of ``state.samples`` and the classes' columns
-    of ``state.classes``.
+    ``ids`` are the anchors' sample ids and ``sizes`` each sampled class's
+    anchor count, in class-batch order.  Returns the anchors' columns of
+    ``state.samples`` and the classes' columns of ``state.classes``.
     """
     g = config.gamma
-    cols = moving_average(state.samples, anchors.ids, np.exp(log_g), g, U_FLOOR)
+    cols = moving_average(state.samples, ids, np.exp(log_g), g, U_FLOOR)
     bounds = np.cumsum(sizes)[:-1]
     h_hat = [
         config.tau * (rows.sum() / len(rows)) / 2.0
@@ -257,7 +286,7 @@ def _update(state, anchors, sizes, class_batch, log_g, config):
     return cols, class_cols
 
 
-def _coefficients(state, anchors, sizes, class_batch, stats, config, cols=(None, None)):
+def _coefficients(state, ids, sizes, class_batch, stats, config, cols=(None, None)):
     """The nonzero pair coefficients of the compositional estimator, from the
     hinge statistics ``stats`` of ``_hinge_stats``, written over their H and A.
 
@@ -279,12 +308,12 @@ def _coefficients(state, anchors, sizes, class_batch, stats, config, cols=(None,
         sizes,
     )
     # math.log, not np.log: the two differ in the last bit on some inputs
-    u = sample_estimates(state, anchors.ids, cols[0]).tolist()
+    u = sample_estimates(state, ids, cols[0]).tolist()
     log_u = np.array([[math.log(x) for x in row] for row in u])
 
     scale = (class_weight * (1.0 / n_neg))[:, None]
     # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau); off the negatives
-    # H = 0 and A = -inf, so both coefficients are 0 there
+    # A = -inf, so exp(A) = 0 and both coefficients are +0.0 there
     A -= log_u[:, :, None]
     coef = np.multiply(2.0, H, out=H)
     coef *= np.exp(A, out=A)
@@ -295,7 +324,7 @@ def _coefficients(state, anchors, sizes, class_batch, stats, config, cols=(None,
 def _gradient(enc, coef1, coef2, fwd, work) -> np.ndarray:
     """The estimator's gradient as two backward passes over the forward results
     ``fwd`` of ``_hinge_stats`` (anchor inputs, anchor labels, pool inputs, pool
-    labels), so each anchor and pool row is encoded once per tower.
+    labels), so the gradient encodes no row again.
 
     Only anchor rows and anchor columns of the pair coefficients are nonzero,
     so the gradient is the sum of two rectangular blocks, O(n*N) in time and
@@ -305,7 +334,9 @@ def _gradient(enc, coef1, coef2, fwd, work) -> np.ndarray:
       [diag(-(row sums of coef1 + coef2)) | coef1];
     - pool inputs x anchor labels, coefficients coef2.T.
 
-    The first block's coefficients are written into ``work``.
+    The first block's coefficients are written into ``work``.  The second
+    block's similarities are the (N, n) g2 similarities ``E1p @ E2a.T`` that
+    ``_hinge_stats`` left in ``work``; the block overwrites them.
     """
     f1a, f2a, f1p, f2p = fwd
     n = len(coef1)
@@ -314,18 +345,17 @@ def _gradient(enc, coef1, coef2, fwd, work) -> np.ndarray:
     np.fill_diagonal(C_anchor[:, :n], -(coef1.sum(axis=1) + coef2.sum(axis=1)))
     C_anchor[:, n:] = coef1
     grad = enc.pair_grad(f1a, enc.concat_forwards(f2a, f2p), C_anchor)
-    grad += enc.pair_grad(f1p, f2a, coef2.T)
+    grad += enc.pair_grad(f1p, f2a, coef2.T, work.take("H2t", coef2.T.shape))
     return grad
 
 
 def _anchor_stats(enc, params, class_batch, per_class_batches, pool, config, work):
-    """The anchors as a Pool, each sampled class's anchor count, the hinge
+    """The anchors' sample ids, each sampled class's anchor count, the hinge
     statistics (views of ``work``) and the forward results: one encoding and
     scoring of the pool."""
-    anchors = _flatten_batches(class_batch, per_class_batches)
-    sizes = [len(per_class_batches[k]) for k in class_batch]
-    stats, fwd = _hinge_stats(enc, params, anchors, pool, config.margin, config.tau, work)
-    return anchors, sizes, stats, fwd
+    rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
+    stats, fwd = _hinge_stats(enc, params, rows, pool, config.margin, config.tau, work)
+    return [pool.ids[i] for i in rows.tolist()], sizes, stats, fwd
 
 
 def gdro_step(
@@ -340,11 +370,11 @@ def gdro_step(
     """One training step: the in-place estimator update, then the robust objective
     over the updated u_c and the gradient estimate, from one ``_hinge_stats``.
     Bitwise the same as ``gdro_update_estimators`` then ``gdro_gradient_estimate``."""
-    anchors, sizes, stats, fwd = _anchor_stats(
+    ids, sizes, stats, fwd = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, state.work
     )
-    cols = _update(state, anchors, sizes, class_batch, stats[3], config)
-    coef1, coef2 = _coefficients(state, anchors, sizes, class_batch, stats, config, cols)
+    cols = _update(state, ids, sizes, class_batch, stats[3], config)
+    coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config, cols)
     grad = _gradient(enc, coef1, coef2, fwd, state.work)
     return dro_objective(state.class_losses()[1], config.lam), grad
 
@@ -359,10 +389,10 @@ def gdro_update_estimators(
     config: GdroConfig,
 ) -> GdroEstimatorState:
     """One pass of the moving-average updates for sampled classes and samples, in place."""
-    anchors, sizes, stats, _ = _anchor_stats(
+    ids, sizes, stats, _ = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, state.work
     )
-    _update(state, anchors, sizes, class_batch, stats[3], config)
+    _update(state, ids, sizes, class_batch, stats[3], config)
     return state
 
 
@@ -377,8 +407,8 @@ def gdro_gradient_estimate(
 ) -> np.ndarray:
     """Compositional gradient estimator (module docstring) as two backward passes
     (``_gradient``) that reuse the forward results of the hinge statistics."""
-    anchors, sizes, stats, fwd = _anchor_stats(
+    ids, sizes, stats, fwd = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, state.work
     )
-    coef1, coef2 = _coefficients(state, anchors, sizes, class_batch, stats, config)
+    coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)
     return _gradient(enc, coef1, coef2, fwd, state.work)

@@ -29,7 +29,9 @@ The forward pass (``_forward_inputs``, ``_forward_labels``) returns a tower's
 unit embeddings with the cache its backward needs.  The one backward,
 ``pair_grad``, takes those forward results, so an objective that has encoded
 its rows to score them builds its gradient without encoding them again;
-``weighted_pair_grad`` is forward then ``pair_grad`` in one call.
+``weighted_pair_grad`` is forward then ``pair_grad`` in one call.  Forward
+passes are row-wise, so ``concat_forwards`` and ``take_forward`` join or
+gather forward results as if the joined or gathered rows had been encoded.
 """
 
 from __future__ import annotations
@@ -183,6 +185,20 @@ class EncoderPair:
             "R": np.concatenate([c["R"] for c in caches]),
         }
 
+    @staticmethod
+    def take_forward(result, idx):
+        """One tower's forward result over rows ``idx`` (an integer array, repeats
+        and any order allowed) of the rows it was computed on.  Like
+        ``concat_forwards``, this equals the forward pass of those rows, bit for
+        bit when both row sets have two or more rows."""
+        E, cache = result
+        return E[idx], {
+            "tower": cache["tower"],
+            "W": cache["W"],
+            "A": [A[idx] for A in cache["A"]],
+            "R": cache["R"][idx],
+        }
+
     def encode_input_batch(self, params, X) -> np.ndarray:
         """Unit-norm embeddings for a batch of input vectors, shape (n, embed_dim)."""
         E, _ = self._forward_inputs(params, X)
@@ -219,7 +235,7 @@ class EncoderPair:
             if k > 0:
                 dZ = (dZ @ cache["W"][k]) * (1.0 - A * A)
 
-    def pair_grad(self, f1, f2, coeff) -> np.ndarray:
+    def pair_grad(self, f1, f2, coeff, sims=None) -> np.ndarray:
         """Gradient of sum_ij coeff[i, j] * sim(row i of f1, row j of f2) w.r.t. all
         parameters, from the forward results ``(E, cache)`` of the input tower
         (``f1``) and the label tower (``f2``).
@@ -227,7 +243,9 @@ class EncoderPair:
         This is the single backward primitive every objective is built from:
         any loss over pairwise similarities differentiates to a coefficient
         matrix over (input, label) pairs.  Callers pass the forward results
-        they already hold, so a gradient costs no second forward pass.
+        they already hold, so a gradient costs no second forward pass.  A
+        caller that already holds the similarities ``E1 @ E2.T`` of the two
+        results may pass them as ``sims``, which the call then overwrites.
         """
         (E1, c1), (E2, c2) = f1, f2
         C = np.asarray(coeff, dtype=np.float64)
@@ -235,7 +253,7 @@ class EncoderPair:
             raise ValueError(
                 f"coefficient matrix has shape {C.shape}, expected {(E1.shape[0], E2.shape[0])}"
             )
-        CS = E1 @ E2.T
+        CS = E1 @ E2.T if sims is None else sims
         CS *= C
         # d sim / d z = (other - sim * self) / norm for each side
         row_w = CS.sum(axis=1)

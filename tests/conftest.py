@@ -93,8 +93,8 @@ def class_pool(rng, classes, per_class, input_dim, id_offset=0):
 
 
 def class_batches(pool, classes):
-    """Every row of each of ``classes``, as gdro's per-class batches."""
-    return {k: pool.take(pool.members[k]) for k in classes}
+    """Every row of each of ``classes``, as gdro's per-class batches of row indices."""
+    return {k: pool.members[k] for k in classes}
 
 
 @pytest.fixture

@@ -15,8 +15,9 @@ blocks or in arrays, and the tests pin the two against each other.
 
 The per-sample oracles keep their samples as plain ``Record``s, one per row;
 ``records`` and ``dataset_records`` read them off a Pool or a Dataset, and
-``rows`` turns them back into a Pool.  The single-anchor oracles take the
-anchor as a one-row Pool (``pool[i]``) and the pool as a Pool.
+``rows`` turns them back into a Pool.  The single-anchor gcl oracles take the
+anchor as a one-row Pool (``pool[i]``) and the pool as a Pool; the hinge
+oracles take the anchor as its row ``i`` of the pool, as gdro does.
 """
 
 from dataclasses import dataclass
@@ -53,15 +54,16 @@ def g_T(enc: EncoderPair, params, anchor, candidates, tau) -> float:
     return _stable_expsum(sims / tau)
 
 
-def hinge_g1(enc: EncoderPair, params, anchor, pool, margin, tau) -> float:
-    """Input-anchored hinge normalizer, linear scale. Equals 1 iff no violations."""
-    (*_, log_g), _ = _hinge_stats(enc, params, anchor, pool, margin, tau, WorkArrays())
+def hinge_g1(enc: EncoderPair, params, i, pool, margin, tau) -> float:
+    """Input-anchored hinge normalizer of pool row ``i``, linear scale. Equals 1
+    iff no violations."""
+    (*_, log_g), _ = _hinge_stats(enc, params, np.array([i]), pool, margin, tau, WorkArrays())
     return float(np.exp(log_g[0, 0]))
 
 
-def hinge_g2(enc: EncoderPair, params, anchor, pool, margin, tau) -> float:
-    """Label-anchored hinge normalizer, linear scale."""
-    (*_, log_g), _ = _hinge_stats(enc, params, anchor, pool, margin, tau, WorkArrays())
+def hinge_g2(enc: EncoderPair, params, i, pool, margin, tau) -> float:
+    """Label-anchored hinge normalizer of pool row ``i``, linear scale."""
+    (*_, log_g), _ = _hinge_stats(enc, params, np.array([i]), pool, margin, tau, WorkArrays())
     return float(np.exp(log_g[1, 0]))
 
 
@@ -69,9 +71,8 @@ def class_loss_hk(enc: EncoderPair, params, class_id, pool, config: GdroConfig) 
     """Per-class loss h_k over all pool members of the class; always >= 0."""
     if class_id not in pool.members:
         raise ValueError(f"class {class_id} not present in pool")
-    members = pool.take(pool.members[class_id])
     (*_, log_g), _ = _hinge_stats(
-        enc, params, members, pool, config.margin, config.tau, WorkArrays()
+        enc, params, pool.members[class_id], pool, config.margin, config.tau, WorkArrays()
     )
     return float(config.tau * np.mean(log_g[0] + log_g[1]) / 2.0)
 
@@ -80,10 +81,11 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
                         config: GdroConfig) -> np.ndarray:
     """``gdro_gradient_estimate`` through one (anchor+pool) x (anchor+pool)
     coefficient matrix and a single backward pass: O((n+N)^2) memory."""
-    anchors, sizes, stats, _ = _anchor_stats(
+    ids, sizes, stats, _ = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, WorkArrays()
     )
-    coef1, coef2 = _coefficients(state, anchors, sizes, class_batch, stats, config)
+    coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)
+    anchors = pool.take(np.concatenate([per_class_batches[k] for k in class_batch]))
     n, N = len(anchors), len(pool)
     C = np.zeros((n + N, n + N))
     C[:n, n:] = coef1  # anchor input vs pool label

@@ -222,9 +222,10 @@ def test_criterion_05_estimator_halving():
     batches = class_batches(pool, range(3))
     gst = gdro_update_estimators(GdroEstimatorState(), enc, w0, [0, 1, 2], batches, pool, cfg1)
     h_target = np.array([class_loss_hk(enc, w1, k, pool, cfg) for k in range(3)])
-    g_target = np.array(
-        [[g(enc, w1, a, pool, cfg.margin, cfg.tau) for a in anchors] for g in (hinge_g1, hinge_g2)]
-    )
+    g_target = np.array([
+        [g(enc, w1, i, pool, cfg.margin, cfg.tau) for i in range(len(pool))]
+        for g in (hinge_g1, hinge_g2)
+    ])
     gdro_ok = True
     prev = None
     for _ in range(14):

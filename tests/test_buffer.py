@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cclearn.buffer import MemoryBuffer, sample_class_batch
 from cclearn.data import Pool
-from cclearn.gdro import _flatten_batches
+from cclearn.gdro import _anchor_rows
 
 from conftest import class_pool, make_pool
 from oracles import SampleBuffer, records, rows
@@ -167,13 +167,15 @@ def test_buffer_matches_the_per_sample_oracle(capacity, tasks, seed):
 
 
 def test_sample_class_batch_exhaustive_and_deterministic(rng):
+    """A draw is row indices into the pool, all of the class's rows when the
+    batch is larger than the class."""
     pool = make_pool(rng, 12, 3, 2)
     batch = sample_class_batch(pool, 1, batch_size=100, seed=5)
-    assert sorted(batch.ids) == [i for i, k in zip(pool.ids, pool.y.tolist()) if k == 1]
-    assert set(batch.y.tolist()) == {1}
+    assert batch.dtype == np.intp
+    assert sorted(batch.tolist()) == [i for i, k in enumerate(pool.y.tolist()) if k == 1]
     b1 = sample_class_batch(pool, 0, 2, seed=42)
     b2 = sample_class_batch(pool, 0, 2, seed=42)
-    assert b1.ids == b2.ids and b1.X.tobytes() == b2.X.tobytes()
+    assert b1.tolist() == b2.tolist() and set(pool.y[b1].tolist()) == {0}
 
 
 def test_sample_class_batch_missing_class(rng):
@@ -182,13 +184,20 @@ def test_sample_class_batch_missing_class(rng):
         sample_class_batch(pool, 17, 1, seed=0)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_sample_class_batch_refuses_a_batch_of_no_rows(rng, batch_size):
+    pool = make_pool(rng, 6, 2, 2)
+    with pytest.raises(ValueError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+        sample_class_batch(pool, 0, batch_size, seed=0)
+
+
 def test_sample_class_batch_uniform(rng):
     pool = make_pool(rng, 20, 4, 2)  # 5 samples of class 0
-    members = [i for i, k in zip(pool.ids, pool.y.tolist()) if k == 0]
+    members = [i for i, k in enumerate(pool.y.tolist()) if k == 0]
     draws = 10_000
     counts = {m: 0 for m in members}
     for seed in range(draws):
-        (picked,) = sample_class_batch(pool, 0, 1, seed=seed).ids
+        (picked,) = sample_class_batch(pool, 0, 1, seed=seed)
         counts[picked] += 1
     p = 1.0 / len(members)
     sigma = np.sqrt(draws * p * (1 - p))
@@ -288,12 +297,13 @@ def test_concat_of_no_rows_is_empty(rng):
     seed=st.integers(0, 2**16),
 )
 def test_flattened_class_batches_equal_a_pool_of_their_samples(n, num_classes, batch_size, seed):
-    """gdro's anchor set, joined from per-class takes of the stage pool, is the
-    rows of the picked records, to the byte."""
+    """gdro's anchor rows, joined from per-class draws of the stage pool, take
+    the rows of the picked records, to the byte, and count each class's rows."""
     rng = np.random.default_rng(seed)
     pool = make_pool(rng, n, num_classes, 3)
     recs = records(pool)
     classes = [int(k) for k in rng.permutation(min(n, num_classes))]
     batches = {k: sample_class_batch(pool, k, batch_size, seed + k) for k in classes}
-    flat = _flatten_batches(classes, batches)
-    _assert_same_rows(flat, rows([recs[i] for k in classes for i in batches[k].ids]))  # row i has id i
+    flat, sizes = _anchor_rows(classes, batches, pool)
+    assert sizes == [len(batches[k]) for k in classes]
+    _assert_same_rows(pool.take(flat), rows([recs[i] for k in classes for i in batches[k]]))

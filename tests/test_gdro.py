@@ -99,9 +99,9 @@ def _separated_two_class_setup():
 
 def test_hinge_g_inactive_is_one():
     enc, w, pool = _separated_two_class_setup()
-    for anchor in (pool[0], pool[1], pool[2], pool[3]):
-        assert hinge_g1(enc, w, anchor, pool, margin=0.5, tau=0.3) == pytest.approx(1.0, abs=1e-12)
-        assert hinge_g2(enc, w, anchor, pool, margin=0.5, tau=0.3) == pytest.approx(1.0, abs=1e-12)
+    for i in range(4):
+        assert hinge_g1(enc, w, i, pool, margin=0.5, tau=0.3) == pytest.approx(1.0, abs=1e-12)
+        assert hinge_g2(enc, w, i, pool, margin=0.5, tau=0.3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hinge_g_single_active_negative(rng):
@@ -114,11 +114,11 @@ def test_hinge_g_single_active_negative(rng):
     s_ij = pair_sim(enc, w, anchor_x, 1)
     h = max(0.0, s_ij - s_ii + margin)
     assert h > 0
-    got = hinge_g1(enc, w, pool[0], pool, margin, tau)
+    got = hinge_g1(enc, w, 0, pool, margin, tau)
     assert abs(got - math.exp(h * h / tau)) < 1e-12
     s_ji = pair_sim(enc, w, neg_x, 0)
     h2 = max(0.0, s_ji - s_ii + margin)
-    got2 = hinge_g2(enc, w, pool[0], pool, margin, tau)
+    got2 = hinge_g2(enc, w, 0, pool, margin, tau)
     assert abs(got2 - math.exp(h2 * h2 / tau)) < 1e-12
 
 
@@ -127,12 +127,12 @@ def test_hinge_g_matches_naive_oracle(hidden, rng):
     enc = make_encoder(seed=5, hidden_dim=hidden)
     w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
     pool = class_pool(rng, range(3), 3, 3)
-    for anchor in (pool[0], pool[1], pool[2], pool[3]):
-        got = hinge_g1(enc, w, anchor, pool, 0.3, 0.5)
-        want = _naive_g1(enc, w, anchor, pool, 0.3, 0.5)
+    for i in range(4):
+        got = hinge_g1(enc, w, i, pool, 0.3, 0.5)
+        want = _naive_g1(enc, w, pool[i], pool, 0.3, 0.5)
         assert abs(got - want) / want < 1e-12
-        got = hinge_g2(enc, w, anchor, pool, 0.3, 0.5)
-        want = _naive_g2(enc, w, anchor, pool, 0.3, 0.5)
+        got = hinge_g2(enc, w, i, pool, 0.3, 0.5)
+        want = _naive_g2(enc, w, pool[i], pool, 0.3, 0.5)
         assert abs(got - want) / want < 1e-12
 
 
@@ -141,7 +141,7 @@ def test_hinge_g_requires_negatives(rng):
     w = enc.init_params()
     pool = class_pool(rng, [0], 3, 3)
     with pytest.raises(ValueError):
-        hinge_g1(enc, w, pool[0], pool, 0.1, 0.3)
+        hinge_g1(enc, w, 0, pool, 0.1, 0.3)
 
 
 def test_class_loss_zero_when_hinges_inactive():
@@ -157,8 +157,8 @@ def test_class_loss_single_member(rng):
     pool = Pool(rng.standard_normal((3, 3)), np.array([0, 1, 1]), [0, 1, 2])
     cfg = _cfg(margin=0.4, tau=0.5)
     want = (cfg.tau / 2) * (
-        math.log(hinge_g1(enc, w, pool[0], pool, 0.4, 0.5))
-        + math.log(hinge_g2(enc, w, pool[0], pool, 0.4, 0.5))
+        math.log(hinge_g1(enc, w, 0, pool, 0.4, 0.5))
+        + math.log(hinge_g2(enc, w, 0, pool, 0.4, 0.5))
     )
     assert abs(class_loss_hk(enc, w, 0, pool, cfg) - want) < 1e-12
 
@@ -314,7 +314,7 @@ def test_update_refuses_repeated_ids_and_leaves_state_alone(rng, repeat):
     st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1], batches, pool, _cfg())
     before = state_bytes(st)
     if repeat == "anchor":
-        classes, batches[2] = [2], Pool.concat([batches[2], batches[2][0]])
+        classes, batches[2] = [2], np.append(batches[2], batches[2][0])
     else:
         classes = [2, 2]  # every anchor of class 2 twice
     with pytest.raises(ValueError, match="^the ids of one estimator update must not repeat$"):
@@ -359,6 +359,30 @@ def test_empty_class_batch_is_refused(rng, entry):
     st = GdroEstimatorState()
     with pytest.raises(ValueError, match="^class_batch must name at least one class$"):
         entry(st, enc, w, [], {}, pool, _cfg())
+    assert state_bytes(st) == state_bytes(GdroEstimatorState())
+
+
+@pytest.mark.parametrize("entry", [gdro_update_estimators, gdro_gradient_estimate, gdro_step])
+@pytest.mark.parametrize("rows, message", [
+    (None, "class 2 needs its rows as a 1-d integer array"),
+    (np.array([8.0, 9.0]), "class 2 needs its rows as a 1-d integer array"),
+    (np.array([], dtype=np.intp), "class 2 has no rows"),
+    (np.array([8, 12]), "rows for class 2 fall outside the pool or hold another class"),
+    (np.array([8, -1]), "rows for class 2 fall outside the pool or hold another class"),
+    (np.array([8, 3]), "rows for class 2 fall outside the pool or hold another class"),
+], ids=["missing", "float", "empty", "past-end", "negative", "other-class"])
+def test_bad_anchor_rows_are_refused(rng, entry, rows, message):
+    """A class's anchors are rows of its own class in the pool: anything else is
+    refused in one line naming the class, and the state stays as it was."""
+    enc = make_encoder(seed=8)
+    w = enc.init_params()
+    pool = class_pool(rng, range(3), 4, 3)  # class 2 holds rows 8 to 11
+    st = GdroEstimatorState()
+    batches = class_batches(pool, [0, 1])
+    if rows is not None:
+        batches[2] = rows
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry(st, enc, w, [0, 1, 2], batches, pool, _cfg())
     assert state_bytes(st) == state_bytes(GdroEstimatorState())
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cclearn.data import Pool
 from cclearn.model import EncoderConfig, EncoderPair, _normalize_rows
 
 from conftest import assert_grad_close, central_diff, make_encoder, pair_sim, pair_sim_grad
@@ -297,7 +298,8 @@ def test_pair_grad_on_forward_results_is_bitwise_weighted_pair_grad(
     hidden, n_inputs, label_parts, seed
 ):
     """The backward from forward results equals forward-then-backward, also when
-    the label rows were encoded in parts and concatenated (as gdro does).
+    the label rows were encoded in parts and concatenated (as gdro does), and
+    when the caller hands over the similarities it already holds.
 
     Parts have at least two rows: numpy multiplies a one-row matrix with gemv,
     not gemm, so with hidden layers a one-row forward may differ in the last bits.
@@ -311,8 +313,48 @@ def test_pair_grad_on_forward_results_is_bitwise_weighted_pair_grad(
 
     want = enc.weighted_pair_grad(w, X, np.concatenate(parts), C)
     f2 = enc.concat_forwards(*(enc._forward_labels(w, part) for part in parts))
-    got = enc.pair_grad(enc._forward_inputs(w, X), f2, C)
-    assert got.tobytes() == want.tobytes()
+    f1 = enc._forward_inputs(w, X)
+    assert enc.pair_grad(f1, f2, C).tobytes() == want.tobytes()
+    assert enc.pair_grad(f1, f2, C, f1[0] @ f2[0].T).tobytes() == want.tobytes()
+
+
+def _forward_bytes(result):
+    """A forward result's embeddings, layer inputs and norms, as bytes."""
+    E, cache = result
+    return [E.tobytes(), *(A.tobytes() for A in cache["A"]), cache["R"].tobytes()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.sampled_from([0, 3]),
+    n_rows=st.integers(2, 300),
+    n_take=st.integers(2, 300),
+    repeats=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_take_forward_is_bitwise_the_forward_of_the_taken_rows(
+    hidden, n_rows, n_take, repeats, seed
+):
+    """Rows ``idx`` of a tower's forward result over all rows are the forward
+    result over the rows ``idx``, to the bit, for index arrays of two or more
+    rows in any order, with or without repeats.  The pool's label forward
+    gathered from its distinct classes is the label forward of its rows, so
+    gdro encodes K classes in place of N labels and gathers its anchors."""
+    rng = np.random.default_rng(seed)
+    enc = make_encoder(seed=seed % 1000, hidden_dim=hidden, num_classes=7)
+    w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
+    X = rng.standard_normal((n_rows, 3))
+    y = rng.integers(0, 7, n_rows)
+    y[:2] = rng.choice(7, 2, replace=False)  # two or more distinct classes
+    idx = rng.choice(n_rows, n_take if repeats else min(n_take, n_rows), replace=repeats)
+
+    for forward, rows in ((enc._forward_inputs, X), (enc._forward_labels, y)):
+        taken = enc.take_forward(forward(w, rows), idx)
+        assert _forward_bytes(taken) == _forward_bytes(forward(w, rows[idx]))
+
+    classes, index = Pool(X, y, list(range(n_rows))).class_index
+    gathered = enc.take_forward(enc._forward_labels(w, classes), index)
+    assert _forward_bytes(gathered) == _forward_bytes(enc._forward_labels(w, y))
 
 
 @settings(max_examples=80, deadline=None)

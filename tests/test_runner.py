@@ -349,7 +349,8 @@ def test_dil_aggregate_is_mean_over_domain_rows():
 @pytest.mark.parametrize("method", ["gdro", "gcl", "finetune-ce"])
 def test_gradient_encodes_each_row_once_per_tower(rng, monkeypatch, method):
     """One gradient call encodes its rows once per tower: the backward reuses the
-    forward results the call already holds."""
+    forward results the call already holds.  gdro's rows are the pool's inputs
+    and its distinct classes; its anchors are rows of those."""
     enc = make_encoder(seed=4, hidden_dim=3, num_classes=4)
     w = enc.init_params()
     pool = make_pool(rng, 40, 4, 3)
@@ -359,8 +360,7 @@ def test_gradient_encodes_each_row_once_per_tower(rng, monkeypatch, method):
         batches = {k: sample_class_batch(pool, k, 3, k) for k in (1, 3)}
         args = (enc, w, [1, 3], batches, pool, cfg)
         state = gdro_update_estimators(GdroEstimatorState(), *args)
-        n = len(pool) + 6  # the pool and the anchors, once each
-        expected = {"e1": n, "e2": n}
+        expected = {"e1": len(pool), "e2": 4}
 
         def grad():
             return gdro_gradient_estimate(state, *args)
@@ -387,6 +387,29 @@ def test_gradient_encodes_each_row_once_per_tower(rng, monkeypatch, method):
     monkeypatch.setattr(EncoderPair, "_forward", counting_forward)
     assert np.all(np.isfinite(grad()))
     assert rows == expected
+
+
+def test_gdro_step_encodes_pool_rows_and_classes_not_anchors(rng, monkeypatch):
+    """One gdro step runs the input tower once over the pool's N rows and the
+    label tower once over its K distinct classes; the 12 anchors, drawn from
+    three classes, are never encoded on their own."""
+    enc = make_encoder(seed=4, hidden_dim=3, num_classes=6)
+    w = enc.init_params()
+    pool = make_pool(rng, 50, 5, 3)
+    cfg = GdroConfig(lam=0.7, gamma=0.9, margin=0.3, tau=0.4,
+                     batch_classes=3, batch_per_class=4)
+    batches = {k: sample_class_batch(pool, k, 4, k) for k in (0, 2, 4)}
+    calls = []
+    forward = EncoderPair._forward
+
+    def counting_forward(self, params, tower, inp):
+        calls.append((tower, len(inp)))
+        return forward(self, params, tower, inp)
+
+    monkeypatch.setattr(EncoderPair, "_forward", counting_forward)
+    _, grad = gdro_step(GdroEstimatorState(), enc, w, [0, 2, 4], batches, pool, cfg)
+    assert np.all(np.isfinite(grad))
+    assert sorted(calls) == [("e1", 50), ("e2", 5)]
 
 
 # ------------------------------------------------------------- Pool boundary
@@ -421,23 +444,31 @@ def test_estimators_same_bits_on_list_and_pool(hidden_dim, n, num_classes, seed)
 
 @pytest.mark.parametrize("method", ["gcl", "finetune-ce", "gdro"])
 def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
-    """The trainer's gcl and cross-entropy batches and gdro's anchors are Pools, and
-    so is the stage pool, so no estimator converts samples to rows itself."""
-    module, name, positions = {
-        "gcl": (cclearn.runner, "gcl_step", (3,)),  # the batch
-        "finetune-ce": (cclearn.runner, "ce_step", (2,)),  # the batch
-        "gdro": (cclearn.gdro, "_hinge_stats", (2, 3)),  # the anchors and the pool
+    """The trainer's gcl and cross-entropy batches are Pools, and gdro gets the
+    stage Pool with each sampled class's anchors as integer rows into it, so no
+    estimator converts samples to rows itself."""
+    name, position = {
+        "gcl": ("gcl_step", 3),  # the batch
+        "finetune-ce": ("ce_step", 2),  # the batch
+        "gdro": ("gdro_step", 5),  # the stage pool
     }[method]
     handed = []
-    original = getattr(module, name)
+    original = getattr(cclearn.runner, name)
 
     def recording(*args):
-        handed.extend(args[i] for i in positions)
+        handed.append(args)
         return original(*args)
 
-    monkeypatch.setattr(module, name, recording)
+    monkeypatch.setattr(cclearn.runner, name, recording)
     run(_small_stream(), _fast_config(method, epochs_per_task=1))
-    assert handed and all(isinstance(arg, Pool) for arg in handed)
+    assert handed and all(isinstance(args[position], Pool) for args in handed)
+    if method == "gdro":
+        for _state, _enc, _params, class_batch, per_class, pool, _cfg in handed:
+            assert list(per_class) == class_batch
+            for k, rows in per_class.items():
+                assert rows.dtype == np.intp and len(rows) > 0
+                assert rows.min() >= 0 and rows.max() < len(pool)
+                assert set(pool.y[rows].tolist()) == {k}
 
 
 # --------------------------------------------------------------- fused steps

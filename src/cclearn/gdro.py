@@ -42,22 +42,22 @@ refused in one line naming it.
 
 A training step is one call to ``gdro_step``: it encodes the pool once per
 tower (the input tower over its rows, the label tower over its distinct
-classes), takes the anchors' and the pool's labels as row gathers of those,
-and scores them once (``_hinge_stats``); it updates the state in place from
-the log normalizers, then forms the gradient coefficients from the same hinge
-statistics and the same id -> column lookups.  The per-sample and per-class
-estimates are ``MovingAverages`` arrays updated by gcl's ``moving_average``.
-``gdro_update_estimators`` (in place; returns the same state) and
-``gdro_gradient_estimate`` are each one of those parts on its own, built from
-the same private pieces.
+classes), and every embedding it scores (``_hinge_stats``) or backpropagates
+through (``_gradient``) is a row gather of those two encodings; it updates the
+state in place from the log normalizers, then forms the gradient coefficients
+from the same hinge statistics and the same id -> column lookups.  The
+per-sample and per-class estimates are ``MovingAverages`` arrays updated by
+gcl's ``moving_average``.  ``gdro_update_estimators`` (in place; returns the
+same state) and ``gdro_gradient_estimate`` are each one of those parts on its
+own, built from the same private pieces.
 
 A step's pool-sized arrays (the (2, n, N) blocks H and A and the
 log-sum-exp scratch, the g2 similarities, the same-class mask and the anchor
-block of pair coefficients; the coefficients overwrite H) are views of the
-grow-only ``WorkArrays`` on the state.  A step allocates none of them unless
-its pool or anchor count outgrows every earlier step of the run.  The hinge
-statistics are such views, valid until the next step on the same state
-overwrites them.
+block of pair coefficients; the coefficients overwrite H, the second backward
+block the g2 similarities) are views of the grow-only ``WorkArrays`` on the
+state.  A step allocates none of them unless its pool or anchor count
+outgrows every earlier step of the run.  The hinge statistics are such views,
+valid until the next step on the same state overwrites them.
 """
 
 from __future__ import annotations
@@ -149,27 +149,23 @@ class GdroEstimatorState:
 
 
 def _hinge_stats(enc, params, rows, pool, margin, tau, work):
-    """(n_neg, H, A, log_g), fwd: negative counts, hinge activations, stable log g,
-    and the forward results (anchor inputs, anchor labels, pool inputs, pool labels)
-    for the anchors at ``rows`` of ``pool``.
+    """(n_neg, H, A, log_g, H2t), (f1p, f2c, index): negative counts, hinge
+    activations, stable log g and the (N, n) g2 similarities E1p @ E2a.T of the
+    anchors at ``rows`` of ``pool``; then the pool's two encodings, the input
+    tower over ``pool.X`` and the label tower over its distinct classes, and each
+    row's position among those classes (``pool.class_index``).
 
     Axis 0 of H, A (2, n, N) and log_g (2, n) holds g1 (anchor input x pool
     label), then g2 (anchor label x pool input).  Every anchor needs a negative.
-    Each tower encodes once: the input tower the pool's rows, the label tower
-    the pool's distinct classes; the pool's labels and the anchors' results are
-    row gathers of those.  H and A are views of the ``WorkArrays`` ``work``, so
-    they hold until the next call on the same ``work`` overwrites them.
+    Every embedding scored is a row gather of the two encodings.  H, A and H2t
+    are views of the ``WorkArrays`` ``work``, so they hold until the next call on
+    the same ``work`` overwrites them.
     """
     classes, index = pool.class_index
     f1p = enc._forward_inputs(params, pool.X)
     f2c = enc._forward_labels(params, classes)
-    fwd = (
-        enc.take_forward(f1p, rows),
-        enc.take_forward(f2c, index[rows]),
-        f1p,
-        enc.take_forward(f2c, index),
-    )
-    (E1a, _), (E2a, _), (E1p, _), (E2p, _) = fwd
+    E1p, E2c = f1p[0], f2c[0]
+    E1a, E2a, E2p = E1p[rows], E2c[index[rows]], E2c[index]
     n, N = len(rows), len(pool)
 
     sii = np.sum(E1a * E2a, axis=1)
@@ -195,7 +191,7 @@ def _hinge_stats(enc, params, rows, pool, margin, tau, work):
     m = A.max(axis=2)
     E = np.subtract(A, m[:, :, None], out=work.take("E", (2, n, N)))
     log_g = m + np.log(np.exp(E, out=E).sum(axis=2)) - np.log(n_neg)
-    return (n_neg, H, A, log_g), fwd
+    return (n_neg, H, A, log_g, H2t), (f1p, f2c, index)
 
 
 # ------------------------------------------------------------ robust weighting
@@ -298,7 +294,7 @@ def _coefficients(state, ids, sizes, class_batch, stats, config, cols=(None, Non
     """
     if not state.v_initialized or state.v_mantissa <= 0:
         raise ValueError("scalar estimator v is not initialized or non-positive")
-    n_neg, H, A, _ = stats
+    n_neg, H, A, _, _ = stats
     u_c = state.classes.read(class_batch, cols[1], what="class", positive=False)[0]
     # exp(u_c/lam) / (v * |Bc|) per anchor, with the shared shift folded in
     norm = state.v_mantissa * len(class_batch) * 2.0
@@ -321,41 +317,43 @@ def _coefficients(state, ids, sizes, class_batch, stats, config, cols=(None, Non
     return coef[0], coef[1]
 
 
-def _gradient(enc, coef1, coef2, fwd, work) -> np.ndarray:
-    """The estimator's gradient as two backward passes over the forward results
-    ``fwd`` of ``_hinge_stats`` (anchor inputs, anchor labels, pool inputs, pool
-    labels), so the gradient encodes no row again.
+def _gradient(enc, coef1, coef2, rows, encodings, H2t, work) -> np.ndarray:
+    """The estimator's gradient for the anchors at ``rows`` as two backward passes
+    over row gathers (``take_forward``) of the pool encodings ``encodings`` of
+    ``_hinge_stats``, so the gradient encodes no row again.
 
     Only anchor rows and anchor columns of the pair coefficients are nonzero,
     so the gradient is the sum of two rectangular blocks, O(n*N) in time and
     memory for n anchors and a pool of N:
 
     - anchor inputs x (anchor labels | pool labels), coefficients
-      [diag(-(row sums of coef1 + coef2)) | coef1];
+      [diag(-(row sums of coef1 + coef2)) | coef1], the labels one gather at
+      the joined class positions;
     - pool inputs x anchor labels, coefficients coef2.T.
 
     The first block's coefficients are written into ``work``.  The second
-    block's similarities are the (N, n) g2 similarities ``E1p @ E2a.T`` that
-    ``_hinge_stats`` left in ``work``; the block overwrites them.
+    block's similarities are ``H2t``, the g2 similarities of ``_hinge_stats``,
+    which it overwrites.
     """
-    f1a, f2a, f1p, f2p = fwd
-    n = len(coef1)
+    f1p, f2c, index = encodings
+    n, anchor_cls = len(rows), index[rows]
     C_anchor = work.take("C_anchor", (n, n + coef1.shape[1]))
     C_anchor[:, :n] = 0.0
     np.fill_diagonal(C_anchor[:, :n], -(coef1.sum(axis=1) + coef2.sum(axis=1)))
     C_anchor[:, n:] = coef1
-    grad = enc.pair_grad(f1a, enc.concat_forwards(f2a, f2p), C_anchor)
-    grad += enc.pair_grad(f1p, f2a, coef2.T, work.take("H2t", coef2.T.shape))
+    f2 = enc.take_forward(f2c, np.concatenate([anchor_cls, index]))
+    grad = enc.pair_grad(enc.take_forward(f1p, rows), f2, C_anchor)
+    grad += enc.pair_grad(f1p, enc.take_forward(f2c, anchor_cls), coef2.T, H2t)
     return grad
 
 
 def _anchor_stats(enc, params, class_batch, per_class_batches, pool, config, work):
-    """The anchors' sample ids, each sampled class's anchor count, the hinge
-    statistics (views of ``work``) and the forward results: one encoding and
-    scoring of the pool."""
+    """The anchors' rows into ``pool`` and their sample ids, each sampled class's
+    anchor count, the hinge statistics (views of ``work``) and the pool's two
+    encodings: one encoding and scoring of the pool (``_hinge_stats``)."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
-    stats, fwd = _hinge_stats(enc, params, rows, pool, config.margin, config.tau, work)
-    return [pool.ids[i] for i in rows.tolist()], sizes, stats, fwd
+    stats, encodings = _hinge_stats(enc, params, rows, pool, config.margin, config.tau, work)
+    return rows, [pool.ids[i] for i in rows.tolist()], sizes, stats, encodings
 
 
 def gdro_step(
@@ -370,12 +368,12 @@ def gdro_step(
     """One training step: the in-place estimator update, then the robust objective
     over the updated u_c and the gradient estimate, from one ``_hinge_stats``.
     Bitwise the same as ``gdro_update_estimators`` then ``gdro_gradient_estimate``."""
-    ids, sizes, stats, fwd = _anchor_stats(
+    rows, ids, sizes, stats, encodings = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, state.work
     )
     cols = _update(state, ids, sizes, class_batch, stats[3], config)
     coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config, cols)
-    grad = _gradient(enc, coef1, coef2, fwd, state.work)
+    grad = _gradient(enc, coef1, coef2, rows, encodings, stats[4], state.work)
     return dro_objective(state.class_losses()[1], config.lam), grad
 
 
@@ -389,7 +387,7 @@ def gdro_update_estimators(
     config: GdroConfig,
 ) -> GdroEstimatorState:
     """One pass of the moving-average updates for sampled classes and samples, in place."""
-    ids, sizes, stats, _ = _anchor_stats(
+    _, ids, sizes, stats, _ = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, state.work
     )
     _update(state, ids, sizes, class_batch, stats[3], config)
@@ -406,9 +404,9 @@ def gdro_gradient_estimate(
     config: GdroConfig,
 ) -> np.ndarray:
     """Compositional gradient estimator (module docstring) as two backward passes
-    (``_gradient``) that reuse the forward results of the hinge statistics."""
-    ids, sizes, stats, fwd = _anchor_stats(
+    (``_gradient``) that gather from the pool encodings of the hinge statistics."""
+    rows, ids, sizes, stats, encodings = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, state.work
     )
     coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)
-    return _gradient(enc, coef1, coef2, fwd, state.work)
+    return _gradient(enc, coef1, coef2, rows, encodings, stats[4], state.work)

@@ -30,8 +30,10 @@ unit embeddings with the cache its backward needs.  The one backward,
 ``pair_grad``, takes those forward results, so an objective that has encoded
 its rows to score them builds its gradient without encoding them again;
 ``weighted_pair_grad`` is forward then ``pair_grad`` in one call.  Forward
-passes are row-wise, so ``concat_forwards`` and ``take_forward`` join or
-gather forward results as if the joined or gathered rows had been encoded.
+passes are row-wise, so ``take_forward`` gathers rows of a forward result as
+if the gathered rows had been encoded; a joined row set is one gather at the
+joined index.  Class ids are integers: a float or bool id is refused, never
+truncated.
 """
 
 from __future__ import annotations
@@ -65,6 +67,15 @@ class EncoderConfig:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+
+
+def _class_ids(class_ids):
+    """Class ids as a flat int64 array.  Refuses float and bool ids, which an int
+    cast would silently truncate; an empty input passes."""
+    ids = np.asarray(class_ids)
+    if ids.dtype.kind not in "iu" and ids.size:
+        raise ValueError(f"class ids must be integers, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False).reshape(-1)
 
 
 def _normalize_rows(z):
@@ -162,35 +173,20 @@ class EncoderPair:
 
     def _forward_labels(self, params, class_ids):
         """Batched label-encoder forward over one-hot class inputs."""
-        cls = np.asarray(class_ids, dtype=np.int64)
-        if cls.ndim != 1:
-            cls = cls.reshape(-1)
+        cls = _class_ids(class_ids)
         # initial=0 admits no rows and keeps the check to one min and one max
         if cls.min(initial=0) < 0 or cls.max(initial=0) >= self.config.num_classes_max:
             raise ValueError(f"class id out of range [0, {self.config.num_classes_max})")
         return self._forward(params, "e2", cls)
 
     @staticmethod
-    def concat_forwards(*results):
-        """One tower's forward results over several row sets, as one result over
-        their rows in order.  Forward passes are row-wise, so this equals the
-        forward pass of the concatenated rows, bit for bit when every part has
-        two or more rows (numpy multiplies a one-row matrix with gemv, not gemm)."""
-        Es, caches = zip(*results)
-        first = caches[0]
-        return np.concatenate(Es), {
-            "tower": first["tower"],
-            "W": first["W"],
-            "A": [np.concatenate(acts) for acts in zip(*(c["A"] for c in caches))],
-            "R": np.concatenate([c["R"] for c in caches]),
-        }
-
-    @staticmethod
     def take_forward(result, idx):
         """One tower's forward result over rows ``idx`` (an integer array, repeats
-        and any order allowed) of the rows it was computed on.  Like
-        ``concat_forwards``, this equals the forward pass of those rows, bit for
-        bit when both row sets have two or more rows."""
+        and any order allowed) of the rows it was computed on.  Forward passes
+        are row-wise, so this equals the forward pass of those rows, bit for bit
+        when both row sets have two or more rows (numpy multiplies a one-row
+        matrix with gemv, not gemm).  Gathering a joined index gives the join of
+        the gathers, rows, bits and layout alike."""
         E, cache = result
         return E[idx], {
             "tower": cache["tower"],
@@ -275,8 +271,11 @@ class EncoderPair:
     # -------------------------------------------------------------- inference
 
     def predict_batch(self, params, X, candidate_classes) -> np.ndarray:
-        """Most similar candidate class per row of X; ties go to the smallest class id."""
-        candidates = np.array(sorted(set(int(c) for c in candidate_classes)), dtype=np.int64)
+        """Most similar candidate class per row of X; ties go to the smallest class id.
+        Refuses float and bool candidates, as the label forward does."""
+        ids = _class_ids(list(candidate_classes)).tolist()
+        # not np.unique: its first call raises the process's peak RSS by about 1 MB
+        candidates = np.array(sorted(set(ids)), dtype=np.int64)
         if candidates.size == 0:
             raise ValueError("candidate_classes must be non-empty")
         sims = self.similarity_matrix(params, X, candidates)

@@ -164,31 +164,24 @@ def _ce_logits(enc, params, batch, candidates, tau):
     return (f1[0] @ f2[0].T) / tau, idx, (f1, f2)
 
 
-def _ce_softmax(Z, idx):
-    """Mean softmax cross-entropy of logits Z against true columns idx, and the
-    row softmax P."""
-    m = Z.max(axis=1)
-    P = np.exp(Z - m[:, None])
-    total = P.sum(axis=1, keepdims=True)
-    row_loss = m + np.log(total[:, 0]) - Z[np.arange(len(Z)), idx]
-    loss = float(row_loss.sum() / len(row_loss))
-    P /= total
-    return loss, P
-
-
 def ce_step(enc: EncoderPair, params, batch, candidates, tau) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy of sim/tau logits over the candidate classes, and
     its analytic gradient through (softmax - onehot) / (|B| * tau) pair weights,
     from one encoding of the batch."""
     Z, idx, fwd = _ce_logits(enc, params, batch, candidates, tau)
-    loss, P = _ce_softmax(Z, idx)
-    P[np.arange(len(P)), idx] -= 1.0
-    return loss, enc.pair_grad(*fwd, P / (len(P) * tau))
+    m = Z.max(axis=1)
+    P = np.exp(Z - m[:, None])
+    total = P.sum(axis=1, keepdims=True)
+    rows = np.arange(len(P))
+    row_loss = m + np.log(total[:, 0]) - Z[rows, idx]
+    P /= total
+    P[rows, idx] -= 1.0
+    return float(row_loss.sum() / len(row_loss)), enc.pair_grad(*fwd, P / (len(P) * tau))
 
 
 def ce_loss(enc: EncoderPair, params, batch, candidates, tau) -> float:
     """The loss of ``ce_step``."""
-    return _ce_softmax(*_ce_logits(enc, params, batch, candidates, tau)[:2])[0]
+    return ce_step(enc, params, batch, candidates, tau)[0]
 
 
 def ce_gradient(enc: EncoderPair, params, batch, candidates, tau) -> np.ndarray:

@@ -57,13 +57,17 @@ def g_T(enc: EncoderPair, params, anchor, candidates, tau) -> float:
 def hinge_g1(enc: EncoderPair, params, i, pool, margin, tau) -> float:
     """Input-anchored hinge normalizer of pool row ``i``, linear scale. Equals 1
     iff no violations."""
-    (*_, log_g), _ = _hinge_stats(enc, params, np.array([i]), pool, margin, tau, WorkArrays())
+    (_, _, _, log_g, _), _ = _hinge_stats(
+        enc, params, np.array([i]), pool, margin, tau, WorkArrays()
+    )
     return float(np.exp(log_g[0, 0]))
 
 
 def hinge_g2(enc: EncoderPair, params, i, pool, margin, tau) -> float:
     """Label-anchored hinge normalizer of pool row ``i``, linear scale."""
-    (*_, log_g), _ = _hinge_stats(enc, params, np.array([i]), pool, margin, tau, WorkArrays())
+    (_, _, _, log_g, _), _ = _hinge_stats(
+        enc, params, np.array([i]), pool, margin, tau, WorkArrays()
+    )
     return float(np.exp(log_g[1, 0]))
 
 
@@ -71,7 +75,7 @@ def class_loss_hk(enc: EncoderPair, params, class_id, pool, config: GdroConfig) 
     """Per-class loss h_k over all pool members of the class; always >= 0."""
     if class_id not in pool.members:
         raise ValueError(f"class {class_id} not present in pool")
-    (*_, log_g), _ = _hinge_stats(
+    (_, _, _, log_g, _), _ = _hinge_stats(
         enc, params, pool.members[class_id], pool, config.margin, config.tau, WorkArrays()
     )
     return float(config.tau * np.mean(log_g[0] + log_g[1]) / 2.0)
@@ -81,7 +85,7 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
                         config: GdroConfig) -> np.ndarray:
     """``gdro_gradient_estimate`` through one (anchor+pool) x (anchor+pool)
     coefficient matrix and a single backward pass: O((n+N)^2) memory."""
-    ids, sizes, stats, _ = _anchor_stats(
+    _, ids, sizes, stats, _ = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, WorkArrays()
     )
     coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)

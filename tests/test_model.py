@@ -160,6 +160,57 @@ def test_encode_rejects_bad_shapes():
         enc.encode_label_batch(w, [-1])
 
 
+@pytest.mark.parametrize(
+    "class_ids",
+    [[1.7], [True], np.array([1.7]), np.array([0, 1], dtype=bool), [1, 2.0]],
+    ids=["float", "bool", "float-array", "bool-array", "mixed"],
+)
+def test_label_forward_refuses_non_integer_class_ids(class_ids):
+    """A float or bool class id is refused in one line, not truncated to a class."""
+    enc = make_encoder(seed=0)
+    w = enc.init_params()
+    with pytest.raises(ValueError, match=r"^class ids must be integers, got dtype \w+$"):
+        enc.similarity_matrix(w, [np.ones(3)], class_ids)
+    with pytest.raises(ValueError, match="^class ids must be integers"):
+        enc.encode_label_batch(w, class_ids)
+
+
+def test_label_forward_keeps_the_bits_of_integer_and_empty_class_ids(rng):
+    enc = make_encoder(seed=4, num_classes=5)
+    w = enc.init_params()
+    X = rng.standard_normal((3, 3))
+    want = enc.similarity_matrix(w, X, [3, 0, 3]).tobytes()
+    for ids in (np.array([3, 0, 3], dtype=np.uint8), np.array([[3], [0], [3]]), (3, 0, 3)):
+        assert enc.similarity_matrix(w, X, ids).tobytes() == want
+    for empty in ([], np.array([], dtype=np.int64)):
+        assert enc.similarity_matrix(w, X, empty).shape == (3, 0)
+
+
+@pytest.mark.parametrize(
+    "candidates", [[1.5, 2.5], {2.0}, [True, False], np.array([1.0, 2.0])],
+    ids=["floats", "float-set", "bools", "float-array"],
+)
+def test_predict_refuses_non_integer_candidates(candidates):
+    """predict_batch used to return class 2 for candidates [1.5, 2.5]."""
+    enc = make_encoder(seed=0)
+    w = enc.init_params()
+    with pytest.raises(ValueError, match="^class ids must be integers"):
+        enc.predict_batch(w, [np.ones(3)], candidates)
+
+
+def test_predict_keeps_integer_candidates_of_any_kind(rng):
+    enc = make_encoder(seed=8, num_classes=5)
+    w = enc.init_params()
+    X = rng.standard_normal((6, 3))
+    want = enc.predict_batch(w, X, {4, 1, 2})
+    for candidates in ([2, 4, 1, 4], np.array([4, 1, 2], dtype=np.uint16),
+                       frozenset(np.array([1, 2, 4])), (np.int64(1), 2, 4)):
+        got = enc.predict_batch(w, X, candidates)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="^candidate_classes must be non-empty$"):
+        enc.predict_batch(w, X, [])
+
+
 def _constant_embedding_params(enc, input_bias, label_bias):
     """Zero weights; both encoders output a normalized bias regardless of input."""
     w = np.zeros(enc.n_params)
@@ -291,28 +342,32 @@ def test_normalize_rows_rejects_bad_rows(bad_rows, message):
 @given(
     hidden=st.sampled_from([0, 3]),
     n_inputs=st.integers(1, 7),
+    n_classes=st.integers(2, 5),
     label_parts=st.lists(st.integers(2, 6), min_size=1, max_size=3),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pair_grad_on_forward_results_is_bitwise_weighted_pair_grad(
-    hidden, n_inputs, label_parts, seed
+    hidden, n_inputs, n_classes, label_parts, seed
 ):
     """The backward from forward results equals forward-then-backward, also when
-    the label rows were encoded in parts and concatenated (as gdro does), and
-    when the caller hands over the similarities it already holds.
+    the label rows are a gather of one label forward over the distinct classes
+    at a joined index (as gdro's first backward block is), and when the caller
+    hands over the similarities it already holds.
 
-    Parts have at least two rows: numpy multiplies a one-row matrix with gemv,
-    not gemm, so with hidden layers a one-row forward may differ in the last bits.
+    The classes and every part have at least two rows: numpy multiplies a
+    one-row matrix with gemv, not gemm, so with hidden layers a one-row forward
+    may differ in the last bits.
     """
     rng = np.random.default_rng(seed)
     enc = make_encoder(seed=seed % 1000, hidden_dim=hidden, num_classes=5)
     w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
     X = rng.standard_normal((n_inputs, 3))
-    parts = [rng.integers(0, 5, size=k) for k in label_parts]
-    C = rng.standard_normal((n_inputs, sum(label_parts)))
+    classes = np.sort(rng.choice(5, n_classes, replace=False))
+    index = np.concatenate([rng.integers(0, n_classes, size=k) for k in label_parts])
+    C = rng.standard_normal((n_inputs, len(index)))
 
-    want = enc.weighted_pair_grad(w, X, np.concatenate(parts), C)
-    f2 = enc.concat_forwards(*(enc._forward_labels(w, part) for part in parts))
+    want = enc.weighted_pair_grad(w, X, classes[index], C)
+    f2 = enc.take_forward(enc._forward_labels(w, classes), index)
     f1 = enc._forward_inputs(w, X)
     assert enc.pair_grad(f1, f2, C).tobytes() == want.tobytes()
     assert enc.pair_grad(f1, f2, C, f1[0] @ f2[0].T).tobytes() == want.tobytes()

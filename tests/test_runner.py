@@ -102,6 +102,13 @@ def test_evaluate_rejects_empty():
         evaluate(enc, enc.init_params(), Pool.concat([]), {0})
 
 
+def test_evaluate_refuses_non_integer_candidates(rng):
+    enc = make_encoder(seed=0, num_classes=4)
+    test = make_pool(rng, 8, 4, 3)
+    with pytest.raises(ValueError, match="^class ids must be integers, got dtype float64$"):
+        evaluate(enc, enc.init_params(), test, [1.5, 2.5])
+
+
 # ------------------------------------------------------------- cross-entropy
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from . import data as data_mod
 from .errors import ConfigError, DatasetFormatError, DivergenceError
 from .report import accuracy_csv_text, config_sha256, file_sha256, line_chart_svg
-from .runner import RunConfig, run
+from .runner import METHODS, RunConfig, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -205,14 +205,16 @@ def cmd_run(args) -> int:
 
 
 def _read_meta(path) -> dict:
-    """The run meta at ``path``; ValueError unless it has the keys and types compare reads
-    and every accuracy is a finite number in [0, 1]."""
+    """The run meta at ``path``; ValueError unless it has the keys and types compare
+    reads, names a known method and every accuracy is a finite number in [0, 1]."""
     meta = json.loads(Path(path).read_text())
     if not isinstance(meta, dict) or not _META_TYPES.keys() <= meta.keys():
         raise ValueError(f"not a run meta: needs keys {sorted(_META_TYPES)}")
     for key, kinds in _META_TYPES.items():
         if type(meta[key]) not in kinds:  # JSON gives exact types; bool is not an int here
             raise ValueError(f"{key} has the wrong type: {meta[key]!r}")
+    if meta["method"] not in METHODS:  # it names a CSV column and an SVG label
+        raise ValueError(f"method {meta['method']!r} is not one of {', '.join(METHODS)}")
     stages = meta["aggregate"]
     if not stages or not all(t.isdecimal() and type(a) in (int, float) for t, a in stages.items()):
         raise ValueError("aggregate must map stage numbers to accuracies")

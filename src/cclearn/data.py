@@ -60,9 +60,10 @@ class Pool:
     class ids and ``ids`` the sample ids as Python ints (the estimators' keys).
 
     ``members[k]`` holds class k's row indices in pool order, and
-    ``class_index`` the distinct classes with each row's position among them;
-    both are built on first read.  A Pool is the package's one row type: every
-    function that takes rows takes a Pool.
+    ``class_index`` the distinct classes with each row's position among them
+    and each class's first row and row count; both are built on first read.
+    A Pool is the package's one row type: every function that takes rows takes
+    a Pool.
     """
 
     def __init__(self, X, y, ids):
@@ -102,10 +103,13 @@ class Pool:
         return dict(zip(classes.tolist(), np.split(order, starts[1:])))
 
     @cached_property
-    def class_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct class ids, ascending, and each row's position among them:
-        ``classes[index]`` is ``y``."""
-        return np.unique(self.y, return_inverse=True)
+    def class_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct class ids, ascending, each row's position among them
+        (``classes[index]`` is ``y``), and each class's first row and row count."""
+        classes, first, index, counts = np.unique(
+            self.y, return_index=True, return_inverse=True, return_counts=True
+        )
+        return classes, index, first, counts
 
     def __len__(self):
         return len(self.ids)

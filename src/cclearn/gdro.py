@@ -51,9 +51,21 @@ gcl's ``moving_average``.  ``gdro_update_estimators`` (in place; returns the
 same state) and ``gdro_gradient_estimate`` are each one of those parts on its
 own, built from the same private pieces.
 
-A step's pool-sized arrays (the (2, n, N) blocks H and A and the
-log-sum-exp scratch, the g2 similarities, the same-class mask and the anchor
-block of pair coefficients; the coefficients overwrite H, the second backward
+g1 (anchor input x pool label) sees a pool row only through its class's label
+embedding, so each anchor has one g1 value per class: ``_hinge_stats`` takes
+one column per class of the pool-shaped product E1a @ E2p.T and computes g1's
+hinge, log-sum-exp and coefficients on an (n, K) block.  Where row order fixes
+the bits it gathers back to pool columns: the exp values of each anchor's row
+sum, and the coefficients that ``_gradient`` weighs pool labels with.  Columns
+of a class that BLAS rounded apart from its first column score on their own
+(``_column_groups``), so the bits are those of a per-row block.  g2 (anchor
+label x pool input) stays per pool row: its same-class pairs come from
+``pool.members`` and its negative counts from the class counts.
+
+A step's pool-sized arrays (the g1 product and its gathers, the g2
+similarities, the hinge, exponent and coefficient blocks, each holding the
+(n, K) g1 block and the (n, N) g2 block end to end, and the anchor block of
+pair coefficients; the coefficients overwrite the hinge, the second backward
 block the g2 similarities) are views of the grow-only ``WorkArrays`` on the
 state.  A step allocates none of them unless its pool or anchor count
 outgrows every earlier step of the run.  The hinge statistics are such views,
@@ -62,6 +74,7 @@ valid until the next step on the same state overwrites them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -148,50 +161,100 @@ class GdroEstimatorState:
 # ------------------------------------------------------------ hinge machinery
 
 
-def _hinge_stats(enc, params, rows, pool, margin, tau, work):
-    """(n_neg, H, A, log_g, H2t), (f1p, f2c, index): negative counts, hinge
-    activations, stable log g and the (N, n) g2 similarities E1p @ E2a.T of the
-    anchors at ``rows`` of ``pool``; then the pool's two encodings, the input
-    tower over ``pool.X`` and the label tower over its distinct classes, and each
-    row's position among those classes (``pool.class_index``).
+def _blocks(flat, n, K):
+    """The (n, K) g1 block and the (n, N) g2 block that lie end to end in ``flat``."""
+    return flat[: n * K].reshape(n, K), flat[n * K :].reshape(n, -1)
 
-    Axis 0 of H, A (2, n, N) and log_g (2, n) holds g1 (anchor input x pool
-    label), then g2 (anchor label x pool input).  Every anchor needs a negative.
-    Every embedding scored is a row gather of the two encodings.  H, A and H2t
-    are views of the ``WorkArrays`` ``work``, so they hold until the next call on
-    the same ``work`` overwrites them.
+
+def _column_groups(S1, index, first, work):
+    """Groups of bitwise-equal columns of g1's similarities ``S1`` (n, N): each
+    column's group, each group's values (n, K') and each group's class position.
+
+    A pool row enters S1 only through its class's label embedding, so a class's
+    columns hold the same values, except that BLAS may round a few columns (the
+    tail of a block, say) apart; each such column is a group of its own.
     """
-    classes, index = pool.class_index
+    values = S1.take(first, axis=1)
+    shared = values.take(index, axis=1, out=work.take("G", S1.shape), mode="clip")
+    apart = np.not_equal(
+        S1.view(np.int64), shared.view(np.int64), out=work.take("apart", S1.shape, bool)
+    )
+    if not np.logical_or.reduce(apart, axis=None):
+        return index, values, np.arange(len(first))
+    odd = np.flatnonzero(np.logical_or.reduce(apart, axis=0))
+    group = index.copy()
+    group[odd] = len(first) + np.arange(len(odd))
+    group_cls = np.concatenate([np.arange(len(first)), index[odd]])
+    return group, np.concatenate([values, S1[:, odd]], axis=1), group_cls
+
+
+def _hinge_stats(enc, params, rows, class_batch, sizes, pool, margin, tau, work):
+    """(n_neg, H, A, log_g, H2t, group), (f1p, f2c, index): negative counts,
+    hinge activations, stable log g, the (N, n) g2 similarities E1p @ E2a.T and
+    each pool row's g1 column group, for the anchors at ``rows`` of ``pool``,
+    ``sizes[i]`` rows of class ``class_batch[i]`` per sampled class; then the
+    pool's two encodings, the input tower over ``pool.X`` and the label tower
+    over its distinct classes, and each row's position among those classes
+    (``pool.class_index``).
+
+    H and A each hold two blocks end to end (``_blocks``): g1 (anchor input x
+    pool label) on K' column groups, one per class unless BLAS rounded some of
+    a class's columns apart (``_column_groups``), then g2 (anchor label x pool
+    input) on the N pool rows.  log_g (2, n) holds g1, then g2.  g1's sums run
+    over the pool columns, gathered from the groups, so they add the same terms
+    in the same order as a block over the pool rows would.  Every anchor needs
+    a negative.  Every embedding scored is a row gather of the two encodings.
+    H, A and H2t are views of the ``WorkArrays`` ``work``, so they hold until
+    the next call on the same ``work`` overwrites them.
+    """
+    classes, index, first, counts = pool.class_index
     f1p = enc._forward_inputs(params, pool.X)
     f2c = enc._forward_labels(params, classes)
     E1p, E2c = f1p[0], f2c[0]
-    E1a, E2a, E2p = E1p[rows], E2c[index[rows]], E2c[index]
+    anchor_cls = index[rows]
+    E1a, E2a, E2p = E1p[rows], E2c[anchor_cls], E2c[index]
     n, N = len(rows), len(pool)
-
-    sii = np.sum(E1a * E2a, axis=1)
-    H = work.take("H", (2, n, N))
-    np.matmul(E1a, E2p.T, out=H[0])
-    H2t = work.take("H2t", (N, n))
-    H[1] = np.matmul(E1p, E2a.T, out=H2t).T  # E2a @ E1p.T would differ in the last bits
-    ya = pool.y[rows]
-    same = np.equal(pool.y[None, :], ya[:, None], out=work.take("same", (n, N), bool))
-    n_neg = N - same.sum(axis=1)
+    n_neg = N - counts[anchor_cls]
     if np.any(n_neg == 0):
-        bad = ya[int(np.argmin(n_neg))]
+        bad = classes[anchor_cls[int(np.argmin(n_neg))]]
         raise ValueError(f"no negatives in pool for anchor of class {bad}")
 
-    # the similarity block becomes the hinge in place; same operations, same bits.
+    sii = np.sum(E1a * E2a, axis=1)[:, None]
+    S1 = np.matmul(E1a, E2p.T, out=work.take("S1", (n, N)))
+    group, values, group_cls = _column_groups(S1, index, first, work)
+    K = values.shape[1]
+    H = work.take("H", (n * (K + N),))
+    H1, H2 = _blocks(H, n, K)
+    np.subtract(values, sii, out=H1)
+    H2t = np.matmul(E1p, E2a.T, out=work.take("H2t", (N, n)))
+    H2[...] = H2t.T  # E2a @ E1p.T would differ in the last bits
+    H2 -= sii
+
+    # the similarity blocks become the hinge in place; same operations, same bits.
     # Off the negatives the hinge is left as is: A is -inf there, so exp(A) = 0
-    H -= sii[:, None]
     H += margin
     np.maximum(H, 0.0, out=H)
-    A = np.multiply(H, H, out=work.take("A", (2, n, N)))
+    A = np.multiply(H, H, out=work.take("A", H.shape))
     A /= tau
-    np.copyto(A, -np.inf, where=same)
-    m = A.max(axis=2)
-    E = np.subtract(A, m[:, :, None], out=work.take("E", (2, n, N)))
-    log_g = m + np.log(np.exp(E, out=E).sum(axis=2)) - np.log(n_neg)
-    return (n_neg, H, A, log_g, H2t), (f1p, f2c, index)
+    A1, A2 = _blocks(A, n, K)
+    np.copyto(A1, -np.inf, where=np.equal(group_cls, anchor_cls[:, None]))
+    bounds = [0, *itertools.accumulate(sizes)]
+    for k, lo, hi in zip(class_batch, bounds, bounds[1:]):
+        A2[lo:hi, pool.members[k]] = -np.inf
+
+    m, sums = np.empty((2, n)), np.empty((2, n))
+    np.maximum.reduce(A1, axis=1, out=m[0])
+    np.maximum.reduce(A2, axis=1, out=m[1])
+    E = work.take("S1", H.shape)  # S1 is spent: its values are in H1
+    E1, E2 = _blocks(E, n, K)
+    np.subtract(A1, m[0][:, None], out=E1)
+    np.subtract(A2, m[1][:, None], out=E2)
+    np.exp(E, out=E)
+    G = E1.take(group, axis=1, out=work.take("G", (n, N)), mode="clip")
+    np.add.reduce(G, axis=1, out=sums[0])
+    np.add.reduce(E2, axis=1, out=sums[1])
+    log_g = m + np.log(sums) - np.log(n_neg)
+    return (n_neg, H, A, log_g, H2t, group), (f1p, f2c, index)
 
 
 # ------------------------------------------------------------ robust weighting
@@ -259,10 +322,10 @@ def _update(state, ids, sizes, class_batch, log_g, config):
     """
     g = config.gamma
     cols = moving_average(state.samples, ids, np.exp(log_g), g, U_FLOOR)
-    bounds = np.cumsum(sizes)[:-1]
+    both = log_g[0] + log_g[1]
+    bounds = [0, *itertools.accumulate(sizes)]
     h_hat = [
-        config.tau * (rows.sum() / len(rows)) / 2.0
-        for rows in np.split(log_g[0] + log_g[1], bounds)
+        config.tau * (both[lo:hi].sum() / (hi - lo)) / 2.0 for lo, hi in zip(bounds, bounds[1:])
     ]
     class_cols = moving_average(state.classes, class_batch, [h_hat], g)
 
@@ -288,13 +351,14 @@ def _coefficients(state, ids, sizes, class_batch, stats, config, cols=(None, Non
 
     Returns (coef1, coef2), both n x N over anchors x pool: coef1 weighs
     (anchor input, pool label) pairs, coef2 (anchor label, pool input) pairs.
-    The anchor's own (input, label) pair takes minus its row sums of both;
-    ``_gradient`` places that diagonal.  ``cols`` are the columns ``_update``
-    returns, when known.
+    coef1 is gathered from g1's column groups into ``state.work``.  The anchor's
+    own (input, label) pair takes minus its row sums of both; ``_gradient``
+    places that diagonal.  ``cols`` are the columns ``_update`` returns, when
+    known.
     """
     if not state.v_initialized or state.v_mantissa <= 0:
         raise ValueError("scalar estimator v is not initialized or non-positive")
-    n_neg, H, A, _, _ = stats
+    n_neg, H, A, _, _, group = stats
     u_c = state.classes.read(class_batch, cols[1], what="class", positive=False)[0]
     # exp(u_c/lam) / (v * |Bc|) per anchor, with the shared shift folded in
     norm = state.v_mantissa * len(class_batch) * 2.0
@@ -307,14 +371,21 @@ def _coefficients(state, ids, sizes, class_batch, stats, config, cols=(None, Non
     u = sample_estimates(state, ids, cols[0]).tolist()
     log_u = np.array([[math.log(x) for x in row] for row in u])
 
-    scale = (class_weight * (1.0 / n_neg))[:, None]
-    # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau); off the negatives
-    # A = -inf, so exp(A) = 0 and both coefficients are +0.0 there
-    A -= log_u[:, :, None]
-    coef = np.multiply(2.0, H, out=H)
-    coef *= np.exp(A, out=A)
-    coef *= scale
-    return coef[0], coef[1]
+    # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau).  The 2 rides on
+    # the per-anchor scale: doubling is exact, so (h * e) * 2s rounds as
+    # (2h * e) * s does unless h * e is subnormal.  Off the negatives A = -inf,
+    # so exp(A) = 0 and both coefficients are +0.0 there
+    scale = (2.0 * class_weight * (1.0 / n_neg))[:, None]
+    n, N = len(n_neg), len(group)
+    K = H.size // n - N
+    A1, A2 = _blocks(A, n, K)
+    A1 -= log_u[0][:, None]
+    A2 -= log_u[1][:, None]
+    coef = np.multiply(H, np.exp(A, out=A), out=H)
+    coef1, coef2 = _blocks(coef, n, K)
+    coef1 *= scale
+    coef2 *= scale
+    return coef1.take(group, axis=1, out=state.work.take("G", (n, N)), mode="clip"), coef2
 
 
 def _gradient(enc, coef1, coef2, rows, encodings, H2t, work) -> np.ndarray:
@@ -352,7 +423,9 @@ def _anchor_stats(enc, params, class_batch, per_class_batches, pool, config, wor
     anchor count, the hinge statistics (views of ``work``) and the pool's two
     encodings: one encoding and scoring of the pool (``_hinge_stats``)."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
-    stats, encodings = _hinge_stats(enc, params, rows, pool, config.margin, config.tau, work)
+    stats, encodings = _hinge_stats(
+        enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, work
+    )
     return rows, [pool.ids[i] for i in rows.tolist()], sizes, stats, encodings
 
 

@@ -4,12 +4,15 @@ Single-anchor normalizers for the global contrastive loss (``g_I``, ``g_T``),
 single-anchor hinge normalizers and the exact per-class loss for the robust
 objective (``hinge_g1``, ``hinge_g2``, ``class_loss_hk``), the robust
 gradient estimator through one dense coefficient matrix
-(``gdro_gradient_dense``), the per-key dict recurrence that the array-backed
-``moving_average`` vectorises (``dict_moving_average``), the label tower's
-scatter-add backward through ``np.add.at`` (``backward_add_at``), a replay
-buffer that stores per-class lists of samples (``SampleBuffer``), splits that
-gather samples one by one (``split_cil_samples``, ``split_dil_samples``), and a
-parser for the accuracy CSV that ``cclearn run`` writes.  None of these is on
+(``gdro_gradient_dense``), gdro's hinge statistics, coefficients and step
+with g1 scored once per pool row rather than once per class
+(``hinge_stats_per_row``, ``coefficients_per_row``, ``gdro_step_per_row``),
+the per-key dict recurrence that the array-backed ``moving_average``
+vectorises (``dict_moving_average``), the label tower's scatter-add backward
+through ``np.add.at`` (``backward_add_at``), a replay buffer that stores
+per-class lists of samples (``SampleBuffer``), splits that gather samples one
+by one (``split_cil_samples``, ``split_dil_samples``), and a parser for the
+accuracy CSV that ``cclearn run`` writes.  None of these is on
 a training path: the package computes the same quantities in batch, in
 blocks or in arrays, and the tests pin the two against each other.
 
@@ -20,13 +23,24 @@ anchor as a one-row Pool (``pool[i]``) and the pool as a Pool; the hinge
 oracles take the anchor as its row ``i`` of the pool, as gdro does.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from cclearn.data import Pool
-from cclearn.gcl import _check_tau
-from cclearn.gdro import GdroConfig, WorkArrays, _anchor_stats, _coefficients, _hinge_stats
+from cclearn.gcl import _check_tau, sample_estimates
+from cclearn.gdro import (
+    GdroConfig,
+    WorkArrays,
+    _anchor_rows,
+    _anchor_stats,
+    _coefficients,
+    _gradient,
+    _hinge_stats,
+    _update,
+    dro_objective,
+)
 from cclearn.model import EncoderPair
 
 
@@ -57,16 +71,16 @@ def g_T(enc: EncoderPair, params, anchor, candidates, tau) -> float:
 def hinge_g1(enc: EncoderPair, params, i, pool, margin, tau) -> float:
     """Input-anchored hinge normalizer of pool row ``i``, linear scale. Equals 1
     iff no violations."""
-    (_, _, _, log_g, _), _ = _hinge_stats(
-        enc, params, np.array([i]), pool, margin, tau, WorkArrays()
+    (_, _, _, log_g, _, _), _ = _hinge_stats(
+        enc, params, np.array([i]), [int(pool.y[i])], [1], pool, margin, tau, WorkArrays()
     )
     return float(np.exp(log_g[0, 0]))
 
 
 def hinge_g2(enc: EncoderPair, params, i, pool, margin, tau) -> float:
     """Label-anchored hinge normalizer of pool row ``i``, linear scale."""
-    (_, _, _, log_g, _), _ = _hinge_stats(
-        enc, params, np.array([i]), pool, margin, tau, WorkArrays()
+    (_, _, _, log_g, _, _), _ = _hinge_stats(
+        enc, params, np.array([i]), [int(pool.y[i])], [1], pool, margin, tau, WorkArrays()
     )
     return float(np.exp(log_g[1, 0]))
 
@@ -75,8 +89,9 @@ def class_loss_hk(enc: EncoderPair, params, class_id, pool, config: GdroConfig) 
     """Per-class loss h_k over all pool members of the class; always >= 0."""
     if class_id not in pool.members:
         raise ValueError(f"class {class_id} not present in pool")
-    (_, _, _, log_g, _), _ = _hinge_stats(
-        enc, params, pool.members[class_id], pool, config.margin, config.tau, WorkArrays()
+    rows = pool.members[class_id]
+    (_, _, _, log_g, _, _), _ = _hinge_stats(
+        enc, params, rows, [class_id], [len(rows)], pool, config.margin, config.tau, WorkArrays()
     )
     return float(config.tau * np.mean(log_g[0] + log_g[1]) / 2.0)
 
@@ -99,6 +114,77 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
     xs = np.concatenate([anchors.X, pool.X])
     cls = np.concatenate([anchors.y, pool.y])
     return enc.weighted_pair_grad(params, xs, cls, C)
+
+
+def hinge_stats_per_row(enc: EncoderPair, params, rows, pool, margin, tau):
+    """``_hinge_stats`` with g1 scored once per pool row, in (2, n, N) blocks:
+    (n_neg, H, A, log_g, H2t), (f1p, f2c, index).  Axis 0 of H, A and log_g
+    holds g1 (anchor input x pool label), then g2 (anchor label x pool input);
+    the same-class pairs are masked with an (n, N) comparison."""
+    classes, index, _, _ = pool.class_index
+    f1p = enc._forward_inputs(params, pool.X)
+    f2c = enc._forward_labels(params, classes)
+    E1p, E2c = f1p[0], f2c[0]
+    E1a, E2a, E2p = E1p[rows], E2c[index[rows]], E2c[index]
+    n, N = len(rows), len(pool)
+
+    sii = np.sum(E1a * E2a, axis=1)
+    H = np.empty((2, n, N))
+    np.matmul(E1a, E2p.T, out=H[0])
+    H2t = np.empty((N, n))
+    H[1] = np.matmul(E1p, E2a.T, out=H2t).T
+    ya = pool.y[rows]
+    same = pool.y[None, :] == ya[:, None]
+    n_neg = N - same.sum(axis=1)
+    if np.any(n_neg == 0):
+        raise ValueError(f"no negatives in pool for anchor of class {ya[int(np.argmin(n_neg))]}")
+
+    H -= sii[:, None]
+    H += margin
+    np.maximum(H, 0.0, out=H)
+    A = H * H
+    A /= tau
+    np.copyto(A, -np.inf, where=same)
+    m = A.max(axis=2)
+    E = A - m[:, :, None]
+    log_g = m + np.log(np.exp(E, out=E).sum(axis=2)) - np.log(n_neg)
+    return (n_neg, H, A, log_g, H2t), (f1p, f2c, index)
+
+
+def coefficients_per_row(state, ids, sizes, class_batch, stats, config, cols=(None, None)):
+    """``_coefficients`` over the (2, n, N) blocks of ``hinge_stats_per_row``,
+    written over their H and A: (coef1, coef2), both n x N over anchors x pool."""
+    if not state.v_initialized or state.v_mantissa <= 0:
+        raise ValueError("scalar estimator v is not initialized or non-positive")
+    n_neg, H, A, _, _ = stats
+    u_c = state.classes.read(class_batch, cols[1], what="class", positive=False)[0]
+    norm = state.v_mantissa * len(class_batch) * 2.0
+    class_weight = np.repeat(
+        [math.exp(u / config.lam - state.v_shift) / (norm * size)
+         for u, size in zip(u_c.tolist(), sizes)],
+        sizes,
+    )
+    u = sample_estimates(state, ids, cols[0]).tolist()
+    log_u = np.array([[math.log(x) for x in row] for row in u])
+
+    scale = (class_weight * (1.0 / n_neg))[:, None]
+    A -= log_u[:, :, None]
+    coef = np.multiply(2.0, H, out=H)
+    coef *= np.exp(A, out=A)
+    coef *= scale
+    return coef[0], coef[1]
+
+
+def gdro_step_per_row(state, enc: EncoderPair, params, class_batch, per_class_batches, pool,
+                      config: GdroConfig):
+    """``gdro_step`` through ``hinge_stats_per_row`` and ``coefficients_per_row``."""
+    rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
+    stats, encodings = hinge_stats_per_row(enc, params, rows, pool, config.margin, config.tau)
+    ids = [pool.ids[i] for i in rows.tolist()]
+    cols = _update(state, ids, sizes, class_batch, stats[3], config)
+    coef1, coef2 = coefficients_per_row(state, ids, sizes, class_batch, stats, config, cols)
+    grad = _gradient(enc, coef1, coef2, rows, encodings, stats[4], WorkArrays())
+    return dro_objective(state.class_losses()[1], config.lam), grad
 
 
 def dict_moving_average(store: dict, keys, values, gamma, floor=None) -> None:

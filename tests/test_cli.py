@@ -488,6 +488,27 @@ def test_compare_missing_meta_exits_2(tmp_path, capsys):
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, (name, err)
 
 
+def test_compare_refuses_an_unknown_method(tmp_path, capsys):
+    """A meta's method names a CSV column and an SVG label, so compare reads only
+    the methods a run can have: anything else exits 2 with one line, and writes
+    nothing."""
+    meta = json.loads((_run_once(tmp_path, "ok") / "run_meta.json").read_text())
+    dirs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        bad = dict(meta, method="gcl,evil<b>&")
+        (tmp_path / name / "run_meta.json").write_text(json.dumps(bad))
+        dirs.append(str(tmp_path / name))
+    capsys.readouterr()
+    cmp_dir = tmp_path / "cmp"
+    assert cli.main(["compare", *dirs, "-o", str(cmp_dir)]) == 2
+    err = capsys.readouterr().err
+    meta_path = tmp_path / "a" / "run_meta.json"
+    assert err.startswith(f"error: cannot read {meta_path}: method 'gcl,evil<b>&'"), err
+    assert err.count("\n") == 1, err
+    assert not cmp_dir.exists()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

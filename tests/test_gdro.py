@@ -15,6 +15,9 @@ from cclearn.gdro import (
     GdroConfig,
     GdroEstimatorState,
     WorkArrays,
+    _anchor_stats,
+    _coefficients,
+    _column_groups,
     dro_objective,
     dro_weights,
     gdro_gradient_estimate,
@@ -33,7 +36,15 @@ from conftest import (
     pair_sim,
     state_bytes,
 )
-from oracles import class_loss_hk, gdro_gradient_dense, hinge_g1, hinge_g2
+from oracles import (
+    class_loss_hk,
+    coefficients_per_row,
+    gdro_gradient_dense,
+    gdro_step_per_row,
+    hinge_g1,
+    hinge_g2,
+    hinge_stats_per_row,
+)
 
 
 def _cfg(**kw):
@@ -484,6 +495,79 @@ def test_gradient_blocks_match_dense_oracle(
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    hidden=st.sampled_from([0, 3]),
+    embed=st.sampled_from([2, 3, 8, 32, 64]),
+    counts=st.lists(st.integers(1, 90), min_size=2, max_size=6),
+    one_row=st.booleans(),
+    every_class=st.booleans(),
+    shuffle=st.booleans(),
+    per_class=st.integers(1, 6),
+    margin=st.floats(0.0, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_class_scoring_gives_the_per_row_bytes(
+    hidden, embed, counts, one_row, every_class, shuffle, per_class, margin, seed
+):
+    """g1 scored once per class (or per group of bitwise-equal pool columns)
+    gives the bytes of g1 scored once per pool row: log g, the negative counts,
+    both coefficient blocks, and a whole step's loss, gradient and state.  The
+    pools hold 2 to 6 classes of 1 to 90 rows, in class order or shuffled, so
+    some of BLAS's tail columns round apart from their class."""
+    rng = np.random.default_rng(seed)
+    num_classes = len(counts)
+    if one_row:
+        counts[0] = 1
+    enc = make_encoder(seed=seed % 2**16, hidden_dim=hidden, embed_dim=embed,
+                       num_classes=num_classes)
+    y = np.repeat(np.arange(num_classes), counts)
+    if shuffle:
+        y = rng.permutation(y)
+    pool = Pool(rng.standard_normal((len(y), 3)), y, list(range(len(y))))
+    picked = list(range(num_classes))
+    if not every_class:
+        picked = [int(k) for k in rng.choice(num_classes, int(rng.integers(1, num_classes + 1)),
+                                             replace=False)]
+    batches = {k: sample_class_batch(pool, k, per_class, seed + k) for k in picked}
+    cfg = _cfg(margin=margin, gamma=0.6, batch_classes=len(picked), batch_per_class=per_class)
+    w0 = enc.init_params()
+    w1 = w0 + 0.2 * rng.standard_normal(enc.n_params)
+    state = gdro_update_estimators(GdroEstimatorState(), enc, w0, picked, batches, pool, cfg)
+
+    rows, ids, sizes, stats, _ = _anchor_stats(enc, w1, picked, batches, pool, cfg, WorkArrays())
+    want, _ = hinge_stats_per_row(enc, w1, rows, pool, cfg.margin, cfg.tau)
+    assert stats[0].tobytes() == want[0].tobytes()  # n_neg
+    assert stats[3].tobytes() == want[3].tobytes()  # log_g
+    got = _coefficients(state, ids, sizes, picked, stats, cfg)
+    want = coefficients_per_row(state, ids, sizes, picked, want, cfg)
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+    per_row = copy.deepcopy(state)
+    loss, grad = gdro_step(state, enc, w1, picked, batches, pool, cfg)
+    want_loss, want_grad = gdro_step_per_row(per_row, enc, w1, picked, batches, pool, cfg)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    assert state_bytes(state) == state_bytes(per_row)
+
+
+def test_columns_rounded_apart_score_on_their_own():
+    """A pool column whose similarities differ in the last bit from its class's
+    first column is a column group of its own, holding its own values."""
+    rng = np.random.default_rng(4)
+    index = np.array([0, 1, 0, 1, 1, 0])
+    first = np.array([0, 1])
+    S1 = rng.standard_normal((3, 2))[:, index]
+    S1[1, 4] = np.nextafter(S1[1, 4], np.inf)
+    group, values, group_cls = _column_groups(S1, index, first, WorkArrays())
+    assert group.tolist() == [0, 1, 0, 1, 2, 0]
+    assert group_cls.tolist() == [0, 1, 1]
+    assert values[:, group].tobytes() == S1.tobytes()
+
+    group, values, group_cls = _column_groups(S1[[0, 2]], index, first, WorkArrays())
+    assert group is index and group_cls.tolist() == [0, 1]
+
+
 def _benchmark_gdro(pool_size, num_classes=40):
     """The benchmark's gdro encoder, parameters and config, a synthetic pool of
     ``pool_size`` rows over ``num_classes`` classes, and 30 anchors."""
@@ -519,8 +603,9 @@ def test_gradient_memory_is_linear_in_pool():
 
 def test_warm_step_allocates_no_pool_sized_block():
     """Once a run's work arrays have grown, a gdro step at pool 1200 with 30
-    anchors writes its (2, n, N) blocks into them: the step's traced peak stays
-    under 1 MB, where one (2, 30, 1200) float block alone takes 0.58 MB."""
+    anchors writes its pool-sized blocks into them: the step's traced peak stays
+    under 1 MB, where the hinge, exponent and coefficient buffers alone, at
+    30 x (40 + 1200) floats each, would take 0.89 MB."""
     enc, w, classes, batches, pool, cfg = _benchmark_gdro(1200)
     state = GdroEstimatorState()
     gdro_step(state, enc, w, classes, batches, pool, cfg)  # grows the work arrays

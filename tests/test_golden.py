@@ -33,6 +33,7 @@ GOLDEN = {
     "gdro/dil-hidden3": "3af15c6fee994b13dc1f50b2ac68ec8852d738d20543dc852a47de88990a5f24",
     "gcl/20/seed1-hidden3-adam": "94fa4ade7fc8262a8a59dc0ff934e40ecc5869ef29048857aab5a70ec7f52f68",
     "finetune-ce/dil": "471edbc0206942a1d272bbeac9f92488600f47ec7061674bc02e14afe73daaa2",
+    "gdro/pool-1200": "c2a72341a5ec54d6a0187767bed7bc017c02a6ab0cc7fa7daa81f64032133fc7",
 }
 
 
@@ -56,7 +57,16 @@ def _dil_stream():
     return data.split_dil(shifted, domain_order=[0, 1, 2], test_fraction=0.25, seed=33)
 
 
+def _pool_stream():
+    # shaped like perfbench's gdro-pool: 40 classes x 50 rows in 4 tasks, so that
+    # with memory 800 the gdro pool grows 400 -> 800 -> 1200 -> 1200
+    ds = data.gen_synthetic(40, 50, benchmark.INPUT_DIM, benchmark.SEPARATION, benchmark.NOISE, 1)
+    return data.split_cil(ds, 4, benchmark.TEST_FRACTION, 2)
+
+
 def _case(name):
+    if name == "gdro/pool-1200":
+        return _pool_stream(), benchmark.benchmark_config("gdro", 800, 1, epochs_per_task=2)
     if name == "gdro/dil-hidden3":
         cfg = benchmark.benchmark_config(
             "gdro", 20, 3, hidden_dim=3, optimizer="adam", epochs_per_task=3

@@ -407,7 +407,7 @@ def test_take_forward_is_bitwise_the_forward_of_the_taken_rows(
         taken = enc.take_forward(forward(w, rows), idx)
         assert _forward_bytes(taken) == _forward_bytes(forward(w, rows[idx]))
 
-    classes, index = Pool(X, y, list(range(n_rows))).class_index
+    classes, index, _, _ = Pool(X, y, list(range(n_rows))).class_index
     gathered = enc.take_forward(enc._forward_labels(w, classes), index)
     assert _forward_bytes(gathered) == _forward_bytes(enc._forward_labels(w, y))
 

@@ -33,7 +33,7 @@ w = enc.init_params()
 pool = task.train.take(range(10))
 tau = 0.2
 # one training step: the loss, the estimator update and the gradient estimate m
-_, m = gcl_step(GclEstimatorState(gamma=1.0), enc, w, pool, tau, len(pool))
+_, m = gcl_step(GclEstimatorState(gamma=1.0), enc, w, pool, np.arange(len(pool)), tau)
 eps = 1e-5
 fd = np.zeros_like(w)
 for i in range(len(w)):

@@ -16,9 +16,10 @@ The buffer takes and stores ``Pool``s: it starts from the empty Pool and
 keeps copies of the rows it admits as one class-ascending Pool.  A stage
 trains on the stored rows followed by the task's, joined once by
 ``union_view``.  Every batch is rows of that pool: a gcl or cross-entropy
-batch is ``pool.take(rows)``, and a gdro per-class batch is
-``sample_class_batch``'s draw of one class's row indices, which gdro joins
-into its anchor rows and scores against the pool it has encoded.
+batch is a slice of a shuffled order of its row indices, and a gdro
+per-class batch is ``sample_class_batch``'s draw of one class's row indices,
+which gdro joins into its anchor rows and scores against the pool it has
+encoded.
 """
 
 from __future__ import annotations

@@ -45,9 +45,10 @@ tower (the input tower over its rows, the label tower over its distinct
 classes), and every embedding it scores (``_hinge_stats``) or backpropagates
 through (``_gradient``) is a row gather of those two encodings; it updates the
 state in place from the log normalizers, then forms the gradient coefficients
-from the same hinge statistics and the same id -> column lookups.  The
+from the same hinge statistics and the same estimator columns.  The
 per-sample and per-class estimates are ``MovingAverages`` arrays updated by
-gcl's ``moving_average``.  ``gdro_update_estimators`` (in place; returns the
+gcl's ``moving_average``; the anchors' sample columns are one gather from the
+pool's column map (``MovingAverages.row_columns``), built once per pool.  ``gdro_update_estimators`` (in place; returns the
 same state) and ``gdro_gradient_estimate`` are each one of those parts on its
 own, built from the same private pieces.
 
@@ -310,24 +311,27 @@ def _anchor_rows(class_batch, per_class_batches, pool):
     return rows, sizes
 
 
-def _update(state, ids, sizes, class_batch, log_g, config):
+def _update(state, pool, rows, sizes, class_batch, log_g, config):
     """The moving-average updates for the sampled classes and anchors, in place.
 
     Order matters: per-sample g estimates first, then per-class h estimates
     from the same fresh statistics, then v from the updated u_c values over
     all tracked classes (stale entries stand in for unsampled classes).
-    ``ids`` are the anchors' sample ids and ``sizes`` each sampled class's
-    anchor count, in class-batch order.  Returns the anchors' columns of
-    ``state.samples`` and the classes' columns of ``state.classes``.
+    ``rows`` are the anchors' rows of ``pool``, whose columns are one gather
+    from the pool's column map (``row_columns``), and ``sizes`` each sampled
+    class's anchor count, in class-batch order.  Returns the anchors' columns
+    of ``state.samples`` and the classes' columns of ``state.classes``.
     """
     g = config.gamma
-    cols = moving_average(state.samples, ids, np.exp(log_g), g, U_FLOOR)
+    cols = state.samples.row_columns(pool, rows)
+    moving_average(state.samples, cols, np.exp(log_g), g, U_FLOOR)
     both = log_g[0] + log_g[1]
     bounds = [0, *itertools.accumulate(sizes)]
     h_hat = [
         config.tau * (both[lo:hi].sum() / (hi - lo)) / 2.0 for lo, hi in zip(bounds, bounds[1:])
     ]
-    class_cols = moving_average(state.classes, class_batch, [h_hat], g)
+    class_cols = state.classes.columns(class_batch)
+    moving_average(state.classes, class_cols, [h_hat], g)
 
     # v <- (1-gamma) v + gamma * mean_k exp(u_c[k]/lam), in shifted form
     z = state.class_losses()[1] / config.lam
@@ -354,7 +358,7 @@ def _coefficients(state, ids, sizes, class_batch, stats, config, cols=(None, Non
     coef1 is gathered from g1's column groups into ``state.work``.  The anchor's
     own (input, label) pair takes minus its row sums of both; ``_gradient``
     places that diagonal.  ``cols`` are the columns ``_update`` returns, when
-    known.
+    known; ``ids``, the anchors' sample ids, may then be None.
     """
     if not state.v_initialized or state.v_mantissa <= 0:
         raise ValueError("scalar estimator v is not initialized or non-positive")
@@ -419,14 +423,14 @@ def _gradient(enc, coef1, coef2, rows, encodings, H2t, work) -> np.ndarray:
 
 
 def _anchor_stats(enc, params, class_batch, per_class_batches, pool, config, work):
-    """The anchors' rows into ``pool`` and their sample ids, each sampled class's
-    anchor count, the hinge statistics (views of ``work``) and the pool's two
-    encodings: one encoding and scoring of the pool (``_hinge_stats``)."""
+    """The anchors' rows into ``pool``, each sampled class's anchor count, the
+    hinge statistics (views of ``work``) and the pool's two encodings: one
+    encoding and scoring of the pool (``_hinge_stats``)."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
     stats, encodings = _hinge_stats(
         enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, work
     )
-    return rows, [pool.ids[i] for i in rows.tolist()], sizes, stats, encodings
+    return rows, sizes, stats, encodings
 
 
 def gdro_step(
@@ -441,11 +445,11 @@ def gdro_step(
     """One training step: the in-place estimator update, then the robust objective
     over the updated u_c and the gradient estimate, from one ``_hinge_stats``.
     Bitwise the same as ``gdro_update_estimators`` then ``gdro_gradient_estimate``."""
-    rows, ids, sizes, stats, encodings = _anchor_stats(
+    rows, sizes, stats, encodings = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, state.work
     )
-    cols = _update(state, ids, sizes, class_batch, stats[3], config)
-    coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config, cols)
+    cols = _update(state, pool, rows, sizes, class_batch, stats[3], config)
+    coef1, coef2 = _coefficients(state, None, sizes, class_batch, stats, config, cols)
     grad = _gradient(enc, coef1, coef2, rows, encodings, stats[4], state.work)
     return dro_objective(state.class_losses()[1], config.lam), grad
 
@@ -460,10 +464,10 @@ def gdro_update_estimators(
     config: GdroConfig,
 ) -> GdroEstimatorState:
     """One pass of the moving-average updates for sampled classes and samples, in place."""
-    _, ids, sizes, stats, _ = _anchor_stats(
+    rows, sizes, stats, _ = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, state.work
     )
-    _update(state, ids, sizes, class_batch, stats[3], config)
+    _update(state, pool, rows, sizes, class_batch, stats[3], config)
     return state
 
 
@@ -478,8 +482,9 @@ def gdro_gradient_estimate(
 ) -> np.ndarray:
     """Compositional gradient estimator (module docstring) as two backward passes
     (``_gradient``) that gather from the pool encodings of the hinge statistics."""
-    rows, ids, sizes, stats, encodings = _anchor_stats(
+    rows, sizes, stats, encodings = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, state.work
     )
+    ids = [pool.ids[i] for i in rows.tolist()]
     coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)
     return _gradient(enc, coef1, coef2, rows, encodings, stats[4], state.work)

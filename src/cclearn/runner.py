@@ -16,10 +16,14 @@ accuracies for domain-incremental streams.
 Every method trains through one step loop (``_Trainer.train_task``): draw an
 epoch's batches, take the method's loss and gradient on each, check them,
 step the optimizer, guard against divergence and log every ``log_every``
-steps.  Methods differ only in how batches are drawn (shuffled row views of
-the stage pool, or class picks plus per-class draws for gdro) and in the one
-fused step function that gives a batch's loss and gradient: ``gcl_step``,
-``gdro_step`` or ``ce_step``.  Each encodes its rows once per step.
+steps.  Every batch is rows of the stage pool: each step gets the pool and
+its batch as integer rows of it, and no step builds a Pool of its own.
+Methods differ only in how batches are drawn (slices of a shuffled order of
+the pool's rows, or class picks plus per-class row draws for gdro) and in
+the one fused step function that gives a batch's loss and gradient:
+``gcl_step``, ``gdro_step`` or ``ce_step``.  Each encodes its rows once per
+step, and what depends only on the pool (estimator columns, classes) is
+looked up once per stage.
 
 Methods:
     gcl               global contrastive loss with replay
@@ -40,7 +44,7 @@ import numpy as np
 from .buffer import MemoryBuffer, sample_class_batch
 from .data import Pool, Task, TaskStream
 from .errors import ConfigError, DivergenceError, NonFiniteGradientError
-from .gcl import GclEstimatorState, _check_tau, gcl_step
+from .gcl import GclEstimatorState, _check_tau, _first_repeat, gcl_step
 from .gdro import GdroConfig, GdroEstimatorState, dro_weights, gdro_step
 
 # perfbench/tracing.py wraps these names on this module; training calls the fused steps
@@ -54,6 +58,14 @@ METHODS = ("gcl", "gdro", "finetune-ce", "zero-shot", "joint-upper-bound")
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's method and hyperparameters; every field is range-checked here.
+
+    ``dro_lambda`` defaults to 0.5.  On the committed benchmark stream that
+    setting puts nearly all robust weight on each stage's new classes and
+    collapses in the last stage; ``cclearn.benchmark`` uses 5.0.  The default
+    is kept so that existing runs reproduce.
+    """
+
     method: str
     epochs_per_task: int
     memory_capacity: int
@@ -145,23 +157,13 @@ def evaluate(enc: EncoderPair, params, test: Pool, candidate_classes) -> float:
 # ------------------------------------------------------------- cross-entropy
 
 
-def _ce_logits(enc, params, batch, candidates, tau):
-    """sim/tau logits over the candidates, each row's true-class column, and the
-    two towers' forward results.  Refuses a non-positive tau, an empty batch and
-    a batch class that is not among the candidates."""
-    tau = _check_tau(tau)
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    col = {c: j for j, c in enumerate(candidates)}
-    try:
-        idx = np.array([col[k] for k in batch.y.tolist()])
-    except KeyError as err:
-        raise ValueError(
-            f"batch class {err.args[0]} is not among the candidates {list(candidates)}"
-        ) from None
-    f1 = enc._forward_inputs(params, batch.X)
-    f2 = enc._forward_labels(params, candidates)
-    return (f1[0] @ f2[0].T) / tau, idx, (f1, f2)
+def _ce_logits(enc, params, X, classes, tau):
+    """sim/tau logits of the rows X over the classes, the similarities, and the
+    two towers' forward results."""
+    f1 = enc._forward_inputs(params, X)
+    f2 = enc._forward_labels(params, classes)
+    sims = f1[0] @ f2[0].T
+    return sims / tau, sims, (f1, f2)
 
 
 def _ce_softmax(Z, idx):
@@ -175,24 +177,59 @@ def _ce_softmax(Z, idx):
     return float(row_loss.sum() / len(row_loss)), P
 
 
-def ce_step(enc: EncoderPair, params, batch, candidates, tau) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy of sim/tau logits over the candidate classes, and
-    its analytic gradient through (softmax - onehot) / (|B| * tau) pair weights,
-    from one encoding of the batch."""
-    Z, idx, fwd = _ce_logits(enc, params, batch, candidates, tau)
+def _ce_loss_and_grad(enc, params, X, classes, idx, tau):
+    """Cross-entropy of the rows X over the classes, whose true columns are idx,
+    and its gradient, from one encoding; the backward reuses the similarities."""
+    Z, sims, fwd = _ce_logits(enc, params, X, classes, tau)
     loss, P = _ce_softmax(Z, idx)
     P[np.arange(len(P)), idx] -= 1.0
-    return loss, enc.pair_grad(*fwd, P / (len(P) * tau))
+    return loss, enc.pair_grad(*fwd, P / (len(P) * tau), sims)
 
 
-def ce_loss(enc: EncoderPair, params, batch, candidates, tau) -> float:
-    """The loss of ``ce_step``, without its backward pass."""
-    return _ce_softmax(*_ce_logits(enc, params, batch, candidates, tau)[:2])[0]
+def ce_step(enc: EncoderPair, params, pool: Pool, rows, tau) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of sim/tau logits of the batch ``rows`` (an
+    integer array) of ``pool`` over the pool's classes, and its analytic gradient
+    through (softmax - onehot) / (|B| * tau) pair weights, from one encoding of
+    the rows.  The classes and each row's true column come from
+    ``pool.class_index``, built once per pool.  Refuses a non-positive tau and
+    an empty batch."""
+    tau = _check_tau(tau)
+    if not len(rows):
+        raise ValueError("batch must be non-empty")
+    classes, index = pool.class_index[:2]
+    return _ce_loss_and_grad(enc, params, pool.X[rows], classes, index[rows], tau)
 
 
-def ce_gradient(enc: EncoderPair, params, batch, candidates, tau) -> np.ndarray:
-    """The gradient of ``ce_step``."""
-    return ce_step(enc, params, batch, candidates, tau)[1]
+def _candidate_columns(batch, candidates, tau):
+    """tau, and each batch row's column among the candidates.  Refuses a
+    non-positive tau, an empty batch, a repeated candidate and a batch class
+    that is not among the candidates."""
+    tau = _check_tau(tau)
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    col = {c: j for j, c in enumerate(candidates)}
+    if len(col) != len(candidates):
+        raise ValueError(f"candidate class {_first_repeat(candidates)} is repeated")
+    try:
+        return tau, np.array([col[k] for k in batch.y.tolist()])
+    except KeyError as err:
+        raise ValueError(
+            f"batch class {err.args[0]} is not among the candidates {list(candidates)}"
+        ) from None
+
+
+def ce_loss(enc: EncoderPair, params, batch: Pool, candidates, tau) -> float:
+    """The loss of ``ce_step`` on the Pool ``batch`` over the distinct
+    ``candidates``, without a backward pass."""
+    tau, idx = _candidate_columns(batch, candidates, tau)
+    return _ce_softmax(_ce_logits(enc, params, batch.X, candidates, tau)[0], idx)[0]
+
+
+def ce_gradient(enc: EncoderPair, params, batch: Pool, candidates, tau) -> np.ndarray:
+    """The gradient of ``ce_step`` on the Pool ``batch`` over the distinct
+    ``candidates``."""
+    tau, idx = _candidate_columns(batch, candidates, tau)
+    return _ce_loss_and_grad(enc, params, batch.X, candidates, idx, tau)[1]
 
 
 # ----------------------------------------------------------------- run driver
@@ -230,15 +267,13 @@ class _Trainer:
 
     def _batches(self, pool, candidates):
         """One epoch's batches, drawn up front; each RNG has this one consumer.
-        A gcl or cross-entropy batch is a row view of the stage pool, a gdro
-        batch its (class, seed) picks; ``_step`` draws the per-class rows."""
+        A gcl or cross-entropy batch is an index array of rows of the stage
+        pool, a gdro batch its (class, seed) picks; ``_step`` draws the
+        per-class rows."""
         cfg, gcfg = self.config, self.gdro_config
         if cfg.method != "gdro":
             order = self.shuffle_rng.permutation(len(pool))
-            return [
-                pool.take(order[start : start + cfg.batch_size])
-                for start in range(0, len(pool), cfg.batch_size)
-            ]
+            return [order[i : i + cfg.batch_size] for i in range(0, len(pool), cfg.batch_size)]
         n_take = min(gcfg.batch_classes, len(candidates))
         batches = []
         for _ in range(max(1, math.ceil(len(pool) / (gcfg.batch_classes * gcfg.batch_per_class)))):
@@ -246,16 +281,16 @@ class _Trainer:
             batches.append([(candidates[i], int(self.batch_rng.integers(2**63))) for i in picked])
         return batches
 
-    def _step(self, batch, pool, candidates):
+    def _step(self, batch, pool):
         """The method's loss and gradient on one batch, from one fused step call.
 
         The gdro loss is the robust objective over the estimated u_c.
         """
         cfg, enc, params = self.config, self.enc, self.params
         if cfg.method == "finetune-ce":
-            return ce_step(enc, params, batch, candidates, cfg.tau)
+            return ce_step(enc, params, pool, batch, cfg.tau)
         if cfg.method == "gcl":
-            return gcl_step(self.gcl_state, enc, params, batch, cfg.tau, len(pool))
+            return gcl_step(self.gcl_state, enc, params, pool, batch, cfg.tau)
         gcfg = self.gdro_config
         per_class = {k: sample_class_batch(pool, k, gcfg.batch_per_class, seed) for k, seed in batch}
         return gdro_step(self.gdro_state, enc, params, list(per_class), per_class, pool, gcfg)
@@ -284,7 +319,7 @@ class _Trainer:
             )
         for epoch in range(cfg.epochs_per_task):
             for batch in self._batches(pool, candidates):
-                loss, grad = self._step(batch, pool, candidates)
+                loss, grad = self._step(batch, pool)
                 if not math.isfinite(loss):
                     raise self._diverged("loss became non-finite", task, epoch)
                 try:

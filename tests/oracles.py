@@ -100,9 +100,10 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
                         config: GdroConfig) -> np.ndarray:
     """``gdro_gradient_estimate`` through one (anchor+pool) x (anchor+pool)
     coefficient matrix and a single backward pass: O((n+N)^2) memory."""
-    _, ids, sizes, stats, _ = _anchor_stats(
+    rows, sizes, stats, _ = _anchor_stats(
         enc, params, class_batch, per_class_batches, pool, config, WorkArrays()
     )
+    ids = [pool.ids[i] for i in rows.tolist()]
     coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)
     anchors = pool.take(np.concatenate([per_class_batches[k] for k in class_batch]))
     n, N = len(anchors), len(pool)
@@ -180,9 +181,8 @@ def gdro_step_per_row(state, enc: EncoderPair, params, class_batch, per_class_ba
     """``gdro_step`` through ``hinge_stats_per_row`` and ``coefficients_per_row``."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
     stats, encodings = hinge_stats_per_row(enc, params, rows, pool, config.margin, config.tau)
-    ids = [pool.ids[i] for i in rows.tolist()]
-    cols = _update(state, ids, sizes, class_batch, stats[3], config)
-    coef1, coef2 = coefficients_per_row(state, ids, sizes, class_batch, stats, config, cols)
+    cols = _update(state, pool, rows, sizes, class_batch, stats[3], config)
+    coef1, coef2 = coefficients_per_row(state, None, sizes, class_batch, stats, config, cols)
     grad = _gradient(enc, coef1, coef2, rows, encodings, stats[4], WorkArrays())
     return dro_objective(state.class_losses()[1], config.lam), grad
 

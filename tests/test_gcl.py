@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cclearn.data import Pool
 from cclearn.gcl import (
     U_FLOOR,
     GclEstimatorState,
@@ -272,15 +273,27 @@ def test_state_determinism_snapshot(rng):
 
 
 def test_step_refuses_repeated_ids_and_leaves_state_alone(rng):
+    """A repeated id is refused, naming it, whether or not the pool's column map
+    holds its rows yet, and whether it repeats as one row twice or as two rows
+    that share it."""
     enc = make_encoder(seed=3)
     w = enc.init_params()
     pool = make_pool(rng, 6, 3, 3)
     st = GclEstimatorState(gamma=0.9)
-    gcl_step(st, enc, w, pool.take(range(4)), 0.3, len(pool))
+    gcl_step(st, enc, w, pool, np.arange(4), 0.3)
     before = state_bytes(st)
-    with pytest.raises(ValueError, match="^the ids of one estimator update must not repeat$"):
-        gcl_step(st, enc, w, pool.take([3, 4, 5, 0, 3]), 0.3, 2 * len(pool))
-    assert state_bytes(st) == before
+    message = "^the ids of one estimator update must not repeat: {} does$"
+    for rows in ([3, 4, 5, 0, 3], [3, 0, 3]):
+        with pytest.raises(ValueError, match=message.format(pool.ids[3])):
+            gcl_step(st, enc, w, pool, np.array(rows), 0.3)
+        assert state_bytes(st) == before
+    shared = Pool(pool.X, pool.y, pool.ids[:5] + [pool.ids[1]])  # rows 1 and 5 share an id
+    with pytest.raises(ValueError, match=message.format(pool.ids[1])):
+        gcl_step(st, enc, w, shared, np.array([1, 5]), 0.3)
+    gcl_step(st, enc, w, shared, np.array([1, 2]), 0.3)
+    gcl_step(st, enc, w, shared, np.array([5, 2]), 0.3)  # maps row 5 to id 1's column
+    with pytest.raises(ValueError, match=message.format(pool.ids[1])):
+        gcl_step(st, enc, w, shared, np.array([5, 1]), 0.3)
 
 
 # values the floor and the first touch must treat exactly as the per-key loop:
@@ -311,13 +324,15 @@ def test_moving_average_is_bitwise_the_per_key_recurrence(rows, gamma, floor, da
                 max_size=rows,
             )
         )
+        cols = table.columns(keys)
         with np.errstate(invalid="ignore", over="ignore"):
-            cols = moving_average(table, keys, values, gamma, floor)
+            written = moving_average(table, cols, values, gamma, floor)
         for store, row in zip(stores, values):
             dict_moving_average(store, keys, row, gamma, floor)
 
         assert list(table.slot) == list(stores[0])
         assert [table.slot[k] for k in keys] == cols.tolist()
+        assert written.tobytes() == table.read(keys, positive=False).tobytes()
         every = list(stores[0])
         got = table.read(every, positive=False)
         assert got.tobytes() == np.array([[s[k] for k in every] for s in stores]).tobytes()

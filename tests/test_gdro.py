@@ -328,7 +328,10 @@ def test_update_refuses_repeated_ids_and_leaves_state_alone(rng, repeat):
         classes, batches[2] = [2], np.append(batches[2], batches[2][0])
     else:
         classes = [2, 2]  # every anchor of class 2 twice
-    with pytest.raises(ValueError, match="^the ids of one estimator update must not repeat$"):
+    repeated = pool.ids[int(batches[2][0])]
+    with pytest.raises(
+        ValueError, match=f"^the ids of one estimator update must not repeat: {repeated} does$"
+    ):
         gdro_update_estimators(st, enc, w, classes, batches, pool, _cfg())
     assert state_bytes(st) == before
 
@@ -535,7 +538,8 @@ def test_per_class_scoring_gives_the_per_row_bytes(
     w1 = w0 + 0.2 * rng.standard_normal(enc.n_params)
     state = gdro_update_estimators(GdroEstimatorState(), enc, w0, picked, batches, pool, cfg)
 
-    rows, ids, sizes, stats, _ = _anchor_stats(enc, w1, picked, batches, pool, cfg, WorkArrays())
+    rows, sizes, stats, _ = _anchor_stats(enc, w1, picked, batches, pool, cfg, WorkArrays())
+    ids = [pool.ids[i] for i in rows.tolist()]
     want, _ = hinge_stats_per_row(enc, w1, rows, pool, cfg.margin, cfg.tau)
     assert stats[0].tobytes() == want[0].tobytes()  # n_neg
     assert stats[3].tobytes() == want[3].tobytes()  # log_g

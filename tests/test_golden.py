@@ -34,6 +34,8 @@ GOLDEN = {
     "gcl/20/seed1-hidden3-adam": "94fa4ade7fc8262a8a59dc0ff934e40ecc5869ef29048857aab5a70ec7f52f68",
     "finetune-ce/dil": "471edbc0206942a1d272bbeac9f92488600f47ec7061674bc02e14afe73daaa2",
     "gdro/pool-1200": "c2a72341a5ec54d6a0187767bed7bc017c02a6ab0cc7fa7daa81f64032133fc7",
+    "gcl/pool-1200": "1623cfab74b9d485c99ab56f67a961676bad08e472afcb5df58312251a863757",
+    "finetune-ce/pool-1200": "22402afdf85b7ce47e431cc42b91e5071e355fb50e729226f0674d749c1f1228",
 }
 
 
@@ -58,8 +60,8 @@ def _dil_stream():
 
 
 def _pool_stream():
-    # shaped like perfbench's gdro-pool: 40 classes x 50 rows in 4 tasks, so that
-    # with memory 800 the gdro pool grows 400 -> 800 -> 1200 -> 1200
+    # shaped like perfbench's gdro-pool and gcl-steps: 40 classes x 50 rows in 4
+    # tasks, so that with memory 800 the pool grows 400 -> 800 -> 1200 -> 1200
     ds = data.gen_synthetic(40, 50, benchmark.INPUT_DIM, benchmark.SEPARATION, benchmark.NOISE, 1)
     return data.split_cil(ds, 4, benchmark.TEST_FRACTION, 2)
 
@@ -67,6 +69,10 @@ def _pool_stream():
 def _case(name):
     if name == "gdro/pool-1200":
         return _pool_stream(), benchmark.benchmark_config("gdro", 800, 1, epochs_per_task=2)
+    if name in ("gcl/pool-1200", "finetune-ce/pool-1200"):
+        # shaped like perfbench's gcl-steps: batch-32 steps on pools of 400-1200
+        method = name.split("/")[0]
+        return _pool_stream(), benchmark.benchmark_config(method, 800, 1, epochs_per_task=2)
     if name == "gdro/dil-hidden3":
         cfg = benchmark.benchmark_config(
             "gdro", 20, 3, hidden_dim=3, optimizer="adam", epochs_per_task=3

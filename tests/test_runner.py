@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -146,31 +147,54 @@ def test_ce_gradient_matches_finite_differences(hidden):
 @pytest.mark.parametrize("case, pattern", [
     ("class-not-candidate", "batch class 2 is not among the candidates"),
     ("no-candidates", "is not among the candidates"),
+    ("repeated-candidate", "^candidate class 1 is repeated$"),
     ("empty-batch", "batch must be non-empty"),
     ("tau=0", "tau must be > 0"),
     ("tau=-1", "tau must be > 0"),
     ("tau=nan", "tau must be > 0"),
 ])
 def test_cross_entropy_refuses_hostile_input(rng, case, pattern):
-    """A one-line ValueError, with no numpy warning, from the step and from the loss
-    and gradient on their own."""
+    """A one-line ValueError, with no numpy warning, from the loss and gradient on
+    their own and, where the case can arise for rows of a pool (whose classes are
+    the candidates), from the step."""
     enc = make_encoder(seed=1, num_classes=4)
     w = enc.init_params()
-    batch, candidates, tau = make_pool(rng, 6, 4, 3), [0, 1, 2, 3], 0.3
+    pool, candidates, tau = make_pool(rng, 6, 4, 3), [0, 1, 2, 3], 0.3
+    rows = rng.permutation(len(pool))
     if case == "class-not-candidate":
         candidates = [0, 1, 3]
     elif case == "no-candidates":
         candidates = []
+    elif case == "repeated-candidate":
+        candidates = [0, 1, 1, 2, 3]
     elif case == "empty-batch":
-        batch = batch.take([])
+        rows = rows[:0]
     else:
         tau = float(case.split("=")[1])
-    for entry in (ce_step, ce_loss, ce_gradient):
+    entries = [partial(entry, enc, w, pool.take(rows), candidates, tau)
+               for entry in (ce_loss, ce_gradient)]
+    if candidates == sorted(pool.members):
+        entries.append(partial(ce_step, enc, w, pool, rows, tau))
+    for entry in entries:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=pattern) as info:
-                entry(enc, w, batch, candidates, tau)
+                entry()
         assert "\n" not in str(info.value)
+
+
+def test_cross_entropy_counts_each_candidate_once(rng):
+    """A repeated candidate would enter the softmax twice and raise the loss, so
+    it is refused, naming the class; ``predict_batch`` scores the distinct
+    candidates."""
+    enc = make_encoder(seed=1, num_classes=4)
+    w = enc.init_params()
+    batch = class_pool(rng, [0, 1], 2, 3)
+    for entry in (ce_loss, ce_gradient):
+        with pytest.raises(ValueError, match="^candidate class 1 is repeated$"):
+            entry(enc, w, batch, [0, 1, 1], 0.3)
+    assert np.array_equal(enc.predict_batch(w, batch.X, [0, 1, 1]),
+                          enc.predict_batch(w, batch.X, [0, 1]))
 
 
 # ------------------------------------------------------------------- running
@@ -430,9 +454,9 @@ def test_gdro_step_encodes_pool_rows_and_classes_not_anchors(rng, monkeypatch):
     seed=st.integers(0, 2**16),
 )
 def test_estimators_same_bits_on_list_and_pool(hidden_dim, n, num_classes, seed):
-    """gcl's entry points join a list of one-row Pools through ``Pool.of``, as the
-    benchmark's pool sweep passes its batch, so the list and the Pool it joins
-    give the same bits."""
+    """gcl's separate compositions join a list of one-row Pools through
+    ``Pool.of``, as the benchmark's pool sweep passes its batch, so the list
+    and the Pool it joins give the same bits."""
     enc = make_encoder(seed=seed, hidden_dim=hidden_dim, num_classes=num_classes)
     w = enc.init_params()
     pool = make_pool(np.random.default_rng(seed), n, num_classes, 3)
@@ -444,20 +468,19 @@ def test_estimators_same_bits_on_list_and_pool(hidden_dim, n, num_classes, seed)
             sample_estimates(state, pool.ids).tobytes(),  # u_I, u_T
             gcl_gradient_estimate(state, enc, w, batch, 0.2, 2 * n).tobytes(),
         ])
-        loss, grad = gcl_step(GclEstimatorState(0.9), enc, w, batch, 0.2, 2 * n)
-        results[-1] += [np.float64(loss).tobytes(), grad.tobytes()]
     assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("method", ["gcl", "finetune-ce", "gdro"])
 def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
-    """The trainer's gcl and cross-entropy batches are Pools, and gdro gets the
-    stage Pool with each sampled class's anchors as integer rows into it, so no
-    estimator converts samples to rows itself."""
+    """Every step gets the stage Pool and its batch as integer rows into it: a gcl
+    or cross-entropy epoch's batches partition the pool's rows, and gdro gets
+    each sampled class's anchors as rows of that class.  All steps of a stage
+    get the same Pool object, so its per-row lookups are built once per stage."""
     name, position = {
-        "gcl": ("gcl_step", 3),  # the batch
-        "finetune-ce": ("ce_step", 2),  # the batch
-        "gdro": ("gdro_step", 5),  # the stage pool
+        "gcl": ("gcl_step", 3),  # the stage pool, then the rows
+        "finetune-ce": ("ce_step", 2),
+        "gdro": ("gdro_step", 5),
     }[method]
     handed = []
     original = getattr(cclearn.runner, name)
@@ -467,8 +490,11 @@ def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
         return original(*args)
 
     monkeypatch.setattr(cclearn.runner, name, recording)
-    run(_small_stream(), _fast_config(method, epochs_per_task=1))
+    stream = _small_stream()
+    run(stream, _fast_config(method, epochs_per_task=1))
     assert handed and all(isinstance(args[position], Pool) for args in handed)
+    pools = list({id(args[position]): args[position] for args in handed}.values())
+    assert len(pools) == stream.num_tasks
     if method == "gdro":
         for _state, _enc, _params, class_batch, per_class, pool, _cfg in handed:
             assert list(per_class) == class_batch
@@ -476,6 +502,71 @@ def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
                 assert rows.dtype == np.intp and len(rows) > 0
                 assert rows.min() >= 0 and rows.max() < len(pool)
                 assert set(pool.y[rows].tolist()) == {k}
+        return
+    for pool in pools:
+        batches = [args[position + 1] for args in handed if args[position] is pool]
+        assert all(rows.dtype == np.intp and len(rows) > 0 for rows in batches)
+        assert sorted(np.concatenate(batches).tolist()) == list(range(len(pool)))
+
+
+def _ids_pool(rng, classes, n, ids):
+    """n random rows cycling through ``classes``, with sample ids ``ids``."""
+    y = np.asarray(classes, dtype=np.int64)[np.arange(n) % len(classes)]
+    return Pool(rng.standard_normal((n, 3)), y, ids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hidden_dim=st.sampled_from([0, 3]),
+    sizes=st.tuples(st.integers(4, 24), st.integers(0, 12), st.integers(1, 12)),
+    seed=st.integers(0, 2**16),
+)
+def test_row_steps_are_bitwise_the_compositions_on_taken_rows(hidden_dim, sizes, seed):
+    """The row-form ``gcl_step`` and ``ce_step`` give, to the bit, the loss,
+    gradient and estimator state of the separate compositions on
+    ``pool.take(rows)``: sample ids that are not 0..N-1, shuffled rows, one
+    state stepped on two successive pools that share rows (as a stage pool
+    shares the buffer's rows with the next) and pools whose classes are a
+    subset of the encoder's.  A repeated row is refused, naming its id, and
+    leaves the state alone."""
+    rng = np.random.default_rng(seed)
+    enc = make_encoder(seed=seed, hidden_dim=hidden_dim, num_classes=6)
+    w = enc.init_params()
+    first_n, kept_n, fresh_n = sizes
+    ids = [int(i) for i in rng.choice(10**6, first_n + fresh_n, replace=False)]
+    first = _ids_pool(rng, sorted(rng.choice(6, 3, replace=False).tolist()), first_n,
+                      ids[:first_n])
+    fresh = _ids_pool(rng, [int(k) for k in rng.choice(6, 2, replace=False)], fresh_n,
+                      ids[first_n:])
+    second = Pool.concat([first.take(np.sort(rng.permutation(first_n)[:kept_n])), fresh])
+    fused_state, separate_state = GclEstimatorState(0.8), GclEstimatorState(0.8)
+    for pool in (first, second):
+        N = len(pool)
+        for _ in range(3):
+            w = w + 0.05 * rng.standard_normal(enc.n_params)
+            rows = rng.permutation(N)[: int(rng.integers(1, N + 1))]
+            batch = pool.take(rows)
+
+            loss = gcl_loss_full(enc, w, batch, 0.2)
+            gcl_update_estimators(separate_state, enc, w, batch, 0.2, N)
+            grad = gcl_gradient_estimate(separate_state, enc, w, batch, 0.2, N)
+            fused = gcl_step(fused_state, enc, w, pool, rows, 0.2)
+            assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
+            assert fused[1].tobytes() == grad.tobytes()
+            assert state_bytes(fused_state) == state_bytes(separate_state)
+
+            classes = sorted(pool.members)
+            fused = ce_step(enc, w, pool, rows, 0.2)
+            loss = ce_loss(enc, w, batch, classes, 0.2)
+            assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
+            assert fused[1].tobytes() == ce_gradient(enc, w, batch, classes, 0.2).tobytes()
+
+        before = state_bytes(fused_state)
+        r = int(rng.integers(N))
+        rows = rng.permutation(np.append(rng.permutation(N)[: int(rng.integers(N + 1))], [r, r]))
+        with pytest.raises(ValueError, match=f"must not repeat: {pool.ids[r]} does$"):
+            gcl_step(fused_state, enc, w, pool, rows, 0.2)
+        assert state_bytes(fused_state) == before
 
 
 # --------------------------------------------------------------- fused steps
@@ -502,18 +593,19 @@ def test_fused_steps_are_bitwise_the_separate_sequence(hidden_dim, n, num_classe
     gdro_states = GdroEstimatorState(), GdroEstimatorState()
     for _ in range(3):
         w = w + 0.05 * rng.standard_normal(enc.n_params)
-        batch = pool.take(rng.permutation(n)[: int(rng.integers(1, n + 1))])
+        rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        batch = pool.take(rows)
 
         separate_state, fused_state = gcl_states
         loss = gcl_loss_full(enc, w, batch, 0.2)
         gcl_update_estimators(separate_state, enc, w, batch, 0.2, n)
         grad = gcl_gradient_estimate(separate_state, enc, w, batch, 0.2, n)
-        fused = gcl_step(fused_state, enc, w, batch, 0.2, n)
+        fused = gcl_step(fused_state, enc, w, pool, rows, 0.2)
         assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
         assert fused[1].tobytes() == grad.tobytes()
         assert state_bytes(fused_state) == state_bytes(separate_state)
 
-        fused = ce_step(enc, w, batch, classes, 0.2)
+        fused = ce_step(enc, w, pool, rows, 0.2)
         loss = ce_loss(enc, w, batch, classes, 0.2)
         assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
         assert fused[1].tobytes() == ce_gradient(enc, w, batch, classes, 0.2).tobytes()

@@ -5,11 +5,13 @@ hold columns, splits select index arrays, tasks and the replay buffer hold
 ``Pool``s.  The package defines no per-sample type, and no module reads a
 sample's ``x``, ``class_id`` or ``sample_id``: the estimators, the buffer and
 the runner read the ``X``, ``y`` and ``ids`` of a ``Pool``.  Every batch is
-rows of its stage pool: a gcl or cross-entropy batch is a ``Pool.take``, and
-gdro's anchors are ``sample_class_batch``'s row indices into the pool, which
-gdro scores as rows of the encoded pool.  ``Pool.take``, ``Pool.concat``,
-``Pool.members`` and ``sample_class_batch`` read no sample either.  ``Pool.of`` joins a list of Pools in one place only, gcl's batch
-entry, which the benchmark's pool sweep feeds a list of one-row Pools.
+rows of its stage pool: a gcl or cross-entropy batch is an index array of
+the pool's rows, and gdro's anchors are ``sample_class_batch``'s row indices
+into the pool, which gdro scores as rows of the encoded pool.
+``Pool.take``, ``Pool.concat``, ``Pool.members`` and ``sample_class_batch``
+read no sample either.  ``Pool.of`` joins a list of Pools in one place only,
+gcl's batch entry, which the benchmark's pool sweep feeds a list of one-row
+Pools for gcl's separate parts.
 """
 
 import ast

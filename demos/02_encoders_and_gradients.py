@@ -1,9 +1,12 @@
 """The bimodal encoder pair: unit embeddings, similarities, exact gradients.
 
 Everything downstream (both training objectives, the cross-entropy baseline,
-prediction) is built on two primitives shown here: cosine similarity between
-an input embedding and a label embedding, and the analytic gradient of that
-similarity with respect to the full flat parameter vector.
+prediction) is built on two primitives shown here.  ``pair_forward`` runs both
+encoders, returning each one's forward result (unit embeddings plus what the
+backward needs) and the cosine similarities between input and label
+embeddings.  ``pair_grad`` takes those three and a coefficient per pair and
+returns the analytic gradient of the weighted similarities with respect to the
+full flat parameter vector.
 """
 
 import numpy as np
@@ -18,21 +21,20 @@ print(f"encoder pair with {enc.n_params} parameters "
 
 rng = np.random.default_rng(1)
 x = rng.standard_normal(5)
-e_in = enc.encode_input_batch(w, [x])[0]
-e_lab = enc.encode_label_batch(w, [2])[0]
+f_in, f_lab, sims = enc.pair_forward(w, [x], [2])
+(e_in,), (e_lab,) = f_in[0], f_lab[0]
 print(f"|input embedding| = {np.linalg.norm(e_in):.12f}")
 print(f"|label embedding| = {np.linalg.norm(e_lab):.12f}")
+print(f"similarity(x, class 2) = {sims[0, 0]:.6f}  (equals the embeddings' dot product)")
 
 
 def similarity(params):
-    return enc.similarity_matrix(params, [x], [2])[0, 0]
+    return enc.pair_forward(params, [x], [2])[2][0, 0]
 
 
-s = similarity(w)
-print(f"similarity(x, class 2) = {s:.6f}  (equals the embeddings' dot product)")
-
-# analytic gradient (unit pair coefficient) vs central finite differences
-g = enc.weighted_pair_grad(w, [x], [2], np.ones((1, 1)))
+# analytic gradient from the same forward results (unit pair coefficient)
+# vs central finite differences
+g = enc.pair_grad(f_in, f_lab, np.ones((1, 1)))
 eps = 1e-6
 fd = np.zeros_like(w)
 for i in range(len(w)):
@@ -43,6 +45,6 @@ for i in range(len(w)):
 print(f"max |analytic - finite difference| = {np.abs(g - fd).max():.2e} "
       f"over {len(w)} coordinates")
 
-sims = enc.similarity_matrix(w, [x], list(range(4)))[0]
+sims = enc.pair_forward(w, [x], list(range(4)))[2][0]
 pred = enc.predict_batch(w, [x], set(range(4)))[0]
 print(f"similarities to all labels: {np.round(sims, 3)} -> predict {pred}")

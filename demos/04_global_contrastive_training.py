@@ -19,8 +19,6 @@ from cclearn import (
     run,
     split_cil,
 )
-from cclearn.gcl import gcl_loss_full
-
 ds = gen_synthetic(num_classes=6, per_class=20, input_dim=8,
                    separation=4.0, noise=0.6, seed=3)
 stream = split_cil(ds, num_tasks=1, test_fraction=0.25, seed=4)
@@ -32,15 +30,23 @@ enc = EncoderPair(EncoderConfig(input_dim=8, num_classes_max=6,
 w = enc.init_params()
 pool = task.train.take(range(10))
 tau = 0.2
-# one training step: the loss, the estimator update and the gradient estimate m
-_, m = gcl_step(GclEstimatorState(gamma=1.0), enc, w, pool, np.arange(len(pool)), tau)
+rows = np.arange(len(pool))
+
+
+def full_batch_step(params):
+    """One training step on the whole pool from a fresh estimator state: the exact
+    loss, the estimator update and the gradient estimate m."""
+    return gcl_step(GclEstimatorState(gamma=1.0), enc, params, pool, rows, tau)
+
+
+_, m = full_batch_step(w)
 eps = 1e-5
 fd = np.zeros_like(w)
 for i in range(len(w)):
     wp, wm = w.copy(), w.copy()
     wp[i] += eps
     wm[i] -= eps
-    fd[i] = (gcl_loss_full(enc, wp, pool, tau) - gcl_loss_full(enc, wm, pool, tau)) / (2 * eps)
+    fd[i] = (full_batch_step(wp)[0] - full_batch_step(wm)[0]) / (2 * eps)
 rel = np.abs(m - tau / 2 * fd).max() / np.abs(fd).max()
 print(f"full-batch estimator vs (tau/2) * exact gradient: max rel err {rel:.1e}\n")
 

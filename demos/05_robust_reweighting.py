@@ -15,8 +15,8 @@ from cclearn import (
     Pool,
     dro_objective,
     dro_weights,
+    gdro_step,
 )
-from cclearn.gdro import gdro_update_estimators
 
 rng = np.random.default_rng(5)
 enc = EncoderPair(EncoderConfig(input_dim=6, num_classes_max=4,
@@ -29,11 +29,13 @@ y = np.repeat(list(centers), 6)
 X = np.array([centers[k] for k in y.tolist()]) + 0.4 * rng.standard_normal((len(y), 6))
 pool = Pool(X, y, list(range(len(y))))
 
-# one full-batch update at gamma=1 sets each class estimate u_c to the exact h_k
+# one full-batch training step at gamma=1 sets each class estimate u_c to the
+# exact h_k (the step also returns the objective and gradient, unused here)
 cfg = GdroConfig(lam=0.5, gamma=1.0, margin=0.4, tau=0.3, batch_classes=4, batch_per_class=6)
 classes = list(centers)
 members = {k: pool.members[k] for k in classes}  # each class's anchors, as rows of the pool
-state = gdro_update_estimators(GdroEstimatorState(), enc, w, classes, members, pool, cfg)
+state = GdroEstimatorState()
+gdro_step(state, enc, w, classes, members, pool, cfg)
 _, h = state.class_losses()  # classes 0..3, ascending
 print("per-class hinge losses h_k:", np.round(h, 3))
 print("(classes 0 and 3 overlap, so their margins are violated more)\n")

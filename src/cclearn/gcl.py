@@ -166,6 +166,16 @@ def _check_tau(tau):
     return float(tau)
 
 
+def _check_rows(rows, pool, what="the batch"):
+    """Refuses ``rows`` unless it is a 1-d integer array of rows of ``pool``, in
+    one line naming ``what``: a negative row would wrap to the pool's end, a
+    bool array would act as a mask."""
+    if not isinstance(rows, np.ndarray) or rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError(f"{what} needs its rows as a 1-d integer array")
+    if len(rows) and (rows.min() < 0 or rows.max() >= len(pool)):
+        raise ValueError(f"rows for {what} fall outside the pool")
+
+
 def moving_average(table: MovingAverages, cols, values, gamma, floor=None) -> np.ndarray:
     """In place, per column c and row r: ``u[r, c] <- (1 - gamma) * u[r, c] + gamma * v[r, c]``
     for the (rows, len(cols)) ``values`` and the distinct columns ``cols`` of
@@ -189,12 +199,6 @@ def moving_average(table: MovingAverages, cols, values, gamma, floor=None) -> np
     return new
 
 
-def sample_estimates(state, ids, cols=None) -> np.ndarray:
-    """The (2, n) array of (u_I, u_T) per sample id, whose columns are ``cols`` when
-    known; refuses missing or non-positive estimates, naming the first such id."""
-    return state.samples.read(ids, cols)
-
-
 def _batch_logits(enc, params, batch, tau, rows=None):
     """The batch (a Pool, or a list of Pools joined into one), s_ab/tau over the
     (input, label) pairs of its rows ``rows`` (an integer array), or of all its
@@ -205,9 +209,7 @@ def _batch_logits(enc, params, batch, tau, rows=None):
     X, y = (batch.X, batch.y) if rows is None else (batch.X[rows], batch.y[rows])
     if not len(y):
         raise ValueError("batch must be non-empty")
-    f1 = enc._forward_inputs(params, X)
-    f2 = enc._forward_labels(params, y)
-    sims = f1[0] @ f2[0].T
+    f1, f2, sims = enc.pair_forward(params, X, y)
     return batch, sims / tau, sims, (f1, f2)
 
 
@@ -259,7 +261,10 @@ def gcl_step(
     rows.  The rows' estimator columns are one gather (``row_columns``), and
     the backward reuses the batch similarities.  Bitwise the same as
     ``gcl_loss_full``, ``gcl_update_estimators`` and ``gcl_gradient_estimate``
-    on ``pool.take(rows)`` with pool size ``len(pool)``, in that order."""
+    on ``pool.take(rows)`` with pool size ``len(pool)``, in that order.  Refuses,
+    before any state change, rows that are not a 1-d integer array of rows of
+    ``pool``."""
+    _check_rows(rows, pool)
     _, S, sims, fwd = _batch_logits(enc, params, pool, tau, rows)
     E = np.exp(S)
     loss = _loss(S)
@@ -287,5 +292,5 @@ def gcl_gradient_estimate(
     """Mini-batch gradient estimator m (module docstring), through one coefficient
     matrix (``_coefficients``) and one backward pass."""
     batch, S, sims, fwd = _batch_logits(enc, params, batch, tau)
-    u = sample_estimates(state, batch.ids)
+    u = state.samples.read(batch.ids)
     return enc.pair_grad(*fwd, _coefficients(np.exp(S), pool_size, u), sims)

@@ -48,9 +48,10 @@ state in place from the log normalizers, then forms the gradient coefficients
 from the same hinge statistics and the same estimator columns.  The
 per-sample and per-class estimates are ``MovingAverages`` arrays updated by
 gcl's ``moving_average``; the anchors' sample columns are one gather from the
-pool's column map (``MovingAverages.row_columns``), built once per pool.  ``gdro_update_estimators`` (in place; returns the
-same state) and ``gdro_gradient_estimate`` are each one of those parts on its
-own, built from the same private pieces.
+pool's column map (``MovingAverages.row_columns``), built once per pool.
+``gdro_update_estimators`` (in place; returns the same state) and
+``gdro_gradient_estimate`` are each one of those parts on its own, built from
+the same private pieces: ``_anchor_rows``, then ``_hinge_stats``.
 
 g1 (anchor input x pool label) sees a pool row only through its class's label
 embedding, so each anchor has one g1 value per class: ``_hinge_stats`` takes
@@ -81,7 +82,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gcl import U_FLOOR, MovingAverages, moving_average, sample_estimates
+from .gcl import U_FLOOR, MovingAverages, _check_rows, moving_average
 from .model import EncoderPair
 
 
@@ -261,26 +262,26 @@ def _hinge_stats(enc, params, rows, class_batch, sizes, pool, margin, tau, work)
 # ------------------------------------------------------------ robust weighting
 
 
-def dro_weights(h, lam) -> np.ndarray:
-    """Closed-form inner-max weights softmax(h/lam); sums to 1."""
+def _shifted_exp(h, lam):
+    """(shift, e): the largest z = h/lam and exp(z - shift), each at most 1.
+    Refuses lam <= 0."""
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
-    h = np.asarray(h, dtype=np.float64)
-    z = h / lam
-    z = z - z.max()
-    e = np.exp(z)
+    z = np.asarray(h, dtype=np.float64) / lam
+    shift = float(z.max())
+    return shift, np.exp(z - shift)
+
+
+def dro_weights(h, lam) -> np.ndarray:
+    """Closed-form inner-max weights softmax(h/lam); sums to 1."""
+    e = _shifted_exp(h, lam)[1]
     return e / e.sum()
 
 
 def dro_objective(h, lam) -> float:
     """lam * log-mean-exp(h/lam): between mean(h) and max(h)."""
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    h = np.asarray(h, dtype=np.float64)
-    z = h / lam
-    m = z.max()
-    e = np.exp(z - m)
-    return float(lam * (m + np.log(e.sum() / e.size)))
+    shift, e = _shifted_exp(h, lam)
+    return float(lam * (shift + np.log(e.sum() / e.size)))
 
 
 # --------------------------------------------------------------- estimators
@@ -295,20 +296,14 @@ def _anchor_rows(class_batch, per_class_batches, pool):
     parts = []
     for k in class_batch:
         rows = per_class_batches.get(k)
-        if not isinstance(rows, np.ndarray) or rows.ndim != 1 or rows.dtype.kind not in "iu":
-            raise ValueError(f"class {k} needs its rows as a 1-d integer array")
+        _check_rows(rows, pool, f"class {k}")
         if not len(rows):
             raise ValueError(f"class {k} has no rows")
+        if (pool.y[rows] != k).any():
+            raise ValueError(f"rows for class {k} hold another class")
         parts.append(rows.astype(np.intp, copy=False))
     sizes = [len(rows) for rows in parts]
-    rows = np.concatenate(parts)
-    want = np.repeat(class_batch, sizes)
-    ok = (rows >= 0) & (rows < len(pool))
-    ok[ok] = pool.y[rows[ok]] == want[ok]
-    if not ok.all():
-        k = want[int(np.argmin(ok))]
-        raise ValueError(f"rows for class {k} fall outside the pool or hold another class")
-    return rows, sizes
+    return np.concatenate(parts), sizes
 
 
 def _update(state, pool, rows, sizes, class_batch, log_g, config):
@@ -334,9 +329,7 @@ def _update(state, pool, rows, sizes, class_batch, log_g, config):
     moving_average(state.classes, class_cols, [h_hat], g)
 
     # v <- (1-gamma) v + gamma * mean_k exp(u_c[k]/lam), in shifted form
-    z = state.class_losses()[1] / config.lam
-    shift = float(z.max())
-    e = np.exp(z - shift)
+    shift, e = _shifted_exp(state.class_losses()[1], config.lam)
     mantissa = float(e.sum() / len(e))
     if not state.v_initialized:
         state.v_mantissa, state.v_shift, state.v_initialized = mantissa, shift, True
@@ -372,7 +365,7 @@ def _coefficients(state, ids, sizes, class_batch, stats, config, cols=(None, Non
         sizes,
     )
     # math.log, not np.log: the two differ in the last bit on some inputs
-    u = sample_estimates(state, ids, cols[0]).tolist()
+    u = state.samples.read(ids, cols[0]).tolist()
     log_u = np.array([[math.log(x) for x in row] for row in u])
 
     # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau).  The 2 rides on
@@ -422,17 +415,6 @@ def _gradient(enc, coef1, coef2, rows, encodings, H2t, work) -> np.ndarray:
     return grad
 
 
-def _anchor_stats(enc, params, class_batch, per_class_batches, pool, config, work):
-    """The anchors' rows into ``pool``, each sampled class's anchor count, the
-    hinge statistics (views of ``work``) and the pool's two encodings: one
-    encoding and scoring of the pool (``_hinge_stats``)."""
-    rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
-    stats, encodings = _hinge_stats(
-        enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, work
-    )
-    return rows, sizes, stats, encodings
-
-
 def gdro_step(
     state: GdroEstimatorState,
     enc: EncoderPair,
@@ -445,8 +427,9 @@ def gdro_step(
     """One training step: the in-place estimator update, then the robust objective
     over the updated u_c and the gradient estimate, from one ``_hinge_stats``.
     Bitwise the same as ``gdro_update_estimators`` then ``gdro_gradient_estimate``."""
-    rows, sizes, stats, encodings = _anchor_stats(
-        enc, params, class_batch, per_class_batches, pool, config, state.work
+    rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
+    stats, encodings = _hinge_stats(
+        enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, state.work
     )
     cols = _update(state, pool, rows, sizes, class_batch, stats[3], config)
     coef1, coef2 = _coefficients(state, None, sizes, class_batch, stats, config, cols)
@@ -464,8 +447,9 @@ def gdro_update_estimators(
     config: GdroConfig,
 ) -> GdroEstimatorState:
     """One pass of the moving-average updates for sampled classes and samples, in place."""
-    rows, sizes, stats, _ = _anchor_stats(
-        enc, params, class_batch, per_class_batches, pool, config, state.work
+    rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
+    stats, _ = _hinge_stats(
+        enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, state.work
     )
     _update(state, pool, rows, sizes, class_batch, stats[3], config)
     return state
@@ -482,8 +466,9 @@ def gdro_gradient_estimate(
 ) -> np.ndarray:
     """Compositional gradient estimator (module docstring) as two backward passes
     (``_gradient``) that gather from the pool encodings of the hinge statistics."""
-    rows, sizes, stats, encodings = _anchor_stats(
-        enc, params, class_batch, per_class_batches, pool, config, state.work
+    rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
+    stats, encodings = _hinge_stats(
+        enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, state.work
     )
     ids = [pool.ids[i] for i in rows.tolist()]
     coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)

@@ -26,13 +26,14 @@ forward pass and a scatter-add on the backward pass.  tanh keeps everything
 smooth, which keeps numerical gradient checks clean.
 
 The forward pass (``_forward_inputs``, ``_forward_labels``) returns a tower's
-unit embeddings with the cache its backward needs.  The one backward,
-``pair_grad``, takes those forward results, so an objective that has encoded
-its rows to score them builds its gradient without encoding them again;
-``weighted_pair_grad`` is forward then ``pair_grad`` in one call.  Forward
-passes are row-wise, so ``take_forward`` gathers rows of a forward result as
-if the gathered rows had been encoded; a joined row set is one gather at the
-joined index.  Class ids are integers: a float or bool id is refused, never
+unit embeddings with the cache its backward needs.  ``pair_forward`` returns
+both towers' forward results and their similarities, exactly what the one
+backward, ``pair_grad``, takes: every pair objective is ``pair_forward``, its
+coefficient matrix, then ``pair_grad``, and encodes no row twice
+(``weighted_pair_grad`` is the two calls in one).  Forward passes are
+row-wise, so ``take_forward`` gathers rows of a forward result as if the
+gathered rows had been encoded; a joined row set is one gather at the joined
+index.  Class ids are integers: a float or bool id is refused, never
 truncated.
 """
 
@@ -195,21 +196,17 @@ class EncoderPair:
             "R": cache["R"][idx],
         }
 
-    def encode_input_batch(self, params, X) -> np.ndarray:
-        """Unit-norm embeddings for a batch of input vectors, shape (n, embed_dim)."""
-        E, _ = self._forward_inputs(params, X)
-        return E
-
-    def encode_label_batch(self, params, class_ids) -> np.ndarray:
-        """Unit-norm embeddings for a batch of class ids, shape (n, embed_dim)."""
-        E, _ = self._forward_labels(params, class_ids)
-        return E
+    def pair_forward(self, params, X, class_ids):
+        """(f1, f2, sims): the input tower's forward result over X, the label
+        tower's over class_ids and their cosine similarities ``E1 @ E2.T``, shape
+        (len(X), len(class_ids)); the forward twin of ``pair_grad``."""
+        f1 = self._forward_inputs(params, X)
+        f2 = self._forward_labels(params, class_ids)
+        return f1, f2, f1[0] @ f2[0].T
 
     def similarity_matrix(self, params, X, class_ids) -> np.ndarray:
         """Cosine similarities, shape (len(X), len(class_ids))."""
-        E1 = self.encode_input_batch(params, X)
-        E2 = self.encode_label_batch(params, class_ids)
-        return E1 @ E2.T
+        return self.pair_forward(params, X, class_ids)[2]
 
     # --------------------------------------------------------------- backward
 
@@ -263,10 +260,9 @@ class EncoderPair:
         return g
 
     def weighted_pair_grad(self, params, X, class_ids, coeff) -> np.ndarray:
-        """``pair_grad`` over freshly encoded rows of X and class_ids."""
-        return self.pair_grad(
-            self._forward_inputs(params, X), self._forward_labels(params, class_ids), coeff
-        )
+        """``pair_grad`` over ``pair_forward`` of X and class_ids."""
+        f1, f2, sims = self.pair_forward(params, X, class_ids)
+        return self.pair_grad(f1, f2, coeff, sims)
 
     # -------------------------------------------------------------- inference
 

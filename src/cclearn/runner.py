@@ -44,7 +44,7 @@ import numpy as np
 from .buffer import MemoryBuffer, sample_class_batch
 from .data import Pool, Task, TaskStream
 from .errors import ConfigError, DivergenceError, NonFiniteGradientError
-from .gcl import GclEstimatorState, _check_tau, _first_repeat, gcl_step
+from .gcl import GclEstimatorState, _check_rows, _check_tau, _first_repeat, gcl_step
 from .gdro import GdroConfig, GdroEstimatorState, dro_weights, gdro_step
 
 # perfbench/tracing.py wraps these names on this module; training calls the fused steps
@@ -157,15 +157,6 @@ def evaluate(enc: EncoderPair, params, test: Pool, candidate_classes) -> float:
 # ------------------------------------------------------------- cross-entropy
 
 
-def _ce_logits(enc, params, X, classes, tau):
-    """sim/tau logits of the rows X over the classes, the similarities, and the
-    two towers' forward results."""
-    f1 = enc._forward_inputs(params, X)
-    f2 = enc._forward_labels(params, classes)
-    sims = f1[0] @ f2[0].T
-    return sims / tau, sims, (f1, f2)
-
-
 def _ce_softmax(Z, idx):
     """Mean softmax cross-entropy of logits Z against true columns idx, and the
     row softmax P."""
@@ -180,10 +171,10 @@ def _ce_softmax(Z, idx):
 def _ce_loss_and_grad(enc, params, X, classes, idx, tau):
     """Cross-entropy of the rows X over the classes, whose true columns are idx,
     and its gradient, from one encoding; the backward reuses the similarities."""
-    Z, sims, fwd = _ce_logits(enc, params, X, classes, tau)
-    loss, P = _ce_softmax(Z, idx)
+    f1, f2, sims = enc.pair_forward(params, X, classes)
+    loss, P = _ce_softmax(sims / tau, idx)
     P[np.arange(len(P)), idx] -= 1.0
-    return loss, enc.pair_grad(*fwd, P / (len(P) * tau), sims)
+    return loss, enc.pair_grad(f1, f2, P / (len(P) * tau), sims)
 
 
 def ce_step(enc: EncoderPair, params, pool: Pool, rows, tau) -> tuple[float, np.ndarray]:
@@ -191,9 +182,10 @@ def ce_step(enc: EncoderPair, params, pool: Pool, rows, tau) -> tuple[float, np.
     integer array) of ``pool`` over the pool's classes, and its analytic gradient
     through (softmax - onehot) / (|B| * tau) pair weights, from one encoding of
     the rows.  The classes and each row's true column come from
-    ``pool.class_index``, built once per pool.  Refuses a non-positive tau and
-    an empty batch."""
+    ``pool.class_index``, built once per pool.  Refuses a non-positive tau, rows
+    that are not a 1-d integer array of rows of ``pool`` and an empty batch."""
     tau = _check_tau(tau)
+    _check_rows(rows, pool)
     if not len(rows):
         raise ValueError("batch must be non-empty")
     classes, index = pool.class_index[:2]
@@ -222,7 +214,7 @@ def ce_loss(enc: EncoderPair, params, batch: Pool, candidates, tau) -> float:
     """The loss of ``ce_step`` on the Pool ``batch`` over the distinct
     ``candidates``, without a backward pass."""
     tau, idx = _candidate_columns(batch, candidates, tau)
-    return _ce_softmax(_ce_logits(enc, params, batch.X, candidates, tau)[0], idx)[0]
+    return _ce_softmax(enc.similarity_matrix(params, batch.X, candidates) / tau, idx)[0]
 
 
 def ce_gradient(enc: EncoderPair, params, batch: Pool, candidates, tau) -> np.ndarray:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from cclearn.data import Pool
-from cclearn.gcl import sample_estimates
 from cclearn.gdro import GdroEstimatorState
 from cclearn.model import EncoderConfig, EncoderPair
 
@@ -71,7 +70,7 @@ def state_bytes(state):
     """Every estimator of a gcl or gdro state: its keys in first-touch order and
     its float bits."""
     ids = list(state.samples.slot)
-    out = [ids, sample_estimates(state, ids).tobytes()]
+    out = [ids, state.samples.read(ids).tobytes()]
     if isinstance(state, GdroEstimatorState):
         classes, u_c = state.class_losses()
         out += [list(state.classes.slot), classes, u_c.tobytes()]

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from cclearn.data import Pool
-from cclearn.gcl import _check_tau, sample_estimates
+from cclearn.gcl import _check_tau
 from cclearn.gdro import (
     GdroConfig,
     WorkArrays,
     _anchor_rows,
-    _anchor_stats,
     _coefficients,
     _gradient,
     _hinge_stats,
@@ -100,8 +99,9 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
                         config: GdroConfig) -> np.ndarray:
     """``gdro_gradient_estimate`` through one (anchor+pool) x (anchor+pool)
     coefficient matrix and a single backward pass: O((n+N)^2) memory."""
-    rows, sizes, stats, _ = _anchor_stats(
-        enc, params, class_batch, per_class_batches, pool, config, WorkArrays()
+    rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
+    stats, _ = _hinge_stats(
+        enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, WorkArrays()
     )
     ids = [pool.ids[i] for i in rows.tolist()]
     coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)
@@ -165,7 +165,7 @@ def coefficients_per_row(state, ids, sizes, class_batch, stats, config, cols=(No
          for u, size in zip(u_c.tolist(), sizes)],
         sizes,
     )
-    u = sample_estimates(state, ids, cols[0]).tolist()
+    u = state.samples.read(ids, cols[0]).tolist()
     log_u = np.array([[math.log(x) for x in row] for row in u])
 
     scale = (class_weight * (1.0 / n_neg))[:, None]

@@ -30,7 +30,6 @@ from cclearn.gcl import (
     gcl_gradient_estimate,
     gcl_loss_full,
     gcl_update_estimators,
-    sample_estimates,
 )
 from cclearn.gdro import (
     GdroConfig,
@@ -211,7 +210,7 @@ def test_criterion_05_estimator_halving():
     prev = None
     for _ in range(14):
         st = gcl_update_estimators(st, enc, w1, pool, tau, len(pool))
-        err = np.abs(sample_estimates(st, ids) - t_IT).max()
+        err = np.abs(st.samples.read(ids) - t_IT).max()
         if prev is not None and abs(err - 0.5 * prev) > 1e-9 * max(1.0, prev):
             gcl_ok = False
         prev = err
@@ -232,7 +231,7 @@ def test_criterion_05_estimator_halving():
         gst = gdro_update_estimators(gst, enc, w1, [0, 1, 2], batches, pool, cfg)
         err = max(
             np.abs(gst.class_losses()[1] - h_target).max(),
-            np.abs(sample_estimates(gst, ids) - g_target).max(),
+            np.abs(gst.samples.read(ids) - g_target).max(),
         )
         if prev is not None and abs(err - 0.5 * prev) > 1e-9 * max(1.0, prev):
             gdro_ok = False

@@ -307,3 +307,9 @@ def test_flattened_class_batches_equal_a_pool_of_their_samples(n, num_classes, b
     flat, sizes = _anchor_rows(classes, batches, pool)
     assert sizes == [len(batches[k]) for k in classes]
     _assert_same_rows(pool.take(flat), rows([recs[i] for k in classes for i in batches[k]]))
+
+
+@pytest.mark.parametrize("capacity", [-1, -20])
+def test_buffer_refuses_a_negative_capacity(capacity):
+    with pytest.raises(ValueError, match="^capacity must be >= 0$"):
+        MemoryBuffer(capacity=capacity, rng_seed=0)

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import cclearn.runner
 from cclearn import cli
 from cclearn.data import Dataset, gen_domain_shift, load, save
 
@@ -311,6 +312,19 @@ def test_run_divergence_exits_4(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_run_nan_loss_exits_4_naming_where(tmp_path, capsys, monkeypatch):
+    """A non-finite loss, not only exploding parameters, is a divergence: exit 4,
+    one error line naming the cause and the step, and no output directory."""
+    data = _gen(tmp_path)
+    cfg = _write_config(tmp_path, _config_doc(data, tmp_path / "a" / "b"))
+    monkeypatch.setattr(cclearn.runner, "gcl_step",
+                        lambda state, enc, *args: (float("nan"), np.zeros(enc.n_params)))
+    assert cli.main(["run", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: diverged: loss became non-finite at task 0, epoch 0, step 0\n", err
+    assert not (tmp_path / "a").exists()
+
+
 def test_run_gdro_one_class_stage_exits_2_and_leaves_no_directory(tmp_path, capsys):
     """One class per task leaves gdro's first stage without negatives: a config
     error, reported before training and without an output directory."""
@@ -547,3 +561,50 @@ def test_run_rejects_non_string_dataset_path_exits_2(tmp_path, capsys, path):
     err = capsys.readouterr().err
     assert err == "error: config: dataset.path must be a string\n", err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("root-list", "config: section '<root>' must be an object"),
+    ("dataset-string", "config: section 'dataset' must be an object"),
+    ("run-list", "config: section 'run' must be an object"),
+    ("split-mode", "config: split.mode must be 'cil' or 'dil', got 'til'"),
+    ("output_dir-number", "config: output_dir must be a string"),
+    ("no-output-dir", "no output directory: use --out, config output_dir, or $CCLEARN_OUTPUT_DIR"),
+])
+def test_run_refuses_a_hostile_config_exits_2(tmp_path, capsys, monkeypatch, case, message):
+    """Each refusal is one error line and exit 2, before any directory is made."""
+    doc = _config_doc(tmp_path / "bench.clds", tmp_path / "out")
+    if case == "root-list":
+        doc = [doc]
+    elif case == "dataset-string":
+        doc["dataset"] = "bench.clds"
+    elif case == "run-list":
+        doc["run"] = []
+    elif case == "split-mode":
+        doc["split"]["mode"] = "til"
+    elif case == "output_dir-number":
+        doc["output_dir"] = 5
+    else:
+        del doc["output_dir"]
+        monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    cfg = _write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("aggregate", [{}, {"first": 0.5}, {"0": "0.5"}, {"0": True}],
+                         ids=["empty", "non-decimal-stage", "string", "bool"])
+def test_compare_refuses_a_malformed_aggregate(tmp_path, capsys, aggregate):
+    """An aggregate must map stage numbers to accuracies: anything else exits 2
+    with one line naming the file."""
+    meta = json.loads((_run_once(tmp_path, "ok") / "run_meta.json").read_text())
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "run_meta.json").write_text(json.dumps(dict(meta, aggregate=aggregate)))
+    capsys.readouterr()
+    assert cli.main(["compare", str(tmp_path / "ok"), str(bad), "-o", str(tmp_path / "cmp")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {bad / 'run_meta.json'}: "
+        "aggregate must map stage numbers to accuracies\n"
+    )

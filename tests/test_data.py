@@ -439,3 +439,29 @@ def test_load_rejects_truncated_id_column(tmp_path, flag):
     path.write_bytes(_hand_built(flag)[:-1])
     with pytest.raises(DatasetFormatError):
         load(path)
+
+
+def _task(classes):
+    """A task of one train and one test row of its smallest class."""
+    row = Pool(np.zeros((1, 2)), np.array([min(classes)]), [min(classes)])
+    return Task(train=row, test=row, classes=frozenset(classes))
+
+
+def _two_domains():
+    return gen_domain_shift(gen_synthetic(4, 5, 3, 4.0, 0.5, 0), 2, "rotation", 1.0, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TaskStream(mode="til", tasks=[_task({0, 1})]), "unknown stream mode 'til'"),
+    (lambda: TaskStream(mode="cil", tasks=[_task({0, 1}), _task({1, 2})]),
+     "class-incremental tasks must have disjoint class sets"),
+    (lambda: gen_domain_shift(gen_synthetic(4, 5, 3, 4.0, 0.5, 0), 1, "rotation", 1.0, 0),
+     "num_domains must be >= 2"),
+    (lambda: split_dil(_two_domains(), [0, 0]),
+     r"domain_order \[0, 0\] is not a permutation of \[0, 1\]"),
+    (lambda: split_dil(_two_domains(), [1, 0, 2]),
+     r"domain_order \[1, 0, 2\] is not a permutation of \[0, 1\]"),
+], ids=["unknown-mode", "cil-overlap", "one-domain", "dil-repeat", "dil-extra"])
+def test_streams_and_domains_refuse_hostile_input(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -16,7 +16,6 @@ from cclearn.gcl import (
     gcl_step,
     gcl_update_estimators,
     moving_average,
-    sample_estimates,
 )
 
 from conftest import (
@@ -149,7 +148,7 @@ def test_update_gamma_one_full_batch_is_exact(rng):
     w = enc.init_params()
     pool = make_pool(rng, 6, 3, 3)
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w, pool, 0.3, len(pool))
-    u_I, u_T = sample_estimates(st, pool.ids)
+    u_I, u_T = st.samples.read(pool.ids)
     for i, (ui, ut) in enumerate(zip(u_I, u_T)):
         assert abs(ui - g_I(enc, w, pool[i], pool, 0.3)) < 1e-10
         assert abs(ut - g_T(enc, w, pool[i], pool, 0.3)) < 1e-10
@@ -181,7 +180,7 @@ def test_update_converges_geometrically(rng):
     errs = []
     for _ in range(12):
         st = gcl_update_estimators(st, enc, w1, pool, tau, len(pool))
-        errs.append(max(abs(u - t) for u, t in zip(sample_estimates(st, ids)[0], target)))
+        errs.append(max(abs(u - t) for u, t in zip(st.samples.read(ids)[0], target)))
     for prev, cur in zip(errs, errs[1:]):
         assert abs(cur - 0.5 * prev) < 1e-9 * max(1.0, prev)
 
@@ -238,7 +237,7 @@ def test_gradient_matches_symbolic_reassembly_under_tau_change(tau, rng):
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w, pool, tau, 10)
     got = gcl_gradient_estimate(st, enc, w, pool, tau, 10)
     ids = pool.ids
-    u_I, u_T = (dict(zip(ids, row)) for row in sample_estimates(st, ids))
+    u_I, u_T = (dict(zip(ids, row)) for row in st.samples.read(ids))
     want = _reassembled_estimate(enc, w, pool, tau, 10, u_I, u_T)
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -336,3 +335,26 @@ def test_moving_average_is_bitwise_the_per_key_recurrence(rows, gamma, floor, da
         every = list(stores[0])
         got = table.read(every, positive=False)
         assert got.tobytes() == np.array([[s[k] for k in every] for s in stores]).tobytes()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("empty-pool", "batch must be non-empty"),
+    ("empty-list", "batch must be non-empty"),
+    ("empty-rows", "batch must be non-empty"),
+    ("pool-smaller-than-batch", "pool_size must be >= batch size"),
+])
+def test_gcl_refuses_hostile_input(rng, case, message):
+    """An empty batch, given as a Pool, a list of Pools or rows of the pool, and
+    a pool size below the batch size are each refused in one line."""
+    enc = make_encoder(seed=3)
+    w = enc.init_params()
+    pool = make_pool(rng, 6, 3, 3)
+    state = GclEstimatorState(gamma=0.5)
+    call = {
+        "empty-pool": lambda: gcl_loss_full(enc, w, pool.take([]), 0.2),
+        "empty-list": lambda: gcl_gradient_estimate(state, enc, w, [], 0.2, 6),
+        "empty-rows": lambda: gcl_step(state, enc, w, pool, np.arange(0), 0.2),
+        "pool-smaller-than-batch": lambda: gcl_update_estimators(state, enc, w, pool, 0.2, 5),
+    }[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from cclearn import benchmark
 from cclearn.buffer import sample_class_batch
 from cclearn.data import Pool, gen_synthetic
-from cclearn.gcl import sample_estimates
 from cclearn.gdro import (
     GdroConfig,
     GdroEstimatorState,
     WorkArrays,
-    _anchor_stats,
+    _anchor_rows,
     _coefficients,
     _column_groups,
+    _hinge_stats,
     dro_objective,
     dro_weights,
     gdro_gradient_estimate,
@@ -298,7 +298,7 @@ def test_update_gamma_one_full_batch_exact(rng):
     assert classes == [0, 1, 2]
     assert np.abs(u_c - h).max() < 1e-12
     assert abs(st.v - np.mean(np.exp(h / cfg.lam))) < 1e-10
-    for i, ui in enumerate(sample_estimates(st, pool.ids)[0]):
+    for i, ui in enumerate(st.samples.read(pool.ids)[0]):
         assert abs(ui - _naive_g1(enc, w, pool[i], pool, cfg.margin, cfg.tau)) < 1e-10
 
 
@@ -381,9 +381,9 @@ def test_empty_class_batch_is_refused(rng, entry):
     (None, "class 2 needs its rows as a 1-d integer array"),
     (np.array([8.0, 9.0]), "class 2 needs its rows as a 1-d integer array"),
     (np.array([], dtype=np.intp), "class 2 has no rows"),
-    (np.array([8, 12]), "rows for class 2 fall outside the pool or hold another class"),
-    (np.array([8, -1]), "rows for class 2 fall outside the pool or hold another class"),
-    (np.array([8, 3]), "rows for class 2 fall outside the pool or hold another class"),
+    (np.array([8, 12]), "rows for class 2 fall outside the pool"),
+    (np.array([8, -1]), "rows for class 2 fall outside the pool"),
+    (np.array([8, 3]), "rows for class 2 hold another class"),
 ], ids=["missing", "float", "empty", "past-end", "negative", "other-class"])
 def test_bad_anchor_rows_are_refused(rng, entry, rows, message):
     """A class's anchors are rows of its own class in the pool: anything else is
@@ -538,7 +538,8 @@ def test_per_class_scoring_gives_the_per_row_bytes(
     w1 = w0 + 0.2 * rng.standard_normal(enc.n_params)
     state = gdro_update_estimators(GdroEstimatorState(), enc, w0, picked, batches, pool, cfg)
 
-    rows, sizes, stats, _ = _anchor_stats(enc, w1, picked, batches, pool, cfg, WorkArrays())
+    rows, sizes = _anchor_rows(picked, batches, pool)
+    stats, _ = _hinge_stats(enc, w1, rows, picked, sizes, pool, cfg.margin, cfg.tau, WorkArrays())
     ids = [pool.ids[i] for i in rows.tolist()]
     want, _ = hinge_stats_per_row(enc, w1, rows, pool, cfg.margin, cfg.tau)
     assert stats[0].tobytes() == want[0].tobytes()  # n_neg
@@ -651,3 +652,11 @@ def test_reused_work_arrays_leak_nothing_between_steps(hidden, seed):
         want = [np.float64(loss).tobytes(), grad.tobytes(), *state_bytes(fresh)]
         loss, grad = gdro_step(reused, enc, w, picked, batches, pool, cfg)
         assert [np.float64(loss).tobytes(), grad.tobytes(), *state_bytes(reused)] == want
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, -math.inf])
+@pytest.mark.parametrize("fn", [dro_weights, dro_objective])
+def test_robust_weighting_refuses_a_non_positive_lam(fn, lam):
+    """The weights and the objective share one lam check and refuse in one line."""
+    with pytest.raises(ValueError, match=f"^lam must be > 0, got {lam}$"):
+        fn([0.1, 0.4, 0.2], lam)

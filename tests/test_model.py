@@ -111,10 +111,10 @@ def test_encode_outputs_unit_norm(hidden, rng):
     enc = make_encoder(seed=1, hidden_dim=hidden)
     w = enc.init_params()
     for _ in range(20):
-        e_in = enc.encode_input_batch(w, [rng.standard_normal(3)])[0]
+        (e_in,), _ = enc._forward_inputs(w, [rng.standard_normal(3)])
         assert abs(np.linalg.norm(e_in) - 1.0) < 1e-9
     for c in range(4):
-        e_lab = enc.encode_label_batch(w, [c])[0]
+        (e_lab,), _ = enc._forward_labels(w, [c])
         assert abs(np.linalg.norm(e_lab) - 1.0) < 1e-9
 
 
@@ -124,7 +124,7 @@ def test_encode_zero_input_returns_normalized_bias():
     b = np.array([0.5, -1.0, 2.0])
     w[enc.segment("e1_b")] = b
     w[enc.segment("e2_b")] = [1.0, 0.0, 0.0]
-    out = enc.encode_input_batch(w, [np.zeros(3)])[0]
+    (out,), _ = enc._forward_inputs(w, [np.zeros(3)])
     assert np.allclose(out, b / np.linalg.norm(b), atol=1e-12)
 
 
@@ -134,11 +134,11 @@ def test_encode_matches_straightline_oracle(hidden, rng):
     w = enc.init_params() + 0.05 * rng.standard_normal(enc.n_params)
     for _ in range(10):
         x = rng.standard_normal(3)
-        got = enc.encode_input_batch(w, [x])[0]
+        (got,), _ = enc._forward_inputs(w, [x])
         want = _oracle_forward_input(enc.config, w, x)
         assert np.max(np.abs(got - want)) < 1e-12
     for c in range(4):
-        got = enc.encode_label_batch(w, [c])[0]
+        (got,), _ = enc._forward_labels(w, [c])
         want = _oracle_forward_label(enc.config, w, c)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -146,18 +146,18 @@ def test_encode_matches_straightline_oracle(hidden, rng):
 def test_encode_label_deterministic(rng):
     enc = make_encoder(seed=5)
     w = enc.init_params()
-    assert np.array_equal(enc.encode_label_batch(w, [2]), enc.encode_label_batch(w, [2]))
+    assert np.array_equal(enc._forward_labels(w, [2])[0], enc._forward_labels(w, [2])[0])
 
 
 def test_encode_rejects_bad_shapes():
     enc = make_encoder(seed=0)
     w = enc.init_params()
     with pytest.raises(ValueError):
-        enc.encode_input_batch(w, [np.zeros(7)])
+        enc._forward_inputs(w, [np.zeros(7)])
     with pytest.raises(ValueError):
-        enc.encode_label_batch(w, [99])
+        enc._forward_labels(w, [99])
     with pytest.raises(ValueError):
-        enc.encode_label_batch(w, [-1])
+        enc._forward_labels(w, [-1])
 
 
 @pytest.mark.parametrize(
@@ -172,7 +172,7 @@ def test_label_forward_refuses_non_integer_class_ids(class_ids):
     with pytest.raises(ValueError, match=r"^class ids must be integers, got dtype \w+$"):
         enc.similarity_matrix(w, [np.ones(3)], class_ids)
     with pytest.raises(ValueError, match="^class ids must be integers"):
-        enc.encode_label_batch(w, class_ids)
+        enc._forward_labels(w, class_ids)
 
 
 def test_label_forward_keeps_the_bits_of_integer_and_empty_class_ids(rng):
@@ -239,7 +239,9 @@ def test_pair_similarity_is_dot_of_unit_embeddings(rng):
         x = rng.standard_normal(3)
         c = int(rng.integers(4))
         s = pair_sim(enc, w, x, c)
-        want = float(enc.encode_input_batch(w, [x])[0] @ enc.encode_label_batch(w, [c])[0])
+        ((e_in,), _), ((e_lab,), _), sims = enc.pair_forward(w, [x], [c])
+        want = float(e_in @ e_lab)
+        assert sims.shape == (1, 1) and abs(sims[0, 0] - want) < 1e-12
         assert abs(s - want) < 1e-12
         assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
@@ -313,7 +315,7 @@ def test_operations_are_pure(rng):
     enc = make_encoder(seed=14)
     w = enc.init_params()
     x = rng.standard_normal(3)
-    assert np.array_equal(enc.encode_input_batch(w, [x]), enc.encode_input_batch(w, [x]))
+    assert np.array_equal(enc._forward_inputs(w, [x])[0], enc._forward_inputs(w, [x])[0])
     assert pair_sim(enc, w, x, 1) == pair_sim(enc, w, x, 1)
     assert np.array_equal(pair_sim_grad(enc, w, x, 1), pair_sim_grad(enc, w, x, 1))
 
@@ -434,3 +436,42 @@ def test_label_tower_backward_is_bitwise_add_at(hidden, num_classes, classes, n_
     with mock.patch.object(EncoderPair, "_backward", backward_add_at):
         want = enc.pair_grad(f1, f2, C)
     assert got.tobytes() == want.tobytes()
+
+
+def _hostile_model_calls():
+    """Each hostile case's call and the one-line message it must raise."""
+    enc = make_encoder(seed=0)
+    w, n = enc.init_params(), enc.n_params
+    X = np.ones((2, 3))
+    f1, f2, _ = enc.pair_forward(w, X, [0, 1, 2])
+    shapes = dict(input_dim=3, num_classes_max=4, hidden_dim=0, embed_dim=2, seed=0)
+    return {
+        "params-short": (lambda: enc._forward_inputs(w[:-1], X),
+                         f"parameter vector has shape ({n - 1},), expected ({n},)"),
+        "params-2d": (lambda: enc._forward_labels(w[None], [0]),
+                      f"parameter vector has shape (1, {n}), expected ({n},)"),
+        "coefficient-shape": (lambda: enc.pair_grad(f1, f2, np.ones((3, 2))),
+                              "coefficient matrix has shape (3, 2), expected (2, 3)"),
+        "input_dim": (lambda: EncoderConfig(**{**shapes, "input_dim": 0}),
+                      "input_dim must be >= 1, got 0"),
+        "num_classes_max": (lambda: EncoderConfig(**{**shapes, "num_classes_max": 0}),
+                            "num_classes_max must be >= 1, got 0"),
+        "seed=-1": (lambda: EncoderConfig(**{**shapes, "seed": -1}),
+                    "seed must fit in an unsigned 64-bit integer"),
+        "seed=2**64": (lambda: EncoderConfig(**{**shapes, "seed": 2**64}),
+                       "seed must fit in an unsigned 64-bit integer"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "params-short", "params-2d", "coefficient-shape", "input_dim", "num_classes_max",
+    "seed=-1", "seed=2**64",
+])
+def test_model_refuses_hostile_input(case):
+    """A parameter vector of the wrong shape, a coefficient matrix that does not
+    match the forward results and an encoder config out of range are each
+    refused in one line naming what is wrong."""
+    call, message = _hostile_model_calls()[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

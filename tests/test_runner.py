@@ -12,15 +12,14 @@ import cclearn.gcl
 import cclearn.gdro
 import cclearn.runner
 from cclearn.buffer import sample_class_batch
-from cclearn.data import Pool, gen_synthetic, split_cil
-from cclearn.errors import ConfigError, DivergenceError
+from cclearn.data import Pool, TaskStream, gen_synthetic, split_cil
+from cclearn.errors import ConfigError, DivergenceError, NonFiniteGradientError
 from cclearn.gcl import (
     GclEstimatorState,
     gcl_gradient_estimate,
     gcl_loss_full,
     gcl_step,
     gcl_update_estimators,
-    sample_estimates,
 )
 from cclearn.gdro import (
     GdroConfig,
@@ -320,6 +319,60 @@ def test_divergence_aborts_with_diagnostic(method):
     assert f"at task {err.task}, epoch {err.epoch}, step {err.step}" in str(err)
 
 
+@pytest.mark.parametrize("bad, cause", [
+    ("loss", "loss became non-finite"),
+    ("gradient", "non-finite gradient"),
+])
+def test_divergence_names_a_non_finite_loss_or_gradient(monkeypatch, bad, cause):
+    """A step that returns a NaN loss or a NaN gradient aborts the run with a
+    DivergenceError naming the cause, the task, the epoch and the step."""
+    stream, config = _small_stream(), _fast_config("gcl", log_every=1)
+    steps = [r for r in run(stream, config).log if r["event"] == "step"]
+    at = next(r for r in steps if r["task"] == 1 and r["epoch"] == 1)
+    real_step, calls = cclearn.runner.gcl_step, []
+
+    def step(*args):
+        loss, grad = real_step(*args)
+        calls.append(None)
+        if len(calls) - 1 < at["step"]:
+            return loss, grad
+        return (math.nan, grad) if bad == "loss" else (loss, np.full_like(grad, math.nan))
+
+    monkeypatch.setattr(cclearn.runner, "gcl_step", step)
+    with pytest.raises(DivergenceError) as info:
+        run(stream, config)
+    err = info.value
+    assert (err.task, err.epoch, err.step) == (1, 1, at["step"])
+    assert str(err) == f"{cause} at task 1, epoch 1, step {at['step']}"
+    assert isinstance(err.__cause__, NonFiniteGradientError) == (bad == "gradient")
+
+
+@pytest.mark.parametrize("rows, message", [
+    (np.array([0, -1]), "rows for the batch fall outside the pool"),
+    (np.array([0, 6]), "rows for the batch fall outside the pool"),
+    (np.array([0.0, 1.0]), "the batch needs its rows as a 1-d integer array"),
+    (np.array([True, False, True, False, True, True]),
+     "the batch needs its rows as a 1-d integer array"),
+    (np.array([[0, 1], [2, 3]]), "the batch needs its rows as a 1-d integer array"),
+    ([0, 1], "the batch needs its rows as a 1-d integer array"),
+], ids=["negative", "past-end", "float", "bool", "2-d", "list"])
+@pytest.mark.parametrize("method", ["gcl", "finetune-ce"])
+def test_steps_refuse_rows_that_are_not_rows_of_the_pool(rng, method, rows, message):
+    """On a 6-row pool, row -1 would train on row 5, row 6 would raise numpy's
+    IndexError and a bool array would act as a mask: each is refused in one
+    line, before the step changes any estimator state."""
+    enc = make_encoder(seed=2, num_classes=3)
+    w = enc.init_params()
+    pool = make_pool(rng, 6, 3, 3)
+    state = GclEstimatorState(gamma=0.5)
+    gcl_step(state, enc, w, pool, np.array([0, 1, 2]), 0.2)
+    before = state_bytes(state)
+    step = partial(gcl_step, state) if method == "gcl" else ce_step
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        step(enc, w, pool, rows, 0.2)
+    assert state_bytes(state) == before
+
+
 def test_gdro_refuses_a_one_class_stage_before_any_step(monkeypatch):
     """A stage pool of one class is a config error (a ValueError), raised before
     the stage's first step."""
@@ -465,7 +518,7 @@ def test_estimators_same_bits_on_list_and_pool(hidden_dim, n, num_classes, seed)
         state = gcl_update_estimators(GclEstimatorState(0.9), enc, w, batch, 0.2, 2 * n)
         results.append([
             np.float64(gcl_loss_full(enc, w, batch, 0.2)).tobytes(),
-            sample_estimates(state, pool.ids).tobytes(),  # u_I, u_T
+            state.samples.read(pool.ids).tobytes(),  # u_I, u_T
             gcl_gradient_estimate(state, enc, w, batch, 0.2, 2 * n).tobytes(),
         ])
     assert results[0] == results[1]
@@ -627,7 +680,7 @@ def test_fused_steps_are_bitwise_the_separate_sequence(hidden_dim, n, num_classe
 @pytest.mark.parametrize("method, module, name", [
     ("gdro", cclearn.gdro, "_hinge_stats"),
     ("gcl", cclearn.gcl, "_batch_logits"),
-    ("finetune-ce", cclearn.runner, "_ce_logits"),
+    ("finetune-ce", cclearn.runner, "_ce_loss_and_grad"),
 ])
 def test_one_encoding_per_optimizer_step(monkeypatch, method, module, name):
     """Each training step encodes and scores its rows once: one call of the
@@ -645,3 +698,16 @@ def test_one_encoding_per_optimizer_step(monkeypatch, method, module, name):
                         counted("optimizer", cclearn.runner.optimizer_step))
     run(_small_stream(), _fast_config(method, epochs_per_task=2))
     assert calls["optimizer"] > 0 and calls["encode"] == calls["optimizer"]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _fast_config("gcl", epochs_per_task=0), "epochs_per_task must be >= 1"),
+    (lambda: _fast_config("gcl", memory_capacity=-1), "memory_capacity must be >= 0"),
+    (lambda: _fast_config("gcl", batch_size=0), "batch_size must be >= 1"),
+    (lambda: _fast_config("gcl", log_every=0), "log_every must be >= 1"),
+    (lambda: run(TaskStream(mode="cil"), _fast_config("gcl")), "stream has no tasks"),
+], ids=["epochs_per_task", "memory_capacity", "batch_size", "log_every", "empty-stream"])
+def test_runner_refuses_hostile_input(call, message):
+    """RunConfig's range checks and a stream with no tasks refuse in one line."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -53,7 +53,7 @@ def test_estimators_read_no_sample_field(module):
     assert _field_reads(ast.parse((PACKAGE / module).read_text())) == []
 
 
-@pytest.mark.parametrize("function", ["evaluate", "_ce_logits"])
+@pytest.mark.parametrize("function", ["evaluate", "_ce_loss_and_grad"])
 def test_runner_rows_come_from_pools(function):
     assert _field_reads(_function(PACKAGE / "runner.py", function)) == []
 

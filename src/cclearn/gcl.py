@@ -229,8 +229,6 @@ def _update(state, cols, E, pool_size) -> np.ndarray:
     ``state.samples`` from E = exp(S): row and column sums rescaled by
     pool_size/|B| to target the full-pool normalizers.  Returns the updated
     (2, |B|) estimates, each floored to a positive value."""
-    if pool_size < len(cols):
-        raise ValueError("pool_size must be >= batch size")
     scale = pool_size / len(cols)
     sums = scale * np.array([E.sum(axis=1), E.sum(axis=0)])
     return moving_average(state.samples, cols, sums, state.gamma, U_FLOOR)
@@ -280,8 +278,11 @@ def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:
 def gcl_update_estimators(
     state: GclEstimatorState, enc: EncoderPair, params, batch, tau, pool_size
 ) -> GclEstimatorState:
-    """Moving-average update of u_I, u_T for every anchor in the batch, in place."""
+    """Moving-average update of u_I, u_T for every anchor in the batch, in place.
+    Refuses a pool size below the batch size before any state change."""
     batch, S, _, _ = _batch_logits(enc, params, batch, tau)
+    if pool_size < len(batch):
+        raise ValueError("pool_size must be >= batch size")
     _update(state, state.samples.columns(batch.ids), np.exp(S), pool_size)
     return state
 

@@ -38,14 +38,14 @@ The anchors are rows of the pool: ``per_class_batches`` maps each sampled
 class to an integer array of its rows in ``pool`` (``sample_class_batch``'s
 draw), and the anchor set is those arrays joined in class-batch order.  A
 class whose rows are missing, empty, outside the pool or of another class is
-refused in one line naming it.
+refused in one line naming it (the first such class in class-batch order).
 
 A training step is one call to ``gdro_step``: it encodes the pool once per
 tower (the input tower over its rows, the label tower over its distinct
 classes), and every embedding it scores (``_hinge_stats``) or backpropagates
 through (``_gradient``) is a row gather of those two encodings; it updates the
 state in place from the log normalizers, then forms the gradient coefficients
-from the same hinge statistics and the same estimator columns.  The
+from the same hinge statistics and the estimates the update wrote.  The
 per-sample and per-class estimates are ``MovingAverages`` arrays updated by
 gcl's ``moving_average``; the anchors' sample columns are one gather from the
 pool's column map (``MovingAverages.row_columns``), built once per pool.
@@ -64,14 +64,27 @@ of a class that BLAS rounded apart from its first column score on their own
 label x pool input) stays per pool row: its same-class pairs come from
 ``pool.members`` and its negative counts from the class counts.
 
-A step's pool-sized arrays (the g1 product and its gathers, the g2
-similarities, the hinge, exponent and coefficient blocks, each holding the
-(n, K) g1 block and the (n, N) g2 block end to end, and the anchor block of
-pair coefficients; the coefficients overwrite the hinge, the second backward
-block the g2 similarities) are views of the grow-only ``WorkArrays`` on the
-state.  A step allocates none of them unless its pool or anchor count
-outgrows every earlier step of the run.  The hinge statistics are such views,
-valid until the next step on the same state overwrites them.
+A step's pool-sized arrays are views of the grow-only ``WorkArrays`` on the
+state: four float buffers, each handed to the next array once its last one is
+spent, and one bool mask (``apart``, ``_column_groups``'s column check):
+
+- ``S1``: the pool-shaped g1 product E1a @ E2p.T, then the exponent block,
+  then the first backward block's pair coefficients (n, n + N);
+- ``A``: ``_column_groups``'s gather, then the hinge exponents, then the
+  first backward block's similarities;
+- ``H``: the hinge, then the coefficients (coef1 per column group, coef2 per
+  pool row);
+- ``H2t``: the (N, n) g2 similarities, which the second backward block
+  overwrites.
+
+The exponent, hinge and coefficient blocks each hold the (n, K) g1 block and
+the (n, N) g2 block end to end; g1's exp values are gathered to pool columns
+over the g2 exp block once that block is summed.  A step allocates none of
+these arrays unless its pool or anchor count outgrows every earlier step of
+the run.  The hinge statistics are such views and are used up within the
+step: ``_coefficients`` overwrites H and A, and ``_gradient`` overwrites
+H2t, so each runs once per ``_hinge_stats``.  The estimates that the update
+wrote are handed on to the coefficients and the objective, not read back.
 """
 
 from __future__ import annotations
@@ -174,10 +187,12 @@ def _column_groups(S1, index, first, work):
 
     A pool row enters S1 only through its class's label embedding, so a class's
     columns hold the same values, except that BLAS may round a few columns (the
-    tail of a block, say) apart; each such column is a group of its own.
+    tail of a block, say) apart; each such column is a group of its own.  The
+    comparison gathers into ``work``'s ``A``, which ``_hinge_stats`` writes only
+    after this call.
     """
     values = S1.take(first, axis=1)
-    shared = values.take(index, axis=1, out=work.take("G", S1.shape), mode="clip")
+    shared = values.take(index, axis=1, out=work.take("A", S1.shape), mode="clip")
     apart = np.not_equal(
         S1.view(np.int64), shared.view(np.int64), out=work.take("apart", S1.shape, bool)
     )
@@ -206,8 +221,9 @@ def _hinge_stats(enc, params, rows, class_batch, sizes, pool, margin, tau, work)
     over the pool columns, gathered from the groups, so they add the same terms
     in the same order as a block over the pool rows would.  Every anchor needs
     a negative.  Every embedding scored is a row gather of the two encodings.
-    H, A and H2t are views of the ``WorkArrays`` ``work``, so they hold until
-    the next call on the same ``work`` overwrites them.
+    H, A and H2t are views of the ``WorkArrays`` ``work``: ``_coefficients``
+    uses up H and A, ``_gradient`` uses up H2t, and the next call on the same
+    ``work`` overwrites all three.
     """
     classes, index, first, counts = pool.class_index
     f1p = enc._forward_inputs(params, pool.X)
@@ -229,8 +245,7 @@ def _hinge_stats(enc, params, rows, class_batch, sizes, pool, margin, tau, work)
     H1, H2 = _blocks(H, n, K)
     np.subtract(values, sii, out=H1)
     H2t = np.matmul(E1p, E2a.T, out=work.take("H2t", (N, n)))
-    H2[...] = H2t.T  # E2a @ E1p.T would differ in the last bits
-    H2 -= sii
+    np.subtract(H2t.T, sii, out=H2)  # E2a @ E1p.T would differ in the last bits
 
     # the similarity blocks become the hinge in place; same operations, same bits.
     # Off the negatives the hinge is left as is: A is -inf there, so exp(A) = 0
@@ -252,9 +267,9 @@ def _hinge_stats(enc, params, rows, class_batch, sizes, pool, margin, tau, work)
     np.subtract(A1, m[0][:, None], out=E1)
     np.subtract(A2, m[1][:, None], out=E2)
     np.exp(E, out=E)
-    G = E1.take(group, axis=1, out=work.take("G", (n, N)), mode="clip")
-    np.add.reduce(G, axis=1, out=sums[0])
     np.add.reduce(E2, axis=1, out=sums[1])
+    # g1's exp values at the pool columns, gathered over the summed g2 block
+    np.add.reduce(E1.take(group, axis=1, out=E2, mode="clip"), axis=1, out=sums[0])
     log_g = m + np.log(sums) - np.log(n_neg)
     return (n_neg, H, A, log_g, H2t, group), (f1p, f2c, index)
 
@@ -314,22 +329,25 @@ def _update(state, pool, rows, sizes, class_batch, log_g, config):
     all tracked classes (stale entries stand in for unsampled classes).
     ``rows`` are the anchors' rows of ``pool``, whose columns are one gather
     from the pool's column map (``row_columns``), and ``sizes`` each sampled
-    class's anchor count, in class-batch order.  Returns the anchors' columns
-    of ``state.samples`` and the classes' columns of ``state.classes``.
+    class's anchor count, in class-batch order.
+
+    Returns what it wrote and read, so that no caller reads the tables again:
+    the anchors' (2, n) estimates u = (u_I, u_T), the sampled classes' (1, |Bc|)
+    u_c, and every tracked class's u_c in ascending class order (``class_losses``).
     """
     g = config.gamma
     cols = state.samples.row_columns(pool, rows)
-    moving_average(state.samples, cols, np.exp(log_g), g, U_FLOOR)
+    u = moving_average(state.samples, cols, np.exp(log_g), g, U_FLOOR)
     both = log_g[0] + log_g[1]
     bounds = [0, *itertools.accumulate(sizes)]
     h_hat = [
         config.tau * (both[lo:hi].sum() / (hi - lo)) / 2.0 for lo, hi in zip(bounds, bounds[1:])
     ]
-    class_cols = state.classes.columns(class_batch)
-    moving_average(state.classes, class_cols, [h_hat], g)
+    u_c = moving_average(state.classes, state.classes.columns(class_batch), [h_hat], g)
 
     # v <- (1-gamma) v + gamma * mean_k exp(u_c[k]/lam), in shifted form
-    shift, e = _shifted_exp(state.class_losses()[1], config.lam)
+    losses = state.class_losses()[1]
+    shift, e = _shifted_exp(losses, config.lam)
     mantissa = float(e.sum() / len(e))
     if not state.v_initialized:
         state.v_mantissa, state.v_shift, state.v_initialized = mantissa, shift, True
@@ -339,34 +357,39 @@ def _update(state, pool, rows, sizes, class_batch, log_g, config):
             g * mantissa * math.exp(shift - common)
         )
         state.v_shift = common
-    return cols, class_cols
+    return u, u_c, losses
 
 
-def _coefficients(state, ids, sizes, class_batch, stats, config, cols=(None, None)):
+def _coefficients(state, ids, sizes, class_batch, stats, config, estimates=None):
     """The nonzero pair coefficients of the compositional estimator, from the
     hinge statistics ``stats`` of ``_hinge_stats``, written over their H and A.
 
-    Returns (coef1, coef2), both n x N over anchors x pool: coef1 weighs
-    (anchor input, pool label) pairs, coef2 (anchor label, pool input) pairs.
-    coef1 is gathered from g1's column groups into ``state.work``.  The anchor's
-    own (input, label) pair takes minus its row sums of both; ``_gradient``
-    places that diagonal.  ``cols`` are the columns ``_update`` returns, when
-    known; ``ids``, the anchors' sample ids, may then be None.
+    Returns (block, coef2).  ``block`` (n, n + N) is the first backward block's
+    coefficients, anchor inputs x (anchor labels | pool labels): the anchor's
+    own (input, label) pair takes minus its row sums of both blocks, and coef1,
+    which weighs (anchor input, pool label) pairs, is gathered from g1's column
+    groups straight into its last N columns.  coef2 (n, N) weighs (anchor
+    label, pool input) pairs.  ``block`` is a view of ``state.work``'s ``S1``.
+    ``estimates`` are the (u, u_c) that ``_update`` returns, when known; then
+    ``ids``, the anchors' sample ids, may be None.  Otherwise they are read
+    from the state, which refuses a class or sample without an estimate.
     """
     if not state.v_initialized or state.v_mantissa <= 0:
         raise ValueError("scalar estimator v is not initialized or non-positive")
     n_neg, H, A, _, _, group = stats
-    u_c = state.classes.read(class_batch, cols[1], what="class", positive=False)[0]
+    if estimates is None:
+        u_c = state.classes.read(class_batch, what="class", positive=False)
+        estimates = state.samples.read(ids), u_c
+    u, u_c = estimates
     # exp(u_c/lam) / (v * |Bc|) per anchor, with the shared shift folded in
     norm = state.v_mantissa * len(class_batch) * 2.0
     class_weight = np.repeat(
-        [math.exp(u / config.lam - state.v_shift) / (norm * size)
-         for u, size in zip(u_c.tolist(), sizes)],
+        [math.exp(uc / config.lam - state.v_shift) / (norm * size)
+         for uc, size in zip(u_c[0].tolist(), sizes)],
         sizes,
     )
     # math.log, not np.log: the two differ in the last bit on some inputs
-    u = state.samples.read(ids, cols[0]).tolist()
-    log_u = np.array([[math.log(x) for x in row] for row in u])
+    log_u = np.array([[math.log(x) for x in row] for row in u.tolist()])
 
     # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau).  The 2 rides on
     # the per-anchor scale: doubling is exact, so (h * e) * 2s rounds as
@@ -382,10 +405,18 @@ def _coefficients(state, ids, sizes, class_batch, stats, config, cols=(None, Non
     coef1, coef2 = _blocks(coef, n, K)
     coef1 *= scale
     coef2 *= scale
-    return coef1.take(group, axis=1, out=state.work.take("G", (n, N)), mode="clip"), coef2
+    # one gather fills the whole contiguous block; its first n columns, which
+    # gather column 0, then become the diagonal
+    block = coef1.take(
+        np.concatenate([np.zeros(n, np.intp), group]),
+        axis=1, out=state.work.take("S1", (n, n + N)), mode="clip",
+    )
+    block[:, :n] = 0.0
+    np.fill_diagonal(block[:, :n], -(block[:, n:].sum(axis=1) + coef2.sum(axis=1)))
+    return block, coef2
 
 
-def _gradient(enc, coef1, coef2, rows, encodings, H2t, work) -> np.ndarray:
+def _gradient(enc, block, coef2, rows, encodings, H2t, work) -> np.ndarray:
     """The estimator's gradient for the anchors at ``rows`` as two backward passes
     over row gathers (``take_forward``) of the pool encodings ``encodings`` of
     ``_hinge_stats``, so the gradient encodes no row again.
@@ -394,23 +425,18 @@ def _gradient(enc, coef1, coef2, rows, encodings, H2t, work) -> np.ndarray:
     so the gradient is the sum of two rectangular blocks, O(n*N) in time and
     memory for n anchors and a pool of N:
 
-    - anchor inputs x (anchor labels | pool labels), coefficients
-      [diag(-(row sums of coef1 + coef2)) | coef1], the labels one gather at
-      the joined class positions;
-    - pool inputs x anchor labels, coefficients coef2.T.
-
-    The first block's coefficients are written into ``work``.  The second
-    block's similarities are ``H2t``, the g2 similarities of ``_hinge_stats``,
-    which it overwrites.
+    - anchor inputs x (anchor labels | pool labels), coefficients ``block``
+      of ``_coefficients``, the labels one gather at the joined class
+      positions; its similarities are written into ``work``'s ``A``;
+    - pool inputs x anchor labels, coefficients coef2.T.  Its similarities
+      are ``H2t``, the g2 similarities of ``_hinge_stats``, which it overwrites.
     """
     f1p, f2c, index = encodings
-    n, anchor_cls = len(rows), index[rows]
-    C_anchor = work.take("C_anchor", (n, n + coef1.shape[1]))
-    C_anchor[:, :n] = 0.0
-    np.fill_diagonal(C_anchor[:, :n], -(coef1.sum(axis=1) + coef2.sum(axis=1)))
-    C_anchor[:, n:] = coef1
+    anchor_cls = index[rows]
+    f1 = enc.take_forward(f1p, rows)
     f2 = enc.take_forward(f2c, np.concatenate([anchor_cls, index]))
-    grad = enc.pair_grad(enc.take_forward(f1p, rows), f2, C_anchor)
+    sims = np.matmul(f1[0], f2[0].T, out=work.take("A", block.shape))
+    grad = enc.pair_grad(f1, f2, block, sims)
     grad += enc.pair_grad(f1p, enc.take_forward(f2c, anchor_cls), coef2.T, H2t)
     return grad
 
@@ -426,15 +452,17 @@ def gdro_step(
 ) -> tuple[float, np.ndarray]:
     """One training step: the in-place estimator update, then the robust objective
     over the updated u_c and the gradient estimate, from one ``_hinge_stats``.
+    The coefficients and the objective take the estimates ``_update`` wrote and
+    the class losses it gathered, so no table is read, checked or sorted again.
     Bitwise the same as ``gdro_update_estimators`` then ``gdro_gradient_estimate``."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
     stats, encodings = _hinge_stats(
         enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, state.work
     )
-    cols = _update(state, pool, rows, sizes, class_batch, stats[3], config)
-    coef1, coef2 = _coefficients(state, None, sizes, class_batch, stats, config, cols)
-    grad = _gradient(enc, coef1, coef2, rows, encodings, stats[4], state.work)
-    return dro_objective(state.class_losses()[1], config.lam), grad
+    u, u_c, losses = _update(state, pool, rows, sizes, class_batch, stats[3], config)
+    block, coef2 = _coefficients(state, None, sizes, class_batch, stats, config, (u, u_c))
+    grad = _gradient(enc, block, coef2, rows, encodings, stats[4], state.work)
+    return dro_objective(losses, config.lam), grad
 
 
 def gdro_update_estimators(
@@ -471,5 +499,5 @@ def gdro_gradient_estimate(
         enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, state.work
     )
     ids = [pool.ids[i] for i in rows.tolist()]
-    coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)
-    return _gradient(enc, coef1, coef2, rows, encodings, stats[4], state.work)
+    block, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)
+    return _gradient(enc, block, coef2, rows, encodings, stats[4], state.work)

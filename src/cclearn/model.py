@@ -251,8 +251,12 @@ class EncoderPair:
         # d sim / d z = (other - sim * self) / norm for each side
         row_w = CS.sum(axis=1)
         col_w = CS.sum(axis=0)
-        dZ1 = (C @ E2 - row_w[:, None] * E1) / c1["R"][:, None]
-        dZ2 = (C.T @ E1 - col_w[:, None] * E2) / c2["R"][:, None]
+        dZ1 = C @ E2
+        dZ1 -= row_w[:, None] * E1
+        dZ1 /= c1["R"][:, None]
+        dZ2 = C.T @ E1
+        dZ2 -= col_w[:, None] * E2
+        dZ2 /= c2["R"][:, None]
 
         g = np.zeros(self.n_params)
         self._backward(g, c1, dZ1)

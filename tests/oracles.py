@@ -104,9 +104,10 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
         enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, WorkArrays()
     )
     ids = [pool.ids[i] for i in rows.tolist()]
-    coef1, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)
+    block, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)
     anchors = pool.take(np.concatenate([per_class_batches[k] for k in class_batch]))
     n, N = len(anchors), len(pool)
+    coef1 = block[:, n:]
     C = np.zeros((n + N, n + N))
     C[:n, n:] = coef1  # anchor input vs pool label
     C[n:, :n] = coef2.T  # pool input vs anchor label
@@ -152,20 +153,21 @@ def hinge_stats_per_row(enc: EncoderPair, params, rows, pool, margin, tau):
     return (n_neg, H, A, log_g, H2t), (f1p, f2c, index)
 
 
-def coefficients_per_row(state, ids, sizes, class_batch, stats, config, cols=(None, None)):
+def coefficients_per_row(state, ids, sizes, class_batch, stats, config):
     """``_coefficients`` over the (2, n, N) blocks of ``hinge_stats_per_row``,
-    written over their H and A: (coef1, coef2), both n x N over anchors x pool."""
+    written over their H and A: (coef1, coef2), both n x N over anchors x pool.
+    The estimates are read from the state by the anchors' ``ids``."""
     if not state.v_initialized or state.v_mantissa <= 0:
         raise ValueError("scalar estimator v is not initialized or non-positive")
     n_neg, H, A, _, _ = stats
-    u_c = state.classes.read(class_batch, cols[1], what="class", positive=False)[0]
+    u_c = state.classes.read(class_batch, what="class", positive=False)[0]
     norm = state.v_mantissa * len(class_batch) * 2.0
     class_weight = np.repeat(
         [math.exp(u / config.lam - state.v_shift) / (norm * size)
          for u, size in zip(u_c.tolist(), sizes)],
         sizes,
     )
-    u = state.samples.read(ids, cols[0]).tolist()
+    u = state.samples.read(ids).tolist()
     log_u = np.array([[math.log(x) for x in row] for row in u])
 
     scale = (class_weight * (1.0 / n_neg))[:, None]
@@ -178,12 +180,19 @@ def coefficients_per_row(state, ids, sizes, class_batch, stats, config, cols=(No
 
 def gdro_step_per_row(state, enc: EncoderPair, params, class_batch, per_class_batches, pool,
                       config: GdroConfig):
-    """``gdro_step`` through ``hinge_stats_per_row`` and ``coefficients_per_row``."""
+    """``gdro_step`` through ``hinge_stats_per_row`` and ``coefficients_per_row``,
+    which read the estimates back from the state after ``_update``, and a first
+    backward block of its own: zeros, the diagonal, then coef1."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
     stats, encodings = hinge_stats_per_row(enc, params, rows, pool, config.margin, config.tau)
-    cols = _update(state, pool, rows, sizes, class_batch, stats[3], config)
-    coef1, coef2 = coefficients_per_row(state, None, sizes, class_batch, stats, config, cols)
-    grad = _gradient(enc, coef1, coef2, rows, encodings, stats[4], WorkArrays())
+    _update(state, pool, rows, sizes, class_batch, stats[3], config)
+    ids = [pool.ids[i] for i in rows.tolist()]
+    coef1, coef2 = coefficients_per_row(state, ids, sizes, class_batch, stats, config)
+    n = len(rows)
+    block = np.zeros((n, n + coef1.shape[1]))
+    np.fill_diagonal(block, -(coef1.sum(axis=1) + coef2.sum(axis=1)))
+    block[:, n:] = coef1
+    grad = _gradient(enc, block, coef2, rows, encodings, stats[4], WorkArrays())
     return dro_objective(state.class_losses()[1], config.lam), grad
 
 

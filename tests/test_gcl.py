@@ -358,3 +358,16 @@ def test_gcl_refuses_hostile_input(rng, case, message):
     }[case]
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_refused_pool_size_leaves_the_state_alone(rng):
+    """A pool size below the batch size is refused before any of the batch's ids
+    gets an estimator column: the state keeps its keys and its bits."""
+    enc = make_encoder(seed=3)
+    w = enc.init_params()
+    pool = make_pool(rng, 6, 3, 3)
+    state = gcl_update_estimators(GclEstimatorState(gamma=0.5), enc, w, pool.take(range(3)), 0.2, 6)
+    before = state_bytes(state)
+    with pytest.raises(ValueError, match="^pool_size must be >= batch size$"):
+        gcl_update_estimators(state, enc, w, pool, 0.2, 5)
+    assert state_bytes(state) == before

@@ -35,8 +35,9 @@ exp(u_c[k]/lam)/v is computed as exp(u_c[k]/lam - shift)/mantissa.  This keeps
 lam down to ~0.01 usable.
 
 The anchors are rows of the pool: ``per_class_batches`` maps each sampled
-class to an integer array of its rows in ``pool`` (``sample_class_batch``'s
-draw), and the anchor set is those arrays joined in class-batch order.  A
+class to an integer array of its rows in ``pool`` (in training, one pick of
+the ``sample_class_batches`` call that draws a stage's rows once, before its
+first step), and the anchor set is those arrays joined in class-batch order.  A
 class whose rows are missing, empty, outside the pool or of another class is
 refused in one line naming it (the first such class in class-batch order).
 

@@ -102,6 +102,10 @@ class EncoderPair:
         self.config = config
         self._layers, self._slices = self._build_layout(config)
         self.n_params = self._slices["__total__"]
+        # the label tower's first layer: each row's offset in W's flat cells
+        rows, cols = self._layers["e2"][0][2]
+        self._label_cells = np.arange(rows) * cols
+        self._label_cells.flags.writeable = False
 
     @staticmethod
     def _build_layout(cfg: EncoderConfig):
@@ -220,7 +224,7 @@ class EncoderPair:
             if k == 0 and cache["tower"] == "e2":
                 # scatter-add dZ's rows into W's columns A: bincount adds each
                 # (row, class) cell's terms in row order from 0.0, as np.add.at does
-                cells = np.arange(rows) * cols + A[:, None]
+                cells = self._label_cells + A[:, None]
                 g[w_slice] = np.bincount(cells.ravel(), dZ.ravel(), rows * cols)
             else:
                 g[w_slice] = (dZ.T @ A).ravel()

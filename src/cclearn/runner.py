@@ -19,7 +19,8 @@ step the optimizer, guard against divergence and log every ``log_every``
 steps.  Every batch is rows of the stage pool: each step gets the pool and
 its batch as integer rows of it, and no step builds a Pool of its own.
 Methods differ only in how batches are drawn (slices of a shuffled order of
-the pool's rows, or class picks plus per-class row draws for gdro) and in
+the pool's rows, drawn per epoch, or for gdro class picks plus per-class row
+draws, all made once before the stage's first step) and in
 the one fused step function that gives a batch's loss and gradient:
 ``gcl_step``, ``gdro_step`` or ``ce_step``.  Each encodes its rows once per
 step, and what depends only on the pool (estimator columns, classes) is
@@ -41,13 +42,15 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .buffer import MemoryBuffer, sample_class_batch
+from .buffer import MemoryBuffer, sample_class_batches
 from .data import Pool, Task, TaskStream
 from .errors import ConfigError, DivergenceError, NonFiniteGradientError
 from .gcl import GclEstimatorState, _check_rows, _check_tau, _first_repeat, gcl_step
 from .gdro import GdroConfig, GdroEstimatorState, dro_weights, gdro_step
 
-# perfbench/tracing.py wraps these names on this module; training calls the fused steps
+# perfbench/tracing.py wraps these names on this module; training calls the fused
+# steps and draws a stage's gdro rows with one sample_class_batches call
+from .buffer import sample_class_batch  # noqa: F401
 from .gcl import gcl_gradient_estimate, gcl_loss_full, gcl_update_estimators  # noqa: F401
 from .gdro import gdro_gradient_estimate, gdro_update_estimators  # noqa: F401
 from .model import EncoderConfig, EncoderPair
@@ -257,21 +260,33 @@ class _Trainer:
             task=task, epoch=epoch, step=self.global_step,
         )
 
-    def _batches(self, pool, candidates):
-        """One epoch's batches, drawn up front; each RNG has this one consumer.
-        A gcl or cross-entropy batch is an index array of rows of the stage
-        pool, a gdro batch its (class, seed) picks; ``_step`` draws the
-        per-class rows."""
+    def _epochs(self, pool, candidates):
+        """Each epoch's batches; each RNG has this one consumer.  A gcl or
+        cross-entropy batch is an index array of rows of the stage pool, drawn
+        with its epoch.  A gdro batch is its ``{class: rows}``: every epoch's
+        (class, seed) picks are drawn before the stage's first step, one
+        ``choice`` and one ``integers`` call per batch, then one
+        ``sample_class_batches`` call draws every pick's rows."""
         cfg, gcfg = self.config, self.gdro_config
         if cfg.method != "gdro":
-            order = self.shuffle_rng.permutation(len(pool))
-            return [order[i : i + cfg.batch_size] for i in range(0, len(pool), cfg.batch_size)]
+            for _ in range(cfg.epochs_per_task):
+                order = self.shuffle_rng.permutation(len(pool))
+                yield [order[i : i + cfg.batch_size] for i in range(0, len(pool), cfg.batch_size)]
+            return
         n_take = min(gcfg.batch_classes, len(candidates))
-        batches = []
-        for _ in range(max(1, math.ceil(len(pool) / (gcfg.batch_classes * gcfg.batch_per_class)))):
+        steps = max(1, math.ceil(len(pool) / (gcfg.batch_classes * gcfg.batch_per_class)))
+        classes, seeds = [], []
+        for _ in range(cfg.epochs_per_task * steps):
             picked = self.batch_rng.choice(len(candidates), n_take, replace=False)
-            batches.append([(candidates[i], int(self.batch_rng.integers(2**63))) for i in picked])
-        return batches
+            classes += [candidates[i] for i in picked]
+            seeds.append(self.batch_rng.integers(2**63, size=n_take))
+        rows = sample_class_batches(pool, classes, gcfg.batch_per_class, np.concatenate(seeds))
+        batches = [
+            dict(zip(classes[i : i + n_take], rows[i : i + n_take]))
+            for i in range(0, len(rows), n_take)
+        ]
+        for epoch in range(cfg.epochs_per_task):
+            yield batches[epoch * steps : (epoch + 1) * steps]
 
     def _step(self, batch, pool):
         """The method's loss and gradient on one batch, from one fused step call.
@@ -283,9 +298,7 @@ class _Trainer:
             return ce_step(enc, params, pool, batch, cfg.tau)
         if cfg.method == "gcl":
             return gcl_step(self.gcl_state, enc, params, pool, batch, cfg.tau)
-        gcfg = self.gdro_config
-        per_class = {k: sample_class_batch(pool, k, gcfg.batch_per_class, seed) for k, seed in batch}
-        return gdro_step(self.gdro_state, enc, params, list(per_class), per_class, pool, gcfg)
+        return gdro_step(self.gdro_state, enc, params, list(batch), batch, pool, self.gdro_config)
 
     def _log_fields(self):
         """gdro's per-class loss estimates and robust weights; other methods add none."""
@@ -309,8 +322,8 @@ class _Trainer:
                 f"gdro needs at least two classes in each stage's pool; "
                 f"the pool of stage {task} holds {len(candidates)}"
             )
-        for epoch in range(cfg.epochs_per_task):
-            for batch in self._batches(pool, candidates):
+        for epoch, batches in enumerate(self._epochs(pool, candidates)):
+            for batch in batches:
                 loss, grad = self._step(batch, pool)
                 if not math.isfinite(loss):
                     raise self._diverged("loss became non-finite", task, epoch)

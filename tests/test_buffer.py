@@ -1,9 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cclearn.buffer import MemoryBuffer, sample_class_batch
+from cclearn.buffer import (
+    MemoryBuffer,
+    _choice_positions,
+    sample_class_batch,
+    sample_class_batches,
+)
 from cclearn.data import Pool
 from cclearn.gdro import _anchor_rows
 
@@ -192,17 +199,118 @@ def test_sample_class_batch_refuses_a_batch_of_no_rows(rng, batch_size):
 
 
 def test_sample_class_batch_uniform(rng):
+    """One row drawn with each of 10,000 seeds (in one ``sample_class_batches``
+    call, which the first seeds show ``sample_class_batch`` agrees with) falls
+    on each of the class's rows equally often, within 3 sigma."""
     pool = make_pool(rng, 20, 4, 2)  # 5 samples of class 0
     members = [i for i, k in enumerate(pool.y.tolist()) if k == 0]
     draws = 10_000
     counts = {m: 0 for m in members}
-    for seed in range(draws):
-        (picked,) = sample_class_batch(pool, 0, 1, seed=seed)
+    picks = sample_class_batches(pool, [0] * draws, 1, range(draws))
+    assert [sample_class_batch(pool, 0, 1, seed).tolist() for seed in range(20)] == [
+        p.tolist() for p in picks[:20]
+    ]
+    for (picked,) in picks:
         counts[picked] += 1
     p = 1.0 / len(members)
     sigma = np.sqrt(draws * p * (1 - p))
     for m in members:
         assert abs(counts[m] - draws * p) < 3.0 * sigma
+
+
+def _numpy_draw(pool, k, batch_size, seed):
+    """The per-seed draw of numpy's own generator."""
+    members = pool.members[k]
+    n = min(batch_size, len(members))
+    return members[np.random.default_rng(seed).choice(len(members), n, replace=False)].tolist()
+
+
+_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 60), min_size=1, max_size=6),
+    lanes=st.lists(st.tuples(st.integers(0, 5), _SEEDS), min_size=1, max_size=40),
+    batch_size=st.integers(1, 60),
+    order_seed=st.integers(0, 2**16),
+)
+@example(sizes=[1, 60], lanes=[(0, 0), (1, 0), (1, 1), (0, 2**32 - 1)], batch_size=60,
+         order_seed=0)
+@example(sizes=[7], lanes=[(0, 2**63 - 1), (0, 2**32)], batch_size=7, order_seed=1)
+def test_sample_class_batches_are_numpy_per_seed_draws(sizes, lanes, batch_size, order_seed):
+    """Every (class, seed) pick of ``sample_class_batches`` is the class's rows
+    at ``np.random.default_rng(seed).choice(m, min(batch_size, m),
+    replace=False)``, for classes of 1 to 60 rows spread over a shuffled pool,
+    batches from one row to the whole class, and seeds from 0 through 2**63."""
+    y = np.random.default_rng(order_seed).permutation(np.repeat(np.arange(len(sizes)), sizes))
+    pool = Pool(np.zeros((len(y), 1)), y, list(range(len(y))))
+    classes = [k % len(sizes) for k, _ in lanes]
+    seeds = [seed for _, seed in lanes]
+    picks = sample_class_batches(pool, classes, batch_size, seeds)
+    assert [p.tolist() for p in picks] == [
+        _numpy_draw(pool, k, batch_size, seed) for k, seed in zip(classes, seeds)
+    ]
+    assert all(p.dtype == np.intp for p in picks)
+    from_array = sample_class_batches(pool, classes, batch_size, np.array(seeds))
+    assert [p.tolist() for p in from_array] == [p.tolist() for p in picks]
+
+
+def test_sample_class_batches_of_large_classes_are_numpy_draws():
+    """Large classes take both of numpy's branches: Floyd's selection up to
+    n = m // 50 (and for any n at m = 10000) and a tail shuffle of ``arange(m)``
+    beyond it when m > 10000, e.g. m = 20000 with n = 401."""
+    y = np.repeat(np.arange(3), [20_000, 10_000, 10_001])
+    pool = Pool(np.zeros((len(y), 1)), y, list(range(len(y))))
+    classes, seeds = [0, 1, 2, 0, 2, 1], [3, 2**40 + 7, 0, 2**63 - 1, 11, 5]
+    for batch_size in (1, 200, 400, 401):
+        picks = sample_class_batches(pool, classes, batch_size, seeds)
+        assert [p.tolist() for p in picks] == [
+            _numpy_draw(pool, k, batch_size, seed) for k, seed in zip(classes, seeds)
+        ]
+
+
+def test_choice_positions_redraw_after_rejections():
+    """At m = 2**31 + 1 Lemire's method rejects about half of all 32-bit
+    values, so these lanes take the redraw path, some past the values drawn up
+    front, and still give numpy's positions (all seeds, including 2**64 - 1)."""
+    seeds = np.array([0, 1, 2**32, 2**63 + 9, 2**64 - 1] + list(range(7, 22)), dtype=np.uint64)
+    m = np.full(len(seeds), 2**31 + 1)
+    n = np.arange(len(seeds)) % 5 + 1
+    got = _choice_positions(seeds, m, n)
+    for row, seed, k in zip(got, seeds.tolist(), n.tolist()):
+        expected = np.random.default_rng(seed).choice(2**31 + 1, k, replace=False)
+        assert row[:k].tolist() == expected.tolist()
+
+
+_BAD_CLASS_IDS = [True, False, 1.0, np.float64(1.0), np.bool_(True)]
+_BAD_SEEDS = [True, np.bool_(False), 1.0, np.float64(3.0), -1, 2**64, 2**70, "1", None]
+
+
+@pytest.mark.parametrize("entry", ["one", "many"])
+@pytest.mark.parametrize(
+    "class_id, seed, message",
+    [(k, 0, f"class id must be an int, got {k!r}") for k in _BAD_CLASS_IDS]
+    + [(1, s, f"seed must be an int in [0, 2**64), got {s!r}") for s in _BAD_SEEDS],
+)
+def test_samplers_refuse_non_int_class_ids_and_seeds(rng, entry, class_id, seed, message):
+    """A float or bool class id is never read as the class it equals, and a
+    seed must be an int in [0, 2**64); each is refused in one line naming it."""
+    pool = make_pool(rng, 6, 2, 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if entry == "one":
+            sample_class_batch(pool, class_id, 2, seed)
+        else:
+            sample_class_batches(pool, [0, class_id], 2, [5, seed])
+
+
+def test_sample_class_batches_refuse_a_negative_seed_array_and_unpaired_seeds(rng):
+    pool = make_pool(rng, 6, 2, 2)
+    with pytest.raises(ValueError, match=r"^seed must be an int in \[0, 2\*\*64\), got -3$"):
+        sample_class_batches(pool, [0, 1], 2, np.array([4, -3]))
+    with pytest.raises(ValueError, match="^2 class ids but 1 seeds$"):
+        sample_class_batches(pool, [0, 1], 2, [4])
+    assert sample_class_batches(pool, [], 2, []) == []
 
 
 def test_pool_arrays_follow_sample_order(rng):

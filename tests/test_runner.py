@@ -677,6 +677,47 @@ def test_fused_steps_are_bitwise_the_separate_sequence(hidden_dim, n, num_classe
         assert state_bytes(fused_state) == state_bytes(separate_state)
 
 
+def test_gdro_steps_get_the_per_seed_draws(monkeypatch):
+    """Every gdro step gets the classes and rows of the per-seed draws,
+    re-derived here without the package's sampler: one generator from the run
+    seed's second spawned child picks each step's classes, then draws one seed
+    per class, and a class's rows are ``default_rng(seed).choice`` of its rows
+    in the stage pool.  The run's second stage holds classes of one and two
+    rows, fewer than a class batch.  Unlike the golden digests, this holds on
+    any numpy build."""
+    steps = []
+
+    def recorded(state, enc, params, classes, batches, pool, config):
+        steps.append((pool, list(classes), {k: rows.tolist() for k, rows in batches.items()}))
+        return gdro_step(state, enc, params, classes, batches, pool, config)
+
+    monkeypatch.setattr(cclearn.runner, "gdro_step", recorded)
+    config = _fast_config("gdro", epochs_per_task=2, memory_capacity=5, seed=11)
+    run(_small_stream(num_tasks=2), config)
+
+    batch_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[1])
+    pools = list({id(pool): pool for pool, _, _ in steps}.values())
+    assert len(pools) == 2
+    expected = []
+    for pool in pools:
+        candidates = sorted(set(pool.y.tolist()))
+        n_take = min(config.batch_classes, len(candidates))
+        batch_rows = config.batch_classes * config.batch_per_class
+        per_epoch = max(1, math.ceil(len(pool) / batch_rows))
+        for _ in range(config.epochs_per_task * per_epoch):
+            picked = [candidates[i] for i in batch_rng.choice(len(candidates), n_take, False)]
+            seeds = [int(batch_rng.integers(2**63)) for _ in picked]
+            rows = {}
+            for k, seed in zip(picked, seeds):
+                members = np.flatnonzero(pool.y == k)
+                n = min(config.batch_per_class, len(members))
+                draw = np.random.default_rng(seed).choice(len(members), n, replace=False)
+                rows[k] = members[draw].tolist()
+            expected.append((pool, picked, rows))
+    assert min(np.bincount(pools[1].y)[np.unique(pools[1].y)]) == 1
+    assert [(id(p), c, r) for p, c, r in steps] == [(id(p), c, r) for p, c, r in expected]
+
+
 @pytest.mark.parametrize("method, module, name", [
     ("gdro", cclearn.gdro, "_hinge_stats"),
     ("gcl", cclearn.gcl, "_batch_logits"),

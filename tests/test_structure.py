@@ -6,10 +6,11 @@ hold columns, splits select index arrays, tasks and the replay buffer hold
 sample's ``x``, ``class_id`` or ``sample_id``: the estimators, the buffer and
 the runner read the ``X``, ``y`` and ``ids`` of a ``Pool``.  Every batch is
 rows of its stage pool: a gcl or cross-entropy batch is an index array of
-the pool's rows, and gdro's anchors are ``sample_class_batch``'s row indices
-into the pool, which gdro scores as rows of the encoded pool.
-``Pool.take``, ``Pool.concat``, ``Pool.members`` and ``sample_class_batch``
-read no sample either.  ``Pool.of`` joins a list of Pools in one place only,
+the pool's rows, and gdro's anchors are row indices into the pool, drawn
+for a whole stage before its first step by one ``sample_class_batches`` call,
+which gdro scores as rows of the encoded pool.  ``Pool.take``,
+``Pool.concat``, ``Pool.members``, ``sample_class_batch`` and
+``sample_class_batches`` read no sample either.  ``Pool.of`` joins a list of Pools in one place only,
 gcl's batch entry, which the benchmark's pool sweep feeds a list of one-row
 Pools for gcl's separate parts.
 """
@@ -59,7 +60,8 @@ def test_runner_rows_come_from_pools(function):
 
 
 @pytest.mark.parametrize(
-    "function", ["Pool.take", "Pool.concat", "Pool.members", "sample_class_batch"]
+    "function",
+    ["Pool.take", "Pool.concat", "Pool.members", "sample_class_batch", "sample_class_batches"],
 )
 def test_batches_are_row_views(function):
     module = "data.py" if function.startswith("Pool.") else "buffer.py"

@@ -29,10 +29,10 @@ uint64 array arithmetic, in numpy's own steps: SeedSequence hashes the
 seed's two 32-bit words into four pool words and those into PCG64's
 128-bit state and increment, held as (high, low) uint64 pairs; each 64-bit
 XSL-RR output is two uint32 values, low half first; a draw in [0, j] is
-Lemire's method with its rejection loop; Floyd's selection draws each of
-the n picks, then a Fisher-Yates pass shuffles them.  numpy shuffles the
-tail of ``arange(m)`` instead when m > 10000 and n > m // 50; those picks
-are numpy's own call.
+Lemire's method; Floyd's selection draws each of the n picks, then a
+Fisher-Yates pass shuffles them.  A pick in numpy's tail-shuffle branch
+(m > 10000 and n > m // 50), or one where Lemire's method rejects a value
+(each draw does so with probability below m / 2**32), is numpy's own call.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ class MemoryBuffer:
     rng_seed: int
 
     def __post_init__(self):
+        for name, value in (("capacity", self.capacity), ("rng_seed", self.rng_seed)):
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.capacity < 0:
             raise ValueError("capacity must be >= 0")
         self._rng = np.random.default_rng(self.rng_seed)
@@ -99,14 +102,17 @@ def sample_class_batches(pool: Pool, class_ids, batch_size, seeds) -> list[np.nd
     class of ``pool``, uniform without replacement, as indices into ``pool``:
     ``pool.members[k][np.random.default_rng(seed).choice(m, min(batch_size, m),
     replace=False)]`` for a class of m rows, bit for bit, drawn for all picks at
-    once.  Refuses a batch_size below 1, a class id that is not an int (a float
-    or bool) or not in the pool, and a seed that is not an int in [0, 2**64)."""
+    once.  Refuses a batch_size that is not an int (a float or bool) or is below
+    1, a class id that is not an int or not in the pool, and a seed that is not
+    an int in [0, 2**64)."""
+    if not _is_int(batch_size):
+        raise ValueError(f"batch_size must be an int, got {batch_size!r}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     seeds = _seed_array(seeds)
     column, lane_class = {}, []
     for k in class_ids:
-        if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)):
+        if not _is_int(k):
             raise ValueError(f"class id must be an int, got {k!r}")
         if k not in pool.members:
             raise ValueError(f"class {k} not present in pool")
@@ -118,20 +124,27 @@ def sample_class_batches(pool: Pool, class_ids, batch_size, seeds) -> list[np.nd
     m = sizes[lane_class]
     n = np.minimum(m, batch_size)
     picks: list = [None] * len(m)
-    tail = (m > 10_000) & (n > m // 50)  # numpy's tail-shuffle branch of choice
-    lanes = np.flatnonzero(~tail)
+    by_numpy = (m > 10_000) & (n > m // 50)  # numpy's tail-shuffle branch of choice
+    lanes = np.flatnonzero(~by_numpy)
     if len(lanes):
         rows = np.concatenate(members)
         first = (np.cumsum(sizes) - sizes)[lane_class]
         for i in range(0, len(lanes), _LANES_PER_PASS):
             part = lanes[i : i + _LANES_PER_PASS]
-            picked = rows[_choice_positions(seeds[part], m[part], n[part]) + first[part, None]]
+            positions, rejected = _choice_positions(seeds[part], m[part], n[part])
+            picked = rows[positions + first[part, None]]
             for lane, row, k in zip(part.tolist(), picked, n[part].tolist()):
                 picks[lane] = row[:k]
-    for lane in np.flatnonzero(tail).tolist():
+            by_numpy[part[rejected]] = True
+    for lane in np.flatnonzero(by_numpy).tolist():
         rng = np.random.default_rng(int(seeds[lane]))
         picks[lane] = members[lane_class[lane]][rng.choice(int(m[lane]), int(n[lane]), False)]
     return picks
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _seed_array(seeds) -> np.ndarray:
@@ -143,8 +156,7 @@ def _seed_array(seeds) -> np.ndarray:
         return seeds.astype(np.uint64).reshape(-1)
     seeds = list(seeds)
     for s in seeds:
-        if (isinstance(s, (bool, np.bool_)) or not isinstance(s, (int, np.integer))
-                or not 0 <= int(s) < 2**64):
+        if not (_is_int(s) and 0 <= int(s) < 2**64):
             raise ValueError(f"seed must be an int in [0, 2**64), got {s!r}")
     return np.array([int(s) for s in seeds], dtype=np.uint64)
 
@@ -209,15 +221,14 @@ def _seed_states(seeds):
 
 
 @functools.lru_cache(maxsize=64)
-def _jump_constants(first, count):
+def _jump_constants(count):
     """PCG64 state k after seeding is a^(k+1) * (inc + initstate) + (1 + a + ...
-    + a^k) * inc mod 2**128; these two multipliers for k = first .. first+count-1,
-    each as (high, low, low's low 32 bits, low's high 32 bits) uint64 columns."""
+    + a^k) * inc mod 2**128; these two multipliers for k = 1 .. count, each as
+    (high, low, low's low 32 bits, low's high 32 bits) uint64 columns."""
     a, p, q, rows = _PCG_MULT, _PCG_MULT, 1, []
-    for k in range(1, first + count):
+    for _ in range(count):
         p, q = p * a % 2**128, (q * a + 1) % 2**128
-        if k >= first:
-            rows.append((p, q))
+        rows.append((p, q))
 
     def columns(values):
         hi, lo = [v >> 64 for v in values], [v % 2**64 for v in values]
@@ -246,10 +257,10 @@ def _mul128(c, x_hi, x_lo):
     return hi, c_lo * x_lo
 
 
-def _pcg_outputs(start, inc, first, count):
-    """PCG64's 64-bit outputs first .. first+count-1 (from 1) per lane, (count, D):
-    the XSL-RR output of each state, from ``start`` = inc + initstate."""
-    a, b = _jump_constants(first, count)
+def _pcg_outputs(start, inc, count):
+    """PCG64's first ``count`` 64-bit outputs per lane, (count, D): the XSL-RR
+    output of each state, from ``start`` = inc + initstate."""
+    a, b = _jump_constants(count)
     hi, lo = _mul128(a, *start)
     inc_hi, inc_lo = _mul128(b, *inc)
     lo += inc_lo
@@ -264,8 +275,9 @@ def _pcg_outputs(start, inc, first, count):
 
 def _choice_positions(seeds, m, n):
     """``np.random.default_rng(seed).choice(m, n, replace=False)`` per lane for
-    m < 2**32 outside numpy's tail-shuffle branch, as a (D, max n) int64 array
-    whose row d starts with lane d's n[d] positions."""
+    m < 2**32 outside numpy's tail-shuffle branch: a (D, max n) int64 array whose
+    row d starts with lane d's n[d] positions, and a (D,) mask of the lanes where
+    Lemire's method rejected a value, whose positions are not numpy's."""
     D, nmax = len(seeds), int(n.max())
     state = _seed_states(seeds)
     inc = (state[2] << np.uint64(1) | state[3] >> _U63, state[3] << np.uint64(1) | np.uint64(1))
@@ -279,21 +291,16 @@ def _choice_positions(seeds, m, n):
     take = bound > 0
     excl = bound.astype(np.uint64) + np.uint64(1)
     # each lane's uint32 values, low half of each output first: row 2k + h, column d
-    out = _pcg_outputs(start, inc, 1, nmax)
+    out = _pcg_outputs(start, inc, nmax)
     values = np.empty((nmax, 2, D), np.uint64)
     values[:, 0] = out & _M32
     values[:, 1] = out >> _U32
     taken = np.cumsum(take, axis=0) - take
     lanes = np.arange(D)
-    # Lemire: value * (bound + 1), rejected while its low word is below the threshold
+    # Lemire: value * (bound + 1), rejected if its low word is below the threshold
     prod = values.reshape(-1)[taken * D + lanes] * excl
     threshold = (np.uint64(2**32) - excl) % excl
-    rejected = (prod & _M32) < threshold
-    if rejected.any():
-        for d in np.flatnonzero(rejected.any(axis=0)).tolist():
-            lane = slice(d, d + 1)
-            prod[:, d] = _redraw((start[0][lane], start[1][lane]), (inc[0][lane], inc[1][lane]),
-                                 excl[:, d], threshold[:, d])
+    rejected = ((prod & _M32) < threshold).any(axis=0)
     draw = (prod >> _U32).astype(np.int64)
     # Floyd: a draw already picked is replaced by its bound j
     picks = np.empty((nmax, D), np.int64)
@@ -304,20 +311,5 @@ def _choice_positions(seeds, m, n):
     flat = picks.reshape(-1)
     for i, j in zip(swap * D + lanes, draw[nmax:] * D + lanes):
         flat[i], flat[j] = flat[j], flat[i]
-    return picks.T
+    return picks.T, rejected
 
-
-def _redraw(start, inc, excl, threshold):
-    """One lane's Lemire products, taking a fresh uint32 value after each
-    rejection, for a lane that rejected a value."""
-    values, used, prod = [], 0, np.zeros_like(excl)
-    for t, (e, low) in enumerate(zip(excl.tolist(), threshold.tolist())):
-        while e > 1:  # a bound of 0 takes no value and draws 0
-            if used == len(values):
-                for x in _pcg_outputs(start, inc, len(values) // 2 + 1, 8)[:, 0].tolist():
-                    values += [x & 0xFFFFFFFF, x >> 32]
-            product, used = values[used] * e, used + 1
-            if product & 0xFFFFFFFF >= low:
-                prod[t] = product
-                break
-    return prod

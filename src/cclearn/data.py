@@ -63,10 +63,13 @@ class Pool:
     ``class_index`` the distinct classes with each row's position among them
     and each class's first row and row count; both are built on first read.
     A Pool is the package's one row type: every function that takes rows takes
-    a Pool.
+    a Pool.  It refuses ``X``, ``y`` and ``ids`` of different lengths.
     """
 
     def __init__(self, X, y, ids):
+        if not len(X) == len(y) == len(ids):
+            lengths = f"X {len(X)}, y {len(y)}, ids {len(ids)}"
+            raise ValueError(f"Pool columns differ in length: {lengths}")
         self.X, self.y, self.ids = X, y, ids
 
     @classmethod

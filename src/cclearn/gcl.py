@@ -119,16 +119,14 @@ class MovingAverages:
         keys = list(self.slot)
         return [keys[c] for c in np.asarray(cols).tolist()]
 
-    def read(self, keys, cols=None, what="sample", positive=True) -> np.ndarray:
-        """The (rows, n) estimates of ``keys``, whose columns are ``cols`` when known
-        (``keys`` may then be None).  Refuses a key without an estimate and, with
-        ``positive``, a non-positive estimate, naming the first such key."""
-        if cols is None:
-            cols = np.array([self.slot.get(key, -1) for key in keys], dtype=np.intp)
+    def read(self, keys, what="sample", positive=True) -> np.ndarray:
+        """The (rows, n) estimates of ``keys``.  Refuses a key without an estimate
+        and, with ``positive``, a non-positive estimate, naming the first such key."""
+        cols = np.array([self.slot.get(key, -1) for key in keys], dtype=np.intp)
         u = self.values[:, cols]
         ready = self.initialized[cols]
         if not ready.all() or (positive and (u <= 0).any()):
-            for key, ok, col in zip(self._keys(cols) if keys is None else keys, ready, u.T):
+            for key, ok, col in zip(keys, ready, u.T):
                 if not ok:
                     raise ValueError(f"estimator not initialized for {what} {key}")
                 if positive and (col <= 0).any():

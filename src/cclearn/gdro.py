@@ -361,7 +361,7 @@ def _update(state, pool, rows, sizes, class_batch, log_g, config):
     return u, u_c, losses
 
 
-def _coefficients(state, ids, sizes, class_batch, stats, config, estimates=None):
+def _coefficients(state, sizes, class_batch, stats, config, estimates):
     """The nonzero pair coefficients of the compositional estimator, from the
     hinge statistics ``stats`` of ``_hinge_stats``, written over their H and A.
 
@@ -371,16 +371,12 @@ def _coefficients(state, ids, sizes, class_batch, stats, config, estimates=None)
     which weighs (anchor input, pool label) pairs, is gathered from g1's column
     groups straight into its last N columns.  coef2 (n, N) weighs (anchor
     label, pool input) pairs.  ``block`` is a view of ``state.work``'s ``S1``.
-    ``estimates`` are the (u, u_c) that ``_update`` returns, when known; then
-    ``ids``, the anchors' sample ids, may be None.  Otherwise they are read
-    from the state, which refuses a class or sample without an estimate.
+    ``estimates`` are the anchors' (2, n) u and the sampled classes' (1, |Bc|)
+    u_c, as ``_update`` returns them.
     """
     if not state.v_initialized or state.v_mantissa <= 0:
         raise ValueError("scalar estimator v is not initialized or non-positive")
     n_neg, H, A, _, _, group = stats
-    if estimates is None:
-        u_c = state.classes.read(class_batch, what="class", positive=False)
-        estimates = state.samples.read(ids), u_c
     u, u_c = estimates
     # exp(u_c/lam) / (v * |Bc|) per anchor, with the shared shift folded in
     norm = state.v_mantissa * len(class_batch) * 2.0
@@ -461,7 +457,7 @@ def gdro_step(
         enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, state.work
     )
     u, u_c, losses = _update(state, pool, rows, sizes, class_batch, stats[3], config)
-    block, coef2 = _coefficients(state, None, sizes, class_batch, stats, config, (u, u_c))
+    block, coef2 = _coefficients(state, sizes, class_batch, stats, config, (u, u_c))
     grad = _gradient(enc, block, coef2, rows, encodings, stats[4], state.work)
     return dro_objective(losses, config.lam), grad
 
@@ -499,6 +495,10 @@ def gdro_gradient_estimate(
     stats, encodings = _hinge_stats(
         enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, state.work
     )
-    ids = [pool.ids[i] for i in rows.tolist()]
-    block, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)
+    # the tables refuse a sample or class without an estimate
+    estimates = (
+        state.samples.read([pool.ids[i] for i in rows.tolist()]),
+        state.classes.read(class_batch, what="class", positive=False),
+    )
+    block, coef2 = _coefficients(state, sizes, class_batch, stats, config, estimates)
     return _gradient(enc, block, coef2, rows, encodings, stats[4], state.work)

@@ -131,13 +131,13 @@ class EncoderPair:
         """Flat-vector slice for one named parameter segment."""
         return self._slices[name]
 
-    def init_params(self, seed: int | None = None) -> np.ndarray:
+    def init_params(self) -> np.ndarray:
         """Seeded initialization: weights ~ U(-1, 1)/sqrt(fan_in), biases zero.
 
         Weight segments are filled in layout order from a single PCG64 stream,
-        so the result is a deterministic function of the seed.
+        so the result is a deterministic function of the config's seed.
         """
-        rng = np.random.default_rng(self.config.seed if seed is None else seed)
+        rng = np.random.default_rng(self.config.seed)
         w = np.zeros(self.n_params)
         for tower in ("e1", "e2"):
             for w_slice, _, (rows, fan_in) in self._layers[tower]:

@@ -103,8 +103,9 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
     stats, _ = _hinge_stats(
         enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, WorkArrays()
     )
-    ids = [pool.ids[i] for i in rows.tolist()]
-    block, coef2 = _coefficients(state, ids, sizes, class_batch, stats, config)
+    u = state.samples.read([pool.ids[i] for i in rows.tolist()])
+    u_c = state.classes.read(class_batch, what="class", positive=False)
+    block, coef2 = _coefficients(state, sizes, class_batch, stats, config, (u, u_c))
     anchors = pool.take(np.concatenate([per_class_batches[k] for k in class_batch]))
     n, N = len(anchors), len(pool)
     coef1 = block[:, n:]

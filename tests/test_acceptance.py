@@ -10,6 +10,7 @@ import copy
 import hashlib
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +197,7 @@ def test_criterion_05_estimator_halving():
     rng = np.random.default_rng(13)
     enc = EncoderPair(EncoderConfig(input_dim=3, num_classes_max=3, hidden_dim=4, embed_dim=3, seed=0))
     w0 = enc.init_params()
-    w1 = enc.init_params(seed=77)
+    w1 = EncoderPair(replace(enc.config, seed=77)).init_params()
     pool = class_pool(rng, range(3), 4, 3)
     anchors = [pool[i] for i in range(len(pool))]
     tau = 0.4

@@ -270,38 +270,64 @@ def test_sample_class_batches_of_large_classes_are_numpy_draws():
         ]
 
 
-def test_choice_positions_redraw_after_rejections():
+def test_choice_positions_flag_the_lanes_that_reject():
     """At m = 2**31 + 1 Lemire's method rejects about half of all 32-bit
-    values, so these lanes take the redraw path, some past the values drawn up
-    front, and still give numpy's positions (all seeds, including 2**64 - 1)."""
+    values, so many lanes are flagged; every other lane gives numpy's positions
+    (all seeds, including 2**64 - 1)."""
     seeds = np.array([0, 1, 2**32, 2**63 + 9, 2**64 - 1] + list(range(7, 22)), dtype=np.uint64)
     m = np.full(len(seeds), 2**31 + 1)
     n = np.arange(len(seeds)) % 5 + 1
-    got = _choice_positions(seeds, m, n)
-    for row, seed, k in zip(got, seeds.tolist(), n.tolist()):
+    got, rejected = _choice_positions(seeds, m, n)
+    assert 0 < rejected.sum() < len(seeds)
+    for row, seed, k in zip(got[~rejected], seeds[~rejected].tolist(), n[~rejected].tolist()):
         expected = np.random.default_rng(seed).choice(2**31 + 1, k, replace=False)
         assert row[:k].tolist() == expected.tolist()
 
 
+def test_sample_class_batches_give_rejecting_seeds_numpy_draws():
+    """A 200-row draw from 10,000 rows rejects a value with seeds 385, 1244 and
+    9436 (385 and 1244 are the only such seeds up to 1244), so their vectorized
+    positions are not numpy's; their picks, like the others', are the class's
+    rows at numpy's own draw."""
+    rejecting = [385, 1244, 9436]
+    lanes = np.arange(1245, dtype=np.uint64)
+    positions, rejected = _choice_positions(lanes, np.full(1245, 10_000), np.full(1245, 200))
+    assert np.flatnonzero(rejected).tolist() == rejecting[:2]
+    numpy_385 = np.random.default_rng(385).choice(10_000, 200, replace=False)
+    assert positions[385].tolist() != numpy_385.tolist()
+    y = np.random.default_rng(0).permutation(np.repeat([0, 1], [10_000, 30]))
+    pool = Pool(np.zeros((len(y), 1)), y, list(range(len(y))))
+    seeds = rejecting + [0, 386, 2**40 + 3]
+    picks = sample_class_batches(pool, [0] * len(seeds), 200, seeds)
+    for picked, seed in zip(picks, seeds):
+        expected = np.random.default_rng(seed).choice(10_000, 200, replace=False)
+        assert picked.tolist() == pool.members[0][expected].tolist()
+
+
 _BAD_CLASS_IDS = [True, False, 1.0, np.float64(1.0), np.bool_(True)]
 _BAD_SEEDS = [True, np.bool_(False), 1.0, np.float64(3.0), -1, 2**64, 2**70, "1", None]
+_BAD_BATCH_SIZES = [2.5, 2.0, True, np.float64(3.0), np.bool_(True)]
 
 
 @pytest.mark.parametrize("entry", ["one", "many"])
 @pytest.mark.parametrize(
-    "class_id, seed, message",
-    [(k, 0, f"class id must be an int, got {k!r}") for k in _BAD_CLASS_IDS]
-    + [(1, s, f"seed must be an int in [0, 2**64), got {s!r}") for s in _BAD_SEEDS],
+    "class_id, seed, batch_size, message",
+    [(k, 0, 2, f"class id must be an int, got {k!r}") for k in _BAD_CLASS_IDS]
+    + [(1, s, 2, f"seed must be an int in [0, 2**64), got {s!r}") for s in _BAD_SEEDS]
+    + [(1, 0, b, f"batch_size must be an int, got {b!r}") for b in _BAD_BATCH_SIZES],
 )
-def test_samplers_refuse_non_int_class_ids_and_seeds(rng, entry, class_id, seed, message):
-    """A float or bool class id is never read as the class it equals, and a
-    seed must be an int in [0, 2**64); each is refused in one line naming it."""
+def test_samplers_refuse_non_int_class_ids_and_seeds(
+    rng, entry, class_id, seed, batch_size, message
+):
+    """A float or bool class id is never read as the class it equals, a seed
+    must be an int in [0, 2**64), and a float or bool batch size is not read
+    as a row count; each is refused in one line naming it."""
     pool = make_pool(rng, 6, 2, 2)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         if entry == "one":
-            sample_class_batch(pool, class_id, 2, seed)
+            sample_class_batch(pool, class_id, batch_size, seed)
         else:
-            sample_class_batches(pool, [0, class_id], 2, [5, seed])
+            sample_class_batches(pool, [0, class_id], batch_size, [5, seed])
 
 
 def test_sample_class_batches_refuse_a_negative_seed_array_and_unpaired_seeds(rng):
@@ -417,7 +443,21 @@ def test_flattened_class_batches_equal_a_pool_of_their_samples(n, num_classes, b
     _assert_same_rows(pool.take(flat), rows([recs[i] for k in classes for i in batches[k]]))
 
 
-@pytest.mark.parametrize("capacity", [-1, -20])
-def test_buffer_refuses_a_negative_capacity(capacity):
-    with pytest.raises(ValueError, match="^capacity must be >= 0$"):
-        MemoryBuffer(capacity=capacity, rng_seed=0)
+@pytest.mark.parametrize(
+    "capacity, rng_seed, message",
+    [(c, 0, "capacity must be >= 0") for c in (-1, -20, np.int64(-3))]
+    + [(c, 0, f"capacity must be an int, got {c!r}")
+       for c in (float("nan"), float("inf"), 2.5, 4.0, True, np.bool_(True), "4")]
+    + [(4, s, f"rng_seed must be an int, got {s!r}") for s in (True, 1.0, float("nan"), None)],
+)
+def test_buffer_refuses_a_negative_capacity(capacity, rng_seed, message):
+    """A negative capacity, and a capacity or rng_seed that is a float (NaN and
+    inf would keep every row), a bool or not a number, is refused in one line."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MemoryBuffer(capacity=capacity, rng_seed=rng_seed)
+
+
+def test_buffer_takes_numpy_ints(rng):
+    buf = MemoryBuffer(capacity=np.int64(4), rng_seed=np.uint32(7))
+    buf.rebalance_after_task(make_pool(rng, 12, 2, 2))
+    assert buf.class_counts() == {0: 2, 1: 2}

@@ -465,3 +465,14 @@ def _two_domains():
 def test_streams_and_domains_refuse_hostile_input(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("X, y, ids, lengths", [
+    (np.zeros((3, 2)), np.array([0, 1]), [1, 2, 3], "X 3, y 2, ids 3"),
+    (np.zeros((2, 2)), np.array([0, 1]), [1, 2, 3], "X 2, y 2, ids 3"),
+    (np.zeros((1, 2)), np.array([0, 1]), [1, 2], "X 1, y 2, ids 2"),
+])
+def test_pool_refuses_columns_of_different_lengths(X, y, ids, lengths):
+    """A ragged Pool would count rows that ``members`` does not cover."""
+    with pytest.raises(ValueError, match=f"^Pool columns differ in length: {lengths}$"):
+        Pool(X, y, ids)

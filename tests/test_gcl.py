@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cclearn.gcl import (
     gcl_update_estimators,
     moving_average,
 )
+from cclearn.model import EncoderPair
 
 from conftest import (
     assert_grad_close,
@@ -170,7 +172,7 @@ def test_update_gamma_zero_freezes_initialized_state(rng):
 def test_update_converges_geometrically(rng):
     enc = make_encoder(seed=4)
     w0 = enc.init_params()
-    w1 = enc.init_params(seed=99)
+    w1 = EncoderPair(replace(enc.config, seed=99)).init_params()
     pool = make_pool(rng, 6, 3, 3)
     tau = 0.3
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w0, pool, tau, len(pool))

@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -339,7 +340,7 @@ def test_update_refuses_repeated_ids_and_leaves_state_alone(rng, repeat):
 def test_update_two_level_geometric_convergence(rng):
     enc = make_encoder(seed=9)
     w0 = enc.init_params()
-    w1 = enc.init_params(seed=50)
+    w1 = EncoderPair(replace(enc.config, seed=50)).init_params()
     pool = class_pool(rng, range(3), 4, 3)
     batches = class_batches(pool, range(3))
     st = gdro_update_estimators(GdroEstimatorState(), enc, w0, [0, 1, 2], batches, pool, _cfg(gamma=1.0))
@@ -569,7 +570,8 @@ def test_per_class_scoring_gives_the_per_row_bytes(
     want, _ = hinge_stats_per_row(enc, w1, rows, pool, cfg.margin, cfg.tau)
     assert stats[0].tobytes() == want[0].tobytes()  # n_neg
     assert stats[3].tobytes() == want[3].tobytes()  # log_g
-    block, coef2 = _coefficients(state, ids, sizes, picked, stats, cfg)
+    estimates = state.samples.read(ids), state.classes.read(picked, what="class", positive=False)
+    block, coef2 = _coefficients(state, sizes, picked, stats, cfg, estimates)
     want = coefficients_per_row(state, ids, sizes, picked, want, cfg)
     assert [block[:, len(rows):].tobytes(), coef2.tobytes()] == [c.tobytes() for c in want]
 

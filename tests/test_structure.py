@@ -13,6 +13,10 @@ which gdro scores as rows of the encoded pool.  ``Pool.take``,
 ``sample_class_batches`` read no sample either.  ``Pool.of`` joins a list of Pools in one place only,
 gcl's batch entry, which the benchmark's pool sweep feeds a list of one-row
 Pools for gcl's separate parts.
+
+Every private function, method, class and constant of the package is used
+by the package itself, outside its own definition: a helper that only tests
+call is dead code.
 """
 
 import ast
@@ -99,3 +103,41 @@ def test_pool_is_the_only_row_type():
     }
     assert "Sample" not in classes and not hasattr(cclearn, "Sample")
     assert _calls_of_pool_of() == ["gcl.py:_batch_logits"]
+
+
+def _private_definitions(tree):
+    """(name, node) of each private function, class and constant defined at
+    module level or in a class body of ``tree``; dunder names are not private."""
+    bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+    found = []
+    for node in (n for body in bodies for n in body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, t) for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _uses(tree, name) -> set[int]:
+    """The ``id`` of every node of ``tree`` that reads ``name`` as a variable,
+    an attribute or an import."""
+    return {
+        id(node) for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name and not isinstance(node.ctx, ast.Store))
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+    }
+
+
+def test_every_private_helper_is_used_by_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    unused = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(_uses(t, name) - own for t in trees.values()):
+                unused.append(f"{module}:{name}")
+    assert unused == []

@@ -166,11 +166,11 @@ def _check_tau(tau):
 
 def _check_rows(rows, pool, what="the batch"):
     """Refuses ``rows`` unless it is a 1-d integer array of rows of ``pool``, in
-    one line naming ``what``: a negative row would wrap to the pool's end, a
-    bool array would act as a mask."""
+    one line naming ``what``: a negative row would wrap to the pool's end (as a
+    uint64 it is past the end), a bool array would act as a mask."""
     if not isinstance(rows, np.ndarray) or rows.ndim != 1 or rows.dtype.kind not in "iu":
         raise ValueError(f"{what} needs its rows as a 1-d integer array")
-    if len(rows) and (rows.min() < 0 or rows.max() >= len(pool)):
+    if np.maximum.reduce(rows.astype(np.uint64), initial=0) >= len(pool):
         raise ValueError(f"rows for {what} fall outside the pool")
 
 
@@ -187,9 +187,9 @@ def moving_average(table: MovingAverages, cols, values, gamma, floor=None) -> np
     form, is updated elsewhere.
     """
     values = np.asarray(values, dtype=np.float64)
-    new = (1 - gamma) * table.values[:, cols] + gamma * values
+    new = (1 - gamma) * table.values.take(cols, axis=1) + gamma * values
     init = table.initialized[cols]
-    if not init.all():
+    if np.count_nonzero(init) < len(init):
         new[:, ~init] = values[:, ~init]
         table.initialized[cols] = True
     new = new if floor is None else np.fmax(floor, new)
@@ -204,7 +204,7 @@ def _batch_logits(enc, params, batch, tau, rows=None):
     results.  Refuses a non-positive tau and an empty batch."""
     tau = _check_tau(tau)
     batch = Pool.of(batch)
-    X, y = (batch.X, batch.y) if rows is None else (batch.X[rows], batch.y[rows])
+    X, y = (batch.X, batch.y) if rows is None else (batch.X.take(rows, axis=0), batch.y[rows])
     if not len(y):
         raise ValueError("batch must be non-empty")
     f1, f2, sims = enc.pair_forward(params, X, y)
@@ -213,13 +213,22 @@ def _batch_logits(enc, params, batch, tau, rows=None):
 
 def _loss(S) -> float:
     """The exact loss of a batch from its logits S, whose normalizers range over
-    the whole batch; computed in log domain for stability."""
-    d = np.diag(S)
-    row_max = S.max(axis=1)
-    col_max = S.max(axis=0)
-    lse_rows = row_max + np.log(np.exp(S - row_max[:, None]).sum(axis=1))
-    lse_cols = col_max + np.log(np.exp(S - col_max[None, :]).sum(axis=0))
-    return float((lse_rows - d).sum() / len(d) + (lse_cols - d).sum() / len(d))
+    the whole batch; computed in log domain for stability, with the row- and the
+    column-shifted logits exponentiated in one call."""
+    n = len(S)
+    top, lse, shifted = np.empty((2, n)), np.empty((2, n)), np.empty((2, n, n))
+    np.maximum.reduce(S, axis=1, out=top[0])
+    np.maximum.reduce(S, axis=0, out=top[1])
+    np.subtract(S, top[0][:, None], out=shifted[0])
+    np.subtract(S, top[1], out=shifted[1])
+    np.exp(shifted, out=shifted)
+    np.add.reduce(shifted[0], axis=1, out=lse[0])
+    np.add.reduce(shifted[1], axis=0, out=lse[1])
+    np.log(lse, out=lse)
+    lse += top
+    lse -= S.diagonal()
+    rows, cols = np.add.reduce(lse, axis=1)
+    return float(rows / n + cols / n)
 
 
 def _update(state, cols, E, pool_size) -> np.ndarray:
@@ -243,8 +252,10 @@ def _coefficients(E, pool_size, u) -> np.ndarray:
     """
     n = len(E)
     inv_u = 1.0 / u
-    C = pool_size / n * E * (inv_u[0][:, None] + inv_u[1][None, :]) / (2.0 * n)
-    C[np.diag_indices(n)] -= 1.0 / n
+    C = inv_u[0][:, None] + inv_u[1]
+    C *= pool_size / n * E
+    C /= 2.0 * n
+    C.ravel()[:: n + 1] -= 1.0 / n  # the diagonal
     return C
 
 

@@ -80,14 +80,14 @@ def _class_ids(class_ids):
 
 
 def _normalize_rows(z):
-    """Row-normalize, returning (unit rows, norms). Zero or non-finite rows error."""
-    norms = np.sqrt((z * z).sum(axis=1))
-    # one check on the happy path: min is NaN if any norm is; initial= admits no rows
-    if not (norms.min(initial=np.inf) > 0.0 and norms.max(initial=0.0) < np.inf):
+    """Row-normalize z in place, returning (z, norms). Zero or non-finite rows error."""
+    norms = np.sqrt(np.add.reduce(z * z, axis=1))
+    # one reduction: finite norms are below 1.4e154, so their sum is finite unless one is not
+    if not (np.count_nonzero(norms) == len(norms) and np.add.reduce(norms) < np.inf):
         if np.any(norms == 0.0):
             raise ValueError("cannot normalize a zero-norm embedding")
         raise ValueError("embedding norm overflowed or is NaN")
-    return z / norms[:, None], norms
+    return np.divide(z, norms[:, None], out=z), norms
 
 
 class EncoderPair:
@@ -163,24 +163,22 @@ class EncoderPair:
             A = inp if k == 0 else np.tanh(Z)
             weights.append(W)
             acts.append(A)
-            Z = (W.T[A] if k == 0 and tower == "e2" else A @ W.T) + params[b_slice]
+            Z = (W.T.take(A, axis=0) if k == 0 and tower == "e2" else A @ W.T) + params[b_slice]
         E, R = _normalize_rows(Z)
         return E, {"tower": tower, "W": weights, "A": acts, "R": R}
 
     def _forward_inputs(self, params, X):
         """Batched input-encoder forward. Returns (unit embeddings, cache)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.config.input_dim:
-            raise ValueError(
-                f"input has {X.shape[1]} features, expected {self.config.input_dim}"
-            )
+        if X.ndim > 2 or X.shape[1] != self.config.input_dim:
+            raise ValueError(f"input has shape {X.shape}, expected (rows, {self.config.input_dim})")
         return self._forward(params, "e1", X)
 
     def _forward_labels(self, params, class_ids):
         """Batched label-encoder forward over one-hot class inputs."""
         cls = _class_ids(class_ids)
-        # initial=0 admits no rows and keeps the check to one min and one max
-        if cls.min(initial=0) < 0 or cls.max(initial=0) >= self.config.num_classes_max:
+        # one reduction: a negative id wraps to a huge unsigned value; initial=0 admits no ids
+        if np.maximum.reduce(cls.view(np.uint64), initial=0) >= self.config.num_classes_max:
             raise ValueError(f"class id out of range [0, {self.config.num_classes_max})")
         return self._forward(params, "e2", cls)
 
@@ -215,8 +213,8 @@ class EncoderPair:
     # --------------------------------------------------------------- backward
 
     def _backward(self, g, cache, dZ):
-        """Write one tower's gradient into ``g`` from ``dZ``, the gradient at its
-        pre-normalization output."""
+        """Write every segment of one tower's gradient into ``g`` from ``dZ``, the
+        gradient at its pre-normalization output."""
         layers = self._layers[cache["tower"]]
         for k in reversed(range(len(layers))):
             w_slice, b_slice, (rows, cols) = layers[k]
@@ -227,8 +225,8 @@ class EncoderPair:
                 cells = self._label_cells + A[:, None]
                 g[w_slice] = np.bincount(cells.ravel(), dZ.ravel(), rows * cols)
             else:
-                g[w_slice] = (dZ.T @ A).ravel()
-            g[b_slice] = dZ.sum(axis=0)
+                np.matmul(dZ.T, A, out=g[w_slice].reshape(rows, cols))
+            np.add.reduce(dZ, axis=0, out=g[b_slice])
             if k > 0:
                 dZ = (dZ @ cache["W"][k]) * (1.0 - A * A)
 
@@ -253,8 +251,8 @@ class EncoderPair:
         CS = E1 @ E2.T if sims is None else sims
         CS *= C
         # d sim / d z = (other - sim * self) / norm for each side
-        row_w = CS.sum(axis=1)
-        col_w = CS.sum(axis=0)
+        row_w = np.add.reduce(CS, axis=1)
+        col_w = np.add.reduce(CS, axis=0)
         dZ1 = C @ E2
         dZ1 -= row_w[:, None] * E1
         dZ1 /= c1["R"][:, None]
@@ -262,7 +260,7 @@ class EncoderPair:
         dZ2 -= col_w[:, None] * E2
         dZ2 /= c2["R"][:, None]
 
-        g = np.zeros(self.n_params)
+        g = np.empty(self.n_params)  # the two backwards write every segment
         self._backward(g, c1, dZ1)
         self._backward(g, c2, dZ2)
         return g

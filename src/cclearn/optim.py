@@ -56,7 +56,7 @@ def step(opt: OptimizerState, params, grad):
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != opt.momentum.shape or np.shape(params) != grad.shape:
         raise ValueError("params, grad and optimizer state must have matching shapes")
-    if not np.isfinite(grad).all():
+    if np.count_nonzero(np.isfinite(grad)) < grad.size:
         raise NonFiniteGradientError("gradient contains NaN or Inf; step refused")
 
     momentum = (1.0 - opt.beta1) * opt.momentum + opt.beta1 * grad

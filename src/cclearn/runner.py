@@ -162,13 +162,13 @@ def evaluate(enc: EncoderPair, params, test: Pool, candidate_classes) -> float:
 
 def _ce_softmax(Z, idx):
     """Mean softmax cross-entropy of logits Z against true columns idx, and the
-    row softmax P."""
-    m = Z.max(axis=1)
-    P = np.exp(Z - m[:, None])
-    total = P.sum(axis=1, keepdims=True)
-    row_loss = m + np.log(total[:, 0]) - Z[np.arange(len(Z)), idx]
-    P /= total
-    return float(row_loss.sum() / len(row_loss)), P
+    row softmax P, written over Z."""
+    m = np.maximum.reduce(Z, axis=1)
+    true = Z[np.arange(len(Z)), idx]
+    P = np.exp(np.subtract(Z, m[:, None], out=Z), out=Z)
+    total = np.add.reduce(P, axis=1)
+    P /= total[:, None]
+    return float(np.add.reduce(m + np.log(total) - true) / len(Z)), P
 
 
 def _ce_loss_and_grad(enc, params, X, classes, idx, tau):
@@ -177,7 +177,7 @@ def _ce_loss_and_grad(enc, params, X, classes, idx, tau):
     f1, f2, sims = enc.pair_forward(params, X, classes)
     loss, P = _ce_softmax(sims / tau, idx)
     P[np.arange(len(P)), idx] -= 1.0
-    return loss, enc.pair_grad(f1, f2, P / (len(P) * tau), sims)
+    return loss, enc.pair_grad(f1, f2, np.divide(P, len(P) * tau, out=P), sims)
 
 
 def ce_step(enc: EncoderPair, params, pool: Pool, rows, tau) -> tuple[float, np.ndarray]:
@@ -192,7 +192,7 @@ def ce_step(enc: EncoderPair, params, pool: Pool, rows, tau) -> tuple[float, np.
     if not len(rows):
         raise ValueError("batch must be non-empty")
     classes, index = pool.class_index[:2]
-    return _ce_loss_and_grad(enc, params, pool.X[rows], classes, index[rows], tau)
+    return _ce_loss_and_grad(enc, params, pool.X.take(rows, axis=0), classes, index[rows], tau)
 
 
 def _candidate_columns(batch, candidates, tau):
@@ -333,7 +333,7 @@ class _Trainer:
                     raise self._diverged("non-finite gradient", task, epoch) from err
                 # 1e150 guard: beyond it the norm of a forward pass overflows float64;
                 # a NaN or inf parameter fails the comparison too
-                if not np.abs(self.params).max() <= 1e150:
+                if not np.maximum.reduce(np.abs(self.params)) <= 1e150:
                     raise self._diverged("parameters became non-finite or exploded", task, epoch)
                 if self.global_step % cfg.log_every == 0:
                     self.log.append(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cclearn.model
 from cclearn.data import Pool
 from cclearn.model import EncoderConfig, EncoderPair, _normalize_rows
 
@@ -461,18 +462,60 @@ def _hostile_model_calls():
                     "seed must fit in an unsigned 64-bit integer"),
         "seed=2**64": (lambda: EncoderConfig(**{**shapes, "seed": 2**64}),
                        "seed must fit in an unsigned 64-bit integer"),
+        "input-features": (lambda: enc._forward_inputs(w, np.ones((2, 4))),
+                           "input has shape (2, 4), expected (rows, 3)"),
+        "input-3d": (lambda: enc.similarity_matrix(w, np.ones((2, 3, 3)), [0, 1]),
+                     "input has shape (2, 3, 3), expected (rows, 3)"),
+        "predict-3d": (lambda: enc.predict_batch(w, np.ones((1, 6, 3)), [0, 1]),
+                       "input has shape (1, 6, 3), expected (rows, 3)"),
     }
 
 
 @pytest.mark.parametrize("case", [
     "params-short", "params-2d", "coefficient-shape", "input_dim", "num_classes_max",
-    "seed=-1", "seed=2**64",
+    "seed=-1", "seed=2**64", "input-features", "input-3d", "predict-3d",
 ])
 def test_model_refuses_hostile_input(case):
     """A parameter vector of the wrong shape, a coefficient matrix that does not
-    match the forward results and an encoder config out of range are each
-    refused in one line naming what is wrong."""
+    match the forward results, an encoder config out of range and an input that
+    is not rows of input_dim features (a 3-d array used to give a 3-d similarity
+    array, or numpy's IndexError in predict_batch) are each refused in one line
+    naming what is wrong."""
     call, message = _hostile_model_calls()[case]
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_one_dimensional_input_is_one_row():
+    enc = make_encoder(seed=0)
+    w = enc.init_params()
+    x = np.array([0.5, -1.0, 2.0])
+    assert enc.similarity_matrix(w, x, [0, 1]).tobytes() == (
+        enc.similarity_matrix(w, x[None], [0, 1]).tobytes()
+    )
+
+
+class _NanEmpty:
+    """numpy, except that ``empty`` hands out NaN-filled memory."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        return np.full(shape, np.nan)
+
+
+@pytest.mark.parametrize("hidden", [0, 3])
+def test_pair_grad_writes_every_parameter_segment(rng, monkeypatch, hidden):
+    """pair_grad starts its gradient from uninitialized memory, so every segment
+    must be written: a zero coefficient matrix gives exact zeros after a call
+    that left nonzero values behind, and with that memory filled with NaN."""
+    enc = make_encoder(seed=4, hidden_dim=hidden)
+    w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
+    f1, f2, _ = enc.pair_forward(w, rng.standard_normal((5, 3)), [0, 2, 3, 3])
+    enc.pair_grad(f1, f2, rng.standard_normal((5, 4)))
+    assert not enc.pair_grad(f1, f2, np.zeros((5, 4))).any()
+    monkeypatch.setattr(cclearn.model, "np", _NanEmpty())
+    assert not enc.pair_grad(f1, f2, np.zeros((5, 4))).any()

@@ -86,3 +86,19 @@ def test_invalid_hyperparameters():
         init_optimizer(3, eta=0.1, beta1=1.5)
     with pytest.raises(ValueError):
         init_optimizer(3, eta=0.1, beta1=0.5, mode="nesterov")
+
+
+@pytest.mark.parametrize("mode", ["momentum-sgd", "adam"])
+def test_step_leaves_its_inputs_untouched(rng, mode):
+    """A step builds new momentum and parameter arrays: the old state, the
+    parameters and the gradient keep their bits, and nothing returned shares
+    memory with them."""
+    opt, w = step(init_optimizer(6, eta=0.2, beta1=0.7, mode=mode), rng.standard_normal(6),
+                  rng.standard_normal(6))
+    g = rng.standard_normal(6)
+    inputs = [opt.momentum, w, g] + ([opt.second_moment] if mode == "adam" else [])
+    before = [a.tobytes() for a in inputs]
+    new, w2 = step(opt, w, g)
+    assert [a.tobytes() for a in inputs] == before
+    for out in (new.momentum, w2) + ((new.second_moment,) if mode == "adam" else ()):
+        assert not any(np.shares_memory(out, a) for a in inputs)

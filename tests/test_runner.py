@@ -373,6 +373,34 @@ def test_steps_refuse_rows_that_are_not_rows_of_the_pool(rng, method, rows, mess
     assert state_bytes(state) == before
 
 
+@pytest.mark.parametrize("dtype", [
+    np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
+], ids=lambda t: np.dtype(t).name)
+@pytest.mark.parametrize("method", ["gcl", "finetune-ce"])
+def test_steps_check_rows_of_every_integer_dtype(rng, method, dtype):
+    """Rows of any integer dtype give the bits of the same rows as intp, and a
+    row past the end or below zero is refused in the same line.  Row -1 of the
+    300-row pool is 255 as a uint8, inside the pool: a check that reinterprets
+    the rows at their own width would take it."""
+    enc = make_encoder(seed=2, num_classes=3)
+    w = enc.init_params()
+    small, large = make_pool(rng, 6, 3, 3), make_pool(rng, 300, 3, 3)
+
+    def step(pool, rows):
+        state = GclEstimatorState(gamma=0.5)
+        call = partial(gcl_step, state) if method == "gcl" else ce_step
+        loss, grad = call(enc, w, pool, rows, 0.2)
+        return np.float64(loss).tobytes() + grad.tobytes(), state_bytes(state)
+
+    assert step(small, np.array([5, 0, 3], dtype=dtype)) == step(small, np.array([5, 0, 3]))
+    bad = [(small, np.array([0, 6], dtype=dtype))]
+    if np.dtype(dtype).kind == "i":
+        bad += [(small, np.array([0, -1], dtype=dtype)), (large, np.array([0, -1], dtype=dtype))]
+    for pool, rows in bad:
+        with pytest.raises(ValueError, match="^rows for the batch fall outside the pool$"):
+            step(pool, rows)
+
+
 def test_gdro_refuses_a_one_class_stage_before_any_step(monkeypatch):
     """A stage pool of one class is a config error (a ValueError), raised before
     the stage's first step."""

@@ -32,10 +32,10 @@ pool = Pool(X, y, list(range(len(y))))
 # one full-batch training step at gamma=1 sets each class estimate u_c to the
 # exact h_k (the step also returns the objective and gradient, unused here)
 cfg = GdroConfig(lam=0.5, gamma=1.0, margin=0.4, tau=0.3, batch_classes=4, batch_per_class=6)
-classes = list(centers)
-members = {k: pool.members[k] for k in classes}  # each class's anchors, as rows of the pool
+# the anchors are rows of the pool, one run per class: here every row, by class
+rows = np.concatenate([pool.members[k] for k in centers])
 state = GdroEstimatorState()
-gdro_step(state, enc, w, classes, members, pool, cfg)
+gdro_step(state, enc, w, pool, rows, cfg)
 _, h = state.class_losses()  # classes 0..3, ascending
 print("per-class hinge losses h_k:", np.round(h, 3))
 print("(classes 0 and 3 overlap, so their margins are violated more)\n")

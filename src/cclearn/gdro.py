@@ -34,12 +34,13 @@ is stored as (mantissa, shift) with value mantissa * exp(shift); every use of
 exp(u_c[k]/lam)/v is computed as exp(u_c[k]/lam - shift)/mantissa.  This keeps
 lam down to ~0.01 usable.
 
-The anchors are rows of the pool: ``per_class_batches`` maps each sampled
-class to an integer array of its rows in ``pool`` (in training, one pick of
-the ``sample_class_batches`` call that draws a stage's rows once, before its
-first step), and the anchor set is those arrays joined in class-batch order.  A
-class whose rows are missing, empty, outside the pool or of another class is
-refused in one line naming it (the first such class in class-batch order).
+The anchors are rows of the pool, one run per sampled class, as ``gcl_step``
+and ``ce_step`` take their batches: ``gdro_step(state, enc, params, pool, rows,
+config)`` reads the sampled classes off the runs of ``rows`` (in training, a
+slice of a stage's draws, joined once before its first step).  The separate
+parts take ``per_class_batches``, each sampled class's rows, and join them in
+class-batch order.  Rows that are missing, empty, outside the pool, of another
+class, or a class's rows in two runs are refused in one line naming the class.
 
 A training step is one call to ``gdro_step``: it encodes the pool once per
 tower (the input tower over its rows, the label tower over its distinct
@@ -52,7 +53,8 @@ gcl's ``moving_average``; the anchors' sample columns are one gather from the
 pool's column map (``MovingAverages.row_columns``), built once per pool.
 ``gdro_update_estimators`` (in place; returns the same state) and
 ``gdro_gradient_estimate`` are each one of those parts on its own, built from
-the same private pieces: ``_anchor_rows``, then ``_hinge_stats``.
+the same private pieces: ``_anchor_rows`` (``_class_runs`` in the step), then
+``_hinge_stats``.
 
 g1 (anchor input x pool label) sees a pool row only through its class's label
 embedding, so each anchor has one g1 value per class: ``_hinge_stats`` takes
@@ -96,7 +98,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gcl import U_FLOOR, MovingAverages, _check_rows, moving_average
+from .gcl import U_FLOOR, MovingAverages, _check_rows, _first_repeat, moving_average
 from .model import EncoderPair
 
 
@@ -152,7 +154,8 @@ class GdroEstimatorState:
     per-class losses h_k, per class id; v tracks (1/K) * sum_k exp(u_c[k]/lam)
     over all tracked classes.  Each table's initialized mask is its
     initialization flag; first touches use gamma=1.  ``work`` holds the run's
-    pool-sized scratch arrays, which every step overwrites.
+    pool-sized scratch arrays, which every step overwrites, and ``_order`` the
+    tracked classes, ascending, and their columns, until a class is added.
     """
 
     samples: MovingAverages = field(default_factory=lambda: MovingAverages(2))
@@ -161,12 +164,16 @@ class GdroEstimatorState:
     v_shift: float = 0.0
     v_initialized: bool = False
     work: WorkArrays = field(default_factory=WorkArrays, init=False, repr=False, compare=False)
+    _order: tuple = field(default=([], np.empty(0, np.intp)), init=False, repr=False)
 
     def class_losses(self):
         """The tracked classes, ascending, and their u_c estimates as an array."""
         slot = self.classes.slot
-        classes = sorted(slot)
-        return classes, self.classes.values[0, [slot[k] for k in classes]]
+        if len(self._order[0]) != len(slot):  # classes are only ever added
+            classes = sorted(slot)
+            self._order = classes, np.array([slot[k] for k in classes], np.intp)
+        classes, cols = self._order
+        return classes, self.classes.values[0].take(cols)
 
     @property
     def v(self) -> float:
@@ -231,14 +238,15 @@ def _hinge_stats(enc, params, rows, class_batch, sizes, pool, margin, tau, work)
     f2c = enc._forward_labels(params, classes)
     E1p, E2c = f1p[0], f2c[0]
     anchor_cls = index[rows]
-    E1a, E2a, E2p = E1p[rows], E2c[anchor_cls], E2c[index]
+    E1a, E2a = E1p.take(rows, axis=0), E2c.take(anchor_cls, axis=0)
+    E2p = E2c.take(index, axis=0)
     n, N = len(rows), len(pool)
     n_neg = N - counts[anchor_cls]
-    if np.any(n_neg == 0):
+    if not n_neg.all():
         bad = classes[anchor_cls[int(np.argmin(n_neg))]]
         raise ValueError(f"no negatives in pool for anchor of class {bad}")
 
-    sii = np.sum(E1a * E2a, axis=1)[:, None]
+    sii = np.add.reduce(E1a * E2a, axis=1)[:, None]
     S1 = np.matmul(E1a, E2p.T, out=work.take("S1", (n, N)))
     group, values, group_cls = _column_groups(S1, index, first, work)
     K = values.shape[1]
@@ -246,7 +254,8 @@ def _hinge_stats(enc, params, rows, class_batch, sizes, pool, margin, tau, work)
     H1, H2 = _blocks(H, n, K)
     np.subtract(values, sii, out=H1)
     H2t = np.matmul(E1p, E2a.T, out=work.take("H2t", (N, n)))
-    np.subtract(H2t.T, sii, out=H2)  # E2a @ E1p.T would differ in the last bits
+    np.copyto(H2, H2t.T)  # E2a @ E1p.T would differ in the last bits
+    H2 -= sii
 
     # the similarity blocks become the hinge in place; same operations, same bits.
     # Off the negatives the hinge is left as is: A is -inf there, so exp(A) = 0
@@ -271,7 +280,8 @@ def _hinge_stats(enc, params, rows, class_batch, sizes, pool, margin, tau, work)
     np.add.reduce(E2, axis=1, out=sums[1])
     # g1's exp values at the pool columns, gathered over the summed g2 block
     np.add.reduce(E1.take(group, axis=1, out=E2, mode="clip"), axis=1, out=sums[0])
-    log_g = m + np.log(sums) - np.log(n_neg)
+    log_g = np.add(np.log(sums, out=sums), m, out=sums)
+    log_g -= np.log(n_neg)
     return (n_neg, H, A, log_g, H2t, group), (f1p, f2c, index)
 
 
@@ -280,24 +290,28 @@ def _hinge_stats(enc, params, rows, class_batch, sizes, pool, margin, tau, work)
 
 def _shifted_exp(h, lam):
     """(shift, e): the largest z = h/lam and exp(z - shift), each at most 1.
-    Refuses lam <= 0."""
+    Refuses lam <= 0 and an ``h`` that is not a non-empty 1-d array; a NaN or
+    inf in ``h`` passes through."""
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
     z = np.asarray(h, dtype=np.float64) / lam
-    shift = float(z.max())
-    return shift, np.exp(z - shift)
+    if z.ndim != 1 or not z.size:
+        raise ValueError(f"h must be a non-empty 1-d array of class losses, got shape {z.shape}")
+    shift = float(np.maximum.reduce(z))
+    z -= shift
+    return shift, np.exp(z, out=z)
 
 
 def dro_weights(h, lam) -> np.ndarray:
     """Closed-form inner-max weights softmax(h/lam); sums to 1."""
     e = _shifted_exp(h, lam)[1]
-    return e / e.sum()
+    return e / np.add.reduce(e)
 
 
 def dro_objective(h, lam) -> float:
     """lam * log-mean-exp(h/lam): between mean(h) and max(h)."""
     shift, e = _shifted_exp(h, lam)
-    return float(lam * (shift + np.log(e.sum() / e.size)))
+    return float(lam * (shift + np.log(np.add.reduce(e) / e.size)))
 
 
 # --------------------------------------------------------------- estimators
@@ -322,6 +336,16 @@ def _anchor_rows(class_batch, per_class_batches, pool):
     return np.concatenate(parts), sizes
 
 
+def _class_runs(rows, pool):
+    """The class of each run of one class in the anchors ``rows`` of ``pool``, in
+    row order, and each run's length.  Refuses a class whose rows form two runs."""
+    runs = [(k, len(list(run))) for k, run in itertools.groupby(pool.y[rows].tolist())]
+    class_batch, sizes = zip(*runs)
+    if len(set(class_batch)) != len(class_batch):
+        raise ValueError(f"rows of class {_first_repeat(class_batch)} form more than one run")
+    return class_batch, sizes
+
+
 def _update(state, pool, rows, sizes, class_batch, log_g, config):
     """The moving-average updates for the sampled classes and anchors, in place.
 
@@ -342,14 +366,15 @@ def _update(state, pool, rows, sizes, class_batch, log_g, config):
     both = log_g[0] + log_g[1]
     bounds = [0, *itertools.accumulate(sizes)]
     h_hat = [
-        config.tau * (both[lo:hi].sum() / (hi - lo)) / 2.0 for lo, hi in zip(bounds, bounds[1:])
+        config.tau * (float(np.add.reduce(both[lo:hi])) / (hi - lo)) / 2.0
+        for lo, hi in zip(bounds, bounds[1:])
     ]
     u_c = moving_average(state.classes, state.classes.columns(class_batch), [h_hat], g)
 
     # v <- (1-gamma) v + gamma * mean_k exp(u_c[k]/lam), in shifted form
     losses = state.class_losses()[1]
     shift, e = _shifted_exp(losses, config.lam)
-    mantissa = float(e.sum() / len(e))
+    mantissa = float(np.add.reduce(e) / len(e))
     if not state.v_initialized:
         state.v_mantissa, state.v_shift, state.v_initialized = mantissa, shift, True
     else:
@@ -378,21 +403,17 @@ def _coefficients(state, sizes, class_batch, stats, config, estimates):
         raise ValueError("scalar estimator v is not initialized or non-positive")
     n_neg, H, A, _, _, group = stats
     u, u_c = estimates
-    # exp(u_c/lam) / (v * |Bc|) per anchor, with the shared shift folded in
-    norm = state.v_mantissa * len(class_batch) * 2.0
-    class_weight = np.repeat(
-        [math.exp(uc / config.lam - state.v_shift) / (norm * size)
-         for uc, size in zip(u_c[0].tolist(), sizes)],
-        sizes,
-    )
-    # math.log, not np.log: the two differ in the last bit on some inputs
-    log_u = np.array([[math.log(x) for x in row] for row in u.tolist()])
-
     # tau cancels: tau * d/ds exp(h^2/tau) = 2h * exp(h^2/tau).  The 2 rides on
     # the per-anchor scale: doubling is exact, so (h * e) * 2s rounds as
     # (2h * e) * s does unless h * e is subnormal.  Off the negatives A = -inf,
-    # so exp(A) = 0 and both coefficients are +0.0 there
-    scale = (2.0 * class_weight * (1.0 / n_neg))[:, None]
+    # so exp(A) = 0 and both coefficients are +0.0 there.  The class weight is
+    # exp(u_c/lam) / (v * |Bc|) per anchor, with the shared shift folded in
+    norm = state.v_mantissa * len(class_batch) * 2.0
+    class_weight = [2.0 * (math.exp(uc / config.lam - state.v_shift) / (norm * size))
+                    for uc, size in zip(u_c[0].tolist(), sizes)]
+    scale = (np.array(class_weight).repeat(sizes) * (1.0 / n_neg))[:, None]
+    # math.log, not np.log: the two differ in the last bit on some inputs
+    log_u = np.fromiter(map(math.log, u.ravel().tolist()), np.float64, u.size).reshape(u.shape)
     n, N = len(n_neg), len(group)
     K = H.size // n - N
     A1, A2 = _blocks(A, n, K)
@@ -403,13 +424,15 @@ def _coefficients(state, sizes, class_batch, stats, config, estimates):
     coef1 *= scale
     coef2 *= scale
     # one gather fills the whole contiguous block; its first n columns, which
-    # gather column 0, then become the diagonal
+    # gather column 0, then become zeros and the diagonal
     block = coef1.take(
         np.concatenate([np.zeros(n, np.intp), group]),
         axis=1, out=state.work.take("S1", (n, n + N)), mode="clip",
     )
     block[:, :n] = 0.0
-    np.fill_diagonal(block[:, :n], -(block[:, n:].sum(axis=1) + coef2.sum(axis=1)))
+    sums = np.add.reduce(block[:, n:], axis=1)
+    sums += np.add.reduce(coef2, axis=1)
+    np.negative(sums, out=block.reshape(-1)[:: n + N + 1][:n])
     return block, coef2
 
 
@@ -439,20 +462,20 @@ def _gradient(enc, block, coef2, rows, encodings, H2t, work) -> np.ndarray:
 
 
 def gdro_step(
-    state: GdroEstimatorState,
-    enc: EncoderPair,
-    params,
-    class_batch,
-    per_class_batches,
-    pool,
-    config: GdroConfig,
+    state: GdroEstimatorState, enc: EncoderPair, params, pool, rows, config: GdroConfig
 ) -> tuple[float, np.ndarray]:
-    """One training step: the in-place estimator update, then the robust objective
-    over the updated u_c and the gradient estimate, from one ``_hinge_stats``.
-    The coefficients and the objective take the estimates ``_update`` wrote and
-    the class losses it gathered, so no table is read, checked or sorted again.
-    Bitwise the same as ``gdro_update_estimators`` then ``gdro_gradient_estimate``."""
-    rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
+    """One training step on the anchors ``rows`` (an integer array) of ``pool``,
+    one run per sampled class: the in-place estimator update, then the robust
+    objective over the updated u_c and the gradient estimate, from one
+    ``_hinge_stats``.  The coefficients and the objective take the estimates
+    ``_update`` wrote, so no table is read, checked or sorted again.  Bitwise
+    ``gdro_update_estimators`` then ``gdro_gradient_estimate`` on the runs as
+    ``{class: rows}``.  Refuses, before any state change, rows that are not a
+    1-d integer array of rows of ``pool``, no rows and a class in two runs."""
+    _check_rows(rows, pool)
+    if not len(rows):
+        raise ValueError("batch must be non-empty")
+    class_batch, sizes = _class_runs(rows, pool)
     stats, encodings = _hinge_stats(
         enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, state.work
     )
@@ -463,12 +486,7 @@ def gdro_step(
 
 
 def gdro_update_estimators(
-    state: GdroEstimatorState,
-    enc: EncoderPair,
-    params,
-    class_batch,
-    per_class_batches,
-    pool,
+    state: GdroEstimatorState, enc: EncoderPair, params, class_batch, per_class_batches, pool,
     config: GdroConfig,
 ) -> GdroEstimatorState:
     """One pass of the moving-average updates for sampled classes and samples, in place."""
@@ -481,12 +499,7 @@ def gdro_update_estimators(
 
 
 def gdro_gradient_estimate(
-    state: GdroEstimatorState,
-    enc: EncoderPair,
-    params,
-    class_batch,
-    per_class_batches,
-    pool,
+    state: GdroEstimatorState, enc: EncoderPair, params, class_batch, per_class_batches, pool,
     config: GdroConfig,
 ) -> np.ndarray:
     """Compositional gradient estimator (module docstring) as two backward passes

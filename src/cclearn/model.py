@@ -191,11 +191,11 @@ class EncoderPair:
         matrix with gemv, not gemm).  Gathering a joined index gives the join of
         the gathers, rows, bits and layout alike."""
         E, cache = result
-        return E[idx], {
+        return E.take(idx, axis=0), {
             "tower": cache["tower"],
             "W": cache["W"],
-            "A": [A[idx] for A in cache["A"]],
-            "R": cache["R"][idx],
+            "A": [A.take(idx, axis=0) for A in cache["A"]],
+            "R": cache["R"].take(idx),
         }
 
     def pair_forward(self, params, X, class_ids):

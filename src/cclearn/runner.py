@@ -19,9 +19,9 @@ step the optimizer, guard against divergence and log every ``log_every``
 steps.  Every batch is rows of the stage pool: each step gets the pool and
 its batch as integer rows of it, and no step builds a Pool of its own.
 Methods differ only in how batches are drawn (slices of a shuffled order of
-the pool's rows, drawn per epoch, or for gdro class picks plus per-class row
-draws, all made once before the stage's first step) and in
-the one fused step function that gives a batch's loss and gradient:
+the pool's rows, drawn per epoch, or for gdro slices of the class picks'
+per-class row draws, all made and joined once before the stage's first step)
+and in the one fused step function that gives a batch's loss and gradient:
 ``gcl_step``, ``gdro_step`` or ``ce_step``.  Each encodes its rows once per
 step, and what depends only on the pool (estimator columns, classes) is
 looked up once per stage.
@@ -36,6 +36,7 @@ Methods:
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -161,22 +162,23 @@ def evaluate(enc: EncoderPair, params, test: Pool, candidate_classes) -> float:
 
 
 def _ce_softmax(Z, idx):
-    """Mean softmax cross-entropy of logits Z against true columns idx, and the
-    row softmax P, written over Z."""
+    """Mean softmax cross-entropy of logits Z against true columns idx, the row
+    softmax P, written over Z, and the flat index of the true cells."""
+    flat = np.arange(0, Z.size, Z.shape[1]) + idx
     m = np.maximum.reduce(Z, axis=1)
-    true = Z[np.arange(len(Z)), idx]
+    true = Z.take(flat)
     P = np.exp(np.subtract(Z, m[:, None], out=Z), out=Z)
     total = np.add.reduce(P, axis=1)
     P /= total[:, None]
-    return float(np.add.reduce(m + np.log(total) - true) / len(Z)), P
+    return float(np.add.reduce(m + np.log(total) - true) / len(Z)), P, flat
 
 
 def _ce_loss_and_grad(enc, params, X, classes, idx, tau):
     """Cross-entropy of the rows X over the classes, whose true columns are idx,
     and its gradient, from one encoding; the backward reuses the similarities."""
     f1, f2, sims = enc.pair_forward(params, X, classes)
-    loss, P = _ce_softmax(sims / tau, idx)
-    P[np.arange(len(P)), idx] -= 1.0
+    loss, P, flat = _ce_softmax(sims / tau, idx)
+    P.ravel()[flat] -= 1.0
     return loss, enc.pair_grad(f1, f2, np.divide(P, len(P) * tau, out=P), sims)
 
 
@@ -261,12 +263,13 @@ class _Trainer:
         )
 
     def _epochs(self, pool, candidates):
-        """Each epoch's batches; each RNG has this one consumer.  A gcl or
-        cross-entropy batch is an index array of rows of the stage pool, drawn
-        with its epoch.  A gdro batch is its ``{class: rows}``: every epoch's
-        (class, seed) picks are drawn before the stage's first step, one
-        ``choice`` and one ``integers`` call per batch, then one
-        ``sample_class_batches`` call draws every pick's rows."""
+        """Each epoch's batches, each an index array of rows of the stage pool;
+        each RNG has this one consumer.  A gcl or cross-entropy batch is drawn
+        with its epoch.  A gdro batch is one run of rows per picked class:
+        every epoch's (class, seed) picks are drawn before the stage's first
+        step, one ``choice`` and one ``integers`` call per batch, then one
+        ``sample_class_batches`` call draws every pick's rows, which are joined
+        once and handed out as slices."""
         cfg, gcfg = self.config, self.gdro_config
         if cfg.method != "gdro":
             for _ in range(cfg.epochs_per_task):
@@ -280,11 +283,10 @@ class _Trainer:
             picked = self.batch_rng.choice(len(candidates), n_take, replace=False)
             classes += [candidates[i] for i in picked]
             seeds.append(self.batch_rng.integers(2**63, size=n_take))
-        rows = sample_class_batches(pool, classes, gcfg.batch_per_class, np.concatenate(seeds))
-        batches = [
-            dict(zip(classes[i : i + n_take], rows[i : i + n_take]))
-            for i in range(0, len(rows), n_take)
-        ]
+        draws = sample_class_batches(pool, classes, gcfg.batch_per_class, np.concatenate(seeds))
+        bounds = [0, *itertools.accumulate(map(len, draws))][::n_take]
+        rows = np.concatenate(draws)
+        batches = [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         for epoch in range(cfg.epochs_per_task):
             yield batches[epoch * steps : (epoch + 1) * steps]
 
@@ -298,7 +300,7 @@ class _Trainer:
             return ce_step(enc, params, pool, batch, cfg.tau)
         if cfg.method == "gcl":
             return gcl_step(self.gcl_state, enc, params, pool, batch, cfg.tau)
-        return gdro_step(self.gdro_state, enc, params, list(batch), batch, pool, self.gdro_config)
+        return gdro_step(self.gdro_state, enc, params, pool, batch, self.gdro_config)
 
     def _log_fields(self):
         """gdro's per-class loss estimates and robust weights; other methods add none."""

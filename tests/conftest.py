@@ -96,6 +96,12 @@ def class_batches(pool, classes):
     return {k: pool.members[k] for k in classes}
 
 
+def joined_rows(classes, batches):
+    """gdro's per-class batches joined in the order of ``classes``: the anchors of
+    ``gdro_step``, one run of rows per class."""
+    return np.concatenate([batches[k] for k in classes])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

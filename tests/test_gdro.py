@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from conftest import (
     central_diff,
     class_batches,
     class_pool,
+    joined_rows,
     make_encoder,
     make_pool,
     pair_sim,
@@ -337,6 +339,22 @@ def test_update_refuses_repeated_ids_and_leaves_state_alone(rng, repeat):
     assert state_bytes(st) == before
 
 
+def test_class_losses_follow_added_classes(rng):
+    """``class_losses`` lists every tracked class, ascending, with its u_c bits,
+    after steps that add classes to the state."""
+    enc = make_encoder(seed=8)
+    w = enc.init_params()
+    pool = class_pool(rng, range(4), 3, 3)  # class k holds rows 3k to 3k + 2
+    st = GdroEstimatorState()
+    for rows in ([6, 7, 0], [9, 10, 3, 4], [5, 0, 1]):
+        gdro_step(st, enc, w, pool, np.array(rows), _cfg())
+        classes = sorted(st.classes.slot)
+        got = st.class_losses()
+        want = st.classes.read(classes, what="class", positive=False)[0]
+        assert got[0] == classes and got[1].tobytes() == want.tobytes()
+    assert classes == [0, 1, 2, 3]
+
+
 def test_update_two_level_geometric_convergence(rng):
     enc = make_encoder(seed=9)
     w0 = enc.init_params()
@@ -372,12 +390,72 @@ def test_empty_class_batch_is_refused(rng, entry):
     w = enc.init_params()
     pool = class_pool(rng, range(3), 4, 3)
     st = GdroEstimatorState()
-    with pytest.raises(ValueError, match="^class_batch must name at least one class$"):
-        entry(st, enc, w, [], {}, pool, _cfg())
+    if entry is gdro_step:
+        with pytest.raises(ValueError, match="^batch must be non-empty$"):
+            gdro_step(st, enc, w, pool, np.array([], np.intp), _cfg())
+    else:
+        with pytest.raises(ValueError, match="^class_batch must name at least one class$"):
+            entry(st, enc, w, [], {}, pool, _cfg())
     assert state_bytes(st) == state_bytes(GdroEstimatorState())
 
 
-@pytest.mark.parametrize("entry", [gdro_update_estimators, gdro_gradient_estimate, gdro_step])
+@pytest.mark.parametrize("rows, message", [
+    (np.array([0, 1, 4, 5, 2]), "rows of class 0 form more than one run"),
+    (np.array([8, 0, 4, 9]), "rows of class 2 form more than one run"),
+    (np.array([8, 4, 0, 5, 1]), "rows of class 1 form more than one run"),
+], ids=["0-split", "2-split", "1-and-0-split"])
+def test_step_refuses_a_class_whose_rows_form_two_runs(rng, rows, message):
+    """``gdro_step`` reads its class batch off the runs of its rows, so a class
+    whose rows form two runs is refused in one line naming the first class seen
+    again, and the state stays as it was."""
+    enc = make_encoder(seed=8)
+    w = enc.init_params()
+    pool = class_pool(rng, range(3), 4, 3)  # class k holds rows 4k to 4k + 3
+    st = GdroEstimatorState()
+    gdro_step(st, enc, w, pool, np.array([4, 5, 0, 1, 2]), _cfg())
+    before = state_bytes(st)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gdro_step(st, enc, w, pool, rows, _cfg())
+    assert state_bytes(st) == before
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    hidden=st.sampled_from([0, 3]),
+    counts=st.lists(st.integers(1, 40), min_size=2, max_size=6),
+    per_class=st.integers(1, 12),
+    shuffle=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_step_is_bitwise_the_dict_compositions(hidden, counts, per_class, shuffle, seed):
+    """``gdro_step`` on the joined rows of random class batches gives, to the bit,
+    the loss, gradient and state of ``gdro_update_estimators`` then
+    ``gdro_gradient_estimate`` on the batches as a dict, over two steps on one
+    state: classes of unequal size, batches of 8 rows or more (where numpy's
+    sums turn pairwise), any class order and pools in class order or shuffled."""
+    rng = np.random.default_rng(seed)
+    num_classes = len(counts)
+    enc = make_encoder(seed=seed % 2**16, hidden_dim=hidden, num_classes=num_classes)
+    w = enc.init_params()
+    y = np.repeat(np.arange(num_classes), counts)
+    if shuffle:
+        y = rng.permutation(y)
+    pool = Pool(rng.standard_normal((len(y), 3)), y, list(range(len(y))))
+    fused, separate = GdroEstimatorState(), GdroEstimatorState()
+    for step in range(2):
+        picked = [int(k) for k in rng.permutation(num_classes)[: int(rng.integers(1, num_classes))]]
+        batches = {k: sample_class_batch(pool, k, per_class, seed + 5 * step + k) for k in picked}
+        cfg = _cfg(gamma=0.7, batch_classes=len(picked), batch_per_class=per_class)
+        w = w + 0.1 * rng.standard_normal(enc.n_params)
+        loss, grad = gdro_step(fused, enc, w, pool, joined_rows(picked, batches), cfg)
+        gdro_update_estimators(separate, enc, w, picked, batches, pool, cfg)
+        want_grad = gdro_gradient_estimate(separate, enc, w, picked, batches, pool, cfg)
+        want_loss = dro_objective(separate.class_losses()[1], cfg.lam)
+        assert [np.float64(loss).tobytes(), grad.tobytes(), *state_bytes(fused)] == [
+            np.float64(want_loss).tobytes(), want_grad.tobytes(), *state_bytes(separate)]
+
+
+@pytest.mark.parametrize("entry", [gdro_update_estimators, gdro_gradient_estimate])
 @pytest.mark.parametrize("rows, message", [
     (None, "class 2 needs its rows as a 1-d integer array"),
     (np.array([8.0, 9.0]), "class 2 needs its rows as a 1-d integer array"),
@@ -576,7 +654,7 @@ def test_per_class_scoring_gives_the_per_row_bytes(
     assert [block[:, len(rows):].tobytes(), coef2.tobytes()] == [c.tobytes() for c in want]
 
     per_row = copy.deepcopy(state)
-    loss, grad = gdro_step(state, enc, w1, picked, batches, pool, cfg)
+    loss, grad = gdro_step(state, enc, w1, pool, rows, cfg)
     want_loss, want_grad = gdro_step_per_row(per_row, enc, w1, picked, batches, pool, cfg)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert grad.tobytes() == want_grad.tobytes()
@@ -611,7 +689,7 @@ def test_steps_read_no_stale_statistics(hidden, counts, per_class, gamma, seed):
         batches = {k: sample_class_batch(pool, k, per_class, seed + 7 * step + k) for k in picked}
         cfg = _cfg(gamma=gamma, batch_classes=len(picked), batch_per_class=per_class)
         w = w + 0.1 * rng.standard_normal(enc.n_params)
-        loss, grad = gdro_step(fused, enc, w, picked, batches, pool, cfg)
+        loss, grad = gdro_step(fused, enc, w, pool, joined_rows(picked, batches), cfg)
         gdro_update_estimators(separate, enc, w, picked, batches, pool, cfg)
         separate_grad = gdro_gradient_estimate(separate, enc, w, picked, batches, pool, cfg)
         separate_loss = dro_objective(separate.class_losses()[1], cfg.lam)
@@ -682,14 +760,15 @@ def test_warm_step_allocates_no_pool_sized_block():
     would take 0.3 MB."""
     enc, w, classes, batches, pool, cfg = _benchmark_gdro(1200)
     state = GdroEstimatorState()
-    gdro_step(state, enc, w, classes, batches, pool, cfg)  # grows the work arrays
+    rows = joined_rows(classes, batches)
+    gdro_step(state, enc, w, pool, rows, cfg)  # grows the work arrays
     work = sum(flat.nbytes for flat in state.work._flat.values())
     assert work <= 1.2 * 2**20, f"work arrays hold {work / 2**20:.2f} MiB"
 
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        _, grad = gdro_step(state, enc, w, classes, batches, pool, cfg)
+        _, grad = gdro_step(state, enc, w, pool, rows, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -719,15 +798,32 @@ def test_reused_work_arrays_leak_nothing_between_steps(hidden, seed):
         batches = {k: sample_class_batch(pool, k, per_class, seed + k) for k in picked}
         w = w + 0.05 * rng.standard_normal(enc.n_params)
         fresh.work = WorkArrays()
-        loss, grad = gdro_step(fresh, enc, w, picked, batches, pool, cfg)
+        loss, grad = gdro_step(fresh, enc, w, pool, joined_rows(picked, batches), cfg)
         want = [np.float64(loss).tobytes(), grad.tobytes(), *state_bytes(fresh)]
-        loss, grad = gdro_step(reused, enc, w, picked, batches, pool, cfg)
+        loss, grad = gdro_step(reused, enc, w, pool, joined_rows(picked, batches), cfg)
         assert [np.float64(loss).tobytes(), grad.tobytes(), *state_bytes(reused)] == want
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, -math.inf])
+_SHAPE = "h must be a non-empty 1-d array of class losses, got shape {}"
+
+
+@pytest.mark.parametrize("h, lam, message", [
+    *[([0.1, 0.4, 0.2], lam, f"lam must be > 0, got {lam}")
+      for lam in (0.0, -1.0, math.nan, -math.inf)],
+    ([], 0.5, _SHAPE.format((0,))),
+    (np.empty((3, 0)), 0.5, _SHAPE.format((3, 0))),
+    ([[0.1, 0.4], [0.2, 0.3]], 0.5, _SHAPE.format((2, 2))),
+    (0.3, 0.5, _SHAPE.format(())),
+], ids=["lam-0", "lam-neg", "lam-nan", "lam-neginf", "empty", "empty-2d", "2d", "scalar"])
 @pytest.mark.parametrize("fn", [dro_weights, dro_objective])
-def test_robust_weighting_refuses_a_non_positive_lam(fn, lam):
-    """The weights and the objective share one lam check and refuse in one line."""
-    with pytest.raises(ValueError, match=f"^lam must be > 0, got {lam}$"):
-        fn([0.1, 0.4, 0.2], lam)
+def test_robust_weighting_refuses_a_non_positive_lam(fn, h, lam, message):
+    """The weights and the objective share one check of lam and of h and refuse
+    in one line: a non-positive lam, and an h that is not a non-empty 1-d array
+    (an empty h would fail inside numpy's max, and a 2-d h would be normalized
+    over all its cells).  A NaN or inf loss passes through to a non-finite
+    objective, which the runner reports as divergence."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(h, lam)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for h in ([0.1, math.nan], [0.1, math.inf]):
+            assert not np.isfinite(fn(h, 0.5)).any()

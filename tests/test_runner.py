@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -44,8 +45,10 @@ from conftest import (
     assert_grad_close,
     central_diff,
     class_pool,
+    joined_rows,
     make_encoder,
     make_pool,
+    pair_sim,
     state_bytes,
 )
 
@@ -129,6 +132,21 @@ def test_ce_loss_uniform_logits_is_log_k(rng):
         assert ce_loss(enc, w, batch, list(range(k)), 0.4) == pytest.approx(
             math.log(k), abs=1e-9
         )
+
+
+def test_ce_loss_matches_the_per_row_formula(rng):
+    """The loss is the mean over rows of log-sum-exp(s/tau) minus the true
+    class's s/tau, a straight-line oracle on each row's similarities; the
+    finite-difference check alone would pass with a wrong true column."""
+    enc = make_encoder(seed=6, num_classes=5)
+    w = enc.init_params()
+    batch = make_pool(rng, 7, 5, 3)
+    candidates = [4, 0, 3, 1, 2]
+    want = []
+    for x, k in zip(batch.X, batch.y.tolist()):
+        z = np.array([pair_sim(enc, w, x, c) for c in candidates]) / 0.3
+        want.append(math.log(sum(math.exp(v) for v in z)) - z[candidates.index(k)])
+    assert ce_loss(enc, w, batch, candidates, 0.3) == pytest.approx(np.mean(want), abs=1e-12)
 
 
 @pytest.mark.parametrize("hidden", [0, 4])
@@ -356,7 +374,7 @@ def test_divergence_names_a_non_finite_loss_or_gradient(monkeypatch, bad, cause)
     (np.array([[0, 1], [2, 3]]), "the batch needs its rows as a 1-d integer array"),
     ([0, 1], "the batch needs its rows as a 1-d integer array"),
 ], ids=["negative", "past-end", "float", "bool", "2-d", "list"])
-@pytest.mark.parametrize("method", ["gcl", "finetune-ce"])
+@pytest.mark.parametrize("method", ["gcl", "finetune-ce", "gdro"])
 def test_steps_refuse_rows_that_are_not_rows_of_the_pool(rng, method, rows, message):
     """On a 6-row pool, row -1 would train on row 5, row 6 would raise numpy's
     IndexError and a bool array would act as a mask: each is refused in one
@@ -364,19 +382,31 @@ def test_steps_refuse_rows_that_are_not_rows_of_the_pool(rng, method, rows, mess
     enc = make_encoder(seed=2, num_classes=3)
     w = enc.init_params()
     pool = make_pool(rng, 6, 3, 3)
-    state = GclEstimatorState(gamma=0.5)
-    gcl_step(state, enc, w, pool, np.array([0, 1, 2]), 0.2)
+    state, step = _row_step(method)
+    step(enc, w, pool, np.array([0, 1, 2]))
     before = state_bytes(state)
-    step = partial(gcl_step, state) if method == "gcl" else ce_step
     with pytest.raises(ValueError, match=f"^{message}$"):
-        step(enc, w, pool, rows, 0.2)
+        step(enc, w, pool, rows)
     assert state_bytes(state) == before
+
+
+def _row_step(method):
+    """A fresh estimator state and ``step(enc, params, pool, rows)``: the method's
+    fused step on that state, with tau 0.2."""
+    if method == "gdro":
+        cfg = GdroConfig(lam=0.7, gamma=0.8, margin=0.3, tau=0.2,
+                         batch_classes=3, batch_per_class=2)
+        state = GdroEstimatorState()
+        return state, lambda enc, w, pool, rows: gdro_step(state, enc, w, pool, rows, cfg)
+    state = GclEstimatorState(gamma=0.5)
+    step = partial(gcl_step, state) if method == "gcl" else ce_step
+    return state, lambda enc, w, pool, rows: step(enc, w, pool, rows, 0.2)
 
 
 @pytest.mark.parametrize("dtype", [
     np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
 ], ids=lambda t: np.dtype(t).name)
-@pytest.mark.parametrize("method", ["gcl", "finetune-ce"])
+@pytest.mark.parametrize("method", ["gcl", "finetune-ce", "gdro"])
 def test_steps_check_rows_of_every_integer_dtype(rng, method, dtype):
     """Rows of any integer dtype give the bits of the same rows as intp, and a
     row past the end or below zero is refused in the same line.  Row -1 of the
@@ -387,9 +417,8 @@ def test_steps_check_rows_of_every_integer_dtype(rng, method, dtype):
     small, large = make_pool(rng, 6, 3, 3), make_pool(rng, 300, 3, 3)
 
     def step(pool, rows):
-        state = GclEstimatorState(gamma=0.5)
-        call = partial(gcl_step, state) if method == "gcl" else ce_step
-        loss, grad = call(enc, w, pool, rows, 0.2)
+        state, call = _row_step(method)
+        loss, grad = call(enc, w, pool, rows)
         return np.float64(loss).tobytes() + grad.tobytes(), state_bytes(state)
 
     assert step(small, np.array([5, 0, 3], dtype=dtype)) == step(small, np.array([5, 0, 3]))
@@ -510,7 +539,7 @@ def test_gdro_step_encodes_pool_rows_and_classes_not_anchors(rng, monkeypatch):
     pool = make_pool(rng, 50, 5, 3)
     cfg = GdroConfig(lam=0.7, gamma=0.9, margin=0.3, tau=0.4,
                      batch_classes=3, batch_per_class=4)
-    batches = {k: sample_class_batch(pool, k, 4, k) for k in (0, 2, 4)}
+    rows = np.concatenate([sample_class_batch(pool, k, 4, k) for k in (0, 2, 4)])
     calls = []
     forward = EncoderPair._forward
 
@@ -519,7 +548,7 @@ def test_gdro_step_encodes_pool_rows_and_classes_not_anchors(rng, monkeypatch):
         return forward(self, params, tower, inp)
 
     monkeypatch.setattr(EncoderPair, "_forward", counting_forward)
-    _, grad = gdro_step(GdroEstimatorState(), enc, w, [0, 2, 4], batches, pool, cfg)
+    _, grad = gdro_step(GdroEstimatorState(), enc, w, pool, rows, cfg)
     assert np.all(np.isfinite(grad))
     assert sorted(calls) == [("e1", 50), ("e2", 5)]
 
@@ -556,12 +585,13 @@ def test_estimators_same_bits_on_list_and_pool(hidden_dim, n, num_classes, seed)
 def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
     """Every step gets the stage Pool and its batch as integer rows into it: a gcl
     or cross-entropy epoch's batches partition the pool's rows, and gdro gets
-    each sampled class's anchors as rows of that class.  All steps of a stage
-    get the same Pool object, so its per-row lookups are built once per stage."""
+    one run of rows per sampled class, every step of a stage a slice of the
+    stage's joined draws.  All steps of a stage get the same Pool object, so
+    its per-row lookups are built once per stage."""
     name, position = {
         "gcl": ("gcl_step", 3),  # the stage pool, then the rows
         "finetune-ce": ("ce_step", 2),
-        "gdro": ("gdro_step", 5),
+        "gdro": ("gdro_step", 3),
     }[method]
     handed = []
     original = getattr(cclearn.runner, name)
@@ -577,12 +607,14 @@ def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
     pools = list({id(args[position]): args[position] for args in handed}.values())
     assert len(pools) == stream.num_tasks
     if method == "gdro":
-        for _state, _enc, _params, class_batch, per_class, pool, _cfg in handed:
-            assert list(per_class) == class_batch
-            for k, rows in per_class.items():
+        for pool in pools:
+            batches = [args[position + 1] for args in handed if args[position] is pool]
+            assert len({id(rows.base) for rows in batches}) == 1  # one joined array
+            for rows in batches:
                 assert rows.dtype == np.intp and len(rows) > 0
                 assert rows.min() >= 0 and rows.max() < len(pool)
-                assert set(pool.y[rows].tolist()) == {k}
+                runs = [k for k, _ in itertools.groupby(pool.y[rows].tolist())]
+                assert len(set(runs)) == len(runs) <= _fast_config(method).batch_classes
         return
     for pool in pools:
         batches = [args[position + 1] for args in handed if args[position] is pool]
@@ -693,38 +725,37 @@ def test_fused_steps_are_bitwise_the_separate_sequence(hidden_dim, n, num_classe
 
         separate_state, fused_state = gdro_states
         picked = [int(k) for k in rng.choice(num_classes, 2, replace=False)]
-        args = (enc, w, picked,
-                {k: sample_class_batch(pool, k, 3, int(rng.integers(2**32))) for k in picked},
-                pool, cfg)
+        batches = {k: sample_class_batch(pool, k, 3, int(rng.integers(2**32))) for k in picked}
+        args = (enc, w, picked, batches, pool, cfg)
         gdro_update_estimators(separate_state, *args)
         grad = gdro_gradient_estimate(separate_state, *args)
         loss = dro_objective(separate_state.class_losses()[1], cfg.lam)
-        fused = gdro_step(fused_state, *args)
+        fused = gdro_step(fused_state, enc, w, pool, joined_rows(picked, batches), cfg)
         assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
         assert fused[1].tobytes() == grad.tobytes()
         assert state_bytes(fused_state) == state_bytes(separate_state)
 
 
 def test_gdro_steps_get_the_per_seed_draws(monkeypatch):
-    """Every gdro step gets the classes and rows of the per-seed draws,
-    re-derived here without the package's sampler: one generator from the run
-    seed's second spawned child picks each step's classes, then draws one seed
-    per class, and a class's rows are ``default_rng(seed).choice`` of its rows
-    in the stage pool.  The run's second stage holds classes of one and two
-    rows, fewer than a class batch.  Unlike the golden digests, this holds on
-    any numpy build."""
+    """Every gdro step gets the rows of the per-seed draws, one run per picked
+    class in pick order, re-derived here without the package's sampler: one
+    generator from the run seed's second spawned child picks each step's
+    classes, then draws one seed per class, and a class's rows are
+    ``default_rng(seed).choice`` of its rows in the stage pool.  The run's
+    second stage holds classes of one and two rows, fewer than a class batch.
+    Unlike the golden digests, this holds on any numpy build."""
     steps = []
 
-    def recorded(state, enc, params, classes, batches, pool, config):
-        steps.append((pool, list(classes), {k: rows.tolist() for k, rows in batches.items()}))
-        return gdro_step(state, enc, params, classes, batches, pool, config)
+    def recorded(state, enc, params, pool, rows, config):
+        steps.append((pool, rows.tolist()))
+        return gdro_step(state, enc, params, pool, rows, config)
 
     monkeypatch.setattr(cclearn.runner, "gdro_step", recorded)
     config = _fast_config("gdro", epochs_per_task=2, memory_capacity=5, seed=11)
     run(_small_stream(num_tasks=2), config)
 
     batch_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[1])
-    pools = list({id(pool): pool for pool, _, _ in steps}.values())
+    pools = list({id(pool): pool for pool, _ in steps}.values())
     assert len(pools) == 2
     expected = []
     for pool in pools:
@@ -735,15 +766,15 @@ def test_gdro_steps_get_the_per_seed_draws(monkeypatch):
         for _ in range(config.epochs_per_task * per_epoch):
             picked = [candidates[i] for i in batch_rng.choice(len(candidates), n_take, False)]
             seeds = [int(batch_rng.integers(2**63)) for _ in picked]
-            rows = {}
+            rows = []
             for k, seed in zip(picked, seeds):
                 members = np.flatnonzero(pool.y == k)
                 n = min(config.batch_per_class, len(members))
                 draw = np.random.default_rng(seed).choice(len(members), n, replace=False)
-                rows[k] = members[draw].tolist()
-            expected.append((pool, picked, rows))
+                rows += members[draw].tolist()
+            expected.append((pool, rows))
     assert min(np.bincount(pools[1].y)[np.unique(pools[1].y)]) == 1
-    assert [(id(p), c, r) for p, c, r in steps] == [(id(p), c, r) for p, c, r in expected]
+    assert [(id(p), r) for p, r in steps] == [(id(p), r) for p, r in expected]
 
 
 @pytest.mark.parametrize("method, module, name", [

@@ -59,9 +59,10 @@ class Pool:
     """Rows for the encoders: ``X`` (N, d) float64 inputs, ``y`` (N,) int64
     class ids and ``ids`` the sample ids as Python ints (the estimators' keys).
 
-    ``members[k]`` holds class k's row indices in pool order, and
+    ``members[k]`` holds class k's row indices in pool order,
     ``class_index`` the distinct classes with each row's position among them
-    and each class's first row and row count; both are built on first read.
+    and each class's first row and row count, and ``class_mask`` each class's
+    rows as a bool row; all three are built on first read.
     A Pool is the package's one row type: every function that takes rows takes
     a Pool.  It refuses ``X``, ``y`` and ``ids`` of different lengths.
     """
@@ -113,6 +114,13 @@ class Pool:
             self.y, return_index=True, return_inverse=True, return_counts=True
         )
         return classes, index, first, counts
+
+    @cached_property
+    def class_mask(self) -> np.ndarray:
+        """(K, N) bools: row k marks the rows of the k-th of the distinct classes
+        of ``class_index``."""
+        classes, index = self.class_index[:2]
+        return np.arange(len(classes))[:, None] == index
 
     def __len__(self):
         return len(self.ids)

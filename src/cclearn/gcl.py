@@ -29,16 +29,20 @@ earlier stages forward, keyed by ``Pool.ids``.  The estimates live in arrays
 vectorised ``moving_average`` that gdro shares.
 
 Every batch is rows of the stage pool.  A training step is one call to
-``gcl_step(state, enc, params, pool, rows, tau)``: it gathers and encodes the
-batch rows once, takes the loss from the batch logits S, updates the state in
-place and forms the gradient coefficients, the update and the coefficients
-sharing one exp(S) and one gather of the rows' columns from the pool's column
-map (``MovingAverages.row_columns``, built once per pool); the backward reuses
-the batch similarities.  ``gcl_loss_full``, ``gcl_update_estimators`` (in
-place; returns the same state) and ``gcl_gradient_estimate`` are each one of
-those parts on its own, built from the same private pieces.  They take their
-batch as a ``Pool``, or as a list of Pools that ``Pool.of`` joins, and look
-its ids up one by one.
+``_gcl_loss_and_grad`` on a prepared batch: the rows' inputs and classes,
+checked and gathered, and their estimator columns.  It encodes the rows once,
+takes the loss from the batch logits S, updates the state in place and forms
+the gradient coefficients, the update and the coefficients sharing one exp(S);
+the backward reuses the batch similarities.  The runner prepares an epoch's
+batches at once, as slices of one gather of its shuffled rows and one column
+mapping (``MovingAverages.map_rows``).  ``gcl_step(state, enc, params, pool,
+rows, tau)`` prepares one batch of rows of the pool, with every per-call
+check and one gather from the pool's column map (``row_columns``, built once
+per pool), and then takes the same step.  ``gcl_loss_full``,
+``gcl_update_estimators`` (in place; returns the same state) and
+``gcl_gradient_estimate`` are each one of those parts on its own, built from
+the same private pieces.  They take their batch as a ``Pool``, or as a list of
+Pools that ``Pool.of`` joins, and look its ids up one by one.
 """
 
 from __future__ import annotations
@@ -69,8 +73,9 @@ class MovingAverages:
 
     ``row_columns`` maps rows of a pool to their keys' columns through a map
     it builds once per pool and fills as rows are first touched, so a step
-    gathers its columns without looking up a key.  The map holds columns, no
-    estimate; retiring a column would have to rebuild it.
+    gathers its columns without looking up a key; ``map_rows`` maps many
+    batches' rows at once.  The map holds columns, no estimate; retiring a
+    column would have to rebuild it.
     """
 
     def __init__(self, rows: int):
@@ -84,11 +89,15 @@ class MovingAverages:
     def columns(self, keys) -> np.ndarray:
         """Each key's column, giving a key seen for the first time the next free one.
         Refuses repeated keys, naming one, before giving out any column."""
-        slot = self.slot
         if len(set(keys)) != len(keys):
             raise ValueError(
                 f"the ids of one estimator update must not repeat: {_first_repeat(keys)} does"
             )
+        return self._give(keys)
+
+    def _give(self, keys) -> np.ndarray:
+        """``columns`` without its refusal: a key may recur, and keeps its column."""
+        slot = self.slot
         cols = [slot.setdefault(key, len(slot)) for key in keys]
         size = self.initialized.size
         if len(slot) >= size:
@@ -98,20 +107,37 @@ class MovingAverages:
             self.values, self.initialized = values, initialized
         return np.array(cols, dtype=np.intp)
 
+    def _pool_map(self, pool) -> np.ndarray:
+        """Each row of ``pool``'s column, -1 if unmapped; a new pool gets a new map."""
+        if self._pool() is not pool:
+            self._pool, self._pool_cols = weakref.ref(pool), np.full(len(pool), -1, np.intp)
+            self._unmapped = len(pool)
+        return self._pool_cols
+
     def row_columns(self, pool, rows) -> np.ndarray:
         """The columns of the ids of ``pool``'s rows ``rows`` (an integer array), as
         ``columns(ids)`` gives them.  Refuses repeated ids, naming one, before
         giving out any column."""
-        if self._pool() is not pool:
-            self._pool, self._pool_cols = weakref.ref(pool), np.full(len(pool), -1, np.intp)
-            self._unmapped = len(pool)
-        cols = self._pool_cols[rows]
+        cols = self._pool_map(pool)[rows]
         if self._unmapped and cols.min(initial=0) < 0:  # rows not mapped yet
             fresh = np.count_nonzero(cols < 0)
             cols = self._pool_cols[rows] = self.columns([pool.ids[i] for i in rows.tolist()])
             self._unmapped -= fresh
         elif len(set(cols.tolist())) != len(cols):
             self.columns(self._keys(cols))  # refuses, naming the id
+        return cols
+
+    def map_rows(self, pool, rows) -> np.ndarray:
+        """``row_columns`` of consecutive batches of ``rows`` at once, for a pool
+        whose ids do not repeat: the columns are those that each batch would get
+        in turn, and a row may recur in ``rows``, as it does across the steps of
+        a stage."""
+        cols = self._pool_map(pool)[rows]
+        if self._unmapped and cols.min(initial=0) < 0:  # rows not mapped yet
+            fresh = cols < 0
+            new = rows[fresh]
+            cols[fresh] = self._pool_cols[new] = self._give([pool.ids[i] for i in new.tolist()])
+            self._unmapped = np.count_nonzero(self._pool_cols < 0)
         return cols
 
     def _keys(self, cols) -> list:
@@ -197,17 +223,15 @@ def moving_average(table: MovingAverages, cols, values, gamma, floor=None) -> np
     return new
 
 
-def _batch_logits(enc, params, batch, tau, rows=None):
+def _batch_logits(enc, params, batch, tau):
     """The batch (a Pool, or a list of Pools joined into one), s_ab/tau over the
-    (input, label) pairs of its rows ``rows`` (an integer array), or of all its
-    rows with ``rows`` None, their similarities s_ab and the two towers' forward
-    results.  Refuses a non-positive tau and an empty batch."""
+    (input, label) pairs of its rows, their similarities s_ab and the two
+    towers' forward results.  Refuses a non-positive tau and an empty batch."""
     tau = _check_tau(tau)
     batch = Pool.of(batch)
-    X, y = (batch.X, batch.y) if rows is None else (batch.X.take(rows, axis=0), batch.y[rows])
-    if not len(y):
+    if not len(batch):
         raise ValueError("batch must be non-empty")
-    f1, f2, sims = enc.pair_forward(params, X, y)
+    f1, f2, sims = enc.pair_forward(params, batch.X, batch.y)
     return batch, sims / tau, sims, (f1, f2)
 
 
@@ -259,24 +283,44 @@ def _coefficients(E, pool_size, u) -> np.ndarray:
     return C
 
 
+def _gcl_loss_and_grad(
+    state: GclEstimatorState, enc: EncoderPair, params, X, y, cols, pool_size, tau
+) -> tuple[float, np.ndarray]:
+    """One training step on a prepared batch: its rows' inputs ``X`` and classes
+    ``y``, their estimator columns ``cols`` and the size of their pool, with tau
+    a positive float.  The batch loss, then the in-place estimator update, then
+    the gradient estimate m from the updated state, all from one encoding of
+    the rows; the backward reuses the batch similarities."""
+    f1, f2, sims = enc.pair_forward(params, X, y)
+    S = sims / tau
+    E = np.exp(S)
+    loss = _loss(S)
+    u = _update(state, cols, E, pool_size)
+    return loss, enc.pair_grad(f1, f2, _coefficients(E, pool_size, u), sims)
+
+
 def gcl_step(
     state: GclEstimatorState, enc: EncoderPair, params, pool, rows, tau
 ) -> tuple[float, np.ndarray]:
     """One training step on the batch ``rows`` (an integer array) of the stage
-    ``pool``: the batch loss, then the in-place estimator update, then the
-    gradient estimate m from the updated state, all from one encoding of the
-    rows.  The rows' estimator columns are one gather (``row_columns``), and
-    the backward reuses the batch similarities.  Bitwise the same as
-    ``gcl_loss_full``, ``gcl_update_estimators`` and ``gcl_gradient_estimate``
-    on ``pool.take(rows)`` with pool size ``len(pool)``, in that order.  Refuses,
+    ``pool``: the batch's checks, gathers and estimator columns (one gather from
+    ``row_columns``), then ``_gcl_loss_and_grad``, the step the runner takes on
+    batches it prepared once per epoch.  Bitwise the same as ``gcl_loss_full``,
+    ``gcl_update_estimators`` and ``gcl_gradient_estimate`` on
+    ``pool.take(rows)`` with pool size ``len(pool)``, in that order.  Refuses,
     before any state change, rows that are not a 1-d integer array of rows of
-    ``pool``."""
+    ``pool``, a non-positive tau, an empty batch, input the forwards refuse and
+    rows whose ids repeat.  The columns are given before the forward, so a
+    forward refused for its embedding norm leaves the batch's new ids with
+    columns but no estimate, which changes no later result."""
     _check_rows(rows, pool)
-    _, S, sims, fwd = _batch_logits(enc, params, pool, tau, rows)
-    E = np.exp(S)
-    loss = _loss(S)
-    u = _update(state, state.samples.row_columns(pool, rows), E, len(pool))
-    return loss, enc.pair_grad(*fwd, _coefficients(E, len(pool), u), sims)
+    tau = _check_tau(tau)
+    if not len(rows):
+        raise ValueError("batch must be non-empty")
+    X = enc._check_inputs(pool.X.take(rows, axis=0))
+    y = enc._check_class_ids(pool.y[rows])
+    cols = state.samples.row_columns(pool, rows)
+    return _gcl_loss_and_grad(state, enc, params, X, y, cols, len(pool), tau)
 
 
 def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:

@@ -36,25 +36,31 @@ lam down to ~0.01 usable.
 
 The anchors are rows of the pool, one run per sampled class, as ``gcl_step``
 and ``ce_step`` take their batches: ``gdro_step(state, enc, params, pool, rows,
-config)`` reads the sampled classes off the runs of ``rows`` (in training, a
-slice of a stage's draws, joined once before its first step).  The separate
+config)`` reads the sampled classes off the runs of ``rows``.  The separate
 parts take ``per_class_batches``, each sampled class's rows, and join them in
 class-batch order.  Rows that are missing, empty, outside the pool, of another
 class, or a class's rows in two runs are refused in one line naming the class.
 
-A training step is one call to ``gdro_step``: it encodes the pool once per
-tower (the input tower over its rows, the label tower over its distinct
-classes), and every embedding it scores (``_hinge_stats``) or backpropagates
-through (``_gradient``) is a row gather of those two encodings; it updates the
-state in place from the log normalizers, then forms the gradient coefficients
-from the same hinge statistics and the estimates the update wrote.  The
-per-sample and per-class estimates are ``MovingAverages`` arrays updated by
-gcl's ``moving_average``; the anchors' sample columns are one gather from the
-pool's column map (``MovingAverages.row_columns``), built once per pool.
-``gdro_update_estimators`` (in place; returns the same state) and
-``gdro_gradient_estimate`` are each one of those parts on its own, built from
-the same private pieces: ``_anchor_rows`` (``_class_runs`` in the step), then
-``_hinge_stats``.
+A training step is one call to ``_gdro_loss_and_grad`` on a step's
+``_Anchors``: the anchor rows with each one's class position, negative count
+and sample column, and the sampled classes and their sizes.  The runner
+prepares every step of a stage at once (``_stage_anchors``): one row check of
+the stage's joined draws, one lookup of their positions, negative counts and
+sample columns (``MovingAverages.map_rows``), and the classes read off the
+picks; a step's anchors are slices of these.  ``gdro_step`` prepares one
+step's anchors, with every per-call check, and then takes the same step.  The
+sampled classes get their columns in the update, after the forwards, as a
+step's classes are first seen.  The step encodes the pool once per tower (the
+input tower over its rows, the label tower over its distinct classes), and
+every embedding it scores (``_hinge_stats``) or backpropagates through
+(``_gradient``) is a row gather of those two encodings; it updates the state
+in place from the log normalizers, then forms the gradient coefficients from
+the same hinge statistics and the estimates the update wrote.  The per-sample
+and per-class estimates are ``MovingAverages`` arrays updated by gcl's
+``moving_average``.  ``gdro_update_estimators`` (in place; returns the same
+state) and ``gdro_gradient_estimate`` are each one of those parts on its own,
+built from the same private pieces: ``_anchor_rows`` (``_class_runs`` in
+``gdro_step``), ``_anchors``, then ``_hinge_stats``.
 
 g1 (anchor input x pool label) sees a pool row only through its class's label
 embedding, so each anchor has one g1 value per class: ``_hinge_stats`` takes
@@ -64,12 +70,13 @@ the bits it gathers back to pool columns: the exp values of each anchor's row
 sum, and the coefficients that ``_gradient`` weighs pool labels with.  Columns
 of a class that BLAS rounded apart from its first column score on their own
 (``_column_groups``), so the bits are those of a per-row block.  g2 (anchor
-label x pool input) stays per pool row: its same-class pairs come from
-``pool.members`` and its negative counts from the class counts.
+label x pool input) stays per pool row: its same-class pairs are a row gather
+of ``pool.class_mask`` and its negative counts come from the class counts.
 
 A step's pool-sized arrays are views of the grow-only ``WorkArrays`` on the
 state: four float buffers, each handed to the next array once its last one is
-spent, and one bool mask (``apart``, ``_column_groups``'s column check):
+spent, and one bool mask (``apart``, ``_column_groups``'s column check, then
+the anchors' rows of ``pool.class_mask``):
 
 - ``S1``: the pool-shaped g1 product E1a @ E2p.T, then the exponent block,
   then the first backward block's pair coefficients (n, n + N);
@@ -94,7 +101,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,38 +222,90 @@ def _column_groups(S1, index, first, work):
     return group, np.concatenate([values, S1[:, odd]], axis=1), group_cls
 
 
-def _hinge_stats(enc, params, rows, class_batch, sizes, pool, margin, tau, work):
+class _Anchors(NamedTuple):
+    """A step's anchors, prepared: ``rows`` of the pool, one run per sampled
+    class of ``sizes[i]`` rows each, the run of ``classes[i]``; each anchor's
+    class position among the pool's classes (``Pool.class_index``) and its
+    negative count; and, for the estimator update, the anchors' sample
+    columns."""
+
+    rows: np.ndarray
+    positions: np.ndarray
+    n_neg: np.ndarray
+    classes: Sequence[int]
+    sizes: Sequence[int]
+    columns: np.ndarray | None = None
+
+
+def _check_pool(enc, pool):
+    """Refuses a pool whose inputs or classes the forwards would refuse, in the
+    forwards' words: the public entries call it before giving out a column."""
+    enc._check_inputs(pool.X)
+    enc._check_class_ids(pool.class_index[0])
+
+
+def _anchors(pool, rows, classes, sizes, samples=None) -> _Anchors:
+    """The anchors ``rows`` of ``pool``, ``sizes[i]`` rows of ``classes[i]`` per
+    sampled class, with their class positions and negative counts and, given
+    the table ``samples``, their columns of it (``row_columns``).  Refuses an
+    anchor without a negative, naming its class, before giving out any
+    column."""
+    pool_classes, index, _, counts = pool.class_index
+    positions = index[rows]
+    n_neg = len(pool) - counts[positions]
+    if not n_neg.all():
+        bad = pool_classes[positions[int(np.argmin(n_neg))]]
+        raise ValueError(f"no negatives in pool for anchor of class {bad}")
+    columns = None if samples is None else samples.row_columns(pool, rows)
+    return _Anchors(rows, positions, n_neg, classes, sizes, columns)
+
+
+def _stage_anchors(state, pool, picks, draws, per_step):
+    """Every step's ``_Anchors`` of a stage, in turn: step s takes the draws of
+    picks ``per_step * s`` to ``per_step * (s + 1)``, each draw rows of its
+    pick's class.  Before the first step's anchors, the joined draws get one
+    row check and one lookup each of their class positions, negative counts
+    and sample columns (``map_rows``); a step's anchors are slices of these.
+    The pool must not repeat a sample id: the columns are given without the
+    refusal of ``row_columns``."""
+    sizes = [len(rows) for rows in draws]
+    rows = np.concatenate(draws)
+    _check_rows(rows, pool)
+    every = _anchors(pool, rows, picks, sizes)
+    cols = state.samples.map_rows(pool, rows)
+    bounds = [0, *itertools.accumulate(sizes)][::per_step]
+    for i, lo, hi in zip(itertools.count(0, per_step), bounds, bounds[1:]):
+        yield _Anchors(rows[lo:hi], every.positions[lo:hi], every.n_neg[lo:hi],
+                       picks[i : i + per_step], sizes[i : i + per_step], cols[lo:hi])
+
+
+def _hinge_stats(enc, params, pool, anchors, margin, tau, work):
     """(n_neg, H, A, log_g, H2t, group), (f1p, f2c, index): negative counts,
     hinge activations, stable log g, the (N, n) g2 similarities E1p @ E2a.T and
-    each pool row's g1 column group, for the anchors at ``rows`` of ``pool``,
-    ``sizes[i]`` rows of class ``class_batch[i]`` per sampled class; then the
-    pool's two encodings, the input tower over ``pool.X`` and the label tower
-    over its distinct classes, and each row's position among those classes
-    (``pool.class_index``).
+    each pool row's g1 column group, for the ``_Anchors`` ``anchors`` of
+    ``pool``; then the pool's two encodings, the input tower over ``pool.X`` and
+    the label tower over its distinct classes, and each row's position among
+    those classes (``pool.class_index``).
 
     H and A each hold two blocks end to end (``_blocks``): g1 (anchor input x
     pool label) on K' column groups, one per class unless BLAS rounded some of
     a class's columns apart (``_column_groups``), then g2 (anchor label x pool
     input) on the N pool rows.  log_g (2, n) holds g1, then g2.  g1's sums run
     over the pool columns, gathered from the groups, so they add the same terms
-    in the same order as a block over the pool rows would.  Every anchor needs
-    a negative.  Every embedding scored is a row gather of the two encodings.
-    H, A and H2t are views of the ``WorkArrays`` ``work``: ``_coefficients``
-    uses up H and A, ``_gradient`` uses up H2t, and the next call on the same
-    ``work`` overwrites all three.
+    in the same order as a block over the pool rows would.  Every embedding
+    scored is a row gather of the two encodings, and g2's same-class pairs are
+    a row gather of ``pool.class_mask``.  H, A and H2t are views of the
+    ``WorkArrays`` ``work``: ``_coefficients`` uses up H and A, ``_gradient``
+    uses up H2t, and the next call on the same ``work`` overwrites all three.
     """
-    classes, index, first, counts = pool.class_index
+    classes, index, first, _ = pool.class_index
+    rows, positions, n_neg = anchors[:3]
     f1p = enc._forward_inputs(params, pool.X)
     f2c = enc._forward_labels(params, classes)
     E1p, E2c = f1p[0], f2c[0]
-    anchor_cls = index[rows]
-    E1a, E2a = E1p.take(rows, axis=0), E2c.take(anchor_cls, axis=0)
+    E1a, E2a = E1p.take(rows, axis=0), E2c.take(positions, axis=0)
     E2p = E2c.take(index, axis=0)
     n, N = len(rows), len(pool)
-    n_neg = N - counts[anchor_cls]
-    if not n_neg.all():
-        bad = classes[anchor_cls[int(np.argmin(n_neg))]]
-        raise ValueError(f"no negatives in pool for anchor of class {bad}")
 
     sii = np.add.reduce(E1a * E2a, axis=1)[:, None]
     S1 = np.matmul(E1a, E2p.T, out=work.take("S1", (n, N)))
@@ -264,10 +325,10 @@ def _hinge_stats(enc, params, rows, class_batch, sizes, pool, margin, tau, work)
     A = np.multiply(H, H, out=work.take("A", H.shape))
     A /= tau
     A1, A2 = _blocks(A, n, K)
-    np.copyto(A1, -np.inf, where=np.equal(group_cls, anchor_cls[:, None]))
-    bounds = [0, *itertools.accumulate(sizes)]
-    for k, lo, hi in zip(class_batch, bounds, bounds[1:]):
-        A2[lo:hi, pool.members[k]] = -np.inf
+    np.copyto(A1, -np.inf, where=np.equal(group_cls, positions[:, None]))
+    # _column_groups's mask is spent
+    same = pool.class_mask.take(positions, axis=0, out=work.take("apart", (n, N), bool))
+    np.copyto(A2, -np.inf, where=same)
 
     m, sums = np.empty((2, n)), np.empty((2, n))
     np.maximum.reduce(A1, axis=1, out=m[0])
@@ -298,7 +359,8 @@ def _shifted_exp(h, lam):
     if z.ndim != 1 or not z.size:
         raise ValueError(f"h must be a non-empty 1-d array of class losses, got shape {z.shape}")
     shift = float(np.maximum.reduce(z))
-    z -= shift
+    with np.errstate(invalid="ignore"):  # an infinite shift: inf - inf is NaN
+        z -= shift
     return shift, np.exp(z, out=z)
 
 
@@ -346,30 +408,28 @@ def _class_runs(rows, pool):
     return class_batch, sizes
 
 
-def _update(state, pool, rows, sizes, class_batch, log_g, config):
+def _update(state, anchors, log_g, config):
     """The moving-average updates for the sampled classes and anchors, in place.
 
     Order matters: per-sample g estimates first, then per-class h estimates
     from the same fresh statistics, then v from the updated u_c values over
     all tracked classes (stale entries stand in for unsampled classes).
-    ``rows`` are the anchors' rows of ``pool``, whose columns are one gather
-    from the pool's column map (``row_columns``), and ``sizes`` each sampled
-    class's anchor count, in class-batch order.
+    ``anchors`` are the step's ``_Anchors``, with their sample columns; the
+    sampled classes get theirs here, after the step's forwards.
 
     Returns what it wrote and read, so that no caller reads the tables again:
     the anchors' (2, n) estimates u = (u_I, u_T), the sampled classes' (1, |Bc|)
     u_c, and every tracked class's u_c in ascending class order (``class_losses``).
     """
     g = config.gamma
-    cols = state.samples.row_columns(pool, rows)
-    u = moving_average(state.samples, cols, np.exp(log_g), g, U_FLOOR)
+    u = moving_average(state.samples, anchors.columns, np.exp(log_g), g, U_FLOOR)
     both = log_g[0] + log_g[1]
-    bounds = [0, *itertools.accumulate(sizes)]
+    bounds = [0, *itertools.accumulate(anchors.sizes)]
     h_hat = [
         config.tau * (float(np.add.reduce(both[lo:hi])) / (hi - lo)) / 2.0
         for lo, hi in zip(bounds, bounds[1:])
     ]
-    u_c = moving_average(state.classes, state.classes.columns(class_batch), [h_hat], g)
+    u_c = moving_average(state.classes, state.classes.columns(anchors.classes), [h_hat], g)
 
     # v <- (1-gamma) v + gamma * mean_k exp(u_c[k]/lam), in shifted form
     losses = state.class_losses()[1]
@@ -386,7 +446,7 @@ def _update(state, pool, rows, sizes, class_batch, log_g, config):
     return u, u_c, losses
 
 
-def _coefficients(state, sizes, class_batch, stats, config, estimates):
+def _coefficients(state, sizes, stats, config, estimates):
     """The nonzero pair coefficients of the compositional estimator, from the
     hinge statistics ``stats`` of ``_hinge_stats``, written over their H and A.
 
@@ -397,7 +457,8 @@ def _coefficients(state, sizes, class_batch, stats, config, estimates):
     groups straight into its last N columns.  coef2 (n, N) weighs (anchor
     label, pool input) pairs.  ``block`` is a view of ``state.work``'s ``S1``.
     ``estimates`` are the anchors' (2, n) u and the sampled classes' (1, |Bc|)
-    u_c, as ``_update`` returns them.
+    u_c, as ``_update`` returns them, and ``sizes`` each sampled class's anchor
+    count.
     """
     if not state.v_initialized or state.v_mantissa <= 0:
         raise ValueError("scalar estimator v is not initialized or non-positive")
@@ -408,7 +469,7 @@ def _coefficients(state, sizes, class_batch, stats, config, estimates):
     # (2h * e) * s does unless h * e is subnormal.  Off the negatives A = -inf,
     # so exp(A) = 0 and both coefficients are +0.0 there.  The class weight is
     # exp(u_c/lam) / (v * |Bc|) per anchor, with the shared shift folded in
-    norm = state.v_mantissa * len(class_batch) * 2.0
+    norm = state.v_mantissa * len(sizes) * 2.0
     class_weight = [2.0 * (math.exp(uc / config.lam - state.v_shift) / (norm * size))
                     for uc, size in zip(u_c[0].tolist(), sizes)]
     scale = (np.array(class_weight).repeat(sizes) * (1.0 / n_neg))[:, None]
@@ -436,8 +497,8 @@ def _coefficients(state, sizes, class_batch, stats, config, estimates):
     return block, coef2
 
 
-def _gradient(enc, block, coef2, rows, encodings, H2t, work) -> np.ndarray:
-    """The estimator's gradient for the anchors at ``rows`` as two backward passes
+def _gradient(enc, block, coef2, anchors, encodings, H2t, work) -> np.ndarray:
+    """The estimator's gradient for the ``_Anchors`` ``anchors`` as two backward passes
     over row gathers (``take_forward``) of the pool encodings ``encodings`` of
     ``_hinge_stats``, so the gradient encodes no row again.
 
@@ -452,49 +513,67 @@ def _gradient(enc, block, coef2, rows, encodings, H2t, work) -> np.ndarray:
       are ``H2t``, the g2 similarities of ``_hinge_stats``, which it overwrites.
     """
     f1p, f2c, index = encodings
-    anchor_cls = index[rows]
-    f1 = enc.take_forward(f1p, rows)
-    f2 = enc.take_forward(f2c, np.concatenate([anchor_cls, index]))
+    f1 = enc.take_forward(f1p, anchors.rows)
+    f2 = enc.take_forward(f2c, np.concatenate([anchors.positions, index]))
     sims = np.matmul(f1[0], f2[0].T, out=work.take("A", block.shape))
     grad = enc.pair_grad(f1, f2, block, sims)
-    grad += enc.pair_grad(f1p, enc.take_forward(f2c, anchor_cls), coef2.T, H2t)
+    grad += enc.pair_grad(f1p, enc.take_forward(f2c, anchors.positions), coef2.T, H2t)
     return grad
+
+
+def _gdro_loss_and_grad(
+    state: GdroEstimatorState, enc: EncoderPair, params, pool, anchors: _Anchors,
+    config: GdroConfig,
+) -> tuple[float, np.ndarray]:
+    """One training step on the prepared ``_Anchors`` ``anchors`` of ``pool``,
+    with their sample columns.  The in-place estimator update, then the robust
+    objective over the updated u_c and the gradient estimate, from one
+    ``_hinge_stats``.  The coefficients and the objective take the estimates
+    ``_update`` wrote, so no table is read, checked or sorted again."""
+    stats, encodings = _hinge_stats(
+        enc, params, pool, anchors, config.margin, config.tau, state.work
+    )
+    u, u_c, losses = _update(state, anchors, stats[3], config)
+    block, coef2 = _coefficients(state, anchors.sizes, stats, config, (u, u_c))
+    grad = _gradient(enc, block, coef2, anchors, encodings, stats[4], state.work)
+    return dro_objective(losses, config.lam), grad
 
 
 def gdro_step(
     state: GdroEstimatorState, enc: EncoderPair, params, pool, rows, config: GdroConfig
 ) -> tuple[float, np.ndarray]:
     """One training step on the anchors ``rows`` (an integer array) of ``pool``,
-    one run per sampled class: the in-place estimator update, then the robust
-    objective over the updated u_c and the gradient estimate, from one
-    ``_hinge_stats``.  The coefficients and the objective take the estimates
-    ``_update`` wrote, so no table is read, checked or sorted again.  Bitwise
-    ``gdro_update_estimators`` then ``gdro_gradient_estimate`` on the runs as
-    ``{class: rows}``.  Refuses, before any state change, rows that are not a
-    1-d integer array of rows of ``pool``, no rows and a class in two runs."""
+    one run per sampled class: the anchors' checks and lookups, then
+    ``_gdro_loss_and_grad``, the step the runner takes on anchors it prepared
+    once per stage.  Bitwise ``gdro_update_estimators`` then
+    ``gdro_gradient_estimate`` on the runs as ``{class: rows}``.  Refuses,
+    before any state change, rows that are not a 1-d integer array of rows of
+    ``pool``, no rows, a class in two runs, input the forwards refuse, an
+    anchor without a negative and anchors whose ids repeat.  The anchors'
+    columns are given before the forwards, so a forward refused for its
+    embedding norm leaves the anchors' new ids with columns but no estimate,
+    which changes no later result; the sampled classes get theirs after the
+    forwards."""
     _check_rows(rows, pool)
     if not len(rows):
         raise ValueError("batch must be non-empty")
     class_batch, sizes = _class_runs(rows, pool)
-    stats, encodings = _hinge_stats(
-        enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, state.work
-    )
-    u, u_c, losses = _update(state, pool, rows, sizes, class_batch, stats[3], config)
-    block, coef2 = _coefficients(state, sizes, class_batch, stats, config, (u, u_c))
-    grad = _gradient(enc, block, coef2, rows, encodings, stats[4], state.work)
-    return dro_objective(losses, config.lam), grad
+    _check_pool(enc, pool)
+    anchors = _anchors(pool, rows, class_batch, sizes, state.samples)
+    return _gdro_loss_and_grad(state, enc, params, pool, anchors, config)
 
 
 def gdro_update_estimators(
     state: GdroEstimatorState, enc: EncoderPair, params, class_batch, per_class_batches, pool,
     config: GdroConfig,
 ) -> GdroEstimatorState:
-    """One pass of the moving-average updates for sampled classes and samples, in place."""
+    """One pass of the moving-average updates for sampled classes and samples, in
+    place.  Refuses the input that ``gdro_step`` refuses before any state change."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
-    stats, _ = _hinge_stats(
-        enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, state.work
-    )
-    _update(state, pool, rows, sizes, class_batch, stats[3], config)
+    _check_pool(enc, pool)
+    anchors = _anchors(pool, rows, class_batch, sizes, state.samples)
+    stats, _ = _hinge_stats(enc, params, pool, anchors, config.margin, config.tau, state.work)
+    _update(state, anchors, stats[3], config)
     return state
 
 
@@ -505,13 +584,14 @@ def gdro_gradient_estimate(
     """Compositional gradient estimator (module docstring) as two backward passes
     (``_gradient``) that gather from the pool encodings of the hinge statistics."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
+    anchors = _anchors(pool, rows, class_batch, sizes)
     stats, encodings = _hinge_stats(
-        enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, state.work
+        enc, params, pool, anchors, config.margin, config.tau, state.work
     )
     # the tables refuse a sample or class without an estimate
     estimates = (
         state.samples.read([pool.ids[i] for i in rows.tolist()]),
         state.classes.read(class_batch, what="class", positive=False),
     )
-    block, coef2 = _coefficients(state, sizes, class_batch, stats, config, estimates)
-    return _gradient(enc, block, coef2, rows, encodings, stats[4], state.work)
+    block, coef2 = _coefficients(state, anchors.sizes, stats, config, estimates)
+    return _gradient(enc, block, coef2, anchors, encodings, stats[4], state.work)

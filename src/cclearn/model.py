@@ -26,7 +26,9 @@ forward pass and a scatter-add on the backward pass.  tanh keeps everything
 smooth, which keeps numerical gradient checks clean.
 
 The forward pass (``_forward_inputs``, ``_forward_labels``) returns a tower's
-unit embeddings with the cache its backward needs.  ``pair_forward`` returns
+unit embeddings with the cache its backward needs; it checks its input
+(``_check_inputs``, ``_check_class_ids``, which the runner also calls once per
+stage on the pool) and then runs ``_forward``.  ``pair_forward`` returns
 both towers' forward results and their similarities, exactly what the one
 backward, ``pair_grad``, takes: every pair objective is ``pair_forward``, its
 coefficient matrix, then ``pair_grad``, and encodes no row twice
@@ -167,20 +169,31 @@ class EncoderPair:
         E, R = _normalize_rows(Z)
         return E, {"tower": tower, "W": weights, "A": acts, "R": R}
 
-    def _forward_inputs(self, params, X):
-        """Batched input-encoder forward. Returns (unit embeddings, cache)."""
+    def _check_inputs(self, X) -> np.ndarray:
+        """``X`` as the float64 rows the input forward takes (a 1-d input is one
+        row).  Refuses input that is not rows of ``input_dim`` features, in one
+        line naming its shape."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.ndim > 2 or X.shape[1] != self.config.input_dim:
             raise ValueError(f"input has shape {X.shape}, expected (rows, {self.config.input_dim})")
-        return self._forward(params, "e1", X)
+        return X
 
-    def _forward_labels(self, params, class_ids):
-        """Batched label-encoder forward over one-hot class inputs."""
+    def _check_class_ids(self, class_ids) -> np.ndarray:
+        """Class ids as the flat int64 array the label forward takes.  Refuses
+        float and bool ids and ids outside [0, num_classes_max)."""
         cls = _class_ids(class_ids)
         # one reduction: a negative id wraps to a huge unsigned value; initial=0 admits no ids
         if np.maximum.reduce(cls.view(np.uint64), initial=0) >= self.config.num_classes_max:
             raise ValueError(f"class id out of range [0, {self.config.num_classes_max})")
-        return self._forward(params, "e2", cls)
+        return cls
+
+    def _forward_inputs(self, params, X):
+        """Batched input-encoder forward. Returns (unit embeddings, cache)."""
+        return self._forward(params, "e1", self._check_inputs(X))
+
+    def _forward_labels(self, params, class_ids):
+        """Batched label-encoder forward over one-hot class inputs."""
+        return self._forward(params, "e2", self._check_class_ids(class_ids))
 
     @staticmethod
     def take_forward(result, idx):

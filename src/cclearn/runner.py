@@ -16,15 +16,26 @@ accuracies for domain-incremental streams.
 Every method trains through one step loop (``_Trainer.train_task``): draw an
 epoch's batches, take the method's loss and gradient on each, check them,
 step the optimizer, guard against divergence and log every ``log_every``
-steps.  Every batch is rows of the stage pool: each step gets the pool and
-its batch as integer rows of it, and no step builds a Pool of its own.
-Methods differ only in how batches are drawn (slices of a shuffled order of
-the pool's rows, drawn per epoch, or for gdro slices of the class picks'
-per-class row draws, all made and joined once before the stage's first step)
-and in the one fused step function that gives a batch's loss and gradient:
-``gcl_step``, ``gdro_step`` or ``ce_step``.  Each encodes its rows once per
-step, and what depends only on the pool (estimator columns, classes) is
-looked up once per stage.
+steps.  Every batch is rows of the stage pool, and no step builds a Pool of
+its own.  Methods differ only in how batches are drawn (slices of a shuffled
+order of the pool's rows, drawn per epoch, or for gdro slices of the class
+picks' per-class row draws, all made and joined once before the stage's
+first step) and in the one step function that gives a batch's loss and
+gradient: ``_gcl_loss_and_grad``, ``_gdro_loss_and_grad`` or
+``_ce_loss_and_grad``.  Each takes its batch prepared (checked, gathered and
+mapped to estimator columns) and does only the work that depends on the
+parameters: it encodes its rows once, through the forwards that check their
+input, takes the loss, updates the estimators and forms the gradient.
+``_epochs`` prepares the batches: the forwards' checks of the pool's inputs
+and classes once per stage, so that bad input is refused before the stage's
+first step; for gcl and cross-entropy one row check, one gather of inputs,
+one of classes or true columns and one estimator-column mapping per epoch,
+each batch a slice of these; for gdro every step's anchors at once per stage
+(``gdro._stage_anchors``).  The public ``gcl_step``, ``gdro_step`` and
+``ce_step`` prepare one batch of rows with every per-call check and then
+call the same step function; the runner steps a stage through them when its
+pool repeats a sample id, so that a gcl or gdro batch holding an id twice is
+refused at its own step.
 
 Methods:
     gcl               global contrastive loss with replay
@@ -46,11 +57,26 @@ import numpy as np
 from .buffer import MemoryBuffer, sample_class_batches
 from .data import Pool, Task, TaskStream
 from .errors import ConfigError, DivergenceError, NonFiniteGradientError
-from .gcl import GclEstimatorState, _check_rows, _check_tau, _first_repeat, gcl_step
-from .gdro import GdroConfig, GdroEstimatorState, dro_weights, gdro_step
+from .gcl import (
+    GclEstimatorState,
+    _check_rows,
+    _check_tau,
+    _first_repeat,
+    _gcl_loss_and_grad,
+    gcl_step,
+)
+from .gdro import (
+    GdroConfig,
+    GdroEstimatorState,
+    _gdro_loss_and_grad,
+    _stage_anchors,
+    dro_weights,
+    gdro_step,
+)
 
-# perfbench/tracing.py wraps these names on this module; training calls the fused
-# steps and draws a stage's gdro rows with one sample_class_batches call
+# perfbench/tracing.py wraps these names on this module; training calls the step
+# functions on prepared batches and draws a stage's gdro rows with one
+# sample_class_batches call
 from .buffer import sample_class_batch  # noqa: F401
 from .gcl import gcl_gradient_estimate, gcl_loss_full, gcl_update_estimators  # noqa: F401
 from .gdro import gdro_gradient_estimate, gdro_update_estimators  # noqa: F401
@@ -175,7 +201,9 @@ def _ce_softmax(Z, idx):
 
 def _ce_loss_and_grad(enc, params, X, classes, idx, tau):
     """Cross-entropy of the rows X over the classes, whose true columns are idx,
-    and its gradient, from one encoding; the backward reuses the similarities."""
+    and its gradient, from one encoding; the backward reuses the similarities.
+    tau is a positive float.  The training step, on a batch prepared once per
+    epoch."""
     f1, f2, sims = enc.pair_forward(params, X, classes)
     loss, P, flat = _ce_softmax(sims / tau, idx)
     P.ravel()[flat] -= 1.0
@@ -186,9 +214,10 @@ def ce_step(enc: EncoderPair, params, pool: Pool, rows, tau) -> tuple[float, np.
     """Mean softmax cross-entropy of sim/tau logits of the batch ``rows`` (an
     integer array) of ``pool`` over the pool's classes, and its analytic gradient
     through (softmax - onehot) / (|B| * tau) pair weights, from one encoding of
-    the rows.  The classes and each row's true column come from
-    ``pool.class_index``, built once per pool.  Refuses a non-positive tau, rows
-    that are not a 1-d integer array of rows of ``pool`` and an empty batch."""
+    the rows: the batch's checks and gathers, then ``_ce_loss_and_grad``.  The
+    classes and each row's true column come from ``pool.class_index``, built
+    once per pool.  Refuses a non-positive tau, rows that are not a 1-d integer
+    array of rows of ``pool``, an empty batch and input the forwards refuse."""
     tau = _check_tau(tau)
     _check_rows(rows, pool)
     if not len(rows):
@@ -253,6 +282,7 @@ class _Trainer:
         self.gcl_state = GclEstimatorState(gamma=config.gcl_gamma)
         self.gdro_state = GdroEstimatorState()
         self.gdro_config = config.gdro_config()
+        self.tau = _check_tau(config.tau)
         self.log: list[dict] = []
         self.global_step = 0
 
@@ -262,45 +292,74 @@ class _Trainer:
             task=task, epoch=epoch, step=self.global_step,
         )
 
-    def _epochs(self, pool, candidates):
-        """Each epoch's batches, each an index array of rows of the stage pool;
-        each RNG has this one consumer.  A gcl or cross-entropy batch is drawn
-        with its epoch.  A gdro batch is one run of rows per picked class:
-        every epoch's (class, seed) picks are drawn before the stage's first
-        step, one ``choice`` and one ``integers`` call per batch, then one
-        ``sample_class_batches`` call draws every pick's rows, which are joined
-        once and handed out as slices."""
-        cfg, gcfg = self.config, self.gdro_config
+    def _epochs(self, pool, candidates, public):
+        """Each epoch's batches of rows of the stage pool, each RNG with this one
+        consumer, prepared for the method's step.  The forwards' checks of the
+        pool's inputs and classes run once per stage, before any draw.
+
+        A gcl or cross-entropy epoch is slices of a shuffled order of the pool's
+        rows.  The order gets one row check, and one gather each of its inputs
+        and of its classes (gcl) or true columns (cross-entropy); gcl also maps
+        its estimator columns once.  A batch is slices of these.
+
+        A gdro batch is one run of rows per picked class: every epoch's (class,
+        seed) picks are drawn before the stage's first step, one ``choice`` and
+        one ``integers`` call per batch, then one ``sample_class_batches`` call
+        draws every pick's rows, and ``_stage_anchors`` prepares every step's
+        anchors from them at once, handed out one epoch at a time.
+
+        With ``public``, a batch is its rows, for the method's public step."""
+        cfg, gcfg, enc = self.config, self.gdro_config, self.enc
+        X = enc._check_inputs(pool.X)
+        labels = enc._check_class_ids(pool.y if cfg.method == "gcl" else pool.class_index[0])
         if cfg.method != "gdro":
+            N, size = len(pool), cfg.batch_size
             for _ in range(cfg.epochs_per_task):
-                order = self.shuffle_rng.permutation(len(pool))
-                yield [order[i : i + cfg.batch_size] for i in range(0, len(pool), cfg.batch_size)]
+                order = self.shuffle_rng.permutation(N)
+                if public:
+                    yield [(pool, order[i : i + size]) for i in range(0, N, size)]
+                    continue
+                _check_rows(order, pool)
+                Xo = X.take(order, axis=0)
+                if cfg.method == "gcl":
+                    yo, cols = labels.take(order), self.gcl_state.samples.map_rows(pool, order)
+                    yield [(Xo[i : i + size], yo[i : i + size], cols[i : i + size], N)
+                           for i in range(0, N, size)]
+                else:
+                    idx = pool.class_index[1].take(order)
+                    yield [(Xo[i : i + size], labels, idx[i : i + size])
+                           for i in range(0, N, size)]
             return
         n_take = min(gcfg.batch_classes, len(candidates))
         steps = max(1, math.ceil(len(pool) / (gcfg.batch_classes * gcfg.batch_per_class)))
-        classes, seeds = [], []
+        picks, seeds = [], []
         for _ in range(cfg.epochs_per_task * steps):
             picked = self.batch_rng.choice(len(candidates), n_take, replace=False)
-            classes += [candidates[i] for i in picked]
+            picks += [candidates[i] for i in picked]
             seeds.append(self.batch_rng.integers(2**63, size=n_take))
-        draws = sample_class_batches(pool, classes, gcfg.batch_per_class, np.concatenate(seeds))
-        bounds = [0, *itertools.accumulate(map(len, draws))][::n_take]
-        rows = np.concatenate(draws)
-        batches = [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        for epoch in range(cfg.epochs_per_task):
-            yield batches[epoch * steps : (epoch + 1) * steps]
+        draws = sample_class_batches(pool, picks, gcfg.batch_per_class, np.concatenate(seeds))
+        if public:
+            bounds = [0, *itertools.accumulate(map(len, draws))][::n_take]
+            rows = np.concatenate(draws)
+            batches = ((pool, rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        else:
+            anchors = _stage_anchors(self.gdro_state, pool, picks, draws, n_take)
+            batches = ((pool, a) for a in anchors)
+        for _ in range(cfg.epochs_per_task):
+            yield list(itertools.islice(batches, steps))
 
-    def _step(self, batch, pool):
-        """The method's loss and gradient on one batch, from one fused step call.
-
-        The gdro loss is the robust objective over the estimated u_c.
-        """
+    def _step(self, batch, public):
+        """The method's loss and gradient on one batch: its step on a batch that
+        ``_epochs`` prepared, or with ``public`` its public step on the batch's
+        rows.  The gdro loss is the robust objective over the estimated u_c."""
         cfg, enc, params = self.config, self.enc, self.params
         if cfg.method == "finetune-ce":
-            return ce_step(enc, params, pool, batch, cfg.tau)
+            return (ce_step if public else _ce_loss_and_grad)(enc, params, *batch, self.tau)
         if cfg.method == "gcl":
-            return gcl_step(self.gcl_state, enc, params, pool, batch, cfg.tau)
-        return gdro_step(self.gdro_state, enc, params, pool, batch, self.gdro_config)
+            step = gcl_step if public else _gcl_loss_and_grad
+            return step(self.gcl_state, enc, params, *batch, self.tau)
+        step = gdro_step if public else _gdro_loss_and_grad
+        return step(self.gdro_state, enc, params, *batch, self.gdro_config)
 
     def _log_fields(self):
         """gdro's per-class loss estimates and robust weights; other methods add none."""
@@ -324,9 +383,15 @@ class _Trainer:
                 f"gdro needs at least two classes in each stage's pool; "
                 f"the pool of stage {task} holds {len(candidates)}"
             )
-        for epoch, batches in enumerate(self._epochs(pool, candidates)):
+        # a pool that repeats a sample id goes through the public steps: gcl's and
+        # gdro's estimator columns refuse a batch that repeats one at that
+        # batch's step.  Cross-entropy keeps no per-sample estimate, so its two
+        # paths give the same bits; it follows the same rule, which keeps the
+        # public ce_step in use by training like the other two public steps
+        public = len(set(pool.ids)) < len(pool)
+        for epoch, batches in enumerate(self._epochs(pool, candidates, public)):
             for batch in batches:
-                loss, grad = self._step(batch, pool)
+                loss, grad = self._step(batch, public)
                 if not math.isfinite(loss):
                     raise self._diverged("loss became non-finite", task, epoch)
                 try:

@@ -34,6 +34,7 @@ from cclearn.gdro import (
     GdroConfig,
     WorkArrays,
     _anchor_rows,
+    _anchors,
     _coefficients,
     _gradient,
     _hinge_stats,
@@ -67,19 +68,26 @@ def g_T(enc: EncoderPair, params, anchor, candidates, tau) -> float:
     return _stable_expsum(sims / tau)
 
 
+def hinge_stats(enc: EncoderPair, params, rows, class_batch, sizes, pool, margin, tau):
+    """gdro's ``_hinge_stats`` of the anchors ``rows`` of ``pool``, ``sizes[i]``
+    rows of ``class_batch[i]`` per sampled class, on fresh work arrays."""
+    anchors = _anchors(pool, rows, class_batch, sizes)
+    return _hinge_stats(enc, params, pool, anchors, margin, tau, WorkArrays())
+
+
 def hinge_g1(enc: EncoderPair, params, i, pool, margin, tau) -> float:
     """Input-anchored hinge normalizer of pool row ``i``, linear scale. Equals 1
     iff no violations."""
-    (_, _, _, log_g, _, _), _ = _hinge_stats(
-        enc, params, np.array([i]), [int(pool.y[i])], [1], pool, margin, tau, WorkArrays()
+    (_, _, _, log_g, _, _), _ = hinge_stats(
+        enc, params, np.array([i]), [int(pool.y[i])], [1], pool, margin, tau
     )
     return float(np.exp(log_g[0, 0]))
 
 
 def hinge_g2(enc: EncoderPair, params, i, pool, margin, tau) -> float:
     """Label-anchored hinge normalizer of pool row ``i``, linear scale."""
-    (_, _, _, log_g, _, _), _ = _hinge_stats(
-        enc, params, np.array([i]), [int(pool.y[i])], [1], pool, margin, tau, WorkArrays()
+    (_, _, _, log_g, _, _), _ = hinge_stats(
+        enc, params, np.array([i]), [int(pool.y[i])], [1], pool, margin, tau
     )
     return float(np.exp(log_g[1, 0]))
 
@@ -89,8 +97,8 @@ def class_loss_hk(enc: EncoderPair, params, class_id, pool, config: GdroConfig) 
     if class_id not in pool.members:
         raise ValueError(f"class {class_id} not present in pool")
     rows = pool.members[class_id]
-    (_, _, _, log_g, _, _), _ = _hinge_stats(
-        enc, params, rows, [class_id], [len(rows)], pool, config.margin, config.tau, WorkArrays()
+    (_, _, _, log_g, _, _), _ = hinge_stats(
+        enc, params, rows, [class_id], [len(rows)], pool, config.margin, config.tau
     )
     return float(config.tau * np.mean(log_g[0] + log_g[1]) / 2.0)
 
@@ -100,12 +108,10 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
     """``gdro_gradient_estimate`` through one (anchor+pool) x (anchor+pool)
     coefficient matrix and a single backward pass: O((n+N)^2) memory."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
-    stats, _ = _hinge_stats(
-        enc, params, rows, class_batch, sizes, pool, config.margin, config.tau, WorkArrays()
-    )
+    stats, _ = hinge_stats(enc, params, rows, class_batch, sizes, pool, config.margin, config.tau)
     u = state.samples.read([pool.ids[i] for i in rows.tolist()])
     u_c = state.classes.read(class_batch, what="class", positive=False)
-    block, coef2 = _coefficients(state, sizes, class_batch, stats, config, (u, u_c))
+    block, coef2 = _coefficients(state, sizes, stats, config, (u, u_c))
     anchors = pool.take(np.concatenate([per_class_batches[k] for k in class_batch]))
     n, N = len(anchors), len(pool)
     coef1 = block[:, n:]
@@ -186,14 +192,15 @@ def gdro_step_per_row(state, enc: EncoderPair, params, class_batch, per_class_ba
     backward block of its own: zeros, the diagonal, then coef1."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
     stats, encodings = hinge_stats_per_row(enc, params, rows, pool, config.margin, config.tau)
-    _update(state, pool, rows, sizes, class_batch, stats[3], config)
+    anchors = _anchors(pool, rows, class_batch, sizes, state.samples)
+    _update(state, anchors, stats[3], config)
     ids = [pool.ids[i] for i in rows.tolist()]
     coef1, coef2 = coefficients_per_row(state, ids, sizes, class_batch, stats, config)
     n = len(rows)
     block = np.zeros((n, n + coef1.shape[1]))
     np.fill_diagonal(block, -(coef1.sum(axis=1) + coef2.sum(axis=1)))
     block[:, n:] = coef1
-    grad = _gradient(enc, block, coef2, rows, encodings, stats[4], WorkArrays())
+    grad = _gradient(enc, block, coef2, anchors, encodings, stats[4], WorkArrays())
     return dro_objective(state.class_losses()[1], config.lam), grad
 
 

@@ -317,7 +317,7 @@ def test_run_nan_loss_exits_4_naming_where(tmp_path, capsys, monkeypatch):
     one error line naming the cause and the step, and no output directory."""
     data = _gen(tmp_path)
     cfg = _write_config(tmp_path, _config_doc(data, tmp_path / "a" / "b"))
-    monkeypatch.setattr(cclearn.runner, "gcl_step",
+    monkeypatch.setattr(cclearn.runner, "_gcl_loss_and_grad",
                         lambda state, enc, *args: (float("nan"), np.zeros(enc.n_params)))
     assert cli.main(["run", "--config", str(cfg)]) == 4
     err = capsys.readouterr().err

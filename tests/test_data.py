@@ -476,3 +476,16 @@ def test_pool_refuses_columns_of_different_lengths(X, y, ids, lengths):
     """A ragged Pool would count rows that ``members`` does not cover."""
     with pytest.raises(ValueError, match=f"^Pool columns differ in length: {lengths}$"):
         Pool(X, y, ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(y=st.lists(st.integers(-3, 9), min_size=1, max_size=40))
+def test_class_mask_rows_mark_the_class_members(y):
+    """Row k of ``class_mask`` marks exactly the rows of the k-th distinct class
+    of ``class_index``, which gdro masks as each anchor's same-class pairs."""
+    pool = Pool(np.zeros((len(y), 2)), np.array(y, dtype=np.int64), list(range(len(y))))
+    classes = pool.class_index[0]
+    mask = pool.class_mask
+    assert mask.dtype == bool and mask.shape == (len(classes), len(y))
+    for k, row in zip(classes.tolist(), mask):
+        assert np.flatnonzero(row).tolist() == pool.members[k].tolist()

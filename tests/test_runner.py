@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -9,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cclearn.gcl
 import cclearn.gdro
 import cclearn.runner
-from cclearn.buffer import sample_class_batch
+from cclearn.buffer import sample_class_batch, sample_class_batches
 from cclearn.data import Pool, TaskStream, gen_synthetic, split_cil
 from cclearn.errors import ConfigError, DivergenceError, NonFiniteGradientError
 from cclearn.gcl import (
@@ -31,6 +31,7 @@ from cclearn.gdro import (
     gdro_update_estimators,
 )
 from cclearn.model import EncoderConfig, EncoderPair
+from cclearn.optim import step as optim_step
 from cclearn.runner import (
     RunConfig,
     ce_gradient,
@@ -347,7 +348,7 @@ def test_divergence_names_a_non_finite_loss_or_gradient(monkeypatch, bad, cause)
     stream, config = _small_stream(), _fast_config("gcl", log_every=1)
     steps = [r for r in run(stream, config).log if r["event"] == "step"]
     at = next(r for r in steps if r["task"] == 1 and r["epoch"] == 1)
-    real_step, calls = cclearn.runner.gcl_step, []
+    real_step, calls = cclearn.runner._gcl_loss_and_grad, []
 
     def step(*args):
         loss, grad = real_step(*args)
@@ -356,7 +357,7 @@ def test_divergence_names_a_non_finite_loss_or_gradient(monkeypatch, bad, cause)
             return loss, grad
         return (math.nan, grad) if bad == "loss" else (loss, np.full_like(grad, math.nan))
 
-    monkeypatch.setattr(cclearn.runner, "gcl_step", step)
+    monkeypatch.setattr(cclearn.runner, "_gcl_loss_and_grad", step)
     with pytest.raises(DivergenceError) as info:
         run(stream, config)
     err = info.value
@@ -403,6 +404,33 @@ def _row_step(method):
     return state, lambda enc, w, pool, rows: step(enc, w, pool, rows, 0.2)
 
 
+@pytest.mark.parametrize("method", ["gcl", "gdro"])
+def test_a_refused_forward_changes_no_result(rng, method):
+    """The public gcl and gdro steps give their rows' new ids estimator columns
+    before the forward, so a step whose forward is refused (NaN parameters: a
+    NaN embedding norm) leaves those columns, with no estimate.  Two valid
+    steps after it give the losses, gradients and estimator state of the two
+    steps alone, to the bit."""
+    enc = make_encoder(seed=2, num_classes=3)
+    w = enc.init_params()
+    pool = make_pool(rng, 9, 3, 3)
+    rows = np.concatenate([pool.members[k] for k in sorted(pool.members)])
+    results = []
+    for refused_first in (False, True):
+        state, step = _row_step(method)
+        if refused_first:
+            with pytest.raises(ValueError, match="^embedding norm overflowed or is NaN$"):
+                step(enc, np.full_like(w, np.nan), pool, rows)
+            assert len(state.samples.slot) == len(rows)
+            assert not state.samples.initialized.any()
+        bits = []
+        for k in range(2):
+            loss, grad = step(enc, w + 0.1 * k, pool, rows)
+            bits += [np.float64(loss).tobytes(), grad.tobytes()]
+        results.append((bits, state_bytes(state)))
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("dtype", [
     np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
 ], ids=lambda t: np.dtype(t).name)
@@ -434,7 +462,7 @@ def test_gdro_refuses_a_one_class_stage_before_any_step(monkeypatch):
     """A stage pool of one class is a config error (a ValueError), raised before
     the stage's first step."""
     steps = []
-    monkeypatch.setattr(cclearn.runner, "gdro_step", lambda *args: steps.append(args))
+    monkeypatch.setattr(cclearn.runner, "_gdro_loss_and_grad", lambda *args: steps.append(args))
     with pytest.raises(ConfigError, match="stage 0 holds 1") as info:
         run(_small_stream(num_classes=3, num_tasks=3), _fast_config("gdro"))
     assert isinstance(info.value, ValueError) and not steps
@@ -583,32 +611,43 @@ def test_estimators_same_bits_on_list_and_pool(hidden_dim, n, num_classes, seed)
 
 @pytest.mark.parametrize("method", ["gcl", "finetune-ce", "gdro"])
 def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
-    """Every step gets the stage Pool and its batch as integer rows into it: a gcl
-    or cross-entropy epoch's batches partition the pool's rows, and gdro gets
-    one run of rows per sampled class, every step of a stage a slice of the
-    stage's joined draws.  All steps of a stage get the same Pool object, so
-    its per-row lookups are built once per stage."""
-    name, position = {
-        "gcl": ("gcl_step", 3),  # the stage pool, then the rows
-        "finetune-ce": ("ce_step", 2),
-        "gdro": ("gdro_step", 3),
+    """Every step trains on its batch's rows of the stage Pool.  A gcl or
+    cross-entropy epoch's batches are consecutive slices of one gather of the
+    pool's rows in the epoch's shuffled order, re-derived here from the run
+    seed's first spawned child, so they partition the pool's rows: each step
+    gets exactly its rows' inputs and classes (gcl, with their estimator
+    columns and the pool size) or true columns among the pool's classes
+    (cross-entropy).  gdro gets one run of rows per sampled class, every step
+    of a stage a slice of the stage's joined draws, and the stage Pool, the
+    same object for every step of the stage, so its per-row lookups are built
+    once per stage."""
+    name = {
+        "gcl": "_gcl_loss_and_grad",
+        "finetune-ce": "_ce_loss_and_grad",
+        "gdro": "_gdro_loss_and_grad",
     }[method]
-    handed = []
-    original = getattr(cclearn.runner, name)
+    handed, pools = [], []
+    original, train_task = getattr(cclearn.runner, name), cclearn.runner._Trainer.train_task
 
     def recording(*args):
-        handed.append(args)
+        handed.append((pools[-1], args))
         return original(*args)
 
+    def stage(self, task, pool):
+        pools.append(pool)
+        return train_task(self, task, pool)
+
     monkeypatch.setattr(cclearn.runner, name, recording)
-    stream = _small_stream()
-    run(stream, _fast_config(method, epochs_per_task=1))
-    assert handed and all(isinstance(args[position], Pool) for args in handed)
-    pools = list({id(args[position]): args[position] for args in handed}.values())
-    assert len(pools) == stream.num_tasks
+    monkeypatch.setattr(cclearn.runner._Trainer, "train_task", stage)
+    stream, config = _small_stream(), _fast_config(method, epochs_per_task=1)
+    run(stream, config)
+    assert handed and all(isinstance(pool, Pool) for pool in pools)
+    assert len({id(pool) for pool in pools}) == stream.num_tasks
     if method == "gdro":
         for pool in pools:
-            batches = [args[position + 1] for args in handed if args[position] is pool]
+            steps = [args for p, args in handed if p is pool]
+            assert all(args[3] is pool for args in steps)
+            batches = [args[4].rows for args in steps]
             assert len({id(rows.base) for rows in batches}) == 1  # one joined array
             for rows in batches:
                 assert rows.dtype == np.intp and len(rows) > 0
@@ -616,10 +655,30 @@ def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
                 runs = [k for k, _ in itertools.groupby(pool.y[rows].tolist())]
                 assert len(set(runs)) == len(runs) <= _fast_config(method).batch_classes
         return
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[0])
+    size = config.batch_size
     for pool in pools:
-        batches = [args[position + 1] for args in handed if args[position] is pool]
-        assert all(rows.dtype == np.intp and len(rows) > 0 for rows in batches)
-        assert sorted(np.concatenate(batches).tolist()) == list(range(len(pool)))
+        order = shuffle_rng.permutation(len(pool))  # one epoch per stage
+        steps = [args for p, args in handed if p is pool]
+        assert len(steps) == math.ceil(len(pool) / size)
+        if method == "gcl":
+            X, rest = [args[3] for args in steps], [args[4:7] for args in steps]
+        else:
+            X, rest = [args[2] for args in steps], [args[3:5] for args in steps]
+        assert len({id(x.base) for x in X}) == 1  # one gather per epoch
+        for i, (x, more) in enumerate(zip(X, rest)):
+            rows = order[i * size : (i + 1) * size]
+            assert x.tobytes() == pool.X[rows].tobytes()
+            if method == "gcl":
+                y, cols, pool_size = more
+                assert y.tolist() == pool.y[rows].tolist() and pool_size == len(pool)
+                slot = steps[i][0].samples.slot
+                assert cols.tolist() == [slot[pool.ids[r]] for r in rows.tolist()]
+            else:
+                classes, idx = more
+                assert classes.tolist() == sorted(pool.members)
+                assert classes[idx].tolist() == pool.y[rows].tolist()
+        assert sorted(order.tolist()) == list(range(len(pool)))
 
 
 def _ids_pool(rng, classes, n, ids):
@@ -745,12 +804,13 @@ def test_gdro_steps_get_the_per_seed_draws(monkeypatch):
     second stage holds classes of one and two rows, fewer than a class batch.
     Unlike the golden digests, this holds on any numpy build."""
     steps = []
+    real_step = cclearn.runner._gdro_loss_and_grad
 
-    def recorded(state, enc, params, pool, rows, config):
-        steps.append((pool, rows.tolist()))
-        return gdro_step(state, enc, params, pool, rows, config)
+    def recorded(state, enc, params, pool, anchors, config):
+        steps.append((pool, anchors.rows.tolist()))
+        return real_step(state, enc, params, pool, anchors, config)
 
-    monkeypatch.setattr(cclearn.runner, "gdro_step", recorded)
+    monkeypatch.setattr(cclearn.runner, "_gdro_loss_and_grad", recorded)
     config = _fast_config("gdro", epochs_per_task=2, memory_capacity=5, seed=11)
     run(_small_stream(num_tasks=2), config)
 
@@ -779,12 +839,16 @@ def test_gdro_steps_get_the_per_seed_draws(monkeypatch):
 
 @pytest.mark.parametrize("method, module, name", [
     ("gdro", cclearn.gdro, "_hinge_stats"),
-    ("gcl", cclearn.gcl, "_batch_logits"),
+    ("gcl", EncoderPair, "pair_forward"),
     ("finetune-ce", cclearn.runner, "_ce_loss_and_grad"),
+    *[(method, EncoderPair, forward) for method in ("gcl", "finetune-ce", "gdro")
+      for forward in ("_forward_inputs", "_forward_labels")],
 ])
 def test_one_encoding_per_optimizer_step(monkeypatch, method, module, name):
     """Each training step encodes and scores its rows once: one call of the
-    method's encoding function per optimizer step."""
+    method's encoding function per optimizer step, and one of each of the
+    forwards that check their input, which the benchmark's tracer counts as
+    ``model.encode``.  Evaluation, which also encodes, is not counted."""
     calls = {"encode": 0, "optimizer": 0}
 
     def counted(key, fn):
@@ -793,11 +857,221 @@ def test_one_encoding_per_optimizer_step(monkeypatch, method, module, name):
             return fn(*args)
         return call
 
+    evaluate = cclearn.runner.evaluate
+
+    def uncounted(*args):
+        encodes = calls["encode"]
+        accuracy = evaluate(*args)
+        calls["encode"] = encodes
+        return accuracy
+
     monkeypatch.setattr(module, name, counted("encode", getattr(module, name)))
     monkeypatch.setattr(cclearn.runner, "optimizer_step",
                         counted("optimizer", cclearn.runner.optimizer_step))
+    monkeypatch.setattr(cclearn.runner, "evaluate", uncounted)
     run(_small_stream(), _fast_config(method, epochs_per_task=2))
     assert calls["optimizer"] > 0 and calls["encode"] == calls["optimizer"]
+
+
+# ------------------------------------------------- prepared steps, public steps
+
+
+def _hand_batches(trainer, pool, candidates):
+    """Each epoch's batches of rows, drawn from the trainer's generators as the
+    runner draws them: an epoch's shuffled order in slices, or one gdro step's
+    (class, seed) picks at a time, each pick's rows ``sample_class_batches``
+    draws, joined in pick order."""
+    cfg, gcfg = trainer.config, trainer.gdro_config
+    if cfg.method != "gdro":
+        for _ in range(cfg.epochs_per_task):
+            order = trainer.shuffle_rng.permutation(len(pool))
+            yield [order[i : i + cfg.batch_size] for i in range(0, len(pool), cfg.batch_size)]
+        return
+    n_take = min(gcfg.batch_classes, len(candidates))
+    steps = max(1, math.ceil(len(pool) / (gcfg.batch_classes * gcfg.batch_per_class)))
+    batches = []
+    for _ in range(cfg.epochs_per_task * steps):
+        picked = [candidates[i] for i in trainer.batch_rng.choice(len(candidates), n_take, False)]
+        seeds = trainer.batch_rng.integers(2**63, size=n_take)
+        batches.append(np.concatenate(
+            sample_class_batches(pool, picked, gcfg.batch_per_class, seeds)
+        ))
+    for epoch in range(cfg.epochs_per_task):
+        yield batches[epoch * steps : (epoch + 1) * steps]
+
+
+def _hand_loop(steps_taken):
+    """A ``_Trainer.train_task`` that steps every batch through the public
+    ``gcl_step``, ``ce_step`` or ``gdro_step`` and then ``optim.step``, logging
+    as the runner logs; each optimizer step appends to ``steps_taken``."""
+
+    def train_task(self, task, pool):
+        cfg, enc = self.config, self.enc
+        candidates = sorted(pool.members)
+        for epoch, batches in enumerate(_hand_batches(self, pool, candidates)):
+            for rows in batches:
+                if cfg.method == "gcl":
+                    loss, grad = gcl_step(self.gcl_state, enc, self.params, pool, rows, cfg.tau)
+                elif cfg.method == "finetune-ce":
+                    loss, grad = ce_step(enc, self.params, pool, rows, cfg.tau)
+                else:
+                    loss, grad = gdro_step(
+                        self.gdro_state, enc, self.params, pool, rows, self.gdro_config
+                    )
+                self.opt, self.params = optim_step(self.opt, self.params, grad)
+                steps_taken.append(None)
+                if self.global_step % cfg.log_every == 0:
+                    self.log.append(
+                        {"event": "step", "task": task, "epoch": epoch,
+                         "step": self.global_step, "loss": loss, **self._log_fields()}
+                    )
+                self.global_step += 1
+
+    return train_task
+
+
+def _run_both(monkeypatch, stream, config):
+    """``run`` as it is and with the hand loop for training: each run's result
+    (or its ValueError) and the number of optimizer steps it took."""
+    outcomes = []
+    for hand in (False, True):
+        steps_taken = []
+        with monkeypatch.context() as patch:
+            if hand:
+                patch.setattr(cclearn.runner._Trainer, "train_task", _hand_loop(steps_taken))
+            else:
+                real_step = cclearn.runner.optimizer_step
+
+                def counted(opt, params, grad):
+                    steps_taken.append(None)
+                    return real_step(opt, params, grad)
+
+                patch.setattr(cclearn.runner, "optimizer_step", counted)
+            try:
+                outcome = run(stream, config)
+            except ValueError as err:
+                outcome = err
+        outcomes.append((outcome, len(steps_taken)))
+    return outcomes
+
+
+def _same_run(runner, hand):
+    (result, steps), (hand_result, hand_steps) = runner, hand
+    assert steps == hand_steps > 0
+    assert result.params.tobytes() == hand_result.params.tobytes()
+    assert result.log == hand_result.log
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    method=st.sampled_from(["gcl", "finetune-ce", "gdro"]),
+    hidden_dim=st.sampled_from([0, 3]),
+    num_tasks=st.integers(1, 3),
+    classes_per_task=st.integers(2, 3),
+    per_class=st.integers(4, 9),
+    memory=st.integers(0, 10),
+    batch_size=st.integers(1, 12),
+    batch_classes=st.integers(1, 3),
+    batch_per_class=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_runner_steps_are_the_public_steps(
+    method, hidden_dim, num_tasks, classes_per_task, per_class, memory, batch_size,
+    batch_classes, batch_per_class, seed,
+):
+    """``run`` steps every method through batches it prepares once per epoch
+    (gcl, cross-entropy) or stage (gdro), and gives the final parameters and
+    the log, to the bit, of a hand loop that steps each batch through the
+    public step and ``optim.step``."""
+    ds = gen_synthetic(classes_per_task * num_tasks, per_class, 8, 4.0, 0.5, seed)
+    stream = split_cil(ds, num_tasks, test_fraction=0.25, seed=seed + 1)
+    config = _fast_config(
+        method, epochs_per_task=2, memory_capacity=memory, seed=seed, hidden_dim=hidden_dim,
+        batch_size=batch_size, batch_classes=batch_classes, batch_per_class=batch_per_class,
+        log_every=3,
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _same_run(*_run_both(monkeypatch, stream, config))
+
+
+def _repeat_id(pool, i, j):
+    """Gives row ``j`` of ``pool`` the sample id of row ``i``."""
+    pool.ids[j] = pool.ids[i]
+    return pool.ids[i]
+
+
+@pytest.mark.parametrize("method", ["gcl", "gdro"])
+def test_an_id_may_recur_in_other_batches(monkeypatch, method):
+    """A sample id held by rows of two classes never meets itself in one batch
+    of one row, or in one gdro step of one class: the run trains, and equals the
+    hand loop over the public steps."""
+    stream = _small_stream()
+    pool = stream.tasks[1].train
+    first, second = sorted(pool.members)
+    _repeat_id(pool, pool.members[first][0], pool.members[second][0])
+    config = _fast_config(method, epochs_per_task=3, batch_size=1, batch_classes=1)
+    _same_run(*_run_both(monkeypatch, stream, config))
+
+
+@pytest.mark.parametrize("method", ["gcl", "gdro"])
+def test_an_id_repeated_in_one_batch_is_refused_at_its_step(monkeypatch, method):
+    """Two rows of the second task share a sample id.  The run is refused,
+    naming the id, at the step of the first batch that holds both, as the hand
+    loop over the public steps refuses it.  For gcl the two rows, found from
+    the run seed's shuffles, sit in different batches of the second stage's
+    first epoch and in one batch of its second, so the refusal comes mid-stage,
+    not when the stage starts.  Every gdro step of the second stage draws every
+    row of both its classes, so its first step is refused."""
+    stream = _small_stream()
+    pool = stream.tasks[1].train
+    config = _fast_config(method, epochs_per_task=2, memory_capacity=0, batch_size=4,
+                          batch_per_class=20)
+    expected = _first_stage_steps(config)
+    if method == "gdro":
+        i, j = pool.members[min(pool.members)][:2]
+    else:
+        shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[0])
+        for _ in range(config.epochs_per_task):
+            shuffle_rng.permutation(len(stream.tasks[0].train))
+        batch = np.empty((2, len(pool)), dtype=np.intp)  # each row's batch per epoch
+        for epoch in batch:
+            epoch[shuffle_rng.permutation(len(pool))] = np.arange(len(pool)) // config.batch_size
+        i, j = next((i, j) for i, j in itertools.combinations(range(len(pool)), 2)
+                    if batch[0, i] != batch[0, j] and batch[1, i] == batch[1, j])
+        expected += math.ceil(len(pool) / config.batch_size) + batch[1, i]
+    repeated = _repeat_id(pool, i, j)
+    (err, steps), (hand_err, hand_steps) = _run_both(monkeypatch, stream, config)
+    message = f"the ids of one estimator update must not repeat: {repeated} does"
+    assert str(err) == str(hand_err) == message
+    assert steps == hand_steps == expected
+
+
+def _first_stage_steps(config):
+    """The optimizer steps of the first stage of ``_small_stream``'s run."""
+    log = run(_small_stream(), replace(config, log_every=1)).log
+    return sum(r["event"] == "step" and r["task"] == 0 for r in log)
+
+
+@pytest.mark.parametrize("bad", ["width", "class"])
+@pytest.mark.parametrize("method", ["gcl", "finetune-ce", "gdro"])
+def test_a_later_stage_the_forwards_refuse_fails_before_its_first_step(monkeypatch, method, bad):
+    """A second task whose inputs are one feature too wide, or that holds a class
+    id past the encoder's classes, is refused with the forward's message once
+    that stage starts, before its first step, after the steps the hand loop
+    takes before its first step refuses the same input."""
+    stream = _small_stream()
+    task = stream.tasks[1]
+    if bad == "width":
+        task.train = Pool(np.hstack([task.train.X, task.train.X[:, :1]]), task.train.y,
+                          task.train.ids)
+        message = r"input has shape \(\d+, 9\), expected \(rows, 8\)"
+    else:
+        task.train.y[0] = 6
+        message = re.escape("class id out of range [0, 6)")
+    config = _fast_config(method, memory_capacity=0)
+    (err, steps), (hand_err, hand_steps) = _run_both(monkeypatch, stream, config)
+    assert re.fullmatch(message, str(err)) and re.fullmatch(message, str(hand_err))
+    assert steps == hand_steps == _first_stage_steps(config)
 
 
 @pytest.mark.parametrize("call, message", [

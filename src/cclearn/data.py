@@ -247,6 +247,7 @@ def gen_synthetic(num_classes, per_class, input_dim, separation, noise, seed) ->
         raise ValueError(f"separation must be finite and > 0, got {separation}")
     if not math.isfinite(noise):
         raise ValueError(f"noise must be finite, got {noise}")
+    _check_ints(seed=seed)
     rng = np.random.default_rng(seed)
     means = _class_means(num_classes, input_dim, separation, rng)
     n = num_classes * per_class
@@ -295,6 +296,7 @@ def gen_domain_shift(base: Dataset, num_domains, shift_kind, magnitude, seed) ->
         raise ValueError("num_domains must be >= 2")
     if not math.isfinite(magnitude):
         raise ValueError(f"magnitude must be finite, got {magnitude}")
+    _check_ints(seed=seed)
     rng = np.random.default_rng(seed)
     n, dim = base.X.shape
     # the whole output first: a domain count no memory holds fails before any draw
@@ -322,9 +324,20 @@ def _stratified_split(y, rows, test_fraction, rng):
     return by_class[~is_test], by_class[is_test]
 
 
+def _check_ints(**ints):
+    """Refuses a value of ``ints`` that is not an integer (``True`` too) and a
+    negative ``seed``, naming it: numpy would draw OS entropy for a seed of
+    None, read ``True`` as 1 and refuse a negative one naming no argument."""
+    for name, value in ints.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    if ints.get("seed", 0) < 0:
+        raise ValueError(f"seed must be >= 0, got {ints['seed']}")
+
+
 def _check_split_args(ds, test_fraction, **ints):
-    """Refuse a test_fraction outside (0, 1), a non-integer ``ints`` value (``True`` too)
-    and a dataset that declares more classes than it holds samples.
+    """Refuse a test_fraction outside (0, 1), an ``ints`` value ``_check_ints``
+    refuses and a dataset that declares more classes than it holds samples.
 
     Splits allocate per declared class and the trainer sizes its label tower by
     the count, so a header's ``classes`` is checked before either happens.
@@ -333,9 +346,7 @@ def _check_split_args(ds, test_fraction, **ints):
         raise ValueError(
             f"dataset declares {ds.num_classes} classes but holds {len(ds.y)} samples"
         )
-    for name, value in ints.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+    _check_ints(**ints)
     if not isinstance(test_fraction, numbers.Real) or not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction!r}")
 

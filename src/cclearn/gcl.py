@@ -37,8 +37,8 @@ the backward reuses the batch similarities.  The runner prepares an epoch's
 batches at once, as slices of one gather of its shuffled rows and one column
 mapping (``MovingAverages.map_rows``).  ``gcl_step(state, enc, params, pool,
 rows, tau)`` prepares one batch of rows of the pool, with every per-call
-check and one gather from the pool's column map (``row_columns``, built once
-per pool), and then takes the same step.  ``gcl_loss_full``,
+check and the same column mapping behind a refusal of repeated ids
+(``row_columns``), and then takes the same step.  ``gcl_loss_full``,
 ``gcl_update_estimators`` (in place; returns the same state) and
 ``gcl_gradient_estimate`` are each one of those parts on its own, built from
 the same private pieces.  They take their batch as a ``Pool``, or as a list of
@@ -71,11 +71,12 @@ class MovingAverages:
     last column is never handed out, so a key without a column reads it, as
     column -1, and finds no estimate there.
 
-    ``row_columns`` maps rows of a pool to their keys' columns through a map
-    it builds once per pool and fills as rows are first touched, so a step
-    gathers its columns without looking up a key; ``map_rows`` maps many
-    batches' rows at once.  The map holds columns, no estimate; retiring a
-    column would have to rebuild it.
+    ``map_rows`` maps rows of a pool to their keys' columns through a map it
+    builds once per pool and fills as rows are first touched, so a step
+    gathers its columns without looking up a key.  ``row_columns`` is the same
+    mapping of one batch, behind the refusal of repeated ids that ``columns``
+    makes.  The map holds columns, no estimate; retiring a column would have
+    to rebuild it.
     """
 
     def __init__(self, rows: int):
@@ -89,10 +90,7 @@ class MovingAverages:
     def columns(self, keys) -> np.ndarray:
         """Each key's column, giving a key seen for the first time the next free one.
         Refuses repeated keys, naming one, before giving out any column."""
-        if len(set(keys)) != len(keys):
-            raise ValueError(
-                f"the ids of one estimator update must not repeat: {_first_repeat(keys)} does"
-            )
+        _refuse_repeats(keys)
         return self._give(keys)
 
     def _give(self, keys) -> np.ndarray:
@@ -107,43 +105,29 @@ class MovingAverages:
             self.values, self.initialized = values, initialized
         return np.array(cols, dtype=np.intp)
 
-    def _pool_map(self, pool) -> np.ndarray:
-        """Each row of ``pool``'s column, -1 if unmapped; a new pool gets a new map."""
-        if self._pool() is not pool:
-            self._pool, self._pool_cols = weakref.ref(pool), np.full(len(pool), -1, np.intp)
-            self._unmapped = len(pool)
-        return self._pool_cols
-
     def row_columns(self, pool, rows) -> np.ndarray:
-        """The columns of the ids of ``pool``'s rows ``rows`` (an integer array), as
-        ``columns(ids)`` gives them.  Refuses repeated ids, naming one, before
-        giving out any column."""
-        cols = self._pool_map(pool)[rows]
-        if self._unmapped and cols.min(initial=0) < 0:  # rows not mapped yet
-            fresh = np.count_nonzero(cols < 0)
-            cols = self._pool_cols[rows] = self.columns([pool.ids[i] for i in rows.tolist()])
-            self._unmapped -= fresh
-        elif len(set(cols.tolist())) != len(cols):
-            self.columns(self._keys(cols))  # refuses, naming the id
-        return cols
+        """``map_rows`` of the one batch ``rows`` (an integer array) of ``pool``,
+        whose ids must not repeat: the columns ``columns(ids)`` gives them.
+        Refuses repeated ids, naming one, before giving out any column."""
+        _refuse_repeats([pool.ids[i] for i in rows.tolist()])
+        return self.map_rows(pool, rows)
 
     def map_rows(self, pool, rows) -> np.ndarray:
-        """``row_columns`` of consecutive batches of ``rows`` at once, for a pool
-        whose ids do not repeat: the columns are those that each batch would get
-        in turn, and a row may recur in ``rows``, as it does across the steps of
-        a stage."""
-        cols = self._pool_map(pool)[rows]
+        """The columns of the ids of ``pool``'s rows ``rows`` (an integer array),
+        given in first-touch order, as ``row_columns`` of consecutive batches
+        of ``rows`` would give them in turn.  Refuses nothing: an id may recur
+        in ``rows``, as it does across the steps of a stage, and keeps its
+        column."""
+        if self._pool() is not pool:  # a new pool gets a new map
+            self._pool, self._pool_cols = weakref.ref(pool), np.full(len(pool), -1, np.intp)
+            self._unmapped = len(pool)
+        cols = self._pool_cols[rows]
         if self._unmapped and cols.min(initial=0) < 0:  # rows not mapped yet
             fresh = cols < 0
             new = rows[fresh]
             cols[fresh] = self._pool_cols[new] = self._give([pool.ids[i] for i in new.tolist()])
             self._unmapped = np.count_nonzero(self._pool_cols < 0)
         return cols
-
-    def _keys(self, cols) -> list:
-        """The key of each of the columns ``cols``, which must have been given out."""
-        keys = list(self.slot)
-        return [keys[c] for c in np.asarray(cols).tolist()]
 
     def read(self, keys, what="sample", positive=True) -> np.ndarray:
         """The (rows, n) estimates of ``keys``.  Refuses a key without an estimate
@@ -184,6 +168,14 @@ def _first_repeat(items):
     return next((item for item in items if item in seen or seen.add(item)), None)
 
 
+def _refuse_repeats(keys):
+    """Refuses the keys of one estimator update if they repeat, naming one."""
+    if len(set(keys)) != len(keys):
+        raise ValueError(
+            f"the ids of one estimator update must not repeat: {_first_repeat(keys)} does"
+        )
+
+
 def _check_tau(tau):
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -203,8 +195,8 @@ def _check_rows(rows, pool, what="the batch"):
 def moving_average(table: MovingAverages, cols, values, gamma, floor=None) -> np.ndarray:
     """In place, per column c and row r: ``u[r, c] <- (1 - gamma) * u[r, c] + gamma * v[r, c]``
     for the (rows, len(cols)) ``values`` and the distinct columns ``cols`` of
-    ``table`` (``columns`` or ``row_columns``).  Returns the (rows, len(cols))
-    values written.
+    ``table`` (``columns``, ``row_columns`` or ``map_rows``).  Returns the
+    (rows, len(cols)) values written.
 
     A column's first update writes ``v`` itself, whatever gamma is.  With
     ``floor``, each result is raised to at least ``floor`` (a NaN becomes
@@ -303,8 +295,8 @@ def gcl_step(
     state: GclEstimatorState, enc: EncoderPair, params, pool, rows, tau
 ) -> tuple[float, np.ndarray]:
     """One training step on the batch ``rows`` (an integer array) of the stage
-    ``pool``: the batch's checks, gathers and estimator columns (one gather from
-    ``row_columns``), then ``_gcl_loss_and_grad``, the step the runner takes on
+    ``pool``: the batch's checks, gathers and estimator columns
+    (``row_columns``), then ``_gcl_loss_and_grad``, the step the runner takes on
     batches it prepared once per epoch.  Bitwise the same as ``gcl_loss_full``,
     ``gcl_update_estimators`` and ``gcl_gradient_estimate`` on
     ``pool.take(rows)`` with pool size ``len(pool)``, in that order.  Refuses,

@@ -35,9 +35,9 @@ exp(u_c[k]/lam)/v is computed as exp(u_c[k]/lam - shift)/mantissa.  This keeps
 lam down to ~0.01 usable.
 
 The anchors are rows of the pool, one run per sampled class, as ``gcl_step``
-and ``ce_step`` take their batches: ``gdro_step(state, enc, params, pool, rows,
-config)`` reads the sampled classes off the runs of ``rows``.  The separate
-parts take ``per_class_batches``, each sampled class's rows, and join them in
+takes its batch: ``gdro_step(state, enc, params, pool, rows, config)`` reads
+the sampled classes off the runs of ``rows``.  The separate parts take
+``per_class_batches``, each sampled class's rows, and join them in
 class-batch order.  Rows that are missing, empty, outside the pool, of another
 class, or a class's rows in two runs are refused in one line naming the class.
 
@@ -47,10 +47,11 @@ and sample column, and the sampled classes and their sizes.  The runner
 prepares every step of a stage at once (``_stage_anchors``): one row check of
 the stage's joined draws, one lookup of their positions, negative counts and
 sample columns (``MovingAverages.map_rows``), and the classes read off the
-picks; a step's anchors are slices of these.  ``gdro_step`` prepares one
-step's anchors, with every per-call check, and then takes the same step.  The
-sampled classes get their columns in the update, after the forwards, as a
-step's classes are first seen.  The step encodes the pool once per tower (the
+picks; a step's anchors are slices of these.  ``gdro_step``, which the
+runner calls for a stage whose pool repeats a sample id, prepares one step's
+anchors with every per-call check and ``row_columns``, and then takes the
+same step.  The sampled classes get their columns in the update, after the
+forwards, as a step's classes are first seen.  The step encodes the pool once per tower (the
 input tower over its rows, the label tower over its distinct classes), and
 every embedding it scores (``_hinge_stats``) or backpropagates through
 (``_gradient``) is a row gather of those two encodings; it updates the state
@@ -266,8 +267,8 @@ def _stage_anchors(state, pool, picks, draws, per_step):
     pick's class.  Before the first step's anchors, the joined draws get one
     row check and one lookup each of their class positions, negative counts
     and sample columns (``map_rows``); a step's anchors are slices of these.
-    The pool must not repeat a sample id: the columns are given without the
-    refusal of ``row_columns``."""
+    The pool must not repeat a sample id: ``map_rows`` gives the columns
+    without ``row_columns``' refusal of repeated ids."""
     sizes = [len(rows) for rows in draws]
     rows = np.concatenate(draws)
     _check_rows(rows, pool)

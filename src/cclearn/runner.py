@@ -31,11 +31,14 @@ and classes once per stage, so that bad input is refused before the stage's
 first step; for gcl and cross-entropy one row check, one gather of inputs,
 one of classes or true columns and one estimator-column mapping per epoch,
 each batch a slice of these; for gdro every step's anchors at once per stage
-(``gdro._stage_anchors``).  The public ``gcl_step``, ``gdro_step`` and
-``ce_step`` prepare one batch of rows with every per-call check and then
-call the same step function; the runner steps a stage through them when its
-pool repeats a sample id, so that a gcl or gdro batch holding an id twice is
-refused at its own step.
+(``gdro._stage_anchors``).  The public ``gcl_step`` and ``gdro_step``
+prepare one batch of rows with every per-call check and then call the same
+step function.  gcl's and gdro's estimators key on sample ids, so the runner
+steps a gcl or gdro stage whose pool repeats a sample id through them, and a
+batch holding an id twice is refused at its own step.  Cross-entropy keeps
+no per-sample estimate and always takes the prepared path; ``ce_loss`` and
+``ce_gradient`` on ``pool.take(rows)`` over the pool's classes give its
+step's bits.
 
 Methods:
     gcl               global contrastive loss with replay
@@ -200,30 +203,14 @@ def _ce_softmax(Z, idx):
 
 
 def _ce_loss_and_grad(enc, params, X, classes, idx, tau):
-    """Cross-entropy of the rows X over the classes, whose true columns are idx,
-    and its gradient, from one encoding; the backward reuses the similarities.
-    tau is a positive float.  The training step, on a batch prepared once per
-    epoch."""
+    """Mean softmax cross-entropy of sim/tau logits of the rows X over the
+    classes, whose true columns are idx, and its gradient through (softmax -
+    onehot) / (|B| * tau) pair weights, from one encoding.  tau is a positive
+    float.  The training step, on a batch prepared once per epoch."""
     f1, f2, sims = enc.pair_forward(params, X, classes)
     loss, P, flat = _ce_softmax(sims / tau, idx)
     P.ravel()[flat] -= 1.0
     return loss, enc.pair_grad(f1, f2, np.divide(P, len(P) * tau, out=P), sims)
-
-
-def ce_step(enc: EncoderPair, params, pool: Pool, rows, tau) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy of sim/tau logits of the batch ``rows`` (an
-    integer array) of ``pool`` over the pool's classes, and its analytic gradient
-    through (softmax - onehot) / (|B| * tau) pair weights, from one encoding of
-    the rows: the batch's checks and gathers, then ``_ce_loss_and_grad``.  The
-    classes and each row's true column come from ``pool.class_index``, built
-    once per pool.  Refuses a non-positive tau, rows that are not a 1-d integer
-    array of rows of ``pool``, an empty batch and input the forwards refuse."""
-    tau = _check_tau(tau)
-    _check_rows(rows, pool)
-    if not len(rows):
-        raise ValueError("batch must be non-empty")
-    classes, index = pool.class_index[:2]
-    return _ce_loss_and_grad(enc, params, pool.X.take(rows, axis=0), classes, index[rows], tau)
 
 
 def _candidate_columns(batch, candidates, tau):
@@ -245,15 +232,16 @@ def _candidate_columns(batch, candidates, tau):
 
 
 def ce_loss(enc: EncoderPair, params, batch: Pool, candidates, tau) -> float:
-    """The loss of ``ce_step`` on the Pool ``batch`` over the distinct
-    ``candidates``, without a backward pass."""
+    """The training step's loss on the Pool ``batch`` over the distinct
+    ``candidates``, without a backward pass.  On ``pool.take(rows)`` over the
+    pool's classes it is the bits training gets for those rows."""
     tau, idx = _candidate_columns(batch, candidates, tau)
     return _ce_softmax(enc.similarity_matrix(params, batch.X, candidates) / tau, idx)[0]
 
 
 def ce_gradient(enc: EncoderPair, params, batch: Pool, candidates, tau) -> np.ndarray:
-    """The gradient of ``ce_step`` on the Pool ``batch`` over the distinct
-    ``candidates``."""
+    """The training step's gradient on the Pool ``batch`` over the distinct
+    ``candidates``, which ``ce_loss`` takes too."""
     tau, idx = _candidate_columns(batch, candidates, tau)
     return _ce_loss_and_grad(enc, params, batch.X, candidates, idx, tau)[1]
 
@@ -308,7 +296,8 @@ class _Trainer:
         draws every pick's rows, and ``_stage_anchors`` prepares every step's
         anchors from them at once, handed out one epoch at a time.
 
-        With ``public``, a batch is its rows, for the method's public step."""
+        With ``public`` (gcl and gdro only), a batch is its rows, for the
+        method's public step."""
         cfg, gcfg, enc = self.config, self.gdro_config, self.enc
         X = enc._check_inputs(pool.X)
         labels = enc._check_class_ids(pool.y if cfg.method == "gcl" else pool.class_index[0])
@@ -354,7 +343,7 @@ class _Trainer:
         rows.  The gdro loss is the robust objective over the estimated u_c."""
         cfg, enc, params = self.config, self.enc, self.params
         if cfg.method == "finetune-ce":
-            return (ce_step if public else _ce_loss_and_grad)(enc, params, *batch, self.tau)
+            return _ce_loss_and_grad(enc, params, *batch, self.tau)
         if cfg.method == "gcl":
             step = gcl_step if public else _gcl_loss_and_grad
             return step(self.gcl_state, enc, params, *batch, self.tau)
@@ -383,12 +372,10 @@ class _Trainer:
                 f"gdro needs at least two classes in each stage's pool; "
                 f"the pool of stage {task} holds {len(candidates)}"
             )
-        # a pool that repeats a sample id goes through the public steps: gcl's and
-        # gdro's estimator columns refuse a batch that repeats one at that
-        # batch's step.  Cross-entropy keeps no per-sample estimate, so its two
-        # paths give the same bits; it follows the same rule, which keeps the
-        # public ce_step in use by training like the other two public steps
-        public = len(set(pool.ids)) < len(pool)
+        # gcl's and gdro's estimators key on sample ids: a pool that repeats one
+        # goes through their public steps, which refuse a batch that repeats an
+        # id at that batch's step.  Cross-entropy keeps no per-sample estimate
+        public = cfg.method != "finetune-ce" and len(set(pool.ids)) < len(pool)
         for epoch, batches in enumerate(self._epochs(pool, candidates, public)):
             for batch in batches:
                 loss, grad = self._step(batch, public)

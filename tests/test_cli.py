@@ -91,6 +91,15 @@ def test_gen_invalid_dim_exits_2(tmp_path, capsys):
         assert not (tmp_path / "x.clds").exists()
 
 
+def test_gen_negative_seed_exits_2_naming_the_seed(tmp_path, capsys):
+    path = tmp_path / "x.clds"
+    code = cli.main(["gen", "--classes", "3", "--per-class", "4", "--dim", "4",
+                     "--seed", "-1", "-o", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not path.exists()
+
+
 def test_run_produces_outputs(tmp_path, capsys):
     data = _gen(tmp_path)
     out_dir = tmp_path / "run1"
@@ -252,13 +261,14 @@ def test_run_empty_dataset_exits_2(tmp_path, capsys, mode):
         ("cil", {"num_tasks": True}, {}),
         ("cil", {"seed": True}, {}),
         ("dil", {"seed": True}, {}),
+        ("cil", {"seed": -1}, {}),
         ("dil", {"domain_order": [True, False]}, {}),
         ("cil", {"test_fraction": "0.2"}, {}),
     ],
     ids=["num_tasks=0", "num_tasks=-4", "cil-test_fraction=-0.2", "cil-test_fraction=0",
          "dil-test_fraction=-0.2", "dil-test_fraction=0", "cil-no-test-samples",
          "dil-no-test-samples", "num_tasks=true", "cil-seed=true",
-         "dil-seed=true", "domain_order=[true,false]", "test_fraction=string"],
+         "dil-seed=true", "cil-seed=-1", "domain_order=[true,false]", "test_fraction=string"],
 )
 def test_run_bad_split_exits_2(tmp_path, capsys, mode, split, gen):
     data = _gen(tmp_path, **gen)

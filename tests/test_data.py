@@ -1,3 +1,4 @@
+import re
 import resource
 import struct
 from contextlib import contextmanager
@@ -464,6 +465,34 @@ def _two_domains():
 ], ids=["unknown-mode", "cil-overlap", "one-domain", "dil-repeat", "dil-extra"])
 def test_streams_and_domains_refuse_hostile_input(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("seed, error, message", [
+    (None, TypeError, "seed must be an integer, got None"),
+    (True, TypeError, "seed must be an integer, got True"),
+    (1.0, TypeError, "seed must be an integer, got 1.0"),
+    (-1, ValueError, "seed must be >= 0, got -1"),
+], ids=["none", "true", "float", "negative"])
+@pytest.mark.parametrize(
+    "function", ["gen_synthetic", "gen_domain_shift", "split_cil", "split_dil"]
+)
+def test_data_functions_refuse_a_seed_that_is_not_a_non_negative_int(
+    monkeypatch, function, seed, error, message
+):
+    """None would draw OS entropy, so two calls would give different data; numpy
+    would read True as seed 1 and refuse a float or a negative seed in words
+    that name no argument.  Each is refused in one line naming the seed, before
+    any generator is made."""
+    base, shifted = gen_synthetic(4, 5, 3, 4.0, 0.5, 0), _two_domains()
+    call = {
+        "gen_synthetic": lambda: gen_synthetic(4, 5, 3, 4.0, 0.5, seed),
+        "gen_domain_shift": lambda: gen_domain_shift(base, 2, "rotation", 1.0, seed),
+        "split_cil": lambda: split_cil(base, 2, 0.25, seed),
+        "split_dil": lambda: split_dil(shifted, [0, 1], 0.25, seed),
+    }[function]
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("drew"))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 

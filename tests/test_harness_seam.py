@@ -57,8 +57,9 @@ def test_traced_run_calls_every_wrapper_with_real_arguments(method):
     arguments, so a signature change that breaks a span's attribute function
     (the ``sample_class_batch`` and ``model.encode`` attrs, and ``pool_attrs``)
     fails here, not in a traced benchmark run.  The runner steps gdro through
-    ``gdro_step``, which the tracer does not wrap, so the wrapped separate gdro
-    parts are called once more on the first task's rows, as the sweep does."""
+    ``_gdro_loss_and_grad``, which the tracer does not wrap, so the wrapped
+    separate gdro parts are called once more on the first task's rows, as the
+    sweep does."""
     tracing = _load("tracing")
     ds = gen_synthetic(4, 10, 6, separation=4.0, noise=0.5, seed=0)
     stream = split_cil(ds, num_tasks=2, test_fraction=0.25, seed=1)

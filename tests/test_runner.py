@@ -3,7 +3,6 @@ import math
 import re
 import warnings
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -36,7 +35,6 @@ from cclearn.runner import (
     RunConfig,
     ce_gradient,
     ce_loss,
-    ce_step,
     evaluate,
     merge_tasks,
     run,
@@ -172,13 +170,12 @@ def test_ce_gradient_matches_finite_differences(hidden):
     ("tau=nan", "tau must be > 0"),
 ])
 def test_cross_entropy_refuses_hostile_input(rng, case, pattern):
-    """A one-line ValueError, with no numpy warning, from the loss and gradient on
-    their own and, where the case can arise for rows of a pool (whose classes are
-    the candidates), from the step."""
+    """A one-line ValueError, with no numpy warning, from the loss and the
+    gradient."""
     enc = make_encoder(seed=1, num_classes=4)
     w = enc.init_params()
     pool, candidates, tau = make_pool(rng, 6, 4, 3), [0, 1, 2, 3], 0.3
-    rows = rng.permutation(len(pool))
+    batch = pool
     if case == "class-not-candidate":
         candidates = [0, 1, 3]
     elif case == "no-candidates":
@@ -186,18 +183,14 @@ def test_cross_entropy_refuses_hostile_input(rng, case, pattern):
     elif case == "repeated-candidate":
         candidates = [0, 1, 1, 2, 3]
     elif case == "empty-batch":
-        rows = rows[:0]
+        batch = pool.take([])
     else:
         tau = float(case.split("=")[1])
-    entries = [partial(entry, enc, w, pool.take(rows), candidates, tau)
-               for entry in (ce_loss, ce_gradient)]
-    if candidates == sorted(pool.members):
-        entries.append(partial(ce_step, enc, w, pool, rows, tau))
-    for entry in entries:
+    for entry in (ce_loss, ce_gradient):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=pattern) as info:
-                entry()
+                entry(enc, w, batch, candidates, tau)
         assert "\n" not in str(info.value)
 
 
@@ -375,7 +368,7 @@ def test_divergence_names_a_non_finite_loss_or_gradient(monkeypatch, bad, cause)
     (np.array([[0, 1], [2, 3]]), "the batch needs its rows as a 1-d integer array"),
     ([0, 1], "the batch needs its rows as a 1-d integer array"),
 ], ids=["negative", "past-end", "float", "bool", "2-d", "list"])
-@pytest.mark.parametrize("method", ["gcl", "finetune-ce", "gdro"])
+@pytest.mark.parametrize("method", ["gcl", "gdro"])
 def test_steps_refuse_rows_that_are_not_rows_of_the_pool(rng, method, rows, message):
     """On a 6-row pool, row -1 would train on row 5, row 6 would raise numpy's
     IndexError and a bool array would act as a mask: each is refused in one
@@ -400,8 +393,7 @@ def _row_step(method):
         state = GdroEstimatorState()
         return state, lambda enc, w, pool, rows: gdro_step(state, enc, w, pool, rows, cfg)
     state = GclEstimatorState(gamma=0.5)
-    step = partial(gcl_step, state) if method == "gcl" else ce_step
-    return state, lambda enc, w, pool, rows: step(enc, w, pool, rows, 0.2)
+    return state, lambda enc, w, pool, rows: gcl_step(state, enc, w, pool, rows, 0.2)
 
 
 @pytest.mark.parametrize("method", ["gcl", "gdro"])
@@ -434,7 +426,7 @@ def test_a_refused_forward_changes_no_result(rng, method):
 @pytest.mark.parametrize("dtype", [
     np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
 ], ids=lambda t: np.dtype(t).name)
-@pytest.mark.parametrize("method", ["gcl", "finetune-ce", "gdro"])
+@pytest.mark.parametrize("method", ["gcl", "gdro"])
 def test_steps_check_rows_of_every_integer_dtype(rng, method, dtype):
     """Rows of any integer dtype give the bits of the same rows as intp, and a
     row past the end or below zero is refused in the same line.  Row -1 of the
@@ -694,13 +686,12 @@ def _ids_pool(rng, classes, n, ids):
     seed=st.integers(0, 2**16),
 )
 def test_row_steps_are_bitwise_the_compositions_on_taken_rows(hidden_dim, sizes, seed):
-    """The row-form ``gcl_step`` and ``ce_step`` give, to the bit, the loss,
-    gradient and estimator state of the separate compositions on
-    ``pool.take(rows)``: sample ids that are not 0..N-1, shuffled rows, one
-    state stepped on two successive pools that share rows (as a stage pool
-    shares the buffer's rows with the next) and pools whose classes are a
-    subset of the encoder's.  A repeated row is refused, naming its id, and
-    leaves the state alone."""
+    """The row-form ``gcl_step`` gives, to the bit, the loss, gradient and
+    estimator state of the separate compositions on ``pool.take(rows)``:
+    sample ids that are not 0..N-1, shuffled rows, one state stepped on two
+    successive pools that share rows (as a stage pool shares the buffer's rows
+    with the next) and pools whose classes are a subset of the encoder's.  A
+    repeated row is refused, naming its id, and leaves the state alone."""
     rng = np.random.default_rng(seed)
     enc = make_encoder(seed=seed, hidden_dim=hidden_dim, num_classes=6)
     w = enc.init_params()
@@ -727,12 +718,6 @@ def test_row_steps_are_bitwise_the_compositions_on_taken_rows(hidden_dim, sizes,
             assert fused[1].tobytes() == grad.tobytes()
             assert state_bytes(fused_state) == state_bytes(separate_state)
 
-            classes = sorted(pool.members)
-            fused = ce_step(enc, w, pool, rows, 0.2)
-            loss = ce_loss(enc, w, batch, classes, 0.2)
-            assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
-            assert fused[1].tobytes() == ce_gradient(enc, w, batch, classes, 0.2).tobytes()
-
         before = state_bytes(fused_state)
         r = int(rng.integers(N))
         rows = rng.permutation(np.append(rng.permutation(N)[: int(rng.integers(N + 1))], [r, r]))
@@ -758,7 +743,6 @@ def test_fused_steps_are_bitwise_the_separate_sequence(hidden_dim, n, num_classe
     enc = make_encoder(seed=seed, hidden_dim=hidden_dim, num_classes=num_classes)
     w = enc.init_params()
     pool = make_pool(rng, n, num_classes, 3)
-    classes = list(range(num_classes))
     cfg = GdroConfig(lam=0.7, gamma=0.8, margin=0.3, tau=0.4,
                      batch_classes=2, batch_per_class=3)
     gcl_states = GclEstimatorState(0.9), GclEstimatorState(0.9)
@@ -776,11 +760,6 @@ def test_fused_steps_are_bitwise_the_separate_sequence(hidden_dim, n, num_classe
         assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
         assert fused[1].tobytes() == grad.tobytes()
         assert state_bytes(fused_state) == state_bytes(separate_state)
-
-        fused = ce_step(enc, w, pool, rows, 0.2)
-        loss = ce_loss(enc, w, batch, classes, 0.2)
-        assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
-        assert fused[1].tobytes() == ce_gradient(enc, w, batch, classes, 0.2).tobytes()
 
         separate_state, fused_state = gdro_states
         picked = [int(k) for k in rng.choice(num_classes, 2, replace=False)]
@@ -902,8 +881,9 @@ def _hand_batches(trainer, pool, candidates):
 
 def _hand_loop(steps_taken):
     """A ``_Trainer.train_task`` that steps every batch through the public
-    ``gcl_step``, ``ce_step`` or ``gdro_step`` and then ``optim.step``, logging
-    as the runner logs; each optimizer step appends to ``steps_taken``."""
+    ``gcl_step``, ``ce_loss`` and ``ce_gradient`` on the batch's rows over the
+    pool's classes, or ``gdro_step``, and then ``optim.step``, logging as the
+    runner logs; each optimizer step appends to ``steps_taken``."""
 
     def train_task(self, task, pool):
         cfg, enc = self.config, self.enc
@@ -913,7 +893,9 @@ def _hand_loop(steps_taken):
                 if cfg.method == "gcl":
                     loss, grad = gcl_step(self.gcl_state, enc, self.params, pool, rows, cfg.tau)
                 elif cfg.method == "finetune-ce":
-                    loss, grad = ce_step(enc, self.params, pool, rows, cfg.tau)
+                    batch = pool.take(rows)
+                    loss = ce_loss(enc, self.params, batch, candidates, cfg.tau)
+                    grad = ce_gradient(enc, self.params, batch, candidates, cfg.tau)
                 else:
                     loss, grad = gdro_step(
                         self.gdro_state, enc, self.params, pool, rows, self.gdro_config
@@ -1044,6 +1026,38 @@ def test_an_id_repeated_in_one_batch_is_refused_at_its_step(monkeypatch, method)
     message = f"the ids of one estimator update must not repeat: {repeated} does"
     assert str(err) == str(hand_err) == message
     assert steps == hand_steps == expected
+
+
+def test_cross_entropy_trains_one_path_whatever_the_ids(monkeypatch):
+    """Cross-entropy keeps no per-sample estimate: a stream whose second stage
+    pool repeats sample ids, every row of its task sharing one id, trains to the
+    parameters and log of the same stream with distinct ids, and every step of
+    both runs goes through ``_ce_loss_and_grad`` on a prepared batch, its
+    inputs a slice of the epoch's one gather."""
+    repeated = _small_stream()
+    task = repeated.tasks[1].train
+    task.ids[:] = [task.ids[0]] * len(task)
+    real_step, real_optimizer = cclearn.runner._ce_loss_and_grad, cclearn.runner.optimizer_step
+    results = []
+    for stream in (_small_stream(), repeated):
+        sliced, optimizer_steps = [], []
+
+        def step(enc, params, X, *rest):
+            sliced.append(X.base is not None)
+            return real_step(enc, params, X, *rest)
+
+        def optimizer(*args):
+            optimizer_steps.append(None)
+            return real_optimizer(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cclearn.runner, "_ce_loss_and_grad", step)
+            patch.setattr(cclearn.runner, "optimizer_step", optimizer)
+            result = run(stream, _fast_config("finetune-ce", epochs_per_task=2, log_every=1))
+        assert all(sliced) and len(sliced) == len(optimizer_steps) > 0
+        results.append((result.params.tobytes(), result.log))
+    assert len(set(task.ids)) == 1 < len(task)
+    assert results[0] == results[1]
 
 
 def _first_stage_steps(config):

@@ -33,16 +33,20 @@ Every batch is rows of the stage pool.  A training step is one call to
 checked and gathered, and their estimator columns.  It encodes the rows once,
 takes the loss from the batch logits S, updates the state in place and forms
 the gradient coefficients, the update and the coefficients sharing one exp(S);
-the backward reuses the batch similarities.  The runner prepares an epoch's
-batches at once, as slices of one gather of its shuffled rows and one column
-mapping (``MovingAverages.map_rows``).  ``gcl_step(state, enc, params, pool,
-rows, tau)`` prepares one batch of rows of the pool, with every per-call
-check and the same column mapping behind a refusal of repeated ids
-(``row_columns``), and then takes the same step.  ``gcl_loss_full``,
-``gcl_update_estimators`` (in place; returns the same state) and
-``gcl_gradient_estimate`` are each one of those parts on its own, built from
-the same private pieces.  They take their batch as a ``Pool``, or as a list of
-Pools that ``Pool.of`` joins, and look its ids up one by one.
+the backward reuses the batch similarities.  The loss is a diagnostic that
+neither the update nor the gradient reads, so on a step the runner does not
+log it is computed only if some logit exceeds 1e300 in magnitude, the one
+case in which it could be non-finite; the runner's divergence check then
+fires at the same step whatever ``log_every`` is.  The runner prepares an
+epoch's batches at once, as slices of one gather of its shuffled rows and one
+column mapping (``MovingAverages.map_rows``).  ``gcl_step(state, enc, params,
+pool, rows, tau)`` prepares one batch of rows of the pool, with every
+per-call check and the same column mapping behind a refusal of repeated ids
+(``row_columns``), and then takes the same step, loss included.
+``gcl_loss_full``, ``gcl_update_estimators`` (in place; returns the same
+state) and ``gcl_gradient_estimate`` are each one of those parts on its own,
+built from the same private pieces.  They take their batch as a ``Pool``, or
+as a list of Pools that ``Pool.of`` joins, and look its ids up one by one.
 """
 
 from __future__ import annotations
@@ -59,6 +63,10 @@ from .model import EncoderPair
 U_FLOOR = 1e-300
 # columns of a fresh MovingAverages; the arrays double from there
 _FIRST_CAPACITY = 64
+# logits within this bound in magnitude give a finite loss: every shifted
+# logit of ``_loss`` lies in [-2e300, 0], each log-sum-exp term is at most
+# 2e300 + log n, and their sums stay finite for any n below 8e7 rows
+_LOGIT_BOUND = 1e300
 
 
 class MovingAverages:
@@ -276,17 +284,26 @@ def _coefficients(E, pool_size, u) -> np.ndarray:
 
 
 def _gcl_loss_and_grad(
-    state: GclEstimatorState, enc: EncoderPair, params, X, y, cols, pool_size, tau
-) -> tuple[float, np.ndarray]:
+    state: GclEstimatorState, enc: EncoderPair, params, X, y, cols, pool_size, tau,
+    logged=True,
+) -> tuple[float | None, np.ndarray]:
     """One training step on a prepared batch: its rows' inputs ``X`` and classes
     ``y``, their estimator columns ``cols`` and the size of their pool, with tau
     a positive float.  The batch loss, then the in-place estimator update, then
     the gradient estimate m from the updated state, all from one encoding of
-    the rows; the backward reuses the batch similarities."""
+    the rows; the backward reuses the batch similarities.
+
+    The update and the gradient never read the loss, so a step whose loss is
+    not logged (``logged`` false) computes it only where it could be
+    non-finite: when every logit is within ``_LOGIT_BOUND`` the loss is
+    finite and None stands in its place; otherwise it is ``_loss(S)``, NaN
+    or inf included.  The state and the gradient are the same bits either
+    way."""
     f1, f2, sims = enc.pair_forward(params, X, y)
     S = sims / tau
     E = np.exp(S)
-    loss = _loss(S)
+    finite = not logged and np.maximum.reduce(np.abs(S), axis=None) <= _LOGIT_BOUND
+    loss = None if finite else _loss(S)
     u = _update(state, cols, E, pool_size)
     return loss, enc.pair_grad(f1, f2, _coefficients(E, pool_size, u), sims)
 
@@ -297,9 +314,10 @@ def gcl_step(
     """One training step on the batch ``rows`` (an integer array) of the stage
     ``pool``: the batch's checks, gathers and estimator columns
     (``row_columns``), then ``_gcl_loss_and_grad``, the step the runner takes on
-    batches it prepared once per epoch.  Bitwise the same as ``gcl_loss_full``,
-    ``gcl_update_estimators`` and ``gcl_gradient_estimate`` on
-    ``pool.take(rows)`` with pool size ``len(pool)``, in that order.  Refuses,
+    batches it prepared once per epoch, with its loss always computed.
+    Bitwise the same as ``gcl_loss_full``, ``gcl_update_estimators`` and
+    ``gcl_gradient_estimate`` on ``pool.take(rows)`` with pool size
+    ``len(pool)``, in that order.  Refuses,
     before any state change, rows that are not a 1-d integer array of rows of
     ``pool``, a non-positive tau, an empty batch, input the forwards refuse and
     rows whose ids repeat.  The columns are given before the forward, so a

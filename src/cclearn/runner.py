@@ -16,12 +16,16 @@ accuracies for domain-incremental streams.
 Every method trains through one step loop (``_Trainer.train_task``): draw an
 epoch's batches, take the method's loss and gradient on each, check them,
 step the optimizer, guard against divergence and log every ``log_every``
-steps.  Every batch is rows of the stage pool, and no step builds a Pool of
-its own.  Methods differ only in how batches are drawn (slices of a shuffled
-order of the pool's rows, drawn per epoch, or for gdro slices of the class
-picks' per-class row draws, all made and joined once before the stage's
-first step) and in the one step function that gives a batch's loss and
-gradient: ``_gcl_loss_and_grad``, ``_gdro_loss_and_grad`` or
+steps.  A stage's loop runs with numpy's floating-point warnings off, so a
+run that goes non-finite reports only its ``DivergenceError``.  gcl computes
+its loss only on the steps it logs, and on any step whose logits could make
+it non-finite (``_gcl_loss_and_grad``), so ``log_every`` moves no parameter
+and no divergence step.  Every batch is rows of the stage pool, and no step
+builds a Pool of its own.  Methods differ only in how batches are drawn
+(slices of a shuffled order of the pool's rows, drawn per epoch, or for gdro
+slices of the class picks' per-class row draws, all made and joined once
+before the stage's first step) and in the one step function that gives a
+batch's loss and gradient: ``_gcl_loss_and_grad``, ``_gdro_loss_and_grad`` or
 ``_ce_loss_and_grad``.  Each takes its batch prepared (checked, gathered and
 mapped to estimator columns) and does only the work that depends on the
 parameters: it encodes its rows once, through the forwards that check their
@@ -337,16 +341,19 @@ class _Trainer:
         for _ in range(cfg.epochs_per_task):
             yield list(itertools.islice(batches, steps))
 
-    def _step(self, batch, public):
+    def _step(self, batch, public, logged):
         """The method's loss and gradient on one batch: its step on a batch that
         ``_epochs`` prepared, or with ``public`` its public step on the batch's
-        rows.  The gdro loss is the robust objective over the estimated u_c."""
+        rows.  The gdro loss is the robust objective over the estimated u_c.  A
+        prepared gcl step that is not ``logged`` gives None for a loss it has
+        proved finite (``_gcl_loss_and_grad``)."""
         cfg, enc, params = self.config, self.enc, self.params
         if cfg.method == "finetune-ce":
             return _ce_loss_and_grad(enc, params, *batch, self.tau)
         if cfg.method == "gcl":
-            step = gcl_step if public else _gcl_loss_and_grad
-            return step(self.gcl_state, enc, params, *batch, self.tau)
+            if public:
+                return gcl_step(self.gcl_state, enc, params, *batch, self.tau)
+            return _gcl_loss_and_grad(self.gcl_state, enc, params, *batch, self.tau, logged)
         step = gdro_step if public else _gdro_loss_and_grad
         return step(self.gdro_state, enc, params, *batch, self.gdro_config)
 
@@ -376,25 +383,31 @@ class _Trainer:
         # goes through their public steps, which refuse a batch that repeats an
         # id at that batch's step.  Cross-entropy keeps no per-sample estimate
         public = cfg.method != "finetune-ce" and len(set(pool.ids)) < len(pool)
-        for epoch, batches in enumerate(self._epochs(pool, candidates, public)):
-            for batch in batches:
-                loss, grad = self._step(batch, public)
-                if not math.isfinite(loss):
-                    raise self._diverged("loss became non-finite", task, epoch)
-                try:
-                    self.opt, self.params = optimizer_step(self.opt, self.params, grad)
-                except NonFiniteGradientError as err:
-                    raise self._diverged("non-finite gradient", task, epoch) from err
-                # 1e150 guard: beyond it the norm of a forward pass overflows float64;
-                # a NaN or inf parameter fails the comparison too
-                if not np.maximum.reduce(np.abs(self.params)) <= 1e150:
-                    raise self._diverged("parameters became non-finite or exploded", task, epoch)
-                if self.global_step % cfg.log_every == 0:
-                    self.log.append(
-                        {"event": "step", "task": task, "epoch": epoch,
-                         "step": self.global_step, "loss": loss, **self._log_fields()}
-                    )
-                self.global_step += 1
+        # a run that goes non-finite stops at the checks below with one
+        # DivergenceError; numpy's overflow and NaN warnings on the way add nothing
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for epoch, batches in enumerate(self._epochs(pool, candidates, public)):
+                for batch in batches:
+                    logged = self.global_step % cfg.log_every == 0
+                    loss, grad = self._step(batch, public, logged)
+                    if loss is not None and not math.isfinite(loss):
+                        raise self._diverged("loss became non-finite", task, epoch)
+                    try:
+                        self.opt, self.params = optimizer_step(self.opt, self.params, grad)
+                    except NonFiniteGradientError as err:
+                        raise self._diverged("non-finite gradient", task, epoch) from err
+                    # 1e150 guard: beyond it the norm of a forward pass overflows
+                    # float64; a NaN or inf parameter fails the comparison too
+                    if not np.maximum.reduce(np.abs(self.params)) <= 1e150:
+                        raise self._diverged(
+                            "parameters became non-finite or exploded", task, epoch
+                        )
+                    if logged:
+                        self.log.append(
+                            {"event": "step", "task": task, "epoch": epoch,
+                             "step": self.global_step, "loss": loss, **self._log_fields()}
+                        )
+                    self.global_step += 1
 
 
 def merge_tasks(stream: TaskStream) -> TaskStream:

@@ -317,9 +317,27 @@ def test_run_divergence_exits_4(tmp_path, capsys):
     data = _gen(tmp_path)
     doc = _config_doc(data, tmp_path / "out", eta=1e308)
     cfg = _write_config(tmp_path, doc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["run", "--config", str(cfg)]) == 4
+    assert cli.main(["run", "--config", str(cfg)]) == 4
     assert "diverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, field, value", [
+    ("gcl", "tau", 1e-320),
+    ("finetune-ce", "tau", 1e-320),
+    ("gdro", "tau", 1e-320),
+    ("gdro", "dro_lambda", 1e-310),
+], ids=["gcl-tau", "finetune-ce-tau", "gdro-tau", "gdro-lambda"])
+def test_run_going_non_finite_reports_one_line_and_no_warning(tmp_path, capsys, method,
+                                                              field, value):
+    """A run that overflows exits 4 with its one error line: numpy's
+    floating-point warnings on the way, which the test settings turn into
+    errors, stay silent."""
+    doc = _config_doc(_gen(tmp_path), tmp_path / "out", method=method, **{field: value})
+    cfg = _write_config(tmp_path, doc)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: diverged: ") and err.count("\n") == 1, err
 
 
 def test_run_nan_loss_exits_4_naming_where(tmp_path, capsys, monkeypatch):
@@ -368,8 +386,7 @@ def test_run_divergence_removes_only_the_directories_it_created(tmp_path, capsys
     if existing:
         out.mkdir()
     cfg = _write_config(tmp_path, _config_doc(data, tmp_path / "unused", eta=1e308))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 4
     assert "diverged" in capsys.readouterr().err
     if existing:
         assert out.is_dir()

@@ -12,6 +12,8 @@ from cclearn.gcl import (
     U_FLOOR,
     GclEstimatorState,
     MovingAverages,
+    _gcl_loss_and_grad,
+    _loss,
     gcl_gradient_estimate,
     gcl_loss_full,
     gcl_step,
@@ -295,6 +297,66 @@ def test_step_refuses_repeated_ids_and_leaves_state_alone(rng):
     gcl_step(st, enc, w, shared, np.array([5, 2]), 0.3)  # maps row 5 to id 1's column
     with pytest.raises(ValueError, match=message.format(pool.ids[1])):
         gcl_step(st, enc, w, shared, np.array([5, 1]), 0.3)
+
+
+class _DrawnSims:
+    """An encoder pair whose forward gives the drawn similarities, NaN and inf
+    included, in place of its own, and whose backward is the real one."""
+
+    def __init__(self, enc, sims):
+        self.enc, self.sims = enc, sims
+
+    def pair_forward(self, params, X, y):
+        f1, f2, _ = self.enc.pair_forward(params, X, y)
+        return f1, f2, self.sims.copy()  # the backward overwrites its sims
+
+    def pair_grad(self, *args):
+        return self.enc.pair_grad(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    decade=st.integers(-320, 0),
+    mantissa=st.floats(1.0, 10.0),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_an_unlogged_step_skips_only_a_loss_it_proves_finite(n, decade, mantissa, seed, data):
+    """On logits sims/tau, with tau log-uniform in [1e-320, 1e1] (a decade, then
+    a mantissa) and sims in [-1, 1] with NaN and inf among them: an unlogged
+    step gives None only where ``_loss`` of the logits is finite, and gives
+    that loss's bits otherwise; it always gives None when every logit is
+    within 1e300.  Its gradient and estimator state are, to the bit, a logged
+    step's, whose loss is ``_loss``'s bits."""
+    tau = mantissa * 10.0**decade
+    sims = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)))
+    special = st.tuples(st.integers(0, n * n - 1), st.sampled_from([math.nan, math.inf, -math.inf]))
+    for at, value in data.draw(st.lists(special, max_size=2)):
+        sims[at] = value
+    sims = sims.reshape(n, n)
+    enc = make_encoder(seed=seed % 7, num_classes=3)
+    w = enc.init_params()
+    pool = make_pool(np.random.default_rng(seed), n, 3, 3)
+    steps = {}
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        S = sims / tau
+        exact = np.float64(_loss(S)).tobytes()
+        for logged in (True, False):
+            state = GclEstimatorState(gamma=0.9)
+            cols = state.samples.columns(pool.ids)
+            loss, grad = _gcl_loss_and_grad(
+                state, _DrawnSims(enc, sims), w, pool.X, pool.y, cols, 2 * n, tau, logged
+            )
+            steps[logged] = loss, grad.tobytes(), state_bytes(state)
+    (logged_loss, *logged_rest), (loss, *rest) = steps[True], steps[False]
+    assert rest == logged_rest
+    assert np.float64(logged_loss).tobytes() == exact
+    if loss is None:
+        assert math.isfinite(logged_loss)
+    else:
+        assert np.float64(loss).tobytes() == exact
+    assert (loss is None) == (np.abs(S).max() <= 1e300)
 
 
 def _table_bytes(table):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cclearn.gcl
 import cclearn.gdro
 import cclearn.runner
+from cclearn.benchmark import CAPACITY_HIGH, benchmark_config, benchmark_stream
 from cclearn.buffer import sample_class_batch, sample_class_batches
 from cclearn.data import Pool, TaskStream, gen_synthetic, split_cil
 from cclearn.errors import ConfigError, DivergenceError, NonFiniteGradientError
@@ -324,7 +326,7 @@ def test_gdro_logs_class_losses_and_weights():
 @pytest.mark.parametrize("method", ["gcl", "finetune-ce", "gdro"])
 def test_divergence_aborts_with_diagnostic(method):
     stream = _small_stream()
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+    with pytest.raises(DivergenceError) as info:
         run(stream, _fast_config(method, eta=1e308, epochs_per_task=2))
     err = info.value
     assert None not in (err.task, err.epoch, err.step)
@@ -357,6 +359,60 @@ def test_divergence_names_a_non_finite_loss_or_gradient(monkeypatch, bad, cause)
     assert (err.task, err.epoch, err.step) == (1, 1, at["step"])
     assert str(err) == f"{cause} at task 1, epoch 1, step {at['step']}"
     assert isinstance(err.__cause__, NonFiniteGradientError) == (bad == "gradient")
+
+
+def test_gcl_computes_its_loss_only_where_the_run_logs_it(monkeypatch):
+    """On a benchmark-config gcl run, the exact batch loss runs once per step
+    record and on no other step."""
+    real_loss, calls = cclearn.gcl._loss, []
+
+    def counting(S):
+        calls.append(None)
+        return real_loss(S)
+
+    monkeypatch.setattr(cclearn.gcl, "_loss", counting)
+    log = run(benchmark_stream(1), benchmark_config("gcl", CAPACITY_HIGH, 1)).log
+    steps = [r for r in log if r["event"] == "step"]
+    assert len(steps) > 1 and steps[1]["step"] > 1  # most steps are not logged
+    assert len(calls) == len(steps)
+
+
+def test_gcl_stops_at_an_unlogged_step_whose_loss_is_not_finite(monkeypatch):
+    """A step the run does not log still computes a loss that could be
+    non-finite: overflowing the tenth step's logits (tau 1e-320) stops the run
+    at that step, as if it were logged."""
+    real_step, logged = cclearn.runner._gcl_loss_and_grad, []
+
+    def step(*args):
+        logged.append(args[8])
+        if len(logged) == 10:
+            args = (*args[:7], 1e-320, *args[8:])
+        return real_step(*args)
+
+    monkeypatch.setattr(cclearn.runner, "_gcl_loss_and_grad", step)
+    with pytest.raises(DivergenceError) as info:
+        run(_small_stream(), _fast_config("gcl", log_every=7))
+    assert logged[-1] is False and len(logged) == 10
+    assert str(info.value) == "loss became non-finite at task 0, epoch 4, step 9"
+
+
+def _outcome(config):
+    """A run's parameter bits and its log without the step records, or the
+    message of the DivergenceError that stopped it."""
+    try:
+        result = run(_small_stream(), config)
+    except DivergenceError as err:
+        return str(err)
+    return result.params.tobytes(), [r for r in result.log if r["event"] != "step"]
+
+
+@pytest.mark.parametrize("tau", [1e-320, 1e-310, 1e-306, 1e-300, 1e-5, 1e-3, 0.05, 0.2])
+def test_gcl_outcome_does_not_depend_on_log_every(tau):
+    """Which steps gcl logs, and so which steps compute the loss, moves no
+    parameter bit, no evaluation and no divergence step, from tau small enough
+    to overflow every logit to a working one."""
+    outcomes = [_outcome(_fast_config("gcl", tau=tau, log_every=k)) for k in (1, 7, 10**6)]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -14,11 +14,12 @@ from cclearn import (
     EncoderPair,
     GclEstimatorState,
     RunConfig,
-    gcl_step,
     gen_synthetic,
     run,
     split_cil,
 )
+from cclearn.gcl import gcl_step
+
 ds = gen_synthetic(num_classes=6, per_class=20, input_dim=8,
                    separation=4.0, noise=0.6, seed=3)
 stream = split_cil(ds, num_tasks=1, test_fraction=0.25, seed=4)

@@ -15,8 +15,8 @@ from cclearn import (
     Pool,
     dro_objective,
     dro_weights,
-    gdro_step,
 )
+from cclearn.gdro import gdro_step
 
 rng = np.random.default_rng(5)
 enc = EncoderPair(EncoderConfig(input_dim=6, num_classes_max=4,

@@ -22,8 +22,8 @@ from .data import (
     split_dil,
 )
 from .errors import ConfigError, DatasetFormatError, DivergenceError, NonFiniteGradientError
-from .gcl import GclEstimatorState, gcl_step
-from .gdro import GdroConfig, GdroEstimatorState, dro_objective, dro_weights, gdro_step
+from .gcl import GclEstimatorState
+from .gdro import GdroConfig, GdroEstimatorState, dro_objective, dro_weights
 from .model import EncoderConfig, EncoderPair
 from .optim import OptimizerState, init_optimizer, step
 from .runner import AccuracyMatrix, RunConfig, RunResult, evaluate, run
@@ -35,7 +35,7 @@ __all__ = [
     "EncoderConfig", "EncoderPair", "GclEstimatorState", "GdroConfig",
     "GdroEstimatorState", "MemoryBuffer", "NonFiniteGradientError",
     "OptimizerState", "Pool", "RunConfig", "RunResult", "Task", "TaskStream",
-    "dro_objective", "dro_weights", "evaluate", "gcl_step", "gdro_step",
-    "gen_domain_shift", "gen_synthetic", "init_optimizer", "load", "run",
-    "sample_class_batch", "save", "split_cil", "split_dil", "step",
+    "dro_objective", "dro_weights", "evaluate", "gen_domain_shift", "gen_synthetic",
+    "init_optimizer", "load", "run", "sample_class_batch", "save", "split_cil",
+    "split_dil", "step",
 ]

@@ -39,10 +39,12 @@ log it is computed only if some logit exceeds 1e300 in magnitude, the one
 case in which it could be non-finite; the runner's divergence check then
 fires at the same step whatever ``log_every`` is.  The runner prepares an
 epoch's batches at once, as slices of one gather of its shuffled rows and one
-column mapping (``MovingAverages.map_rows``).  ``gcl_step(state, enc, params,
-pool, rows, tau)`` prepares one batch of rows of the pool, with every
-per-call check and the same column mapping behind a refusal of repeated ids
-(``row_columns``), and then takes the same step, loss included.
+column mapping (``MovingAverages.map_rows``), and in a pool that repeats a
+sample id refuses a batch holding one twice at its own step.  Training never
+calls ``gcl_step(state, enc, params, pool, rows, tau)``, the one-batch entry:
+it prepares one batch of rows of the pool, with every per-call check and the
+same column mapping behind a refusal of repeated ids (``row_columns``), and
+then takes the same step, loss included.
 ``gcl_loss_full``, ``gcl_update_estimators`` (in place; returns the same
 state) and ``gcl_gradient_estimate`` are each one of those parts on its own,
 built from the same private pieces.  They take their batch as a ``Pool``, or

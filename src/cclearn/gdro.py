@@ -47,11 +47,11 @@ and sample column, and the sampled classes and their sizes.  The runner
 prepares every step of a stage at once (``_stage_anchors``): one row check of
 the stage's joined draws, one lookup of their positions, negative counts and
 sample columns (``MovingAverages.map_rows``), and the classes read off the
-picks; a step's anchors are slices of these.  ``gdro_step``, which the
-runner calls for a stage whose pool repeats a sample id, prepares one step's
-anchors with every per-call check and ``row_columns``, and then takes the
-same step.  The sampled classes get their columns in the update, after the
-forwards, as a step's classes are first seen.  The step encodes the pool once per tower (the
+picks; a step's anchors are slices of these.  ``gdro_step``, the one-step
+entry that training never calls, prepares one step's anchors with every
+per-call check and ``row_columns``, and then takes the same step.  The
+sampled classes get their columns in the update, after the forwards, as a
+step's classes are first seen.  The step encodes the pool once per tower (the
 input tower over its rows, the label tower over its distinct classes), and
 every embedding it scores (``_hinge_stats``) or backpropagates through
 (``_gradient``) is a row gather of those two encodings; it updates the state
@@ -267,8 +267,8 @@ def _stage_anchors(state, pool, picks, draws, per_step):
     pick's class.  Before the first step's anchors, the joined draws get one
     row check and one lookup each of their class positions, negative counts
     and sample columns (``map_rows``); a step's anchors are slices of these.
-    The pool must not repeat a sample id: ``map_rows`` gives the columns
-    without ``row_columns``' refusal of repeated ids."""
+    ``map_rows`` refuses no repeated id, so a pool that repeats one needs each
+    step's ids checked as the step is reached, as the runner does."""
     sizes = [len(rows) for rows in draws]
     rows = np.concatenate(draws)
     _check_rows(rows, pool)

@@ -35,14 +35,15 @@ and classes once per stage, so that bad input is refused before the stage's
 first step; for gcl and cross-entropy one row check, one gather of inputs,
 one of classes or true columns and one estimator-column mapping per epoch,
 each batch a slice of these; for gdro every step's anchors at once per stage
-(``gdro._stage_anchors``).  The public ``gcl_step`` and ``gdro_step``
-prepare one batch of rows with every per-call check and then call the same
-step function.  gcl's and gdro's estimators key on sample ids, so the runner
-steps a gcl or gdro stage whose pool repeats a sample id through them, and a
-batch holding an id twice is refused at its own step.  Cross-entropy keeps
-no per-sample estimate and always takes the prepared path; ``ce_loss`` and
-``ce_gradient`` on ``pool.take(rows)`` over the pool's classes give its
-step's bits.
+(``gdro._stage_anchors``).  gcl's and gdro's estimators key on sample ids,
+so in a stage whose pool repeats one each prepared batch's ids are checked as
+the batch is reached (``_refused_at_their_step``): a batch holding an id twice
+is refused at its own step, while one id in two batches stays legal.  A pool
+of distinct ids gets no such check.  Training never calls the public
+``gcl_step`` and ``gdro_step``, which prepare one batch of rows with every
+per-call check and then call the same step function.  ``ce_loss`` and
+``ce_gradient`` on ``pool.take(rows)`` over the pool's classes give
+cross-entropy's step's bits.
 
 Methods:
     gcl               global contrastive loss with replay
@@ -70,16 +71,9 @@ from .gcl import (
     _check_tau,
     _first_repeat,
     _gcl_loss_and_grad,
-    gcl_step,
+    _refuse_repeats,
 )
-from .gdro import (
-    GdroConfig,
-    GdroEstimatorState,
-    _gdro_loss_and_grad,
-    _stage_anchors,
-    dro_weights,
-    gdro_step,
-)
+from .gdro import GdroConfig, GdroEstimatorState, _gdro_loss_and_grad, _stage_anchors, dro_weights
 
 # perfbench/tracing.py wraps these names on this module; training calls the step
 # functions on prepared batches and draws a stage's gdro rows with one
@@ -253,6 +247,15 @@ def ce_gradient(enc: EncoderPair, params, batch: Pool, candidates, tau) -> np.nd
 # ----------------------------------------------------------------- run driver
 
 
+def _refused_at_their_step(pool, rows, batches):
+    """The ``batches`` in turn, each refused as it is reached if its ``rows`` of
+    ``pool`` (one integer array per batch) hold a sample id twice, so that the
+    batches before it step."""
+    for batch_rows, batch in zip(rows, batches):
+        _refuse_repeats([pool.ids[i] for i in batch_rows.tolist()])
+        yield batch
+
+
 class _Trainer:
     """Owns the mutable training state for one run."""
 
@@ -284,7 +287,7 @@ class _Trainer:
             task=task, epoch=epoch, step=self.global_step,
         )
 
-    def _epochs(self, pool, candidates, public):
+    def _epochs(self, pool, candidates):
         """Each epoch's batches of rows of the stage pool, each RNG with this one
         consumer, prepared for the method's step.  The forwards' checks of the
         pool's inputs and classes run once per stage, before any draw.
@@ -300,28 +303,31 @@ class _Trainer:
         draws every pick's rows, and ``_stage_anchors`` prepares every step's
         anchors from them at once, handed out one epoch at a time.
 
-        With ``public`` (gcl and gdro only), a batch is its rows, for the
-        method's public step."""
+        gcl and gdro key their estimates on sample ids, so if the pool repeats
+        one, an epoch's batches are checked as each is reached
+        (``_refused_at_their_step``); otherwise an epoch is a list."""
         cfg, gcfg, enc = self.config, self.gdro_config, self.enc
         X = enc._check_inputs(pool.X)
         labels = enc._check_class_ids(pool.y if cfg.method == "gcl" else pool.class_index[0])
+        repeats = cfg.method != "finetune-ce" and len(set(pool.ids)) < len(pool)
         if cfg.method != "gdro":
             N, size = len(pool), cfg.batch_size
+            starts = range(0, N, size)
             for _ in range(cfg.epochs_per_task):
                 order = self.shuffle_rng.permutation(N)
-                if public:
-                    yield [(pool, order[i : i + size]) for i in range(0, N, size)]
-                    continue
                 _check_rows(order, pool)
                 Xo = X.take(order, axis=0)
                 if cfg.method == "gcl":
                     yo, cols = labels.take(order), self.gcl_state.samples.map_rows(pool, order)
-                    yield [(Xo[i : i + size], yo[i : i + size], cols[i : i + size], N)
-                           for i in range(0, N, size)]
+                    batches = [(Xo[i : i + size], yo[i : i + size], cols[i : i + size], N)
+                               for i in starts]
                 else:
                     idx = pool.class_index[1].take(order)
-                    yield [(Xo[i : i + size], labels, idx[i : i + size])
-                           for i in range(0, N, size)]
+                    batches = [(Xo[i : i + size], labels, idx[i : i + size]) for i in starts]
+                if repeats:
+                    rows = (order[i : i + size] for i in starts)
+                    batches = _refused_at_their_step(pool, rows, batches)
+                yield batches
             return
         n_take = min(gcfg.batch_classes, len(candidates))
         steps = max(1, math.ceil(len(pool) / (gcfg.batch_classes * gcfg.batch_per_class)))
@@ -331,31 +337,25 @@ class _Trainer:
             picks += [candidates[i] for i in picked]
             seeds.append(self.batch_rng.integers(2**63, size=n_take))
         draws = sample_class_batches(pool, picks, gcfg.batch_per_class, np.concatenate(seeds))
-        if public:
-            bounds = [0, *itertools.accumulate(map(len, draws))][::n_take]
-            rows = np.concatenate(draws)
-            batches = ((pool, rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-        else:
-            anchors = _stage_anchors(self.gdro_state, pool, picks, draws, n_take)
-            batches = ((pool, a) for a in anchors)
+        anchors = _stage_anchors(self.gdro_state, pool, picks, draws, n_take)
+        batches = ((pool, a) for a in anchors)
         for _ in range(cfg.epochs_per_task):
-            yield list(itertools.islice(batches, steps))
+            epoch = list(itertools.islice(batches, steps))
+            if repeats:
+                epoch = _refused_at_their_step(pool, [a.rows for _, a in epoch], epoch)
+            yield epoch
 
-    def _step(self, batch, public, logged):
-        """The method's loss and gradient on one batch: its step on a batch that
-        ``_epochs`` prepared, or with ``public`` its public step on the batch's
-        rows.  The gdro loss is the robust objective over the estimated u_c.  A
-        prepared gcl step that is not ``logged`` gives None for a loss it has
-        proved finite (``_gcl_loss_and_grad``)."""
+    def _step(self, batch, logged):
+        """The method's loss and gradient on one batch that ``_epochs`` prepared.
+        The gdro loss is the robust objective over the estimated u_c.  A gcl
+        step that is not ``logged`` gives None for a loss it has proved finite
+        (``_gcl_loss_and_grad``)."""
         cfg, enc, params = self.config, self.enc, self.params
         if cfg.method == "finetune-ce":
             return _ce_loss_and_grad(enc, params, *batch, self.tau)
         if cfg.method == "gcl":
-            if public:
-                return gcl_step(self.gcl_state, enc, params, *batch, self.tau)
             return _gcl_loss_and_grad(self.gcl_state, enc, params, *batch, self.tau, logged)
-        step = gdro_step if public else _gdro_loss_and_grad
-        return step(self.gdro_state, enc, params, *batch, self.gdro_config)
+        return _gdro_loss_and_grad(self.gdro_state, enc, params, *batch, self.gdro_config)
 
     def _log_fields(self):
         """gdro's per-class loss estimates and robust weights; other methods add none."""
@@ -379,17 +379,13 @@ class _Trainer:
                 f"gdro needs at least two classes in each stage's pool; "
                 f"the pool of stage {task} holds {len(candidates)}"
             )
-        # gcl's and gdro's estimators key on sample ids: a pool that repeats one
-        # goes through their public steps, which refuse a batch that repeats an
-        # id at that batch's step.  Cross-entropy keeps no per-sample estimate
-        public = cfg.method != "finetune-ce" and len(set(pool.ids)) < len(pool)
         # a run that goes non-finite stops at the checks below with one
         # DivergenceError; numpy's overflow and NaN warnings on the way add nothing
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for epoch, batches in enumerate(self._epochs(pool, candidates, public)):
+            for epoch, batches in enumerate(self._epochs(pool, candidates)):
                 for batch in batches:
                     logged = self.global_step % cfg.log_every == 0
-                    loss, grad = self._step(batch, public, logged)
+                    loss, grad = self._step(batch, logged)
                     if loss is not None and not math.isfinite(loss):
                         raise self._diverged("loss became non-finite", task, epoch)
                     try:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cclearn
 import cclearn.gcl
 import cclearn.gdro
 import cclearn.runner
@@ -1042,13 +1043,36 @@ def _repeat_id(pool, i, j):
 def test_an_id_may_recur_in_other_batches(monkeypatch, method):
     """A sample id held by rows of two classes never meets itself in one batch
     of one row, or in one gdro step of one class: the run trains, and equals the
-    hand loop over the public steps."""
+    hand loop over the public steps.  It takes the one training path whatever
+    the ids: every optimizer step goes through the method's step function on a
+    prepared batch, for gcl its inputs a slice of the epoch's one gather, and
+    no public step is called."""
     stream = _small_stream()
     pool = stream.tasks[1].train
     first, second = sorted(pool.members)
     _repeat_id(pool, pool.members[first][0], pool.members[second][0])
     config = _fast_config(method, epochs_per_task=3, batch_size=1, batch_classes=1)
-    _same_run(*_run_both(monkeypatch, stream, config))
+    name = f"_{method}_loss_and_grad"
+    real_step, batches = getattr(cclearn.runner, name), []
+
+    def step(state, enc, params, batch, *rest):
+        batches.append(batch)
+        return real_step(state, enc, params, batch, *rest)
+
+    def public_step(*args):
+        raise AssertionError("training called a public step")
+
+    monkeypatch.setattr(cclearn.runner, name, step)
+    for module in (cclearn, cclearn.gcl, cclearn.gdro, cclearn.runner):
+        for public in ("gcl_step", "gdro_step"):
+            if hasattr(module, public):
+                monkeypatch.setattr(module, public, public_step)
+    runner, hand = _run_both(monkeypatch, stream, config)
+    _same_run(runner, hand)
+    assert len(batches) == runner[1]
+    if method == "gcl":  # each step's X is a slice of its epoch's one gather
+        assert all(X.base is not None for X in batches)
+        assert len({id(X.base) for X in batches}) == stream.num_tasks * config.epochs_per_task
 
 
 @pytest.mark.parametrize("method", ["gcl", "gdro"])

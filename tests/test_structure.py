@@ -16,7 +16,9 @@ Pools for gcl's separate parts.
 
 Every private function, method, class and constant of the package is used
 by the package itself, outside its own definition: a helper that only tests
-call is dead code.
+call is dead code.  Every name a module imports is read there, or is one of
+``__init__``'s ``__all__``, or one that the benchmark's tracer wraps on
+``cclearn.runner``.
 """
 
 import ast
@@ -26,7 +28,8 @@ import pytest
 
 import cclearn
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cclearn"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cclearn"
 SAMPLE_FIELDS = {"x", "class_id", "sample_id"}
 
 
@@ -140,4 +143,34 @@ def test_every_private_helper_is_used_by_the_package():
             own = {id(n) for n in ast.walk(node)}
             if not any(_uses(t, name) - own for t in trees.values()):
                 unused.append(f"{module}:{name}")
+    assert unused == []
+
+
+def _names_the_tracer_wraps_on_runner() -> set[str]:
+    """The attribute names of ``perfbench/tracing.py``'s ``(runner, "name", ...)`` entries."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    return {
+        node.elts[1].value for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple) and len(node.elts) > 1
+        and isinstance(node.elts[0], ast.Name) and node.elts[0].id == "runner"
+        and isinstance(node.elts[1], ast.Constant)
+    }
+
+
+def test_every_import_is_read():
+    kept = {"__init__.py": set(cclearn.__all__), "runner.py": _names_the_tracer_wraps_on_runner()}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        imported = [
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        ]
+        unused += [f"{path.name}:{name}" for name in imported
+                   if name not in read | kept.get(path.name, set())]
     assert unused == []

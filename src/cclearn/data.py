@@ -163,6 +163,12 @@ def _rows(ds: Dataset, idx) -> Pool:
     return Pool(ds.X[idx].astype(np.float64), ds.y[idx].astype(np.int64), ds.ids[idx].tolist())
 
 
+def _first_repeat(items):
+    """The first item equal to an earlier one, or None."""
+    seen = set()
+    return next((item for item in items if item in seen or seen.add(item)), None)
+
+
 @dataclass
 class Task:
     """One stage of a task stream: train and test rows, and the class set."""
@@ -193,6 +199,11 @@ class TaskStream:
                     r = int(np.argmax(outside))
                     raise ValueError(f"{part} sample {rows.ids[r]} has class {rows.y[r]} "
                                      "outside its task's class set")
+        # the estimators key on sample ids, so two training rows that share one
+        # would share its estimates
+        ids = [i for t in self.tasks for i in t.train.ids]
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"training sample id {_first_repeat(ids)} is held by two rows")
 
     @property
     def num_tasks(self):

@@ -37,14 +37,14 @@ the backward reuses the batch similarities.  The loss is a diagnostic that
 neither the update nor the gradient reads, so on a step the runner does not
 log it is computed only if some logit exceeds 1e300 in magnitude, the one
 case in which it could be non-finite; the runner's divergence check then
-fires at the same step whatever ``log_every`` is.  The runner prepares an
-epoch's batches at once, as slices of one gather of its shuffled rows and one
-column mapping (``MovingAverages.map_rows``), and in a pool that repeats a
-sample id refuses a batch holding one twice at its own step.  Training never
-calls ``gcl_step(state, enc, params, pool, rows, tau)``, the one-batch entry:
-it prepares one batch of rows of the pool, with every per-call check and the
-same column mapping behind a refusal of repeated ids (``row_columns``), and
-then takes the same step, loss included.
+fires at the same step whatever ``log_every`` is.  The runner gives every id
+of the stage pool its column once (``MovingAverages.columns``), refusing a
+pool that repeats an id before the stage's first step, and prepares an
+epoch's batches at once, as slices of one gather of its shuffled rows and
+their columns.  Training never calls ``gcl_step(state, enc, params, pool,
+rows, tau)``, the one-batch entry: it prepares one batch of rows of the pool,
+with every per-call check and ``columns`` of the batch's ids, which refuses
+repeated ids, and then takes the same step, loss included.
 ``gcl_loss_full``, ``gcl_update_estimators`` (in place; returns the same
 state) and ``gcl_gradient_estimate`` are each one of those parts on its own,
 built from the same private pieces.  They take their batch as a ``Pool``, or
@@ -53,12 +53,11 @@ as a list of Pools that ``Pool.of`` joins, and look its ids up one by one.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Pool
+from .data import Pool, _first_repeat
 from .model import EncoderPair
 
 # positive floor keeps 1/u finite if an estimate underflows
@@ -81,30 +80,23 @@ class MovingAverages:
     last column is never handed out, so a key without a column reads it, as
     column -1, and finds no estimate there.
 
-    ``map_rows`` maps rows of a pool to their keys' columns through a map it
-    builds once per pool and fills as rows are first touched, so a step
-    gathers its columns without looking up a key.  ``row_columns`` is the same
-    mapping of one batch, behind the refusal of repeated ids that ``columns``
-    makes.  The map holds columns, no estimate; retiring a column would have
-    to rebuild it.
+    ``columns`` is the one way a key gets its column.  The runner calls it once
+    per gcl or gdro stage on the whole pool's ids, so a stage's columns are
+    one lookup and every step gathers its own from them.
     """
 
     def __init__(self, rows: int):
         self.slot: dict[int, int] = {}
         self.values = np.zeros((rows, _FIRST_CAPACITY))
         self.initialized = np.zeros(_FIRST_CAPACITY, dtype=bool)
-        self._pool = lambda: None  # weak reference to the pool ``_pool_cols`` maps
-        self._pool_cols = np.empty(0, dtype=np.intp)  # each row's column, -1 if unmapped
-        self._unmapped = 0  # rows of the pool with column -1
 
     def columns(self, keys) -> np.ndarray:
         """Each key's column, giving a key seen for the first time the next free one.
         Refuses repeated keys, naming one, before giving out any column."""
-        _refuse_repeats(keys)
-        return self._give(keys)
-
-    def _give(self, keys) -> np.ndarray:
-        """``columns`` without its refusal: a key may recur, and keeps its column."""
+        if len(set(keys)) != len(keys):
+            raise ValueError(
+                f"the ids of one estimator update must not repeat: {_first_repeat(keys)} does"
+            )
         slot = self.slot
         cols = [slot.setdefault(key, len(slot)) for key in keys]
         size = self.initialized.size
@@ -114,30 +106,6 @@ class MovingAverages:
             values[:, :size], initialized[:size] = self.values, self.initialized
             self.values, self.initialized = values, initialized
         return np.array(cols, dtype=np.intp)
-
-    def row_columns(self, pool, rows) -> np.ndarray:
-        """``map_rows`` of the one batch ``rows`` (an integer array) of ``pool``,
-        whose ids must not repeat: the columns ``columns(ids)`` gives them.
-        Refuses repeated ids, naming one, before giving out any column."""
-        _refuse_repeats([pool.ids[i] for i in rows.tolist()])
-        return self.map_rows(pool, rows)
-
-    def map_rows(self, pool, rows) -> np.ndarray:
-        """The columns of the ids of ``pool``'s rows ``rows`` (an integer array),
-        given in first-touch order, as ``row_columns`` of consecutive batches
-        of ``rows`` would give them in turn.  Refuses nothing: an id may recur
-        in ``rows``, as it does across the steps of a stage, and keeps its
-        column."""
-        if self._pool() is not pool:  # a new pool gets a new map
-            self._pool, self._pool_cols = weakref.ref(pool), np.full(len(pool), -1, np.intp)
-            self._unmapped = len(pool)
-        cols = self._pool_cols[rows]
-        if self._unmapped and cols.min(initial=0) < 0:  # rows not mapped yet
-            fresh = cols < 0
-            new = rows[fresh]
-            cols[fresh] = self._pool_cols[new] = self._give([pool.ids[i] for i in new.tolist()])
-            self._unmapped = np.count_nonzero(self._pool_cols < 0)
-        return cols
 
     def read(self, keys, what="sample", positive=True) -> np.ndarray:
         """The (rows, n) estimates of ``keys``.  Refuses a key without an estimate
@@ -172,20 +140,6 @@ class GclEstimatorState:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
 
 
-def _first_repeat(items):
-    """The first item equal to an earlier one, or None."""
-    seen = set()
-    return next((item for item in items if item in seen or seen.add(item)), None)
-
-
-def _refuse_repeats(keys):
-    """Refuses the keys of one estimator update if they repeat, naming one."""
-    if len(set(keys)) != len(keys):
-        raise ValueError(
-            f"the ids of one estimator update must not repeat: {_first_repeat(keys)} does"
-        )
-
-
 def _check_tau(tau):
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -205,7 +159,7 @@ def _check_rows(rows, pool, what="the batch"):
 def moving_average(table: MovingAverages, cols, values, gamma, floor=None) -> np.ndarray:
     """In place, per column c and row r: ``u[r, c] <- (1 - gamma) * u[r, c] + gamma * v[r, c]``
     for the (rows, len(cols)) ``values`` and the distinct columns ``cols`` of
-    ``table`` (``columns``, ``row_columns`` or ``map_rows``).  Returns the
+    ``table``, as ``columns`` gives them.  Returns the
     (rows, len(cols)) values written.
 
     A column's first update writes ``v`` itself, whatever gamma is.  With
@@ -314,8 +268,8 @@ def gcl_step(
     state: GclEstimatorState, enc: EncoderPair, params, pool, rows, tau
 ) -> tuple[float, np.ndarray]:
     """One training step on the batch ``rows`` (an integer array) of the stage
-    ``pool``: the batch's checks, gathers and estimator columns
-    (``row_columns``), then ``_gcl_loss_and_grad``, the step the runner takes on
+    ``pool``: the batch's checks, gathers and estimator columns (``columns``
+    of its ids), then ``_gcl_loss_and_grad``, the step the runner takes on
     batches it prepared once per epoch, with its loss always computed.
     Bitwise the same as ``gcl_loss_full``, ``gcl_update_estimators`` and
     ``gcl_gradient_estimate`` on ``pool.take(rows)`` with pool size
@@ -331,7 +285,7 @@ def gcl_step(
         raise ValueError("batch must be non-empty")
     X = enc._check_inputs(pool.X.take(rows, axis=0))
     y = enc._check_class_ids(pool.y[rows])
-    cols = state.samples.row_columns(pool, rows)
+    cols = state.samples.columns([pool.ids[i] for i in rows.tolist()])
     return _gcl_loss_and_grad(state, enc, params, X, y, cols, len(pool), tau)
 
 

@@ -44,12 +44,15 @@ class, or a class's rows in two runs are refused in one line naming the class.
 A training step is one call to ``_gdro_loss_and_grad`` on a step's
 ``_Anchors``: the anchor rows with each one's class position, negative count
 and sample column, and the sampled classes and their sizes.  The runner
-prepares every step of a stage at once (``_stage_anchors``): one row check of
-the stage's joined draws, one lookup of their positions, negative counts and
-sample columns (``MovingAverages.map_rows``), and the classes read off the
-picks; a step's anchors are slices of these.  ``gdro_step``, the one-step
-entry that training never calls, prepares one step's anchors with every
-per-call check and ``row_columns``, and then takes the same step.  The
+gives every id of the stage pool its sample column once
+(``MovingAverages.columns``), refusing a pool that repeats an id before the
+stage's first step, and prepares every step of the stage at once
+(``_stage_anchors``): one row check of the stage's joined draws, one lookup
+of their positions and negative counts, one gather of their columns, and the
+classes read off the picks; a step's anchors are slices of these.
+``gdro_step``, the one-step entry that training never calls, prepares one
+step's anchors with every per-call check and ``columns`` of their ids, which
+refuses repeated ids, and then takes the same step.  The
 sampled classes get their columns in the update, after the forwards, as a
 step's classes are first seen.  The step encodes the pool once per tower (the
 input tower over its rows, the label tower over its distinct classes), and
@@ -108,7 +111,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gcl import U_FLOOR, MovingAverages, _check_rows, _first_repeat, moving_average
+from .data import _first_repeat
+from .gcl import U_FLOOR, MovingAverages, _check_rows, moving_average
 from .model import EncoderPair
 
 
@@ -248,7 +252,7 @@ def _check_pool(enc, pool):
 def _anchors(pool, rows, classes, sizes, samples=None) -> _Anchors:
     """The anchors ``rows`` of ``pool``, ``sizes[i]`` rows of ``classes[i]`` per
     sampled class, with their class positions and negative counts and, given
-    the table ``samples``, their columns of it (``row_columns``).  Refuses an
+    the table ``samples``, their ids' columns of it (``columns``).  Refuses an
     anchor without a negative, naming its class, before giving out any
     column."""
     pool_classes, index, _, counts = pool.class_index
@@ -257,23 +261,23 @@ def _anchors(pool, rows, classes, sizes, samples=None) -> _Anchors:
     if not n_neg.all():
         bad = pool_classes[positions[int(np.argmin(n_neg))]]
         raise ValueError(f"no negatives in pool for anchor of class {bad}")
-    columns = None if samples is None else samples.row_columns(pool, rows)
+    columns = None if samples is None else samples.columns([pool.ids[i] for i in rows.tolist()])
     return _Anchors(rows, positions, n_neg, classes, sizes, columns)
 
 
-def _stage_anchors(state, pool, picks, draws, per_step):
+def _stage_anchors(cols, pool, picks, draws, per_step):
     """Every step's ``_Anchors`` of a stage, in turn: step s takes the draws of
     picks ``per_step * s`` to ``per_step * (s + 1)``, each draw rows of its
-    pick's class.  Before the first step's anchors, the joined draws get one
-    row check and one lookup each of their class positions, negative counts
-    and sample columns (``map_rows``); a step's anchors are slices of these.
-    ``map_rows`` refuses no repeated id, so a pool that repeats one needs each
-    step's ids checked as the step is reached, as the runner does."""
+    pick's class.  ``cols`` holds each pool row's sample column, which the
+    runner gives the whole pool once per stage.  Before the first step's
+    anchors, the joined draws get one row check, one lookup each of their
+    class positions and negative counts and one gather of their columns; a
+    step's anchors are slices of these."""
     sizes = [len(rows) for rows in draws]
     rows = np.concatenate(draws)
     _check_rows(rows, pool)
     every = _anchors(pool, rows, picks, sizes)
-    cols = state.samples.map_rows(pool, rows)
+    cols = cols.take(rows)
     bounds = [0, *itertools.accumulate(sizes)][::per_step]
     for i, lo, hi in zip(itertools.count(0, per_step), bounds, bounds[1:]):
         yield _Anchors(rows[lo:hi], every.positions[lo:hi], every.n_neg[lo:hi],

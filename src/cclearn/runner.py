@@ -32,16 +32,18 @@ parameters: it encodes its rows once, through the forwards that check their
 input, takes the loss, updates the estimators and forms the gradient.
 ``_epochs`` prepares the batches: the forwards' checks of the pool's inputs
 and classes once per stage, so that bad input is refused before the stage's
-first step; for gcl and cross-entropy one row check, one gather of inputs,
-one of classes or true columns and one estimator-column mapping per epoch,
-each batch a slice of these; for gdro every step's anchors at once per stage
-(``gdro._stage_anchors``).  gcl's and gdro's estimators key on sample ids,
-so in a stage whose pool repeats one each prepared batch's ids are checked as
-the batch is reached (``_refused_at_their_step``): a batch holding an id twice
-is refused at its own step, while one id in two batches stays legal.  A pool
-of distinct ids gets no such check.  Training never calls the public
-``gcl_step`` and ``gdro_step``, which prepare one batch of rows with every
-per-call check and then call the same step function.  ``ce_loss`` and
+first step; for gcl and gdro, whose estimators key on sample ids, one
+``columns`` call that gives every pool id its estimator column and refuses a
+pool that repeats an id, also before the first step; for gcl and
+cross-entropy one row check, one gather of inputs and one of classes and
+columns or of true columns per epoch, each batch a slice of these; for gdro
+every step's anchors at once per stage (``gdro._stage_anchors``).
+Cross-entropy keeps no per-sample estimate and trains on any ids.
+``TaskStream`` refuses a training id that two rows of a stream share, so only
+a pool whose ids were changed after the stream was built can repeat one.
+Training never calls the public ``gcl_step`` and ``gdro_step``, which prepare
+one batch of rows with every per-call check and then call the same step
+function.  ``ce_loss`` and
 ``ce_gradient`` on ``pool.take(rows)`` over the pool's classes give
 cross-entropy's step's bits.
 
@@ -63,16 +65,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .buffer import MemoryBuffer, sample_class_batches
-from .data import Pool, Task, TaskStream
+from .data import Pool, Task, TaskStream, _first_repeat
 from .errors import ConfigError, DivergenceError, NonFiniteGradientError
-from .gcl import (
-    GclEstimatorState,
-    _check_rows,
-    _check_tau,
-    _first_repeat,
-    _gcl_loss_and_grad,
-    _refuse_repeats,
-)
+from .gcl import GclEstimatorState, _check_rows, _check_tau, _gcl_loss_and_grad
 from .gdro import GdroConfig, GdroEstimatorState, _gdro_loss_and_grad, _stage_anchors, dro_weights
 
 # perfbench/tracing.py wraps these names on this module; training calls the step
@@ -247,15 +242,6 @@ def ce_gradient(enc: EncoderPair, params, batch: Pool, candidates, tau) -> np.nd
 # ----------------------------------------------------------------- run driver
 
 
-def _refused_at_their_step(pool, rows, batches):
-    """The ``batches`` in turn, each refused as it is reached if its ``rows`` of
-    ``pool`` (one integer array per batch) hold a sample id twice, so that the
-    batches before it step."""
-    for batch_rows, batch in zip(rows, batches):
-        _refuse_repeats([pool.ids[i] for i in batch_rows.tolist()])
-        yield batch
-
-
 class _Trainer:
     """Owns the mutable training state for one run."""
 
@@ -290,26 +276,27 @@ class _Trainer:
     def _epochs(self, pool, candidates):
         """Each epoch's batches of rows of the stage pool, each RNG with this one
         consumer, prepared for the method's step.  The forwards' checks of the
-        pool's inputs and classes run once per stage, before any draw.
+        pool's inputs and classes run once per stage, before any draw.  gcl and
+        gdro key their estimates on sample ids, so their stage then gives every
+        pool id its column in one ``columns`` call, which refuses a pool that
+        repeats an id before the stage's first step.
 
         A gcl or cross-entropy epoch is slices of a shuffled order of the pool's
         rows.  The order gets one row check, and one gather each of its inputs
-        and of its classes (gcl) or true columns (cross-entropy); gcl also maps
-        its estimator columns once.  A batch is slices of these.
+        and of its classes and columns (gcl) or true columns (cross-entropy).
+        A batch is slices of these.
 
         A gdro batch is one run of rows per picked class: every epoch's (class,
         seed) picks are drawn before the stage's first step, one ``choice`` and
         one ``integers`` call per batch, then one ``sample_class_batches`` call
         draws every pick's rows, and ``_stage_anchors`` prepares every step's
-        anchors from them at once, handed out one epoch at a time.
-
-        gcl and gdro key their estimates on sample ids, so if the pool repeats
-        one, an epoch's batches are checked as each is reached
-        (``_refused_at_their_step``); otherwise an epoch is a list."""
+        anchors from them at once, handed out one epoch at a time."""
         cfg, gcfg, enc = self.config, self.gdro_config, self.enc
         X = enc._check_inputs(pool.X)
         labels = enc._check_class_ids(pool.y if cfg.method == "gcl" else pool.class_index[0])
-        repeats = cfg.method != "finetune-ce" and len(set(pool.ids)) < len(pool)
+        if cfg.method != "finetune-ce":
+            state = self.gcl_state if cfg.method == "gcl" else self.gdro_state
+            cols = state.samples.columns(pool.ids)
         if cfg.method != "gdro":
             N, size = len(pool), cfg.batch_size
             starts = range(0, N, size)
@@ -318,16 +305,12 @@ class _Trainer:
                 _check_rows(order, pool)
                 Xo = X.take(order, axis=0)
                 if cfg.method == "gcl":
-                    yo, cols = labels.take(order), self.gcl_state.samples.map_rows(pool, order)
-                    batches = [(Xo[i : i + size], yo[i : i + size], cols[i : i + size], N)
-                               for i in starts]
+                    yo, co = labels.take(order), cols.take(order)
+                    yield [(Xo[i : i + size], yo[i : i + size], co[i : i + size], N)
+                           for i in starts]
                 else:
                     idx = pool.class_index[1].take(order)
-                    batches = [(Xo[i : i + size], labels, idx[i : i + size]) for i in starts]
-                if repeats:
-                    rows = (order[i : i + size] for i in starts)
-                    batches = _refused_at_their_step(pool, rows, batches)
-                yield batches
+                    yield [(Xo[i : i + size], labels, idx[i : i + size]) for i in starts]
             return
         n_take = min(gcfg.batch_classes, len(candidates))
         steps = max(1, math.ceil(len(pool) / (gcfg.batch_classes * gcfg.batch_per_class)))
@@ -337,13 +320,9 @@ class _Trainer:
             picks += [candidates[i] for i in picked]
             seeds.append(self.batch_rng.integers(2**63, size=n_take))
         draws = sample_class_batches(pool, picks, gcfg.batch_per_class, np.concatenate(seeds))
-        anchors = _stage_anchors(self.gdro_state, pool, picks, draws, n_take)
-        batches = ((pool, a) for a in anchors)
+        batches = ((pool, a) for a in _stage_anchors(cols, pool, picks, draws, n_take))
         for _ in range(cfg.epochs_per_task):
-            epoch = list(itertools.islice(batches, steps))
-            if repeats:
-                epoch = _refused_at_their_step(pool, [a.rows for _, a in epoch], epoch)
-            yield epoch
+            yield list(itertools.islice(batches, steps))
 
     def _step(self, batch, logged):
         """The method's loss and gradient on one batch that ``_epochs`` prepared.

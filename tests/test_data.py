@@ -277,6 +277,18 @@ def test_stream_rejects_rows_outside_the_task_classes(part):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("where", ["another task", "the same task"])
+def test_stream_refuses_a_training_id_two_rows_share(where):
+    """The estimators key on sample ids, so a stream in which two training rows
+    share an id, of two tasks or of one, is refused in one line naming the id:
+    otherwise the second row would train on the first one's estimates."""
+    t0, t1 = split_cil(gen_synthetic(4, 12, 6, 4.0, 0.5, 0), 2, 0.25, 1).tasks
+    shared = (t0 if where == "another task" else t1).train.ids[0]
+    t1.train.ids[-1] = shared
+    with pytest.raises(ValueError, match=f"^training sample id {shared} is held by two rows$"):
+        TaskStream("cil", [t0, t1])
+
+
 def test_save_load_round_trip(tmp_path):
     base = gen_synthetic(4, 8, 5, 3.0, 0.4, seed=13)
     ds = gen_domain_shift(base, 2, "scaling", 0.7, seed=14)

@@ -276,9 +276,8 @@ def test_state_determinism_snapshot(rng):
 
 
 def test_step_refuses_repeated_ids_and_leaves_state_alone(rng):
-    """A repeated id is refused, naming it, whether or not the pool's column map
-    holds its rows yet, and whether it repeats as one row twice or as two rows
-    that share it."""
+    """A repeated id is refused, naming it, whether or not its rows have columns
+    yet, and whether it repeats as one row twice or as two rows that share it."""
     enc = make_encoder(seed=3)
     w = enc.init_params()
     pool = make_pool(rng, 6, 3, 3)
@@ -294,7 +293,7 @@ def test_step_refuses_repeated_ids_and_leaves_state_alone(rng):
     with pytest.raises(ValueError, match=message.format(pool.ids[1])):
         gcl_step(st, enc, w, shared, np.array([1, 5]), 0.3)
     gcl_step(st, enc, w, shared, np.array([1, 2]), 0.3)
-    gcl_step(st, enc, w, shared, np.array([5, 2]), 0.3)  # maps row 5 to id 1's column
+    gcl_step(st, enc, w, shared, np.array([5, 2]), 0.3)  # row 5 takes id 1's column
     with pytest.raises(ValueError, match=message.format(pool.ids[1])):
         gcl_step(st, enc, w, shared, np.array([5, 1]), 0.3)
 
@@ -357,45 +356,6 @@ def test_an_unlogged_step_skips_only_a_loss_it_proves_finite(n, decade, mantissa
     else:
         assert np.float64(loss).tobytes() == exact
     assert (loss is None) == (np.abs(S).max() <= 1e300)
-
-
-def _table_bytes(table):
-    """Everything a ``MovingAverages`` holds: its columns, estimates and pool map."""
-    return (list(table.slot.items()), table.values.tobytes(), table.initialized.tobytes(),
-            table._pool(), table._pool_cols.tobytes(), table._unmapped)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n=st.integers(1, 30),
-    distinct_ids=st.integers(1, 40),
-    data=st.data(),
-)
-def test_row_columns_is_map_rows_behind_the_repeat_refusal(n, distinct_ids, data):
-    """On random batches of a pool whose ids are distinct or repeat across rows,
-    ``row_columns`` gives ``map_rows``' columns, in first-touch order of the
-    batches it took, and refuses a batch that repeats an id, naming the first
-    repeat, before it gives out any column or builds the pool's map."""
-    ids = data.draw(st.lists(st.integers(0, distinct_ids - 1), min_size=n, max_size=n))
-    pool = Pool(np.zeros((n, 1)), np.zeros(n, dtype=np.int64), ids)
-    table, mapped, slot = MovingAverages(1), MovingAverages(1), {}
-    for _ in range(data.draw(st.integers(1, 6))):
-        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
-        keys = [ids[r] for r in rows.tolist()]
-        if len(set(keys)) < len(keys):
-            before = _table_bytes(table)
-            first = next(k for i, k in enumerate(keys) if k in keys[:i])
-            with pytest.raises(ValueError, match=f"^the ids of one estimator update must "
-                                                 f"not repeat: {first} does$"):
-                table.row_columns(pool, rows)
-            assert _table_bytes(table) == before
-            continue
-        cols = table.row_columns(pool, rows)
-        for key in keys:
-            slot.setdefault(key, len(slot))
-        assert cols.tolist() == mapped.map_rows(pool, rows).tolist()
-        assert cols.tolist() == [slot[k] for k in keys]
-        assert list(table.slot.items()) == list(slot.items())
 
 
 # values the floor and the first touch must treat exactly as the per-key loop:

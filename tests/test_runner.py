@@ -1040,72 +1040,73 @@ def _repeat_id(pool, i, j):
 
 
 @pytest.mark.parametrize("method", ["gcl", "gdro"])
-def test_an_id_may_recur_in_other_batches(monkeypatch, method):
-    """A sample id held by rows of two classes never meets itself in one batch
-    of one row, or in one gdro step of one class: the run trains, and equals the
-    hand loop over the public steps.  It takes the one training path whatever
-    the ids: every optimizer step goes through the method's step function on a
-    prepared batch, for gcl its inputs a slice of the epoch's one gather, and
-    no public step is called."""
+def test_a_stage_pool_that_repeats_an_id_is_refused_before_its_first_step(monkeypatch, method):
+    """A row of each of the second task's two classes takes one sample id after
+    the stream is built.  gcl's and gdro's estimators key on sample ids, so the
+    run is refused, naming the id, when the second stage gives its pool's ids
+    their columns: after every step of the first stage and before any of the
+    second.  No public step is called on the way."""
     stream = _small_stream()
     pool = stream.tasks[1].train
     first, second = sorted(pool.members)
-    _repeat_id(pool, pool.members[first][0], pool.members[second][0])
-    config = _fast_config(method, epochs_per_task=3, batch_size=1, batch_classes=1)
-    name = f"_{method}_loss_and_grad"
-    real_step, batches = getattr(cclearn.runner, name), []
-
-    def step(state, enc, params, batch, *rest):
-        batches.append(batch)
-        return real_step(state, enc, params, batch, *rest)
+    repeated = _repeat_id(pool, pool.members[first][0], pool.members[second][0])
+    config = _fast_config(method, epochs_per_task=2)
+    expected = _first_stage_steps(config)
 
     def public_step(*args):
         raise AssertionError("training called a public step")
 
-    monkeypatch.setattr(cclearn.runner, name, step)
     for module in (cclearn, cclearn.gcl, cclearn.gdro, cclearn.runner):
         for public in ("gcl_step", "gdro_step"):
             if hasattr(module, public):
                 monkeypatch.setattr(module, public, public_step)
-    runner, hand = _run_both(monkeypatch, stream, config)
-    _same_run(runner, hand)
-    assert len(batches) == runner[1]
-    if method == "gcl":  # each step's X is a slice of its epoch's one gather
-        assert all(X.base is not None for X in batches)
-        assert len({id(X.base) for X in batches}) == stream.num_tasks * config.epochs_per_task
+    real_step, steps = cclearn.runner.optimizer_step, []
+
+    def counted(*args):
+        steps.append(None)
+        return real_step(*args)
+
+    monkeypatch.setattr(cclearn.runner, "optimizer_step", counted)
+    message = f"^the ids of one estimator update must not repeat: {repeated} does$"
+    with pytest.raises(ValueError, match=message):
+        run(stream, config)
+    assert len(steps) == expected > 0
 
 
-@pytest.mark.parametrize("method", ["gcl", "gdro"])
-def test_an_id_repeated_in_one_batch_is_refused_at_its_step(monkeypatch, method):
-    """Two rows of the second task share a sample id.  The run is refused,
-    naming the id, at the step of the first batch that holds both, as the hand
-    loop over the public steps refuses it.  For gcl the two rows, found from
-    the run seed's shuffles, sit in different batches of the second stage's
-    first epoch and in one batch of its second, so the refusal comes mid-stage,
-    not when the stage starts.  Every gdro step of the second stage draws every
-    row of both its classes, so its first step is refused."""
-    stream = _small_stream()
-    pool = stream.tasks[1].train
-    config = _fast_config(method, epochs_per_task=2, memory_capacity=0, batch_size=4,
-                          batch_per_class=20)
-    expected = _first_stage_steps(config)
-    if method == "gdro":
-        i, j = pool.members[min(pool.members)][:2]
-    else:
-        shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[0])
-        for _ in range(config.epochs_per_task):
-            shuffle_rng.permutation(len(stream.tasks[0].train))
-        batch = np.empty((2, len(pool)), dtype=np.intp)  # each row's batch per epoch
-        for epoch in batch:
-            epoch[shuffle_rng.permutation(len(pool))] = np.arange(len(pool)) // config.batch_size
-        i, j = next((i, j) for i, j in itertools.combinations(range(len(pool)), 2)
-                    if batch[0, i] != batch[0, j] and batch[1, i] == batch[1, j])
-        expected += math.ceil(len(pool) / config.batch_size) + batch[1, i]
-    repeated = _repeat_id(pool, i, j)
-    (err, steps), (hand_err, hand_steps) = _run_both(monkeypatch, stream, config)
-    message = f"the ids of one estimator update must not repeat: {repeated} does"
-    assert str(err) == str(hand_err) == message
-    assert steps == hand_steps == expected
+@settings(max_examples=20, deadline=None)
+@given(
+    method=st.sampled_from(["gcl", "gdro"]),
+    hidden_dim=st.sampled_from([0, 3]),
+    num_tasks=st.integers(1, 3),
+    classes_per_task=st.integers(2, 3),
+    per_class=st.integers(4, 9),
+    memory=st.integers(0, 10),
+    seed=st.integers(0, 2**16),
+)
+def test_the_sample_table_holds_every_stage_pool_id_once(
+    method, hidden_dim, num_tasks, classes_per_task, per_class, memory, seed,
+):
+    """After every stage the estimator state's sample table keys exactly the
+    ids of every stage pool so far, each with a column of its own: a stage
+    gives its whole pool's ids their columns, and no other id gets one."""
+    ds = gen_synthetic(classes_per_task * num_tasks, per_class, 8, 4.0, 0.5, seed)
+    stream = split_cil(ds, num_tasks, test_fraction=0.25, seed=seed + 1)
+    config = _fast_config(method, epochs_per_task=2, memory_capacity=memory, seed=seed,
+                          hidden_dim=hidden_dim)
+    real_train_task, seen, stages = cclearn.runner._Trainer.train_task, set(), []
+
+    def train_task(self, task, pool):
+        real_train_task(self, task, pool)
+        seen.update(pool.ids)
+        slot = (self.gcl_state if method == "gcl" else self.gdro_state).samples.slot
+        assert set(slot) == seen
+        assert sorted(slot.values()) == list(range(len(seen)))
+        stages.append(task)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cclearn.runner._Trainer, "train_task", train_task)
+        run(stream, config)
+    assert stages == list(range(num_tasks))
 
 
 def test_cross_entropy_trains_one_path_whatever_the_ids(monkeypatch):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Pool
+from .data import Pool, _is_int
 
 
 @dataclass
@@ -54,8 +54,8 @@ class MemoryBuffer:
         for name, value in (("capacity", self.capacity), ("rng_seed", self.rng_seed)):
             if not _is_int(value):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.capacity < 0:
-            raise ValueError("capacity must be >= 0")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
         self._rng = np.random.default_rng(self.rng_seed)
         self.stored = Pool.concat([])  # classes ascending, each in admission order
 
@@ -140,11 +140,6 @@ def sample_class_batches(pool: Pool, class_ids, batch_size, seeds) -> list[np.nd
         rng = np.random.default_rng(int(seeds[lane]))
         picks[lane] = members[lane_class[lane]][rng.choice(int(m[lane]), int(n[lane]), False)]
     return picks
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _seed_array(seeds) -> np.ndarray:

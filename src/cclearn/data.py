@@ -176,7 +176,6 @@ class Task:
     train: Pool
     test: Pool
     classes: frozenset[int]
-    domain_id: int | None = None
 
 
 @dataclass
@@ -252,13 +251,13 @@ def _class_means(num_classes, dim, separation, rng):
 @np.errstate(over="ignore", invalid="ignore")  # _as_float32 refuses inf and NaN
 def gen_synthetic(num_classes, per_class, input_dim, separation, noise, seed) -> Dataset:
     """Gaussian blobs around well-separated class means; deterministic per seed."""
+    _check_ints(num_classes=num_classes, per_class=per_class, input_dim=input_dim, seed=seed)
     if num_classes < 1 or per_class < 1 or input_dim < 1:
         raise ValueError("num_classes, per_class and input_dim must be positive")
     if not 0 < separation < math.inf:
         raise ValueError(f"separation must be finite and > 0, got {separation}")
     if not math.isfinite(noise):
         raise ValueError(f"noise must be finite, got {noise}")
-    _check_ints(seed=seed)
     rng = np.random.default_rng(seed)
     means = _class_means(num_classes, input_dim, separation, rng)
     n = num_classes * per_class
@@ -303,11 +302,11 @@ def gen_domain_shift(base: Dataset, num_domains, shift_kind, magnitude, seed) ->
     seeded transforms.  Class labels are preserved; sample ids are renumbered
     0..num_domains*n-1, domain by domain.
     """
+    _check_ints(num_domains=num_domains, seed=seed)
     if num_domains < 2:
         raise ValueError("num_domains must be >= 2")
     if not math.isfinite(magnitude):
         raise ValueError(f"magnitude must be finite, got {magnitude}")
-    _check_ints(seed=seed)
     rng = np.random.default_rng(seed)
     n, dim = base.X.shape
     # the whole output first: a domain count no memory holds fails before any draw
@@ -335,12 +334,17 @@ def _stratified_split(y, rows, test_fraction, rng):
     return by_class[~is_test], by_class[is_test]
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_ints(**ints):
     """Refuses a value of ``ints`` that is not an integer (``True`` too) and a
     negative ``seed``, naming it: numpy would draw OS entropy for a seed of
     None, read ``True`` as 1 and refuse a negative one naming no argument."""
     for name, value in ints.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_int(value):
             raise TypeError(f"{name} must be an integer, got {value!r}")
     if ints.get("seed", 0) < 0:
         raise ValueError(f"seed must be >= 0, got {ints['seed']}")
@@ -404,7 +408,7 @@ def split_dil(ds: Dataset, domain_order, test_fraction=0.2, seed=0) -> TaskStrea
     for d in domain_order:
         rows = np.flatnonzero(ds.domain_ids == d)
         train, test = _stratified_split(ds.y, rows, test_fraction, rng)
-        tasks.append(Task(_rows(ds, train), _rows(ds, test), all_classes, domain_id=d))
+        tasks.append(Task(_rows(ds, train), _rows(ds, test), all_classes))
     return TaskStream(mode="dil", tasks=tasks)
 
 

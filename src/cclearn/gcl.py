@@ -26,25 +26,26 @@ full-batch identity m == (tau/2) * grad L is what the test suite pins down.
 Estimator state persists across tasks, carrying normalizer information from
 earlier stages forward, keyed by ``Pool.ids``.  The estimates live in arrays
 (``MovingAverages``): one column per sample id, an initialized mask, and one
-vectorised ``moving_average`` that gdro shares.
+vectorised ``moving_average`` that gdro shares.  A stage keeps its pool's
+estimates only (``MovingAverages.keep``), pool row i's in column i: an id
+that leaves the pool was evicted from the buffer and never returns.
 
 Every batch is rows of the stage pool.  A training step is one call to
 ``_gcl_loss_and_grad`` on a prepared batch: the rows' inputs and classes,
-checked and gathered, and their estimator columns.  It encodes the rows once,
-takes the loss from the batch logits S, updates the state in place and forms
-the gradient coefficients, the update and the coefficients sharing one exp(S);
-the backward reuses the batch similarities.  The loss is a diagnostic that
-neither the update nor the gradient reads, so on a step the runner does not
-log it is computed only if some logit exceeds 1e300 in magnitude, the one
-case in which it could be non-finite; the runner's divergence check then
-fires at the same step whatever ``log_every`` is.  The runner gives every id
-of the stage pool its column once (``MovingAverages.columns``), refusing a
-pool that repeats an id before the stage's first step, and prepares an
-epoch's batches at once, as slices of one gather of its shuffled rows and
-their columns.  Training never calls ``gcl_step(state, enc, params, pool,
-rows, tau)``, the one-batch entry: it prepares one batch of rows of the pool,
-with every per-call check and ``columns`` of the batch's ids, which refuses
-repeated ids, and then takes the same step, loss included.
+checked and gathered, and the rows, which are their estimator columns.  It
+encodes the rows once, takes the loss from the batch logits S, updates the
+state in place and forms the gradient coefficients, the update and the
+coefficients sharing one exp(S); the backward reuses the batch similarities.
+The loss is a diagnostic that neither the update nor the gradient reads, so
+on a step the runner does not log it is computed only if some logit exceeds
+1e300 in magnitude, the one case in which it could be non-finite; the
+runner's divergence check then fires at the same step whatever
+``log_every`` is.  The runner prepares an epoch's batches at once, as slices
+of one gather of its shuffled rows.  Training never calls ``gcl_step(state,
+enc, params, pool, rows, tau)``, the one-batch entry: it prepares one batch
+of rows of the pool, with every per-call check and ``columns`` of the
+batch's ids, which refuses repeated ids, and then takes the same step, loss
+included.
 ``gcl_loss_full``, ``gcl_update_estimators`` (in place; returns the same
 state) and ``gcl_gradient_estimate`` are each one of those parts on its own,
 built from the same private pieces.  They take their batch as a ``Pool``, or
@@ -80,9 +81,10 @@ class MovingAverages:
     last column is never handed out, so a key without a column reads it, as
     column -1, and finds no estimate there.
 
-    ``columns`` is the one way a key gets its column.  The runner calls it once
-    per gcl or gdro stage on the whole pool's ids, so a stage's columns are
-    one lookup and every step gathers its own from them.
+    ``columns`` is the one way a key gets its column.  The runner calls
+    ``keep`` once per gcl or gdro stage on the whole pool's ids, so the table
+    then holds that pool's estimates only, pool row i's in column i, and a
+    batch's rows are its columns.
     """
 
     def __init__(self, rows: int):
@@ -106,6 +108,16 @@ class MovingAverages:
             values[:, :size], initialized[:size] = self.values, self.initialized
             self.values, self.initialized = values, initialized
         return np.array(cols, dtype=np.intp)
+
+    def keep(self, keys) -> None:
+        """Keeps the estimates of ``keys`` only, ``keys[i]`` in column i; a key
+        without an estimate stays without one.  Refuses repeated keys, as
+        ``columns`` does, before any change."""
+        table = MovingAverages(len(self.values))
+        n = len(table.columns(keys))
+        old = np.array([self.slot.get(key, -1) for key in keys], dtype=np.intp)
+        table.values[:, :n], table.initialized[:n] = self.values[:, old], self.initialized[old]
+        self.slot, self.values, self.initialized = table.slot, table.values, table.initialized
 
     def read(self, keys, what="sample", positive=True) -> np.ndarray:
         """The (rows, n) estimates of ``keys``.  Refuses a key without an estimate

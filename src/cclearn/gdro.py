@@ -43,13 +43,13 @@ class, or a class's rows in two runs are refused in one line naming the class.
 
 A training step is one call to ``_gdro_loss_and_grad`` on a step's
 ``_Anchors``: the anchor rows with each one's class position, negative count
-and sample column, and the sampled classes and their sizes.  The runner
-gives every id of the stage pool its sample column once
-(``MovingAverages.columns``), refusing a pool that repeats an id before the
-stage's first step, and prepares every step of the stage at once
-(``_stage_anchors``): one row check of the stage's joined draws, one lookup
-of their positions and negative counts, one gather of their columns, and the
-classes read off the picks; a step's anchors are slices of these.
+and sample column, and the sampled classes and their sizes.  Before the
+stage's first step the runner keeps the stage pool's sample estimates only
+(``MovingAverages.keep``), pool row i's in column i, refusing a pool that
+repeats an id, so an anchor's row is its column.  It prepares every step of
+the stage at once (``_stage_anchors``): one lookup of the joined draws'
+positions and negative counts, and the classes read off the picks; a step's
+anchors are slices of these.
 ``gdro_step``, the one-step entry that training never calls, prepares one
 step's anchors with every per-call check and ``columns`` of their ids, which
 refuses repeated ids, and then takes the same step.  The
@@ -111,7 +111,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _first_repeat
+from .data import _check_ints, _first_repeat
 from .gcl import U_FLOOR, MovingAverages, _check_rows, moving_average
 from .model import EncoderPair
 
@@ -136,6 +136,7 @@ class GdroConfig:
             raise ValueError(f"margin must be finite and >= 0, got {self.margin}")
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
+        _check_ints(batch_classes=self.batch_classes, batch_per_class=self.batch_per_class)
         if self.batch_classes < 1 or self.batch_per_class < 1:
             raise ValueError("batch_classes and batch_per_class must be positive")
 
@@ -188,11 +189,6 @@ class GdroEstimatorState:
             self._order = classes, np.array([slot[k] for k in classes], np.intp)
         classes, cols = self._order
         return classes, self.classes.values[0].take(cols)
-
-    @property
-    def v(self) -> float:
-        """Linear-scale value of the scalar estimator (may overflow to inf)."""
-        return self.v_mantissa * math.exp(self.v_shift) if self.v_initialized else 0.0
 
 
 # ------------------------------------------------------------ hinge machinery
@@ -265,23 +261,22 @@ def _anchors(pool, rows, classes, sizes, samples=None) -> _Anchors:
     return _Anchors(rows, positions, n_neg, classes, sizes, columns)
 
 
-def _stage_anchors(cols, pool, picks, draws, per_step):
+def _stage_anchors(pool, picks, draws, per_step):
     """Every step's ``_Anchors`` of a stage, in turn: step s takes the draws of
     picks ``per_step * s`` to ``per_step * (s + 1)``, each draw rows of its
-    pick's class.  ``cols`` holds each pool row's sample column, which the
-    runner gives the whole pool once per stage.  Before the first step's
-    anchors, the joined draws get one row check, one lookup each of their
-    class positions and negative counts and one gather of their columns; a
-    step's anchors are slices of these."""
+    pick's class.  The runner keeps the stage pool's estimates in its rows'
+    columns (``MovingAverages.keep``), so an anchor's row is its sample
+    column.  Before the first step's anchors, the joined draws get one lookup
+    each of their class positions and negative counts; a step's anchors are
+    slices of these."""
     sizes = [len(rows) for rows in draws]
     rows = np.concatenate(draws)
-    _check_rows(rows, pool)
     every = _anchors(pool, rows, picks, sizes)
-    cols = cols.take(rows)
     bounds = [0, *itertools.accumulate(sizes)][::per_step]
     for i, lo, hi in zip(itertools.count(0, per_step), bounds, bounds[1:]):
-        yield _Anchors(rows[lo:hi], every.positions[lo:hi], every.n_neg[lo:hi],
-                       picks[i : i + per_step], sizes[i : i + per_step], cols[lo:hi])
+        step = rows[lo:hi]
+        yield _Anchors(step, every.positions[lo:hi], every.n_neg[lo:hi],
+                       picks[i : i + per_step], sizes[i : i + per_step], step)
 
 
 def _hinge_stats(enc, params, pool, anchors, margin, tau, work):

@@ -45,6 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_ints
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -60,16 +62,13 @@ class EncoderConfig:
     seed: int
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.num_classes_max < 1:
-            raise ValueError(f"num_classes_max must be >= 1, got {self.num_classes_max}")
-        if self.hidden_dim < 0:
-            raise ValueError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _check_ints(**vars(self))
+        for name, least in (("input_dim", 1), ("num_classes_max", 1), ("hidden_dim", 0),
+                            ("embed_dim", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 def _class_ids(class_ids):
@@ -128,10 +127,6 @@ class EncoderPair:
             layers[tower] = [(slices[wn], slices[bn], s) for wn, bn, s in zip(w, b, shapes)]
         slices["__total__"] = off
         return layers, slices
-
-    def segment(self, name: str) -> slice:
-        """Flat-vector slice for one named parameter segment."""
-        return self._slices[name]
 
     def init_params(self) -> np.ndarray:
         """Seeded initialization: weights ~ U(-1, 1)/sqrt(fan_in), biases zero.

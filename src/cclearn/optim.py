@@ -37,8 +37,8 @@ class OptimizerState:
 def init_optimizer(n_params, eta, beta1, mode="momentum-sgd") -> OptimizerState:
     if mode not in MODES:
         raise ValueError(f"unknown optimizer mode {mode!r}; expected one of {MODES}")
-    if not eta > 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
     if not 0.0 <= beta1 <= 1.0:
         raise ValueError(f"beta1 must be in [0, 1], got {beta1}")
     return OptimizerState(

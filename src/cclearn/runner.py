@@ -26,26 +26,26 @@ builds a Pool of its own.  Methods differ only in how batches are drawn
 slices of the class picks' per-class row draws, all made and joined once
 before the stage's first step) and in the one step function that gives a
 batch's loss and gradient: ``_gcl_loss_and_grad``, ``_gdro_loss_and_grad`` or
-``_ce_loss_and_grad``.  Each takes its batch prepared (checked, gathered and
-mapped to estimator columns) and does only the work that depends on the
-parameters: it encodes its rows once, through the forwards that check their
-input, takes the loss, updates the estimators and forms the gradient.
-``_epochs`` prepares the batches: the forwards' checks of the pool's inputs
-and classes once per stage, so that bad input is refused before the stage's
-first step; for gcl and gdro, whose estimators key on sample ids, one
-``columns`` call that gives every pool id its estimator column and refuses a
-pool that repeats an id, also before the first step; for gcl and
-cross-entropy one row check, one gather of inputs and one of classes and
-columns or of true columns per epoch, each batch a slice of these; for gdro
-every step's anchors at once per stage (``gdro._stage_anchors``).
-Cross-entropy keeps no per-sample estimate and trains on any ids.
-``TaskStream`` refuses a training id that two rows of a stream share, so only
-a pool whose ids were changed after the stream was built can repeat one.
+``_ce_loss_and_grad``.  Each takes its batch prepared (checked and gathered)
+and does only the work that depends on the parameters: it encodes its rows
+once, through the forwards that check their input, takes the loss, updates
+the estimators and forms the gradient.  ``_epochs`` prepares the batches:
+the forwards' checks of the pool's inputs and classes once per stage, so that
+bad input is refused before the stage's first step; for gcl and gdro, whose
+estimators key on sample ids, one ``keep`` call that keeps the estimates of
+the pool's ids only, pool row i's in column i, and refuses a pool that
+repeats an id, also before the first step, so a batch's rows are its
+estimator columns and the table never outgrows the pool; for gcl and
+cross-entropy one gather of inputs and one of classes or of true columns per
+epoch, each batch a slice of these; for gdro every step's anchors at once per
+stage (``gdro._stage_anchors``).  Cross-entropy keeps no per-sample estimate
+and trains on any ids.  ``TaskStream`` refuses a training id that two rows of
+a stream share, so an id evicted from the buffer never returns, and only a
+pool whose ids were changed after the stream was built can repeat one.
 Training never calls the public ``gcl_step`` and ``gdro_step``, which prepare
 one batch of rows with every per-call check and then call the same step
-function.  ``ce_loss`` and
-``ce_gradient`` on ``pool.take(rows)`` over the pool's classes give
-cross-entropy's step's bits.
+function.  ``ce_loss`` and ``ce_gradient`` on ``pool.take(rows)`` over the
+pool's classes give cross-entropy's step's bits.
 
 Methods:
     gcl               global contrastive loss with replay
@@ -67,7 +67,7 @@ import numpy as np
 from .buffer import MemoryBuffer, sample_class_batches
 from .data import Pool, Task, TaskStream, _first_repeat
 from .errors import ConfigError, DivergenceError, NonFiniteGradientError
-from .gcl import GclEstimatorState, _check_rows, _check_tau, _gcl_loss_and_grad
+from .gcl import GclEstimatorState, _check_tau, _gcl_loss_and_grad
 from .gdro import GdroConfig, GdroEstimatorState, _gdro_loss_and_grad, _stage_anchors, dro_weights
 
 # perfbench/tracing.py wraps these names on this module; training calls the step
@@ -273,18 +273,18 @@ class _Trainer:
             task=task, epoch=epoch, step=self.global_step,
         )
 
-    def _epochs(self, pool, candidates):
+    def _epochs(self, pool):
         """Each epoch's batches of rows of the stage pool, each RNG with this one
         consumer, prepared for the method's step.  The forwards' checks of the
         pool's inputs and classes run once per stage, before any draw.  gcl and
-        gdro key their estimates on sample ids, so their stage then gives every
-        pool id its column in one ``columns`` call, which refuses a pool that
-        repeats an id before the stage's first step.
+        gdro key their estimates on sample ids, so their stage then keeps the
+        pool's estimates only, pool row i's in column i (``keep``), which
+        refuses a pool that repeats an id before the stage's first step; a
+        batch's rows are then its estimator columns.
 
         A gcl or cross-entropy epoch is slices of a shuffled order of the pool's
-        rows.  The order gets one row check, and one gather each of its inputs
-        and of its classes and columns (gcl) or true columns (cross-entropy).
-        A batch is slices of these.
+        rows, with one gather each of its inputs and of its classes (gcl) or
+        true columns (cross-entropy).  A batch is slices of these.
 
         A gdro batch is one run of rows per picked class: every epoch's (class,
         seed) picks are drawn before the stage's first step, one ``choice`` and
@@ -295,23 +295,22 @@ class _Trainer:
         X = enc._check_inputs(pool.X)
         labels = enc._check_class_ids(pool.y if cfg.method == "gcl" else pool.class_index[0])
         if cfg.method != "finetune-ce":
-            state = self.gcl_state if cfg.method == "gcl" else self.gdro_state
-            cols = state.samples.columns(pool.ids)
+            (self.gcl_state if cfg.method == "gcl" else self.gdro_state).samples.keep(pool.ids)
         if cfg.method != "gdro":
             N, size = len(pool), cfg.batch_size
             starts = range(0, N, size)
             for _ in range(cfg.epochs_per_task):
                 order = self.shuffle_rng.permutation(N)
-                _check_rows(order, pool)
                 Xo = X.take(order, axis=0)
                 if cfg.method == "gcl":
-                    yo, co = labels.take(order), cols.take(order)
-                    yield [(Xo[i : i + size], yo[i : i + size], co[i : i + size], N)
+                    yo = labels.take(order)
+                    yield [(Xo[i : i + size], yo[i : i + size], order[i : i + size], N)
                            for i in starts]
                 else:
                     idx = pool.class_index[1].take(order)
                     yield [(Xo[i : i + size], labels, idx[i : i + size]) for i in starts]
             return
+        candidates = labels.tolist()
         n_take = min(gcfg.batch_classes, len(candidates))
         steps = max(1, math.ceil(len(pool) / (gcfg.batch_classes * gcfg.batch_per_class)))
         picks, seeds = [], []
@@ -320,7 +319,7 @@ class _Trainer:
             picks += [candidates[i] for i in picked]
             seeds.append(self.batch_rng.integers(2**63, size=n_take))
         draws = sample_class_batches(pool, picks, gcfg.batch_per_class, np.concatenate(seeds))
-        batches = ((pool, a) for a in _stage_anchors(cols, pool, picks, draws, n_take))
+        batches = ((pool, a) for a in _stage_anchors(pool, picks, draws, n_take))
         for _ in range(cfg.epochs_per_task):
             yield list(itertools.islice(batches, steps))
 
@@ -352,16 +351,15 @@ class _Trainer:
         cfg = self.config
         if cfg.method == "zero-shot":
             return
-        candidates = sorted(pool.members)
-        if cfg.method == "gdro" and len(candidates) < 2:
+        if cfg.method == "gdro" and len(pool.class_index[0]) < 2:
             raise ConfigError(
                 f"gdro needs at least two classes in each stage's pool; "
-                f"the pool of stage {task} holds {len(candidates)}"
+                f"the pool of stage {task} holds {len(pool.class_index[0])}"
             )
         # a run that goes non-finite stops at the checks below with one
         # DivergenceError; numpy's overflow and NaN warnings on the way add nothing
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for epoch, batches in enumerate(self._epochs(pool, candidates)):
+            for epoch, batches in enumerate(self._epochs(pool)):
                 for batch in batches:
                     logged = self.global_step % cfg.log_every == 0
                     loss, grad = self._step(batch, logged)

@@ -1,15 +1,18 @@
 """Shared helpers: finite-difference oracles and random instance builders.
 
 The finite-difference gradient, single-pair similarity helpers, the
-instance builders (random ``Pool``s and a Pool's per-class batches) and
-``state_bytes`` (an estimator state as comparable keys and bytes) live
-here.  The reference oracles that several test files compare against
-(g_I/g_T, hinge_g1/hinge_g2, class_loss_hk and the accuracy CSV parser) live
-in ``oracles.py``.  The duplicate-implementation oracles
+instance builders (random ``Pool``s and a Pool's per-class batches),
+``state_bytes`` (an estimator state as comparable keys and bytes) and
+``dro_v`` (gdro's scalar estimator on a linear scale) live here.  The
+reference oracles that several test files compare against (g_I/g_T,
+hinge_g1/hinge_g2, class_loss_hk and the accuracy CSV parser) live in
+``oracles.py``.  The duplicate-implementation oracles
 (straight-line forward passes, naive loss loops, the simplex maximizer) live
 next to the tests that use them so each stays independent of the code path
 it checks.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +79,12 @@ def state_bytes(state):
         out += [list(state.classes.slot), classes, u_c.tobytes()]
         out += [np.float64([state.v_mantissa, state.v_shift]).tobytes(), state.v_initialized]
     return out
+
+
+def dro_v(state) -> float:
+    """Linear-scale value of gdro's scalar estimator v (may overflow to inf), 0.0
+    before its first update."""
+    return state.v_mantissa * math.exp(state.v_shift) if state.v_initialized else 0.0
 
 
 def make_pool(rng, n, num_classes, input_dim, id_offset=0):

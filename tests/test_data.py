@@ -20,7 +20,11 @@ from cclearn.data import (
     split_cil,
     split_dil,
 )
+from cclearn.buffer import MemoryBuffer
 from cclearn.errors import DatasetFormatError
+from cclearn.gdro import GdroConfig
+from cclearn.model import EncoderConfig
+from cclearn.optim import init_optimizer
 from cclearn.runner import merge_tasks
 
 from oracles import dataset_records, rows, split_cil_samples, split_dil_samples
@@ -145,7 +149,9 @@ def test_split_dil_basic():
     shifted = gen_domain_shift(base, 3, "rotation", 0.5, seed=12)
     stream = split_dil(shifted, domain_order=[2, 0, 1], test_fraction=0.2, seed=3)
     assert stream.num_tasks == 3
-    assert [t.domain_id for t in stream.tasks] == [2, 0, 1]
+    # gen_domain_shift numbers the ids domain by domain, n per domain
+    n = len(base.y)
+    assert [{i // n for i in t.train.ids + t.test.ids} for t in stream.tasks] == [{2}, {0}, {1}]
     for task in stream.tasks:
         assert task.classes == frozenset(range(4))
         assert len(task.train) + len(task.test) == len(base.y)
@@ -506,6 +512,67 @@ def test_data_functions_refuse_a_seed_that_is_not_a_non_negative_int(
     monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("drew"))
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+_SCALAR_CALLS = {
+    "gen_synthetic": lambda v: gen_synthetic(*v, 4.0, 0.5, 0),
+    "gen_domain_shift": lambda v: gen_domain_shift(gen_synthetic(2, 3, 2, 4.0, 0.5, 0), v,
+                                                   "rotation", 1.0, 0),
+    "EncoderConfig": lambda v: EncoderConfig(**v, seed=0),
+    "GdroConfig": lambda v: GdroConfig(0.5, 0.9, 0.1, 0.1, *v),
+    "MemoryBuffer": lambda v: MemoryBuffer(*v),
+    "init_optimizer": lambda v: init_optimizer(3, v, 0.9),
+}
+_SHAPES = dict(input_dim=3, num_classes_max=4, hidden_dim=0, embed_dim=2)
+_NEGATIVE_SHAPE = "num_classes, per_class and input_dim must be positive"
+_NEGATIVE_BATCH = "batch_classes and batch_per_class must be positive"
+_INTEGER = "{} must be an integer, got {!r}"
+
+
+@pytest.mark.parametrize("function, value, error, message", [
+    ("gen_synthetic", (2.5, 3, 2), TypeError, _INTEGER.format("num_classes", 2.5)),
+    ("gen_synthetic", (2, True, 2), TypeError, _INTEGER.format("per_class", True)),
+    ("gen_synthetic", (2, 3, 2.0), TypeError, _INTEGER.format("input_dim", 2.0)),
+    ("gen_synthetic", (2, -1, 2), ValueError, _NEGATIVE_SHAPE),
+    ("gen_domain_shift", 2.5, TypeError, _INTEGER.format("num_domains", 2.5)),
+    ("gen_domain_shift", True, TypeError, _INTEGER.format("num_domains", True)),
+    ("gen_domain_shift", -2, ValueError, "num_domains must be >= 2"),
+    ("EncoderConfig", {**_SHAPES, "hidden_dim": True}, TypeError,
+     _INTEGER.format("hidden_dim", True)),
+    ("EncoderConfig", {**_SHAPES, "input_dim": 2.5}, TypeError,
+     _INTEGER.format("input_dim", 2.5)),
+    ("EncoderConfig", {**_SHAPES, "embed_dim": float("nan")}, TypeError,
+     _INTEGER.format("embed_dim", float("nan"))),
+    ("EncoderConfig", {**_SHAPES, "hidden_dim": -1}, ValueError,
+     "hidden_dim must be >= 0, got -1"),
+    ("GdroConfig", (2.5, 4), TypeError, _INTEGER.format("batch_classes", 2.5)),
+    ("GdroConfig", (2, False), TypeError, _INTEGER.format("batch_per_class", False)),
+    ("GdroConfig", (-2, 4), ValueError, _NEGATIVE_BATCH),
+    ("MemoryBuffer", (3, -1), ValueError, "rng_seed must be >= 0"),
+    ("MemoryBuffer", (3, 1.0), ValueError, "rng_seed must be an int, got 1.0"),
+    ("init_optimizer", float("inf"), ValueError, "eta must be finite and > 0, got inf"),
+    ("init_optimizer", float("nan"), ValueError, "eta must be finite and > 0, got nan"),
+    ("init_optimizer", -0.5, ValueError, "eta must be finite and > 0, got -0.5"),
+])
+def test_scalar_arguments_are_refused_in_one_line_naming_them(function, value, error, message):
+    """A float or bool where an integer belongs, an infinite or NaN step size and
+    a negative value are each refused in one line naming the argument, before
+    numpy reads them: it would truncate a float or bool, fail later in words
+    that name no argument, or accept them outright."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _SCALAR_CALLS[function](value)
+
+
+@pytest.mark.parametrize("function, value", [
+    ("gen_synthetic", (np.int64(2), np.int32(3), np.uint8(2))),
+    ("gen_domain_shift", np.int64(2)),
+    ("EncoderConfig", {name: np.int64(v) for name, v in _SHAPES.items()}),
+    ("GdroConfig", (np.int64(2), np.uint16(4))),
+    ("MemoryBuffer", (np.int64(4), np.uint32(7))),
+    ("init_optimizer", np.float64(0.1)),
+])
+def test_scalar_arguments_take_numpy_numbers(function, value):
+    _SCALAR_CALLS[function](value)
 
 
 @pytest.mark.parametrize("X, y, ids, lengths", [

@@ -37,8 +37,8 @@ from oracles import dict_moving_average, g_I, g_T
 def _constant_sim_params(enc):
     """Zero weights, constant biases: every pairwise similarity is identical."""
     w = np.zeros(enc.n_params)
-    w[enc.segment("e1_b" if enc.config.hidden_dim == 0 else "e1_b2")] = [1.0, 0.5, -0.25]
-    w[enc.segment("e2_b" if enc.config.hidden_dim == 0 else "e2_b2")] = [0.0, 2.0, 1.0]
+    w[enc._slices["e1_b" if enc.config.hidden_dim == 0 else "e1_b2"]] = [1.0, 0.5, -0.25]
+    w[enc._slices["e2_b" if enc.config.hidden_dim == 0 else "e2_b2"]] = [0.0, 2.0, 1.0]
     return w
 
 
@@ -81,8 +81,8 @@ def test_g_single_candidate_is_exp_sim_over_tau(rng):
 def test_g_with_orthogonal_similarities_counts_candidates():
     enc = make_encoder(seed=0, hidden_dim=0)
     w = np.zeros(enc.n_params)
-    w[enc.segment("e1_b")] = [1.0, 0.0, 0.0]
-    w[enc.segment("e2_b")] = [0.0, 1.0, 0.0]  # all sims exactly 0
+    w[enc._slices["e1_b"]] = [1.0, 0.0, 0.0]
+    w[enc._slices["e2_b"]] = [0.0, 1.0, 0.0]  # all sims exactly 0
     rng = np.random.default_rng(2)
     pool = make_pool(rng, 6, 3, 3)
     assert abs(g_I(enc, w, pool[0], pool, tau=0.3) - 6.0) < 1e-9

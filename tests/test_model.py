@@ -103,8 +103,8 @@ def test_param_vector_length(hidden):
 def test_init_biases_zero():
     enc = make_encoder(seed=3, hidden_dim=0)
     w = enc.init_params()
-    assert np.all(w[enc.segment("e1_b")] == 0.0)
-    assert np.all(w[enc.segment("e2_b")] == 0.0)
+    assert np.all(w[enc._slices["e1_b"]] == 0.0)
+    assert np.all(w[enc._slices["e2_b"]] == 0.0)
 
 
 @pytest.mark.parametrize("hidden", [0, 4])
@@ -123,8 +123,8 @@ def test_encode_zero_input_returns_normalized_bias():
     enc = make_encoder(seed=0, hidden_dim=0)
     w = np.zeros(enc.n_params)
     b = np.array([0.5, -1.0, 2.0])
-    w[enc.segment("e1_b")] = b
-    w[enc.segment("e2_b")] = [1.0, 0.0, 0.0]
+    w[enc._slices["e1_b"]] = b
+    w[enc._slices["e2_b"]] = [1.0, 0.0, 0.0]
     (out,), _ = enc._forward_inputs(w, [np.zeros(3)])
     assert np.allclose(out, b / np.linalg.norm(b), atol=1e-12)
 
@@ -215,8 +215,8 @@ def test_predict_keeps_integer_candidates_of_any_kind(rng):
 def _constant_embedding_params(enc, input_bias, label_bias):
     """Zero weights; both encoders output a normalized bias regardless of input."""
     w = np.zeros(enc.n_params)
-    w[enc.segment("e1_b")] = input_bias
-    w[enc.segment("e2_b")] = label_bias
+    w[enc._slices["e1_b"]] = input_bias
+    w[enc._slices["e2_b"]] = label_bias
     return w
 
 
@@ -273,9 +273,9 @@ def test_pair_similarity_grad_zero_at_maximum():
 def test_pair_similarity_grad_zero_input_zeroes_weight_segment(rng):
     enc = make_encoder(seed=4, hidden_dim=0)
     w = enc.init_params() + 0.1 * rng.standard_normal(enc.n_params)
-    w[enc.segment("e1_b")] = [0.1, 0.2, 0.3]  # keep the pre-norm output nonzero
+    w[enc._slices["e1_b"]] = [0.1, 0.2, 0.3]  # keep the pre-norm output nonzero
     g = pair_sim_grad(enc, w, np.zeros(3), 1)
-    assert np.all(g[enc.segment("e1_w")] == 0.0)
+    assert np.all(g[enc._slices["e1_w"]] == 0.0)
 
 
 def test_predict_singleton(rng):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cclearn
@@ -86,8 +86,8 @@ def _fast_config(method, **kw):
 def test_evaluate_degenerate_model_ties_to_smallest_id(rng):
     enc = make_encoder(seed=0, hidden_dim=0, num_classes=2)
     w = np.zeros(enc.n_params)
-    w[enc.segment("e1_b")] = [1.0, 0.0, 0.0]
-    w[enc.segment("e2_b")] = [0.0, 1.0, 0.0]  # all label embeddings identical
+    w[enc._slices["e1_b"]] = [1.0, 0.0, 0.0]
+    w[enc._slices["e2_b"]] = [0.0, 1.0, 0.0]  # all label embeddings identical
     test = make_pool(rng, 20, 2, 3)
     assert evaluate(enc, w, test, {0, 1}) == 0.5
 
@@ -127,8 +127,8 @@ def test_ce_loss_single_candidate_is_zero(rng):
 def test_ce_loss_uniform_logits_is_log_k(rng):
     enc = make_encoder(seed=0, hidden_dim=0, num_classes=4)
     w = np.zeros(enc.n_params)
-    w[enc.segment("e1_b")] = [1.0, 0.0, 0.0]
-    w[enc.segment("e2_b")] = [0.0, 1.0, 0.0]  # identical labels -> uniform softmax
+    w[enc._slices["e1_b"]] = [1.0, 0.0, 0.0]
+    w[enc._slices["e2_b"]] = [0.0, 1.0, 0.0]  # identical labels -> uniform softmax
     batch = class_pool(rng, [1], 1, 3)
     for k in (2, 3, 4):
         assert ce_loss(enc, w, batch, list(range(k)), 0.4) == pytest.approx(
@@ -664,8 +664,9 @@ def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
     cross-entropy epoch's batches are consecutive slices of one gather of the
     pool's rows in the epoch's shuffled order, re-derived here from the run
     seed's first spawned child, so they partition the pool's rows: each step
-    gets exactly its rows' inputs and classes (gcl, with their estimator
-    columns and the pool size) or true columns among the pool's classes
+    gets exactly its rows' inputs and classes (gcl, with the rows themselves,
+    which are their estimator columns, and the pool size) or true columns among
+    the pool's classes
     (cross-entropy).  gdro gets one run of rows per sampled class, every step
     of a stage a slice of the stage's joined draws, and the stage Pool, the
     same object for every step of the stage, so its per-row lookups are built
@@ -721,8 +722,7 @@ def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
             if method == "gcl":
                 y, cols, pool_size = more
                 assert y.tolist() == pool.y[rows].tolist() and pool_size == len(pool)
-                slot = steps[i][0].samples.slot
-                assert cols.tolist() == [slot[pool.ids[r]] for r in rows.tolist()]
+                assert cols.tolist() == rows.tolist()
             else:
                 classes, idx = more
                 assert classes.tolist() == sorted(pool.members)
@@ -1083,30 +1083,39 @@ def test_a_stage_pool_that_repeats_an_id_is_refused_before_its_first_step(monkey
     memory=st.integers(0, 10),
     seed=st.integers(0, 2**16),
 )
+@example(method="gcl", hidden_dim=0, num_tasks=3, classes_per_task=2, per_class=8, memory=2,
+         seed=0)
+@example(method="gdro", hidden_dim=0, num_tasks=3, classes_per_task=2, per_class=8, memory=2,
+         seed=0)
 def test_the_sample_table_holds_every_stage_pool_id_once(
     method, hidden_dim, num_tasks, classes_per_task, per_class, memory, seed,
 ):
-    """After every stage the estimator state's sample table keys exactly the
-    ids of every stage pool so far, each with a column of its own: a stage
-    gives its whole pool's ids their columns, and no other id gets one."""
+    """After every stage the estimator state's sample table keys exactly that
+    stage pool's ids, the id of pool row i in column i: a stage keeps its
+    pool's estimates only, so the table never outgrows the pool.  An id of
+    the previous stage's pool that the buffer evicted reads as not
+    initialized, naming the id.  No result moves: an evicted id never returns
+    to a later pool."""
     ds = gen_synthetic(classes_per_task * num_tasks, per_class, 8, 4.0, 0.5, seed)
     stream = split_cil(ds, num_tasks, test_fraction=0.25, seed=seed + 1)
     config = _fast_config(method, epochs_per_task=2, memory_capacity=memory, seed=seed,
                           hidden_dim=hidden_dim)
-    real_train_task, seen, stages = cclearn.runner._Trainer.train_task, set(), []
+    real_train_task, pools = cclearn.runner._Trainer.train_task, []
 
     def train_task(self, task, pool):
         real_train_task(self, task, pool)
-        seen.update(pool.ids)
-        slot = (self.gcl_state if method == "gcl" else self.gdro_state).samples.slot
-        assert set(slot) == seen
-        assert sorted(slot.values()) == list(range(len(seen)))
-        stages.append(task)
+        samples = (self.gcl_state if method == "gcl" else self.gdro_state).samples
+        assert list(samples.slot.items()) == [(i, col) for col, i in enumerate(pool.ids)]
+        assert not samples.initialized[len(pool) :].any()
+        for i in set(pools[-1].ids if pools else []) - set(pool.ids):
+            with pytest.raises(ValueError, match=f"^estimator not initialized for sample {i}$"):
+                samples.read([i])
+        pools.append(pool)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(cclearn.runner._Trainer, "train_task", train_task)
         run(stream, config)
-    assert stages == list(range(num_tasks))
+    assert len(pools) == num_tasks
 
 
 def test_cross_entropy_trains_one_path_whatever_the_ids(monkeypatch):

@@ -28,7 +28,7 @@ for t in range(4):
     task = make_task(range(t * 3, t * 3 + 3), per_class=15)
     buf = buf.rebalance_after_task(task)
     counts = buf.class_counts()
-    print(f"after task {t} (classes {sorted(task.members)}): "
+    print(f"after task {t} (classes {task.class_index[0].tolist()}): "
           f"{len(buf)}/{buf.capacity} stored, per-class counts {counts}")
 
 pool = buf.union_view(make_task([99], per_class=5))

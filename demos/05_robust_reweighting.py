@@ -33,7 +33,7 @@ pool = Pool(X, y, list(range(len(y))))
 # exact h_k (the step also returns the objective and gradient, unused here)
 cfg = GdroConfig(lam=0.5, gamma=1.0, margin=0.4, tau=0.3, batch_classes=4, batch_per_class=6)
 # the anchors are rows of the pool, one run per class: here every row, by class
-rows = np.concatenate([pool.members[k] for k in centers])
+rows = np.concatenate([np.flatnonzero(pool.y == k) for k in centers])
 state = GdroEstimatorState()
 gdro_step(state, enc, w, pool, rows, cfg)
 _, h = state.class_losses()  # classes 0..3, ascending

@@ -64,7 +64,8 @@ class MemoryBuffer:
 
     def class_counts(self) -> dict[int, int]:
         """Rows stored per class, for each class the buffer holds, ascending."""
-        return {k: len(rows) for k, rows in self.stored.members.items()}
+        classes, _, _, counts = self.stored.class_index
+        return dict(zip(classes.tolist(), counts.tolist()))
 
     def rebalance_after_task(self, finished_task_data: Pool) -> "MemoryBuffer":
         """Admit a finished task's rows; re-even the quotas.
@@ -76,13 +77,14 @@ class MemoryBuffer:
         rows = Pool.concat([self.stored, finished_task_data])
         if not len(rows):
             return self
-        quota, remainder = divmod(self.capacity, len(rows.members))
+        quota, remainder = divmod(self.capacity, len(rows.class_index[0]))
         kept = []
-        for i, members in enumerate(rows.members.values()):
+        for i, k in enumerate(rows.class_index[0].tolist()):
             q = quota + (1 if i < remainder else 0)
-            if q < len(members):
-                members = members[np.sort(self._rng.choice(len(members), size=q, replace=False))]
-            kept.append(members)
+            held = np.flatnonzero(rows.y == k)
+            if q < len(held):
+                held = held[np.sort(self._rng.choice(len(held), size=q, replace=False))]
+            kept.append(held)
         self.stored = rows.take(np.concatenate(kept))
         return self
 
@@ -100,26 +102,29 @@ def sample_class_batch(pool: Pool, class_id, batch_size, seed) -> np.ndarray:
 def sample_class_batches(pool: Pool, class_ids, batch_size, seeds) -> list[np.ndarray]:
     """For each pick ``(class_ids[i], seeds[i])``, up to batch_size rows of that
     class of ``pool``, uniform without replacement, as indices into ``pool``:
-    ``pool.members[k][np.random.default_rng(seed).choice(m, min(batch_size, m),
-    replace=False)]`` for a class of m rows, bit for bit, drawn for all picks at
-    once.  Refuses a batch_size that is not an int (a float or bool) or is below
+    ``np.flatnonzero(pool.y == k)[np.random.default_rng(seed).choice(m,
+    min(batch_size, m), replace=False)]`` for a class of m rows, bit for bit,
+    drawn for all picks at once; a batch_size above m takes the whole class.
+    Refuses a batch_size that is not an int (a float or bool) or is below
     1, a class id that is not an int or not in the pool, and a seed that is not
     an int in [0, 2**64)."""
     if not _is_int(batch_size):
         raise ValueError(f"batch_size must be an int, got {batch_size!r}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = min(batch_size, len(pool))  # no class holds more; 2**63 overflows int64
     seeds = _seed_array(seeds)
+    present = set(pool.class_index[0].tolist())
     column, lane_class = {}, []
     for k in class_ids:
         if not _is_int(k):
             raise ValueError(f"class id must be an int, got {k!r}")
-        if k not in pool.members:
+        if k not in present:
             raise ValueError(f"class {k} not present in pool")
         lane_class.append(column.setdefault(k, len(column)))
     if len(lane_class) != len(seeds):
         raise ValueError(f"{len(lane_class)} class ids but {len(seeds)} seeds")
-    members = [pool.members[k] for k in column]
+    members = [np.flatnonzero(pool.y == k) for k in column]
     sizes = np.array([len(rows) for rows in members], dtype=np.int64)
     m = sizes[lane_class]
     n = np.minimum(m, batch_size)

@@ -165,12 +165,14 @@ def cmd_run(args) -> int:
 
     try:
         result = run(stream, run_config)
-    except (ConfigError, MemoryError, DivergenceError) as err:
+    except BaseException as err:
         for d in created:  # a failed run leaves no directory it made behind
             with contextlib.suppress(OSError):  # rmdir refuses a non-empty directory
                 d.rmdir()
         if isinstance(err, DivergenceError):
             return _fail(EXIT_DIVERGED, f"diverged: {err}")
+        if not isinstance(err, (ConfigError, MemoryError)):
+            raise
         # a MemoryError: the configured model is too large to allocate
         return _fail(EXIT_CONFIG, f"config: {err}")
 

@@ -59,10 +59,10 @@ class Pool:
     """Rows for the encoders: ``X`` (N, d) float64 inputs, ``y`` (N,) int64
     class ids and ``ids`` the sample ids as Python ints (the estimators' keys).
 
-    ``members[k]`` holds class k's row indices in pool order,
-    ``class_index`` the distinct classes with each row's position among them
-    and each class's first row and row count, and ``class_mask`` each class's
-    rows as a bool row; all three are built on first read.
+    ``class_index`` holds the pool's one class grouping: the distinct classes
+    with each row's position among them and each class's first row and row
+    count; ``class_mask`` holds each class's rows as a bool row.  Both are
+    built on first read.
     A Pool is the package's one row type: every function that takes rows takes
     a Pool.  It refuses ``X``, ``y`` and ``ids`` of different lengths.
     """
@@ -99,12 +99,6 @@ class Pool:
     def __getitem__(self, i) -> "Pool":
         """Row ``i`` as a one-row Pool."""
         return self.take([i])
-
-    @cached_property
-    def members(self) -> dict[int, np.ndarray]:
-        order = np.argsort(self.y, kind="stable")
-        classes, starts = np.unique(self.y[order], return_index=True)
-        return dict(zip(classes.tolist(), np.split(order, starts[1:])))
 
     @cached_property
     def class_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -348,6 +342,14 @@ def _check_ints(**ints):
             raise TypeError(f"{name} must be an integer, got {value!r}")
     if ints.get("seed", 0) < 0:
         raise ValueError(f"seed must be >= 0, got {ints['seed']}")
+
+
+def _check_reals(**reals):
+    """Refuses a value of ``reals`` that is not a real number (``True`` too),
+    naming it: a comparison would fail in Python's words or read ``True`` as 1."""
+    for name, value in reals.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_split_args(ds, test_fraction, **ints):

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Pool, _first_repeat
+from .data import Pool, _check_reals, _first_repeat
 from .model import EncoderPair
 
 # positive floor keeps 1/u finite if an estimate underflows
@@ -148,6 +148,7 @@ class GclEstimatorState:
     samples: MovingAverages = field(default_factory=lambda: MovingAverages(2))
 
     def __post_init__(self):
+        _check_reals(gamma=self.gamma)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
 

@@ -111,7 +111,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _check_ints, _first_repeat
+from .data import _check_ints, _check_reals, _first_repeat
 from .gcl import U_FLOOR, MovingAverages, _check_rows, moving_average
 from .model import EncoderPair
 
@@ -128,6 +128,7 @@ class GdroConfig:
     batch_per_class: int  # samples per sampled class
 
     def __post_init__(self):
+        _check_reals(lam=self.lam, gamma=self.gamma, margin=self.margin, tau=self.tau)
         if not self.lam > 0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -205,9 +206,11 @@ def _column_groups(S1, index, first, work):
 
     A pool row enters S1 only through its class's label embedding, so a class's
     columns hold the same values, except that BLAS may round a few columns (the
-    tail of a block, say) apart; each such column is a group of its own.  The
-    comparison gathers into ``work``'s ``A``, which ``_hinge_stats`` writes only
-    after this call.
+    tail of a block, say) apart; each such column is a group of its own.  That
+    path serves real pools, so it is not dead code: on OpenBLAS a 333-row pool,
+    for example, gets a few tail columns rounded apart.  The comparison
+    gathers into ``work``'s ``A``, which ``_hinge_stats`` writes only after
+    this call.
     """
     values = S1.take(first, axis=1)
     shared = values.take(index, axis=1, out=work.take("A", S1.shape), mode="clip")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_ints
+from .data import _check_ints, _is_int
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class EncoderConfig:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
+        if _is_int(self.seed) and not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         _check_ints(**vars(self))
         for name, least in (("input_dim", 1), ("num_classes_max", 1), ("hidden_dim", 0),

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_ints, _check_reals
 from .errors import NonFiniteGradientError
 
 _ADAM_BETA2 = 0.999
@@ -37,6 +38,10 @@ class OptimizerState:
 def init_optimizer(n_params, eta, beta1, mode="momentum-sgd") -> OptimizerState:
     if mode not in MODES:
         raise ValueError(f"unknown optimizer mode {mode!r}; expected one of {MODES}")
+    _check_ints(n_params=n_params)
+    _check_reals(eta=eta, beta1=beta1)
+    if n_params < 0:
+        raise ValueError(f"n_params must be >= 0, got {n_params}")
     if not 0 < eta < np.inf:
         raise ValueError(f"eta must be finite and > 0, got {eta}")
     if not 0.0 <= beta1 <= 1.0:

@@ -260,8 +260,9 @@ class _Trainer:
         self.shuffle_rng = np.random.default_rng(children[0])
         self.batch_rng = np.random.default_rng(children[1])
         self.buffer = MemoryBuffer(config.memory_capacity, int(children[2].generate_state(1)[0]))
-        self.gcl_state = GclEstimatorState(gamma=config.gcl_gamma)
-        self.gdro_state = GdroEstimatorState()
+        # the estimator state of the method trained; cross-entropy and zero-shot keep none
+        self.state = (GclEstimatorState(gamma=config.gcl_gamma) if config.method == "gcl"
+                      else GdroEstimatorState() if config.method == "gdro" else None)
         self.gdro_config = config.gdro_config()
         self.tau = _check_tau(config.tau)
         self.log: list[dict] = []
@@ -294,8 +295,8 @@ class _Trainer:
         cfg, gcfg, enc = self.config, self.gdro_config, self.enc
         X = enc._check_inputs(pool.X)
         labels = enc._check_class_ids(pool.y if cfg.method == "gcl" else pool.class_index[0])
-        if cfg.method != "finetune-ce":
-            (self.gcl_state if cfg.method == "gcl" else self.gdro_state).samples.keep(pool.ids)
+        if self.state is not None:
+            self.state.samples.keep(pool.ids)
         if cfg.method != "gdro":
             N, size = len(pool), cfg.batch_size
             starts = range(0, N, size)
@@ -328,18 +329,18 @@ class _Trainer:
         The gdro loss is the robust objective over the estimated u_c.  A gcl
         step that is not ``logged`` gives None for a loss it has proved finite
         (``_gcl_loss_and_grad``)."""
-        cfg, enc, params = self.config, self.enc, self.params
-        if cfg.method == "finetune-ce":
+        state, enc, params = self.state, self.enc, self.params
+        if state is None:
             return _ce_loss_and_grad(enc, params, *batch, self.tau)
-        if cfg.method == "gcl":
-            return _gcl_loss_and_grad(self.gcl_state, enc, params, *batch, self.tau, logged)
-        return _gdro_loss_and_grad(self.gdro_state, enc, params, *batch, self.gdro_config)
+        if self.config.method == "gcl":
+            return _gcl_loss_and_grad(state, enc, params, *batch, self.tau, logged)
+        return _gdro_loss_and_grad(state, enc, params, *batch, self.gdro_config)
 
     def _log_fields(self):
         """gdro's per-class loss estimates and robust weights; other methods add none."""
         if self.config.method != "gdro":
             return {}
-        tracked, h = self.gdro_state.class_losses()
+        tracked, h = self.state.class_losses()
         weights = dro_weights(h, self.gdro_config.lam)
         return {
             "h": {str(k): float(v) for k, v in zip(tracked, h)},
@@ -397,22 +398,21 @@ def run(stream: TaskStream, config: RunConfig, hook=None) -> RunResult:
     """Execute one continual run; deterministic per config seed.
 
     ``hook(event, info)``, if given, fires at task boundaries with the live
-    buffer in ``info`` (instrumentation, e.g. capacity audits).
+    buffer in ``info`` (instrumentation, e.g. capacity audits).  The joint upper
+    bound trains gcl on ``merge_tasks(stream)`` for ``epochs_per_task * num_tasks``.
     """
     if not stream.tasks:
         raise ValueError("stream has no tasks")
-    if config.method == "joint-upper-bound":
-        inner = replace(
-            config,
-            method="gcl",
-            epochs_per_task=config.epochs_per_task * stream.num_tasks,
-        )
-        return run(merge_tasks(stream), inner, hook=hook)
+    method = config.method
+    if method == "joint-upper-bound":
+        config = replace(config, method="gcl",
+                         epochs_per_task=config.epochs_per_task * stream.num_tasks)
+        stream = merge_tasks(stream)
 
     trainer = _Trainer(stream, config)
     matrix = AccuracyMatrix()
     trainer.log.append(
-        {"event": "run_start", "method": config.method, "seed": config.seed,
+        {"event": "run_start", "method": method, "seed": config.seed,
          "num_tasks": stream.num_tasks, "mode": stream.mode,
          "memory_capacity": config.memory_capacity}
     )

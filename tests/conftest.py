@@ -102,7 +102,7 @@ def class_pool(rng, classes, per_class, input_dim, id_offset=0):
 
 def class_batches(pool, classes):
     """Every row of each of ``classes``, as gdro's per-class batches of row indices."""
-    return {k: pool.members[k] for k in classes}
+    return {k: np.flatnonzero(pool.y == k) for k in classes}
 
 
 def joined_rows(classes, batches):

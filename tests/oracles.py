@@ -94,9 +94,9 @@ def hinge_g2(enc: EncoderPair, params, i, pool, margin, tau) -> float:
 
 def class_loss_hk(enc: EncoderPair, params, class_id, pool, config: GdroConfig) -> float:
     """Per-class loss h_k over all pool members of the class; always >= 0."""
-    if class_id not in pool.members:
+    rows = np.flatnonzero(pool.y == class_id)
+    if not len(rows):
         raise ValueError(f"class {class_id} not present in pool")
-    rows = pool.members[class_id]
     (_, _, _, log_g, _, _), _ = hinge_stats(
         enc, params, rows, [class_id], [len(rows)], pool, config.margin, config.tau
     )

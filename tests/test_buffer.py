@@ -26,7 +26,7 @@ def _assert_same_rows(a, b):
 
 
 def _stored_ids(buf, k):
-    return {buf.stored.ids[i] for i in buf.stored.members.get(k, [])}
+    return {buf.stored.ids[i] for i in np.flatnonzero(buf.stored.y == k).tolist()}
 
 
 def test_even_division_rebalance(rng):
@@ -137,7 +137,7 @@ def test_buffer_invariants_over_random_task_sequences():
                 # only samples from the previous buffer or the incoming task
                 assert _stored_ids(buf, k) <= source_ids[k]
                 # disjoint incoming classes never grow an existing class
-                if k in prev_counts and k not in task.members:
+                if k in prev_counts and k not in task.y:
                     assert counts.get(k, 0) <= prev_counts[k]
             stored = buf.union_view(Pool.concat([])).ids
             assert len(stored) == len(set(stored))
@@ -185,6 +185,23 @@ def test_sample_class_batch_exhaustive_and_deterministic(rng):
     assert b1.tolist() == b2.tolist() and set(pool.y[b1].tolist()) == {0}
 
 
+@pytest.mark.parametrize("batch_size", [2**63, 10**30])
+def test_a_batch_past_int64_draws_as_a_batch_of_the_whole_pool(rng, batch_size):
+    """A batch_size that int64 cannot hold takes the rows a batch of
+    ``len(pool)`` takes, each class whole in its seeded order, instead of
+    overflowing numpy; numpy's tail-shuffle branch too (a class of 10001 rows)."""
+    pool = make_pool(rng, 12, 3, 2)
+    for k, seed in ((0, 3), (1, 2**40), (2, 2**64 - 1)):
+        got = sample_class_batch(pool, k, batch_size, seed)
+        assert got.tolist() == sample_class_batch(pool, k, len(pool), seed).tolist()
+    y = np.repeat([0, 1], [10_001, 3])
+    large = Pool(np.zeros((len(y), 1)), y, list(range(len(y))))
+    picks = sample_class_batches(large, [0, 1, 0], batch_size, [5, 6, 7])
+    assert [p.tolist() for p in picks] == [
+        _numpy_draw(large, k, len(large), seed) for k, seed in ((0, 5), (1, 6), (0, 7))
+    ]
+
+
 def test_sample_class_batch_missing_class(rng):
     pool = make_pool(rng, 6, 2, 2)
     with pytest.raises(ValueError):
@@ -220,7 +237,7 @@ def test_sample_class_batch_uniform(rng):
 
 def _numpy_draw(pool, k, batch_size, seed):
     """The per-seed draw of numpy's own generator."""
-    members = pool.members[k]
+    members = np.flatnonzero(pool.y == k)
     n = min(batch_size, len(members))
     return members[np.random.default_rng(seed).choice(len(members), n, replace=False)].tolist()
 
@@ -301,7 +318,7 @@ def test_sample_class_batches_give_rejecting_seeds_numpy_draws():
     picks = sample_class_batches(pool, [0] * len(seeds), 200, seeds)
     for picked, seed in zip(picks, seeds):
         expected = np.random.default_rng(seed).choice(10_000, 200, replace=False)
-        assert picked.tolist() == pool.members[0][expected].tolist()
+        assert picked.tolist() == np.flatnonzero(pool.y == 0)[expected].tolist()
 
 
 _BAD_CLASS_IDS = [True, False, 1.0, np.float64(1.0), np.bool_(True)]
@@ -370,8 +387,9 @@ def test_pool_arrays_follow_sample_order(rng):
 def test_take_equals_a_pool_of_the_picked_samples(n, num_classes, picks, seed):
     """``pool.take(idx)`` slices the stage pool's arrays, also for empty and
     repeated ``idx``: it is the rows of the picked records, to the byte, except
-    that an empty take keeps ``X`` two-dimensional.  ``members[k]`` lists class
-    k's row indices in order, for the pool and for the take."""
+    that an empty take keeps ``X`` two-dimensional.  ``class_index`` gives the
+    distinct classes, ascending, each row's position among them and each
+    class's first row and row count, for the pool and for the take."""
     pool = make_pool(np.random.default_rng(seed), n, num_classes, 3)
     recs = records(pool)
     idx = [p % n for p in picks]
@@ -381,14 +399,14 @@ def test_take_equals_a_pool_of_the_picked_samples(n, num_classes, picks, seed):
     assert part.y.tobytes() == built.y.tobytes() and part.y.dtype == np.int64
     assert part.ids == built.ids and all(type(i) is int for i in part.ids)
     assert len(part) == len(idx) and part.X.shape == (len(idx), 3)
-    assert "members" not in vars(part)  # built on first read
+    assert "class_index" not in vars(part)  # built on first read
     for pool_rows, held in ((pool, recs), (part, picked), (built, picked)):
-        classes = sorted({r.class_id for r in held})
-        assert sorted(pool_rows.members) == classes
-        for k in classes:
-            assert pool_rows.members[k].tolist() == [
-                i for i, r in enumerate(held) if r.class_id == k
-            ]
+        classes, index, first, counts = pool_rows.class_index
+        assert classes.tolist() == sorted({r.class_id for r in held})
+        for pos, k in enumerate(classes.tolist()):
+            rows_k = [i for i, r in enumerate(held) if r.class_id == k]
+            assert np.flatnonzero(index == pos).tolist() == rows_k
+            assert (first[pos], counts[pos]) == (rows_k[0], len(rows_k))
 
 
 @settings(max_examples=50, deadline=None)
@@ -418,7 +436,7 @@ def test_concat_of_no_rows_is_empty(rng):
     pool = make_pool(rng, 5, 2, 3)
     for parts in ([], [pool.take([])], [Pool.concat([]), pool.take([])]):
         empty = Pool.concat(parts)
-        assert len(empty) == 0 and empty.ids == [] and empty.members == {}
+        assert len(empty) == 0 and empty.ids == [] and empty.class_index[0].size == 0
         _assert_same_rows(Pool.concat([empty, pool, empty]), pool)
     _assert_same_rows(Pool.of([]), Pool.concat([]))
 

@@ -395,6 +395,39 @@ def test_run_divergence_removes_only_the_directories_it_created(tmp_path, capsys
     assert not (tmp_path / "unused").exists()
 
 
+def test_run_that_raises_removes_the_directories_it_created(tmp_path, monkeypatch):
+    """An error outside the exit-code contract still leaves no directory the
+    run made behind, and reaches the caller as it was raised."""
+    data = _gen(tmp_path)
+    cfg = _write_config(tmp_path, _config_doc(data, tmp_path / "a" / "b"))
+
+    def broken_run(stream, config):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(cli, "run", broken_run)
+    with pytest.raises(RuntimeError, match="^broken$"):
+        cli.main(["run", "--config", str(cfg)])
+    assert not (tmp_path / "a").exists()
+
+
+def test_run_gdro_batch_past_int64_exits_0(tmp_path):
+    """A per-class batch of 2**63 rows takes each picked class whole."""
+    data = _gen(tmp_path)
+    doc = _config_doc(data, tmp_path / "out", method="gdro", batch_per_class=2**63,
+                      batch_classes=3, margin=0.5, dro_lambda=1.0, eta=0.2)
+    assert cli.main(["run", "--config", str(_write_config(tmp_path, doc))]) == 0
+    assert (tmp_path / "out" / "log.jsonl").exists()
+
+
+@pytest.mark.parametrize("method", cclearn.runner.METHODS)
+def test_run_log_names_the_configured_method(tmp_path, method):
+    """``run_start`` in ``log.jsonl`` names the config's method, the joint
+    bound's too, though it trains gcl on the merged stream."""
+    out = _run_once(tmp_path, method, method=method)
+    records = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
+    assert [r["method"] for r in records if r["event"] == "run_start"] == [method]
+
+
 def test_run_output_dir_from_env(tmp_path, monkeypatch):
     data = _gen(tmp_path)
     doc = _config_doc(data, tmp_path / "ignored")

@@ -22,6 +22,7 @@ from cclearn.data import (
 )
 from cclearn.buffer import MemoryBuffer
 from cclearn.errors import DatasetFormatError
+from cclearn.gcl import GclEstimatorState
 from cclearn.gdro import GdroConfig
 from cclearn.model import EncoderConfig
 from cclearn.optim import init_optimizer
@@ -274,7 +275,7 @@ def test_stream_rejects_rows_outside_the_task_classes(part):
     class is refused with one line naming the row's sample id and class."""
     t0, t1 = split_cil(gen_synthetic(4, 6, 3, 3.0, 0.4, seed=0), 2, 0.25, seed=1).tasks
     k = min(t1.classes)
-    stray = t1.train.take(t1.train.members[k][:1])
+    stray = t1.train.take(np.flatnonzero(t1.train.y == k)[:1])
     rows = {"train": t0.train, "test": t0.test}
     rows[part] = Pool.concat([rows[part], stray])
     name = {"train": "training", "test": "test"}[part]
@@ -519,14 +520,20 @@ _SCALAR_CALLS = {
     "gen_domain_shift": lambda v: gen_domain_shift(gen_synthetic(2, 3, 2, 4.0, 0.5, 0), v,
                                                    "rotation", 1.0, 0),
     "EncoderConfig": lambda v: EncoderConfig(**v, seed=0),
+    "EncoderConfig seed": lambda v: EncoderConfig(3, 4, 0, 2, v),
     "GdroConfig": lambda v: GdroConfig(0.5, 0.9, 0.1, 0.1, *v),
+    "GdroConfig lam": lambda v: GdroConfig(v, 0.9, 0.1, 0.1, 2, 2),
+    "GclEstimatorState": lambda v: GclEstimatorState(gamma=v),
     "MemoryBuffer": lambda v: MemoryBuffer(*v),
     "init_optimizer": lambda v: init_optimizer(3, v, 0.9),
+    "init_optimizer n_params": lambda v: init_optimizer(v, 0.1, 0.9),
+    "init_optimizer beta1": lambda v: init_optimizer(3, 0.1, v),
 }
 _SHAPES = dict(input_dim=3, num_classes_max=4, hidden_dim=0, embed_dim=2)
 _NEGATIVE_SHAPE = "num_classes, per_class and input_dim must be positive"
 _NEGATIVE_BATCH = "batch_classes and batch_per_class must be positive"
 _INTEGER = "{} must be an integer, got {!r}"
+_REAL = "{} must be a real number, got {!r}"
 
 
 @pytest.mark.parametrize("function, value, error, message", [
@@ -553,12 +560,21 @@ _INTEGER = "{} must be an integer, got {!r}"
     ("init_optimizer", float("inf"), ValueError, "eta must be finite and > 0, got inf"),
     ("init_optimizer", float("nan"), ValueError, "eta must be finite and > 0, got nan"),
     ("init_optimizer", -0.5, ValueError, "eta must be finite and > 0, got -0.5"),
+    ("EncoderConfig seed", None, TypeError, _INTEGER.format("seed", None)),
+    ("init_optimizer n_params", 2.5, TypeError, _INTEGER.format("n_params", 2.5)),
+    ("init_optimizer n_params", -1, ValueError, "n_params must be >= 0, got -1"),
+    ("init_optimizer", True, TypeError, _REAL.format("eta", True)),
+    ("init_optimizer beta1", True, TypeError, _REAL.format("beta1", True)),
+    ("GdroConfig lam", True, TypeError, _REAL.format("lam", True)),
+    ("GclEstimatorState", "0.5", TypeError, _REAL.format("gamma", "0.5")),
+    ("GclEstimatorState", True, TypeError, _REAL.format("gamma", True)),
 ])
 def test_scalar_arguments_are_refused_in_one_line_naming_them(function, value, error, message):
-    """A float or bool where an integer belongs, an infinite or NaN step size and
-    a negative value are each refused in one line naming the argument, before
-    numpy reads them: it would truncate a float or bool, fail later in words
-    that name no argument, or accept them outright."""
+    """A float or bool where an integer belongs, a bool or string where a real
+    number belongs, an infinite or NaN step size and a negative value are each
+    refused in one line naming the argument, before numpy or a comparison reads
+    them: it would truncate a float or bool, fail later in words that name no
+    argument, or accept them outright."""
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         _SCALAR_CALLS[function](value)
 
@@ -570,6 +586,11 @@ def test_scalar_arguments_are_refused_in_one_line_naming_them(function, value, e
     ("GdroConfig", (np.int64(2), np.uint16(4))),
     ("MemoryBuffer", (np.int64(4), np.uint32(7))),
     ("init_optimizer", np.float64(0.1)),
+    ("EncoderConfig seed", np.uint64(2**64 - 1)),
+    ("GdroConfig lam", np.float32(0.5)),
+    ("GclEstimatorState", np.float64(0.5)),
+    ("init_optimizer n_params", np.int64(3)),
+    ("init_optimizer beta1", np.float32(0.9)),
 ])
 def test_scalar_arguments_take_numpy_numbers(function, value):
     _SCALAR_CALLS[function](value)
@@ -581,7 +602,7 @@ def test_scalar_arguments_take_numpy_numbers(function, value):
     (np.zeros((1, 2)), np.array([0, 1]), [1, 2], "X 1, y 2, ids 2"),
 ])
 def test_pool_refuses_columns_of_different_lengths(X, y, ids, lengths):
-    """A ragged Pool would count rows that ``members`` does not cover."""
+    """A ragged Pool would count rows that ``class_index`` does not cover."""
     with pytest.raises(ValueError, match=f"^Pool columns differ in length: {lengths}$"):
         Pool(X, y, ids)
 
@@ -596,4 +617,4 @@ def test_class_mask_rows_mark_the_class_members(y):
     mask = pool.class_mask
     assert mask.dtype == bool and mask.shape == (len(classes), len(y))
     for k, row in zip(classes.tolist(), mask):
-        assert np.flatnonzero(row).tolist() == pool.members[k].tolist()
+        assert np.flatnonzero(row).tolist() == np.flatnonzero(pool.y == k).tolist()

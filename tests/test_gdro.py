@@ -86,7 +86,7 @@ def _naive_g2(enc, w, anchor, pool, margin, tau):
 
 
 def _naive_hk(enc, w, k, pool, cfg):
-    members = pool.members[k].tolist()
+    members = np.flatnonzero(pool.y == k).tolist()
     total = sum(
         cfg.tau * math.log(_naive_g1(enc, w, pool[i], pool, cfg.margin, cfg.tau))
         + cfg.tau * math.log(_naive_g2(enc, w, pool[i], pool, cfg.margin, cfg.tau))

@@ -463,7 +463,7 @@ def test_a_refused_forward_changes_no_result(rng, method):
     enc = make_encoder(seed=2, num_classes=3)
     w = enc.init_params()
     pool = make_pool(rng, 9, 3, 3)
-    rows = np.concatenate([pool.members[k] for k in sorted(pool.members)])
+    rows = np.argsort(pool.y, kind="stable")
     results = []
     for refused_first in (False, True):
         state, step = _row_step(method)
@@ -518,17 +518,32 @@ def test_gdro_refuses_a_one_class_stage_before_any_step(monkeypatch):
 
 
 def test_joint_upper_bound_equals_merged_single_task_run():
+    """The joint bound is the gcl run on ``merge_tasks(stream)`` for
+    ``epochs_per_task`` times the task count, to the bit: the same parameters
+    and every log record but ``run_start``, which names the configured method."""
     stream = _small_stream()
     config = _fast_config("gcl", epochs_per_task=4)
-    jb = _joint_bound(stream, config)
+    joint = run(stream, replace(config, method="joint-upper-bound"))
     merged = merge_tasks(stream)
     direct = run(
         stream=merged,
         config=replace(config, method="gcl", epochs_per_task=4 * stream.num_tasks),
     )
-    assert jb == direct.accuracy.aggregate[0]
+    assert joint.accuracy.aggregate == direct.accuracy.aggregate
+    assert joint.params.tobytes() == direct.params.tobytes()
+    assert joint.log[0] == {**direct.log[0], "method": "joint-upper-bound"}
+    assert direct.log[0]["method"] == "gcl" and joint.log[1:] == direct.log[1:]
     assert merged.num_tasks == 1
     assert merged.tasks[0].classes == frozenset(range(6))
+
+
+def test_gdro_batch_per_class_past_int64_trains_as_every_larger_batch():
+    """A per-class batch of 2**63 rows, past int64, takes every row of each
+    picked class, as 2**62 does: the same parameters and log, to the bit."""
+    stream = _small_stream()
+    at62, at63 = (run(stream, _fast_config("gdro", batch_per_class=b)) for b in (2**62, 2**63))
+    assert at63.params.tobytes() == at62.params.tobytes()
+    assert at63.log == at62.log
 
 
 def test_separable_instance_reaches_perfect_accuracy():
@@ -725,7 +740,7 @@ def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
                 assert cols.tolist() == rows.tolist()
             else:
                 classes, idx = more
-                assert classes.tolist() == sorted(pool.members)
+                assert classes.tolist() == sorted(set(pool.y.tolist()))
                 assert classes[idx].tolist() == pool.y[rows].tolist()
         assert sorted(order.tolist()) == list(range(len(pool)))
 
@@ -944,18 +959,18 @@ def _hand_loop(steps_taken):
 
     def train_task(self, task, pool):
         cfg, enc = self.config, self.enc
-        candidates = sorted(pool.members)
+        candidates = pool.class_index[0].tolist()
         for epoch, batches in enumerate(_hand_batches(self, pool, candidates)):
             for rows in batches:
                 if cfg.method == "gcl":
-                    loss, grad = gcl_step(self.gcl_state, enc, self.params, pool, rows, cfg.tau)
+                    loss, grad = gcl_step(self.state, enc, self.params, pool, rows, cfg.tau)
                 elif cfg.method == "finetune-ce":
                     batch = pool.take(rows)
                     loss = ce_loss(enc, self.params, batch, candidates, cfg.tau)
                     grad = ce_gradient(enc, self.params, batch, candidates, cfg.tau)
                 else:
                     loss, grad = gdro_step(
-                        self.gdro_state, enc, self.params, pool, rows, self.gdro_config
+                        self.state, enc, self.params, pool, rows, self.gdro_config
                     )
                 self.opt, self.params = optim_step(self.opt, self.params, grad)
                 steps_taken.append(None)
@@ -1048,8 +1063,8 @@ def test_a_stage_pool_that_repeats_an_id_is_refused_before_its_first_step(monkey
     second.  No public step is called on the way."""
     stream = _small_stream()
     pool = stream.tasks[1].train
-    first, second = sorted(pool.members)
-    repeated = _repeat_id(pool, pool.members[first][0], pool.members[second][0])
+    first, second = pool.class_index[2].tolist()  # each class's first row
+    repeated = _repeat_id(pool, first, second)
     config = _fast_config(method, epochs_per_task=2)
     expected = _first_stage_steps(config)
 
@@ -1104,7 +1119,7 @@ def test_the_sample_table_holds_every_stage_pool_id_once(
 
     def train_task(self, task, pool):
         real_train_task(self, task, pool)
-        samples = (self.gcl_state if method == "gcl" else self.gdro_state).samples
+        samples = self.state.samples
         assert list(samples.slot.items()) == [(i, col) for col, i in enumerate(pool.ids)]
         assert not samples.initialized[len(pool) :].any()
         for i in set(pools[-1].ids if pools else []) - set(pool.ids):

@@ -9,7 +9,7 @@ rows of its stage pool: a gcl or cross-entropy batch is an index array of
 the pool's rows, and gdro's anchors are row indices into the pool, drawn
 for a whole stage before its first step by one ``sample_class_batches`` call,
 which gdro scores as rows of the encoded pool.  ``Pool.take``,
-``Pool.concat``, ``Pool.members``, ``sample_class_batch`` and
+``Pool.concat``, ``Pool.class_index``, ``sample_class_batch`` and
 ``sample_class_batches`` read no sample either.  ``Pool.of`` joins a list of Pools in one place only,
 gcl's batch entry, which the benchmark's pool sweep feeds a list of one-row
 Pools for gcl's separate parts.
@@ -68,7 +68,7 @@ def test_runner_rows_come_from_pools(function):
 
 @pytest.mark.parametrize(
     "function",
-    ["Pool.take", "Pool.concat", "Pool.members", "sample_class_batch", "sample_class_batches"],
+    ["Pool.take", "Pool.concat", "Pool.class_index", "sample_class_batch", "sample_class_batches"],
 )
 def test_batches_are_row_views(function):
     module = "data.py" if function.startswith("Pool.") else "buffer.py"

@@ -15,8 +15,11 @@ at most one across classes whenever the sources cover the quotas.
 The buffer takes and stores ``Pool``s: it starts from the empty Pool and
 keeps copies of the rows it admits as one class-ascending Pool.  A stage
 trains on the stored rows followed by the task's, joined once by
-``union_view``.  Every batch is rows of that pool: a gcl or cross-entropy
-batch is a slice of a shuffled order of its row indices, and a gdro
+``union_view``; ``rebalance_after_task`` joins the same two and records as
+``kept`` the rows of that join it stores, along which gcl's and gdro's
+estimates move to the next stage (``MovingAverages.carry``).  Every batch is
+rows of the stage pool: a gcl or cross-entropy batch is a slice of a
+shuffled order of its row indices, and a gdro
 per-class batch is a draw of one class's row indices, which gdro joins into
 its anchor rows and scores against the pool it has encoded.  A stage's gdro
 draws are made once, before its first step, by one ``sample_class_batches``
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Pool, _is_int
+from .data import Pool, _check_ints, _is_int
 
 
 @dataclass
@@ -51,13 +54,13 @@ class MemoryBuffer:
     rng_seed: int
 
     def __post_init__(self):
+        _check_ints(capacity=self.capacity, rng_seed=self.rng_seed)
         for name, value in (("capacity", self.capacity), ("rng_seed", self.rng_seed)):
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an int, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be >= 0")
         self._rng = np.random.default_rng(self.rng_seed)
         self.stored = Pool.concat([])  # classes ascending, each in admission order
+        self.kept = np.empty(0, dtype=np.intp)
 
     def __len__(self):
         return len(self.stored)
@@ -73,6 +76,8 @@ class MemoryBuffer:
         Updates the buffer in place and returns it; deterministic given rng_seed
         and call sequence.  Classes already stored (domain-incremental streams)
         merge their stored rows with the incoming ones before down-sampling.
+        ``kept`` then holds each stored row's row in the pool ``union_view``
+        gave for ``finished_task_data``, the join of the two.
         """
         rows = Pool.concat([self.stored, finished_task_data])
         if not len(rows):
@@ -85,7 +90,8 @@ class MemoryBuffer:
             if q < len(held):
                 held = held[np.sort(self._rng.choice(len(held), size=q, replace=False))]
             kept.append(held)
-        self.stored = rows.take(np.concatenate(kept))
+        self.kept = np.concatenate(kept)
+        self.stored = rows.take(self.kept)
         return self
 
     def union_view(self, current_task_data: Pool) -> Pool:
@@ -105,11 +111,10 @@ def sample_class_batches(pool: Pool, class_ids, batch_size, seeds) -> list[np.nd
     ``np.flatnonzero(pool.y == k)[np.random.default_rng(seed).choice(m,
     min(batch_size, m), replace=False)]`` for a class of m rows, bit for bit,
     drawn for all picks at once; a batch_size above m takes the whole class.
-    Refuses a batch_size that is not an int (a float or bool) or is below
-    1, a class id that is not an int or not in the pool, and a seed that is not
-    an int in [0, 2**64)."""
-    if not _is_int(batch_size):
-        raise ValueError(f"batch_size must be an int, got {batch_size!r}")
+    Refuses, naming it, a batch_size, class id or seed that is not an int (a
+    float or bool) with a ``TypeError``, and a batch_size below 1, a class id
+    not in the pool and a seed outside [0, 2**64) with a ``ValueError``."""
+    _check_ints(batch_size=batch_size)
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     batch_size = min(batch_size, len(pool))  # no class holds more; 2**63 overflows int64
@@ -118,7 +123,7 @@ def sample_class_batches(pool: Pool, class_ids, batch_size, seeds) -> list[np.nd
     column, lane_class = {}, []
     for k in class_ids:
         if not _is_int(k):
-            raise ValueError(f"class id must be an int, got {k!r}")
+            _check_ints(**{"class id": k})
         if k not in present:
             raise ValueError(f"class {k} not present in pool")
         lane_class.append(column.setdefault(k, len(column)))
@@ -149,15 +154,16 @@ def sample_class_batches(pool: Pool, class_ids, batch_size, seeds) -> list[np.nd
 
 def _seed_array(seeds) -> np.ndarray:
     """The seeds as a uint64 array.  Refuses a seed that is not an int (a float
-    or bool) or outside [0, 2**64)."""
+    or bool, ``TypeError``) or outside [0, 2**64) (``ValueError``)."""
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
         if seeds.size and seeds.min() < 0:
-            raise ValueError(f"seed must be an int in [0, 2**64), got {int(seeds.min())}")
+            raise ValueError(f"seed must be >= 0, got {int(seeds.min())}")
         return seeds.astype(np.uint64).reshape(-1)
     seeds = list(seeds)
     for s in seeds:
-        if not (_is_int(s) and 0 <= int(s) < 2**64):
-            raise ValueError(f"seed must be an int in [0, 2**64), got {s!r}")
+        _check_ints(seed=s)
+        if s >= 2**64:
+            raise ValueError(f"seed must be < 2**64, got {s}")
     return np.array([int(s) for s in seeds], dtype=np.uint64)
 
 

@@ -57,7 +57,8 @@ _ID_COLUMNS = (
 
 class Pool:
     """Rows for the encoders: ``X`` (N, d) float64 inputs, ``y`` (N,) int64
-    class ids and ``ids`` the sample ids as Python ints (the estimators' keys).
+    class ids and ``ids`` the sample ids as Python ints, which name samples in
+    refusals; the estimators key on rows, not ids.
 
     ``class_index`` holds the pool's one class grouping: the distinct classes
     with each row's position among them and each class's first row and row
@@ -192,8 +193,7 @@ class TaskStream:
                     r = int(np.argmax(outside))
                     raise ValueError(f"{part} sample {rows.ids[r]} has class {rows.y[r]} "
                                      "outside its task's class set")
-        # the estimators key on sample ids, so two training rows that share one
-        # would share its estimates
+        # an id names one sample wherever a refusal names it
         ids = [i for t in self.tasks for i in t.train.ids]
         if len(set(ids)) < len(ids):
             raise ValueError(f"training sample id {_first_repeat(ids)} is held by two rows")

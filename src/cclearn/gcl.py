@@ -24,11 +24,13 @@ normalizer terms carry tau/2, which is L's gradient scaled by tau/2.  The
 full-batch identity m == (tau/2) * grad L is what the test suite pins down.
 
 Estimator state persists across tasks, carrying normalizer information from
-earlier stages forward, keyed by ``Pool.ids``.  The estimates live in arrays
-(``MovingAverages``): one column per sample id, an initialized mask, and one
-vectorised ``moving_average`` that gdro shares.  A stage keeps its pool's
-estimates only (``MovingAverages.keep``), pool row i's in column i: an id
-that leaves the pool was evicted from the buffer and never returns.
+earlier stages forward.  The estimates live in arrays (``MovingAverages``):
+one column per pool row, an initialized mask, and one vectorised
+``moving_average`` that gdro shares.  A sample's column is its row in the
+pool the state is stepped on.  Between stages the runner moves the estimates
+with the buffer's rows (``MovingAverages.carry``): a stored row keeps its
+estimate in its new pool row's column, and a new task's rows start without
+one.
 
 Every batch is rows of the stage pool.  A training step is one call to
 ``_gcl_loss_and_grad`` on a prepared batch: the rows' inputs and classes,
@@ -43,13 +45,12 @@ runner's divergence check then fires at the same step whatever
 ``log_every`` is.  The runner prepares an epoch's batches at once, as slices
 of one gather of its shuffled rows.  Training never calls ``gcl_step(state,
 enc, params, pool, rows, tau)``, the one-batch entry: it prepares one batch
-of rows of the pool, with every per-call check and ``columns`` of the
-batch's ids, which refuses repeated ids, and then takes the same step, loss
-included.
+of rows of the pool, with every per-call check, refusing repeated rows, and
+then takes the same step, loss included.
 ``gcl_loss_full``, ``gcl_update_estimators`` (in place; returns the same
 state) and ``gcl_gradient_estimate`` are each one of those parts on its own,
-built from the same private pieces.  They take their batch as a ``Pool``, or
-as a list of Pools that ``Pool.of`` joins, and look its ids up one by one.
+built from the same private pieces.  They take a batch as a ``Pool``, or as
+a list of Pools that ``Pool.of`` joins, and its rows are their columns.
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ from .model import EncoderPair
 
 # positive floor keeps 1/u finite if an estimate underflows
 U_FLOOR = 1e-300
-# columns of a fresh MovingAverages; the arrays double from there
-_FIRST_CAPACITY = 64
 # logits within this bound in magnitude give a finite loss: every shifted
 # logit of ``_loss`` lies in [-2e300, 0], each log-sum-exp term is at most
 # 2e300 + log n, and their sums stay finite for any n below 8e7 rows
@@ -72,65 +71,47 @@ _LOGIT_BOUND = 1e300
 
 
 class MovingAverages:
-    """``rows`` moving averages per key (a sample or class id), one column per key.
-
-    ``slot`` maps each key to its column of ``values`` (rows x capacity), in
-    first-touch order, and ``initialized`` marks the columns written so far:
-    that mask is the initialization flag.  Both arrays grow geometrically, and
-    new columns start at zero, so no step reads uninitialized memory.  The
-    last column is never handed out, so a key without a column reads it, as
-    column -1, and finds no estimate there.
-
-    ``columns`` is the one way a key gets its column.  The runner calls
-    ``keep`` once per gcl or gdro stage on the whole pool's ids, so the table
-    then holds that pool's estimates only, pool row i's in column i, and a
-    batch's rows are its columns.
-    """
+    """``rows`` moving averages per column: ``values`` (rows x columns), zero
+    where no update wrote, and the ``initialized`` mask, the initialization
+    flag.  A sample's column is its row in the pool the state is stepped on, a
+    class's its class id; ``grow`` widens the table and ``carry`` moves it to
+    the next stage's pool."""
 
     def __init__(self, rows: int):
-        self.slot: dict[int, int] = {}
-        self.values = np.zeros((rows, _FIRST_CAPACITY))
-        self.initialized = np.zeros(_FIRST_CAPACITY, dtype=bool)
+        self.values = np.zeros((rows, 0))
+        self.initialized = np.zeros(0, dtype=bool)
 
-    def columns(self, keys) -> np.ndarray:
-        """Each key's column, giving a key seen for the first time the next free one.
-        Refuses repeated keys, naming one, before giving out any column."""
-        if len(set(keys)) != len(keys):
-            raise ValueError(
-                f"the ids of one estimator update must not repeat: {_first_repeat(keys)} does"
-            )
-        slot = self.slot
-        cols = [slot.setdefault(key, len(slot)) for key in keys]
-        size = self.initialized.size
-        if len(slot) >= size:
-            values = np.zeros((len(self.values), max(2 * size, len(slot) + 1)))
-            initialized = np.zeros(values.shape[1], dtype=bool)
-            values[:, :size], initialized[:size] = self.values, self.initialized
-            self.values, self.initialized = values, initialized
-        return np.array(cols, dtype=np.intp)
+    def carry(self, rows, size) -> None:
+        """Makes the table ``size`` columns wide, column i holding old column
+        ``rows[i]`` and every column past ``len(rows)`` no estimate."""
+        values = np.zeros((len(self.values), size))
+        initialized = np.zeros(size, dtype=bool)
+        values[:, : len(rows)] = self.values[:, rows]
+        initialized[: len(rows)] = self.initialized[rows]
+        self.values, self.initialized = values, initialized
 
-    def keep(self, keys) -> None:
-        """Keeps the estimates of ``keys`` only, ``keys[i]`` in column i; a key
-        without an estimate stays without one.  Refuses repeated keys, as
-        ``columns`` does, before any change."""
-        table = MovingAverages(len(self.values))
-        n = len(table.columns(keys))
-        old = np.array([self.slot.get(key, -1) for key in keys], dtype=np.intp)
-        table.values[:, :n], table.initialized[:n] = self.values[:, old], self.initialized[old]
-        self.slot, self.values, self.initialized = table.slot, table.values, table.initialized
+    def grow(self, size) -> None:
+        """Widens the table to ``size`` columns if it is narrower; the new
+        columns hold no estimate."""
+        if size > len(self.initialized):
+            self.carry(np.arange(len(self.initialized)), size)
 
-    def read(self, keys, what="sample", positive=True) -> np.ndarray:
-        """The (rows, n) estimates of ``keys``.  Refuses a key without an estimate
-        and, with ``positive``, a non-positive estimate, naming the first such key."""
-        cols = np.array([self.slot.get(key, -1) for key in keys], dtype=np.intp)
-        u = self.values[:, cols]
-        ready = self.initialized[cols]
-        if not ready.all() or (positive and (u <= 0).any()):
-            for key, ok, col in zip(keys, ready, u.T):
-                if not ok:
-                    raise ValueError(f"estimator not initialized for {what} {key}")
-                if positive and (col <= 0).any():
-                    raise ValueError(f"non-positive estimator value for {what} {key}")
+    def read(self, cols, keys, what="sample", positive=True) -> np.ndarray:
+        """The (rows, n) estimates in columns ``cols``, which hold ``keys`` (the
+        ids or classes that name them).  Refuses a column without an estimate,
+        one past the table's end included, and, with ``positive``, a
+        non-positive estimate, naming the first such column's key."""
+        cols = np.asarray(cols, dtype=np.intp)
+        ready = cols < len(self.initialized)
+        ready[ready] = self.initialized[cols[ready]]
+        u = self.values[:, cols[ready]]
+        bad = ~ready
+        if positive:
+            bad[ready] |= (u <= 0).any(axis=0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            fault = "non-positive estimator value" if ready[i] else "estimator not initialized"
+            raise ValueError(f"{fault} for {what} {keys[i]}")
         return u
 
 
@@ -138,7 +119,7 @@ class MovingAverages:
 class GclEstimatorState:
     """Per-sample moving averages of the two normalizer sums.
 
-    ``samples`` holds u_I (row 0) and u_T (row 1) per sample id; its
+    ``samples`` holds u_I (row 0) and u_T (row 1) per pool row; its
     ``initialized`` mask is the initialization flag.  The first update of a
     sample writes the pure in-batch estimate regardless of gamma, so gamma=0
     freezes an initialized estimator without ever dividing by zero.
@@ -159,6 +140,15 @@ def _check_tau(tau):
     return float(tau)
 
 
+def _check_distinct(rows, pool):
+    """Refuses ``rows`` of ``pool`` that repeat, naming the first repeated row's
+    id: one estimator update writes each row's column once."""
+    listed = rows.tolist()
+    if len(set(listed)) < len(listed):
+        repeat = pool.ids[_first_repeat(listed)]
+        raise ValueError(f"the ids of one estimator update must not repeat: {repeat} does")
+
+
 def _check_rows(rows, pool, what="the batch"):
     """Refuses ``rows`` unless it is a 1-d integer array of rows of ``pool``, in
     one line naming ``what``: a negative row would wrap to the pool's end (as a
@@ -172,8 +162,7 @@ def _check_rows(rows, pool, what="the batch"):
 def moving_average(table: MovingAverages, cols, values, gamma, floor=None) -> np.ndarray:
     """In place, per column c and row r: ``u[r, c] <- (1 - gamma) * u[r, c] + gamma * v[r, c]``
     for the (rows, len(cols)) ``values`` and the distinct columns ``cols`` of
-    ``table``, as ``columns`` gives them.  Returns the
-    (rows, len(cols)) values written.
+    ``table``, each inside it.  Returns the (rows, len(cols)) values written.
 
     A column's first update writes ``v`` itself, whatever gamma is.  With
     ``floor``, each result is raised to at least ``floor`` (a NaN becomes
@@ -281,25 +270,26 @@ def gcl_step(
     state: GclEstimatorState, enc: EncoderPair, params, pool, rows, tau
 ) -> tuple[float, np.ndarray]:
     """One training step on the batch ``rows`` (an integer array) of the stage
-    ``pool``: the batch's checks, gathers and estimator columns (``columns``
-    of its ids), then ``_gcl_loss_and_grad``, the step the runner takes on
-    batches it prepared once per epoch, with its loss always computed.
-    Bitwise the same as ``gcl_loss_full``, ``gcl_update_estimators`` and
-    ``gcl_gradient_estimate`` on ``pool.take(rows)`` with pool size
-    ``len(pool)``, in that order.  Refuses,
-    before any state change, rows that are not a 1-d integer array of rows of
-    ``pool``, a non-positive tau, an empty batch, input the forwards refuse and
-    rows whose ids repeat.  The columns are given before the forward, so a
-    forward refused for its embedding norm leaves the batch's new ids with
-    columns but no estimate, which changes no later result."""
+    ``pool``, which are its estimator columns: the batch's checks and gathers,
+    then ``_gcl_loss_and_grad``, the step the runner takes on batches it
+    prepared once per epoch, with its loss always computed.  Bitwise
+    ``gcl_loss_full``, ``gcl_update_estimators`` and ``gcl_gradient_estimate``
+    on ``pool.take(rows)`` with pool size ``len(pool)``, in that order, on the
+    state carried to the batch (``carry(rows, len(rows))``); a state moves to
+    another pool only by ``carry``.  Refuses, before any state change, rows
+    that are not a 1-d integer array of rows of ``pool``, a non-positive tau,
+    an empty batch, input the forwards refuse and rows that repeat.  A forward
+    refused for its embedding norm may leave the table widened to the pool,
+    with no estimate in the new columns, which changes no later result."""
     _check_rows(rows, pool)
     tau = _check_tau(tau)
     if not len(rows):
         raise ValueError("batch must be non-empty")
     X = enc._check_inputs(pool.X.take(rows, axis=0))
     y = enc._check_class_ids(pool.y[rows])
-    cols = state.samples.columns([pool.ids[i] for i in rows.tolist()])
-    return _gcl_loss_and_grad(state, enc, params, X, y, cols, len(pool), tau)
+    _check_distinct(rows, pool)
+    state.samples.grow(len(pool))
+    return _gcl_loss_and_grad(state, enc, params, X, y, rows, len(pool), tau)
 
 
 def gcl_loss_full(enc: EncoderPair, params, pool, tau) -> float:
@@ -315,7 +305,8 @@ def gcl_update_estimators(
     batch, S, _, _ = _batch_logits(enc, params, batch, tau)
     if pool_size < len(batch):
         raise ValueError("pool_size must be >= batch size")
-    _update(state, state.samples.columns(batch.ids), np.exp(S), pool_size)
+    state.samples.grow(len(batch))
+    _update(state, np.arange(len(batch)), np.exp(S), pool_size)
     return state
 
 
@@ -325,5 +316,5 @@ def gcl_gradient_estimate(
     """Mini-batch gradient estimator m (module docstring), through one coefficient
     matrix (``_coefficients``) and one backward pass."""
     batch, S, sims, fwd = _batch_logits(enc, params, batch, tau)
-    u = state.samples.read(batch.ids)
+    u = state.samples.read(np.arange(len(batch)), batch.ids)
     return enc.pair_grad(*fwd, _coefficients(np.exp(S), pool_size, u), sims)

@@ -42,20 +42,20 @@ class-batch order.  Rows that are missing, empty, outside the pool, of another
 class, or a class's rows in two runs are refused in one line naming the class.
 
 A training step is one call to ``_gdro_loss_and_grad`` on a step's
-``_Anchors``: the anchor rows with each one's class position, negative count
-and sample column, and the sampled classes and their sizes.  Before the
-stage's first step the runner keeps the stage pool's sample estimates only
-(``MovingAverages.keep``), pool row i's in column i, refusing a pool that
-repeats an id, so an anchor's row is its column.  It prepares every step of
-the stage at once (``_stage_anchors``): one lookup of the joined draws'
-positions and negative counts, and the classes read off the picks; a step's
-anchors are slices of these.
+``_Anchors``: the anchor rows with each one's class position and negative
+count, and the sampled classes and their sizes.  The estimate tables are
+positional: an anchor's sample column is its pool row, and a class's column
+is its class id.  Before the stage's first step the runner moves the sample
+estimates with the buffer's rows (``MovingAverages.carry``), and it prepares
+every step of the stage at once (``_stage_anchors``): one lookup of the
+joined draws' positions and negative counts, and the classes read off the
+picks; a step's anchors are slices of these.
 ``gdro_step``, the one-step entry that training never calls, prepares one
-step's anchors with every per-call check and ``columns`` of their ids, which
-refuses repeated ids, and then takes the same step.  The
-sampled classes get their columns in the update, after the forwards, as a
-step's classes are first seen.  The step encodes the pool once per tower (the
-input tower over its rows, the label tower over its distinct classes), and
+step's anchors with every per-call check, refusing repeated rows, and then
+takes the same step; a state moves to another pool only by ``carry``.  The
+update widens the class table, after the forwards.  The step encodes the
+pool once per tower (the input tower over its rows, the label tower over
+its distinct classes), and
 every embedding it scores (``_hinge_stats``) or backpropagates through
 (``_gradient``) is a row gather of those two encodings; it updates the state
 in place from the log normalizers, then forms the gradient coefficients from
@@ -112,7 +112,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import _check_ints, _check_reals, _first_repeat
-from .gcl import U_FLOOR, MovingAverages, _check_rows, moving_average
+from .gcl import U_FLOOR, MovingAverages, _check_distinct, _check_rows, moving_average
 from .model import EncoderPair
 
 
@@ -166,12 +166,12 @@ class GdroEstimatorState:
     """Moving averages for the compositional estimator.
 
     ``samples`` holds u_I (row 0) and u_T (row 1), the per-sample hinge
-    normalizers g1/g2, per sample id; ``classes`` holds u_c (row 0), the
-    per-class losses h_k, per class id; v tracks (1/K) * sum_k exp(u_c[k]/lam)
-    over all tracked classes.  Each table's initialized mask is its
-    initialization flag; first touches use gamma=1.  ``work`` holds the run's
-    pool-sized scratch arrays, which every step overwrites, and ``_order`` the
-    tracked classes, ascending, and their columns, until a class is added.
+    normalizers g1/g2, in each sample's pool row column; ``classes`` holds u_c
+    (row 0), the per-class losses h_k, in each class id's column; v tracks
+    (1/K) * sum_k exp(u_c[k]/lam) over all tracked classes.  Each table's
+    initialized mask is its initialization flag; first touches use gamma=1.
+    ``work`` holds the run's pool-sized scratch arrays, which every step
+    overwrites.
     """
 
     samples: MovingAverages = field(default_factory=lambda: MovingAverages(2))
@@ -180,16 +180,11 @@ class GdroEstimatorState:
     v_shift: float = 0.0
     v_initialized: bool = False
     work: WorkArrays = field(default_factory=WorkArrays, init=False, repr=False, compare=False)
-    _order: tuple = field(default=([], np.empty(0, np.intp)), init=False, repr=False)
 
     def class_losses(self):
-        """The tracked classes, ascending, and their u_c estimates as an array."""
-        slot = self.classes.slot
-        if len(self._order[0]) != len(slot):  # classes are only ever added
-            classes = sorted(slot)
-            self._order = classes, np.array([slot[k] for k in classes], np.intp)
-        classes, cols = self._order
-        return classes, self.classes.values[0].take(cols)
+        """The classes with an estimate, ascending, and their u_c estimates."""
+        classes = np.flatnonzero(self.classes.initialized)
+        return classes, self.classes.values[0].take(classes)
 
 
 # ------------------------------------------------------------ hinge machinery
@@ -227,49 +222,43 @@ def _column_groups(S1, index, first, work):
 
 
 class _Anchors(NamedTuple):
-    """A step's anchors, prepared: ``rows`` of the pool, one run per sampled
-    class of ``sizes[i]`` rows each, the run of ``classes[i]``; each anchor's
-    class position among the pool's classes (``Pool.class_index``) and its
-    negative count; and, for the estimator update, the anchors' sample
-    columns."""
+    """A step's anchors, prepared: ``rows`` of the pool, which are also their
+    sample columns, one run per sampled class of ``sizes[i]`` rows each, the
+    run of ``classes[i]``; and each anchor's class position among the pool's
+    classes (``Pool.class_index``) and its negative count."""
 
     rows: np.ndarray
     positions: np.ndarray
     n_neg: np.ndarray
     classes: Sequence[int]
     sizes: Sequence[int]
-    columns: np.ndarray | None = None
 
 
 def _check_pool(enc, pool):
     """Refuses a pool whose inputs or classes the forwards would refuse, in the
-    forwards' words: the public entries call it before giving out a column."""
+    forwards' words: the public entries call it before any state change."""
     enc._check_inputs(pool.X)
     enc._check_class_ids(pool.class_index[0])
 
 
-def _anchors(pool, rows, classes, sizes, samples=None) -> _Anchors:
+def _anchors(pool, rows, classes, sizes) -> _Anchors:
     """The anchors ``rows`` of ``pool``, ``sizes[i]`` rows of ``classes[i]`` per
-    sampled class, with their class positions and negative counts and, given
-    the table ``samples``, their ids' columns of it (``columns``).  Refuses an
-    anchor without a negative, naming its class, before giving out any
-    column."""
+    sampled class, with their class positions and negative counts.  Refuses an
+    anchor without a negative, naming its class."""
     pool_classes, index, _, counts = pool.class_index
     positions = index[rows]
     n_neg = len(pool) - counts[positions]
     if not n_neg.all():
         bad = pool_classes[positions[int(np.argmin(n_neg))]]
         raise ValueError(f"no negatives in pool for anchor of class {bad}")
-    columns = None if samples is None else samples.columns([pool.ids[i] for i in rows.tolist()])
-    return _Anchors(rows, positions, n_neg, classes, sizes, columns)
+    return _Anchors(rows, positions, n_neg, classes, sizes)
 
 
 def _stage_anchors(pool, picks, draws, per_step):
     """Every step's ``_Anchors`` of a stage, in turn: step s takes the draws of
     picks ``per_step * s`` to ``per_step * (s + 1)``, each draw rows of its
-    pick's class.  The runner keeps the stage pool's estimates in its rows'
-    columns (``MovingAverages.keep``), so an anchor's row is its sample
-    column.  Before the first step's anchors, the joined draws get one lookup
+    pick's class; an anchor's row is its sample column.  Before the first
+    step's anchors, the joined draws get one lookup
     each of their class positions and negative counts; a step's anchors are
     slices of these."""
     sizes = [len(rows) for rows in draws]
@@ -279,7 +268,7 @@ def _stage_anchors(pool, picks, draws, per_step):
     for i, lo, hi in zip(itertools.count(0, per_step), bounds, bounds[1:]):
         step = rows[lo:hi]
         yield _Anchors(step, every.positions[lo:hi], every.n_neg[lo:hi],
-                       picks[i : i + per_step], sizes[i : i + per_step], step)
+                       picks[i : i + per_step], sizes[i : i + per_step])
 
 
 def _hinge_stats(enc, params, pool, anchors, margin, tau, work):
@@ -417,22 +406,24 @@ def _update(state, anchors, log_g, config):
     Order matters: per-sample g estimates first, then per-class h estimates
     from the same fresh statistics, then v from the updated u_c values over
     all tracked classes (stale entries stand in for unsampled classes).
-    ``anchors`` are the step's ``_Anchors``, with their sample columns; the
-    sampled classes get theirs here, after the step's forwards.
+    ``anchors`` are the step's ``_Anchors``, whose rows are their sample
+    columns; the class table is widened here to the sampled classes' ids,
+    after the step's forwards.
 
     Returns what it wrote and read, so that no caller reads the tables again:
     the anchors' (2, n) estimates u = (u_I, u_T), the sampled classes' (1, |Bc|)
     u_c, and every tracked class's u_c in ascending class order (``class_losses``).
     """
     g = config.gamma
-    u = moving_average(state.samples, anchors.columns, np.exp(log_g), g, U_FLOOR)
+    u = moving_average(state.samples, anchors.rows, np.exp(log_g), g, U_FLOOR)
     both = log_g[0] + log_g[1]
     bounds = [0, *itertools.accumulate(anchors.sizes)]
     h_hat = [
         config.tau * (float(np.add.reduce(both[lo:hi])) / (hi - lo)) / 2.0
         for lo, hi in zip(bounds, bounds[1:])
     ]
-    u_c = moving_average(state.classes, state.classes.columns(anchors.classes), [h_hat], g)
+    state.classes.grow(int(max(anchors.classes)) + 1)
+    u_c = moving_average(state.classes, np.array(anchors.classes, np.intp), [h_hat], g)
 
     # v <- (1-gamma) v + gamma * mean_k exp(u_c[k]/lam), in shifted form
     losses = state.class_losses()[1]
@@ -529,10 +520,10 @@ def _gdro_loss_and_grad(
     config: GdroConfig,
 ) -> tuple[float, np.ndarray]:
     """One training step on the prepared ``_Anchors`` ``anchors`` of ``pool``,
-    with their sample columns.  The in-place estimator update, then the robust
-    objective over the updated u_c and the gradient estimate, from one
-    ``_hinge_stats``.  The coefficients and the objective take the estimates
-    ``_update`` wrote, so no table is read, checked or sorted again."""
+    whose rows are their sample columns.  The in-place estimator update, then
+    the robust objective over the updated u_c and the gradient estimate, from
+    one ``_hinge_stats``.  The coefficients and the objective take the
+    estimates ``_update`` wrote, so no table is read, checked or sorted again."""
     stats, encodings = _hinge_stats(
         enc, params, pool, anchors, config.margin, config.tau, state.work
     )
@@ -546,23 +537,24 @@ def gdro_step(
     state: GdroEstimatorState, enc: EncoderPair, params, pool, rows, config: GdroConfig
 ) -> tuple[float, np.ndarray]:
     """One training step on the anchors ``rows`` (an integer array) of ``pool``,
-    one run per sampled class: the anchors' checks and lookups, then
-    ``_gdro_loss_and_grad``, the step the runner takes on anchors it prepared
-    once per stage.  Bitwise ``gdro_update_estimators`` then
-    ``gdro_gradient_estimate`` on the runs as ``{class: rows}``.  Refuses,
-    before any state change, rows that are not a 1-d integer array of rows of
-    ``pool``, no rows, a class in two runs, input the forwards refuse, an
-    anchor without a negative and anchors whose ids repeat.  The anchors'
-    columns are given before the forwards, so a forward refused for its
-    embedding norm leaves the anchors' new ids with columns but no estimate,
-    which changes no later result; the sampled classes get theirs after the
-    forwards."""
+    one run per sampled class, which are their sample columns: the anchors'
+    checks and lookups, then ``_gdro_loss_and_grad``, the step the runner
+    takes on anchors it prepared once per stage.  Bitwise
+    ``gdro_update_estimators`` then ``gdro_gradient_estimate`` on the runs as
+    ``{class: rows}``; a state moves to another pool only by ``carry``.
+    Refuses, before any state change, rows that are not a 1-d integer array of
+    rows of ``pool``, no rows, a class in two runs, input the forwards refuse,
+    an anchor without a negative and anchors that repeat.  A forward refused
+    for its embedding norm may leave the sample table widened to the pool,
+    with no estimate in the new columns, which changes no later result."""
     _check_rows(rows, pool)
     if not len(rows):
         raise ValueError("batch must be non-empty")
     class_batch, sizes = _class_runs(rows, pool)
     _check_pool(enc, pool)
-    anchors = _anchors(pool, rows, class_batch, sizes, state.samples)
+    anchors = _anchors(pool, rows, class_batch, sizes)
+    _check_distinct(rows, pool)
+    state.samples.grow(len(pool))
     return _gdro_loss_and_grad(state, enc, params, pool, anchors, config)
 
 
@@ -574,7 +566,9 @@ def gdro_update_estimators(
     place.  Refuses the input that ``gdro_step`` refuses before any state change."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
     _check_pool(enc, pool)
-    anchors = _anchors(pool, rows, class_batch, sizes, state.samples)
+    anchors = _anchors(pool, rows, class_batch, sizes)
+    _check_distinct(rows, pool)
+    state.samples.grow(len(pool))
     stats, _ = _hinge_stats(enc, params, pool, anchors, config.margin, config.tau, state.work)
     _update(state, anchors, stats[3], config)
     return state
@@ -593,8 +587,8 @@ def gdro_gradient_estimate(
     )
     # the tables refuse a sample or class without an estimate
     estimates = (
-        state.samples.read([pool.ids[i] for i in rows.tolist()]),
-        state.classes.read(class_batch, what="class", positive=False),
+        state.samples.read(rows, [pool.ids[i] for i in rows.tolist()]),
+        state.classes.read(class_batch, class_batch, what="class", positive=False),
     )
     block, coef2 = _coefficients(state, anchors.sizes, stats, config, estimates)
     return _gradient(enc, block, coef2, anchors, encodings, stats[4], state.work)

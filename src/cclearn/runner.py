@@ -32,16 +32,13 @@ once, through the forwards that check their input, takes the loss, updates
 the estimators and forms the gradient.  ``_epochs`` prepares the batches:
 the forwards' checks of the pool's inputs and classes once per stage, so that
 bad input is refused before the stage's first step; for gcl and gdro, whose
-estimators key on sample ids, one ``keep`` call that keeps the estimates of
-the pool's ids only, pool row i's in column i, and refuses a pool that
-repeats an id, also before the first step, so a batch's rows are its
-estimator columns and the table never outgrows the pool; for gcl and
-cross-entropy one gather of inputs and one of classes or of true columns per
-epoch, each batch a slice of these; for gdro every step's anchors at once per
-stage (``gdro._stage_anchors``).  Cross-entropy keeps no per-sample estimate
-and trains on any ids.  ``TaskStream`` refuses a training id that two rows of
-a stream share, so an id evicted from the buffer never returns, and only a
-pool whose ids were changed after the stream was built can repeat one.
+estimator columns are pool rows, one ``carry`` of the estimates to the pool,
+also before the first step: the buffer's ``kept`` rows of the previous stage
+pool become the stored rows that open this one, so each keeps its estimate,
+the task's rows start without one, and the table never outgrows the pool;
+for gcl and cross-entropy one gather of inputs and one of classes or of true
+columns per epoch, each batch a slice of these; for gdro every step's anchors
+at once per stage (``gdro._stage_anchors``).  Training reads no sample id.
 Training never calls the public ``gcl_step`` and ``gdro_step``, which prepare
 one batch of rows with every per-call check and then call the same step
 function.  ``ce_loss`` and ``ce_gradient`` on ``pool.take(rows)`` over the
@@ -90,6 +87,10 @@ class RunConfig:
     setting puts nearly all robust weight on each stage's new classes and
     collapses in the last stage; ``cclearn.benchmark`` uses 5.0.  The default
     is kept so that existing runs reproduce.
+
+    gcl's estimator update takes exp(sims / ``tau``) unshifted, so below about
+    ``tau`` = 1/709 (1.4e-3) a gcl run can stop with a ``DivergenceError`` for
+    a non-finite gradient, where gdro and finetune-ce train.
     """
 
     method: str
@@ -277,11 +278,11 @@ class _Trainer:
     def _epochs(self, pool):
         """Each epoch's batches of rows of the stage pool, each RNG with this one
         consumer, prepared for the method's step.  The forwards' checks of the
-        pool's inputs and classes run once per stage, before any draw.  gcl and
-        gdro key their estimates on sample ids, so their stage then keeps the
-        pool's estimates only, pool row i's in column i (``keep``), which
-        refuses a pool that repeats an id before the stage's first step; a
-        batch's rows are then its estimator columns.
+        pool's inputs and classes run once per stage, before any draw.  gcl's
+        and gdro's estimator columns are pool rows, so their stage then
+        carries the last stage pool's estimates along the buffer's ``kept``
+        rows, which open this pool (``carry``); a batch's rows are its
+        estimator columns.
 
         A gcl or cross-entropy epoch is slices of a shuffled order of the pool's
         rows, with one gather each of its inputs and of its classes (gcl) or
@@ -296,7 +297,7 @@ class _Trainer:
         X = enc._check_inputs(pool.X)
         labels = enc._check_class_ids(pool.y if cfg.method == "gcl" else pool.class_index[0])
         if self.state is not None:
-            self.state.samples.keep(pool.ids)
+            self.state.samples.carry(self.buffer.kept, len(pool))
         if cfg.method != "gdro":
             N, size = len(pool), cfg.batch_size
             starts = range(0, N, size)

@@ -70,13 +70,17 @@ def make_encoder(seed, input_dim=3, num_classes=4, hidden_dim=4, embed_dim=3):
 
 
 def state_bytes(state):
-    """Every estimator of a gcl or gdro state: its keys in first-touch order and
-    its float bits."""
-    ids = list(state.samples.slot)
-    out = [ids, state.samples.read(ids).tobytes()]
+    """Every estimator of a gcl or gdro state: each table's columns that hold an
+    estimate, ascending, and their float bits, whatever the table's width; for
+    gdro then v's bits and flag."""
+    tables = [state.samples]
     if isinstance(state, GdroEstimatorState):
-        classes, u_c = state.class_losses()
-        out += [list(state.classes.slot), classes, u_c.tobytes()]
+        tables.append(state.classes)
+    out = []
+    for table in tables:
+        cols = np.flatnonzero(table.initialized)
+        out += [cols.tolist(), table.values[:, cols].tobytes()]
+    if isinstance(state, GdroEstimatorState):
         out += [np.float64([state.v_mantissa, state.v_shift]).tobytes(), state.v_initialized]
     return out
 

@@ -109,8 +109,8 @@ def gdro_gradient_dense(state, enc: EncoderPair, params, class_batch, per_class_
     coefficient matrix and a single backward pass: O((n+N)^2) memory."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
     stats, _ = hinge_stats(enc, params, rows, class_batch, sizes, pool, config.margin, config.tau)
-    u = state.samples.read([pool.ids[i] for i in rows.tolist()])
-    u_c = state.classes.read(class_batch, what="class", positive=False)
+    u = state.samples.read(rows, [pool.ids[i] for i in rows.tolist()])
+    u_c = state.classes.read(class_batch, class_batch, what="class", positive=False)
     block, coef2 = _coefficients(state, sizes, stats, config, (u, u_c))
     anchors = pool.take(np.concatenate([per_class_batches[k] for k in class_batch]))
     n, N = len(anchors), len(pool)
@@ -160,21 +160,22 @@ def hinge_stats_per_row(enc: EncoderPair, params, rows, pool, margin, tau):
     return (n_neg, H, A, log_g, H2t), (f1p, f2c, index)
 
 
-def coefficients_per_row(state, ids, sizes, class_batch, stats, config):
+def coefficients_per_row(state, rows, sizes, class_batch, stats, config):
     """``_coefficients`` over the (2, n, N) blocks of ``hinge_stats_per_row``,
     written over their H and A: (coef1, coef2), both n x N over anchors x pool.
-    The estimates are read from the state by the anchors' ``ids``."""
+    The estimates are read from the state in the columns of the anchors' pool
+    ``rows``."""
     if not state.v_initialized or state.v_mantissa <= 0:
         raise ValueError("scalar estimator v is not initialized or non-positive")
     n_neg, H, A, _, _ = stats
-    u_c = state.classes.read(class_batch, what="class", positive=False)[0]
+    u_c = state.classes.read(class_batch, class_batch, what="class", positive=False)[0]
     norm = state.v_mantissa * len(class_batch) * 2.0
     class_weight = np.repeat(
         [math.exp(u / config.lam - state.v_shift) / (norm * size)
          for u, size in zip(u_c.tolist(), sizes)],
         sizes,
     )
-    u = state.samples.read(ids).tolist()
+    u = state.samples.read(rows, rows).tolist()
     log_u = np.array([[math.log(x) for x in row] for row in u])
 
     scale = (class_weight * (1.0 / n_neg))[:, None]
@@ -192,10 +193,10 @@ def gdro_step_per_row(state, enc: EncoderPair, params, class_batch, per_class_ba
     backward block of its own: zeros, the diagonal, then coef1."""
     rows, sizes = _anchor_rows(class_batch, per_class_batches, pool)
     stats, encodings = hinge_stats_per_row(enc, params, rows, pool, config.margin, config.tau)
-    anchors = _anchors(pool, rows, class_batch, sizes, state.samples)
+    anchors = _anchors(pool, rows, class_batch, sizes)
+    state.samples.grow(len(pool))
     _update(state, anchors, stats[3], config)
-    ids = [pool.ids[i] for i in rows.tolist()]
-    coef1, coef2 = coefficients_per_row(state, ids, sizes, class_batch, stats, config)
+    coef1, coef2 = coefficients_per_row(state, rows, sizes, class_batch, stats, config)
     n = len(rows)
     block = np.zeros((n, n + coef1.shape[1]))
     np.fill_diagonal(block, -(coef1.sum(axis=1) + coef2.sum(axis=1)))

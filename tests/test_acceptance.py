@@ -205,13 +205,13 @@ def test_criterion_05_estimator_halving():
     # GCL state: initialize at w0, then track targets at w1 with gamma = 0.5
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w0, pool, tau, len(pool))
     st = GclEstimatorState(gamma=0.5, samples=copy.deepcopy(st.samples))
-    ids = pool.ids
+    cols, ids = np.arange(len(pool)), pool.ids
     t_IT = np.array([[g(enc, w1, a, pool, tau) for a in anchors] for g in (g_I, g_T)])
     gcl_ok = True
     prev = None
     for _ in range(14):
         st = gcl_update_estimators(st, enc, w1, pool, tau, len(pool))
-        err = np.abs(st.samples.read(ids) - t_IT).max()
+        err = np.abs(st.samples.read(cols, ids) - t_IT).max()
         if prev is not None and abs(err - 0.5 * prev) > 1e-9 * max(1.0, prev):
             gcl_ok = False
         prev = err
@@ -232,7 +232,7 @@ def test_criterion_05_estimator_halving():
         gst = gdro_update_estimators(gst, enc, w1, [0, 1, 2], batches, pool, cfg)
         err = max(
             np.abs(gst.class_losses()[1] - h_target).max(),
-            np.abs(gst.samples.read(ids) - g_target).max(),
+            np.abs(gst.samples.read(cols, ids) - g_target).max(),
         )
         if prev is not None and abs(err - 0.5 * prev) > 1e-9 * max(1.0, prev):
             gdro_ok = False

@@ -322,25 +322,29 @@ def test_sample_class_batches_give_rejecting_seeds_numpy_draws():
 
 
 _BAD_CLASS_IDS = [True, False, 1.0, np.float64(1.0), np.bool_(True)]
-_BAD_SEEDS = [True, np.bool_(False), 1.0, np.float64(3.0), -1, 2**64, 2**70, "1", None]
+_BAD_SEEDS = [True, np.bool_(False), 1.0, np.float64(3.0), "1", None]
 _BAD_BATCH_SIZES = [2.5, 2.0, True, np.float64(3.0), np.bool_(True)]
 
 
 @pytest.mark.parametrize("entry", ["one", "many"])
 @pytest.mark.parametrize(
-    "class_id, seed, batch_size, message",
-    [(k, 0, 2, f"class id must be an int, got {k!r}") for k in _BAD_CLASS_IDS]
-    + [(1, s, 2, f"seed must be an int in [0, 2**64), got {s!r}") for s in _BAD_SEEDS]
-    + [(1, 0, b, f"batch_size must be an int, got {b!r}") for b in _BAD_BATCH_SIZES],
+    "class_id, seed, batch_size, error, message",
+    [(k, 0, 2, TypeError, f"class id must be an integer, got {k!r}") for k in _BAD_CLASS_IDS]
+    + [(1, s, 2, TypeError, f"seed must be an integer, got {s!r}") for s in _BAD_SEEDS]
+    + [(1, -1, 2, ValueError, "seed must be >= 0, got -1")]
+    + [(1, s, 2, ValueError, f"seed must be < 2**64, got {s}") for s in (2**64, 2**70)]
+    + [(1, 0, b, TypeError, f"batch_size must be an integer, got {b!r}")
+       for b in _BAD_BATCH_SIZES],
 )
 def test_samplers_refuse_non_int_class_ids_and_seeds(
-    rng, entry, class_id, seed, batch_size, message
+    rng, entry, class_id, seed, batch_size, error, message
 ):
-    """A float or bool class id is never read as the class it equals, a seed
-    must be an int in [0, 2**64), and a float or bool batch size is not read
-    as a row count; each is refused in one line naming it."""
+    """A float or bool class id is never read as the class it equals, and a
+    float or bool batch size is not read as a row count: each, and a seed
+    that is not an int, is refused with a ``TypeError`` in one line naming it.
+    A seed outside [0, 2**64) is refused with a ``ValueError``."""
     pool = make_pool(rng, 6, 2, 2)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         if entry == "one":
             sample_class_batch(pool, class_id, batch_size, seed)
         else:
@@ -349,7 +353,7 @@ def test_samplers_refuse_non_int_class_ids_and_seeds(
 
 def test_sample_class_batches_refuse_a_negative_seed_array_and_unpaired_seeds(rng):
     pool = make_pool(rng, 6, 2, 2)
-    with pytest.raises(ValueError, match=r"^seed must be an int in \[0, 2\*\*64\), got -3$"):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
         sample_class_batches(pool, [0, 1], 2, np.array([4, -3]))
     with pytest.raises(ValueError, match="^2 class ids but 1 seeds$"):
         sample_class_batches(pool, [0, 1], 2, [4])
@@ -462,16 +466,19 @@ def test_flattened_class_batches_equal_a_pool_of_their_samples(n, num_classes, b
 
 
 @pytest.mark.parametrize(
-    "capacity, rng_seed, message",
-    [(c, 0, "capacity must be >= 0") for c in (-1, -20, np.int64(-3))]
-    + [(c, 0, f"capacity must be an int, got {c!r}")
+    "capacity, rng_seed, error, message",
+    [(c, 0, ValueError, "capacity must be >= 0") for c in (-1, -20, np.int64(-3))]
+    + [(4, -1, ValueError, "rng_seed must be >= 0")]
+    + [(c, 0, TypeError, f"capacity must be an integer, got {c!r}")
        for c in (float("nan"), float("inf"), 2.5, 4.0, True, np.bool_(True), "4")]
-    + [(4, s, f"rng_seed must be an int, got {s!r}") for s in (True, 1.0, float("nan"), None)],
+    + [(4, s, TypeError, f"rng_seed must be an integer, got {s!r}")
+       for s in (True, 1.0, float("nan"), None)],
 )
-def test_buffer_refuses_a_negative_capacity(capacity, rng_seed, message):
-    """A negative capacity, and a capacity or rng_seed that is a float (NaN and
-    inf would keep every row), a bool or not a number, is refused in one line."""
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+def test_buffer_refuses_a_negative_capacity(capacity, rng_seed, error, message):
+    """A negative capacity or rng_seed is refused with a ``ValueError``, and a
+    capacity or rng_seed that is a float (NaN and inf would keep every row), a
+    bool or not a number with a ``TypeError``, each in one line."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         MemoryBuffer(capacity=capacity, rng_seed=rng_seed)
 
 

@@ -134,6 +134,31 @@ def test_run_twice_is_byte_identical(tmp_path):
     assert (out_a / "curve.svg").read_bytes() == (out_b / "curve.svg").read_bytes()
 
 
+@pytest.mark.parametrize("method", ["gcl", "gdro"])
+def test_run_dil_succeeds_and_repeats_byte_for_byte(tmp_path, capsys, method):
+    """A domain-incremental run through the CLI: every class is in every
+    domain, so the buffer merges each class's stored and incoming rows, and
+    the estimates carried between stages follow them.  The run exits 0 and
+    writes the four files, and a second run writes the same bytes."""
+    data = tmp_path / "dil.clds"
+    argv = ["gen", "--classes", "4", "--per-class", "10", "--dim", "6", "--seed", "3",
+            "--domains", "3", "-o", str(data)]
+    assert cli.main(argv) == 0
+    doc = _config_doc(data, tmp_path / "unused", method, memory_capacity=8, batch_classes=2,
+                      batch_per_class=3)
+    doc["split"] = {"mode": "dil", "domain_order": [2, 0, 1], "test_fraction": 0.2, "seed": 1}
+    cfg = _write_config(tmp_path, doc)
+    names = ["accuracy.csv", "log.jsonl", "curve.svg", "run_meta.json"]
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        runs.append([(out / name).read_bytes() for name in names])
+    assert "run complete" in capsys.readouterr().out
+    entries, aggregate, _ = read_accuracy_csv(tmp_path / "a" / "accuracy.csv")
+    assert len(entries) == 3 + 2 + 1 and sorted(aggregate) == [0, 1, 2]
+    assert runs[0] == runs[1]
+
+
 def test_run_rejects_unknown_config_keys(tmp_path, capsys):
     data = _gen(tmp_path)
     doc = _config_doc(data, tmp_path / "out")

@@ -20,7 +20,7 @@ from cclearn.data import (
     split_cil,
     split_dil,
 )
-from cclearn.buffer import MemoryBuffer
+from cclearn.buffer import MemoryBuffer, sample_class_batch
 from cclearn.errors import DatasetFormatError
 from cclearn.gcl import GclEstimatorState
 from cclearn.gdro import GdroConfig
@@ -525,6 +525,8 @@ _SCALAR_CALLS = {
     "GdroConfig lam": lambda v: GdroConfig(v, 0.9, 0.1, 0.1, 2, 2),
     "GclEstimatorState": lambda v: GclEstimatorState(gamma=v),
     "MemoryBuffer": lambda v: MemoryBuffer(*v),
+    "sample_class_batch": lambda v: sample_class_batch(
+        Pool(np.zeros((4, 2)), np.array([0, 0, 1, 1]), [0, 1, 2, 3]), *v),
     "init_optimizer": lambda v: init_optimizer(3, v, 0.9),
     "init_optimizer n_params": lambda v: init_optimizer(v, 0.1, 0.9),
     "init_optimizer beta1": lambda v: init_optimizer(3, 0.1, v),
@@ -556,7 +558,16 @@ _REAL = "{} must be a real number, got {!r}"
     ("GdroConfig", (2, False), TypeError, _INTEGER.format("batch_per_class", False)),
     ("GdroConfig", (-2, 4), ValueError, _NEGATIVE_BATCH),
     ("MemoryBuffer", (3, -1), ValueError, "rng_seed must be >= 0"),
-    ("MemoryBuffer", (3, 1.0), ValueError, "rng_seed must be an int, got 1.0"),
+    ("MemoryBuffer", (3, 1.0), TypeError, _INTEGER.format("rng_seed", 1.0)),
+    ("MemoryBuffer", (2.5, 0), TypeError, _INTEGER.format("capacity", 2.5)),
+    ("MemoryBuffer", (3, None), TypeError, _INTEGER.format("rng_seed", None)),
+    ("MemoryBuffer", (-3, 0), ValueError, "capacity must be >= 0"),
+    ("sample_class_batch", (0, 2.5, 0), TypeError, _INTEGER.format("batch_size", 2.5)),
+    ("sample_class_batch", (1.0, 2, 0), TypeError, _INTEGER.format("class id", 1.0)),
+    ("sample_class_batch", (0, 2, 1.5), TypeError, _INTEGER.format("seed", 1.5)),
+    ("sample_class_batch", (0, 0, 0), ValueError, "batch_size must be >= 1, got 0"),
+    ("sample_class_batch", (2, 2, 0), ValueError, "class 2 not present in pool"),
+    ("sample_class_batch", (0, 2, -1), ValueError, "seed must be >= 0, got -1"),
     ("init_optimizer", float("inf"), ValueError, "eta must be finite and > 0, got inf"),
     ("init_optimizer", float("nan"), ValueError, "eta must be finite and > 0, got nan"),
     ("init_optimizer", -0.5, ValueError, "eta must be finite and > 0, got -0.5"),
@@ -585,6 +596,7 @@ def test_scalar_arguments_are_refused_in_one_line_naming_them(function, value, e
     ("EncoderConfig", {name: np.int64(v) for name, v in _SHAPES.items()}),
     ("GdroConfig", (np.int64(2), np.uint16(4))),
     ("MemoryBuffer", (np.int64(4), np.uint32(7))),
+    ("sample_class_batch", (np.int64(1), np.uint8(2), np.uint64(2**64 - 1))),
     ("init_optimizer", np.float64(0.1)),
     ("EncoderConfig seed", np.uint64(2**64 - 1)),
     ("GdroConfig lam", np.float32(0.5)),

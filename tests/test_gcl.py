@@ -152,7 +152,7 @@ def test_update_gamma_one_full_batch_is_exact(rng):
     w = enc.init_params()
     pool = make_pool(rng, 6, 3, 3)
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w, pool, 0.3, len(pool))
-    u_I, u_T = st.samples.read(pool.ids)
+    u_I, u_T = st.samples.read(np.arange(len(pool)), pool.ids)
     for i, (ui, ut) in enumerate(zip(u_I, u_T)):
         assert abs(ui - g_I(enc, w, pool[i], pool, 0.3)) < 1e-10
         assert abs(ut - g_T(enc, w, pool[i], pool, 0.3)) < 1e-10
@@ -179,12 +179,12 @@ def test_update_converges_geometrically(rng):
     tau = 0.3
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w0, pool, tau, len(pool))
     st = GclEstimatorState(gamma=0.5, samples=copy.deepcopy(st.samples))
-    ids = pool.ids
+    cols = np.arange(len(pool))
     target = [g_I(enc, w1, pool[i], pool, tau) for i in range(len(pool))]
     errs = []
     for _ in range(12):
         st = gcl_update_estimators(st, enc, w1, pool, tau, len(pool))
-        errs.append(max(abs(u - t) for u, t in zip(st.samples.read(ids)[0], target)))
+        errs.append(max(abs(u - t) for u, t in zip(st.samples.read(cols, pool.ids)[0], target)))
     for prev, cur in zip(errs, errs[1:]):
         assert abs(cur - 0.5 * prev) < 1e-9 * max(1.0, prev)
 
@@ -241,7 +241,7 @@ def test_gradient_matches_symbolic_reassembly_under_tau_change(tau, rng):
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w, pool, tau, 10)
     got = gcl_gradient_estimate(st, enc, w, pool, tau, 10)
     ids = pool.ids
-    u_I, u_T = (dict(zip(ids, row)) for row in st.samples.read(ids))
+    u_I, u_T = (dict(zip(ids, row)) for row in st.samples.read(np.arange(len(pool)), ids))
     want = _reassembled_estimate(enc, w, pool, tau, 10, u_I, u_T)
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -254,7 +254,7 @@ def test_gradient_requires_initialized_estimators(rng):
     with pytest.raises(ValueError, match=f"estimator not initialized for sample {first}$"):
         gcl_gradient_estimate(GclEstimatorState(gamma=0.9), enc, w, pool, 0.3, 3)
     st = gcl_update_estimators(GclEstimatorState(gamma=1.0), enc, w, pool, 0.3, 3)
-    st.samples.values[0, st.samples.slot[first]] = -1.0  # u_I of the first sample
+    st.samples.values[0, 0] = -1.0  # u_I of the first sample, in column 0
     with pytest.raises(ValueError, match=f"non-positive estimator value for sample {first}$"):
         gcl_gradient_estimate(st, enc, w, pool, 0.3, 3)
 
@@ -272,12 +272,13 @@ def test_state_determinism_snapshot(rng):
 
     a, b = build(), build()
     assert state_bytes(a) == state_bytes(b)
-    assert state_bytes(a)[0] == pool.ids  # first-touch order
+    assert state_bytes(a)[0] == list(range(len(pool)))  # a batch's rows are its columns
 
 
-def test_step_refuses_repeated_ids_and_leaves_state_alone(rng):
-    """A repeated id is refused, naming it, whether or not its rows have columns
-    yet, and whether it repeats as one row twice or as two rows that share it."""
+def test_step_refuses_repeated_rows_and_leaves_state_alone(rng):
+    """A repeated row is refused, naming its id, whether or not the table
+    reaches it yet.  Two rows that share an id are two columns, as the table
+    is keyed by row."""
     enc = make_encoder(seed=3)
     w = enc.init_params()
     pool = make_pool(rng, 6, 3, 3)
@@ -290,12 +291,8 @@ def test_step_refuses_repeated_ids_and_leaves_state_alone(rng):
             gcl_step(st, enc, w, pool, np.array(rows), 0.3)
         assert state_bytes(st) == before
     shared = Pool(pool.X, pool.y, pool.ids[:5] + [pool.ids[1]])  # rows 1 and 5 share an id
-    with pytest.raises(ValueError, match=message.format(pool.ids[1])):
-        gcl_step(st, enc, w, shared, np.array([1, 5]), 0.3)
-    gcl_step(st, enc, w, shared, np.array([1, 2]), 0.3)
-    gcl_step(st, enc, w, shared, np.array([5, 2]), 0.3)  # row 5 takes id 1's column
-    with pytest.raises(ValueError, match=message.format(pool.ids[1])):
-        gcl_step(st, enc, w, shared, np.array([5, 1]), 0.3)
+    gcl_step(st, enc, w, shared, np.array([1, 5]), 0.3)
+    assert state_bytes(st)[0] == [0, 1, 2, 3, 5]
 
 
 class _DrawnSims:
@@ -343,7 +340,8 @@ def test_an_unlogged_step_skips_only_a_loss_it_proves_finite(n, decade, mantissa
         exact = np.float64(_loss(S)).tobytes()
         for logged in (True, False):
             state = GclEstimatorState(gamma=0.9)
-            cols = state.samples.columns(pool.ids)
+            state.samples.grow(n)
+            cols = np.arange(n)
             loss, grad = _gcl_loss_and_grad(
                 state, _DrawnSims(enc, sims), w, pool.X, pool.y, cols, 2 * n, tau, logged
             )
@@ -374,8 +372,9 @@ _ESTIMATES = st.one_of(
     data=st.data(),
 )
 def test_moving_average_is_bitwise_the_per_key_recurrence(rows, gamma, floor, data):
-    """Across calls with fresh and repeated keys, past the first capacity, the
-    columns hold the dict recurrence's keys in first-touch order and its bits."""
+    """Across calls with fresh and repeated keys, each key its own column and
+    the table widened as keys grow, the initialized columns are the dict
+    recurrence's keys and hold its bits."""
     table, stores = MovingAverages(rows), [{} for _ in range(rows)]
     for _ in range(data.draw(st.integers(1, 5))):
         keys = data.draw(st.lists(st.integers(0, 150), min_size=1, max_size=40, unique=True))
@@ -386,18 +385,43 @@ def test_moving_average_is_bitwise_the_per_key_recurrence(rows, gamma, floor, da
                 max_size=rows,
             )
         )
-        cols = table.columns(keys)
+        table.grow(max(keys) + 1)
         with np.errstate(invalid="ignore", over="ignore"):
-            written = moving_average(table, cols, values, gamma, floor)
+            written = moving_average(table, np.array(keys), values, gamma, floor)
         for store, row in zip(stores, values):
             dict_moving_average(store, keys, row, gamma, floor)
 
-        assert list(table.slot) == list(stores[0])
-        assert [table.slot[k] for k in keys] == cols.tolist()
-        assert written.tobytes() == table.read(keys, positive=False).tobytes()
-        every = list(stores[0])
-        got = table.read(every, positive=False)
+        every = sorted(stores[0])
+        assert np.flatnonzero(table.initialized).tolist() == every
+        assert written.tobytes() == table.read(keys, keys, positive=False).tobytes()
+        got = table.read(every, every, positive=False)
         assert got.tobytes() == np.array([[s[k] for k in every] for s in stores]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_carry_moves_columns_and_empties_the_rest(data):
+    """After ``carry(rows, size)`` the table is ``size`` columns wide, column i
+    holds old column ``rows[i]``, estimate or none, and the columns past
+    ``len(rows)`` hold none; ``grow`` keeps every column and adds empty ones."""
+    width = data.draw(st.integers(0, 12))
+    table = MovingAverages(2)
+    table.grow(width)
+    written = data.draw(st.lists(st.integers(0, width - 1), unique=True)) if width else []
+    moving_average(table, np.array(written, dtype=np.intp), np.ones((2, len(written))), 1.0)
+    table.values[:, written] = np.arange(2 * len(written)).reshape(2, -1)
+    before = copy.deepcopy(table)
+    table.grow(width + data.draw(st.integers(0, 3)))
+    assert table.initialized[:width].tobytes() == before.initialized.tobytes()
+    assert table.values[:, :width].tobytes() == before.values.tobytes()
+    assert not table.initialized[width:].any() and not table.values[:, width:].any()
+    rows = data.draw(st.lists(st.integers(0, width - 1), unique=True)) if width else []
+    size = len(rows) + data.draw(st.integers(0, 4))
+    table.carry(np.array(rows, dtype=np.intp), size)
+    assert table.values.shape == (2, size)
+    assert table.initialized[: len(rows)].tolist() == before.initialized[rows].tolist()
+    assert table.values[:, : len(rows)].tobytes() == before.values[:, rows].tobytes()
+    assert not table.initialized[len(rows) :].any() and not table.values[:, len(rows) :].any()
 
 
 @pytest.mark.parametrize("case, message", [
@@ -424,8 +448,8 @@ def test_gcl_refuses_hostile_input(rng, case, message):
 
 
 def test_refused_pool_size_leaves_the_state_alone(rng):
-    """A pool size below the batch size is refused before any of the batch's ids
-    gets an estimator column: the state keeps its keys and its bits."""
+    """A pool size below the batch size is refused before the table is widened
+    to the batch: the state keeps its columns and its bits."""
     enc = make_encoder(seed=3)
     w = enc.init_params()
     pool = make_pool(rng, 6, 3, 3)

@@ -299,10 +299,10 @@ def test_update_gamma_one_full_batch_exact(rng):
     st = gdro_update_estimators(GdroEstimatorState(), enc, w, [0, 1, 2], batches, pool, cfg)
     h = np.array([class_loss_hk(enc, w, k, pool, cfg) for k in range(3)])
     classes, u_c = st.class_losses()
-    assert classes == [0, 1, 2]
+    assert classes.tolist() == [0, 1, 2]
     assert np.abs(u_c - h).max() < 1e-12
     assert abs(dro_v(st) - np.mean(np.exp(h / cfg.lam))) < 1e-10
-    for i, ui in enumerate(st.samples.read(pool.ids)[0]):
+    for i, ui in enumerate(st.samples.read(np.arange(len(pool)), pool.ids)[0]):
         assert abs(ui - _naive_g1(enc, w, pool[i], pool, cfg.margin, cfg.tau)) < 1e-10
 
 
@@ -341,19 +341,19 @@ def test_update_refuses_repeated_ids_and_leaves_state_alone(rng, repeat):
 
 
 def test_class_losses_follow_added_classes(rng):
-    """``class_losses`` lists every tracked class, ascending, with its u_c bits,
-    after steps that add classes to the state."""
+    """``class_losses`` lists every class a step has sampled, ascending, with
+    the u_c bits in its column, after steps that add classes to the state."""
     enc = make_encoder(seed=8)
     w = enc.init_params()
     pool = class_pool(rng, range(4), 3, 3)  # class k holds rows 3k to 3k + 2
-    st = GdroEstimatorState()
+    st, seen = GdroEstimatorState(), set()
     for rows in ([6, 7, 0], [9, 10, 3, 4], [5, 0, 1]):
         gdro_step(st, enc, w, pool, np.array(rows), _cfg())
-        classes = sorted(st.classes.slot)
-        got = st.class_losses()
-        want = st.classes.read(classes, what="class", positive=False)[0]
-        assert got[0] == classes and got[1].tobytes() == want.tobytes()
-    assert classes == [0, 1, 2, 3]
+        seen |= set(pool.y[rows].tolist())
+        classes, u_c = st.class_losses()
+        want = st.classes.read(classes, classes, what="class", positive=False)[0]
+        assert classes.tolist() == sorted(seen) and u_c.tobytes() == want.tobytes()
+    assert sorted(seen) == [0, 1, 2, 3]
 
 
 def test_update_two_level_geometric_convergence(rng):
@@ -645,13 +645,13 @@ def test_per_class_scoring_gives_the_per_row_bytes(
 
     rows, sizes = _anchor_rows(picked, batches, pool)
     stats, _ = hinge_stats(enc, w1, rows, picked, sizes, pool, cfg.margin, cfg.tau)
-    ids = [pool.ids[i] for i in rows.tolist()]
     want, _ = hinge_stats_per_row(enc, w1, rows, pool, cfg.margin, cfg.tau)
     assert stats[0].tobytes() == want[0].tobytes()  # n_neg
     assert stats[3].tobytes() == want[3].tobytes()  # log_g
-    estimates = state.samples.read(ids), state.classes.read(picked, what="class", positive=False)
+    estimates = (state.samples.read(rows, rows),
+                 state.classes.read(picked, picked, what="class", positive=False))
     block, coef2 = _coefficients(state, sizes, stats, cfg, estimates)
-    want = coefficients_per_row(state, ids, sizes, picked, want, cfg)
+    want = coefficients_per_row(state, rows, sizes, picked, want, cfg)
     assert [block[:, len(rows):].tobytes(), coef2.tobytes()] == [c.tobytes() for c in want]
 
     per_row = copy.deepcopy(state)

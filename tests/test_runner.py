@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import re
@@ -6,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cclearn
@@ -15,7 +16,7 @@ import cclearn.gdro
 import cclearn.runner
 from cclearn.benchmark import CAPACITY_HIGH, benchmark_config, benchmark_stream
 from cclearn.buffer import sample_class_batch, sample_class_batches
-from cclearn.data import Pool, TaskStream, gen_synthetic, split_cil
+from cclearn.data import Pool, TaskStream, gen_domain_shift, gen_synthetic, split_cil, split_dil
 from cclearn.errors import ConfigError, DivergenceError, NonFiniteGradientError
 from cclearn.gcl import (
     GclEstimatorState,
@@ -455,9 +456,9 @@ def _row_step(method):
 
 @pytest.mark.parametrize("method", ["gcl", "gdro"])
 def test_a_refused_forward_changes_no_result(rng, method):
-    """The public gcl and gdro steps give their rows' new ids estimator columns
-    before the forward, so a step whose forward is refused (NaN parameters: a
-    NaN embedding norm) leaves those columns, with no estimate.  Two valid
+    """The public gcl and gdro steps widen the sample table to the pool before
+    the forward, so a step whose forward is refused (NaN parameters: a NaN
+    embedding norm) leaves it that wide, with no estimate.  Two valid
     steps after it give the losses, gradients and estimator state of the two
     steps alone, to the bit."""
     enc = make_encoder(seed=2, num_classes=3)
@@ -470,7 +471,7 @@ def test_a_refused_forward_changes_no_result(rng, method):
         if refused_first:
             with pytest.raises(ValueError, match="^embedding norm overflowed or is NaN$"):
                 step(enc, np.full_like(w, np.nan), pool, rows)
-            assert len(state.samples.slot) == len(rows)
+            assert len(state.samples.initialized) == len(pool)
             assert not state.samples.initialized.any()
         bits = []
         for k in range(2):
@@ -667,7 +668,7 @@ def test_estimators_same_bits_on_list_and_pool(hidden_dim, n, num_classes, seed)
         state = gcl_update_estimators(GclEstimatorState(0.9), enc, w, batch, 0.2, 2 * n)
         results.append([
             np.float64(gcl_loss_full(enc, w, batch, 0.2)).tobytes(),
-            state.samples.read(pool.ids).tobytes(),  # u_I, u_T
+            state.samples.read(np.arange(n), pool.ids).tobytes(),  # u_I, u_T
             gcl_gradient_estimate(state, enc, w, batch, 0.2, 2 * n).tobytes(),
         ])
     assert results[0] == results[1]
@@ -745,6 +746,14 @@ def test_runner_hands_pools_to_the_estimators(monkeypatch, method):
         assert sorted(order.tolist()) == list(range(len(pool)))
 
 
+def _carried(state, rows):
+    """A copy of the estimator ``state`` whose sample column i holds column
+    ``rows[i]``: the state the separate compositions take on ``pool.take(rows)``."""
+    carried = copy.deepcopy(state)
+    carried.samples.carry(rows, len(rows))
+    return carried
+
+
 def _ids_pool(rng, classes, n, ids):
     """n random rows cycling through ``classes``, with sample ids ``ids``."""
     y = np.asarray(classes, dtype=np.int64)[np.arange(n) % len(classes)]
@@ -759,11 +768,13 @@ def _ids_pool(rng, classes, n, ids):
 )
 def test_row_steps_are_bitwise_the_compositions_on_taken_rows(hidden_dim, sizes, seed):
     """The row-form ``gcl_step`` gives, to the bit, the loss, gradient and
-    estimator state of the separate compositions on ``pool.take(rows)``:
-    sample ids that are not 0..N-1, shuffled rows, one state stepped on two
-    successive pools that share rows (as a stage pool shares the buffer's rows
-    with the next) and pools whose classes are a subset of the encoder's.  A
-    repeated row is refused, naming its id, and leaves the state alone."""
+    estimates of the separate compositions on ``pool.take(rows)`` from the
+    state carried to the batch (``carry(rows, len(rows))``): sample ids that
+    are not 0..N-1, shuffled rows, one state stepped on two successive pools
+    that share rows and carried from the first to the second along them (as
+    a stage pool shares the buffer's rows with the next) and pools whose
+    classes are a subset of the encoder's.  A repeated row is refused, naming
+    its id, and leaves the state alone."""
     rng = np.random.default_rng(seed)
     enc = make_encoder(seed=seed, hidden_dim=hidden_dim, num_classes=6)
     w = enc.init_params()
@@ -773,22 +784,25 @@ def test_row_steps_are_bitwise_the_compositions_on_taken_rows(hidden_dim, sizes,
                       ids[:first_n])
     fresh = _ids_pool(rng, [int(k) for k in rng.choice(6, 2, replace=False)], fresh_n,
                       ids[first_n:])
-    second = Pool.concat([first.take(np.sort(rng.permutation(first_n)[:kept_n])), fresh])
-    fused_state, separate_state = GclEstimatorState(0.8), GclEstimatorState(0.8)
-    for pool in (first, second):
+    kept = np.sort(rng.permutation(first_n)[:kept_n])
+    second = Pool.concat([first.take(kept), fresh])
+    fused_state = GclEstimatorState(0.8)
+    for pool, carried in ((first, kept[:0]), (second, kept)):
         N = len(pool)
+        fused_state.samples.carry(carried, N)
         for _ in range(3):
             w = w + 0.05 * rng.standard_normal(enc.n_params)
             rows = rng.permutation(N)[: int(rng.integers(1, N + 1))]
             batch = pool.take(rows)
 
+            separate_state = _carried(fused_state, rows)
             loss = gcl_loss_full(enc, w, batch, 0.2)
             gcl_update_estimators(separate_state, enc, w, batch, 0.2, N)
             grad = gcl_gradient_estimate(separate_state, enc, w, batch, 0.2, N)
             fused = gcl_step(fused_state, enc, w, pool, rows, 0.2)
             assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
             assert fused[1].tobytes() == grad.tobytes()
-            assert state_bytes(fused_state) == state_bytes(separate_state)
+            assert state_bytes(_carried(fused_state, rows)) == state_bytes(separate_state)
 
         before = state_bytes(fused_state)
         r = int(rng.integers(N))
@@ -809,29 +823,32 @@ def test_row_steps_are_bitwise_the_compositions_on_taken_rows(hidden_dim, sizes,
     seed=st.integers(0, 2**16),
 )
 def test_fused_steps_are_bitwise_the_separate_sequence(hidden_dim, n, num_classes, seed):
-    """Over three steps, each fused step gives the loss, gradient and estimator
-    state of the separate calls the runner used to make, to the bit."""
+    """Over three steps, each fused step gives the loss, gradient and estimates
+    of the separate calls the runner used to make, to the bit: gdro's on one
+    state of their own, whose columns are pool rows too, and gcl's on the
+    fused state carried to the batch, whose rows are their columns."""
     rng = np.random.default_rng(seed)
     enc = make_encoder(seed=seed, hidden_dim=hidden_dim, num_classes=num_classes)
     w = enc.init_params()
     pool = make_pool(rng, n, num_classes, 3)
     cfg = GdroConfig(lam=0.7, gamma=0.8, margin=0.3, tau=0.4,
                      batch_classes=2, batch_per_class=3)
-    gcl_states = GclEstimatorState(0.9), GclEstimatorState(0.9)
+    gcl_state = GclEstimatorState(0.9)
+    gcl_state.samples.grow(n)
     gdro_states = GdroEstimatorState(), GdroEstimatorState()
     for _ in range(3):
         w = w + 0.05 * rng.standard_normal(enc.n_params)
         rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
         batch = pool.take(rows)
 
-        separate_state, fused_state = gcl_states
+        separate_state = _carried(gcl_state, rows)
         loss = gcl_loss_full(enc, w, batch, 0.2)
         gcl_update_estimators(separate_state, enc, w, batch, 0.2, n)
         grad = gcl_gradient_estimate(separate_state, enc, w, batch, 0.2, n)
-        fused = gcl_step(fused_state, enc, w, pool, rows, 0.2)
+        fused = gcl_step(gcl_state, enc, w, pool, rows, 0.2)
         assert np.float64(fused[0]).tobytes() == np.float64(loss).tobytes()
         assert fused[1].tobytes() == grad.tobytes()
-        assert state_bytes(fused_state) == state_bytes(separate_state)
+        assert state_bytes(_carried(gcl_state, rows)) == state_bytes(separate_state)
 
         separate_state, fused_state = gdro_states
         picked = [int(k) for k in rng.choice(num_classes, 2, replace=False)]
@@ -955,11 +972,15 @@ def _hand_loop(steps_taken):
     """A ``_Trainer.train_task`` that steps every batch through the public
     ``gcl_step``, ``ce_loss`` and ``ce_gradient`` on the batch's rows over the
     pool's classes, or ``gdro_step``, and then ``optim.step``, logging as the
-    runner logs; each optimizer step appends to ``steps_taken``."""
+    runner logs; each optimizer step appends to ``steps_taken``.  A public step
+    takes a state carried to its pool, so each stage first carries the state
+    along the buffer's ``kept`` rows."""
 
     def train_task(self, task, pool):
         cfg, enc = self.config, self.enc
         candidates = pool.class_index[0].tolist()
+        if self.state is not None:
+            self.state.samples.carry(self.buffer.kept, len(pool))
         for epoch, batches in enumerate(_hand_batches(self, pool, candidates)):
             for rows in batches:
                 if cfg.method == "gcl":
@@ -1048,25 +1069,16 @@ def test_runner_steps_are_the_public_steps(
         _same_run(*_run_both(monkeypatch, stream, config))
 
 
-def _repeat_id(pool, i, j):
-    """Gives row ``j`` of ``pool`` the sample id of row ``i``."""
-    pool.ids[j] = pool.ids[i]
-    return pool.ids[i]
-
-
 @pytest.mark.parametrize("method", ["gcl", "gdro"])
-def test_a_stage_pool_that_repeats_an_id_is_refused_before_its_first_step(monkeypatch, method):
-    """A row of each of the second task's two classes takes one sample id after
-    the stream is built.  gcl's and gdro's estimators key on sample ids, so the
-    run is refused, naming the id, when the second stage gives its pool's ids
-    their columns: after every step of the first stage and before any of the
-    second.  No public step is called on the way."""
-    stream = _small_stream()
-    pool = stream.tasks[1].train
-    first, second = pool.class_index[2].tolist()  # each class's first row
-    repeated = _repeat_id(pool, first, second)
-    config = _fast_config(method, epochs_per_task=2)
-    expected = _first_stage_steps(config)
+def test_training_reads_no_sample_id(monkeypatch, method):
+    """gcl's and gdro's estimator columns are pool rows, carried from stage to
+    stage along the buffer's rows, so training reads no sample id: a stream
+    whose training rows all take one sample id after the stream is built
+    trains to the parameters and log of the same stream with distinct ids.
+    No public step is called on the way."""
+    repeated = _small_stream()
+    for task in repeated.tasks:
+        task.train.ids[:] = [7] * len(task.train)
 
     def public_step(*args):
         raise AssertionError("training called a public step")
@@ -1075,62 +1087,89 @@ def test_a_stage_pool_that_repeats_an_id_is_refused_before_its_first_step(monkey
         for public in ("gcl_step", "gdro_step"):
             if hasattr(module, public):
                 monkeypatch.setattr(module, public, public_step)
-    real_step, steps = cclearn.runner.optimizer_step, []
-
-    def counted(*args):
-        steps.append(None)
-        return real_step(*args)
-
-    monkeypatch.setattr(cclearn.runner, "optimizer_step", counted)
-    message = f"^the ids of one estimator update must not repeat: {repeated} does$"
-    with pytest.raises(ValueError, match=message):
-        run(stream, config)
-    assert len(steps) == expected > 0
+    config = _fast_config(method, epochs_per_task=2, log_every=1)
+    results = [run(stream, config) for stream in (_small_stream(), repeated)]
+    assert results[1].params.tobytes() == results[0].params.tobytes()
+    assert results[1].log == results[0].log
 
 
-@settings(max_examples=20, deadline=None)
+def _stream(mode, num_classes, num_tasks, per_class, seed):
+    """A class-incremental stream of ``num_tasks`` tasks, or a domain-incremental
+    one of ``num_tasks`` rotated domains of every class."""
+    ds = gen_synthetic(num_classes, per_class, 8, 4.0, 0.5, seed)
+    if mode == "cil":
+        return split_cil(ds, num_tasks, test_fraction=0.25, seed=seed + 1)
+    shifted = gen_domain_shift(ds, num_tasks, "rotation", 0.5, seed + 2)
+    return split_dil(shifted, list(range(num_tasks)), test_fraction=0.25, seed=seed + 1)
+
+
+def _pool_bytes(pool):
+    return pool.X.tobytes(), pool.y.tobytes(), pool.ids
+
+
+@settings(max_examples=30, deadline=None)
 @given(
+    mode=st.sampled_from(["cil", "dil"]),
     method=st.sampled_from(["gcl", "gdro"]),
     hidden_dim=st.sampled_from([0, 3]),
-    num_tasks=st.integers(1, 3),
+    num_tasks=st.integers(2, 3),
     classes_per_task=st.integers(2, 3),
-    per_class=st.integers(4, 9),
-    memory=st.integers(0, 10),
+    per_class=st.integers(4, 8),
+    memory=st.integers(0, 60),
     seed=st.integers(0, 2**16),
 )
-@example(method="gcl", hidden_dim=0, num_tasks=3, classes_per_task=2, per_class=8, memory=2,
-         seed=0)
-@example(method="gdro", hidden_dim=0, num_tasks=3, classes_per_task=2, per_class=8, memory=2,
-         seed=0)
-def test_the_sample_table_holds_every_stage_pool_id_once(
-    method, hidden_dim, num_tasks, classes_per_task, per_class, memory, seed,
+def test_estimates_follow_pool_rows_between_stages(
+    mode, method, hidden_dim, num_tasks, classes_per_task, per_class, memory, seed,
 ):
-    """After every stage the estimator state's sample table keys exactly that
-    stage pool's ids, the id of pool row i in column i: a stage keeps its
-    pool's estimates only, so the table never outgrows the pool.  An id of
-    the previous stage's pool that the buffer evicted reads as not
-    initialized, naming the id.  No result moves: an evicted id never returns
-    to a later pool."""
-    ds = gen_synthetic(classes_per_task * num_tasks, per_class, 8, 4.0, 0.5, seed)
-    stream = split_cil(ds, num_tasks, test_fraction=0.25, seed=seed + 1)
+    """The buffer's ``kept`` rows carry every estimate from one stage pool to
+    the next.  At each ``rebalance_after_task`` the rows it joins are the
+    stage's pool, byte for byte, so the rows it stores are that pool's rows
+    ``kept``.  At each stage start, before its first step, the sample table is
+    as wide as the pool, and column i holds the previous stage's estimate for
+    pool row i's id, bit for bit, or no estimate for a row the previous pool
+    did not hold.  Memory runs from none to more than a pool holds."""
+    num_classes = classes_per_task * (num_tasks if mode == "cil" else 1)
+    stream = _stream(mode, num_classes, num_tasks, per_class, seed)
     config = _fast_config(method, epochs_per_task=2, memory_capacity=memory, seed=seed,
                           hidden_dim=hidden_dim)
-    real_train_task, pools = cclearn.runner._Trainer.train_task, []
+    trainer_cls, buffer_cls = cclearn.runner._Trainer, cclearn.runner.MemoryBuffer
+    real_epochs, real_train = trainer_cls._epochs, trainer_cls.train_task
+    real_rebalance = buffer_cls.rebalance_after_task
+    pools, ended, started = [], [], []
+
+    def epochs(self, pool):
+        batches = real_epochs(self, pool)
+        first = next(batches)  # the carry is made, and no step is taken yet
+        samples = self.state.samples
+        assert samples.values.shape == (2, len(pool)) == (2, len(samples.initialized))
+        before = ended[-1] if ended else {}
+        for i, sample in enumerate(pool.ids):
+            flag, values = before.get(sample, (False, np.zeros(2).tobytes()))
+            assert samples.initialized[i] == flag
+            assert samples.values[:, i].tobytes() == values
+        started.append(len(pool))
+        yield first
+        yield from batches
 
     def train_task(self, task, pool):
-        real_train_task(self, task, pool)
-        samples = self.state.samples
-        assert list(samples.slot.items()) == [(i, col) for col, i in enumerate(pool.ids)]
-        assert not samples.initialized[len(pool) :].any()
-        for i in set(pools[-1].ids if pools else []) - set(pool.ids):
-            with pytest.raises(ValueError, match=f"^estimator not initialized for sample {i}$"):
-                samples.read([i])
         pools.append(pool)
+        real_train(self, task, pool)
+        samples = self.state.samples
+        ended.append({sample: (bool(samples.initialized[i]), samples.values[:, i].tobytes())
+                      for i, sample in enumerate(pool.ids)})
+
+    def rebalance(self, finished):
+        assert _pool_bytes(Pool.concat([self.stored, finished])) == _pool_bytes(pools[-1])
+        real_rebalance(self, finished)
+        assert _pool_bytes(self.stored) == _pool_bytes(pools[-1].take(self.kept))
+        return self
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(cclearn.runner._Trainer, "train_task", train_task)
+        monkeypatch.setattr(trainer_cls, "_epochs", epochs)
+        monkeypatch.setattr(trainer_cls, "train_task", train_task)
+        monkeypatch.setattr(buffer_cls, "rebalance_after_task", rebalance)
         run(stream, config)
-    assert len(pools) == num_tasks
+    assert started == [len(pool) for pool in pools] and len(pools) == num_tasks
 
 
 def test_cross_entropy_trains_one_path_whatever_the_ids(monkeypatch):

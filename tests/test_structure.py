@@ -4,7 +4,8 @@ Data travels as rows from the ``.clds`` file to the training step: datasets
 hold columns, splits select index arrays, tasks and the replay buffer hold
 ``Pool``s.  The package defines no per-sample type, and no module reads a
 sample's ``x``, ``class_id`` or ``sample_id``: the estimators, the buffer and
-the runner read the ``X``, ``y`` and ``ids`` of a ``Pool``.  Every batch is
+the runner read the ``X`` and ``y`` of a ``Pool``, and its ``ids`` only to
+name a sample in a refusal; the estimates are keyed by pool row.  Every batch is
 rows of its stage pool: a gcl or cross-entropy batch is an index array of
 the pool's rows, and gdro's anchors are row indices into the pool, drawn
 for a whole stage before its first step by one ``sample_class_batches`` call,
